@@ -284,8 +284,7 @@ impl DatabaseBuilder {
                 .txns()
                 .reserve_local_ids(ifdb_storage::REPLICA_LOCAL_TXN_BASE);
             // The replica's own log is never read (its state is a cache of
-            // the primary's log), so local read transactions must not
-            // accumulate Begin/Commit records in it forever.
+            // the primary's log), so nothing logged locally may accumulate.
             engine.wal().set_discard(true);
             let db = Database::from_engine(engine, self.config);
             db.inner
@@ -515,8 +514,7 @@ impl Database {
             .txns()
             .reserve_local_ids(ifdb_storage::REPLICA_LOCAL_TXN_BASE);
         // The replica's own log is never read (its state is a cache of the
-        // primary's log), so local read transactions must not accumulate
-        // Begin/Commit records in it forever.
+        // primary's log), so nothing logged locally may accumulate.
         engine.wal().set_discard(true);
         let db = Self::from_engine(engine, config);
         db.inner

@@ -672,6 +672,12 @@ impl Shared {
             // promoted node acks locally until its own replicas attach.
             return Ok(());
         }
+        // Never wait for records the stream withholds (past the last
+        // fsync). A commit that wrote is durable, so this still covers it;
+        // what is cut off is other sessions' unfinished work, which a
+        // commit that wrote nothing — and so flushed nothing — would
+        // otherwise wait on until someone else happened to commit.
+        let seq = seq.min(self.db.engine().wal().shippable_seq());
         if self.wait_repl_applied(seq, window) {
             return Ok(());
         }
@@ -1293,6 +1299,9 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("index_point_lookups", e.index_point_lookups)
         .push("index_range_scans", e.index_range_scans)
         .push("txns_started", e.txns_started)
+        .push("txns_read_only", e.txns_read_only)
+        .push("txns_active", e.txns_active)
+        .push("txn_table_entries", e.txn_table_entries)
         .push("wal_bytes", e.wal_bytes)
         .push("wal_fsyncs", e.wal_fsyncs)
         .push("commits_batched", e.commits_batched)

@@ -362,6 +362,14 @@ impl Reactor {
         let past_deadline = self.shared.past_drain_deadline();
         let tokens: Vec<usize> = self.conns.keys().copied().collect();
         for token in tokens {
+            // Requests that reached the socket before this pass are part of
+            // the pipeline: pick them up, so they drain — or count as
+            // aborted at the deadline — instead of vanishing unread behind
+            // an "idle" verdict.
+            if !self.conns[&token].notified_shutdown && !self.handle_read(token) {
+                self.teardown(token);
+                continue;
+            }
             if past_deadline {
                 self.teardown(token);
                 continue;

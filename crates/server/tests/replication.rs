@@ -590,6 +590,203 @@ fn routed_connection_read_your_writes() {
     primary.shutdown();
 }
 
+/// Lazy `Begin` end to end: a transaction that wrote nothing never existed
+/// for the log, the mirror or a replica. Reads on the primary ship nothing;
+/// reads on the replica (local ids in the reserved high range) leave the
+/// replica's own log and transaction table untouched; and a *writer* still
+/// streams its `Begin`, so promotion's orphan abort finds it.
+#[test]
+fn reads_ship_nothing_and_promotion_still_finds_streamed_writers() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let replica = start_replica_of(&primary.addr().to_string());
+    let paddr = primary.addr().to_string();
+    let raddr = replica.addr().to_string();
+    let primary_log = fx.db.engine().wal();
+    let target = primary_log.last_seq();
+    assert!(replica.wait_for_seq(target, Duration::from_secs(5)));
+    let applied_before = replica.stats().records_applied;
+
+    // Reads on the primary: auto-committed over the wire, and inside an
+    // explicit transaction that commits and one that aborts.
+    let select = Statement::Select(Select::star("messages"));
+    let mut alice = connect(&paddr, "alice", "pw-a", &[fx.difc.alice_tag]);
+    for _ in 0..40 {
+        assert_eq!(alice.run(&select).unwrap().into_rows().len(), 6);
+    }
+    alice.close().unwrap();
+    let mut s = fx.db.session(fx.difc.alice);
+    s.add_secrecy(fx.difc.alice_tag).unwrap();
+    let audit_seq = primary_log.last_seq();
+    for commit in [true, false] {
+        s.begin().unwrap();
+        assert_eq!(s.select(&Select::star("messages")).unwrap().len(), 6);
+        if commit {
+            s.commit().unwrap();
+        } else {
+            s.abort().unwrap();
+        }
+    }
+    drop(s);
+    assert_eq!(
+        primary_log.last_seq(),
+        audit_seq,
+        "a read appends nothing to the primary's log"
+    );
+
+    // Reads on the replica.
+    let replica_engine = replica.database().engine();
+    let replica_log = replica_engine.wal();
+    let log_before = (replica_log.last_seq(), replica_log.bytes_written());
+    let stats_before = replica_engine.stats();
+    let mut bob = connect(&raddr, "bob", "pw-b", &[fx.difc.bob_tag]);
+    for _ in 0..40 {
+        assert_eq!(bob.run(&select).unwrap().into_rows().len(), 4);
+    }
+    bob.close().unwrap();
+    let stats_after = replica_engine.stats();
+    assert_eq!(
+        (replica_log.last_seq(), replica_log.bytes_written()),
+        log_before,
+        "replica-local reads leave the replica's own log byte-identical"
+    );
+    assert_eq!(stats_after.txns_started - stats_before.txns_started, 40);
+    assert!(
+        stats_after.txns_started < 1_000_000,
+        "begins are counted, not read off the reserved id range"
+    );
+    assert_eq!(
+        stats_after.txn_table_entries,
+        stats_before.txn_table_entries
+    );
+    assert_eq!(stats_after.txns_active, 0);
+
+    // One writer in flight on the primary: its Begin and Insert stream over
+    // (and nothing else has since the reads began, bar the label raise's
+    // audit link).
+    let mut writer = fx.db.anonymous_session();
+    writer.begin().unwrap();
+    assert_eq!(writer.select(&Select::star("messages")).unwrap().len(), 1);
+    writer
+        .insert(&Insert::new(
+            "messages",
+            vec![
+                Datum::Int(99),
+                Datum::from("anon"),
+                Datum::from("in flight"),
+            ],
+        ))
+        .unwrap();
+    let shipped = primary_log.last_seq();
+    assert!(replica.wait_for_seq(shipped, Duration::from_secs(5)));
+    assert_eq!(
+        replica.stats().records_applied - applied_before,
+        shipped - target,
+        "only records of writers (and audit links) were applied"
+    );
+    assert_eq!(replica_engine.stats().txns_active, 1, "the streamed writer");
+
+    // The primary dies mid-transaction; the successor aborts the orphan.
+    std::mem::forget(writer);
+    primary.shutdown();
+    replica.promote().unwrap();
+    assert_eq!(replica_engine.stats().txns_active, 0, "orphan aborted");
+    // Constraints are code, not data: re-attach them before writing.
+    replica.database().create_table(messages_def()).unwrap();
+    let mut anon = replica.database().anonymous_session();
+    assert_eq!(anon.select(&Select::star("messages")).unwrap().len(), 1);
+    anon.insert(&Insert::new(
+        "messages",
+        vec![Datum::Int(100), Datum::from("anon"), Datum::from("new era")],
+    ))
+    .unwrap();
+    assert_eq!(anon.select(&Select::star("messages")).unwrap().len(), 2);
+    replica.shutdown();
+}
+
+/// Under semi-synchronous replication on a durable (group-commit) primary,
+/// the gate waits for what the stream can ship. A commit that wrote nothing
+/// must not wait for records the stream withholds: another session's
+/// unfinished writes sit past the last fsync, the reader appends no `Commit`
+/// of its own to flush them, and nobody else may be about to. A commit that
+/// wrote still waits for its own sequence number: its acknowledgement means
+/// a replica applied it, and without a replica it waits out the window.
+#[test]
+fn semi_sync_gate_covers_a_writers_own_commit_and_nothing_unsynced() {
+    let dir = std::env::temp_dir().join(format!("ifdb-semisync-reader-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let db = Database::new(
+        DatabaseConfig::on_disk(dir.clone(), 64)
+            .with_seed(SEED)
+            .with_durability(DurabilityConfig::GROUP_COMMIT),
+    );
+    let difc = setup_principals_and_views(&db);
+    db.create_table(messages_def()).unwrap();
+    let auth = Arc::new(Authenticator::new());
+    register_users(&difc, &auth);
+    let window = Duration::from_secs(1);
+    let primary = start(
+        db.clone(),
+        auth,
+        ServerConfig {
+            replication_secret: Some(REPL_SECRET.into()),
+            sync_replication: Some(window),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let replica = start_replica_of(&primary.addr().to_string());
+    let mut conn = connect(&primary.addr().to_string(), "", "", &[]);
+    let row = |id: i64| {
+        Statement::Insert(Insert::new(
+            "messages",
+            vec![Datum::Int(id), Datum::from("anon"), Datum::from("hi")],
+        ))
+    };
+    conn.run(&row(1)).unwrap();
+
+    // Another session leaves a write in the log, unsynced and uncommitted.
+    let mut idle_writer = db.anonymous_session();
+    idle_writer.begin().unwrap();
+    idle_writer
+        .insert(&Insert::new(
+            "messages",
+            vec![Datum::Int(2), Datum::from("anon"), Datum::from("pending")],
+        ))
+        .unwrap();
+
+    let started = std::time::Instant::now();
+    conn.begin().unwrap();
+    assert_eq!(conn.select(&Select::star("messages")).unwrap().len(), 1);
+    conn.commit()
+        .expect("a read-only commit has nothing to replicate");
+    // A writer's commit flushes everything before it, as it always did, and
+    // is acknowledged only once a replica holds it.
+    conn.run(&row(3)).unwrap();
+    assert!(started.elapsed() < window, "nobody waited out the window");
+    let commit_seq = db.engine().wal().last_seq();
+    assert!(
+        replica.applied_seq_handle().load(Ordering::Acquire) >= commit_seq,
+        "acknowledged means applied on a replica, the writer's own Commit included"
+    );
+
+    // With the replica gone the writer waits for its own sequence number,
+    // and is indeterminate after the window.
+    replica.shutdown();
+    let started = std::time::Instant::now();
+    let err = conn.run(&row(4)).unwrap_err();
+    assert!(
+        ifdb_client::is_indeterminate_commit_error(&err),
+        "durable locally, unconfirmed remotely: {err}"
+    );
+    assert!(started.elapsed() >= window - Duration::from_millis(50));
+
+    idle_writer.abort().unwrap();
+    conn.close().unwrap();
+    primary.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The tamper-evident audit chain is part of the replicated state: every
 /// chain-worthy event on the primary (label raises, declassifications) must
 /// arrive on the replica in order, verify there, and — after a promotion —

@@ -198,6 +198,64 @@ fn label_veto_aborts_all_shards_thread_pool() {
     label_veto_aborts_all_shards(Backend::ThreadPool);
 }
 
+/// A participant with an empty write set still votes durably: its `Prepare`
+/// is its first log record, so the lazily logged `Begin` goes in ahead of it
+/// and the `Decide` settles it — on the commit path and on the abort path.
+#[test]
+fn read_only_participant_prepares_and_decides() {
+    use ifdb_storage::LogRecord;
+    let s0 = start_shard(Backend::Reactor);
+    let db1 = shard_db();
+    let s1 = start(
+        db1.clone(),
+        Arc::new(Authenticator::new()),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let mut router = router_over(shard_map(), &[&s0, &s1]);
+    let log1 = db1.engine().wal();
+    let before = log1.last_seq();
+
+    // Shard 0 writes, shard 1 only reads; both are participants.
+    router.begin().unwrap();
+    router.insert(&insert_stmt(7, "writer side")).unwrap();
+    let probe = Select::star("accounts").filter(Predicate::Eq("id".into(), Datum::Int(150)));
+    assert_eq!(router.select(&probe).unwrap().len(), 0);
+    assert_eq!(log1.last_seq(), before, "the read logged nothing");
+    router.commit().unwrap();
+    assert_eq!(router.stats().distributed_commits, 1);
+    let tail = log1.read_replication_batch(before + 1, usize::MAX).records;
+    assert!(
+        matches!(
+            tail[..],
+            [
+                LogRecord::Begin { txn: b },
+                LogRecord::Prepare { txn: p, .. },
+                LogRecord::Decide { txn: d, commit: true },
+            ] if b == p && p == d
+        ),
+        "{tail:?}"
+    );
+
+    // The same shape, abandoned before the vote: the reader's abort has
+    // nothing to take back and logs nothing.
+    let settled = log1.last_seq();
+    router.begin().unwrap();
+    router.insert(&insert_stmt(8, "doomed")).unwrap();
+    assert_eq!(router.select(&probe).unwrap().len(), 0);
+    router.abort().unwrap();
+    assert_eq!(log1.last_seq(), settled);
+
+    assert_eq!(count_rows(&s0), 1, "id 7");
+    assert_eq!(count_rows(&s1), 0);
+    assert!(in_doubt_gids(&s0).is_empty(), "no in-doubt leaks");
+    assert!(in_doubt_gids(&s1).is_empty());
+    assert_eq!(db1.engine().stats().txns_active, 0);
+    router.close().unwrap();
+    s0.shutdown();
+    s1.shutdown();
+}
+
 /// The gid the crashing child coordinator uses, so the parent can assert
 /// exactly which transaction was resolved.
 const CRASH_GID: u64 = 0x2FC0_FFEE;

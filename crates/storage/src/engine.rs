@@ -605,12 +605,23 @@ impl StorageEngine {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Starts a transaction.
+    /// Starts a transaction. Nothing is logged yet: the `Begin` record is
+    /// appended lazily, immediately before the transaction's first
+    /// `Insert`/`Delete`/`Prepare` record, so a transaction that never
+    /// writes never existed for the log, the mirror or a replica.
     pub fn begin(&self) -> StorageResult<TxnId> {
         self.quiesce_for_pending_checkpoint();
-        let txn = self.txns.begin();
-        self.wal.append(LogRecord::Begin { txn })?;
-        Ok(txn)
+        Ok(self.txns.begin())
+    }
+
+    /// Appends `txn`'s `Begin` if this is its first log record. A
+    /// transaction is driven by one session at a time, so the `Begin` lands
+    /// directly ahead of the record the caller appends next.
+    fn log_begin_once(&self, txn: TxnId) -> StorageResult<()> {
+        if self.txns.note_first_write(txn) {
+            self.wal.append(LogRecord::Begin { txn })?;
+        }
+        Ok(())
     }
 
     /// While a deferred checkpoint is pending, briefly holds back new
@@ -716,6 +727,10 @@ impl StorageEngine {
     /// periodic-checkpoint policy is configured
     /// ([`DurabilityConfig::with_checkpoint_every`]), the commit may also
     /// trigger a checkpoint once the engine is quiescent.
+    ///
+    /// A transaction that wrote nothing has no commit record: it appends
+    /// nothing, never fsyncs, and does not count towards the periodic
+    /// checkpoint/vacuum policies.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
         // The log record is the commit point: it must be durable *before*
         // the transaction is marked committed in memory, or a concurrent
@@ -723,7 +738,12 @@ impl StorageEngine {
         // effects whose commit record never reaches the device. The
         // active→committing claim is atomic, so two racing commit() calls
         // cannot both append a durable Commit record.
-        self.txns.begin_commit(txn)?;
+        if !self.txns.begin_commit(txn)? {
+            self.txns.finish_commit(txn)?;
+            // A reader can be the settle that drains the engine.
+            let _ = self.run_pending_checkpoint_if_quiescent();
+            return Ok(());
+        }
         if let Err(e) = self.wal.append(LogRecord::Commit { txn }) {
             // The Commit frame may already sit in the log (e.g. the write
             // succeeded and only the fsync failed), and a later committer's
@@ -801,8 +821,9 @@ impl StorageEngine {
     /// Aborts a transaction. The tuple versions it wrote remain in the heap
     /// but are never visible; vacuum reclaims them.
     pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
-        self.txns.abort(txn)?;
-        self.wal.append(LogRecord::Abort { txn })?;
+        if self.txns.settle(txn, TxnStatus::Aborted)? {
+            self.wal.append(LogRecord::Abort { txn })?;
+        }
         // An abort can be the settle that drains the engine; a deferred
         // checkpoint must not miss it. Checkpoint failures are not abort
         // failures (the request is dropped and surfaced on a later commit).
@@ -824,6 +845,9 @@ impl StorageEngine {
     /// be made durable a superseding Abort settles the transaction, and if
     /// even that fails the commit claim is held forever.
     pub fn prepare_commit(&self, txn: TxnId, gid: u64) -> StorageResult<()> {
+        // A participant with an empty write set still votes durably: its
+        // Prepare is its first record, so its Begin goes in ahead of it.
+        self.log_begin_once(txn)?;
         self.txns.begin_commit(txn)?;
         if let Err(e) = self.wal.append(LogRecord::Prepare { txn, gid }) {
             if self.wal.append(LogRecord::Abort { txn }).is_ok() && self.wal.sync().is_ok() {
@@ -941,6 +965,7 @@ impl StorageEngine {
         let t = self.table(table)?;
         t.schema.check_tuple(&values)?;
         let version = TupleVersion::new(TupleHeader::new(txn, label), values);
+        self.log_begin_once(txn)?;
         let row = t.heap.insert(&version)?;
         self.wal.append(LogRecord::Insert {
             txn,
@@ -980,6 +1005,7 @@ impl StorageEngine {
                 }
             }
         }
+        self.log_begin_once(txn)?;
         t.heap.set_xmax(row, Some(txn))?;
         self.wal.append(LogRecord::Delete {
             txn,
@@ -1345,6 +1371,9 @@ impl StorageEngine {
             Ok(image)
         })?;
         drop(audit);
+        // From here on this node's transactions are a primary's: they leave
+        // the id range reserved for replica-local readers.
+        self.txns.leave_replica_id_range();
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
@@ -1562,7 +1591,11 @@ impl StorageEngine {
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
         s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);
-        s.txns_started = self.txns.started_count();
+        let txns = self.txns.counts();
+        s.txns_started = txns.started;
+        s.txns_read_only = txns.read_only;
+        s.txns_active = txns.active;
+        s.txn_table_entries = txns.entries;
         s.wal_bytes = self.wal.bytes_written();
         s.wal_fsyncs = self.wal.fsyncs();
         s.commits_batched = self.wal.commits_batched();

@@ -1,19 +1,32 @@
 //! Multi-version concurrency control with snapshot isolation.
 //!
 //! The transaction manager hands out monotonically increasing transaction
-//! ids, tracks commit/abort status, and builds snapshots. A snapshot captures
-//! the set of transactions that were in flight when it was taken; a tuple
-//! version is visible to the snapshot iff its creating transaction committed
-//! before the snapshot and its deleting transaction (if any) did not.
+//! ids, tracks which transactions are running and which committed, and
+//! builds snapshots. A snapshot captures the set of transactions that were
+//! in flight when it was taken; a tuple version is visible to the snapshot
+//! iff its creating transaction committed before the snapshot and its
+//! deleting transaction (if any) did not.
 //!
 //! This is the same MVCC structure that made the IFDB changes easy in
 //! PostgreSQL (Section 7.1): the visibility check is the single place where
 //! irrelevant versions are skipped, so it is also where the `ifdb` crate
 //! hooks in the Query-by-Label filtering.
+//!
+//! # What the table holds
+//!
+//! As with a PostgreSQL snapshot (`xmin`, `xmax`, in-progress xids), what a
+//! statement pays depends on who is running *now*, not on who ever ran: an
+//! **active list** with one small entry per running transaction, whose ids
+//! are all a snapshot copies, and one **commit stamp** per settled
+//! transaction that committed writes. An aborted transaction needs no entry
+//! (an unknown id reports as aborted), and a transaction that wrote nothing
+//! is in no tuple header, so it leaves nothing behind however it ends.
+//! Stamps are not pruned yet — when a header may forget its writer belongs
+//! with the residency decision (ROADMAP item 9; docs/ARCHITECTURE.md,
+//! "Transactions and visibility").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -61,8 +74,9 @@ pub struct Snapshot {
     pub txn: TxnId,
     /// Every id `>= horizon` was not yet started when the snapshot was taken.
     pub horizon: TxnId,
-    /// Transactions that were in progress when the snapshot was taken.
-    pub active: HashSet<TxnId>,
+    /// The other transactions that were in progress when the snapshot was
+    /// taken, in ascending id order.
+    pub active: Vec<TxnId>,
     /// The commit counter at snapshot time: only transactions whose commit
     /// stamp is below this are visible. The id-based `horizon`/`active`
     /// tests cannot fence transactions whose ids lie outside the local
@@ -74,54 +88,62 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Returns `true` if the effects of `other` (with the given status and
-    /// commit stamp) are visible to this snapshot.
-    pub fn sees(&self, other: TxnId, status: TxnStatus, commit_stamp: u64) -> bool {
-        if other == self.txn {
-            return true;
+    /// What the snapshot alone says about seeing `other`'s effects: `None`
+    /// when that turns on whether (and when) `other` committed.
+    fn presumes(&self, other: TxnId) -> Option<bool> {
+        if other == self.txn || other == BOOTSTRAP_TXN {
+            Some(true)
+        } else if other >= self.horizon || self.active.binary_search(&other).is_ok() {
+            Some(false)
+        } else {
+            None
         }
-        if other == BOOTSTRAP_TXN {
-            return true;
-        }
-        if other >= self.horizon {
-            return false;
-        }
-        if self.active.contains(&other) {
-            return false;
-        }
-        status == TxnStatus::Committed && commit_stamp < self.commit_floor
     }
 }
 
-/// Transaction table: status map plus the set of transactions currently
-/// mid-commit. Both live under one lock so the active→committing transition
-/// of [`TransactionManager::begin_commit`] is atomic.
+/// One running transaction's slot in the active list.
+#[derive(Debug, Clone, Copy)]
+struct ActiveTxn {
+    id: TxnId,
+    /// `next_commit_stamp` as of the transaction's begin: the earliest
+    /// commit floor any snapshot it takes can carry. Vacuum reclaims a
+    /// deleted version only when the deleter's commit stamp is below every
+    /// active transaction's begin floor.
+    begin_floor: u64,
+    /// Whether the log names this transaction (its `Begin` was appended, or
+    /// it arrived through the replication stream or recovery). Until then
+    /// its id is in no tuple header and it settles without a trace.
+    logged: bool,
+    /// Set while the transaction's commit record is being written, and for
+    /// as long as it is prepared: still in progress for visibility (the
+    /// record may not be durable yet), but no second commit and no abort
+    /// may race with the record hitting the device.
+    claimed: bool,
+}
+
+/// Transaction table. Everything lives under one lock so the
+/// active→claimed→committed transitions are atomic with respect to
+/// snapshots.
 #[derive(Debug)]
 struct TxnTable {
-    status: HashMap<TxnId, TxnStatus>,
-    /// `next_commit_stamp` as of each in-progress transaction's begin: the
-    /// earliest commit floor any snapshot that transaction takes can carry.
-    /// Vacuum reclaims a deleted version only when the deleter's commit
-    /// stamp is below every active transaction's begin floor.
-    begin_floors: HashMap<TxnId, u64>,
-    /// Transactions whose commit record is being written: still `InProgress`
-    /// for visibility (the record may not be durable yet), but claimed — no
-    /// second commit and no abort may race with the record hitting the
-    /// device.
-    committing: HashSet<TxnId>,
-    /// Commit-order stamps: assigned from `next_commit_stamp` under this
-    /// lock the moment a transaction becomes `Committed`, so stamp order is
-    /// exactly commit-visibility order. Transactions recovered as committed
-    /// have no entry and report stamp 0 — before every snapshot of this
+    /// The next locally allocated id; also the `horizon` handed to snapshots.
+    next_id: u64,
+    /// The highest id the replication stream has named.
+    max_streamed: u64,
+    /// Running transactions, sorted by id.
+    active: Vec<ActiveTxn>,
+    /// Commit-order stamps of settled transactions that committed writes:
+    /// assigned from `next_commit_stamp` the moment a transaction commits,
+    /// so stamp order is exactly commit-visibility order. Transactions
+    /// recovered as committed carry stamp 0 — before every snapshot of this
     /// incarnation.
-    commit_stamps: HashMap<TxnId, u64>,
+    committed: HashMap<TxnId, u64>,
     /// The next commit stamp; also the `commit_floor` handed to snapshots.
     next_commit_stamp: u64,
     /// Two-phase-commit participants that voted yes: global transaction id →
-    /// local transaction. A prepared transaction stays `InProgress` for
-    /// visibility and keeps its `committing` claim (no local commit or abort
-    /// may race the coordinator's decision); only
-    /// [`TransactionManager::finish_prepared`] resolves it.
+    /// local transaction. A prepared transaction stays active and keeps its
+    /// claim (no local commit or abort may race the coordinator's
+    /// decision); only [`TransactionManager::finish_prepared`] resolves it.
     prepared: HashMap<u64, TxnId>,
     /// Outcomes of resolved 2PC transactions (gid → committed?). Kept so a
     /// coordinator recovering another participant's in-doubt transaction can
@@ -130,39 +152,78 @@ struct TxnTable {
     /// abort). Bounded by the log: reconstructed from Prepare/Decide records
     /// at replay, forgotten at a checkpoint.
     decided: HashMap<u64, bool>,
-}
-
-impl Default for TxnTable {
-    fn default() -> Self {
-        TxnTable {
-            status: HashMap::new(),
-            begin_floors: HashMap::new(),
-            committing: HashSet::new(),
-            commit_stamps: HashMap::new(),
-            next_commit_stamp: 1,
-            prepared: HashMap::new(),
-            decided: HashMap::new(),
-        }
-    }
+    /// Transactions started here with [`TransactionManager::begin`].
+    started: u64,
+    /// Transactions that settled without the log ever naming them.
+    read_only: u64,
 }
 
 impl TxnTable {
-    fn stamp_commit(&mut self, txn: TxnId) {
-        let stamp = self.next_commit_stamp;
-        self.next_commit_stamp += 1;
-        self.commit_stamps.insert(txn, stamp);
+    fn position(&self, txn: TxnId) -> Result<usize, usize> {
+        self.active.binary_search_by_key(&txn, |a| a.id)
     }
+
+    /// Adds `id` to the active list unless it is already there; returns
+    /// whether it was added.
+    fn admit(&mut self, id: TxnId, logged: bool, claimed: bool) -> bool {
+        let Err(at) = self.position(id) else {
+            return false;
+        };
+        let entry = ActiveTxn {
+            id,
+            begin_floor: self.next_commit_stamp,
+            logged,
+            claimed,
+        };
+        self.active.insert(at, entry);
+        true
+    }
+
+    /// Removes the active entry at `at`. A committed writer gets its commit
+    /// stamp; an aborted one, or a transaction the log never named, leaves
+    /// nothing behind.
+    fn retire(&mut self, at: usize, commit: bool) {
+        let entry = self.active.remove(at);
+        if !entry.logged {
+            self.read_only += 1;
+        } else if commit {
+            self.stamp_commit(entry.id);
+        }
+    }
+
+    fn stamp_commit(&mut self, txn: TxnId) {
+        self.committed.insert(txn, self.next_commit_stamp);
+        self.next_commit_stamp += 1;
+    }
+
+    /// Whether `other`'s effects are visible to `snapshot`: it committed,
+    /// and did so before the snapshot's commit floor.
+    fn sees(&self, snapshot: &Snapshot, other: TxnId) -> bool {
+        snapshot.presumes(other).unwrap_or_else(|| {
+            let stamp = self.committed.get(&other);
+            stamp.is_some_and(|stamp| *stamp < snapshot.commit_floor)
+        })
+    }
+}
+
+/// Counters and sizes of the transaction table, read under one lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct TxnCounts {
+    /// Transactions started here with [`TransactionManager::begin`]
+    /// (replicated transactions are the primary's, not counted).
+    pub started: u64,
+    /// Of all settled transactions, those the log never named.
+    pub read_only: u64,
+    /// Transactions currently in progress.
+    pub active: u64,
+    /// Entries the table holds: active transactions plus commit stamps.
+    pub entries: u64,
 }
 
 /// The transaction manager: id allocation, status tracking, snapshots.
 #[derive(Debug)]
 pub struct TransactionManager {
-    next_id: AtomicU64,
     table: RwLock<TxnTable>,
-    /// In-progress transactions, maintained alongside the status map so that
-    /// [`TransactionManager::active_count`] is O(1) — it runs on every
-    /// commit under a periodic-checkpoint policy.
-    active: AtomicU64,
 }
 
 impl Default for TransactionManager {
@@ -175,79 +236,130 @@ impl TransactionManager {
     /// Creates a manager with no transactions.
     pub fn new() -> Self {
         TransactionManager {
-            next_id: AtomicU64::new(1),
-            table: RwLock::new(TxnTable::default()),
-            active: AtomicU64::new(0),
+            table: RwLock::new(TxnTable {
+                next_id: 1,
+                max_streamed: 0,
+                active: Vec::new(),
+                committed: HashMap::new(),
+                next_commit_stamp: 1,
+                prepared: HashMap::new(),
+                decided: HashMap::new(),
+                started: 0,
+                read_only: 0,
+            }),
         }
     }
 
     /// Starts a transaction, returning its id.
     pub fn begin(&self) -> TxnId {
-        let id = TxnId(self.next_id.fetch_add(1, Ordering::SeqCst));
         let mut table = self.table.write();
-        table.status.insert(id, TxnStatus::InProgress);
-        let floor = table.next_commit_stamp;
-        table.begin_floors.insert(id, floor);
-        self.active.fetch_add(1, Ordering::SeqCst);
+        let id = TxnId(table.next_id);
+        table.next_id += 1;
+        table.started += 1;
+        table.admit(id, false, false);
         id
+    }
+
+    /// Records that `txn` is about to write its first log record. Returns
+    /// `true` exactly once per running transaction: the caller must then
+    /// append the transaction's `Begin` before the record itself. From here
+    /// on the transaction's id may appear in tuple headers, so its outcome
+    /// is kept when it settles.
+    pub fn note_first_write(&self, txn: TxnId) -> bool {
+        // Every write asks; only a transaction's first takes the exclusive
+        // lock, so later ones do not stall the readers sharing it.
+        let unlogged = |table: &TxnTable| {
+            let at = table.position(txn).ok()?;
+            (!table.active[at].logged).then_some(at)
+        };
+        if unlogged(&self.table.read()).is_none() {
+            return false;
+        }
+        let mut table = self.table.write();
+        let first = unlogged(&table);
+        if let Some(at) = first {
+            table.active[at].logged = true;
+        }
+        first.is_some()
     }
 
     /// Commits a transaction.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
-        self.finish(txn, TxnStatus::Committed)
+        self.settle(txn, TxnStatus::Committed).map(drop)
     }
 
     /// Aborts a transaction.
     pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
-        self.finish(txn, TxnStatus::Aborted)
+        self.settle(txn, TxnStatus::Aborted).map(drop)
     }
 
-    /// Atomically claims an in-progress transaction for commit. Between this
-    /// call and [`TransactionManager::finish_commit`] the transaction stays
-    /// `InProgress` for visibility (its commit record may not be durable
-    /// yet), but no concurrent `commit`, `abort`, or second `begin_commit`
-    /// can succeed — so two racing committers cannot both write a durable
-    /// commit record with only one of them winning the in-memory transition.
-    pub fn begin_commit(&self, txn: TxnId) -> StorageResult<()> {
+    /// Settles an unclaimed running transaction as `to`, returning whether
+    /// the log names it (and so needs the matching outcome record).
+    pub(crate) fn settle(&self, txn: TxnId, to: TxnStatus) -> StorageResult<bool> {
         let mut table = self.table.write();
-        if table.status.get(&txn) != Some(&TxnStatus::InProgress) || !table.committing.insert(txn) {
-            return Err(StorageError::InvalidTransaction(txn.0));
+        match table.position(txn) {
+            // A committer owns a claimed transaction until its commit
+            // record is settled; nobody else may finish it meanwhile.
+            Ok(at) if !table.active[at].claimed => {
+                let logged = table.active[at].logged;
+                table.retire(at, to == TxnStatus::Committed);
+                Ok(logged)
+            }
+            _ => Err(StorageError::InvalidTransaction(txn.0)),
         }
-        Ok(())
+    }
+
+    /// Atomically claims an in-progress transaction for commit, returning
+    /// whether the log names it (a transaction that wrote nothing has no
+    /// commit record to write). Between this call and
+    /// [`TransactionManager::finish_commit`] the transaction stays in
+    /// progress for visibility (its commit record may not be durable yet),
+    /// but no concurrent `commit`, `abort`, or second `begin_commit` can
+    /// succeed — so two racing committers cannot both write a durable
+    /// commit record with only one of them winning the in-memory transition.
+    pub fn begin_commit(&self, txn: TxnId) -> StorageResult<bool> {
+        let mut table = self.table.write();
+        match table.position(txn) {
+            Ok(at) if !table.active[at].claimed => {
+                table.active[at].claimed = true;
+                Ok(table.active[at].logged)
+            }
+            _ => Err(StorageError::InvalidTransaction(txn.0)),
+        }
     }
 
     /// Releases a claim taken by [`TransactionManager::begin_commit`]
     /// without committing (the commit record could not be written); the
     /// transaction is in progress again.
     pub fn cancel_commit(&self, txn: TxnId) {
-        self.table.write().committing.remove(&txn);
+        let mut table = self.table.write();
+        if let Ok(at) = table.position(txn) {
+            table.active[at].claimed = false;
+        }
     }
 
     /// Completes a commit claimed by [`TransactionManager::begin_commit`]:
     /// the transaction becomes `Committed` and visible to new snapshots.
     pub fn finish_commit(&self, txn: TxnId) -> StorageResult<()> {
         let mut table = self.table.write();
-        if !table.committing.remove(&txn) {
-            return Err(StorageError::InvalidTransaction(txn.0));
+        match table.position(txn) {
+            Ok(at) if table.active[at].claimed => {
+                table.retire(at, true);
+                Ok(())
+            }
+            _ => Err(StorageError::InvalidTransaction(txn.0)),
         }
-        table.status.insert(txn, TxnStatus::Committed);
-        table.stamp_commit(txn);
-        table.begin_floors.remove(&txn);
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        Ok(())
     }
 
     /// Converts a commit claim taken by [`TransactionManager::begin_commit`]
     /// into a prepared (in-doubt) state under `gid`. The transaction keeps
-    /// its claim — local `commit`/`abort` keep failing — and stays
-    /// `InProgress` for visibility until [`TransactionManager::finish_prepared`]
+    /// its claim — local `commit`/`abort` keep failing — and stays in
+    /// progress for visibility until [`TransactionManager::finish_prepared`]
     /// applies the coordinator's decision. Fails if `gid` is already in use.
     pub fn mark_prepared(&self, txn: TxnId, gid: u64) -> StorageResult<()> {
         let mut table = self.table.write();
-        if !table.committing.contains(&txn) {
-            return Err(StorageError::InvalidTransaction(txn.0));
-        }
-        if table.prepared.contains_key(&gid) {
+        let claimed = table.position(txn).is_ok_and(|at| table.active[at].claimed);
+        if !claimed || table.prepared.contains_key(&gid) {
             return Err(StorageError::InvalidTransaction(txn.0));
         }
         table.prepared.insert(gid, txn);
@@ -275,21 +387,17 @@ impl TransactionManager {
     }
 
     /// Registers a prepare replicated from the primary's stream: the
-    /// transaction (already `InProgress` via
-    /// [`TransactionManager::begin_replicated`]) becomes in-doubt under
-    /// `gid`, so a replica promoted to primary can resolve it. Unlike
-    /// [`TransactionManager::mark_prepared`] there is no local commit claim
-    /// to convert. Idempotent.
+    /// transaction (already active via
+    /// [`TransactionManager::begin_replicated`], or admitted here when a
+    /// checkpoint image delivers the Prepare without a Begin) becomes
+    /// in-doubt under `gid`, so a replica promoted to primary can resolve
+    /// it. Unlike [`TransactionManager::mark_prepared`] there is no local
+    /// commit claim to convert. Idempotent.
     pub fn mark_prepared_replicated(&self, txn: TxnId, gid: u64) {
         let mut table = self.table.write();
         table.prepared.insert(gid, txn);
-        if let std::collections::hash_map::Entry::Vacant(e) = table.status.entry(txn) {
-            // A checkpoint image can deliver the Prepare without a Begin.
-            e.insert(TxnStatus::InProgress);
-            let floor = table.next_commit_stamp;
-            table.begin_floors.insert(txn, floor);
-            self.active.fetch_add(1, Ordering::SeqCst);
-        }
+        table.max_streamed = table.max_streamed.max(txn.0);
+        table.admit(txn, true, false);
     }
 
     /// Replica-side settlement of a replicated `Decide`: forgets the
@@ -323,16 +431,10 @@ impl TransactionManager {
     pub fn finish_prepared(&self, gid: u64, commit: bool) -> Option<TxnId> {
         let mut table = self.table.write();
         let txn = table.prepared.remove(&gid)?;
-        table.committing.remove(&txn);
-        if commit {
-            table.status.insert(txn, TxnStatus::Committed);
-            table.stamp_commit(txn);
-        } else {
-            table.status.insert(txn, TxnStatus::Aborted);
+        if let Ok(at) = table.position(txn) {
+            table.retire(at, commit);
         }
-        table.begin_floors.remove(&txn);
         table.decided.insert(gid, commit);
-        self.active.fetch_sub(1, Ordering::SeqCst);
         Some(txn)
     }
 
@@ -353,92 +455,47 @@ impl TransactionManager {
     }
 
     /// Re-registers transactions recovered in-doubt from the log: each is
-    /// `InProgress` (its effects stay invisible), holds a commit claim, and
+    /// in progress (its effects stay invisible), holds a commit claim, and
     /// awaits the coordinator's decision under its global id.
     pub fn recover_prepared(&self, prepared: impl IntoIterator<Item = (u64, TxnId)>) {
         let mut table = self.table.write();
         for (gid, txn) in prepared {
             if table.prepared.insert(gid, txn).is_none() {
-                table.status.insert(txn, TxnStatus::InProgress);
-                let floor = table.next_commit_stamp;
-                table.begin_floors.insert(txn, floor);
-                table.committing.insert(txn);
-                self.active.fetch_add(1, Ordering::SeqCst);
+                table.admit(txn, true, true);
             }
-        }
-    }
-
-    fn finish(&self, txn: TxnId, to: TxnStatus) -> StorageResult<()> {
-        let mut table = self.table.write();
-        if table.committing.contains(&txn) {
-            // A committer owns this transaction until its commit record is
-            // settled; nobody else may finish it meanwhile.
-            return Err(StorageError::InvalidTransaction(txn.0));
-        }
-        match table.status.get(&txn) {
-            Some(TxnStatus::InProgress) => {
-                table.status.insert(txn, to);
-                if to == TxnStatus::Committed {
-                    table.stamp_commit(txn);
-                }
-                table.begin_floors.remove(&txn);
-                self.active.fetch_sub(1, Ordering::SeqCst);
-                Ok(())
-            }
-            _ => Err(StorageError::InvalidTransaction(txn.0)),
         }
     }
 
     /// The status of a transaction. The bootstrap transaction is always
-    /// committed; unknown ids report as aborted (their effects are ignored).
+    /// committed; unknown ids report as aborted (their effects are ignored)
+    /// — which includes a transaction that committed without writing, whose
+    /// id nothing refers to.
     pub fn status(&self, txn: TxnId) -> TxnStatus {
         if txn == BOOTSTRAP_TXN {
             return TxnStatus::Committed;
         }
-        self.table
-            .read()
-            .status
-            .get(&txn)
-            .copied()
-            .unwrap_or(TxnStatus::Aborted)
-    }
-
-    /// The status of a transaction together with its commit stamp (0 when
-    /// not committed, or committed before this incarnation — i.e. before
-    /// every snapshot's commit floor).
-    pub fn commit_info(&self, txn: TxnId) -> (TxnStatus, u64) {
-        if txn == BOOTSTRAP_TXN {
-            return (TxnStatus::Committed, 0);
-        }
         let table = self.table.read();
-        let status = table
-            .status
-            .get(&txn)
-            .copied()
-            .unwrap_or(TxnStatus::Aborted);
-        let stamp = table.commit_stamps.get(&txn).copied().unwrap_or(0);
-        (status, stamp)
+        if table.position(txn).is_ok() {
+            TxnStatus::InProgress
+        } else if table.committed.contains_key(&txn) {
+            TxnStatus::Committed
+        } else {
+            TxnStatus::Aborted
+        }
     }
 
-    /// Returns `true` if the transaction is currently in progress.
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.status(txn) == TxnStatus::InProgress
-    }
-
-    /// Takes a snapshot on behalf of `txn`.
+    /// Takes a snapshot on behalf of `txn`. Costs O(running transactions).
     pub fn snapshot(&self, txn: TxnId) -> Snapshot {
         let table = self.table.read();
-        let horizon = TxnId(self.next_id.load(Ordering::SeqCst));
-        let active = table
-            .status
-            .iter()
-            .filter(|(id, s)| **s == TxnStatus::InProgress && **id != txn)
-            .map(|(id, _)| *id)
-            .collect();
         Snapshot {
             txn,
-            horizon,
-            active,
+            horizon: TxnId(table.next_id),
+            active: table
+                .active
+                .iter()
+                .map(|a| a.id)
+                .filter(|id| *id != txn)
+                .collect(),
             commit_floor: table.next_commit_stamp,
         }
     }
@@ -448,17 +505,8 @@ impl TransactionManager {
     /// A version is visible iff its inserting transaction is visible and its
     /// deleting transaction (if any) is not.
     pub fn is_visible(&self, snapshot: &Snapshot, header: &TupleHeader) -> bool {
-        let (xmin_status, xmin_stamp) = self.commit_info(header.xmin);
-        if !snapshot.sees(header.xmin, xmin_status, xmin_stamp) {
-            return false;
-        }
-        match header.xmax {
-            None => true,
-            Some(xmax) => {
-                let (status, stamp) = self.commit_info(xmax);
-                !snapshot.sees(xmax, status, stamp)
-            }
-        }
+        let table = self.table.read();
+        table.sees(snapshot, header.xmin) && !header.xmax.is_some_and(|x| table.sees(snapshot, x))
     }
 
     /// Returns `true` if a version whose `xmax` is set can be physically
@@ -469,9 +517,11 @@ impl TransactionManager {
             return false;
         };
         let table = self.table.read();
-        if table.status.get(&xmax).copied() != Some(TxnStatus::Committed) && xmax != BOOTSTRAP_TXN {
-            return false;
-        }
+        let stamp = match table.committed.get(&xmax) {
+            Some(stamp) => *stamp,
+            None if xmax == BOOTSTRAP_TXN => 0,
+            None => return false,
+        };
         // The deleter must have committed before every active transaction
         // *began* (commit stamp below every begin floor): only then can no
         // current — or future — snapshot of an active transaction still see
@@ -479,21 +529,23 @@ impl TransactionManager {
         // wrong: a lower id only means an earlier begin, and a reader that
         // began while the deleter was still in progress must keep seeing
         // the pre-delete version for its whole lifetime.
-        let stamp = table.commit_stamps.get(&xmax).copied().unwrap_or(0);
-        match table.begin_floors.values().copied().min() {
-            None => true,
-            Some(min_floor) => stamp < min_floor,
+        table.active.iter().all(|a| stamp < a.begin_floor)
+    }
+
+    /// Counters and sizes of the transaction table.
+    pub(crate) fn counts(&self) -> TxnCounts {
+        let table = self.table.read();
+        TxnCounts {
+            started: table.started,
+            read_only: table.read_only,
+            active: table.active.len() as u64,
+            entries: (table.active.len() + table.committed.len()) as u64,
         }
     }
 
-    /// Number of transactions ever started.
-    pub fn started_count(&self) -> u64 {
-        self.next_id.load(Ordering::SeqCst) - 1
-    }
-
-    /// Number of transactions currently in progress. O(1).
+    /// Number of transactions currently in progress.
     pub fn active_count(&self) -> u64 {
-        self.active.load(Ordering::SeqCst)
+        self.table.read().active.len() as u64
     }
 
     /// Registers a transaction replicated from a primary as in progress.
@@ -501,51 +553,47 @@ impl TransactionManager {
     /// local allocator is untouched (replica-local transactions live in the
     /// disjoint [`REPLICA_LOCAL_TXN_BASE`] range). Idempotent.
     pub fn begin_replicated(&self, txn: TxnId) {
-        if txn == BOOTSTRAP_TXN {
-            return;
-        }
-        let mut table = self.table.write();
-        if table.status.insert(txn, TxnStatus::InProgress).is_none() {
-            let floor = table.next_commit_stamp;
-            table.begin_floors.insert(txn, floor);
-            self.active.fetch_add(1, Ordering::SeqCst);
+        if txn != BOOTSTRAP_TXN {
+            let mut table = self.table.write();
+            table.max_streamed = table.max_streamed.max(txn.0);
+            table.admit(txn, true, false);
         }
     }
 
     /// Marks a replicated transaction committed, making its tuple versions
     /// visible to new replica snapshots. Tolerates a missing `Begin` (e.g. a
-    /// checkpoint image raced the stream): the status is installed either
+    /// checkpoint image raced the stream): the stamp is installed either
     /// way.
     pub fn commit_replicated(&self, txn: TxnId) {
-        self.finish_replicated(txn, TxnStatus::Committed)
+        self.finish_replicated(txn, true)
     }
 
     /// Marks a replicated transaction aborted. Also overrides an earlier
     /// replicated commit, mirroring the replay rule that a superseding
     /// `Abort` record wins.
     pub fn abort_replicated(&self, txn: TxnId) {
-        self.finish_replicated(txn, TxnStatus::Aborted)
+        self.finish_replicated(txn, false)
     }
 
-    fn finish_replicated(&self, txn: TxnId, to: TxnStatus) {
+    fn finish_replicated(&self, txn: TxnId, commit: bool) {
         if txn == BOOTSTRAP_TXN {
             return;
         }
         let mut table = self.table.write();
-        if table.status.insert(txn, to) == Some(TxnStatus::InProgress) {
-            self.active.fetch_sub(1, Ordering::SeqCst);
+        table.max_streamed = table.max_streamed.max(txn.0);
+        if let Ok(at) = table.position(txn) {
+            table.active.remove(at);
         }
-        if to == TxnStatus::Committed {
+        if commit {
             // The stamp makes the commit visible only to snapshots taken
             // from here on — a replica read mid-scan keeps its consistent
             // view even as the stream applies commits under it.
             table.stamp_commit(txn);
         } else {
             // Abort overriding an earlier replicated commit: withdraw the
-            // stamp with the status.
-            table.commit_stamps.remove(&txn);
+            // stamp.
+            table.committed.remove(&txn);
         }
-        table.begin_floors.remove(&txn);
     }
 
     /// Aborts every replicated transaction that is still in progress and
@@ -562,27 +610,14 @@ impl TransactionManager {
     /// simply overrides the abort (superseding stream records win), so the
     /// node still converges to the primary's truth.
     pub fn abort_orphaned_replicated(&self) -> u64 {
-        let mut table = self.table.write();
-        let prepared: std::collections::HashSet<TxnId> = table.prepared.values().copied().collect();
-        let orphans: Vec<TxnId> = table
-            .status
-            .iter()
-            .filter(|(id, s)| {
-                id.0 < REPLICA_LOCAL_TXN_BASE
-                    && **s == TxnStatus::InProgress
-                    && !prepared.contains(id)
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for txn in &orphans {
-            table.status.insert(*txn, TxnStatus::Aborted);
-            table.committing.remove(txn);
-            table.begin_floors.remove(txn);
-            table.commit_stamps.remove(txn);
-        }
-        self.active
-            .fetch_sub(orphans.len() as u64, Ordering::SeqCst);
-        orphans.len() as u64
+        let mut guard = self.table.write();
+        let table = &mut *guard;
+        let before = table.active.len();
+        let prepared = &table.prepared;
+        table
+            .active
+            .retain(|a| a.id.0 >= REPLICA_LOCAL_TXN_BASE || prepared.values().any(|p| *p == a.id));
+        (before - table.active.len()) as u64
     }
 
     /// Moves local id allocation to at least `base`. Called once when an
@@ -590,37 +625,41 @@ impl TransactionManager {
     /// replica-local read transactions can never collide with ids arriving
     /// on the replication stream.
     pub fn reserve_local_ids(&self, base: u64) {
-        self.next_id.fetch_max(base, Ordering::SeqCst);
+        let mut table = self.table.write();
+        table.next_id = table.next_id.max(base);
     }
 
-    /// Discards every transaction's status (replica reset before a fresh
-    /// bootstrap). The id allocator is left alone so snapshots handed out
-    /// before the reset stay internally consistent.
+    /// Moves local id allocation back out of the replica-local range, to
+    /// just past every id the stream ever named. Called once a replica has
+    /// become a primary: its transactions now go into tuple headers and onto
+    /// its *own* replicas' streams, where an id from the reserved range
+    /// would sit above their snapshot horizons (their local readers allocate
+    /// there too) and stay invisible after it commits. A no-op on a node
+    /// that never was a replica.
+    pub(crate) fn leave_replica_id_range(&self) {
+        let mut table = self.table.write();
+        if table.next_id >= REPLICA_LOCAL_TXN_BASE {
+            table.next_id = table.max_streamed + 1;
+        }
+    }
+
+    /// Discards every *replicated* transaction's state (replica reset
+    /// before a fresh bootstrap). Replica-local read transactions (ids in
+    /// the reserved high range) survive: a client holding one open across a
+    /// stream reset must still be able to commit it, and the id allocator
+    /// is left alone so snapshots handed out before the reset stay
+    /// internally consistent. Replicated in-doubt entries are rebuilt from
+    /// the fresh image's Prepare records (local prepares never happen on a
+    /// replica).
     pub fn clear_for_reset(&self) {
         let mut table = self.table.write();
-        // Only *replicated* statuses are discarded. Replica-local read
-        // transactions (ids in the reserved high range) survive the reset:
-        // a client holding one open across a stream reset must still be
-        // able to commit it.
-        let cleared_active = table
-            .status
-            .iter()
-            .filter(|(id, s)| id.0 < REPLICA_LOCAL_TXN_BASE && **s == TxnStatus::InProgress)
-            .count() as u64;
-        table.status.retain(|id, _| id.0 >= REPLICA_LOCAL_TXN_BASE);
-        table.committing.retain(|id| id.0 >= REPLICA_LOCAL_TXN_BASE);
-        // Replicated in-doubt entries are rebuilt from the fresh image's
-        // Prepare records (local prepares never happen on a replica).
+        table.active.retain(|a| a.id.0 >= REPLICA_LOCAL_TXN_BASE);
+        table
+            .committed
+            .retain(|id, _| id.0 >= REPLICA_LOCAL_TXN_BASE);
         table
             .prepared
             .retain(|_, txn| txn.0 >= REPLICA_LOCAL_TXN_BASE);
-        table
-            .begin_floors
-            .retain(|id, _| id.0 >= REPLICA_LOCAL_TXN_BASE);
-        table
-            .commit_stamps
-            .retain(|id, _| id.0 >= REPLICA_LOCAL_TXN_BASE);
-        self.active.fetch_sub(cleared_active, Ordering::SeqCst);
     }
 
     /// Restores transaction-manager state after WAL replay: every
@@ -634,10 +673,10 @@ impl TransactionManager {
         let mut table = self.table.write();
         for txn in committed {
             if txn != BOOTSTRAP_TXN {
-                table.status.insert(txn, TxnStatus::Committed);
+                table.committed.insert(txn, 0);
             }
         }
-        self.next_id.fetch_max(max_seen.0 + 1, Ordering::SeqCst);
+        table.next_id = table.next_id.max(max_seen.0 + 1);
     }
 }
 
@@ -653,10 +692,19 @@ mod tests {
         }
     }
 
+    /// Begins a transaction and marks it as having written, as the engine
+    /// does before a transaction's id goes into a tuple header.
+    fn begin_writer(mgr: &TransactionManager) -> TxnId {
+        let txn = mgr.begin();
+        assert!(mgr.note_first_write(txn), "first write reported once");
+        assert!(!mgr.note_first_write(txn));
+        txn
+    }
+
     #[test]
     fn committed_inserts_become_visible() {
         let mgr = TransactionManager::new();
-        let writer = mgr.begin();
+        let writer = begin_writer(&mgr);
         let reader = mgr.begin();
 
         // Before the writer commits, its insert is invisible to the reader.
@@ -685,7 +733,7 @@ mod tests {
     #[test]
     fn aborted_transactions_are_invisible() {
         let mgr = TransactionManager::new();
-        let t = mgr.begin();
+        let t = begin_writer(&mgr);
         mgr.abort(t).unwrap();
         let reader = mgr.begin();
         let snap = mgr.snapshot(reader);
@@ -699,7 +747,7 @@ mod tests {
         let mgr = TransactionManager::new();
         let reader = mgr.begin();
         let snap = mgr.snapshot(reader);
-        let deleter = mgr.begin();
+        let deleter = begin_writer(&mgr);
         mgr.commit(deleter).unwrap();
         // The delete committed after the reader's snapshot, so the reader
         // still sees the old version.
@@ -723,8 +771,8 @@ mod tests {
     #[test]
     fn begin_commit_claims_exclusively() {
         let mgr = TransactionManager::new();
-        let t = mgr.begin();
-        mgr.begin_commit(t).unwrap();
+        let t = begin_writer(&mgr);
+        assert!(mgr.begin_commit(t).unwrap(), "the log names a writer");
         // While claimed, the transaction is still invisible to new snapshots.
         let reader = mgr.begin();
         let snap = mgr.snapshot(reader);
@@ -775,8 +823,95 @@ mod tests {
         assert_eq!(mgr.status(local), TxnStatus::InProgress);
         assert_eq!(mgr.active_count(), 1);
         mgr.commit(local).unwrap();
-        assert_eq!(mgr.status(local), TxnStatus::Committed);
         assert_eq!(mgr.active_count(), 0);
+        assert_eq!(mgr.counts().entries, 0, "a read leaves nothing behind");
+    }
+
+    #[test]
+    fn a_transaction_that_wrote_nothing_leaves_nothing_behind() {
+        let mgr = TransactionManager::new();
+        let writer = begin_writer(&mgr);
+        mgr.commit(writer).unwrap();
+        for i in 0..1000 {
+            let t = mgr.begin();
+            assert_eq!(mgr.status(t), TxnStatus::InProgress);
+            if i % 3 == 0 {
+                mgr.abort(t).unwrap();
+            } else if i % 3 == 1 {
+                mgr.commit(t).unwrap();
+            } else {
+                assert!(!mgr.begin_commit(t).unwrap(), "nothing to make durable");
+                mgr.finish_commit(t).unwrap();
+            }
+            assert!(mgr.commit(t).is_err(), "settled once");
+        }
+        let counts = mgr.counts();
+        assert_eq!((counts.started, counts.read_only), (1001, 1000));
+        assert_eq!(
+            (counts.active, counts.entries),
+            (0, 1),
+            "the writer's stamp"
+        );
+        // An aborted writer leaves nothing either: unknown means aborted.
+        let doomed = begin_writer(&mgr);
+        mgr.abort(doomed).unwrap();
+        assert_eq!(mgr.status(doomed), TxnStatus::Aborted);
+        assert_eq!(mgr.counts().entries, 1);
+    }
+
+    #[test]
+    fn snapshots_list_the_running_transactions_in_id_order() {
+        let mgr = TransactionManager::new();
+        mgr.reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+        // Local ids are huge, streamed ids small, and they interleave in
+        // arrival order; the list stays sorted for the snapshot's search.
+        let first = mgr.begin();
+        mgr.begin_replicated(TxnId(9));
+        let second = mgr.begin();
+        mgr.begin_replicated(TxnId(4));
+        mgr.begin_replicated(TxnId(9)); // idempotent
+        let snap = mgr.snapshot(second);
+        assert_eq!(snap.active, vec![TxnId(4), TxnId(9), first]);
+        assert_eq!(snap.horizon, TxnId(second.0 + 1));
+        mgr.commit_replicated(TxnId(4));
+        mgr.commit(first).unwrap();
+        assert_eq!(mgr.snapshot(second).active, vec![TxnId(9)]);
+        assert!(!mgr.is_visible(&snap, &header(TxnId(4), None)));
+        assert!(mgr.is_visible(&mgr.snapshot(second), &header(TxnId(4), None)));
+    }
+
+    #[test]
+    fn a_promoted_replica_allocates_below_its_replicas_local_range() {
+        let successor = TransactionManager::new();
+        successor.reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+        successor.begin_replicated(TxnId(7));
+        successor.commit_replicated(TxnId(7));
+        successor.abort_replicated(TxnId(9)); // outcome without a Begin
+        for _ in 0..5 {
+            let reader = successor.begin();
+            successor.commit(reader).unwrap();
+        }
+        successor.leave_replica_id_range();
+        let writer = begin_writer(&successor);
+        assert_eq!(
+            writer,
+            TxnId(10),
+            "past every streamed id, aborted ones too"
+        );
+        successor.leave_replica_id_range();
+        assert_eq!(
+            successor.begin(),
+            TxnId(11),
+            "idempotent; no reuse on a primary"
+        );
+        // A surviving replica that has run fewer local reads than the
+        // successor had still sees the successor's commit once it streams in.
+        let survivor = TransactionManager::new();
+        survivor.reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+        survivor.begin_replicated(writer);
+        survivor.commit_replicated(writer);
+        let snap = survivor.snapshot(survivor.begin());
+        assert!(survivor.is_visible(&snap, &header(writer, None)));
     }
 
     #[test]
@@ -826,7 +961,7 @@ mod tests {
         // progress must keep its pre-delete version — comparing transaction
         // ids (begin order) instead of commit stamps would reclaim it.
         let mgr = TransactionManager::new();
-        let deleter = mgr.begin();
+        let deleter = begin_writer(&mgr);
         let reader = mgr.begin(); // begins after the deleter, id is larger
         let snap = mgr.snapshot(reader);
         mgr.commit(deleter).unwrap();
@@ -846,7 +981,7 @@ mod tests {
     #[test]
     fn vacuum_eligibility() {
         let mgr = TransactionManager::new();
-        let deleter = mgr.begin();
+        let deleter = begin_writer(&mgr);
         let h = header(BOOTSTRAP_TXN, Some(deleter));
         assert!(!mgr.is_dead_for_all(&h), "deleter still in progress");
         mgr.commit(deleter).unwrap();
@@ -855,7 +990,7 @@ mod tests {
         assert!(!mgr.is_dead_for_all(&header(BOOTSTRAP_TXN, None)));
         // An older active transaction keeps the version alive.
         let _old = mgr.begin();
-        let deleter2 = mgr.begin();
+        let deleter2 = begin_writer(&mgr);
         mgr.commit(deleter2).unwrap();
         assert!(!mgr.is_dead_for_all(&header(BOOTSTRAP_TXN, Some(deleter2))));
     }

@@ -27,8 +27,19 @@ pub struct EngineStats {
     pub index_point_lookups: u64,
     /// Index range and prefix scans served.
     pub index_range_scans: u64,
-    /// Transactions started.
+    /// Transactions started on this engine (replicated transactions are
+    /// the primary's and are not counted).
     pub txns_started: u64,
+    /// Of the settled transactions, those that wrote nothing: they appended
+    /// no log record and left no entry in the transaction table.
+    pub txns_read_only: u64,
+    /// Transactions currently in progress (replicated in-flight ones
+    /// included). A snapshot costs O(this).
+    pub txns_active: u64,
+    /// Entries the transaction table holds: active transactions plus one
+    /// commit stamp per settled transaction that committed writes. Read-only
+    /// transactions never add to it.
+    pub txn_table_entries: u64,
     /// Bytes appended to the write-ahead log.
     pub wal_bytes: u64,
     /// `fsync` calls issued by the write-ahead log. Under group commit this

@@ -178,7 +178,9 @@ impl DurabilityConfig {
 /// A logical log record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogRecord {
-    /// A transaction started.
+    /// A transaction is about to write: appended lazily, directly ahead of
+    /// its first `Insert`/`Delete`/`Prepare`. A transaction that never
+    /// writes has no records at all.
     Begin {
         /// The transaction.
         txn: TxnId,
@@ -393,9 +395,9 @@ pub struct Wal {
     generation: AtomicU64,
     /// When set, appends are dropped entirely. A read replica's engine is
     /// fed by the *primary's* log; its own log is never read for recovery
-    /// or replication, and without discarding, every replica-local read
-    /// transaction's Begin/Commit would accumulate in the in-memory mirror
-    /// forever.
+    /// or replication, so whatever the replica's setup code logs locally
+    /// (re-run DDL) must not pile up in the in-memory mirror. Replica-local
+    /// read transactions log nothing to begin with.
     discard: AtomicBool,
 }
 
@@ -813,6 +815,24 @@ impl Wal {
         mirror.base_seq + mirror.records.len() as u64 - 1
     }
 
+    /// The highest sequence number the replication stream serves right now:
+    /// [`Wal::last_seq`], capped on a `sync_on_commit` log at the last fsync.
+    /// Nothing past it can reach a replica until some committer flushes.
+    pub fn shippable_seq(&self) -> u64 {
+        self.shippable(self.last_seq())
+    }
+
+    fn shippable(&self, last: u64) -> u64 {
+        // The durability cap only applies to file-backed logs: an in-memory
+        // log has no device, so `durable_seq` never advances and capping on
+        // it would withhold the entire stream forever.
+        if self.sync_on_commit && self.path.is_some() {
+            last.min(self.group.lock().expect("group lock poisoned").durable_seq)
+        } else {
+            last
+        }
+    }
+
     /// Serves one batch of the replication stream starting at `from_seq`
     /// (1-based; a fresh replica passes 0 or 1), with at most `max` records.
     ///
@@ -830,14 +850,7 @@ impl Wal {
         let mirror = self.mirror.lock();
         let base = mirror.base_seq;
         let next = base + mirror.records.len() as u64;
-        let mut end = next - 1;
-        // The durability cap only applies to file-backed logs: an in-memory
-        // log has no device, so `durable_seq` never advances and capping on
-        // it would withhold the entire stream forever.
-        if self.sync_on_commit && self.path.is_some() {
-            let durable = self.group.lock().expect("group lock poisoned").durable_seq;
-            end = end.min(durable);
-        }
+        let end = self.shippable(next - 1);
         let from = from_seq.max(1);
         let (reset, start) = if from < base || from > next {
             // The position was compacted away (or never existed here):

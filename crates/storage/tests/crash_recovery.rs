@@ -10,8 +10,8 @@ use proptest::prelude::*;
 
 use ifdb_storage::engine::{StorageEngine, StorageKind};
 use ifdb_storage::heap::RowId;
-use ifdb_storage::wal::DurabilityConfig;
-use ifdb_storage::{ColumnDef, DataType, Datum, StorageError, TableId, TableSchema};
+use ifdb_storage::wal::{DurabilityConfig, LogRecord, Wal};
+use ifdb_storage::{ColumnDef, DataType, Datum, StorageError, TableId, TableSchema, TxnId};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -321,6 +321,111 @@ fn checkpoint_shrinks_replay_without_changing_state() {
 }
 
 // ----------------------------------------------------------------------
+// Lazy Begin
+// ----------------------------------------------------------------------
+
+fn count_rows(eng: &StorageEngine, txn: TxnId, table: TableId) -> usize {
+    let snap = eng.snapshot(txn);
+    let mut rows = 0;
+    eng.scan_visible(&snap, table, |_, _| {
+        rows += 1;
+        true
+    })
+    .unwrap();
+    rows
+}
+
+#[test]
+fn begin_is_logged_with_the_first_write_and_recovers() {
+    let dir = temp_dir("lazy-begin");
+    let wal_path = dir.join("wal.log");
+    let (reader_writer, torn);
+    {
+        let eng = fresh_engine(&dir, DurabilityConfig::SYNC_EACH);
+        let (a, _) = two_table_schema(&eng);
+        let ddl_seq = eng.wal().last_seq();
+        // A transaction that reads first logs nothing until it writes...
+        reader_writer = eng.begin().unwrap();
+        assert_eq!(count_rows(&eng, reader_writer, a), 0);
+        // ...nor does a pure reader that comes and goes meanwhile.
+        let reader = eng.begin().unwrap();
+        assert_eq!(count_rows(&eng, reader, a), 0);
+        eng.commit(reader).unwrap();
+        assert_eq!(eng.wal().last_seq(), ddl_seq, "reads append nothing");
+        for i in 0..3 {
+            eng.insert(
+                reader_writer,
+                a,
+                vec![1],
+                vec![Datum::Int(i), Datum::from("rw")],
+            )
+            .unwrap();
+        }
+        eng.commit(reader_writer).unwrap();
+        // A second read-then-write transaction is in flight at the crash.
+        torn = eng.begin().unwrap();
+        assert_eq!(count_rows(&eng, torn, a), 3);
+        eng.insert(torn, a, vec![1], vec![Datum::Int(9), Datum::from("torn")])
+            .unwrap();
+        eng.flush().unwrap();
+    }
+    let records = Wal::replay_file(&wal_path).unwrap();
+    for txn in [reader_writer, torn] {
+        let named: Vec<usize> = (0..records.len())
+            .filter(|i| match &records[*i] {
+                LogRecord::Begin { txn: t }
+                | LogRecord::Insert { txn: t, .. }
+                | LogRecord::Commit { txn: t } => *t == txn,
+                _ => false,
+            })
+            .collect();
+        assert!(
+            matches!(records[named[0]], LogRecord::Begin { .. }),
+            "a Begin precedes the transaction's first write"
+        );
+        assert_eq!(named[1], named[0] + 1, "directly ahead of the first Insert");
+        assert!(matches!(records[named[1]], LogRecord::Insert { .. }));
+    }
+    assert!(
+        records
+            .iter()
+            .all(|r| !matches!(r, LogRecord::Abort { .. })),
+        "the reader's settle left no record"
+    );
+
+    // Tear the log between the in-flight transaction's Begin and its first
+    // Insert: keep everything through the Begin plus a fragment of the
+    // Insert's frame, as a crash mid-append would.
+    let begin_at = records
+        .iter()
+        .position(|r| *r == LogRecord::Begin { txn: torn })
+        .unwrap();
+    let keep: usize = records[..=begin_at]
+        .iter()
+        .map(|r| Wal::encode_record(r).len() + 8)
+        .sum();
+    let bytes = std::fs::read(&wal_path).unwrap();
+    assert!(bytes.len() > keep + 5);
+    std::fs::write(&wal_path, &bytes[..keep + 5]).unwrap();
+
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::SYNC_EACH).unwrap();
+    let a = eng.table_by_name("alpha").unwrap().id();
+    let state = observable_state(&eng);
+    assert_eq!(state["alpha"].len(), 3, "the committed read-then-write txn");
+    assert!(state["alpha"].iter().all(|(_, data)| data.contains("rw")));
+    // The orphaned Begin still fences its id, and the log takes appends.
+    let next = eng.begin().unwrap();
+    assert!(next > torn, "{next} reuses a logged id");
+    eng.insert(next, a, vec![], vec![Datum::Int(50), Datum::from("after")])
+        .unwrap();
+    eng.commit(next).unwrap();
+    drop(eng);
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::SYNC_EACH).unwrap();
+    assert_eq!(observable_state(&eng)["alpha"].len(), 4);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ----------------------------------------------------------------------
 // Recovery equivalence property
 // ----------------------------------------------------------------------
 
@@ -350,9 +455,7 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
                         vec![Datum::Int(next_val)]
                     };
                     next_val += 1;
-                    let row = eng
-                        .insert(ifdb_storage::TxnId(txn), table, label, values)
-                        .unwrap();
+                    let row = eng.insert(TxnId(txn), table, label, values).unwrap();
                     live_rows.push((table, row));
                 }
             }
@@ -362,7 +465,7 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
                     let (table, row) = live_rows[arg % live_rows.len()];
                     // Write conflicts with a concurrent deleter are expected;
                     // any other error is a bug.
-                    match eng.delete(ifdb_storage::TxnId(txn), table, row) {
+                    match eng.delete(TxnId(txn), table, row) {
                         Ok(()) | Err(StorageError::WriteConflict { .. }) => {}
                         Err(e) => panic!("unexpected delete error: {e}"),
                     }
@@ -371,13 +474,13 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
             4 => {
                 if !open.is_empty() {
                     let txn = open.swap_remove(arg % open.len());
-                    eng.commit(ifdb_storage::TxnId(txn)).unwrap();
+                    eng.commit(TxnId(txn)).unwrap();
                 }
             }
             5 => {
                 if !open.is_empty() {
                     let txn = open.swap_remove(arg % open.len());
-                    eng.abort(ifdb_storage::TxnId(txn)).unwrap();
+                    eng.abort(TxnId(txn)).unwrap();
                 } else {
                     // Quiescent: exercise checkpoint mid-history.
                     eng.checkpoint().unwrap();

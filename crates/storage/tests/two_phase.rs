@@ -139,6 +139,32 @@ fn abort_decision_after_reopen_drops_effects() {
 }
 
 #[test]
+fn empty_write_set_participant_survives_reopen_and_decides() {
+    // A participant that only read still votes: its Prepare is its first
+    // log record (the lazily logged Begin goes in ahead of it), so the vote
+    // is as durable — and as in doubt after a crash — as a writer's.
+    let dir = temp_dir("empty-write-set");
+    {
+        let eng = fresh_engine(&dir);
+        let t = orders_table(&eng);
+        let txn = eng.begin().unwrap();
+        assert_eq!(eng.snapshot(txn).active.len(), 0);
+        let before = eng.wal().last_seq();
+        eng.prepare_commit(txn, 31).unwrap();
+        assert_eq!(eng.wal().last_seq(), before + 2, "Begin + Prepare");
+        assert_eq!(eng.in_doubt(), vec![31]);
+        assert_eq!(visible_rows(&eng, t), 0);
+    }
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::GROUP_COMMIT).unwrap();
+    assert_eq!(eng.in_doubt(), vec![31]);
+    assert_eq!(eng.stats().txns_active, 1, "in doubt counts as running");
+    assert!(eng.decide(31, false).unwrap());
+    assert_eq!(eng.outcome(31), Some(false));
+    assert_eq!(eng.stats().txns_active, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deciding_an_unknown_gid_is_a_harmless_no_op() {
     let dir = temp_dir("unknown");
     let eng = fresh_engine(&dir);

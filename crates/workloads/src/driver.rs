@@ -339,21 +339,30 @@ mod tests {
             },
         )
         .unwrap();
+        // With nothing running, the transaction table holds exactly one
+        // entry per transaction that committed writes.
+        let writers = || tpcc.db.engine().stats().txn_table_entries;
+        let writers_before = writers();
         let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
             clients: 4,
             duration: Duration::from_millis(400),
             seed: 3,
         });
+        let writing_commits = writers() - writers_before;
         assert!(outcome.committed > 0, "durable terminals make progress");
         assert!(outcome.wal_fsyncs > 0, "sync-on-commit must fsync");
-        // Group-commit invariant: every commit either led a flush or rode
-        // one. (Strict batching — fsyncs < commits — is timing-dependent
-        // and not asserted; the identity is not.)
+        // Group-commit invariant: every commit record either led a flush or
+        // rode one. (Strict batching — fsyncs < commits — is
+        // timing-dependent and not asserted; the identity is not.)
         assert_eq!(
             outcome.wal_fsyncs + outcome.commits_batched,
-            outcome.committed,
-            "each commit leads or follows exactly one flush"
+            writing_commits,
+            "each writing commit leads or follows exactly one flush"
         );
+        // The rest of the committed transactions wrote nothing (Order-Status,
+        // Stock-Level, a Delivery with nothing to deliver): no record, no
+        // flush.
+        assert!(writing_commits <= outcome.committed, "{outcome:?}");
         // Every committed transaction is durable: reopening the database
         // replays the full run and recovers the TPC-C tables.
         drop(tpcc);
