@@ -38,7 +38,7 @@ use std::sync::Arc;
 use ifdb_difc::audit::AuditEvent;
 use ifdb_difc::memo::{LabelDecision, LabelDecisionMemo};
 use ifdb_difc::Label;
-use ifdb_storage::{Datum, RowId, Snapshot, TableId, TupleVersion};
+use ifdb_storage::{Datum, RowId, Snapshot, TableId, TupleRef};
 
 use crate::catalog::{TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewSource};
 use crate::error::{IfdbError, IfdbResult};
@@ -332,17 +332,26 @@ impl Session {
         let engine = &db.inner.engine;
         let table_id = info.id;
 
-        // The per-scan budget probe: every tuple the scan touches — admitted
-        // or not — is charged against the statement's execution budget, so a
-        // full scan over invisible high-labeled data is throttled exactly
-        // like one over visible data (no timing channel through the budget).
+        // The per-scan budget probe: every tuple the scan touches is charged
+        // against the statement's execution budget before its label is
+        // looked at, so a scan over invisible high-labeled data is cut off
+        // at the same tuple as one over visible data (no channel through the
+        // budget).
         let budget = self.budget.clone();
         let mut memo = LabelDecisionMemo::new();
-        let mut visit = |rid: RowId, version: TupleVersion| -> IfdbResult<bool> {
+        // Each tuple is looked at where it lies in its page. Only a row the
+        // label admits has the filter's columns decoded, into `probe`, and
+        // only a row that also passes the filter is materialised.
+        let filter_columns = plan.filter.columns();
+        let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
+        let mut raw_label: Vec<u64> = Vec::new();
+        let visit = |rid: RowId, tuple: TupleRef<'_>| -> IfdbResult<bool> {
             if let Some(b) = &budget {
                 b.charge_row()?;
             }
-            let (_, decision) = memo.decide_raw(&version.header.label, |stored| {
+            raw_label.clear();
+            raw_label.extend(tuple.label_words());
+            let (_, decision) = memo.decide_raw(&raw_label, |stored| {
                 let effective = if expanded.is_empty() {
                     stored.clone()
                 } else {
@@ -351,59 +360,35 @@ impl Session {
                 let admit = !difc || effective.is_subset_of(&process_label);
                 LabelDecision { effective, admit }
             });
-            if !decision.admit || !plan.filter.matches(&version.data, &decision.effective) {
+            if !decision.admit {
+                return Ok(true);
+            }
+            tuple.fields_into(&filter_columns, &mut probe)?;
+            if !plan.filter.matches(&probe, &decision.effective) {
                 return Ok(true);
             }
             sink(ScanRow {
                 row_id: Some((table_id, rid)),
                 label: decision.effective.clone(),
-                values: version.data,
+                values: tuple.data()?,
             })
         };
 
+        let by_id = |entries: Vec<(Vec<Datum>, RowId)>| entries.into_iter().map(|(_, rid)| rid);
         match &plan.access {
-            AccessPath::FullScan => {
-                let mut result: IfdbResult<()> = Ok(());
-                engine.scan_visible(&snapshot, table_id, |rid, version| {
-                    match visit(rid, version) {
-                        Ok(more) => more,
-                        Err(e) => {
-                            result = Err(e);
-                            false
-                        }
-                    }
-                })?;
-                result
-            }
+            AccessPath::FullScan => engine.visit_visible(&snapshot, table_id, visit),
             AccessPath::IndexEq { index, key } => {
-                for rid in engine.index_lookup(table_id, index, key)? {
-                    if let Some(v) = engine.fetch_visible(&snapshot, table_id, rid)? {
-                        if !visit(rid, v)? {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
+                let rows = engine.index_lookup(table_id, index, key)?;
+                engine.visit_rows(&snapshot, table_id, rows, visit)
             }
             AccessPath::IndexPrefix { index, prefix } => {
-                for (_, rid) in engine.index_prefix(table_id, index, prefix)? {
-                    if let Some(v) = engine.fetch_visible(&snapshot, table_id, rid)? {
-                        if !visit(rid, v)? {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
+                let rows = by_id(engine.index_prefix(table_id, index, prefix)?);
+                engine.visit_rows(&snapshot, table_id, rows, visit)
             }
             AccessPath::IndexRange { index, low, high } => {
-                for (_, rid) in engine.index_range(table_id, index, low.as_ref(), high.as_ref())? {
-                    if let Some(v) = engine.fetch_visible(&snapshot, table_id, rid)? {
-                        if !visit(rid, v)? {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
+                let rows =
+                    by_id(engine.index_range(table_id, index, low.as_ref(), high.as_ref())?);
+                engine.visit_rows(&snapshot, table_id, rows, visit)
             }
         }
     }

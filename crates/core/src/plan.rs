@@ -123,6 +123,29 @@ impl CompiledPredicate {
         }
     }
 
+    /// The column offsets the predicate reads, ascending and distinct: all a
+    /// scan has to decode of a row to evaluate it.
+    pub(crate) fn columns(&self) -> Vec<usize> {
+        fn collect(p: &CompiledPredicate, out: &mut Vec<usize>) {
+            use CompiledPredicate::*;
+            match p {
+                True | LabelContains(_) | LabelEquals(_) => {}
+                Eq(i, _) | Ne(i, _) | Lt(i, _) | Le(i, _) | Gt(i, _) | Ge(i, _) => out.push(*i),
+                IsNull(i) | IsNotNull(i) => out.push(*i),
+                And(a, b) | Or(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                Not(a) => collect(a, out),
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Returns `true` if the predicate is the constant `True`.
     #[cfg(test)]
     pub(crate) fn is_true(&self) -> bool {

@@ -927,6 +927,305 @@ fn streaming_executor_matches_reference_executor() {
     }
 }
 
+/// The differential again, over everything a scan reads in place: nine
+/// interleaved labels (members of a compound), a Text column, superseded and
+/// deleted versions, an aborted writer and one still running, a declassifying
+/// view over the compound, label predicates, and a query for each of the four
+/// access paths. Rows and labels must match the reference executor's, in
+/// order wherever both walk the heap or the statement orders its output.
+#[test]
+fn in_place_scan_matches_reference_on_every_access_path() {
+    use crate::plan::{plan_table_scan, AccessPath};
+
+    let db = Database::in_memory();
+    let service = db.create_principal("service", PrincipalKind::Service);
+    let user = db.create_principal("u", PrincipalKind::User);
+    let all = db.create_compound_tag(service, "all", &[]).unwrap();
+    let tags: Vec<TagId> = (0..8)
+        .map(|i| db.create_tag(user, &format!("t{i}"), &[all]).unwrap())
+        .collect();
+    db.create_table(
+        TableDef::new("E")
+            .column("grp", DataType::Int)
+            .column("id", DataType::Int)
+            .column("lab", DataType::Int)
+            .column("name", DataType::Text)
+            .nullable_column("v", DataType::Float)
+            .primary_key(&["grp", "id"])
+            .secondary_index("e_name", &["name"]),
+    )
+    .unwrap();
+    // Label `k` of the nine: empty, seven single tags, one pair.
+    let mut labels = vec![Label::empty()];
+    labels.extend(tags[..7].iter().map(|t| Label::singleton(*t)));
+    labels.push(Label::from_tags([tags[0], tags[7]]));
+    let session = |k: usize| {
+        let mut s = db.session(user);
+        s.raise_label(&labels[k]).unwrap();
+        s
+    };
+    let row = |i: i64| {
+        let v = if i % 7 == 0 {
+            Datum::Null
+        } else {
+            Datum::Float(i as f64 / 3.0)
+        };
+        let name = Datum::Text(format!("n{:02}", i % 40));
+        vec![Datum::Int(i % 6), Datum::Int(i), Datum::Int(i % 9), name, v]
+    };
+    let of_label = |k: usize| Predicate::Eq("lab".into(), Datum::Int(k as i64));
+    let below = |id: i64| Predicate::Lt("id".into(), Datum::Int(id));
+    let from = |id: i64| Predicate::Ge("id".into(), Datum::Int(id));
+
+    // Nine open loaders insert round-robin, so neighbours in a page differ
+    // in label and in writer.
+    let mut loaders: Vec<Session> = (0..9).map(session).collect();
+    for s in &mut loaders {
+        s.begin().unwrap();
+    }
+    for i in 0..360 {
+        loaders[i as usize % 9]
+            .insert(&Insert::new("E", row(i)))
+            .unwrap();
+    }
+    for mut s in loaders {
+        s.commit().unwrap();
+    }
+    // Committed updates and deletes leave superseded and dead versions.
+    for k in [1, 4, 8] {
+        let mut s = session(k);
+        let set = vec![("v", Datum::Float(1000.0 + k as f64))];
+        s.update(&Update::new("E", of_label(k).and(below(120)), set))
+            .unwrap();
+        s.delete(&Delete::new("E", of_label(k).and(from(300))))
+            .unwrap();
+    }
+    // One writer aborts; another is still running while the readers look.
+    let mut aborted = session(3);
+    aborted.begin().unwrap();
+    aborted.insert(&Insert::new("E", row(2001))).unwrap();
+    aborted
+        .delete(&Delete::new("E", of_label(3).and(below(60))))
+        .unwrap();
+    aborted.abort().unwrap();
+    let mut running = session(2);
+    running.begin().unwrap();
+    for i in [1001, 1010, 1019] {
+        running.insert(&Insert::new("E", row(i))).unwrap();
+    }
+    let set = vec![("name", Datum::Text("renamed".into()))];
+    running
+        .update(&Update::new("E", of_label(2).and(below(50)), set))
+        .unwrap();
+    running
+        .delete(&Delete::new("E", of_label(2).and(from(330))))
+        .unwrap();
+
+    db.create_declassifying_view(
+        service,
+        "AllE",
+        ViewSource::Select(Select::star("E")),
+        Label::singleton(all),
+    )
+    .unwrap();
+    db.create_view(
+        "Names",
+        ViewSource::Select(Select::star("E").filter(from(40)).project(&["id", "name"])),
+    )
+    .unwrap();
+
+    let grp = |g: i64| Predicate::Eq("grp".into(), Datum::Int(g));
+    let name = |n: &str| Predicate::Eq("name".into(), Datum::from(n));
+    let in_range = grp(2).and(from(100)).and(below(200));
+    // (query, the access path its base-table scan must take, whether both
+    // executors emit in the same order)
+    let queries: Vec<(Select, &str, bool)> = vec![
+        (Select::star("E"), "full", true),
+        (Select::star("E").filter(grp(0).negate()), "full", true),
+        (
+            Select::star("E").filter(Predicate::LabelContains(tags[0])),
+            "full",
+            true,
+        ),
+        (
+            Select::star("E").filter(Predicate::LabelEquals(labels[8].clone())),
+            "full",
+            true,
+        ),
+        (
+            Select::star("E").with_exact_label(labels[1].clone()),
+            "full",
+            true,
+        ),
+        (
+            Select::star("E")
+                .project(&["id", "name"])
+                .order("id", Order::Desc)
+                .take(25),
+            "full",
+            true,
+        ),
+        (
+            Select::star("E").filter(grp(3).and(Predicate::Eq("id".into(), Datum::Int(45)))),
+            "eq",
+            true,
+        ),
+        (Select::star("E").filter(name("n07")), "eq", false),
+        (
+            Select::star("E").filter(name("n07").and(Predicate::IsNull("v".into()))),
+            "eq",
+            false,
+        ),
+        (Select::star("E").filter(name("renamed")), "eq", false),
+        (Select::star("E").filter(grp(2)), "prefix", false),
+        (
+            Select::star("E").filter(grp(1).and(Predicate::LabelEquals(Label::empty()))),
+            "prefix",
+            false,
+        ),
+        (Select::star("E").filter(in_range.clone()), "range", false),
+        (
+            Select::star("E").filter(Predicate::Ge("name".into(), Datum::from("n30"))),
+            "range",
+            false,
+        ),
+        (Select::star("AllE"), "full", true),
+        (Select::star("AllE").filter(in_range), "range", false),
+        (Select::star("AllE").filter(name("n11")), "eq", false),
+        (
+            Select::star("AllE").filter(Predicate::LabelContains(tags[0])),
+            "full",
+            true,
+        ),
+        (
+            Select::star("AllE").filter(Predicate::LabelEquals(Label::empty())),
+            "full",
+            true,
+        ),
+        (Select::star("Names").filter(below(90)), "full", true),
+    ];
+    let info = db.inner.catalog.read().table("E").unwrap();
+    for (q, path, _) in &queries {
+        let access = plan_table_scan(&info, &q.predicate).unwrap().access;
+        let taken = match access {
+            AccessPath::FullScan => "full",
+            AccessPath::IndexEq { .. } => "eq",
+            AccessPath::IndexPrefix { .. } => "prefix",
+            AccessPath::IndexRange { .. } => "range",
+        };
+        if q.from != "Names" {
+            assert_eq!(taken, *path, "plan for {q:?}");
+        }
+    }
+
+    let answers = |s: &mut Session, reference: bool| -> Vec<Vec<String>> {
+        let run = |(q, _, same_order): &(Select, &str, bool)| {
+            let rows = if reference {
+                s.select_reference(q).unwrap()
+            } else {
+                s.select(q).unwrap()
+            };
+            let key = |r: &Row| format!("{:?}|{}", r.values, r.label);
+            let mut keys: Vec<String> = rows.iter().map(key).collect();
+            if !same_order {
+                keys.sort();
+            }
+            keys
+        };
+        queries.iter().map(run).collect()
+    };
+    let check = |fast: Vec<Vec<String>>, reference: Vec<Vec<String>>, who: &str| {
+        for ((q, _, _), (a, b)) in queries.iter().zip(fast.into_iter().zip(reference)) {
+            assert_eq!(a, b, "query {q:?} for {who}");
+        }
+    };
+    let everything = Label::from_tags(tags.iter().copied());
+    for label in [&labels[0], &labels[8], &labels[2], &everything] {
+        let mut s = db.session(user);
+        s.raise_label(label).unwrap();
+        let (fast, reference) = (answers(&mut s, false), answers(&mut s, true));
+        check(fast, reference, &format!("a reader under {label}"));
+    }
+    // A writer sees its own uncommitted versions, on both paths alike.
+    let mut own = session(2);
+    own.begin().unwrap();
+    own.insert(&Insert::new("E", row(1028))).unwrap();
+    let seen = own.select(&Select::star("E").filter(name("n28"))).unwrap();
+    assert!(seen.iter().any(|r| r.values[1] == Datum::Int(1028)));
+    let (fast, reference) = (answers(&mut own, false), answers(&mut own, true));
+    check(fast, reference, "the writing transaction");
+    // Sanity: the fixture really has what it claims. The committed deletes
+    // took effect; nothing of the aborted or running writers shows.
+    let mut all_seeing = db.session(user);
+    all_seeing.raise_label(&everything).unwrap();
+    let base = all_seeing.select(&Select::star("E")).unwrap();
+    let deleted = (300..360).filter(|i| [1, 4, 8].contains(&(i % 9))).count();
+    assert_eq!(base.len(), 360 - deleted);
+    assert!(base.iter().all(|r| r.values[1].as_int().unwrap() < 1000));
+    assert!(base
+        .iter()
+        .all(|r| r.values[3].as_text() != Some("renamed")));
+    let through_view = all_seeing.select(&Select::star("AllE")).unwrap();
+    assert!(through_view.iter().all(|r| r.label.is_empty()));
+    drop(running);
+}
+
+/// The budget is charged for a tuple before its label is looked at, so how
+/// far a capped scan gets says nothing about the labels in its way: a scan
+/// over rows it may not read is killed at the same row as one over rows it
+/// may, on the heap walk and through an index alike.
+#[test]
+fn execution_budget_is_charged_before_the_label_decision() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    let tag = db.create_tag(user, "secret", &[]).unwrap();
+    db.create_table(
+        TableDef::new("T")
+            .column("id", DataType::Int)
+            .column("cat", DataType::Int)
+            .primary_key(&["id"])
+            .secondary_index("t_cat", &["cat"]),
+    )
+    .unwrap();
+    let mut writer = db.session(user);
+    writer.add_secrecy(tag).unwrap();
+    writer.begin().unwrap();
+    for i in 0..500 {
+        writer
+            .insert(&Insert::new("T", vec![Datum::Int(i), Datum::Int(i % 2)]))
+            .unwrap();
+    }
+    writer.commit().unwrap();
+
+    let killed_at = |label: Label, q: &Select| {
+        let mut s = db.session(user);
+        s.raise_label(&label).unwrap();
+        s.set_execution_constraints(ExecutionConstraints::unlimited().with_max_rows(137));
+        match s.select(q) {
+            Err(IfdbError::BudgetExceeded {
+                resource,
+                limit: 137,
+                used,
+            }) if resource == "rows" => used,
+            other => panic!("expected a budget kill, got {other:?}"),
+        }
+    };
+    let by_heap = Select::star("T");
+    let by_index = Select::star("T").filter(Predicate::Eq("cat".into(), Datum::Int(1)));
+    for q in [&by_heap, &by_index] {
+        let admitted = killed_at(Label::singleton(tag), q);
+        let denied = killed_at(Label::empty(), q);
+        assert_eq!(admitted, 138);
+        assert_eq!(denied, admitted, "{q:?}");
+    }
+    // Uncapped, the two readers do differ — in what they get back.
+    let mut blind = db.session(user);
+    assert_eq!(blind.select(&by_heap).unwrap().len(), 0);
+    let mut sighted = db.session(user);
+    sighted.raise_label(&Label::singleton(tag)).unwrap();
+    assert_eq!(sighted.select(&by_heap).unwrap().len(), 500);
+}
+
 #[test]
 fn secondary_index_equality_avoids_full_scan() {
     let db = Database::in_memory();

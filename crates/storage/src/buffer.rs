@@ -6,6 +6,19 @@
 //! larger labels make tuples larger and therefore spread the same rows over
 //! more pages, the buffer pool is what turns the per-tag byte overhead of
 //! Section 8.3 into the throughput effect seen in Figure 6.
+//!
+//! # Pins
+//!
+//! A frame holds its page behind an [`Arc`]. A reader takes the pool mutex
+//! only to find the frame and clone that `Arc` (a *pin*), then reads with
+//! the mutex released, so concurrent scans do not queue behind one another.
+//! A writer mutates under the mutex through [`Arc::make_mut`]: the page is
+//! copied (8 KiB) only if a reader holds a pin at that instant, and that
+//! reader keeps the page as it was when pinned. The same holds across an
+//! eviction. Reading "the page as of the pin" is correct under MVCC: every
+//! write a snapshot may see was applied before the snapshot existed, and
+//! later writes (new versions, `xmax` patches by transactions still running,
+//! vacuum of versions dead to everyone) change nothing the snapshot sees.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +34,7 @@ use crate::store::PageStore;
 pub type FrameKey = (u32, PageId);
 
 struct Frame {
-    page: Page,
+    page: Arc<Page>,
     dirty: bool,
     last_use: u64,
 }
@@ -84,7 +97,7 @@ impl BufferPool {
     }
 
     /// Runs `f` with read access to the page, fetching it from `store` if it
-    /// is not resident.
+    /// is not resident. `f` runs on a pin, outside the pool mutex.
     pub fn with_page<R>(
         &self,
         table: u32,
@@ -97,10 +110,14 @@ impl BufferPool {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         let frame = frames.get_mut(&(table, id)).expect("frame just ensured");
         frame.last_use = tick;
-        Ok(f(&frame.page))
+        let page = Arc::clone(&frame.page);
+        drop(frames);
+        Ok(f(&page))
     }
 
-    /// Runs `f` with mutable access to the page, marking it dirty.
+    /// Runs `f` with mutable access to the page, marking it dirty. `f` runs
+    /// under the pool mutex, on a private copy if a reader has the page
+    /// pinned.
     pub fn with_page_mut<R>(
         &self,
         table: u32,
@@ -114,7 +131,7 @@ impl BufferPool {
         let frame = frames.get_mut(&(table, id)).expect("frame just ensured");
         frame.last_use = tick;
         frame.dirty = true;
-        Ok(f(&mut frame.page))
+        Ok(f(Arc::make_mut(&mut frame.page)))
     }
 
     fn ensure_resident(
@@ -159,7 +176,7 @@ impl BufferPool {
         frames.insert(
             (table, id),
             Frame {
-                page,
+                page: Arc::new(page),
                 dirty: false,
                 last_use: self.clock.fetch_add(1, Ordering::Relaxed),
             },
@@ -214,6 +231,24 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(store.reads(), 1, "second access must not touch the store");
+    }
+
+    #[test]
+    fn a_pinned_reader_keeps_its_page_while_a_writer_copies_it() {
+        let store = MemPageStore::new();
+        let id = store.allocate().unwrap();
+        let pool = BufferPool::new(4);
+        pool.with_page(1, id, &store, |pinned| {
+            // The reader holds no pool lock, so the writer gets in — and
+            // writes to a copy, because the page is pinned.
+            pool.with_page_mut(1, id, &store, |p| p.insert(b"later").map(|_| ()))
+                .unwrap()
+                .unwrap();
+            assert_eq!(pinned.slot_count(), 0);
+        })
+        .unwrap();
+        pool.with_page(1, id, &store, |p| assert_eq!(p.read(0).unwrap(), b"later"))
+            .unwrap();
     }
 
     #[test]

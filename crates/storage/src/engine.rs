@@ -24,7 +24,7 @@ use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN}
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
 use crate::store::{FilePageStore, MemPageStore, PageStore};
-use crate::tuple::{TupleHeader, TupleVersion};
+use crate::tuple::{TupleHeader, TupleRef, TupleVersion};
 use crate::value::Datum;
 use crate::wal::{DurabilityConfig, LogRecord, Wal};
 
@@ -1037,13 +1037,12 @@ impl StorageEngine {
         table: TableId,
         row: RowId,
     ) -> StorageResult<Option<TupleVersion>> {
-        let t = self.table(table)?;
-        let v = t.heap.fetch(row)?;
-        if self.txns.is_visible(snapshot, &v.header) {
-            Ok(Some(v))
-        } else {
-            Ok(None)
-        }
+        let mut found = None;
+        self.visit_rows::<StorageError>(snapshot, table, [row], |_, t| {
+            found = Some(t.to_version()?);
+            Ok(true)
+        })?;
+        Ok(found)
     }
 
     /// Scans every version visible to `snapshot`, invoking `f` for each.
@@ -1054,18 +1053,70 @@ impl StorageEngine {
         table: TableId,
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
+        self.visit_visible::<StorageError>(snapshot, table, |row, t| Ok(f(row, t.to_version()?)))
+    }
+
+    /// [`StorageEngine::scan_visible`] without building the versions: `f`
+    /// reads each visible version in place ([`TupleRef`]) and materialises
+    /// what it keeps; `Ok(false)` stops the scan. Every version walked counts
+    /// towards `tuples_scanned`, however the scan ends.
+    pub fn visit_visible<E: From<StorageError>>(
+        &self,
+        snapshot: &Snapshot,
+        table: TableId,
+        mut f: impl FnMut(RowId, TupleRef<'_>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        /// Adds what a scan walked to the engine's counter when the scan
+        /// ends, on the error paths too.
+        struct Walked<'a> {
+            tuples: u64,
+            counter: &'a AtomicU64,
+        }
+        impl Drop for Walked<'_> {
+            fn drop(&mut self) {
+                self.counter.fetch_add(self.tuples, Ordering::Relaxed);
+            }
+        }
         let t = self.table(table)?;
         self.full_table_scans.fetch_add(1, Ordering::Relaxed);
-        let mut scanned = 0u64;
-        t.heap.scan(|row, version| {
-            scanned += 1;
-            if self.txns.is_visible(snapshot, &version.header) {
-                f(row, version)
+        let mut walked = Walked {
+            tuples: 0,
+            counter: &self.tuples_scanned,
+        };
+        let mut visibility = self.txns.visibility(snapshot);
+        t.heap.walk(|row, tuple| {
+            walked.tuples += 1;
+            if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
+                f(row, tuple)
             } else {
-                true
+                Ok(true)
             }
-        })?;
-        self.tuples_scanned.fetch_add(scanned, Ordering::Relaxed);
+        })
+    }
+
+    /// Fetches each of `rows` (row ids an index returned) and invokes `f`
+    /// with those visible to `snapshot`, read in place; `Ok(false)` stops.
+    pub fn visit_rows<E: From<StorageError>>(
+        &self,
+        snapshot: &Snapshot,
+        table: TableId,
+        rows: impl IntoIterator<Item = RowId>,
+        mut f: impl FnMut(RowId, TupleRef<'_>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        let t = self.table(table)?;
+        let mut visibility = self.txns.visibility(snapshot);
+        for row in rows {
+            let more = t.heap.read(row, |tuple| {
+                if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
+                    f(row, tuple)
+                } else {
+                    Ok(true)
+                }
+            })?;
+            if !more {
+                break;
+            }
+        }
         Ok(())
     }
 
@@ -1832,6 +1883,45 @@ mod tests {
         assert_eq!(after.index_point_lookups - before.index_point_lookups, 1);
         assert_eq!(after.index_range_scans - before.index_range_scans, 2);
         assert_eq!(after.full_table_scans - before.full_table_scans, 1);
+    }
+
+    #[test]
+    fn a_scan_counts_the_tuples_it_walked_however_it_ends() {
+        let (eng, table) = engine_with_table();
+        let txn = eng.begin().unwrap();
+        for i in 0..10 {
+            eng.insert(
+                txn,
+                table,
+                vec![],
+                vec![Datum::Int(i), Datum::Text("u".into())],
+            )
+            .unwrap();
+        }
+        eng.commit(txn).unwrap();
+        let snap = eng.snapshot(eng.txns().begin());
+        let scanned = || eng.stats().tuples_scanned;
+
+        // Cut short by an error from the consumer.
+        let before = scanned();
+        let mut seen = 0;
+        let cut = eng.visit_visible(&snap, table, |_, _| {
+            seen += 1;
+            if seen == 4 {
+                Err(StorageError::UnknownTableId(0))
+            } else {
+                Ok(true)
+            }
+        });
+        assert_eq!(cut, Err(StorageError::UnknownTableId(0)));
+        assert_eq!(scanned() - before, 4);
+
+        // Stopped early by the consumer, and run to the end.
+        let before = scanned();
+        eng.scan_visible(&snap, table, |_, _| false).unwrap();
+        assert_eq!(scanned() - before, 1);
+        eng.scan_visible(&snap, table, |_, _| true).unwrap();
+        assert_eq!(scanned() - before, 11);
     }
 
     #[test]

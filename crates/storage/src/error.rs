@@ -97,6 +97,15 @@ impl fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
+/// A [`StorageError::Corruption`] with the given description. Decoders call
+/// it on paths that well-formed data never takes.
+#[cold]
+pub(crate) fn corrupt(detail: &str) -> StorageError {
+    StorageError::Corruption {
+        detail: detail.to_string(),
+    }
+}
+
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io {

@@ -7,6 +7,12 @@
 //! patching `xmax` and insert a new version, exactly as PostgreSQL's MVCC
 //! does (Section 7.1 of the paper relies on this to implement Query by Label
 //! "at the layer that reads and writes tuples in tables").
+//!
+//! Reads are in place: [`TableHeap::walk`] (every live version) and
+//! [`TableHeap::read`] (one) hand their caller a [`TupleRef`] over the slot
+//! bytes of a pinned page, so a caller that rejects a tuple on its header or
+//! label never builds it. The owned-version entry points (`scan`, `fetch`,
+//! `version_count`, `vacuum`) are adapters over those two.
 
 use std::sync::Arc;
 
@@ -16,9 +22,9 @@ use serde::{Deserialize, Serialize};
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::mvcc::TxnId;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::store::PageStore;
-use crate::tuple::{patch_xmax, TupleVersion};
+use crate::tuple::{patch_xmax, TupleRef, TupleVersion};
 
 /// Physical location of a tuple version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -126,20 +132,29 @@ impl TableHeap {
         Ok(RowId { page: pid.0, slot })
     }
 
-    /// Fetches the tuple version at `row`.
-    pub fn fetch(&self, row: RowId) -> StorageResult<TupleVersion> {
+    /// Calls `f` with the tuple version at `row`, read in place on a pin.
+    pub fn read<R, E: From<StorageError>>(
+        &self,
+        row: RowId,
+        f: impl FnOnce(TupleRef<'_>) -> Result<R, E>,
+    ) -> Result<R, E> {
         let pid = PageId(row.page);
         self.buffer
             .with_page(self.table_id, pid, self.store.as_ref(), |p| {
-                p.read(row.slot).and_then(TupleVersion::decode)
+                let bytes = p.read(row.slot).map_err(|e| match e {
+                    StorageError::UnknownRow { slot, .. } => StorageError::UnknownRow {
+                        page: row.page,
+                        slot,
+                    },
+                    other => other,
+                })?;
+                f(TupleRef::parse(bytes)?)
             })?
-            .map_err(|e| match e {
-                StorageError::UnknownRow { slot, .. } => StorageError::UnknownRow {
-                    page: row.page,
-                    slot,
-                },
-                other => other,
-            })
+    }
+
+    /// Fetches the tuple version at `row`.
+    pub fn fetch(&self, row: RowId) -> StorageResult<TupleVersion> {
+        self.read::<_, StorageError>(row, |t| t.to_version())
     }
 
     /// Sets (or clears) the `xmax` of the version at `row` in place.
@@ -152,39 +167,48 @@ impl TableHeap {
             })?
     }
 
-    /// Calls `f` for every live tuple version in the heap, in physical order.
-    /// Returning `false` from `f` stops the scan early.
-    pub fn scan(&self, mut f: impl FnMut(RowId, TupleVersion) -> bool) -> StorageResult<()> {
+    /// Calls `f` with every live tuple version, in physical order, each read
+    /// in place on its pinned page; `Ok(false)` from `f` stops the walk. This
+    /// is the one heap traversal — scans, counts and vacuum's search all go
+    /// through it — and it allocates nothing per row or per page.
+    pub fn walk<E: From<StorageError>>(
+        &self,
+        mut f: impl FnMut(RowId, TupleRef<'_>) -> Result<bool, E>,
+    ) -> Result<(), E> {
         let pages: Vec<PageId> = self.pages.lock().clone();
         for pid in pages {
-            let rows = self
-                .buffer
-                .with_page(self.table_id, pid, self.store.as_ref(), |p| {
-                    let mut out = Vec::new();
-                    for slot in p.live_slots() {
-                        match p.read(slot).and_then(TupleVersion::decode) {
-                            Ok(v) => out.push((slot, Ok(v))),
-                            Err(e) => out.push((slot, Err(e))),
-                        }
+            let on_page = |p: &Page| -> Result<bool, E> {
+                for slot in p.live_slots() {
+                    let tuple = TupleRef::parse(p.read(slot)?)?;
+                    if !f(RowId { page: pid.0, slot }, tuple)? {
+                        return Ok(false);
                     }
-                    out
-                })?;
-            for (slot, v) in rows {
-                let v = v?;
-                if !f(RowId { page: pid.0, slot }, v) {
-                    return Ok(());
                 }
+                Ok(true)
+            };
+            let store = self.store.as_ref();
+            if !self
+                .buffer
+                .with_page(self.table_id, pid, store, on_page)??
+            {
+                break;
             }
         }
         Ok(())
     }
 
+    /// Calls `f` for every live tuple version in the heap, in physical order.
+    /// Returning `false` from `f` stops the scan early.
+    pub fn scan(&self, mut f: impl FnMut(RowId, TupleVersion) -> bool) -> StorageResult<()> {
+        self.walk::<StorageError>(|row, t| Ok(f(row, t.to_version()?)))
+    }
+
     /// Counts live (non-dead-slot) tuple versions.
     pub fn version_count(&self) -> StorageResult<usize> {
         let mut n = 0;
-        self.scan(|_, _| {
+        self.walk::<StorageError>(|_, _| {
             n += 1;
-            true
+            Ok(true)
         })?;
         Ok(n)
     }
@@ -192,24 +216,33 @@ impl TableHeap {
     /// Physically removes versions for which `should_remove` returns `true`
     /// (the garbage-collector task of Section 7.1, which is exempt from the
     /// information-flow rules). Returns the number of removed versions.
+    ///
+    /// The search is a read-only walk; only pages that hold a victim are
+    /// then written. What makes a version removable is permanent, so the
+    /// verdict cannot go stale between the two steps.
     pub fn vacuum(
         &self,
         mut should_remove: impl FnMut(&TupleVersion) -> bool,
     ) -> StorageResult<usize> {
-        let pages: Vec<PageId> = self.pages.lock().clone();
+        let mut victims: Vec<RowId> = Vec::new();
+        self.walk::<StorageError>(|row, t| {
+            if should_remove(&t.to_version()?) {
+                victims.push(row);
+            }
+            Ok(true)
+        })?;
         let mut removed = 0;
-        for pid in pages {
+        for on_page in victims.chunk_by(|a, b| a.page == b.page) {
+            let pid = PageId(on_page[0].page);
             removed += self
                 .buffer
                 .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
                     let mut n = 0;
-                    let slots: Vec<u16> = p.live_slots().collect();
-                    for slot in slots {
-                        if let Ok(v) = p.read(slot).and_then(TupleVersion::decode) {
-                            if should_remove(&v) {
-                                p.mark_dead(slot).expect("slot is live");
-                                n += 1;
-                            }
+                    for row in on_page {
+                        // A concurrent vacuum may have got to the slot first.
+                        if !p.is_dead(row.slot) {
+                            p.mark_dead(row.slot).expect("slot is live");
+                            n += 1;
                         }
                     }
                     n

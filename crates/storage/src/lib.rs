@@ -54,11 +54,13 @@ pub use engine::{StorageEngine, StorageKind, TableId};
 pub use error::{StorageError, StorageResult};
 pub use heap::{RowId, TableHeap};
 pub use index::{HashIndex, IndexKey, OrderedIndex};
-pub use mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE};
+pub use mvcc::{
+    ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE,
+};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use replica::{AppliedBatch, ReplicaApplier};
 pub use schema::{ColumnDef, TableSchema};
 pub use stats::EngineStats;
-pub use tuple::{TupleData, TupleHeader, TupleVersion};
+pub use tuple::{TupleData, TupleHeader, TupleRef, TupleVersion};
 pub use value::{DataType, Datum};
 pub use wal::{DurabilityConfig, LogRecord, ReplicationBatch, Wal, WalRecovery};

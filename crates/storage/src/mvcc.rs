@@ -206,6 +206,43 @@ impl TxnTable {
     }
 }
 
+/// Slots in a [`ScanVisibility`] memo.
+const VISIBILITY_SLOTS: usize = 64;
+
+/// Visibility decisions for the versions one scan walks under one snapshot.
+///
+/// Whether a snapshot sees a transaction's effects never changes while the
+/// snapshot lives (a commit that lands later carries a stamp at or above the
+/// snapshot's floor), so the answer is remembered per transaction id and the
+/// transaction table's lock is taken once per distinct writer, not once per
+/// row. Ids are near-sequential, so the memo is a small direct-mapped table:
+/// a collision only costs the lookup it replaces.
+pub struct ScanVisibility<'a> {
+    txns: &'a TransactionManager,
+    snapshot: &'a Snapshot,
+    seen: [Option<(TxnId, bool)>; VISIBILITY_SLOTS],
+}
+
+impl ScanVisibility<'_> {
+    fn sees(&mut self, other: TxnId) -> bool {
+        let slot = &mut self.seen[(other.0 % VISIBILITY_SLOTS as u64) as usize];
+        match *slot {
+            Some((id, sees)) if id == other => sees,
+            _ => {
+                let sees = self.txns.table.read().sees(self.snapshot, other);
+                *slot = Some((other, sees));
+                sees
+            }
+        }
+    }
+
+    /// [`TransactionManager::is_visible`] for a version created by `xmin`
+    /// and deleted or superseded by `xmax`.
+    pub fn is_visible(&mut self, xmin: TxnId, xmax: Option<TxnId>) -> bool {
+        self.sees(xmin) && !xmax.is_some_and(|x| self.sees(x))
+    }
+}
+
 /// Counters and sizes of the transaction table, read under one lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct TxnCounts {
@@ -507,6 +544,15 @@ impl TransactionManager {
     pub fn is_visible(&self, snapshot: &Snapshot, header: &TupleHeader) -> bool {
         let table = self.table.read();
         table.sees(snapshot, header.xmin) && !header.xmax.is_some_and(|x| table.sees(snapshot, x))
+    }
+
+    /// A memo of visibility decisions under `snapshot`, for one scan.
+    pub fn visibility<'a>(&'a self, snapshot: &'a Snapshot) -> ScanVisibility<'a> {
+        ScanVisibility {
+            txns: self,
+            snapshot,
+            seen: [None; VISIBILITY_SLOTS],
+        }
     }
 
     /// Returns `true` if a version whose `xmax` is set can be physically

@@ -7,10 +7,15 @@
 //! one-byte length (the paper stores the label length "in a byte in the tuple
 //! header, which was previously unused for alignment reasons", and each tag
 //! adds to the tuple size with corresponding I/O implications; Section 8.3).
+//!
+//! There is one encoder ([`TupleVersion::encode`]) and one decoder
+//! ([`TupleRef`], a view over a slot's bytes that checks bounds as it goes
+//! and allocates only when asked for owned values). [`TupleVersion::decode`]
+//! is the view's [`TupleRef::to_version`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{StorageError, StorageResult};
+use crate::error::{corrupt, StorageError, StorageResult};
 use crate::mvcc::TxnId;
 use crate::value::Datum;
 
@@ -82,46 +87,128 @@ impl TupleVersion {
 
     /// Decodes a version previously produced by [`TupleVersion::encode`].
     pub fn decode(buf: &[u8]) -> StorageResult<TupleVersion> {
-        let corrupt = |d: &str| StorageError::Corruption {
-            detail: d.to_string(),
-        };
-        if buf.len() < 17 {
-            return Err(corrupt("tuple shorter than header"));
-        }
-        let xmin = TxnId(u64::from_le_bytes(buf[0..8].try_into().unwrap()));
-        let raw_xmax = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let xmax = if raw_xmax == 0 {
-            None
-        } else {
-            Some(TxnId(raw_xmax))
-        };
-        let label_len = buf[16] as usize;
-        let mut pos = 17;
-        if pos + label_len * 8 + 2 > buf.len() {
-            return Err(corrupt("truncated label"));
-        }
-        let mut label = Vec::with_capacity(label_len);
-        for _ in 0..label_len {
-            label.push(u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()));
-            pos += 8;
-        }
-        let field_count = u16::from_le_bytes(buf[pos..pos + 2].try_into().unwrap()) as usize;
-        pos += 2;
-        let mut data = Vec::with_capacity(field_count);
-        for _ in 0..field_count {
-            let (d, next) = Datum::decode(buf, pos)?;
-            data.push(d);
-            pos = next;
-        }
-        Ok(TupleVersion {
-            header: TupleHeader { xmin, xmax, label },
-            data,
-        })
+        TupleRef::parse(buf)?.to_version()
     }
 
     /// Total encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.header.encoded_len() + 2 + self.data.iter().map(|d| 5 + d.encoded_len()).sum::<usize>()
+    }
+}
+
+/// A tuple version read in place: a view over the bytes of a page slot.
+///
+/// Parsing checks the fixed header, the label array and the field count and
+/// allocates nothing; the MVCC fields and label words are then a few loads,
+/// and a field is decoded only when asked for. A scan decides visibility and
+/// the label from the view and builds an owned [`TupleVersion`] only for the
+/// rows it keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleRef<'a> {
+    buf: &'a [u8],
+    /// Offset of the first encoded field, just past the field count.
+    fields_at: usize,
+}
+
+impl<'a> TupleRef<'a> {
+    /// Checks the header of an encoded version (see [`TupleVersion::encode`]
+    /// for the layout). Field payloads are checked when they are read.
+    pub fn parse(buf: &'a [u8]) -> StorageResult<Self> {
+        if buf.len() < 17 {
+            return Err(corrupt("tuple shorter than header"));
+        }
+        let fields_at = 17 + buf[16] as usize * 8 + 2;
+        if fields_at > buf.len() {
+            return Err(corrupt("truncated label"));
+        }
+        let tuple = TupleRef { buf, fields_at };
+        // Every field has a five-byte frame, which bounds the count before
+        // anything is allocated for it.
+        if tuple.field_count() * 5 > buf.len() - fields_at {
+            return Err(corrupt("truncated fields"));
+        }
+        Ok(tuple)
+    }
+
+    fn word(&self, at: usize) -> u64 {
+        u64::from_le_bytes(self.buf[at..at + 8].try_into().expect("eight bytes"))
+    }
+
+    /// Transaction that created this version.
+    pub fn xmin(&self) -> TxnId {
+        TxnId(self.word(0))
+    }
+
+    /// Transaction that deleted or superseded this version, if any.
+    pub fn xmax(&self) -> Option<TxnId> {
+        Some(self.word(8)).filter(|x| *x != 0).map(TxnId)
+    }
+
+    /// The label's tag ids, in stored (sorted) order. They sit unaligned in
+    /// the slot, so callers that need a slice collect them into a buffer
+    /// they reuse.
+    pub fn label_words(&self) -> impl Iterator<Item = u64> + 'a {
+        self.buf[17..self.fields_at - 2]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+    }
+
+    /// Number of fields.
+    pub fn field_count(&self) -> usize {
+        let at = self.fields_at - 2;
+        u16::from_le_bytes(self.buf[at..at + 2].try_into().expect("two bytes")) as usize
+    }
+
+    /// Where field `to`'s frame starts, given that field `at`'s starts at `pos`.
+    fn seek(&self, mut pos: usize, at: usize, to: usize) -> StorageResult<usize> {
+        if to >= self.field_count() {
+            return Err(corrupt("tuple has fewer fields than its schema"));
+        }
+        for _ in at..to {
+            pos = Datum::skip(self.buf, pos)?;
+        }
+        Ok(pos)
+    }
+
+    /// Decodes the fields at the ascending positions `columns` into the same
+    /// positions of `out`, skipping over the others.
+    pub fn fields_into(&self, columns: &[usize], out: &mut [Datum]) -> StorageResult<()> {
+        let (mut pos, mut at) = (self.fields_at, 0);
+        for &column in columns {
+            pos = self.seek(pos, at, column)?;
+            (out[column], pos) = Datum::decode(self.buf, pos)?;
+            at = column + 1;
+        }
+        Ok(())
+    }
+
+    /// Decodes field `i` alone.
+    pub fn field(&self, i: usize) -> StorageResult<Datum> {
+        Ok(Datum::decode(self.buf, self.seek(self.fields_at, 0, i)?)?.0)
+    }
+
+    /// Decodes every field.
+    pub fn data(&self) -> StorageResult<TupleData> {
+        let mut data = Vec::with_capacity(self.field_count());
+        let mut pos = self.fields_at;
+        for _ in 0..self.field_count() {
+            let (d, next) = Datum::decode(self.buf, pos)?;
+            data.push(d);
+            pos = next;
+        }
+        Ok(data)
+    }
+
+    /// Builds the owned version.
+    pub fn to_version(&self) -> StorageResult<TupleVersion> {
+        Ok(TupleVersion {
+            header: TupleHeader {
+                xmin: self.xmin(),
+                xmax: self.xmax(),
+                label: self.label_words().collect(),
+            },
+            data: self.data()?,
+        })
     }
 }
 

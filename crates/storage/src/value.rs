@@ -10,7 +10,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{StorageError, StorageResult};
+use crate::error::{corrupt, StorageResult};
 
 /// The declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -183,45 +183,50 @@ impl Datum {
         }
     }
 
+    /// The datum framed at `pos`: its kind byte, its payload, and the
+    /// position just past it; `None` if the frame runs off the end of `buf`.
+    #[inline(always)]
+    fn frame(buf: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
+        let head = buf.get(pos..pos.checked_add(5)?)?;
+        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+        let end = (pos + 5).checked_add(len)?;
+        Some((head[0], buf.get(pos + 5..end)?, end))
+    }
+
+    /// The position just past the datum encoded at `pos`, without decoding
+    /// its payload.
+    pub fn skip(buf: &[u8], pos: usize) -> StorageResult<usize> {
+        let (_, _, end) = Self::frame(buf, pos).ok_or_else(|| corrupt("truncated datum"))?;
+        Ok(end)
+    }
+
     /// Decodes a datum from `buf` starting at `pos`, returning the datum and
     /// the new position.
+    ///
+    /// Inlined into the tuple reader's loops: out of line, handing the
+    /// 48-byte result back through memory costs more than the decode.
+    #[inline(always)]
     pub fn decode(buf: &[u8], pos: usize) -> StorageResult<(Datum, usize)> {
-        let corrupt = |d: &str| StorageError::Corruption {
-            detail: d.to_string(),
-        };
-        if pos + 5 > buf.len() {
-            return Err(corrupt("truncated datum header"));
-        }
-        let kind = buf[pos];
-        let len = u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let start = pos + 5;
-        let end = start + len;
-        if end > buf.len() {
-            return Err(corrupt("truncated datum payload"));
-        }
-        let payload = &buf[start..end];
+        let (kind, payload, end) =
+            Self::frame(buf, pos).ok_or_else(|| corrupt("truncated datum"))?;
+        let word = |what| payload.try_into().map_err(|_| corrupt(what));
         let datum = match kind {
             0 => Datum::Null,
-            1 => Datum::Int(i64::from_le_bytes(
-                payload.try_into().map_err(|_| corrupt("bad int"))?,
-            )),
-            2 => Datum::Float(f64::from_bits(u64::from_le_bytes(
-                payload.try_into().map_err(|_| corrupt("bad float"))?,
-            ))),
+            1 => Datum::Int(i64::from_le_bytes(word("bad int")?)),
+            2 => Datum::Float(f64::from_bits(u64::from_le_bytes(word("bad float")?))),
             3 => Datum::Text(String::from_utf8(payload.to_vec()).map_err(|_| corrupt("bad utf8"))?),
             4 => Datum::Bool(payload.first().copied().unwrap_or(0) != 0),
-            5 => Datum::Timestamp(i64::from_le_bytes(
-                payload.try_into().map_err(|_| corrupt("bad timestamp"))?,
-            )),
+            5 => Datum::Timestamp(i64::from_le_bytes(word("bad timestamp")?)),
             6 => {
-                if !len.is_multiple_of(8) {
+                if !payload.len().is_multiple_of(8) {
                     return Err(corrupt("bad array length"));
                 }
-                let mut v = Vec::with_capacity(len / 8);
-                for chunk in payload.chunks_exact(8) {
-                    v.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-                }
-                Datum::IntArray(v)
+                let words = payload.chunks_exact(8);
+                Datum::IntArray(
+                    words
+                        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                        .collect(),
+                )
             }
             _ => return Err(corrupt("unknown datum kind")),
         };

@@ -7,14 +7,15 @@
 //! asserts its own reads are correct under Query by Label, and an explicit
 //! transaction checks snapshot consistency while the other threads write.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
 use ifdb_repro::difc::Label;
 use ifdb_repro::ifdb::prelude::*;
-use ifdb_repro::ifdb::{TableDef, ViewSource};
+use ifdb_repro::ifdb::{DatabaseConfig, TableDef, ViewSource};
 
 const THREADS: usize = 6;
 const ITERS: i64 = 40;
@@ -158,4 +159,124 @@ fn concurrent_sessions_do_not_deadlock_and_stay_consistent() {
     let mut anon = fx.db.anonymous_session();
     let all = anon.select(&Select::star("PublicEvents")).unwrap();
     assert_eq!(all.len(), THREADS * ITERS as usize);
+}
+
+/// Scanners race updaters of the same pages on an on-disk engine whose pool
+/// is far smaller than the table. A scan reads each page on a pin, outside
+/// the pool lock, so while it does, writers patch and extend that page (on a
+/// copy, the original being pinned) and the pool evicts and re-reads it.
+/// Every transfer moves balance between two accounts in one transaction, so
+/// a scan that mixed two states of a page — or of the table — would see the
+/// total move.
+#[test]
+fn scans_stay_snapshot_consistent_while_pages_are_rewritten_and_evicted() {
+    const ACCOUNTS: i64 = 120;
+    const UPDATERS: i64 = 3;
+    const SCANNERS: usize = 3;
+    const TRANSFERS: i64 = 60;
+    const TOTAL: i64 = ACCOUNTS * 1_000;
+
+    for buffer_pages in [2, 4, 8] {
+        let dir = std::env::temp_dir().join(format!(
+            "ifdb-scan-race-{}-{buffer_pages}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::builder()
+            .config(DatabaseConfig::on_disk(dir.clone(), buffer_pages))
+            .build()
+            .unwrap();
+        let user = db.create_principal("bank", PrincipalKind::User);
+        db.create_table(
+            TableDef::new("Acct")
+                .column("id", DataType::Int)
+                .column("bal", DataType::Int)
+                .column("pad", DataType::Text)
+                .primary_key(&["id"]),
+        )
+        .unwrap();
+        let mut loader = db.session(user);
+        loader.begin().unwrap();
+        for id in 0..ACCOUNTS {
+            let row = vec![Datum::Int(id), Datum::Int(1_000), "p".repeat(300).into()];
+            loader.insert(&Insert::new("Acct", row)).unwrap();
+        }
+        loader.commit().unwrap();
+
+        let start = Arc::new(Barrier::new(UPDATERS as usize + SCANNERS));
+        /// Counts an updater out when its thread ends, however it ends, so
+        /// the scanners never wait on one that panicked.
+        struct Leaving(Arc<AtomicUsize>);
+        impl Drop for Leaving {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let updating = Arc::new(AtomicUsize::new(UPDATERS as usize));
+        let (done, finished) = mpsc::channel();
+        let mut handles = Vec::new();
+        // Updater `u` owns the accounts with `id % UPDATERS == u`: updaters
+        // share pages but never a row, so none of them conflicts.
+        for u in 0..UPDATERS {
+            let (db, start, done) = (db.clone(), start.clone(), done.clone());
+            let leaving = Leaving(updating.clone());
+            handles.push(thread::spawn(move || {
+                let _leaving = leaving;
+                let by_id = |id: i64| Predicate::Eq("id".into(), Datum::Int(id));
+                let mut s = db.session(user);
+                start.wait();
+                for i in 0..TRANSFERS {
+                    let owned = ACCOUNTS / UPDATERS;
+                    let from = u + UPDATERS * (i % owned);
+                    let to = u + UPDATERS * ((i * 7 + 1) % owned);
+                    if from == to {
+                        continue;
+                    }
+                    s.begin().unwrap();
+                    for (id, delta) in [(from, -5), (to, 5)] {
+                        let bal = s.select(&Select::star("Acct").filter(by_id(id))).unwrap();
+                        let bal = bal.iter().next().unwrap().values[1].as_int().unwrap();
+                        let set = vec![("bal", Datum::Int(bal + delta))];
+                        assert_eq!(s.update(&Update::new("Acct", by_id(id), set)).unwrap(), 1);
+                    }
+                    s.commit().unwrap();
+                }
+                done.send(()).unwrap();
+            }));
+        }
+        for _ in 0..SCANNERS {
+            let (db, start, done) = (db.clone(), start.clone(), done.clone());
+            let updating = updating.clone();
+            handles.push(thread::spawn(move || {
+                let mut s = db.session(user);
+                start.wait();
+                let mut scans = 0;
+                while updating.load(Ordering::SeqCst) > 0 || scans < 3 {
+                    let rows = s.select(&Select::star("Acct")).unwrap();
+                    assert_eq!(rows.len() as i64, ACCOUNTS);
+                    let total: i64 = rows.iter().map(|r| r.values[1].as_int().unwrap()).sum();
+                    assert_eq!(total, TOTAL, "a scan saw a transfer half-applied");
+                    scans += 1;
+                }
+                done.send(()).unwrap();
+            }));
+        }
+        drop(done);
+        // Watchdog, as above: a hang is a timeout, not a stuck suite.
+        for _ in 0..UPDATERS as usize + SCANNERS {
+            finished
+                .recv_timeout(Duration::from_secs(120))
+                .expect("a thread deadlocked or panicked");
+        }
+        for h in handles {
+            h.join().expect("thread panicked");
+        }
+        let stats = db.engine().stats();
+        assert!(
+            stats.evictions > 0,
+            "{buffer_pages} pages held the table: {stats:?}"
+        );
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
