@@ -14,7 +14,7 @@
 //! * **Admission quotas** ([`PrincipalQuota`]) bound how much *concurrent
 //!   and sustained* service one principal gets at the server: in-flight
 //!   statements, requests per second, and a scheduling weight used by the
-//!   reactor's executor pool. These are enforced in `ifdb-server`; the types
+//!   reactor's serving threads. These are enforced in `ifdb-server`; the types
 //!   live here so the client protocol, the server and the benches share
 //!   them.
 //!
@@ -140,8 +140,8 @@ pub struct PrincipalQuota {
     /// Sustained admissions per second (token bucket with a one-second
     /// burst); `0` means unlimited.
     pub max_requests_per_sec: u32,
-    /// Relative scheduling weight in the executor pool's round-robin: a
-    /// weight-2 principal drains twice as many queued statements per turn as
+    /// Relative scheduling weight in the serving threads' round-robin: a
+    /// weight-2 principal runs twice as many queued statements per turn as
     /// a weight-1 one. Clamped to at least 1.
     pub weight: u32,
 }

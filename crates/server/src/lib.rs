@@ -6,13 +6,13 @@
 //! clients operate concurrently (Section 7). This crate provides that front
 //! door for the reproduction:
 //!
-//! * an **event-driven reactor core** (the default [`Backend::Reactor`]):
-//!   one reactor thread multiplexes every connection over epoll (the
-//!   in-tree [`polling`] crate), doing nonblocking reads/writes with
-//!   per-connection buffers and incremental frame assembly, while a small
-//!   **executor pool** runs ready statements — the reactor thread never
-//!   blocks on I/O, so thousands of mostly-idle labeled connections cost
-//!   one thread plus a few KB each;
+//! * an **event-driven, run-to-completion core** (the default
+//!   [`Backend::Reactor`]): `workers` identical serving threads wait on one
+//!   epoll instance (the in-tree [`polling`] crate) where every connection
+//!   is registered one-shot; the thread that receives a connection's event
+//!   reads its frames, executes them and writes the replies itself, with
+//!   no thread hand-off, so thousands of mostly-idle labeled connections
+//!   cost a few KB each and no thread of their own;
 //! * a **pipelined wire protocol**: clients send many request frames per
 //!   flush; the server executes each connection's requests strictly in
 //!   FIFO order (so the §7.2 label piggybacking on responses stays
@@ -67,9 +67,10 @@ use parking_lot::RwLock;
 /// Which serving core a server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The event-driven core: one epoll reactor thread for all I/O plus a
-    /// pool of `workers` statement executors. Scales to thousands of
-    /// mostly-idle connections.
+    /// The event-driven core: `workers` serving threads share one epoll
+    /// instance, and whichever thread receives a connection's event reads,
+    /// executes and replies for it. Scales to thousands of mostly-idle
+    /// connections.
     #[default]
     Reactor,
     /// The blocking thread-per-connection pool: `workers` threads, each
@@ -85,9 +86,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Which serving core to run; [`Backend::Reactor`] by default.
     pub backend: Backend,
-    /// Statement executor threads (reactor backend) or connection-serving
-    /// worker threads (thread-pool backend, where this also caps concurrent
-    /// connections).
+    /// Serving threads. On the reactor backend each one waits for events,
+    /// then reads, executes and replies for the connection it received, so
+    /// this bounds how many statements run at once (a statement blocked in
+    /// an fsync or a semi-sync wait holds one of them) but not how many
+    /// connections are open. On the thread-pool backend each serves one
+    /// connection at a time, so it also caps concurrent connections.
     pub workers: usize,
     /// Thread-pool backend only — bounded accept queue: connections beyond
     /// `workers` wait here; beyond the backlog they are refused with
@@ -100,9 +104,9 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Reactor backend only — per-connection bound (bytes) on buffered
     /// response data. A connection whose un-flushed responses exceed it is
-    /// paused (the reactor stops *reading* it) until the peer drains below
-    /// half the bound, so a slow reader holds at most ~this much server
-    /// memory instead of ballooning it.
+    /// paused (no more of its requests are read or executed) until the peer
+    /// drains below half the bound, so a slow reader holds at most ~this
+    /// much server memory instead of ballooning it.
     pub outbound_buffer_limit: usize,
     /// Per-connection statement timeout. A statement that exceeds it inside
     /// an explicit transaction aborts the transaction and reports
@@ -218,7 +222,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the executor/worker thread count.
+    /// Sets the serving thread count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -354,18 +358,18 @@ pub struct ServerStats {
     /// Pipelined requests still queued when the shutdown drain deadline
     /// passed; they were discarded, not executed.
     pub requests_aborted_on_shutdown: u64,
-    /// Times the reactor paused reading a connection because its buffered
+    /// Times the reactor paused a connection because its buffered
     /// responses exceeded [`ServerConfig::outbound_buffer_limit`].
     pub backpressure_pauses: u64,
     /// Queued-but-unexecuted pipelined statements cancelled because an
     /// earlier statement on the same connection hit the statement timeout.
     pub pipelined_cancelled: u64,
-    /// Response frames encoded on the reactor's outbox path (reactor
+    /// Response frames encoded into a connection's write buffer (reactor
     /// backend only; the thread-pool backend writes frames directly to its
     /// per-connection socket writer and does not count here).
     pub frames_encoded: u64,
-    /// Total response payload bytes encoded on the reactor's outbox path
-    /// (reactor backend only), before framing overhead.
+    /// Total response payload bytes encoded into write buffers (reactor
+    /// backend only), before framing overhead.
     pub response_bytes: u64,
 }
 
@@ -1689,6 +1693,12 @@ fn handle_message(
             session.set_execution_constraints(shared.qos.constraints());
             shared.counters.statements.fetch_add(1, Ordering::Relaxed);
             let rs = session.call_procedure(&name, &args)?;
+            if !session.in_transaction() {
+                // Statements the procedure auto-committed are acknowledged
+                // by this reply: the semi-sync gate applies, as it does to
+                // an auto-committed `Execute` and to `Commit`.
+                shared.gate_write_ack(shared.current_seq())?;
+            }
             let columns = rs
                 .rows
                 .first()

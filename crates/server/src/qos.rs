@@ -1,12 +1,12 @@
-//! Per-principal admission control for the statement executors.
+//! Per-principal admission control for the serving threads.
 //!
 //! The paper's threat model (Section 2) is mutually distrustful principals
 //! sharing one database; this module adds the *availability* half of that
 //! isolation: a principal over its in-flight or requests-per-second quota is
-//! refused with `QUOTA_EXCEEDED` before its statement touches the executor
-//! pool, and the reactor's drain loop consults [`QosGate::drain_quantum`] so
-//! a heavy principal yields the executor to its neighbors after a bounded
-//! number of statements (deficit-round-robin by connection).
+//! refused with `QUOTA_EXCEEDED` before its statement executes, and the
+//! reactor consults [`QosGate::drain_quantum`] so a heavy principal yields
+//! its serving thread to its neighbors after a bounded number of statements
+//! (deficit-round-robin by connection).
 //!
 //! The gate is hot-reloadable: `Reconfigure` swaps the [`QosConfig`] under a
 //! lock that admission reads briefly, so new limits apply from the next
@@ -20,8 +20,8 @@ use std::time::Instant;
 use ifdb::{ExecutionConstraints, IfdbError, IfdbResult, PrincipalQuota, QosConfig};
 use parking_lot::RwLock;
 
-/// Statements a connection may drain per executor turn, multiplied by the
-/// principal's scheduling weight. Weight 0 means unlimited.
+/// Statements a connection may run per turn on a serving thread, multiplied
+/// by the principal's scheduling weight. Weight 0 means unlimited.
 const SCHED_QUANTUM: usize = 4;
 
 /// Per-principal runtime accounting.
@@ -49,7 +49,7 @@ pub(crate) struct QosGate {
     pub(crate) refused_rate: AtomicU64,
     /// Successful `Reconfigure` requests applied.
     pub(crate) reconfigures: AtomicU64,
-    /// Times the drain loop preempted a connection at its quantum.
+    /// Times a connection yielded its serving thread at its quantum.
     pub(crate) sched_yields: AtomicU64,
 }
 
@@ -87,7 +87,7 @@ impl QosGate {
     /// Admits one statement for `principal` or refuses with
     /// [`IfdbError::QuotaExceeded`]. The returned guard releases the
     /// in-flight slot on drop, so every exit path (including a panic caught
-    /// by the executor) completes the accounting.
+    /// by the serving thread) completes the accounting.
     pub(crate) fn admit(&self, principal: u64) -> IfdbResult<AdmitGuard<'_>> {
         let quota = self.quota_for(principal);
         let mut usage = self.usage.lock().expect("qos usage lock");
@@ -151,11 +151,11 @@ impl QosGate {
             .saturating_sub(self.completed.load(Ordering::Relaxed))
     }
 
-    /// How many statements a connection of `principal` may drain in one
-    /// executor turn before yielding the executor to other ready
-    /// connections. With no QoS policy at all (the default config) the
-    /// quantum is unlimited — an unconfigured server keeps the zero-overhead
-    /// drain loop; weight 0 likewise never yields on count.
+    /// How many statements a connection of `principal` may run in one turn
+    /// on a serving thread before yielding it to other ready connections.
+    /// With no QoS policy at all (the default config) the quantum is
+    /// unlimited — an unconfigured server keeps the zero-overhead loop;
+    /// weight 0 likewise never yields on count.
     pub(crate) fn drain_quantum(&self, principal: u64) -> usize {
         let config = self.config.read();
         if **config == QosConfig::default() {

@@ -1,783 +1,569 @@
-//! The event-driven serving core: one epoll reactor thread for all I/O,
-//! a small executor pool for statement execution.
+//! The run-to-completion serving core: `workers` identical threads wait on
+//! one shared epoll instance, and the thread that sees a connection become
+//! readable also reads its frames, executes them and writes the replies.
 //!
 //! # Architecture
 //!
 //! ```text
-//!                    ┌───────────────────────────────┐
-//!   sockets ──epoll──▶ reactor thread (never blocks) │
-//!                    │  accept / nonblocking read    │
-//!                    │  incremental frame assembly   │──inbox──┐
-//!                    │  nonblocking flush ◀──outbox──┼─────────┼──┐
-//!                    └───────────────▲───────────────┘         │  │
-//!                                    │ notify (eventfd)        ▼  │
-//!                    ┌───────────────┴───────────────┐  ┌─────────┴─┐
-//!                    │         ready queue           │──▶ executors │
-//!                    └───────────────────────────────┘  └───────────┘
+//!             ┌──────── one Poller: every socket registered one-shot ────────┐
+//!   sockets ──▶ kernel ready list:  conn 7 ▸ conn 3 ▸ listener ▸ conn 9 ▸ …  │
+//!             └──────┬────────────────────────┬───────────────────────┬──────┘
+//!                    ▼ one event per wait     ▼                       ▼
+//!             serving thread 0         serving thread 1    …   serving thread N-1
+//!             owns conn 7:  read ▸ ≤ quantum frames through `handle_request`
+//!                           ▸ encode replies ▸ write until WouldBlock ▸ re-arm
 //! ```
 //!
-//! Per connection, the reactor owns the socket and its read/write buffers;
-//! everything the executors touch lives in a shared [`ConnShared`]: a FIFO
-//! **inbox** of decoded-frame requests, an **outbox** of encoded response
-//! frames, and the session state. The reactor parses frames off the socket
-//! into the inbox and schedules the connection (at most once — an atomic
-//! idle/scheduled/running state machine); an executor drains the inbox **in
-//! FIFO order** against the session — preserving the §7.2 contract that
-//! each response piggybacks the process label *after* its statement — then
-//! hands the outbox back to the reactor to flush. Two tiny critical
-//! sections (inbox pop, outbox append) are all that is shared per request.
+//! # Ownership: armed → owned → re-armed
 //!
-//! # Backpressure
+//! Every connection (and the listener) is registered with
+//! [`Mode::Oneshot`], so its event goes to exactly one waiting thread and
+//! disarms the registration. That thread **owns** the connection — its
+//! socket, buffers and session, all behind the connection's own lock —
+//! until it re-arms it as the last step of its turn. Nothing else touches
+//! an owned connection, so per-connection FIFO order holds by construction,
+//! and with it the §7.2 contract that each reply piggybacks the process
+//! label *after* its statement. There is no hand-off: the statement runs on
+//! the thread that read it, and its reply is written by that same thread.
 //!
-//! A connection whose buffered responses exceed
-//! [`crate::ServerConfig::outbound_buffer_limit`] (or whose inbox backs up)
-//! is **paused**: the reactor drops its read interest, so the client's TCP
-//! window fills and the pipeline stalls at the sender. Reading resumes once
-//! the peer drains below half the bound. Accept-time refusal survives only
-//! as the [`crate::ServerConfig::max_connections`] quota.
+//! A statement that blocks (an fsync, a semi-synchronous replication wait)
+//! holds only its own thread and its own connection; every other connection
+//! keeps being served by the remaining threads.
+//!
+//! # Fairness and backpressure
+//!
+//! One turn runs at most the principal's deficit-round-robin quantum of
+//! frames ([`crate::qos::QosGate::drain_quantum`]). A connection that yields
+//! with whole frames left is re-armed with WRITE interest too: its socket is
+//! writable, so the kernel queues it again at once, *behind* the connections
+//! already waiting. A connection whose unwritten replies pass
+//! [`crate::ServerConfig::outbound_buffer_limit`] is **paused**: re-armed
+//! WRITE-only, it neither reads nor runs a frame until the peer drains it
+//! below half the bound, so the client's TCP window fills and the pipeline
+//! stalls at the sender. Received-but-unrun bytes are capped too. Accept-time
+//! refusal survives only as the [`crate::ServerConfig::max_connections`]
+//! quota.
 //!
 //! # Shutdown
 //!
-//! On shutdown, connections that are mid-transaction or still have queued
-//! pipelined requests keep draining until the deadline
-//! ([`crate::ServerConfig::drain_timeout`]); idle connections get a
-//! `SHUTTING_DOWN` notice (request id 0) and are closed once it flushes. At
-//! the deadline, whatever is still queued is counted as aborted and every
-//! remaining connection is torn down — dropping its session, which aborts
-//! any open transaction.
+//! Once shutdown begins, every thread wakes (one notify wakes one waiter, so
+//! a thread that consumes the waker passes it on while a thread that has
+//! not seen the flag is still asleep) and polls on a short tick. Each tick
+//! a thread makes a pass over the connections no other thread owns: it
+//! runs requests already in the socket, keeps connections that are
+//! mid-transaction or have pipelined requests or unwritten replies draining
+//! until the deadline ([`crate::ServerConfig::drain_timeout`]), and sends
+//! idle ones a `SHUTTING_DOWN` notice (request id 0), closing them once it
+//! is written. At the deadline, whatever is still queued is counted
+//! as aborted and every remaining connection is torn down — dropping its
+//! session, which aborts any open transaction. A thread exits once no
+//! connection is left.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ifdb::IfdbError;
-use ifdb_client::protocol::{code, frame_into, try_take_frame, Request, Response};
+use ifdb_client::protocol::{code, encode_error, frame_into, try_take_frame, Request, Response};
 use parking_lot::Mutex;
 use polling::{set_nonblocking, Events, Interest, Mode, Poller, WAKER_KEY};
 
-use crate::{handle_request, refuse, ConnState, IfdbResult, Shared};
+use crate::{handle_request, refuse, ConnState, Counters, IfdbResult, Shared};
 
 const LISTENER_KEY: usize = 0;
-/// Read chunk size, and the per-wakeup cap on unparsed inbound bytes a
-/// single connection may accumulate before yielding to others.
+/// Bytes one `read` asks for.
 const READ_CHUNK: usize = 16 * 1024;
-const MAX_UNPARSED_PER_WAKEUP: usize = 256 * 1024;
-/// Inbox depth at which a connection is paused even if its responses are
-/// small — the companion bound to the outbound byte limit.
-const MAX_QUEUED_REQUESTS: usize = 1024;
+/// Received bytes a connection may hold unrun; past this it is not read
+/// until it has run some of them.
+const MAX_INBOUND: usize = 256 * 1024;
+/// How long a thread waits for an event before re-checking the world; the
+/// waker covers every expected wake-up, so this is only a safety net.
+const IDLE_WAIT: Duration = Duration::from_millis(500);
+/// The shutdown drain's polling period.
+const SHUTDOWN_TICK: Duration = Duration::from_millis(10);
 
-const EXEC_IDLE: u8 = 0;
-const EXEC_SCHEDULED: u8 = 1;
-const EXEC_RUNNING: u8 = 2;
-
-/// The executor-visible half of a connection.
-struct ConnShared {
-    token: usize,
-    server: Arc<Shared>,
-    /// FIFO of complete, checksum-verified request frames: `(req_id, msg)`.
-    inbox: Mutex<VecDeque<(u32, Vec<u8>)>>,
-    /// Encoded response frames awaiting the reactor's flush.
-    outbox: Mutex<Vec<u8>>,
-    /// The connection's session state machine (None before the handshake).
-    session: Mutex<Option<ConnState>>,
-    /// Idle / scheduled / running — guarantees the connection sits in the
-    /// ready queue at most once, so one executor drains it at a time and
-    /// FIFO order holds.
-    exec_state: AtomicU8,
-    /// Close the connection once the outbox has flushed.
-    closing: AtomicBool,
-    /// Bytes buffered toward the peer (outbox + the reactor's write
-    /// buffer); drives backpressure.
-    outbound_bytes: AtomicUsize,
-    /// Reusable response-encoding buffer: one allocation amortized over
-    /// every response frame this connection produces, instead of a fresh
-    /// `Vec` per frame on the hot outbox path.
-    scratch: Mutex<Vec<u8>>,
-}
-
-impl Drop for ConnShared {
-    fn drop(&mut self) {
-        // Last owner (reactor or a late-finishing executor): the session
-        // dies here; its Drop aborts any open transaction. Count it so
-        // operators see disconnect-aborts distinctly.
-        if let Some(state) = self.session.get_mut().take() {
-            if state.session.in_transaction() {
-                self.server
-                    .counters
-                    .txns_aborted_on_disconnect
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl ConnShared {
-    /// Appends one encoded response frame to the outbox, encoding through
-    /// the connection's scratch buffer. One executor drains a connection at
-    /// a time, so the scratch lock is uncontended; it exists to satisfy the
-    /// shared-ownership structure, not for concurrency.
-    fn push_response(&self, req_id: u32, resp: &Response) {
-        let mut scratch = self.scratch.lock();
-        resp.encode_into(&mut scratch);
-        let counters = &self.server.counters;
-        counters.frames_encoded.fetch_add(1, Ordering::Relaxed);
-        counters
-            .response_bytes
-            .fetch_add(scratch.len() as u64, Ordering::Relaxed);
-        let mut ob = self.outbox.lock();
-        let before = ob.len();
-        if frame_into(&mut ob, req_id, &scratch).is_ok() {
-            self.outbound_bytes
-                .fetch_add(ob.len() - before, Ordering::Relaxed);
-        } else {
-            // Response too large to frame: the stream cannot stay coherent.
-            self.closing.store(true, Ordering::Release);
-        }
-    }
-}
-
-/// The executor pool's shared work queue.
-struct ExecQueue {
-    ready: StdMutex<VecDeque<Arc<ConnShared>>>,
-    cvar: Condvar,
-    stopped: AtomicBool,
-}
-
-impl ExecQueue {
-    fn schedule(&self, conn: &Arc<ConnShared>) {
-        if conn
-            .exec_state
-            .compare_exchange(
-                EXEC_IDLE,
-                EXEC_SCHEDULED,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            self.ready
-                .lock()
-                .expect("ready lock")
-                .push_back(conn.clone());
-            self.cvar.notify_one();
-        }
-    }
-
-    fn stop(&self) {
-        self.stopped.store(true, Ordering::Release);
-        self.cvar.notify_all();
-    }
-}
-
-/// Tokens the executors hand back to the reactor for flushing.
-struct FlushList {
-    tokens: Mutex<Vec<usize>>,
-}
-
-/// A running reactor backend.
-pub(crate) struct ReactorHandle {
-    poller: Arc<Poller>,
-    exec: Arc<ExecQueue>,
-    reactor: Option<std::thread::JoinHandle<()>>,
-    executors: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ReactorHandle {
-    /// Joins the reactor (which drains per the shutdown protocol — the
-    /// shutdown flag must already be set) and then the executors.
-    pub(crate) fn shutdown_join(&mut self) {
-        let _ = self.poller.notify();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        self.exec.stop();
-        for t in self.executors.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Spawns the reactor thread and `workers` executors over `listener`.
-pub(crate) fn start(listener: TcpListener, shared: Arc<Shared>) -> IfdbResult<ReactorHandle> {
-    let poller = Arc::new(Poller::new().map_err(|e| IfdbError::Remote {
-        code: code::REMOTE as u16,
-        detail: format!("epoll: {e}"),
-    })?);
-    poller
-        .add(&listener, LISTENER_KEY, Interest::READ, Mode::Level)
-        .map_err(|e| IfdbError::Remote {
-            code: code::REMOTE as u16,
-            detail: format!("epoll add listener: {e}"),
-        })?;
-    let exec = Arc::new(ExecQueue {
-        ready: StdMutex::new(VecDeque::new()),
-        cvar: Condvar::new(),
-        stopped: AtomicBool::new(false),
-    });
-    let flush = Arc::new(FlushList {
-        tokens: Mutex::new(Vec::new()),
-    });
-
-    let mut executors = Vec::new();
-    for i in 0..shared.config.workers.max(1) {
-        let shared = shared.clone();
-        let exec = exec.clone();
-        let poller2 = poller.clone();
-        let flush2 = flush.clone();
-        executors.push(
-            std::thread::Builder::new()
-                .name(format!("ifdb-exec-{i}"))
-                .spawn(move || executor_loop(shared, exec, poller2, flush2))
-                .expect("spawn executor"),
-        );
-    }
-    let reactor = {
-        let shared = shared.clone();
-        let poller = poller.clone();
-        let exec = exec.clone();
-        let flush = flush.clone();
-        std::thread::Builder::new()
-            .name("ifdb-reactor".into())
-            .spawn(move || Reactor::new(listener, shared, poller, exec, flush).run())
-            .expect("spawn reactor")
-    };
-    Ok(ReactorHandle {
-        poller,
-        exec,
-        reactor: Some(reactor),
-        executors,
-    })
-}
-
-/// The reactor-private half of a connection.
+/// One connection: everything a serving thread needs, behind the lock its
+/// owner holds for the length of a turn.
 struct ConnIo {
+    token: usize,
     stream: TcpStream,
-    conn: Arc<ConnShared>,
-    /// Unparsed inbound bytes (partial frames).
+    /// The session state machine (None before the handshake).
+    state: Option<ConnState>,
+    /// Received bytes not yet run: whole frames waiting behind a quantum
+    /// yield or backpressure, then at most one partial frame.
     rbuf: Vec<u8>,
-    /// In-flight outbound bytes taken from the outbox.
+    /// Encoded replies not yet written.
     wbuf: Vec<u8>,
-    wpos: usize,
-    /// Interest currently registered with the poller.
-    interest: Interest,
-    /// Reading paused by backpressure.
+    /// Reusable encoding buffer for one reply payload.
+    scratch: Vec<u8>,
+    /// Torn down: a thread that was waiting for the lock does nothing.
+    dead: bool,
+    /// Close once `wbuf` drains (Goodbye, panic, undecodable frame,
+    /// shutdown notice); nothing more is read or run.
+    closing: bool,
+    /// Backpressure: neither read nor run until `wbuf` drains below half
+    /// the outbound bound.
     paused: bool,
-    /// SHUTTING_DOWN notice already queued.
-    notified_shutdown: bool,
+    /// The last turn stopped at the quantum with whole frames left.
+    yielded: bool,
 }
 
-struct Reactor {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    poller: Arc<Poller>,
-    exec: Arc<ExecQueue>,
-    flush: Arc<FlushList>,
-    conns: HashMap<usize, ConnIo>,
-    next_token: usize,
-}
-
-impl Reactor {
-    fn new(
-        listener: TcpListener,
-        shared: Arc<Shared>,
-        poller: Arc<Poller>,
-        exec: Arc<ExecQueue>,
-        flush: Arc<FlushList>,
-    ) -> Reactor {
-        Reactor {
-            listener,
-            shared,
-            poller,
-            exec,
-            flush,
-            conns: HashMap::new(),
-            next_token: 1,
+impl ConnIo {
+    fn new(token: usize, stream: TcpStream) -> ConnIo {
+        ConnIo {
+            token,
+            stream,
+            state: None,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            scratch: Vec::new(),
+            dead: false,
+            closing: false,
+            paused: false,
+            yielded: false,
         }
     }
 
-    fn run(mut self) {
-        let mut events = Events::with_capacity(1024);
-        loop {
-            let shutting = self.shared.shutting_down();
-            // Block until something is ready; during shutdown poll briefly
-            // so the drain deadline is noticed, otherwise with a long
-            // safety timeout (the waker covers every expected wake-up).
-            let timeout = if shutting {
-                Duration::from_millis(10)
-            } else {
-                Duration::from_millis(500)
-            };
-            let _ = self.poller.wait(&mut events, Some(timeout));
-
-            let mut dead: Vec<usize> = Vec::new();
-            for ev in events.iter() {
-                match ev.key {
-                    WAKER_KEY => {}
-                    LISTENER_KEY => self.accept_ready(),
-                    token => {
-                        let alive = match self.conns.get_mut(&token) {
-                            Some(_) => {
-                                let mut ok = true;
-                                if ev.readable || ev.closed {
-                                    ok = self.handle_read(token);
-                                }
-                                if ok && ev.writable {
-                                    ok = self.flush_conn(token);
-                                }
-                                ok
-                            }
-                            // Stale event for a token already torn down.
-                            None => true,
-                        };
-                        if !alive {
-                            dead.push(token);
-                        }
-                    }
-                }
-            }
-            for token in dead {
-                self.teardown(token);
-            }
-
-            // Flush outboxes the executors filled since the last pass.
-            let tokens = std::mem::take(&mut *self.flush.tokens.lock());
-            for token in tokens {
-                if self.conns.contains_key(&token) && !self.flush_conn(token) {
-                    self.teardown(token);
-                }
-            }
-
-            if self.shared.shutting_down() && !self.shutdown_pass() {
-                break;
-            }
-        }
-    }
-
-    /// One shutdown maintenance pass. Returns `false` once every connection
-    /// is gone (the reactor exits).
-    fn shutdown_pass(&mut self) -> bool {
-        let past_deadline = self.shared.past_drain_deadline();
-        let tokens: Vec<usize> = self.conns.keys().copied().collect();
-        for token in tokens {
-            // Requests that reached the socket before this pass are part of
-            // the pipeline: pick them up, so they drain — or count as
-            // aborted at the deadline — instead of vanishing unread behind
-            // an "idle" verdict.
-            if !self.conns[&token].notified_shutdown && !self.handle_read(token) {
-                self.teardown(token);
-                continue;
-            }
-            if past_deadline {
-                self.teardown(token);
-                continue;
-            }
-            let c = self.conns.get_mut(&token).expect("conn exists");
-            if c.notified_shutdown {
-                continue;
-            }
-            // Busy connections — executor active, requests queued, bytes
-            // unflushed, or an open transaction — keep draining until the
-            // deadline. (try_lock: a held session lock means an executor is
-            // mid-statement, which is the busy case.)
-            let busy = c.conn.exec_state.load(Ordering::Acquire) != EXEC_IDLE
-                || !c.conn.inbox.lock().is_empty()
-                || c.conn.outbound_bytes.load(Ordering::Relaxed) > 0
-                || !c.rbuf.is_empty()
-                || match c.conn.session.try_lock() {
-                    Some(guard) => guard
-                        .as_ref()
-                        .map(|s| s.session.in_transaction())
-                        .unwrap_or(false),
-                    None => true,
-                };
-            if busy {
-                continue;
-            }
-            // Idle: tell the peer and close once the notice flushes.
-            c.notified_shutdown = true;
-            c.conn.push_response(
-                0,
-                &Response::Error {
-                    code: code::SHUTTING_DOWN,
-                    detail: "server is shutting down".into(),
-                    label0: Vec::new(),
-                    label1: Vec::new(),
-                    aux: 0,
-                    session_label: None,
-                },
-            );
-            c.conn.closing.store(true, Ordering::Release);
-            if !self.flush_conn(token) {
-                self.teardown(token);
-            }
-        }
-        !self.conns.is_empty()
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if self.shared.shutting_down() {
-                        refuse(stream, code::SHUTTING_DOWN, "server is shutting down");
-                        continue;
-                    }
-                    if self.conns.len() >= self.shared.config.max_connections {
-                        self.shared
-                            .counters
-                            .connections_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        refuse(stream, code::SERVER_BUSY, "connection quota exceeded");
-                        continue;
-                    }
-                    if stream.set_nodelay(true).is_err() || set_nonblocking(&stream, true).is_err()
-                    {
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1; // tokens are never reused
-                    if self
-                        .poller
-                        .add(&stream, token, Interest::READ, Mode::Level)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.shared
-                        .counters
-                        .connections_accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .connections_active
-                        .fetch_add(1, Ordering::Relaxed);
-                    let conn = Arc::new(ConnShared {
-                        token,
-                        server: self.shared.clone(),
-                        inbox: Mutex::new(VecDeque::new()),
-                        outbox: Mutex::new(Vec::new()),
-                        session: Mutex::new(None),
-                        exec_state: AtomicU8::new(EXEC_IDLE),
-                        closing: AtomicBool::new(false),
-                        outbound_bytes: AtomicUsize::new(0),
-                        scratch: Mutex::new(Vec::new()),
-                    });
-                    self.conns.insert(
-                        token,
-                        ConnIo {
-                            stream,
-                            conn,
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            interest: Interest::READ,
-                            paused: false,
-                            notified_shutdown: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Drains readable bytes, assembles frames into the inbox, schedules
-    /// the connection, and applies read-side backpressure. Returns `false`
-    /// when the connection is finished.
-    fn handle_read(&mut self, token: usize) -> bool {
-        let c = self.conns.get_mut(&token).expect("conn exists");
-        if c.paused {
-            // Level-triggered readable events keep firing for a paused
-            // connection only if we left its interest on — we did not, so
-            // this is a stale event from the same wait batch.
-            return true;
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        let mut peer_closed = false;
-        loop {
-            match (&c.stream).read(&mut chunk) {
-                Ok(0) => {
-                    peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    c.rbuf.extend_from_slice(&chunk[..n]);
-                    if c.rbuf.len() >= MAX_UNPARSED_PER_WAKEUP {
-                        // Fairness: parse what we have; level-triggered
-                        // epoll re-delivers the rest next pass.
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    peer_closed = true;
-                    break;
-                }
-            }
-        }
-        // Incremental frame assembly over the unparsed prefix.
-        let mut consumed = 0;
-        let mut queued_any = false;
-        loop {
-            match try_take_frame(&c.rbuf[consumed..]) {
-                Ok(Some((n, req_id, msg))) => {
-                    consumed += n;
-                    c.conn.inbox.lock().push_back((req_id, msg));
-                    queued_any = true;
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Corrupt framing: the stream cannot resync. Drop the
-                    // connection (the old blocking server did the same).
-                    return false;
-                }
-            }
-        }
-        if consumed > 0 {
-            c.rbuf.drain(..consumed);
-        }
-        if queued_any {
-            self.exec.schedule(&c.conn);
-        }
-        if peer_closed {
-            // EOF: tear the connection down immediately. Requests already
-            // handed to the executor still run (it holds its own Arc on
-            // the ConnShared), but their responses are dropped — the flush
-            // pass skips tokens whose connection is gone.
-            return false;
-        }
-        self.apply_backpressure(token);
-        true
-    }
-
-    /// Pauses reading when the connection's buffered responses (or queued
-    /// requests) exceed their bounds; resumes below half the bound.
-    fn apply_backpressure(&mut self, token: usize) {
-        let c = self.conns.get_mut(&token).expect("conn exists");
-        let limit = self.shared.config.outbound_buffer_limit.max(1);
-        let buffered = c.conn.outbound_bytes.load(Ordering::Relaxed);
-        let queued = c.conn.inbox.lock().len();
-        let should_pause = buffered > limit || queued > MAX_QUEUED_REQUESTS;
-        let may_resume = buffered <= limit / 2 && queued <= MAX_QUEUED_REQUESTS / 2;
-        if should_pause && !c.paused {
-            c.paused = true;
-            self.shared
-                .counters
-                .backpressure_pauses
-                .fetch_add(1, Ordering::Relaxed);
-            self.update_interest(token);
-        } else if c.paused && may_resume {
-            c.paused = false;
-            self.update_interest(token);
-        }
-    }
-
-    /// Re-registers the connection's epoll interest from its current state:
-    /// readable unless paused, writable while bytes are pending.
-    fn update_interest(&mut self, token: usize) {
-        let c = self.conns.get_mut(&token).expect("conn exists");
-        let pending_write =
-            c.wpos < c.wbuf.len() || c.conn.outbound_bytes.load(Ordering::Relaxed) > 0;
-        let want = Interest {
-            readable: !c.paused,
-            writable: pending_write,
-        };
-        if want != c.interest {
-            c.interest = want;
-            let _ = self.poller.modify(&c.stream, token, want, Mode::Level);
-        }
-    }
-
-    /// Writes as much buffered response data as the socket accepts,
-    /// refilling from the outbox. Returns `false` when the connection is
-    /// finished (fatal write error, or close-after-flush completed).
-    fn flush_conn(&mut self, token: usize) -> bool {
-        let c = self.conns.get_mut(&token).expect("conn exists");
-        loop {
-            if c.wpos == c.wbuf.len() {
-                c.wbuf.clear();
-                c.wpos = 0;
-                let mut ob = c.conn.outbox.lock();
-                if ob.is_empty() {
-                    break;
-                }
-                std::mem::swap(&mut c.wbuf, &mut *ob);
-            }
-            match (&c.stream).write(&c.wbuf[c.wpos..]) {
+    /// Reads until the socket is drained or the inbound cap is reached —
+    /// past which it reads only to complete a frame larger than the cap.
+    /// Returns `false` once the peer is gone.
+    fn fill(&mut self, chunk: &mut [u8]) -> bool {
+        while self.rbuf.len() < MAX_INBOUND || whole_frame(&self.rbuf).is_none() {
+            match (&self.stream).read(chunk) {
                 Ok(0) => return false,
                 Ok(n) => {
-                    c.wpos += n;
-                    c.conn.outbound_bytes.fetch_sub(n, Ordering::Relaxed);
+                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        // Almost surely drained; if not, the READ re-arm
+                        // fires again at once. Saves the WouldBlock read.
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
-        let done = c.wpos == c.wbuf.len() && c.conn.outbound_bytes.load(Ordering::Relaxed) == 0;
-        if done
-            && c.conn.closing.load(Ordering::Acquire)
-            && c.conn.exec_state.load(Ordering::Acquire) == EXEC_IDLE
-        {
-            return false;
-        }
-        self.apply_backpressure(token);
-        self.update_interest(token);
         true
     }
 
-    fn teardown(&mut self, token: usize) {
-        if let Some(c) = self.conns.remove(&token) {
-            let _ = self.poller.delete(&c.stream);
-            self.shared
-                .counters
-                .connections_active
-                .fetch_sub(1, Ordering::Relaxed);
-            if self.shared.shutting_down() {
-                let queued = c.conn.inbox.lock().len() as u64;
-                if queued > 0 {
-                    self.shared
-                        .counters
-                        .requests_aborted_on_shutdown
-                        .fetch_add(queued, Ordering::Relaxed);
-                }
+    /// Writes replies until the socket pushes back. Returns `false` on a
+    /// fatal write error.
+    fn flush(&mut self) -> bool {
+        let mut written = 0;
+        while written < self.wbuf.len() {
+            match (&self.stream).write(&self.wbuf[written..]) {
+                Ok(0) => return false,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
             }
-            // Socket closes on drop. The ConnShared (and its session) dies
-            // with the last Arc — immediately, unless an executor is still
-            // finishing a statement for it.
+        }
+        self.wbuf.drain(..written);
+        true
+    }
+
+    /// Encodes one reply frame onto the write buffer.
+    fn reply(&mut self, counters: &Counters, req_id: u32, resp: &Response) {
+        resp.encode_into(&mut self.scratch);
+        counters.frames_encoded.fetch_add(1, Ordering::Relaxed);
+        counters
+            .response_bytes
+            .fetch_add(self.scratch.len() as u64, Ordering::Relaxed);
+        if frame_into(&mut self.wbuf, req_id, &self.scratch).is_err() {
+            // Too large to frame: the stream cannot stay coherent.
+            self.closing = true;
+        }
+    }
+
+    /// Requests queued, replies unwritten, or a transaction open.
+    fn busy(&self) -> bool {
+        !self.rbuf.is_empty()
+            || !self.wbuf.is_empty()
+            || self
+                .state
+                .as_ref()
+                .is_some_and(|s| s.session.in_transaction())
+    }
+}
+
+/// The length of the whole frame at the head of `buf`, if there is one.
+fn whole_frame(buf: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
+    Some(8 + len).filter(|total| buf.len() >= *total)
+}
+
+/// Whole frames in `buf`.
+fn whole_frames(mut buf: &[u8]) -> u64 {
+    let mut n = 0;
+    while let Some(len) = whole_frame(buf) {
+        buf = &buf[len..];
+        n += 1;
+    }
+    n
+}
+
+/// What every serving thread shares.
+struct Core {
+    shared: Arc<Shared>,
+    poller: Poller,
+    listener: TcpListener,
+    /// Every open connection by token (tokens are never reused).
+    conns: Mutex<HashMap<usize, Arc<Mutex<ConnIo>>>>,
+    next_token: AtomicUsize,
+    /// Threads blocked in `wait` that have not seen the shutdown flag.
+    sleepers: AtomicUsize,
+}
+
+/// A running reactor backend.
+pub(crate) struct ReactorHandle {
+    core: Arc<Core>,
+    threads: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl ReactorHandle {
+    /// Wakes the serving threads (the shutdown flag must already be set)
+    /// and joins them once they have drained every connection.
+    pub(crate) fn shutdown_join(&mut self) {
+        let _ = self.core.poller.notify();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
 
-/// One statement executor: drains scheduled connections' inboxes in FIFO
-/// order against their sessions, appending response frames to the outbox
-/// and waking the reactor to flush.
-fn executor_loop(
-    shared: Arc<Shared>,
-    exec: Arc<ExecQueue>,
-    poller: Arc<Poller>,
-    flush: Arc<FlushList>,
-) {
-    loop {
-        let conn = {
-            let mut q = exec.ready.lock().expect("ready lock");
-            loop {
-                if exec.stopped.load(Ordering::Acquire) {
+/// Spawns `workers` serving threads over `listener`.
+pub(crate) fn start(listener: TcpListener, shared: Arc<Shared>) -> IfdbResult<ReactorHandle> {
+    let remote = |what: &str, e: std::io::Error| IfdbError::Remote {
+        code: code::REMOTE as u16,
+        detail: format!("{what}: {e}"),
+    };
+    let poller = Poller::new().map_err(|e| remote("epoll", e))?;
+    poller
+        .add(&listener, LISTENER_KEY, Interest::READ, Mode::Oneshot)
+        .map_err(|e| remote("epoll add listener", e))?;
+    let workers = shared.config.workers.max(1);
+    let core = Arc::new(Core {
+        shared,
+        poller,
+        listener,
+        conns: Mutex::new(HashMap::new()),
+        next_token: AtomicUsize::new(LISTENER_KEY + 1),
+        sleepers: AtomicUsize::new(0),
+    });
+    let threads = (0..workers)
+        .map(|i| {
+            let core = core.clone();
+            std::thread::Builder::new()
+                .name(format!("ifdb-serve-{i}"))
+                .spawn(move || core.serve_loop())
+                .expect("spawn serving thread")
+        })
+        .collect();
+    Ok(ReactorHandle { core, threads })
+}
+
+impl Core {
+    /// One serving thread: take one event, serve it to completion, repeat.
+    fn serve_loop(&self) {
+        // One event per wait: a thread that took several would serve them
+        // in series while its peers sat idle.
+        let mut events = Events::with_capacity(1);
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let mut last_pass = Instant::now();
+        loop {
+            self.wait(&mut events);
+            for ev in events.iter() {
+                match ev.key {
+                    // One notify wakes one waiter: pass the shutdown on
+                    // while a thread that has not seen it is still asleep.
+                    WAKER_KEY => {
+                        if self.shared.shutting_down() && self.sleepers.load(Ordering::SeqCst) > 0 {
+                            let _ = self.poller.notify();
+                        }
+                    }
+                    LISTENER_KEY => self.accept(),
+                    token => self.dispatch(token, ev.closed, &mut chunk),
+                }
+            }
+            if self.shared.shutting_down() && last_pass.elapsed() >= SHUTDOWN_TICK {
+                last_pass = Instant::now();
+                if !self.shutdown_pass(&mut chunk) {
                     return;
                 }
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                let (g, _) = exec
-                    .cvar
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .expect("ready lock");
-                q = g;
             }
-        };
-        conn.exec_state.store(EXEC_RUNNING, Ordering::Release);
-        let wrote = drain_inbox(&shared, &conn);
-        conn.exec_state.store(EXEC_IDLE, Ordering::Release);
-        // Re-check: the reactor may have pushed between our last pop and
-        // the idle transition, and skipped scheduling because we looked
-        // busy.
-        if !conn.inbox.lock().is_empty() && !conn.closing.load(Ordering::Acquire) {
-            exec.schedule(&conn);
-        }
-        // Hand the token back whenever there are bytes to flush OR the
-        // connection is closing: a panic on the very first drained request
-        // produces no response bytes, but the reactor must still observe
-        // `closing` and tear the connection down — without the token it
-        // would never revisit an idle, write-quiet connection, leaking it
-        // and leaving the peer hung.
-        if wrote || conn.closing.load(Ordering::Acquire) {
-            flush.tokens.lock().push(conn.token);
-            let _ = poller.notify();
         }
     }
-}
 
-/// Processes every queued request of one connection in FIFO order. Returns
-/// whether any response bytes were produced.
-fn drain_inbox(shared: &Arc<Shared>, conn: &Arc<ConnShared>) -> bool {
-    let mut wrote = false;
-    // Weighted scheduling (deficit round robin by connection): one executor
-    // turn drains at most the principal's quantum of messages, then yields.
-    // `executor_loop`'s inbox re-check pushes the connection to the *back*
-    // of the ready queue, so a heavy pipelining principal keeps making
-    // progress but cannot starve its neighbors' queued statements.
-    let quantum = {
-        let guard = conn.session.lock();
-        guard.as_ref().map_or(usize::MAX, |c| {
-            shared.qos.drain_quantum(c.session.principal().0)
-        })
-    };
-    let mut handled = 0usize;
-    loop {
-        if conn.closing.load(Ordering::Acquire) {
-            // Post-Goodbye (or post-panic) frames are dead: the old server
-            // closed the socket with them unread.
-            conn.inbox.lock().clear();
-            break;
+    /// Blocks for the next event — briefly once shutdown has begun, so the
+    /// drain deadline is noticed. A thread that has not seen shutdown
+    /// counts itself a sleeper meanwhile; it reads the flag only after
+    /// counting in, so a shutdown that begins in between sees the count.
+    fn wait(&self, events: &mut Events) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let shutting = self.shared.shutdown.load(Ordering::SeqCst);
+        if shutting {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
-        let Some((req_id, msg)) = conn.inbox.lock().pop_front() else {
-            break;
+        let timeout = if shutting { SHUTDOWN_TICK } else { IDLE_WAIT };
+        let _ = self.poller.wait(events, Some(timeout));
+        if !shutting {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Accepts every pending connection, then re-arms the listener.
+    fn accept(&self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => self.admit(stream),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        let _ = self
+            .poller
+            .modify(&self.listener, LISTENER_KEY, Interest::READ, Mode::Oneshot);
+    }
+
+    fn admit(&self, stream: TcpStream) {
+        let counters = &self.shared.counters;
+        if self.shared.shutting_down() {
+            refuse(stream, code::SHUTTING_DOWN, "server is shutting down");
+            return;
+        }
+        if self.conns.lock().len() >= self.shared.config.max_connections {
+            counters
+                .connections_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            refuse(stream, code::SERVER_BUSY, "connection quota exceeded");
+            return;
+        }
+        if stream.set_nodelay(true).is_err() || set_nonblocking(&stream, true).is_err() {
+            return;
+        }
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        // Registered under the map lock: the first event can fire before
+        // `add` returns, and the thread that takes it must find the entry.
+        let mut conns = self.conns.lock();
+        if self
+            .poller
+            .add(&stream, token, Interest::READ, Mode::Oneshot)
+            .is_err()
+        {
+            return;
+        }
+        conns.insert(token, Arc::new(Mutex::new(ConnIo::new(token, stream))));
+        drop(conns);
+        counters
+            .connections_accepted
+            .fetch_add(1, Ordering::Relaxed);
+        counters.connections_active.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Serves the connection whose event this thread received. A hang-up
+    /// or error ends it; frames it sent but that have not run are dropped.
+    fn dispatch(&self, token: usize, closed: bool, chunk: &mut [u8]) {
+        // Absent: a stale event for a connection already torn down.
+        let Some(conn) = self.conns.lock().get(&token).cloned() else {
+            return;
         };
-        let mut guard = conn.session.lock();
-        let state = &mut *guard;
-        let request = match Request::decode(&msg) {
+        let mut io = conn.lock();
+        if io.dead {
+            return;
+        }
+        if closed || !self.serve(&mut io, chunk) {
+            self.teardown(&mut io);
+        }
+    }
+
+    /// One turn on an owned connection: write what is pending, read, run
+    /// up to a quantum of frames, write their replies, re-arm. Returns
+    /// `false` when the connection is finished.
+    fn serve(&self, io: &mut ConnIo, chunk: &mut [u8]) -> bool {
+        let limit = self.shared.config.outbound_buffer_limit.max(1);
+        if !io.flush() {
+            return false;
+        }
+        if io.paused && io.wbuf.len() <= limit / 2 {
+            io.paused = false;
+        }
+        io.yielded = false;
+        let runs = !io.closing && !io.paused;
+        if runs && !(io.fill(chunk) && self.run(io, limit) && io.flush()) {
+            return false;
+        }
+        if io.closing && io.wbuf.is_empty() {
+            return false;
+        }
+        let interest = Interest {
+            readable: !io.paused && !io.closing,
+            writable: !io.wbuf.is_empty() || io.yielded,
+        };
+        self.poller
+            .modify(&io.stream, io.token, interest, Mode::Oneshot)
+            .is_ok()
+    }
+
+    /// Runs whole frames from `rbuf` through `handle_request`, in order,
+    /// until none is left, the quantum is spent, the replies back up past
+    /// `limit`, or the connection starts closing. Returns `false` when the
+    /// connection is finished (corrupt framing, a failed write).
+    ///
+    /// Statement timeouts need no special-casing here: `handle_request`
+    /// keeps a sticky per-connection cancel state, so every frame queued
+    /// (or still arriving) behind a timed-out statement is answered with a
+    /// cancellation error when its turn comes.
+    fn run(&self, io: &mut ConnIo, limit: usize) -> bool {
+        let shared = &self.shared;
+        // Weighted scheduling (deficit round robin by connection): one turn
+        // runs at most the principal's quantum of frames.
+        let quantum = io.state.as_ref().map_or(usize::MAX, |c| {
+            shared.qos.drain_quantum(c.session.principal().0)
+        });
+        let (mut at, mut handled) = (0, 0);
+        let alive = loop {
+            if io.closing || (shared.shutting_down() && shared.past_drain_deadline()) {
+                break true;
+            }
+            if handled == quantum {
+                if whole_frame(&io.rbuf[at..]).is_some() {
+                    io.yielded = true;
+                    shared.qos.sched_yields.fetch_add(1, Ordering::Relaxed);
+                }
+                break true;
+            }
+            let (n, req_id, msg) = match try_take_frame(&io.rbuf[at..]) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break true,
+                // Corrupt framing: the stream cannot resync.
+                Err(_) => break false,
+            };
+            at += n;
+            handled += 1;
+            self.execute(io, req_id, &msg);
+            if io.wbuf.len() > limit {
+                if !io.flush() {
+                    break false;
+                }
+                if io.wbuf.len() > limit {
+                    io.paused = true;
+                    shared
+                        .counters
+                        .backpressure_pauses
+                        .fetch_add(1, Ordering::Relaxed);
+                    break true;
+                }
+            }
+        };
+        if io.closing {
+            // Frames behind a Goodbye (or a panic) are dead, as they were
+            // when the old blocking server closed the socket on them.
+            io.rbuf.clear();
+        } else {
+            io.rbuf.drain(..at);
+        }
+        alive
+    }
+
+    /// Executes one request frame and encodes its reply.
+    fn execute(&self, io: &mut ConnIo, req_id: u32, msg: &[u8]) {
+        let shared = &self.shared;
+        let request = match Request::decode(msg) {
             Ok(r) => r,
             Err(e) => {
-                conn.push_response(req_id, &ifdb_client::protocol::encode_error(&e));
-                conn.closing.store(true, Ordering::Release);
-                wrote = true;
-                break;
+                io.reply(&shared.counters, req_id, &encode_error(&e));
+                io.closing = true;
+                return;
             }
         };
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let is_goodbye = matches!(request, Request::Goodbye);
-        // A panicking statement must not take the executor down: close the
+        // A panicking statement must not take the thread down: close the
         // connection instead, dropping its session (which aborts any open
-        // transaction), as the thread-pool backend's catch_unwind did.
-        let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // transaction), as the thread-pool backend's catch_unwind does.
+        let state = &mut io.state;
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_request(shared, state, request)
-        }));
-        match resp {
-            Ok(resp) => {
-                conn.push_response(req_id, &resp);
-                wrote = true;
-            }
+        })) {
+            Ok(resp) => io.reply(&shared.counters, req_id, &resp),
             Err(_) => {
-                *state = None;
-                conn.closing.store(true, Ordering::Release);
-                break;
+                io.state = None;
+                io.closing = true;
             }
         }
         if is_goodbye {
-            conn.closing.store(true, Ordering::Release);
-            break;
+            io.closing = true;
         }
-        handled += 1;
-        if handled >= quantum {
-            // Quantum exhausted: yield the executor. Anything still queued
-            // re-schedules this connection behind the other ready ones.
-            if !conn.inbox.lock().is_empty() {
-                shared.qos.sched_yields.fetch_add(1, Ordering::Relaxed);
-            }
-            break;
-        }
-        // Statement timeouts need no special-casing here: `handle_request`
-        // keeps a sticky per-connection cancel state, so every frame queued
-        // (or still arriving) behind a timed-out statement is answered with
-        // a cancellation error as it is popped — including frames that were
-        // still unparsed in rbuf or the kernel socket buffer when the
-        // timeout fired.
     }
-    wrote
+
+    /// Closes an owned connection: deregisters it, counts what it leaves
+    /// behind, and drops its session (aborting any open transaction).
+    fn teardown(&self, io: &mut ConnIo) {
+        io.dead = true;
+        let _ = self.poller.delete(&io.stream);
+        self.conns.lock().remove(&io.token);
+        let counters = &self.shared.counters;
+        counters.connections_active.fetch_sub(1, Ordering::Relaxed);
+        if self.shared.shutting_down() {
+            counters
+                .requests_aborted_on_shutdown
+                .fetch_add(whole_frames(&io.rbuf), Ordering::Relaxed);
+        }
+        if let Some(state) = io.state.take() {
+            if state.session.in_transaction() {
+                counters
+                    .txns_aborted_on_disconnect
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // The socket closes when the last handle on the connection drops:
+        // at once, unless a thread is still waiting for its lock.
+    }
+
+    /// One shutdown pass over every connection no other thread owns.
+    /// Returns `false` once no connection is left (the thread exits).
+    fn shutdown_pass(&self, chunk: &mut [u8]) -> bool {
+        let past_deadline = self.shared.past_drain_deadline();
+        let conns: Vec<_> = self.conns.lock().values().cloned().collect();
+        for conn in conns {
+            // Owned by a thread mid-turn: the next pass looks again.
+            let Some(mut io) = conn.try_lock() else {
+                continue;
+            };
+            if io.dead {
+                continue;
+            }
+            // Requests already in the socket are part of the pipeline: run
+            // them — or, past the deadline, read them so they count as
+            // aborted — instead of judging the connection idle unread.
+            if !self.serve(&mut io, chunk) || past_deadline {
+                self.teardown(&mut io);
+                continue;
+            }
+            // A closing connection still has bytes to write, so it is busy.
+            if io.busy() {
+                continue;
+            }
+            // Idle: tell the peer, and close once the notice is written.
+            let notice = Response::Error {
+                code: code::SHUTTING_DOWN,
+                detail: "server is shutting down".into(),
+                label0: Vec::new(),
+                label1: Vec::new(),
+                aux: 0,
+                session_label: None,
+            };
+            io.reply(&self.shared.counters, 0, &notice);
+            io.closing = true;
+            if !self.serve(&mut io, chunk) {
+                self.teardown(&mut io);
+            }
+        }
+        !self.conns.lock().is_empty()
+    }
 }

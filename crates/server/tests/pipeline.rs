@@ -1,16 +1,21 @@
 //! End-to-end tests of the pipelined wire protocol against a real server:
 //! batched execution on both backends, label flow through a pipeline,
-//! reactor backpressure on slow readers, shutdown drain accounting, and
-//! cancellation of queued statements behind a timeout.
+//! reactor backpressure on slow readers, shutdown drain accounting,
+//! cancellation of queued statements behind a timeout, and the serving
+//! core's scheduling: the DRR bound, a blocked statement holding only its
+//! own thread, and per-connection order under many pipelining connections.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ifdb::prelude::*;
 use ifdb::{SessionApi, Statement, StatementResult};
-use ifdb_client::protocol::{read_frame_id, write_frame_id, Request, Response, PROTOCOL_VERSION};
+use ifdb_client::protocol::{
+    frame_into, read_frame_id, write_frame_id, Request, Response, PROTOCOL_VERSION,
+};
 use ifdb_client::{ClientConfig, Connection};
 use ifdb_platform::Authenticator;
 use ifdb_server::{start, Backend, ServerConfig};
@@ -87,6 +92,17 @@ impl RawClient {
         id
     }
 
+    /// Sends `reqs` in one write, so the server receives them together.
+    fn send_all(&mut self, reqs: &[Request]) {
+        let mut batch = Vec::new();
+        for req in reqs {
+            frame_into(&mut batch, self.next_id, &req.encode()).unwrap();
+            self.next_id += 1;
+        }
+        self.writer.write_all(&batch).unwrap();
+        self.flush();
+    }
+
     fn flush(&mut self) {
         self.writer.flush().unwrap();
     }
@@ -104,13 +120,24 @@ impl RawClient {
 
     /// Prepares SELECT * FROM notes and returns the statement id.
     fn prepare_select_star(&mut self) -> u32 {
-        let template =
-            ifdb_client::protocol::encode_template(&Statement::Select(Select::star("notes"))).0;
+        self.prepare(&Statement::Select(Select::star("notes")))
+    }
+
+    /// Prepares `stmt`'s template and returns the statement id.
+    fn prepare(&mut self, stmt: &Statement) -> u32 {
+        let template = ifdb_client::protocol::encode_template(stmt).0;
         match self.call(&Request::Prepare { template }) {
             (_, Response::Prepared { id }) => id,
             (_, other) => panic!("prepare: {other:?}"),
         }
     }
+}
+
+fn insert_note(id: i64) -> Statement {
+    Statement::Insert(Insert::new(
+        "notes",
+        vec![Datum::Int(id), Datum::from("anon"), Datum::from("b")],
+    ))
 }
 
 #[test]
@@ -282,8 +309,8 @@ fn slow_reader_is_paused_not_buffered_without_bound() {
     let baseline = server.stats().requests;
 
     // Wave 1: a burst of large reads, never reading a byte back. The
-    // executor answers them into the outbox; the reactor flushes until the
-    // client-side TCP window fills, then must pause reading the connection.
+    // serving thread answers them into the write buffer and writes until the
+    // client-side TCP window fills, then must pause the connection.
     let wave = 30u32;
     for _ in 0..wave {
         raw.send(&Request::Execute {
@@ -546,7 +573,7 @@ fn executor_panic_closes_the_connection_instead_of_hanging_it() {
             (_, other) => panic!("prepare: {other:?}"),
         };
         // The panicking statement is the FIRST (and only) request the
-        // executor drains: no response bytes are produced, so the server
+        // connection runs: no response bytes are produced, so the server
         // must still notice the failed connection and close it — the
         // client observes EOF (or a reset), never a 30s hang.
         raw.send(&Request::Execute {
@@ -607,5 +634,276 @@ fn statement_timeout_cancels_queued_pipelined_statements() {
     // The connection survives cancellation and is usable afterwards.
     let _ = c.abort();
     c.close().unwrap();
+    server.shutdown();
+}
+
+/// Deficit round robin on one serving thread: a connection that pipelines
+/// 2 000 inserts runs at most its quantum of them per turn, then queues
+/// behind its neighbour. The first insert holds the thread until the
+/// neighbour's `COUNT(*)` is queued too, so the count shows exactly how far
+/// the heavy connection got ahead: a quantum, not the whole pipeline.
+#[test]
+fn drr_quantum_bounds_how_far_a_pipelining_neighbour_runs_ahead() {
+    use ifdb::{TriggerDef, TriggerEvent, TriggerTiming};
+    const PIPELINE: i64 = 2_000;
+    // Weight 2 × the server's per-turn quantum of 4.
+    const QUANTUM: i64 = 8;
+
+    let (db, auth) = notes_db();
+    let released = Arc::new(AtomicBool::new(false));
+    let held = released.clone();
+    db.create_trigger(TriggerDef {
+        name: "hold_until_the_neighbour_is_queued".into(),
+        table: "notes".into(),
+        events: vec![TriggerEvent::Insert],
+        timing: TriggerTiming::Immediate,
+        authority: None,
+        body: Arc::new(move |_, _| {
+            while !held.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        }),
+    })
+    .unwrap();
+    // Weight 1, the default, means no policy and no quantum at all.
+    let weighted = QosConfig {
+        default_quota: PrincipalQuota::unlimited().with_weight(2),
+        ..QosConfig::default()
+    };
+    let config = ServerConfig::builder()
+        .workers(1)
+        .qos(weighted)
+        .build()
+        .unwrap();
+    let server = start(db, auth, config).unwrap();
+    let addr = server.addr().to_string();
+    let mut heavy = RawClient::connect(&addr);
+    let mut neighbour = RawClient::connect(&addr);
+    let insert = heavy.prepare(&insert_note(0));
+    let count = neighbour.prepare(&Statement::Aggregate(Aggregate {
+        from: "notes".into(),
+        predicate: Predicate::True,
+        group_by: None,
+        aggregates: vec![(AggFunc::Count, "id".into())],
+    }));
+
+    let inserts: Vec<Request> = (0..PIPELINE)
+        .map(|id| Request::Execute {
+            stmt: insert,
+            params: ifdb_client::protocol::encode_template(&insert_note(id)).1,
+            fetch: 0,
+        })
+        .collect();
+    heavy.send_all(&inserts);
+    neighbour.send(&Request::Execute {
+        stmt: count,
+        params: Vec::new(),
+        fetch: 0,
+    });
+    neighbour.flush();
+    std::thread::sleep(Duration::from_millis(100));
+    released.store(true, Ordering::Release);
+
+    let ran_ahead = match neighbour.recv().1 {
+        Response::Rows { rows, .. } => match rows[0].values[0] {
+            Datum::Int(n) => n,
+            ref other => panic!("{other:?}"),
+        },
+        other => panic!("{other:?}"),
+    };
+    assert!(
+        (1..=2 * QUANTUM).contains(&ran_ahead),
+        "the heavy connection ran {ran_ahead} of its {PIPELINE} inserts before its \
+         neighbour's one read"
+    );
+    assert!(server.metrics().get("qos", "sched_yields").unwrap() > 0);
+    // The heavy connection's unrun inserts die with it.
+    drop(heavy);
+    server.shutdown();
+}
+
+/// A statement blocked in a semi-synchronous replication wait holds only its
+/// own serving thread: with two threads and no replica, a writer waiting out
+/// its window does not stall point reads on another connection.
+#[test]
+fn a_statement_blocked_in_semi_sync_holds_only_its_own_thread() {
+    let (db, auth) = notes_db();
+    // Seeded in-process: only acknowledgements over the wire are gated.
+    db.anonymous_session()
+        .insert(&Insert::new(
+            "notes",
+            vec![Datum::Int(1), Datum::from("anon"), Datum::from("b")],
+        ))
+        .unwrap();
+    let window = Duration::from_secs(2);
+    let config = ServerConfig::builder()
+        .workers(2)
+        .replication_secret("unused")
+        .sync_replication(window)
+        .build()
+        .unwrap();
+    let server = start(db, auth, config).unwrap();
+    let addr = server.addr().to_string();
+    let writer = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
+            let started = Instant::now();
+            let err = c.run(&insert_note(2)).unwrap_err();
+            (started.elapsed(), err)
+        })
+    };
+    // Wait until the write has executed and is waiting for a replica.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().statements == 0 {
+        assert!(Instant::now() < deadline, "the write never ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut reader = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
+    let by_id = Select::star("notes").filter(Predicate::Eq("id".into(), Datum::Int(1)));
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(reader.select(&by_id).unwrap().len(), 1);
+    }
+    let reads_took = started.elapsed();
+    assert!(
+        !writer.is_finished(),
+        "the reads outlasted the writer's wait"
+    );
+    let (waited, err) = writer.join().unwrap();
+    assert!(
+        ifdb_client::is_indeterminate_commit_error(&err),
+        "no replica confirmed it: {err}"
+    );
+    assert!(waited >= window - Duration::from_millis(50), "{waited:?}");
+    assert!(
+        reads_took < window / 2,
+        "50 point reads took {reads_took:?} beside one blocked writer"
+    );
+    reader.close().unwrap();
+    server.shutdown();
+}
+
+/// Per-connection order under concurrency: 16 connections each pipeline
+/// batches that mix label raises, label resets and reads, on a server with
+/// fewer serving threads than connections. Every reply must carry the label
+/// a sequential model of *that* connection predicts, and every read must see
+/// exactly the rows that label admits — a reply run out of order, or on
+/// another connection's session, would show up as a wrong label or count.
+#[test]
+fn pipelined_label_changes_stay_in_order_across_sixteen_connections() {
+    const CONNECTIONS: u64 = 16;
+    const BATCHES: usize = 20;
+    const TAGS: usize = 6;
+
+    let (db, auth) = notes_db();
+    let owner = db.create_principal("owner", PrincipalKind::User);
+    let tags: Vec<u64> = (0..TAGS)
+        .map(|i| db.create_tag(owner, &format!("t{i}"), &[]).unwrap().0)
+        .collect();
+    // One public row, and one row under each single-tag label.
+    db.anonymous_session()
+        .insert(&Insert::new(
+            "notes",
+            vec![Datum::Int(0), Datum::from("anon"), Datum::from("public")],
+        ))
+        .unwrap();
+    for (i, tag) in tags.iter().enumerate() {
+        let mut s = db.session(owner);
+        s.add_secrecy(TagId(*tag)).unwrap();
+        s.insert(&Insert::new(
+            "notes",
+            vec![
+                Datum::Int(1 + i as i64),
+                Datum::from("owner"),
+                Datum::from("secret"),
+            ],
+        ))
+        .unwrap();
+    }
+    let config = ServerConfig::builder().workers(4).build().unwrap();
+    let server = start(db, auth, config).unwrap();
+    let addr = server.addr().to_string();
+
+    let start_line = Arc::new(std::sync::Barrier::new(CONNECTIONS as usize));
+    let (done, finished) = mpsc::channel();
+    let mut clients = Vec::new();
+    for conn in 0..CONNECTIONS {
+        let (addr, tags, start_line, done) =
+            (addr.clone(), tags.clone(), start_line.clone(), done.clone());
+        clients.push(std::thread::spawn(move || {
+            let mut raw = RawClient::connect(&addr);
+            let select = raw.prepare_select_star();
+            // A small LCG: each connection replays its own fixed script.
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64 ^ conn;
+            let mut next = move |n: u64| {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (seed >> 33) % n
+            };
+            let mut model = std::collections::BTreeSet::new();
+            start_line.wait();
+            for _ in 0..BATCHES {
+                let mut expected = Vec::new();
+                for _ in 0..1 + next(12) {
+                    let id = match next(5) {
+                        0 | 1 => {
+                            let tag = tags[next(TAGS as u64) as usize];
+                            model.insert(tag);
+                            raw.send(&Request::RaiseLabel { tags: vec![tag] })
+                        }
+                        2 => {
+                            model.clear();
+                            raw.send(&Request::Login {
+                                user: String::new(),
+                                password: None,
+                            })
+                        }
+                        _ => raw.send(&Request::Execute {
+                            stmt: select,
+                            params: Vec::new(),
+                            fetch: 0,
+                        }),
+                    };
+                    expected.push((id, model.iter().copied().collect::<Vec<u64>>()));
+                }
+                raw.flush();
+                for (id, label) in expected {
+                    let (got, resp) = raw.recv();
+                    assert_eq!(got, id, "connection {conn}: replies out of order");
+                    match resp {
+                        Response::LabelIs { tags } => assert_eq!(tags, label, "conn {conn}"),
+                        Response::HelloOk { label: now, .. } => {
+                            assert_eq!(now, label, "conn {conn}")
+                        }
+                        Response::Rows {
+                            rows, label: now, ..
+                        } => {
+                            assert_eq!(now, label, "conn {conn}");
+                            assert_eq!(rows.len(), 1 + label.len(), "conn {conn}");
+                        }
+                        other => panic!("connection {conn}: {other:?}"),
+                    }
+                }
+            }
+            let (_, resp) = raw.call(&Request::Goodbye);
+            assert!(matches!(resp, Response::Bye));
+            done.send(conn).unwrap();
+        }));
+    }
+    drop(done);
+    // Watchdog: a lost or misrouted reply shows up as a timeout (or a
+    // panicked connection thread), not a hung suite.
+    for _ in 0..CONNECTIONS {
+        finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a connection hung, or its replies disagreed with its model");
+    }
+    for client in clients {
+        client.join().expect("connection thread panicked");
+    }
     server.shutdown();
 }

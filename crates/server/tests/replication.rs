@@ -787,6 +787,71 @@ fn semi_sync_gate_covers_a_writers_own_commit_and_nothing_unsynced() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A stored procedure whose statements auto-commit is acknowledged by its
+/// `ProcResult`, so under semi-synchronous replication that reply waits for
+/// a replica exactly as an auto-committed `Execute` or a `Commit` does: with
+/// a replica running, the procedure's rows are on it by the time the call
+/// returns; with none, the call waits out the window and is indeterminate.
+#[test]
+fn semi_sync_gate_covers_procedures_that_write() {
+    let fx = build_primary();
+    fx.db
+        .create_procedure(ifdb::StoredProcedure {
+            name: "post".into(),
+            authority: None,
+            body: Arc::new(|session, args| {
+                session.insert(&Insert::new(
+                    "messages",
+                    vec![args[0].clone(), Datum::from("anon"), Datum::from("posted")],
+                ))?;
+                Ok(ResultSet::default())
+            }),
+        })
+        .unwrap();
+    let window = Duration::from_secs(1);
+    let primary = start(
+        fx.db.clone(),
+        fx.auth.clone(),
+        ServerConfig {
+            replication_secret: Some(REPL_SECRET.into()),
+            sync_replication: Some(window),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let replica = start_replica_of(&primary.addr().to_string());
+    let mut conn = connect(&primary.addr().to_string(), "", "", &[]);
+    let on_replica = |id: i64| {
+        let by_id = Select::star("messages").filter(Predicate::Eq("id".into(), Datum::Int(id)));
+        replica
+            .database()
+            .anonymous_session()
+            .select(&by_id)
+            .unwrap()
+            .len()
+    };
+
+    for id in [40, 41, 42] {
+        conn.call_procedure("post", &[Datum::Int(id)]).unwrap();
+        assert_eq!(
+            on_replica(id),
+            1,
+            "acknowledged before the replica applied it"
+        );
+    }
+
+    replica.shutdown();
+    let started = std::time::Instant::now();
+    let err = conn.call_procedure("post", &[Datum::Int(43)]).unwrap_err();
+    assert!(
+        ifdb_client::is_indeterminate_commit_error(&err),
+        "durable locally, unconfirmed remotely: {err}"
+    );
+    assert!(started.elapsed() >= window - Duration::from_millis(50));
+    conn.close().unwrap();
+    primary.shutdown();
+}
+
 /// The tamper-evident audit chain is part of the replicated state: every
 /// chain-worthy event on the primary (label raises, declassifications) must
 /// arrive on the replica in order, verify there, and — after a promotion —

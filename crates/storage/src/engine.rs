@@ -985,28 +985,35 @@ impl StorageEngine {
     /// first-updater-wins: if another transaction already deleted or
     /// superseded the version (and did not abort), the call fails with
     /// [`StorageError::WriteConflict`].
+    ///
+    /// The claim is a compare-and-set on the slot's `xmax`: read it in
+    /// place, decide, then set it only if the slot still holds what was
+    /// read, else decide again. Of two transactions racing for one version
+    /// exactly one wins; the other sees the winner as the holder. The
+    /// decision consults the transaction table, which is never locked under
+    /// the pool mutex, so it happens between the two page accesses.
     pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
         let t = self.table(table)?;
-        let current = t.heap.fetch(row)?;
-        if let Some(holder) = current.header.xmax {
-            match self.txns.status(holder) {
-                TxnStatus::Aborted => {
-                    // The previous deleter rolled back; we may proceed.
-                }
-                _ if holder == txn => {
+        loop {
+            let seen = t.heap.read::<_, StorageError>(row, |v| Ok(v.xmax()))?;
+            if let Some(holder) = seen {
+                if holder == txn {
                     // Deleting twice in the same transaction is a no-op.
                     return Ok(());
                 }
-                _ => {
+                if self.txns.status(holder) != TxnStatus::Aborted {
                     return Err(StorageError::WriteConflict {
                         txn: txn.0,
                         holder: holder.0,
-                    })
+                    });
                 }
+                // The previous deleter rolled back; its mark may go.
+            }
+            self.log_begin_once(txn)?;
+            if t.heap.compare_and_set_xmax(row, seen, Some(txn))? {
+                break;
             }
         }
-        self.log_begin_once(txn)?;
-        t.heap.set_xmax(row, Some(txn))?;
         self.wal.append(LogRecord::Delete {
             txn,
             table: table.0,

@@ -167,6 +167,26 @@ impl TableHeap {
             })?
     }
 
+    /// Sets the `xmax` of the version at `row` to `new` only if it still is
+    /// `expected`, in one page access; returns whether it did. This is the
+    /// compare-and-set under first-updater-wins.
+    pub fn compare_and_set_xmax(
+        &self,
+        row: RowId,
+        expected: Option<TxnId>,
+        new: Option<TxnId>,
+    ) -> StorageResult<bool> {
+        let pid = PageId(row.page);
+        self.buffer
+            .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
+                let slot = p.read_mut(row.slot)?;
+                if TupleRef::parse(slot)?.xmax() != expected {
+                    return Ok(false);
+                }
+                patch_xmax(slot, new).map(|()| true)
+            })?
+    }
+
     /// Calls `f` with every live tuple version, in physical order, each read
     /// in place on its pinned page; `Ok(false)` from `f` stops the walk. This
     /// is the one heap traversal — scans, counts and vacuum's search all go
@@ -303,6 +323,21 @@ mod tests {
         assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(9)));
         h.set_xmax(row, None).unwrap();
         assert_eq!(h.fetch(row).unwrap().header.xmax, None);
+    }
+
+    #[test]
+    fn compare_and_set_xmax_sets_only_over_the_expected_value() {
+        let h = heap();
+        let row = h.insert(&version(1, "contended", vec![])).unwrap();
+        assert!(h.compare_and_set_xmax(row, None, Some(TxnId(5))).unwrap());
+        // A second claimant that read the slot before the first set it.
+        assert!(!h.compare_and_set_xmax(row, None, Some(TxnId(6))).unwrap());
+        assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(5)));
+        // Over the value it saw, it wins.
+        assert!(h
+            .compare_and_set_xmax(row, Some(TxnId(5)), Some(TxnId(6)))
+            .unwrap());
+        assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(6)));
     }
 
     #[test]

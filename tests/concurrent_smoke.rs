@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use ifdb_repro::difc::Label;
 use ifdb_repro::ifdb::prelude::*;
-use ifdb_repro::ifdb::{DatabaseConfig, TableDef, ViewSource};
+use ifdb_repro::ifdb::{DatabaseConfig, StorageError, TableDef, ViewSource};
 
 const THREADS: usize = 6;
 const ITERS: i64 = 40;
@@ -161,16 +161,49 @@ fn concurrent_sessions_do_not_deadlock_and_stay_consistent() {
     assert_eq!(all.len(), THREADS * ITERS as usize);
 }
 
+/// Runs `body` as one explicit transaction, retrying it from the start
+/// whenever first-updater-wins refuses it; returns how many tries conflicted.
+fn retry_on_conflict(s: &mut Session, mut body: impl FnMut(&mut Session) -> IfdbResult<()>) -> u64 {
+    let mut conflicts = 0;
+    loop {
+        s.begin().unwrap();
+        match body(s).and_then(|()| s.commit()) {
+            Ok(()) => return conflicts,
+            Err(IfdbError::Storage(StorageError::WriteConflict { .. })) => {
+                if s.in_transaction() {
+                    s.abort().unwrap();
+                }
+                conflicts += 1;
+            }
+            Err(e) => panic!("{e}"),
+        }
+    }
+}
+
+/// Reads the `bal` of account `id` and writes it back moved by `delta`.
+fn add_to_balance(s: &mut Session, table: &str, id: i64, delta: i64) -> IfdbResult<()> {
+    let by_id = Predicate::Eq("id".into(), Datum::Int(id));
+    let rows = s.select(&Select::star(table).filter(by_id.clone()))?;
+    let bal = rows.iter().next().unwrap().values[1].as_int().unwrap();
+    let set = vec![("bal", Datum::Int(bal + delta))];
+    assert_eq!(s.update(&Update::new(table, by_id, set))?, 1);
+    Ok(())
+}
+
 /// Scanners race updaters of the same pages on an on-disk engine whose pool
 /// is far smaller than the table. A scan reads each page on a pin, outside
 /// the pool lock, so while it does, writers patch and extend that page (on a
 /// copy, the original being pinned) and the pool evicts and re-reads it.
 /// Every transfer moves balance between two accounts in one transaction, so
 /// a scan that mixed two states of a page — or of the table — would see the
-/// total move.
+/// total move. The updaters share a handful of hot accounts spread over the
+/// table, so they collide on rows, not only on pages: the loser of a
+/// collision is refused and retries, and a lost update would move the total
+/// too.
 #[test]
 fn scans_stay_snapshot_consistent_while_pages_are_rewritten_and_evicted() {
     const ACCOUNTS: i64 = 120;
+    const HOT: i64 = 10;
     const UPDATERS: i64 = 3;
     const SCANNERS: usize = 3;
     const TRANSFERS: i64 = 60;
@@ -215,31 +248,20 @@ fn scans_stay_snapshot_consistent_while_pages_are_rewritten_and_evicted() {
         let updating = Arc::new(AtomicUsize::new(UPDATERS as usize));
         let (done, finished) = mpsc::channel();
         let mut handles = Vec::new();
-        // Updater `u` owns the accounts with `id % UPDATERS == u`: updaters
-        // share pages but never a row, so none of them conflicts.
         for u in 0..UPDATERS {
             let (db, start, done) = (db.clone(), start.clone(), done.clone());
             let leaving = Leaving(updating.clone());
             handles.push(thread::spawn(move || {
                 let _leaving = leaving;
-                let by_id = |id: i64| Predicate::Eq("id".into(), Datum::Int(id));
+                let hot = |k: i64| (k % HOT) * (ACCOUNTS / HOT);
                 let mut s = db.session(user);
                 start.wait();
                 for i in 0..TRANSFERS {
-                    let owned = ACCOUNTS / UPDATERS;
-                    let from = u + UPDATERS * (i % owned);
-                    let to = u + UPDATERS * ((i * 7 + 1) % owned);
-                    if from == to {
-                        continue;
-                    }
-                    s.begin().unwrap();
-                    for (id, delta) in [(from, -5), (to, 5)] {
-                        let bal = s.select(&Select::star("Acct").filter(by_id(id))).unwrap();
-                        let bal = bal.iter().next().unwrap().values[1].as_int().unwrap();
-                        let set = vec![("bal", Datum::Int(bal + delta))];
-                        assert_eq!(s.update(&Update::new("Acct", by_id(id), set)).unwrap(), 1);
-                    }
-                    s.commit().unwrap();
+                    let (from, to) = (hot(i), hot(i + 1 + u));
+                    retry_on_conflict(&mut s, |s| {
+                        add_to_balance(s, "Acct", from, -5)?;
+                        add_to_balance(s, "Acct", to, 5)
+                    });
                 }
                 done.send(()).unwrap();
             }));
@@ -271,6 +293,9 @@ fn scans_stay_snapshot_consistent_while_pages_are_rewritten_and_evicted() {
         for h in handles {
             h.join().expect("thread panicked");
         }
+        let rows = db.session(user).select(&Select::star("Acct")).unwrap();
+        let total: i64 = rows.iter().map(|r| r.values[1].as_int().unwrap()).sum();
+        assert_eq!(total, TOTAL, "a committed transfer was lost");
         let stats = db.engine().stats();
         assert!(
             stats.evictions > 0,
@@ -279,4 +304,59 @@ fn scans_stay_snapshot_consistent_while_pages_are_rewritten_and_evicted() {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Lost updates, head on: threads increment one counter row, each increment
+/// a read-then-write transaction retried whenever first-updater-wins
+/// refuses it. Every increment that committed must have landed, so the
+/// final value is exactly the number of commits.
+#[test]
+fn hot_row_increments_are_never_lost() {
+    const INCREMENTERS: usize = 8;
+    const INCREMENTS: i64 = 150;
+    let db = Database::in_memory();
+    let user = db.create_principal("counter", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("Counter")
+            .column("id", DataType::Int)
+            .column("bal", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let row = vec![Datum::Int(0), Datum::Int(0)];
+    db.session(user)
+        .insert(&Insert::new("Counter", row))
+        .unwrap();
+
+    let start = Arc::new(Barrier::new(INCREMENTERS));
+    let (done, finished) = mpsc::channel();
+    let handles: Vec<_> = (0..INCREMENTERS)
+        .map(|_| {
+            let (db, start, done) = (db.clone(), start.clone(), done.clone());
+            thread::spawn(move || {
+                let mut s = db.session(user);
+                start.wait();
+                let conflicts: u64 = (0..INCREMENTS)
+                    .map(|_| retry_on_conflict(&mut s, |s| add_to_balance(s, "Counter", 0, 1)))
+                    .sum();
+                done.send(conflicts).unwrap();
+            })
+        })
+        .collect();
+    drop(done);
+    let mut conflicts = 0;
+    for _ in 0..INCREMENTERS {
+        conflicts += finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("an incrementer deadlocked or panicked");
+    }
+    for h in handles {
+        h.join().expect("incrementer panicked");
+    }
+    let rows = db.session(user).select(&Select::star("Counter")).unwrap();
+    assert_eq!(
+        rows.iter().next().unwrap().values[1].as_int(),
+        Some(INCREMENTERS as i64 * INCREMENTS),
+        "increments were lost ({conflicts} conflicting tries were retried)"
+    );
 }
