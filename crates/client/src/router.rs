@@ -1011,3 +1011,18 @@ impl SessionApi for RoutedConnection {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn builder_refuses_read_your_writes_with_a_zero_poll_interval() {
+        // The read-your-writes wait would spin.
+        let built = RouterConfig::builder(ClientConfig::anonymous("127.0.0.1:1"))
+            .replica(ClientConfig::anonymous("127.0.0.1:2"))
+            .tune(|c| c.poll_interval = Duration::ZERO)
+            .build();
+        assert!(built.is_err());
+    }
+}

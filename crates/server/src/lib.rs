@@ -89,8 +89,9 @@ pub struct ServerConfig {
     /// Serving threads. On the reactor backend each one waits for events,
     /// then reads, executes and replies for the connection it received, so
     /// this bounds how many statements run at once (a statement blocked in
-    /// an fsync or a semi-sync wait holds one of them) but not how many
-    /// connections are open. On the thread-pool backend each serves one
+    /// an fsync or a semi-sync wait holds one of them, and so does a
+    /// replication poll parked for at most [`REPL_POLL_PARK`]) but not how
+    /// many connections are open. On the thread-pool backend each serves one
     /// connection at a time, so it also caps concurrent connections.
     pub workers: usize,
     /// Thread-pool backend only — bounded accept queue: connections beyond
@@ -1063,12 +1064,24 @@ fn handle_request(
     }
 }
 
+/// The longest a replication poll that finds nothing to ship waits for the
+/// log before answering with an empty batch.
+///
+/// A replica re-polls as soon as it has applied an answer, so this bounds
+/// how long a poll holds its serving thread, how many polls an idle replica
+/// sends (one per bound), and how long a fence, a shutdown or a promotion
+/// waits for a parked poll to notice it.
+pub const REPL_POLL_PARK: Duration = Duration::from_millis(20);
+
 /// Serves one replication poll: authenticates the replica by the shared
-/// secret, then reads a batch from the write-ahead log's replication stream
-/// (see [`ifdb_storage::wal::Wal::read_replication_batch`] for the
-/// resume/reset/skip-image rules). A bootstrap poll (`from_seq <= 1`) first
-/// asks the engine to checkpoint soon, compacting history so the snapshot
-/// the replica ships is anchored at a checkpoint image rather than the full
+/// secret, records the applied-seq it acknowledges (the semi-sync gate's
+/// confirmation), then reads a batch from the write-ahead log's replication
+/// stream (see [`ifdb_storage::wal::Wal::read_replication_batch`] for the
+/// resume/reset/skip-image rules). A poll already past everything shippable
+/// parks until the log's shippable horizon moves, for at most
+/// [`REPL_POLL_PARK`]. A bootstrap poll (`from_seq <= 1`) first asks the
+/// engine to checkpoint soon, compacting history so the snapshot the
+/// replica ships is anchored at a checkpoint image rather than the full
 /// record-by-record history.
 fn handle_repl_poll(
     shared: &Arc<Shared>,
@@ -1121,6 +1134,23 @@ fn handle_repl_poll(
         // under write load the checkpoint is deferred and the replica
         // simply ships the longer history.
         let _ = shared.db.checkpoint_soon();
+    }
+    // Nothing to ship yet: park on the log instead of answering at once and
+    // having the replica ask again on a timer. The acknowledgement above is
+    // already recorded, so a commit waiting on it never waits on this park.
+    // During a shutdown drain the poll answers at once, as before.
+    if from_seq > wal.shippable_seq() && !shared.shutting_down() {
+        wal.wait_shippable(from_seq - 1, REPL_POLL_PARK);
+        // Fenced or stopping while parked: say so, and ship nothing.
+        if shared.is_fenced() {
+            return encode_error(&shared.fenced_error());
+        }
+        if shared.shutting_down() {
+            return encode_error(&IfdbError::Remote {
+                code: code::SHUTTING_DOWN as u16,
+                detail: "server is shutting down".into(),
+            });
+        }
     }
     let batch_max = if max == 0 {
         shared.config.replication_batch

@@ -5,14 +5,17 @@
 //! * the **apply loop** polls the primary's replication endpoint
 //!   (`ReplPoll` over the ordinary wire protocol) from its applied-seq
 //!   watermark, applies each batch through
-//!   [`ifdb_storage::ReplicaApplier`], refreshes the relational catalog when
-//!   DDL streams through, and handles the three stream events — **reset**
-//!   (the primary compacted history past our watermark: discard state and
-//!   re-bootstrap from the checkpoint image), **epoch change** (the primary
-//!   restarted: sequence numbers are incomparable, re-bootstrap), and
-//!   **disconnect** (reconnect with backoff and resume from the watermark —
-//!   the applier skips records it already holds, so overlap after a torn
-//!   connection is harmless);
+//!   [`ifdb_storage::ReplicaApplier`] and polls again at once — that next
+//!   poll is the acknowledgement of what was just applied, and a poll with
+//!   nothing to ship parks on the primary's log until more becomes
+//!   shippable, so there is no timer anywhere. It refreshes the relational
+//!   catalog when DDL streams through, and handles the three stream
+//!   events — **reset** (the primary compacted history past our watermark:
+//!   discard state and re-bootstrap from the checkpoint image), **epoch
+//!   change** (the primary restarted: sequence numbers are incomparable,
+//!   re-bootstrap), and **disconnect** (reconnect with backoff and resume
+//!   from the watermark — the applier skips records it already holds, so
+//!   overlap after a torn connection is harmless);
 //! * the **read front end** is a stock `ifdb-server` over the same
 //!   database, marked read-only ([`Database::replica_over`]): every
 //!   connection gets a real DIFC [`ifdb::Session`], so Query by Label,
@@ -55,14 +58,14 @@ pub struct ReplicaConfig {
     /// tag ids re-created by the bootstrap closure line up with the ids
     /// stored in replicated tuples.
     pub seed: u64,
-    /// How long the apply loop sleeps when it is caught up.
-    pub poll_interval: Duration,
     /// Backoff between reconnect attempts after the replication connection
     /// fails.
     pub reconnect_interval: Duration,
-    /// Maximum records requested per poll (0 = primary's default). One
-    /// replication connection occupies one worker on the primary for its
-    /// lifetime; size the primary's pool accordingly.
+    /// Maximum records requested per poll (0 = primary's default). On the
+    /// primary, a poll holds one serving thread while it runs — up to
+    /// [`crate::REPL_POLL_PARK`] when it parks with nothing to ship — so a
+    /// primary whose commits wait for this replica needs one thread beyond
+    /// those commits.
     pub batch_max: u32,
     /// The application's first-boot table DDL, re-run on **promotion**.
     /// Constraints (uniques, foreign keys, label constraints) are code, not
@@ -77,14 +80,13 @@ pub struct ReplicaConfig {
 
 impl ReplicaConfig {
     /// A replica of `primary_addr` with defaults: ephemeral listen port,
-    /// 1 ms poll interval, 50 ms reconnect backoff.
+    /// 50 ms reconnect backoff.
     pub fn new(primary_addr: &str, replication_secret: &str, seed: u64) -> Self {
         ReplicaConfig {
             primary_addr: primary_addr.to_string(),
             replication_secret: replication_secret.to_string(),
             server: ServerConfig::default(),
             seed,
-            poll_interval: Duration::from_millis(1),
             reconnect_interval: Duration::from_millis(50),
             batch_max: 0,
             first_boot_tables: Vec::new(),
@@ -126,6 +128,10 @@ pub struct ReplicaStats {
 struct ReplicaShared {
     stop: AtomicBool,
     applied_seq: Arc<AtomicU64>,
+    /// Signalled (under `applied_lock`) whenever the apply loop publishes
+    /// `applied_seq`, for [`ReplicaHandle::wait_for_seq`].
+    applied_lock: StdMutex<()>,
+    applied_cvar: Condvar,
     epoch: Arc<AtomicU64>,
     primary_end_seq: AtomicU64,
     records_applied: AtomicU64,
@@ -142,6 +148,53 @@ struct ReplicaShared {
     /// and performs the actual switch between polls.
     promote: StdMutex<PromoteSlot>,
     promote_cvar: Condvar,
+}
+
+impl ReplicaShared {
+    fn new(primary_addr: &str) -> ReplicaShared {
+        ReplicaShared {
+            stop: AtomicBool::new(false),
+            applied_seq: Arc::new(AtomicU64::new(0)),
+            applied_lock: StdMutex::new(()),
+            applied_cvar: Condvar::new(),
+            epoch: Arc::new(AtomicU64::new(0)),
+            primary_end_seq: AtomicU64::new(0),
+            records_applied: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            resets: AtomicU64::new(0),
+            connects: AtomicU64::new(0),
+            stale_batches_rejected: AtomicU64::new(0),
+            primary_addr: StdMutex::new(primary_addr.to_string()),
+            promote: StdMutex::new(PromoteSlot::default()),
+            promote_cvar: Condvar::new(),
+        }
+    }
+
+    /// Publishes the applied-seq watermark and wakes its waiters.
+    fn publish_applied(&self, seq: u64) {
+        self.applied_seq.store(seq, Ordering::Release);
+        let _guard = self.applied_lock.lock().expect("applied lock");
+        self.applied_cvar.notify_all();
+    }
+
+    /// Blocks until the applied-seq reaches `seq` or `timeout` elapses;
+    /// returns whether it did.
+    fn wait_applied(&self, seq: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut guard = self.applied_lock.lock().expect("applied lock");
+        while self.applied_seq.load(Ordering::Acquire) < seq {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            guard = self
+                .applied_cvar
+                .wait_timeout(guard, deadline - now)
+                .expect("applied lock")
+                .0;
+        }
+        true
+    }
 }
 
 #[derive(Default)]
@@ -241,14 +294,7 @@ impl ReplicaHandle {
     /// Blocks until the replica's applied-seq reaches `seq` or the timeout
     /// elapses; returns whether it caught up.
     pub fn wait_for_seq(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.shared.applied_seq.load(Ordering::Acquire) < seq {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
+        self.shared.wait_applied(seq, timeout)
     }
 
     /// Stops the apply loop and shuts the read front end down.
@@ -387,20 +433,7 @@ pub fn start_replica(
     );
     bootstrap(&db)?;
 
-    let shared = Arc::new(ReplicaShared {
-        stop: AtomicBool::new(false),
-        applied_seq: Arc::new(AtomicU64::new(0)),
-        epoch: Arc::new(AtomicU64::new(0)),
-        primary_end_seq: AtomicU64::new(0),
-        records_applied: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        resets: AtomicU64::new(0),
-        connects: AtomicU64::new(0),
-        stale_batches_rejected: AtomicU64::new(0),
-        primary_addr: StdMutex::new(config.primary_addr.clone()),
-        promote: StdMutex::new(PromoteSlot::default()),
-        promote_cvar: Condvar::new(),
-    });
+    let shared = Arc::new(ReplicaShared::new(&config.primary_addr));
 
     // Initial sync: catch up to the primary's position as of now, so the
     // front end never serves an empty database to its first client.
@@ -550,7 +583,7 @@ fn apply_one_poll(
         // Reset: same recovery, but the batch in hand is already the start
         // of the new bootstrap, so it applies below.
         applier.reset(db.engine());
-        shared.applied_seq.store(0, Ordering::Release);
+        shared.publish_applied(0);
         shared.resets.fetch_add(1, Ordering::Relaxed);
         db.resync_catalog()?;
         if epoch_changed && !reset {
@@ -567,9 +600,7 @@ fn apply_one_poll(
         // The watermark must follow, or a second checkpoint would mistake
         // this replica for a lagging one and force a needless re-bootstrap.
         applier.advance_to(first_seq.saturating_sub(1));
-        shared
-            .applied_seq
-            .store(applier.applied_seq(), Ordering::Release);
+        shared.publish_applied(applier.applied_seq());
         return Ok(true);
     }
     // Clean mid-stream batch with more behind it: pipeline the next poll
@@ -596,9 +627,7 @@ fn apply_one_poll(
     let applied = applier.apply_batch(db.engine(), first_seq, &decoded)?;
     // Publish the watermark only after the whole batch applied, so a
     // read-your-writes client that observes seq S sees every effect ≤ S.
-    shared
-        .applied_seq
-        .store(applier.applied_seq(), Ordering::Release);
+    shared.publish_applied(applier.applied_seq());
     shared
         .records_applied
         .store(applier.records_applied(), Ordering::Relaxed);
@@ -609,8 +638,11 @@ fn apply_one_poll(
     Ok(applier.applied_seq() >= end_seq)
 }
 
-/// The background apply loop: poll, apply, sleep when caught up, reconnect
-/// (resuming from the watermark) when the stream drops. Between polls it
+/// The background apply loop: poll, apply, poll again at once; when the
+/// stream drops, back off and reconnect, resuming from the watermark. The
+/// backoff is the loop's only sleep: a caught-up replica's poll parks on
+/// the primary's log (see [`crate::REPL_POLL_PARK`]), and each poll carries
+/// the acknowledgement of the batch applied before it. Between polls it
 /// watches for a promotion request; a successful promotion ends the loop —
 /// the node is a primary now and there is nothing left to apply.
 fn apply_loop(
@@ -648,18 +680,14 @@ fn apply_loop(
             }
             continue;
         };
-        match apply_one_poll(&config, &db, &shared, &mut applier, stream) {
-            Ok(true) => std::thread::sleep(config.poll_interval),
-            Ok(false) => {}
-            Err(_) => {
-                // Torn frame, checksum mismatch, half-closed socket, apply
-                // failure, stale-generation batch: drop the connection and
-                // resume from the watermark on a fresh one (possibly to a
-                // re-pointed primary). Records the new connection may
-                // re-deliver are skipped by the applier.
-                conn = None;
-                std::thread::sleep(config.reconnect_interval);
-            }
+        if apply_one_poll(&config, &db, &shared, &mut applier, stream).is_err() {
+            // Torn frame, checksum mismatch, half-closed socket, apply
+            // failure, stale-generation batch: drop the connection and
+            // resume from the watermark on a fresh one (possibly to a
+            // re-pointed primary). Records the new connection may
+            // re-deliver are skipped by the applier.
+            conn = None;
+            std::thread::sleep(config.reconnect_interval);
         }
     }
 }
@@ -781,4 +809,30 @@ fn send_fence(addr: &str, secret: &str, generation: u64) -> std::io::Result<()> 
     let mut reader = BufReader::new(stream);
     let _ = read_frame_id(&mut reader);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_for_seq_returns_true_once_the_apply_loop_publishes_it() {
+        let shared = ReplicaShared::new("127.0.0.1:1");
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| shared.wait_applied(7, Duration::from_secs(30)));
+            shared.publish_applied(3);
+            shared.publish_applied(7);
+            assert!(waiter.join().unwrap());
+        });
+        assert!(shared.wait_applied(7, Duration::ZERO), "reached: no wait");
+    }
+
+    #[test]
+    fn wait_for_seq_returns_false_on_timeout() {
+        let shared = ReplicaShared::new("127.0.0.1:1");
+        shared.publish_applied(6);
+        let started = Instant::now();
+        assert!(!shared.wait_applied(7, Duration::from_millis(30)));
+        assert!(started.elapsed() >= Duration::from_millis(30));
+    }
 }

@@ -293,13 +293,6 @@ fn router_config_builder_validates_topology() {
 
     RouterConfig::builder(primary.clone()).build().unwrap();
 
-    // Read-your-writes with a zero poll interval would spin.
-    assert!(RouterConfig::builder(primary.clone())
-        .replica(ClientConfig::anonymous("127.0.0.1:2"))
-        .tune(|c| c.poll_interval = Duration::ZERO)
-        .build()
-        .is_err());
-
     // Shard node count must match the map (primary is shard 0).
     let map = Arc::new(ifdb_client::shard::ShardMap::new(2));
     assert!(RouterConfig::builder(primary.clone())

@@ -1,18 +1,22 @@
 //! End-to-end replication tests: label-faithful replica reads (differential
 //! vs the primary), catch-up across a primary checkpoint, torn frames
 //! mid-stream (reconnect + resume from the watermark), read-your-writes
-//! routing, and read-only enforcement on the replica.
+//! routing, read-only enforcement on the replica, and the parked poll
+//! (idle cost, semi-sync under a full thread budget, fencing, shutdown).
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ifdb::prelude::*;
+use ifdb_client::protocol::{code, read_frame_id, write_frame_id, Request, Response};
 use ifdb_client::{ClientConfig, Connection, RoutedConnection, RouterConfig};
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, ReplicaConfig, ReplicaHandle, ServerConfig, ServerHandle};
+use ifdb_server::{
+    start, ReplicaConfig, ReplicaHandle, ServerConfig, ServerHandle, REPL_POLL_PARK,
+};
 
 const SEED: u64 = 0xB0B5;
 const REPL_SECRET: &str = "repl-secret";
@@ -904,5 +908,176 @@ fn audit_chain_replicates_and_survives_promotion() {
         &primary_events[..],
         "the pre-failover history is immutable"
     );
+    replica.shutdown();
+}
+
+/// A caught-up replica's poll parks on the primary's log instead of coming
+/// back every millisecond: idle, the primary serves about one poll per
+/// park bound, and a write still reaches the replica.
+#[test]
+fn an_idle_replica_does_not_busy_poll() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let replica = start_replica_of(&primary.addr().to_string());
+    assert!(replica.wait_for_seq(fx.db.engine().wal().last_seq(), Duration::from_secs(5)));
+
+    let idle = Duration::from_secs(1);
+    let before = primary.stats().requests;
+    std::thread::sleep(idle);
+    let polls = primary.stats().requests - before;
+    let bound = (idle.as_millis() / REPL_POLL_PARK.as_millis()) as u64 + 5;
+    assert!(
+        polls <= bound,
+        "{polls} requests while idle for {idle:?}; at most {bound} allowed"
+    );
+
+    let mut s = fx.db.anonymous_session();
+    s.insert(&Insert::new(
+        "messages",
+        vec![Datum::Int(700), Datum::from("anon"), Datum::from("wake")],
+    ))
+    .unwrap();
+    assert!(replica.wait_for_seq(fx.db.engine().wal().last_seq(), Duration::from_secs(5)));
+    replica.shutdown();
+    primary.shutdown();
+}
+
+/// Every serving thread but one blocked in the semi-sync gate: four writers
+/// on five threads of a durable group-commit primary. The poll that
+/// confirms their commits must always find the fifth thread, so no commit
+/// waits out the window, and each acknowledged row is on the replica by
+/// the time its call returns.
+#[test]
+fn semi_sync_writers_on_all_but_one_thread_are_never_lagged() {
+    const WRITERS: i64 = 4;
+    const ROWS: i64 = 300;
+    let dir = std::env::temp_dir().join(format!("ifdb-semisync-stress-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let db = Database::new(
+        DatabaseConfig::on_disk(dir.clone(), 64)
+            .with_seed(SEED)
+            .with_durability(DurabilityConfig::GROUP_COMMIT),
+    );
+    let difc = setup_principals_and_views(&db);
+    db.create_table(messages_def()).unwrap();
+    let auth = Arc::new(Authenticator::new());
+    register_users(&difc, &auth);
+    let config = ServerConfig::builder()
+        .workers(WRITERS as usize + 1)
+        .replication_secret(REPL_SECRET)
+        .sync_replication(Duration::from_millis(250))
+        .build()
+        .unwrap();
+    let primary = start(db.clone(), auth, config).unwrap();
+    let replica = start_replica_of(&primary.addr().to_string());
+    let addr = primary.addr().to_string();
+
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (addr, replica) = (&addr, &replica);
+            scope.spawn(move || {
+                let mut conn = connect(addr, "", "", &[]);
+                for i in 0..ROWS {
+                    let id = w * 10_000 + i;
+                    conn.run(&Statement::Insert(Insert::new(
+                        "messages",
+                        vec![Datum::Int(id), Datum::from("anon"), Datum::from("acked")],
+                    )))
+                    .unwrap_or_else(|e| panic!("writer {w} row {i}: {e}"));
+                    let by_id =
+                        Select::star("messages").filter(Predicate::Eq("id".into(), Datum::Int(id)));
+                    let on_replica = replica
+                        .database()
+                        .anonymous_session()
+                        .select(&by_id)
+                        .unwrap();
+                    assert_eq!(
+                        on_replica.len(),
+                        1,
+                        "row {id} acknowledged, not on the replica"
+                    );
+                }
+                conn.close().unwrap();
+            });
+        }
+    });
+    assert_eq!(
+        replica
+            .database()
+            .anonymous_session()
+            .select(&Select::star("messages"))
+            .unwrap()
+            .len() as i64,
+        WRITERS * ROWS
+    );
+    replica.shutdown();
+    primary.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Fence` that lands while a poll is parked: the poll wakes to a
+/// fenced node and answers `FENCED`, never a batch — not even the record
+/// whose append woke it.
+#[test]
+fn a_poll_parked_when_the_node_is_fenced_answers_fenced() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let wal = fx.db.engine().wal();
+    let before = primary.stats().requests;
+    let mut poller = TcpStream::connect(primary.addr()).unwrap();
+    poller.set_nodelay(true).unwrap();
+    let poll = Request::ReplPoll {
+        secret: REPL_SECRET.into(),
+        from_seq: wal.shippable_seq() + 1,
+        max: 0,
+        applied_seq: wal.shippable_seq(),
+        generation: wal.generation(),
+    };
+    write_frame_id(&mut poller, 1, &poll.encode()).unwrap();
+    // The poll is being served (and, a round trip later, parked).
+    while primary.stats().requests == before {
+        std::thread::yield_now();
+    }
+    let mut control = connect(&primary.addr().to_string(), "", "", &[]);
+    control.fence(REPL_SECRET, wal.generation() + 1).unwrap();
+    // An append the poll would otherwise ship wakes it.
+    let mut s = fx.db.anonymous_session();
+    s.insert(&Insert::new(
+        "messages",
+        vec![
+            Datum::Int(800),
+            Datum::from("anon"),
+            Datum::from("divergent"),
+        ],
+    ))
+    .unwrap();
+
+    let (id, payload) = read_frame_id(&mut poller).unwrap().unwrap();
+    assert_eq!(id, 1);
+    match Response::decode(&payload).unwrap() {
+        Response::Error { code: c, .. } => assert_eq!(c, code::FENCED),
+        other => panic!("a fenced node answered a parked poll with {other:?}"),
+    }
+    control.close().unwrap();
+    primary.shutdown();
+}
+
+/// Shutting a primary down with a replica attached (its poll parked) ends
+/// within the drain window and aborts no request.
+#[test]
+fn shutdown_with_an_attached_replica_drains_cleanly() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let replica = start_replica_of(&primary.addr().to_string());
+    assert!(replica.wait_for_seq(fx.db.engine().wal().last_seq(), Duration::from_secs(5)));
+    let drain = ServerConfig::default().drain_timeout;
+    let started = Instant::now();
+    let stats = primary.shutdown();
+    assert!(
+        started.elapsed() < drain,
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.requests_aborted_on_shutdown, 0);
     replica.shutdown();
 }

@@ -37,7 +37,9 @@
 //!   skips the image silently — the image describes state it already has;
 //! * on engines with `sync_on_commit`, records past the last fsync are
 //!   withheld, so a replica can never apply a commit the primary could
-//!   still lose to a crash.
+//!   still lose to a crash;
+//! * a poll that finds nothing to ship parks in [`Wal::wait_shippable`],
+//!   which wakes when that horizon ([`Wal::shippable_seq`]) moves.
 //!
 //! [`Wal::epoch`] identifies one incarnation of the log; a primary restart
 //! starts a new epoch (sequence numbers restart), which tells replicas to
@@ -78,7 +80,7 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -374,6 +376,12 @@ pub struct Wal {
     sync_latency: Duration,
     group: StdMutex<GroupState>,
     group_cvar: Condvar,
+    /// Threads parked in [`Wal::wait_shippable`]; signalled through
+    /// `ship_cvar` whenever the shippable horizon may have moved. Signallers
+    /// take this lock only after releasing `mirror` and `group`, so a waiter
+    /// may read the horizon (which takes those two) while holding it.
+    ship_waiters: StdMutex<usize>,
+    ship_cvar: Condvar,
     /// Serializes commit-path flushes when `sync_latency` emulates a slow
     /// device: flushes queue on the device's one flush channel while
     /// buffered appends proceed, as on real hardware. Unused (never
@@ -463,6 +471,8 @@ impl Wal {
                 flushing: false,
             }),
             group_cvar: Condvar::new(),
+            ship_waiters: StdMutex::new(0),
+            ship_cvar: Condvar::new(),
             sync_gate: StdMutex::new(()),
             fsyncs: AtomicU64::new(0),
             commits_batched: AtomicU64::new(0),
@@ -631,6 +641,10 @@ impl Wal {
         }
         if synced_seq > 0 {
             self.note_durable(synced_seq);
+        } else if !self.capped() {
+            // Without a durability cap the record ships as soon as it is in
+            // the mirror.
+            self.signal_shippable();
         }
         if gated_sync && my_seq > 0 {
             // Every sync-each commit pays its own stable write, queued on
@@ -657,8 +671,48 @@ impl Wal {
     /// device. The replication stream of a `sync_on_commit` log only serves
     /// records at or below this point.
     fn note_durable(&self, seq: u64) {
-        let mut state = self.group.lock().expect("group lock poisoned");
-        state.durable_seq = state.durable_seq.max(seq);
+        {
+            let mut state = self.group.lock().expect("group lock poisoned");
+            state.durable_seq = state.durable_seq.max(seq);
+        }
+        self.signal_shippable();
+    }
+
+    /// Wakes every thread parked in [`Wal::wait_shippable`] to re-read the
+    /// horizon. Called with neither `mirror` nor `group` held.
+    fn signal_shippable(&self) {
+        let waiters = self.ship_waiters.lock().expect("ship lock poisoned");
+        if *waiters > 0 {
+            self.ship_cvar.notify_all();
+        }
+    }
+
+    /// Blocks until [`Wal::shippable_seq`] passes `after` or `timeout`
+    /// elapses; returns whether it did. The horizon is signalled wherever
+    /// it moves: an fsync that records durability (the group-commit leader,
+    /// sync-per-commit, a checkpoint or promotion rewrite, [`Wal::sync`])
+    /// and, on a log without a durability cap, every append. A replication
+    /// poll that finds nothing to ship parks here, so a replica learns of a
+    /// commit when it becomes shippable instead of on its next poll tick.
+    pub fn wait_shippable(&self, after: u64, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut waiters = self.ship_waiters.lock().expect("ship lock poisoned");
+        loop {
+            if self.shippable_seq() > after {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            *waiters += 1;
+            let (guard, _) = self
+                .ship_cvar
+                .wait_timeout(waiters, deadline - now)
+                .expect("ship lock poisoned");
+            waiters = guard;
+            *waiters -= 1;
+        }
     }
 
     /// Leader/follower group commit: wait until `seq` is durable, electing
@@ -746,6 +800,7 @@ impl Wal {
         match &mut *sink {
             Sink::Memory => {
                 install_mirror(records);
+                self.signal_shippable();
             }
             Sink::File { w, appended_seq } => {
                 let path = self.path.as_ref().expect("file sink always has a path");
@@ -823,14 +878,19 @@ impl Wal {
     }
 
     fn shippable(&self, last: u64) -> u64 {
-        // The durability cap only applies to file-backed logs: an in-memory
-        // log has no device, so `durable_seq` never advances and capping on
-        // it would withhold the entire stream forever.
-        if self.sync_on_commit && self.path.is_some() {
+        if self.capped() {
             last.min(self.group.lock().expect("group lock poisoned").durable_seq)
         } else {
             last
         }
+    }
+
+    /// Whether the stream is capped at the last fsync. Only file-backed
+    /// `sync_on_commit` logs are: an in-memory log has no device, so
+    /// `durable_seq` never advances and capping on it would withhold the
+    /// entire stream forever.
+    fn capped(&self) -> bool {
+        self.sync_on_commit && self.path.is_some()
     }
 
     /// Serves one batch of the replication stream starting at `from_seq`
@@ -1530,6 +1590,54 @@ mod tests {
         assert_eq!(parsed.records.len(), 4);
         assert_eq!(parsed.records[..2], image[..]);
         assert_eq!(parsed.torn_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `advance` once a thread is parked in `wait_shippable(after)`,
+    /// and returns what the parked call answered.
+    fn parked_wait_then(wal: &Wal, after: u64, advance: impl FnOnce()) -> bool {
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| wal.wait_shippable(after, Duration::from_secs(30)));
+            while *wal.ship_waiters.lock().unwrap() == 0 {
+                std::thread::yield_now();
+            }
+            advance();
+            waiter.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn wait_shippable_wakes_on_an_uncapped_append_and_times_out_without_one() {
+        let wal = Wal::in_memory();
+        let started = std::time::Instant::now();
+        assert!(!wal.wait_shippable(0, Duration::from_millis(30)));
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert!(parked_wait_then(&wal, 0, || {
+            wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        }));
+        // Already past: no wait at all.
+        assert!(wal.wait_shippable(0, Duration::ZERO));
+    }
+
+    #[test]
+    fn wait_shippable_on_a_durable_log_wakes_on_the_fsync_not_the_append() {
+        let dir = temp_dir("ship");
+        let wal = Wal::create(&dir.join("wal.log"), DurabilityConfig::GROUP_COMMIT).unwrap();
+        wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        assert!(
+            !wal.wait_shippable(0, Duration::from_millis(30)),
+            "an unsynced record is not shippable"
+        );
+        assert!(parked_wait_then(&wal, 0, || {
+            wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
+        }));
+        assert_eq!(wal.shippable_seq(), 2);
+        // A checkpoint rewrite's fsync moves the horizon too.
+        assert!(parked_wait_then(&wal, 2, || {
+            wal.rewrite_with(|| Ok(vec![LogRecord::Checkpoint]))
+                .unwrap();
+        }));
+        assert_eq!(wal.shippable_seq(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
