@@ -294,9 +294,10 @@ impl Session {
     }
 
     /// Streams a base table through its bound scan plan. The Query-by-Label
-    /// decision is memoized per distinct stored label; the authority lock is
-    /// taken only to expand the declassify cover up front and is released
-    /// before the first tuple is visited.
+    /// decision is memoized per distinct stored label, and made once per
+    /// page on heap pages that hold one label; the authority lock is taken
+    /// only to expand the declassify cover up front and is released before
+    /// the first tuple is visited.
     fn stream_base_table(
         &mut self,
         info: &Arc<TableInfo>,
@@ -339,58 +340,96 @@ impl Session {
         // budget).
         let budget = self.budget.clone();
         let mut memo = LabelDecisionMemo::new();
+        let decide = |stored: &Label| -> LabelDecision {
+            let effective = if expanded.is_empty() {
+                stored.clone()
+            } else {
+                stored.difference(&expanded)
+            };
+            let admit = !difc || effective.is_subset_of(&process_label);
+            LabelDecision { effective, admit }
+        };
         // Each tuple is looked at where it lies in its page. Only a row the
         // label admits has the filter's columns decoded, into `probe`, and
         // only a row that also passes the filter is materialised.
         let filter_columns = plan.filter.columns();
         let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
         let mut raw_label: Vec<u64> = Vec::new();
-        let visit = |rid: RowId, tuple: TupleRef<'_>| -> IfdbResult<bool> {
-            if let Some(b) = &budget {
-                b.charge_row()?;
-            }
-            raw_label.clear();
-            raw_label.extend(tuple.label_words());
-            let (_, decision) = memo.decide_raw(&raw_label, |stored| {
-                let effective = if expanded.is_empty() {
-                    stored.clone()
-                } else {
-                    stored.difference(&expanded)
+        // A single-label page's label is decided once, at its first visible
+        // tuple, and only looked up when it differs from the previous such
+        // page's (a label's pages follow one another): `page` holds that
+        // page's number, its label and, if the label admits the page, the
+        // effective label all its rows share.
+        let mut page: Option<(u32, Vec<u64>, Option<Label>)> = None;
+        let (mut row_checks, mut page_checks) = (0u64, 0u64);
+        let mut visit =
+            |rid: RowId, page_label: Option<&[u64]>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
+                if let Some(b) = &budget {
+                    b.charge_row()?;
+                }
+                let effective = match page_label {
+                    Some(label) => {
+                        match &mut page {
+                            Some((at, _, _)) if *at == rid.page => {}
+                            Some((at, seen, _)) if seen.as_slice() == label => {
+                                *at = rid.page;
+                                page_checks += 1;
+                            }
+                            _ => {
+                                page_checks += 1;
+                                let (_, decision) = memo.decide_raw(label, decide);
+                                let admits = decision.admit.then(|| decision.effective.clone());
+                                page = Some((rid.page, label.to_vec(), admits));
+                            }
+                        }
+                        match &page {
+                            Some((_, _, Some(effective))) => effective,
+                            _ => return Ok(true),
+                        }
+                    }
+                    None => {
+                        row_checks += 1;
+                        raw_label.clear();
+                        raw_label.extend(tuple.label_words());
+                        let (_, decision) = memo.decide_raw(&raw_label, decide);
+                        if !decision.admit {
+                            return Ok(true);
+                        }
+                        &decision.effective
+                    }
                 };
-                let admit = !difc || effective.is_subset_of(&process_label);
-                LabelDecision { effective, admit }
-            });
-            if !decision.admit {
-                return Ok(true);
-            }
-            tuple.fields_into(&filter_columns, &mut probe)?;
-            if !plan.filter.matches(&probe, &decision.effective) {
-                return Ok(true);
-            }
-            sink(ScanRow {
-                row_id: Some((table_id, rid)),
-                label: decision.effective.clone(),
-                values: tuple.data()?,
-            })
-        };
+                tuple.fields_into(&filter_columns, &mut probe)?;
+                if !plan.filter.matches(&probe, effective) {
+                    return Ok(true);
+                }
+                sink(ScanRow {
+                    row_id: Some((table_id, rid)),
+                    label: effective.clone(),
+                    values: tuple.data()?,
+                })
+            };
 
+        // Tuples reached through an index are decided one by one.
+        let mut by_row = |rid: RowId, tuple: TupleRef<'_>| visit(rid, None, tuple);
         let by_id = |entries: Vec<(Vec<Datum>, RowId)>| entries.into_iter().map(|(_, rid)| rid);
-        match &plan.access {
-            AccessPath::FullScan => engine.visit_visible(&snapshot, table_id, visit),
+        let scanned = match &plan.access {
+            AccessPath::FullScan => engine.visit_visible(&snapshot, table_id, &mut visit),
             AccessPath::IndexEq { index, key } => {
                 let rows = engine.index_lookup(table_id, index, key)?;
-                engine.visit_rows(&snapshot, table_id, rows, visit)
+                engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
             AccessPath::IndexPrefix { index, prefix } => {
                 let rows = by_id(engine.index_prefix(table_id, index, prefix)?);
-                engine.visit_rows(&snapshot, table_id, rows, visit)
+                engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
             AccessPath::IndexRange { index, low, high } => {
                 let rows =
                     by_id(engine.index_range(table_id, index, low.as_ref(), high.as_ref())?);
-                engine.visit_rows(&snapshot, table_id, rows, visit)
+                engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
-        }
+        };
+        engine.count_label_checks(row_checks, page_checks);
+        scanned
     }
 
     /// Streams a hash join: the right side is built into a hash table (its

@@ -1170,10 +1170,27 @@ fn in_place_scan_matches_reference_on_every_access_path() {
     drop(running);
 }
 
+/// Rows of `table` on the heap's shared tail and on single-label pages.
+fn rows_by_page_kind(db: &Database, table: &str) -> (usize, usize) {
+    let (mut shared, mut chained) = (0, 0);
+    let t = db.engine().table_by_name(table).unwrap();
+    t.heap()
+        .walk::<ifdb_storage::StorageError>(|_, label, _| {
+            match label {
+                None => shared += 1,
+                Some(_) => chained += 1,
+            }
+            Ok(true)
+        })
+        .unwrap();
+    (shared, chained)
+}
+
 /// The budget is charged for a tuple before its label is looked at, so how
 /// far a capped scan gets says nothing about the labels in its way: a scan
 /// over rows it may not read is killed at the same row as one over rows it
-/// may, on the heap walk and through an index alike.
+/// may — on the heap's shared tail, on a single-label page whose label is
+/// decided once (denied or admitted), and through an index alike.
 #[test]
 fn execution_budget_is_charged_before_the_label_decision() {
     let db = Database::in_memory();
@@ -1196,26 +1213,34 @@ fn execution_budget_is_charged_before_the_label_decision() {
             .unwrap();
     }
     writer.commit().unwrap();
+    // The first page's worth of rows shares the tail; the rest fill the
+    // label's own pages.
+    let (shared, chained) = rows_by_page_kind(&db, "T");
+    assert!(
+        shared > 137 && shared < 400 && chained > 0,
+        "{shared} + {chained}"
+    );
 
-    let killed_at = |label: Label, q: &Select| {
+    let killed_at = |label: Label, q: &Select, cap: u64| {
         let mut s = db.session(user);
         s.raise_label(&label).unwrap();
-        s.set_execution_constraints(ExecutionConstraints::unlimited().with_max_rows(137));
+        s.set_execution_constraints(ExecutionConstraints::unlimited().with_max_rows(cap));
         match s.select(q) {
             Err(IfdbError::BudgetExceeded {
                 resource,
-                limit: 137,
+                limit,
                 used,
-            }) if resource == "rows" => used,
+            }) if resource == "rows" && limit == cap => used,
             other => panic!("expected a budget kill, got {other:?}"),
         }
     };
     let by_heap = Select::star("T");
     let by_index = Select::star("T").filter(Predicate::Eq("cat".into(), Datum::Int(1)));
-    for q in [&by_heap, &by_index] {
-        let admitted = killed_at(Label::singleton(tag), q);
-        let denied = killed_at(Label::empty(), q);
-        assert_eq!(admitted, 138);
+    // A kill on the shared tail, on a single-label page, and on an index.
+    for (q, cap) in [(&by_heap, 137), (&by_heap, 400), (&by_index, 137)] {
+        let admitted = killed_at(Label::singleton(tag), q, cap);
+        let denied = killed_at(Label::empty(), q, cap);
+        assert_eq!(admitted, cap + 1);
         assert_eq!(denied, admitted, "{q:?}");
     }
     // Uncapped, the two readers do differ — in what they get back.
@@ -1224,6 +1249,68 @@ fn execution_budget_is_charged_before_the_label_decision() {
     let mut sighted = db.session(user);
     sighted.raise_label(&Label::singleton(tag)).unwrap();
     assert_eq!(sighted.select(&by_heap).unwrap().len(), 500);
+}
+
+/// The harness's `label_scan` shape in small: 16 labels inserted
+/// round-robin by 16 open sessions. The heap gives each label its own pages
+/// once its rows fill one page of the shared tail, so a full scan decides
+/// labels one by one only on that tail and once per page elsewhere.
+#[test]
+fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail() {
+    const LABELS: i64 = 16;
+    const PER_LABEL: i64 = 400;
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    let tags: Vec<TagId> = (0..LABELS)
+        .map(|i| db.create_tag(user, &format!("g{i}"), &[]).unwrap())
+        .collect();
+    db.create_table(
+        TableDef::new("D")
+            .column("id", DataType::Int)
+            .column("grp", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let mut loaders: Vec<Session> = tags
+        .iter()
+        .map(|tag| {
+            let mut s = db.session(user);
+            s.add_secrecy(*tag).unwrap();
+            s.begin().unwrap();
+            s
+        })
+        .collect();
+    for id in 0..LABELS * PER_LABEL {
+        let row = vec![Datum::Int(id), Datum::Int(id % LABELS)];
+        loaders[(id % LABELS) as usize]
+            .insert(&Insert::new("D", row))
+            .unwrap();
+    }
+    for mut s in loaders {
+        s.commit().unwrap();
+    }
+    let (shared, chained) = rows_by_page_kind(&db, "D");
+    assert!(
+        chained > shared,
+        "{shared} shared, {chained} on label pages"
+    );
+
+    let mut reader = db.session(user);
+    reader
+        .raise_label(&Label::from_tags(tags[..8].iter().copied()))
+        .unwrap();
+    let before = db.engine().stats();
+    let rows = reader.select(&Select::star("D")).unwrap();
+    let after = db.engine().stats();
+    assert_eq!(rows.len() as i64, 8 * PER_LABEL);
+    let checks = after.label_checks - before.label_checks;
+    let pages = after.label_page_checks - before.label_page_checks;
+    assert_eq!(checks, shared as u64);
+    let heap_pages = db.engine().table_by_name("D").unwrap().heap().page_count();
+    assert!(
+        pages > 0 && pages < heap_pages as u64,
+        "{pages} page decisions"
+    );
 }
 
 #[test]

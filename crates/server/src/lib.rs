@@ -1332,6 +1332,8 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("full_table_scans", e.full_table_scans)
         .push("index_point_lookups", e.index_point_lookups)
         .push("index_range_scans", e.index_range_scans)
+        .push("label_checks", e.label_checks)
+        .push("label_page_checks", e.label_page_checks)
         .push("txns_started", e.txns_started)
         .push("txns_read_only", e.txns_read_only)
         .push("txns_active", e.txns_active)

@@ -101,6 +101,8 @@ pub struct StorageEngine {
     full_table_scans: AtomicU64,
     index_point_lookups: AtomicU64,
     index_range_scans: AtomicU64,
+    label_checks: AtomicU64,
+    label_page_checks: AtomicU64,
     recovery_replayed_records: AtomicU64,
     checkpoints: AtomicU64,
     commits_since_checkpoint: AtomicU64,
@@ -187,6 +189,8 @@ impl StorageEngine {
             full_table_scans: AtomicU64::new(0),
             index_point_lookups: AtomicU64::new(0),
             index_range_scans: AtomicU64::new(0),
+            label_checks: AtomicU64::new(0),
+            label_page_checks: AtomicU64::new(0),
             recovery_replayed_records: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             commits_since_checkpoint: AtomicU64::new(0),
@@ -1060,18 +1064,20 @@ impl StorageEngine {
         table: TableId,
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
-        self.visit_visible::<StorageError>(snapshot, table, |row, t| Ok(f(row, t.to_version()?)))
+        self.visit_visible::<StorageError>(snapshot, table, |row, _, t| Ok(f(row, t.to_version()?)))
     }
 
     /// [`StorageEngine::scan_visible`] without building the versions: `f`
     /// reads each visible version in place ([`TupleRef`]) and materialises
-    /// what it keeps; `Ok(false)` stops the scan. Every version walked counts
-    /// towards `tuples_scanned`, however the scan ends.
+    /// what it keeps; `Ok(false)` stops the scan. `f` also gets the label of
+    /// the version's page when the page holds one label only
+    /// ([`TableHeap::walk`]), so a caller can decide it once per page. Every
+    /// version walked counts towards `tuples_scanned`, however the scan ends.
     pub fn visit_visible<E: From<StorageError>>(
         &self,
         snapshot: &Snapshot,
         table: TableId,
-        mut f: impl FnMut(RowId, TupleRef<'_>) -> Result<bool, E>,
+        mut f: impl FnMut(RowId, Option<&[u64]>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
         /// Adds what a scan walked to the engine's counter when the scan
         /// ends, on the error paths too.
@@ -1091,10 +1097,10 @@ impl StorageEngine {
             counter: &self.tuples_scanned,
         };
         let mut visibility = self.txns.visibility(snapshot);
-        t.heap.walk(|row, tuple| {
+        t.heap.walk(|row, page_label, tuple| {
             walked.tuples += 1;
             if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
-                f(row, tuple)
+                f(row, page_label, tuple)
             } else {
                 Ok(true)
             }
@@ -1125,6 +1131,16 @@ impl StorageEngine {
             }
         }
         Ok(())
+    }
+
+    /// Records what a scan's Query-by-Label decisions cost: `tuples` whose
+    /// labels were decided one by one, and `pages` whose one label was
+    /// decided for all their tuples. The engine stores labels but does not
+    /// decide them; the layer that does reports here, so that both counts
+    /// sit in [`EngineStats`] beside `tuples_scanned`.
+    pub fn count_label_checks(&self, tuples: u64, pages: u64) {
+        self.label_checks.fetch_add(tuples, Ordering::Relaxed);
+        self.label_page_checks.fetch_add(pages, Ordering::Relaxed);
     }
 
     /// Point lookup through the named index: returns the row ids whose
@@ -1649,6 +1665,8 @@ impl StorageEngine {
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
         s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);
+        s.label_checks = self.label_checks.load(Ordering::Relaxed);
+        s.label_page_checks = self.label_page_checks.load(Ordering::Relaxed);
         let txns = self.txns.counts();
         s.txns_started = txns.started;
         s.txns_read_only = txns.read_only;
@@ -1912,7 +1930,7 @@ mod tests {
         // Cut short by an error from the consumer.
         let before = scanned();
         let mut seen = 0;
-        let cut = eng.visit_visible(&snap, table, |_, _| {
+        let cut = eng.visit_visible(&snap, table, |_, _, _| {
             seen += 1;
             if seen == 4 {
                 Err(StorageError::UnknownTableId(0))

@@ -16,6 +16,14 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER_SIZE: usize = 4;
 /// Bytes per slot directory entry: offset (2) + length (2).
 const SLOT_ENTRY_SIZE: usize = 4;
+/// Bytes of a page that tuples and their slot entries share: a page takes a
+/// tuple while the [`footprint`]s of its tuples, that one included, fit here.
+pub(crate) const TUPLE_SPACE: usize = PAGE_SIZE - HEADER_SIZE;
+
+/// Bytes of a page a tuple of `len` bytes takes: its data and its slot entry.
+pub(crate) fn footprint(len: usize) -> usize {
+    len + SLOT_ENTRY_SIZE
+}
 
 /// Identifier of a page within a table's page store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -213,6 +221,20 @@ mod tests {
         let leftover = p.free_space();
         if leftover > 0 {
             assert!(p.insert(&vec![1u8; leftover]).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_page_takes_tuples_while_their_footprints_fit_the_tuple_space() {
+        for len in [1, 57, 300, 1000] {
+            let mut p = Page::new();
+            let mut used = 0;
+            while p.fits(len) {
+                p.insert(&vec![0u8; len]).unwrap();
+                used += footprint(len);
+            }
+            assert!(used <= TUPLE_SPACE);
+            assert!(used + footprint(len) > TUPLE_SPACE, "len {len}");
         }
     }
 

@@ -27,6 +27,12 @@ pub struct EngineStats {
     pub index_point_lookups: u64,
     /// Index range and prefix scans served.
     pub index_range_scans: u64,
+    /// Tuples whose label a scan decided one by one: those on shared heap
+    /// pages and those reached through an index.
+    pub label_checks: u64,
+    /// Single-label heap pages whose label a scan decided once for all
+    /// their tuples.
+    pub label_page_checks: u64,
     /// Transactions started on this engine (replicated transactions are
     /// the primary's and are not counted).
     pub txns_started: u64,

@@ -430,8 +430,10 @@ fn begin_is_logged_with_the_first_write_and_recovers() {
 // ----------------------------------------------------------------------
 
 /// Interprets one opcode stream against an engine: begins/commits/aborts
-/// transactions, inserts and deletes rows, and occasionally checkpoints.
-/// Transactions still open at the end are left in flight (the "crash").
+/// transactions, inserts rows (one at a time, or a hundred at once — enough
+/// for a label to outgrow the heap's shared tail and open its own pages) at
+/// four labels, deletes rows, and occasionally checkpoints. Transactions
+/// still open at the end are left in flight (the "crash").
 fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
     let mut open: Vec<u64> = Vec::new(); // TxnIds of open transactions
     let mut live_rows: Vec<(TableId, RowId)> = Vec::new();
@@ -449,14 +451,19 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
                 if let Some(&txn) = open.get(arg % open.len().max(1)) {
                     let table = tables[arg % 2];
                     let label = vec![(arg % 4) as u64];
-                    let values = if table == tables[0] {
-                        vec![Datum::Int(next_val), Datum::Text(format!("r{next_val}"))]
-                    } else {
-                        vec![Datum::Int(next_val)]
-                    };
-                    next_val += 1;
-                    let row = eng.insert(TxnId(txn), table, label, values).unwrap();
-                    live_rows.push((table, row));
+                    let rows = if op == 1 { 1 } else { 100 };
+                    for _ in 0..rows {
+                        let values = if table == tables[0] {
+                            vec![Datum::Int(next_val), Datum::Text(format!("r{next_val}"))]
+                        } else {
+                            vec![Datum::Int(next_val)]
+                        };
+                        next_val += 1;
+                        let row = eng
+                            .insert(TxnId(txn), table, label.clone(), values)
+                            .unwrap();
+                        live_rows.push((table, row));
+                    }
                 }
             }
             3 => {
@@ -491,6 +498,22 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
     }
 }
 
+/// Whether every row on a single-label heap page carries the page's label —
+/// the layout invariant replay must rebuild along with the rows.
+fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
+    let mut ok = true;
+    for name in eng.table_names() {
+        let t = eng.table_by_name(&name).unwrap();
+        t.heap()
+            .walk::<StorageError>(|_, label, tuple| {
+                ok &= label.is_none_or(|l| tuple.label_words().eq(l.iter().copied()));
+                Ok(true)
+            })
+            .unwrap();
+    }
+    ok
+}
+
 proptest! {
     #[test]
     fn replaying_the_log_reproduces_live_state(
@@ -510,6 +533,7 @@ proptest! {
         let eng = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
         let recovered_state = observable_state(&eng);
         prop_assert_eq!(&recovered_state, &live_state);
+        prop_assert!(pages_hold_their_labels(&eng));
         // Second recovery: writes logged *after* a recovery — in particular
         // deletes of recovered rows, whose heap slots may differ from the
         // original log's insert ids — must survive another replay.
