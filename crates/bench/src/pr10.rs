@@ -33,7 +33,7 @@ use ifdb_client::{ClientConfig, Connection};
 use ifdb_difc::audit::AuditEvent;
 use ifdb_difc::Label;
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig};
+use ifdb_server::{start, ServerConfig};
 use ifdb_storage::DataType;
 use ifdb_workloads::{run_network_tpcc, NetworkTpccConfig, TpccDatabase};
 use serde::Serialize;
@@ -252,7 +252,6 @@ pub fn measure_arm(
         arm.db.clone(),
         arm.auth.clone(),
         ServerConfig {
-            backend: Backend::Reactor,
             workers: WORKERS,
             qos,
             ..ServerConfig::default()

@@ -156,7 +156,6 @@ fn start_tpcc_server(tpcc: &TpccDatabase, workers: usize) -> ServerHandle {
         auth,
         ServerConfig {
             workers,
-            accept_backlog: workers * 2,
             ..ServerConfig::default()
         },
     )

@@ -4,13 +4,10 @@
 //! and made the wire protocol pipelined. The panels measure exactly the two
 //! things that change bought:
 //!
-//! * **pipelined labeled-read WIPS, reactor vs thread pool** — the same
-//!   offered load (a fleet of pipelining clients, far more connections than
-//!   worker threads) against both backends at **equal hardware** (identical
-//!   worker counts). The thread pool can serve at most `workers`
-//!   connections at a time, so most of the fleet starves; the reactor
-//!   multiplexes the whole fleet over the same threads. Acceptance is
-//!   ≥ 1.5× WIPS (`min_pipeline_wips_speedup`).
+//! * **pipelined labeled-read WIPS** — a fleet of pipelining clients, far
+//!   more connections than serving threads, multiplexed over `WORKERS`
+//!   threads; the gate holds the reactor's WIPS to a baseline band
+//!   (`baseline_reactor_wips`).
 //! * **1 000 idle connections on one core** — resident-set growth while a
 //!   thousand authenticated connections sit parked on the reactor
 //!   (acceptance: all of them stay connected, bounded KB per connection),
@@ -28,29 +25,26 @@ use ifdb::Statement;
 use ifdb_client::protocol::{read_frame_id, write_frame_id, Request, Response, PROTOCOL_VERSION};
 use ifdb_client::{ClientConfig, Connection};
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig, ServerHandle};
+use ifdb_server::{start, ServerConfig, ServerHandle};
 use serde::Serialize;
 
 use crate::experiments::ExperimentScale;
 use crate::report::{header, row, write_json};
 
 const SEED: u64 = 0x6EED;
-/// Worker threads per server — identical for both backends (the "equal
-/// hardware" in the comparison).
+/// Serving threads per server.
 const WORKERS: usize = 4;
-/// Pipelining client connections offered to each backend.
+/// Pipelining client connections offered to the server.
 const CLIENTS: usize = 32;
 /// Statements per pipelined batch.
 const PIPELINE_DEPTH: usize = 16;
 const READ_ROWS: i64 = 2_000;
 const IDLE_CONNECTIONS: usize = 1_000;
 
-/// One backend's measurement under the pipelined read fleet.
+/// The server's measurement under the pipelined read fleet.
 #[derive(Debug, Clone, Serialize)]
-pub struct BackendPoint {
-    /// `"reactor"` or `"thread_pool"`.
-    pub backend: String,
-    /// Worker threads serving statements.
+pub struct FleetPoint {
+    /// Serving threads.
     pub workers: usize,
     /// Client connections offered.
     pub clients: usize,
@@ -62,8 +56,8 @@ pub struct BackendPoint {
     pub reads: u64,
     /// Reads that failed mid-run.
     pub failed: u64,
-    /// Clients that never got a served connection (refused or starved in
-    /// the accept queue past their handshake timeout).
+    /// Clients that never got a served connection (refused, or no
+    /// handshake answer within their read timeout).
     pub clients_unserved: u64,
 }
 
@@ -89,12 +83,7 @@ pub struct IdlePanel {
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchPr6Report {
     /// The reactor under the pipelined read fleet.
-    pub reactor: BackendPoint,
-    /// The legacy thread pool under the identical fleet.
-    pub thread_pool: BackendPoint,
-    /// `reactor.wips / thread_pool.wips` — acceptance ≥ 1.5
-    /// (`min_pipeline_wips_speedup`).
-    pub pipeline_wips_speedup: f64,
+    pub reactor: FleetPoint,
     /// Reactor WIPS (the bench-gate baseline-band metric).
     pub reactor_wips: f64,
     /// Panel 2: a thousand parked connections.
@@ -141,12 +130,11 @@ fn build_fixture(rows: i64) -> Fixture {
     Fixture { db, auth, tag }
 }
 
-fn start_backend(fx: &Fixture, backend: Backend) -> ServerHandle {
+fn start_server(fx: &Fixture) -> ServerHandle {
     start(
         fx.db.clone(),
         fx.auth.clone(),
         ServerConfig {
-            backend,
             workers: WORKERS,
             max_connections: 4096,
             ..ServerConfig::default()
@@ -155,9 +143,9 @@ fn start_backend(fx: &Fixture, backend: Backend) -> ServerHandle {
     .unwrap()
 }
 
-/// Runs the pipelining client fleet against one backend.
-fn measure_backend(fx: &Fixture, backend: Backend, duration: Duration) -> BackendPoint {
-    let server = start_backend(fx, backend);
+/// Runs the pipelining client fleet against the server.
+fn measure_fleet(fx: &Fixture, duration: Duration) -> FleetPoint {
+    let server = start_server(fx);
     let addr = server.addr().to_string();
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicU64::new(0));
@@ -176,9 +164,8 @@ fn measure_backend(fx: &Fixture, backend: Backend, duration: Duration) -> Backen
             let mut cfg = ClientConfig::anonymous(&addr)
                 .with_user("reader", "pw")
                 .with_label(&[tag]);
-            // A starved thread-pool connection never gets its handshake
-            // answered; the timeout turns it into a counted refusal
-            // instead of an unbounded stall.
+            // A handshake that is never answered becomes a counted
+            // refusal instead of an unbounded stall.
             cfg.read_timeout = Some(Duration::from_millis(1_500));
             let Ok(mut conn) = Connection::connect(&cfg) else {
                 unserved.fetch_add(1, Ordering::Relaxed);
@@ -218,11 +205,7 @@ fn measure_backend(fx: &Fixture, backend: Backend, duration: Duration) -> Backen
     }
     let elapsed = started.elapsed().as_secs_f64();
     let total_reads = reads.load(Ordering::Relaxed);
-    let point = BackendPoint {
-        backend: match backend {
-            Backend::Reactor => "reactor".into(),
-            Backend::ThreadPool => "thread_pool".into(),
-        },
+    let point = FleetPoint {
         workers: WORKERS,
         clients: CLIENTS,
         pipeline_depth: PIPELINE_DEPTH,
@@ -282,7 +265,7 @@ fn open_idle_connection(addr: &str) -> Option<TcpStream> {
 
 /// Panel 2: a thousand parked connections on one reactor.
 fn measure_idle(fx: &Fixture, probes: usize) -> IdlePanel {
-    let server = start_backend(fx, Backend::Reactor);
+    let server = start_server(fx);
     let addr = server.addr().to_string();
 
     let rss_before = rss_kb();
@@ -361,9 +344,9 @@ pub fn bench_pr6_report(scale: ExperimentScale) -> BenchPr6Report {
         ExperimentScale::Full => (2_000, 1_000),
     };
 
-    header("pipelined labeled-read WIPS: reactor vs thread pool (equal workers)");
+    header("pipelined labeled-read WIPS on the reactor");
     let fx = build_fixture(READ_ROWS);
-    let reactor = measure_backend(&fx, Backend::Reactor, Duration::from_millis(fleet_ms));
+    let reactor = measure_fleet(&fx, Duration::from_millis(fleet_ms));
     row(
         "reactor",
         format!(
@@ -371,16 +354,6 @@ pub fn bench_pr6_report(scale: ExperimentScale) -> BenchPr6Report {
             reactor.wips, reactor.reads, reactor.clients_unserved
         ),
     );
-    let thread_pool = measure_backend(&fx, Backend::ThreadPool, Duration::from_millis(fleet_ms));
-    row(
-        "thread pool",
-        format!(
-            "{:.0} WIPS ({} reads, {} unserved clients)",
-            thread_pool.wips, thread_pool.reads, thread_pool.clients_unserved
-        ),
-    );
-    let pipeline_wips_speedup = reactor.wips / thread_pool.wips.max(1e-9);
-    row("speedup", format!("{pipeline_wips_speedup:.2}x"));
 
     header("1k idle connections on the reactor (one core)");
     let idle = measure_idle(&fx, probes);
@@ -401,9 +374,7 @@ pub fn bench_pr6_report(scale: ExperimentScale) -> BenchPr6Report {
 
     let report = BenchPr6Report {
         reactor_wips: reactor.wips,
-        pipeline_wips_speedup,
         reactor,
-        thread_pool,
         idle_connections: idle.connections as f64,
         idle_kb_per_connection: idle.kb_per_connection,
         idle,
@@ -419,7 +390,7 @@ mod tests {
     #[test]
     fn reactor_point_reads_labeled_rows() {
         let fx = build_fixture(200);
-        let server = start_backend(&fx, Backend::Reactor);
+        let server = start_server(&fx);
         let addr = server.addr().to_string();
         let mut c = Connection::connect(
             &ClientConfig::anonymous(&addr)
@@ -443,7 +414,7 @@ mod tests {
     #[test]
     fn idle_connection_parks_and_answers() {
         let fx = build_fixture(10);
-        let server = start_backend(&fx, Backend::Reactor);
+        let server = start_server(&fx);
         let addr = server.addr().to_string();
         let mut s = open_idle_connection(&addr).expect("handshake");
         write_frame_id(&mut s, 2, &Request::Watermark.encode()).unwrap();

@@ -34,7 +34,7 @@ use ifdb::{Database, DatabaseConfig, DurabilityConfig};
 use ifdb_client::shard::ShardMap;
 use ifdb_difc::TagId;
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig, ServerHandle};
+use ifdb_server::{start, ServerConfig, ServerHandle};
 use ifdb_workloads::sharded::{load_shard, run_sharded_tpcc, tpcc_shard_map, ShardedTpccConfig};
 use ifdb_workloads::{run_network_tpcc, NetworkTpccConfig, TpccConfig};
 use serde::Serialize;
@@ -120,7 +120,6 @@ fn start_cluster(
             tpcc.db.clone(),
             auth,
             ServerConfig {
-                backend: Backend::Reactor,
                 workers: WORKERS,
                 ..ServerConfig::default()
             },

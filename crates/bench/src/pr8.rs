@@ -28,7 +28,6 @@ use ifdb::{Datum, Insert};
 use ifdb_chaos::cluster::{tpcc_client, tpcc_config};
 use ifdb_chaos::{HaCluster, SEED};
 use ifdb_client::{RoutedConnection, RouterConfig};
-use ifdb_server::Backend;
 use ifdb_workloads::{run_network_tpcc, NetworkTpccConfig};
 use serde::Serialize;
 
@@ -92,7 +91,7 @@ fn tpcc_arm(
 pub fn measure_failover_drill(duration: Duration) -> BenchPr8Report {
     // Control cluster: NOTPM of a native primary (replica attached, as in
     // the drill, so replication apply load is identical).
-    let cluster = HaCluster::start(SEED, 1, None, Backend::Reactor);
+    let cluster = HaCluster::start(SEED, 1, None);
     let label = cluster.fixture.tpcc_label.clone();
     let pre = run_network_tpcc(&tpcc_arm(
         &cluster.primary_addr(),
@@ -106,7 +105,7 @@ pub fn measure_failover_drill(duration: Duration) -> BenchPr8Report {
     // the stop to the first write the successor acknowledges. The router
     // is connected *before* the stop so the window includes its discovery
     // that the primary is gone.
-    let mut cluster = HaCluster::start(SEED, 1, None, Backend::Reactor);
+    let mut cluster = HaCluster::start(SEED, 1, None);
     let paddr = cluster.primary_addr();
     let raddr = cluster.replicas[0].addr().to_string();
     assert!(

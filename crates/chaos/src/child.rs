@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use ifdb_server::{start, Backend, ServerConfig};
+use ifdb_server::{start, ServerConfig};
 
 use crate::cluster::{build_primary_fixture, REPL_SECRET};
 
@@ -66,7 +66,6 @@ pub fn run_child_from_env() -> bool {
         fixture.db.clone(),
         fixture.auth.clone(),
         ServerConfig {
-            backend: Backend::Reactor,
             workers: 8,
             replication_secret: Some(REPL_SECRET.into()),
             sync_replication: (sync_ms > 0).then(|| Duration::from_millis(sync_ms)),

@@ -22,7 +22,7 @@ use ifdb::prelude::*;
 use ifdb::TableDef;
 use ifdb_client::{ClientConfig, Connection};
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ReplicaConfig, ReplicaHandle, ServerConfig, ServerHandle};
+use ifdb_server::{start, ReplicaConfig, ReplicaHandle, ServerConfig, ServerHandle};
 use ifdb_workloads::{TpccConfig, TpccDatabase};
 
 /// The default authority seed shared by every node of a chaos cluster.
@@ -213,20 +213,15 @@ pub struct HaCluster {
 impl HaCluster {
     /// Builds the fixture, starts the primary (with replication enabled and
     /// the given semi-sync window) and `replicas` replicas.
-    pub fn start(
-        seed: u64,
-        replicas: usize,
-        sync_replication: Option<Duration>,
-        backend: Backend,
-    ) -> HaCluster {
+    pub fn start(seed: u64, replicas: usize, sync_replication: Option<Duration>) -> HaCluster {
         let fixture = build_primary_fixture(seed);
         let primary = start(
             fixture.db.clone(),
             fixture.auth.clone(),
             ServerConfig {
-                backend,
-                // Each replication connection occupies a worker for its
-                // lifetime; size the pool so client traffic never starves.
+                // A caught-up replica's poll parks on a serving thread for
+                // up to `REPL_POLL_PARK`: one thread per replica, plus six
+                // for client statements (some blocked in a semi-sync wait).
                 workers: 6 + replicas,
                 replication_secret: Some(REPL_SECRET.into()),
                 sync_replication,

@@ -16,7 +16,6 @@ use ifdb_chaos::journal::read_journal_ids;
 use ifdb_chaos::{FaultProxy, HaCluster, SEED};
 use ifdb_client::protocol::{read_frame_id, write_frame_id, HaRole, Request, Response};
 use ifdb_client::{Connection, RoutedConnection, RouterConfig};
-use ifdb_server::Backend;
 
 fn journal_insert(id: i64) -> Insert {
     Insert::new(
@@ -31,7 +30,7 @@ fn journal_insert(id: i64) -> Insert {
 /// idempotent.
 #[test]
 fn promotion_serves_writes_and_fences_the_old_primary() {
-    let cluster = HaCluster::start(SEED, 1, None, Backend::Reactor);
+    let cluster = HaCluster::start(SEED, 1, None);
     let paddr = cluster.primary_addr();
     let label = cluster.fixture.tpcc_label.clone();
 
@@ -82,7 +81,7 @@ fn promotion_serves_writes_and_fences_the_old_primary() {
 #[test]
 fn semi_sync_commit_is_indeterminate_without_a_replica() {
     let window = Duration::from_millis(300);
-    let mut cluster = HaCluster::start(SEED, 1, Some(window), Backend::Reactor);
+    let mut cluster = HaCluster::start(SEED, 1, Some(window));
     let paddr = cluster.primary_addr();
     let label = cluster.fixture.tpcc_label.clone();
     assert!(cluster.wait_caught_up(Duration::from_secs(5)));
@@ -198,7 +197,7 @@ fn serve_zombie(mut stream: std::net::TcpStream, stop: Arc<AtomicBool>) {
 /// applying anything.
 #[test]
 fn zombie_primary_batches_are_rejected_after_promotion() {
-    let cluster = HaCluster::start(SEED, 1, None, Backend::Reactor);
+    let cluster = HaCluster::start(SEED, 1, None);
     let label = cluster.fixture.tpcc_label.clone();
     assert!(cluster.wait_caught_up(Duration::from_secs(5)));
 
@@ -270,7 +269,7 @@ fn zombie_primary_batches_are_rejected_after_promotion() {
 /// re-syncs on the new timeline.
 #[test]
 fn router_failover_resets_the_read_your_writes_barrier() {
-    let mut cluster = HaCluster::start(SEED, 2, None, Backend::Reactor);
+    let mut cluster = HaCluster::start(SEED, 2, None);
     let paddr = cluster.primary_addr();
     let label = cluster.fixture.tpcc_label.clone();
     assert!(cluster.wait_caught_up(Duration::from_secs(5)));

@@ -1,7 +1,7 @@
 //! Satellite 4: the 2PC × failover matrix. A coordinator dies between
 //! prepare and decide; a participant shard's primary fails over with the
 //! transaction still in doubt; successor-driven resolution must reach one
-//! consistent global outcome. Run for both server backends.
+//! consistent global outcome.
 //!
 //! * **Presumed abort** — the coordinator dies after collecting prepares
 //!   but before any decide. No participant can have committed, so recovery
@@ -25,7 +25,6 @@ use ifdb_chaos::journal::read_journal_ids;
 use ifdb_chaos::{HaCluster, SEED};
 use ifdb_client::shard::ShardMap;
 use ifdb_client::{Connection, RoutedConnection, RouterConfig};
-use ifdb_server::Backend;
 
 const ABORTED_GID: u64 = 42;
 const COMMITTED_GID: u64 = 43;
@@ -55,11 +54,12 @@ fn sorted_ids(addr: &str, label: &[TagId]) -> Vec<i64> {
     ids
 }
 
-fn run_matrix(backend: Backend) {
+#[test]
+fn two_phase_failover_matrix_reactor() {
     // Shard A gets a replica (it will fail over mid-transaction); shard B
     // is a plain primary that survives.
-    let mut shard_a = HaCluster::start(SEED, 1, None, backend);
-    let shard_b = HaCluster::start(SEED, 0, None, backend);
+    let mut shard_a = HaCluster::start(SEED, 1, None);
+    let shard_b = HaCluster::start(SEED, 0, None);
     let a_addr = shard_a.primary_addr();
     let b_addr = shard_b.primary_addr();
     let label = shard_a.fixture.tpcc_label.clone();
@@ -144,14 +144,4 @@ fn run_matrix(backend: Backend) {
 
     shard_a.shutdown();
     shard_b.shutdown();
-}
-
-#[test]
-fn two_phase_failover_matrix_reactor() {
-    run_matrix(Backend::Reactor);
-}
-
-#[test]
-fn two_phase_failover_matrix_thread_pool() {
-    run_matrix(Backend::ThreadPool);
 }

@@ -1831,7 +1831,7 @@ pub mod code {
     /// no-authority case's payload in aux/label0 when applicable.
     pub const DIFC: u8 = 15;
     /// The server refused the connection or request due to admission
-    /// control (accept queue full, too many connections).
+    /// control (too many connections, statement cache full).
     pub const SERVER_BUSY: u8 = 16;
     /// The statement exceeded the per-connection statement timeout; the
     /// enclosing transaction was aborted.

@@ -370,15 +370,7 @@ impl Database {
     ///
     /// Fails unless `config.storage` is [`StorageKind::OnDisk`].
     pub fn open(config: DatabaseConfig) -> IfdbResult<Self> {
-        let StorageKind::OnDisk { dir, buffer_pages } = &config.storage else {
-            return Err(IfdbError::InvalidStatement(
-                "Database::open requires on-disk storage".into(),
-            ));
-        };
-        let engine = StorageEngine::open(dir, *buffer_pages, config.durability)?;
-        let db = Self::from_engine(engine, config.clone());
-        db.resync_catalog()?;
-        Ok(db)
+        Self::builder().config(config).recover().build()
     }
 
     /// Rebuilds the relational catalog from the storage engine's live
@@ -468,11 +460,11 @@ impl Database {
         config: DatabaseConfig,
         tables: impl IntoIterator<Item = TableDef>,
     ) -> IfdbResult<Self> {
-        let db = Self::open(config)?;
-        for def in tables {
-            db.create_table(def)?;
-        }
-        Ok(db)
+        Self::builder()
+            .config(config)
+            .recover()
+            .first_boot_ddl(tables)
+            .build()
     }
 
     fn from_engine(engine: StorageEngine, config: DatabaseConfig) -> Self {
@@ -510,17 +502,11 @@ impl Database {
     /// same order so the numeric tag ids embedded in replicated tuples line
     /// up, or label-faithful replica reads are impossible.
     pub fn replica_over(engine: StorageEngine, config: DatabaseConfig) -> Self {
-        engine
-            .txns()
-            .reserve_local_ids(ifdb_storage::REPLICA_LOCAL_TXN_BASE);
-        // The replica's own log is never read (its state is a cache of the
-        // primary's log), so nothing logged locally may accumulate.
-        engine.wal().set_discard(true);
-        let db = Self::from_engine(engine, config);
-        db.inner
-            .read_only
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        db
+        Self::builder()
+            .config(config)
+            .replica_over(engine)
+            .build()
+            .expect("a replica without recovery or DDL always builds")
     }
 
     /// Returns `true` when this handle serves a read-only replica.

@@ -6,13 +6,13 @@
 //! clients operate concurrently (Section 7). This crate provides that front
 //! door for the reproduction:
 //!
-//! * an **event-driven, run-to-completion core** (the default
-//!   [`Backend::Reactor`]): `workers` identical serving threads wait on one
-//!   epoll instance (the in-tree [`polling`] crate) where every connection
-//!   is registered one-shot; the thread that receives a connection's event
-//!   reads its frames, executes them and writes the replies itself, with
-//!   no thread hand-off, so thousands of mostly-idle labeled connections
-//!   cost a few KB each and no thread of their own;
+//! * an **event-driven, run-to-completion core**: `workers` identical
+//!   serving threads wait on one epoll instance (the in-tree [`polling`]
+//!   crate) where every connection is registered one-shot; the thread that
+//!   receives a connection's event reads its frames, executes them and
+//!   writes the replies itself, with no thread hand-off, so thousands of
+//!   mostly-idle labeled connections cost a few KB each and no thread of
+//!   their own;
 //! * a **pipelined wire protocol**: clients send many request frames per
 //!   flush; the server executes each connection's requests strictly in
 //!   FIFO order (so the §7.2 label piggybacking on responses stays
@@ -22,9 +22,6 @@
 //!   until the peer drains it, so a slow reader cannot balloon server
 //!   memory; the accept-time refusal remains only as a connection-count
 //!   quota ([`ServerConfig::max_connections`]);
-//! * the legacy **blocking thread pool** ([`Backend::ThreadPool`]) kept as
-//!   an alternative backend (and as the bench baseline): a bounded accept
-//!   queue feeding `workers` threads, one connection served per thread;
 //! * per-connection [`ifdb::Session`] state: the process label, the open
 //!   transaction, and result cursors for streamed batches;
 //! * a **server-wide prepared-statement cache** ([`StatementCache`]): value-
@@ -41,14 +38,13 @@
 
 #![deny(missing_docs)]
 
-mod pool;
 mod qos;
 mod reactor;
 pub mod replica;
 
 pub use replica::{start_replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,50 +60,28 @@ use ifdb_difc::Label;
 use ifdb_platform::Authenticator;
 use parking_lot::RwLock;
 
-/// Which serving core a server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The event-driven core: `workers` serving threads share one epoll
-    /// instance, and whichever thread receives a connection's event reads,
-    /// executes and replies for it. Scales to thousands of mostly-idle
-    /// connections.
-    #[default]
-    Reactor,
-    /// The blocking thread-per-connection pool: `workers` threads, each
-    /// serving one connection at a time, with a bounded accept queue.
-    /// Concurrency is capped at `workers`.
-    ThreadPool,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind; use port 0 for an ephemeral port (tests).
     pub addr: String,
-    /// Which serving core to run; [`Backend::Reactor`] by default.
-    pub backend: Backend,
-    /// Serving threads. On the reactor backend each one waits for events,
-    /// then reads, executes and replies for the connection it received, so
-    /// this bounds how many statements run at once (a statement blocked in
-    /// an fsync or a semi-sync wait holds one of them, and so does a
-    /// replication poll parked for at most [`REPL_POLL_PARK`]) but not how
-    /// many connections are open. On the thread-pool backend each serves one
-    /// connection at a time, so it also caps concurrent connections.
+    /// Serving threads. Each one waits for events, then reads, executes and
+    /// replies for the connection it received, so this bounds how many
+    /// statements run at once (a statement blocked in an fsync or a
+    /// semi-sync wait holds one of them, and so does a replication poll
+    /// parked for at most [`REPL_POLL_PARK`]) but not how many connections
+    /// are open.
     pub workers: usize,
-    /// Thread-pool backend only — bounded accept queue: connections beyond
-    /// `workers` wait here; beyond the backlog they are refused with
-    /// `SERVER_BUSY`.
-    pub accept_backlog: usize,
-    /// Reactor backend only — hard cap on concurrently open connections;
-    /// beyond it, new connections are refused with `SERVER_BUSY`. This is
-    /// the only accept-time refusal the reactor performs: load is otherwise
-    /// absorbed by per-connection backpressure, not by refusing admission.
+    /// Hard cap on concurrently open connections; beyond it, new
+    /// connections are refused with `SERVER_BUSY`. This is the server's only
+    /// accept-time refusal: load is otherwise absorbed by per-connection
+    /// backpressure, not by refusing admission.
     pub max_connections: usize,
-    /// Reactor backend only — per-connection bound (bytes) on buffered
-    /// response data. A connection whose un-flushed responses exceed it is
-    /// paused (no more of its requests are read or executed) until the peer
-    /// drains below half the bound, so a slow reader holds at most ~this
-    /// much server memory instead of ballooning it.
+    /// Per-connection bound (bytes) on buffered response data. A connection
+    /// whose un-flushed responses exceed it is paused (no more of its
+    /// requests are read or executed) until the peer drains below half the
+    /// bound, so a slow reader holds at most ~this much server memory
+    /// instead of ballooning it.
     pub outbound_buffer_limit: usize,
     /// Per-connection statement timeout. A statement that exceeds it inside
     /// an explicit transaction aborts the transaction and reports
@@ -158,8 +132,7 @@ pub struct ServerConfig {
     pub sync_replication: Option<Duration>,
     /// The initial QoS policy: per-statement execution budgets, per-principal
     /// admission quotas, and scheduling weights. Unlimited by default; hot-
-    /// reloadable at runtime via the authenticated `Reconfigure` wire request
-    /// (admission quotas are enforced on the reactor backend only).
+    /// reloadable at runtime via the authenticated `Reconfigure` wire request.
     pub qos: QosConfig,
 }
 
@@ -167,9 +140,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            backend: Backend::Reactor,
             workers: 16,
-            accept_backlog: 32,
             max_connections: 4096,
             outbound_buffer_limit: 1 << 20,
             statement_timeout: Duration::from_secs(5),
@@ -191,8 +162,7 @@ impl ServerConfig {
     /// Starts a [`ServerConfigBuilder`] from the defaults. Unlike mutating
     /// the public fields directly, the builder's [`ServerConfigBuilder::build`]
     /// cross-validates the result and refuses inconsistent combinations
-    /// (a shard id without a shard map, semi-sync without replication,
-    /// admission quotas on the thread-pool backend).
+    /// (a shard id without a shard map, semi-sync without replication).
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             config: ServerConfig::default(),
@@ -214,12 +184,6 @@ impl ServerConfigBuilder {
     /// Sets the bind address (port 0 for ephemeral).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
         self.config.addr = addr.into();
-        self
-    }
-
-    /// Selects the serving core.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -310,15 +274,6 @@ impl ServerConfigBuilder {
                     .into(),
             ));
         }
-        let quotas_limited =
-            c.qos.default_quota != ifdb::PrincipalQuota::unlimited() || !c.qos.overrides.is_empty();
-        if quotas_limited && c.backend == Backend::ThreadPool {
-            return Err(invalid(
-                "admission quotas require the reactor backend; the thread-pool backend does not \
-                 consult the QoS gate"
-                    .into(),
-            ));
-        }
         Ok(self.config)
     }
 }
@@ -326,9 +281,10 @@ impl ServerConfigBuilder {
 /// A snapshot of the server's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted and served (or queued).
+    /// Connections accepted and served.
     pub connections_accepted: u64,
-    /// Connections refused by admission control (queue full).
+    /// Connections refused by admission control
+    /// ([`ServerConfig::max_connections`] reached).
     pub connections_rejected: u64,
     /// Connections currently being served.
     pub connections_active: u64,
@@ -365,12 +321,10 @@ pub struct ServerStats {
     /// Queued-but-unexecuted pipelined statements cancelled because an
     /// earlier statement on the same connection hit the statement timeout.
     pub pipelined_cancelled: u64,
-    /// Response frames encoded into a connection's write buffer (reactor
-    /// backend only; the thread-pool backend writes frames directly to its
-    /// per-connection socket writer and does not count here).
+    /// Response frames encoded into a connection's write buffer.
     pub frames_encoded: u64,
-    /// Total response payload bytes encoded into write buffers (reactor
-    /// backend only), before framing overhead.
+    /// Total response payload bytes encoded into write buffers, before
+    /// framing overhead.
     pub response_bytes: u64,
 }
 
@@ -492,8 +446,6 @@ struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     shutdown_at: StdMutex<Option<Instant>>,
-    queue: StdMutex<VecDeque<TcpStream>>,
-    queue_cvar: Condvar,
     counters: Counters,
     cache: StatementCache,
     /// The QoS gate: hot-reloadable execution budgets, per-principal
@@ -703,28 +655,18 @@ impl Shared {
     }
 }
 
-/// The backend-specific half of a running server.
-enum BackendHandle {
-    Pool {
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    Reactor(reactor::ReactorHandle),
-}
-
 /// A handle to a running server: its bound address, statistics, and the
 /// shutdown switch.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    backend: BackendHandle,
+    reactor: reactor::ReactorHandle,
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("backend", &self.shared.config.backend)
             .finish()
     }
 }
@@ -785,26 +727,7 @@ impl ServerHandle {
             *at = Some(Instant::now());
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.backend {
-            BackendHandle::Pool {
-                accept_thread,
-                workers,
-            } => {
-                self.shared.queue_cvar.notify_all();
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                // Refuse anything still queued.
-                let mut queue = self.shared.queue.lock().expect("queue lock");
-                while let Some(stream) = queue.pop_front() {
-                    refuse(stream, code::SHUTTING_DOWN, "server is shutting down");
-                }
-            }
-            BackendHandle::Reactor(handle) => handle.shutdown_join(),
-        }
+        self.reactor.shutdown_join();
         self.stats()
     }
 }
@@ -860,22 +783,15 @@ fn start_inner(
         config,
         shutdown: AtomicBool::new(false),
         shutdown_at: StdMutex::new(None),
-        queue: StdMutex::new(VecDeque::new()),
-        queue_cvar: Condvar::new(),
         counters: Counters::default(),
         watermark,
         ha: HaShared::default(),
     });
-
-    let backend = match shared.config.backend {
-        Backend::ThreadPool => pool::start(listener, shared.clone()),
-        Backend::Reactor => BackendHandle::Reactor(reactor::start(listener, shared.clone())?),
-    };
-
+    let reactor = reactor::start(listener, shared.clone())?;
     Ok(ServerHandle {
         addr,
         shared,
-        backend,
+        reactor,
     })
 }
 
@@ -914,8 +830,7 @@ struct ConnState {
     /// still in socket buffers, not yet parsed), and none of it may run
     /// against the now-aborted transaction. The state is **sticky** until a
     /// client-visible sync point (`Begin`/`Commit`/`Abort`) arrives, so
-    /// late-arriving frames of the same batch are cancelled too, on both
-    /// backends.
+    /// late-arriving frames of the same batch are cancelled too.
     cancel_queued: bool,
 }
 

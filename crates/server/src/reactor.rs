@@ -219,7 +219,7 @@ struct Core {
     sleepers: AtomicUsize,
 }
 
-/// A running reactor backend.
+/// A running serving core.
 pub(crate) struct ReactorHandle {
     core: Arc<Core>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -461,8 +461,8 @@ impl Core {
             }
         };
         if io.closing {
-            // Frames behind a Goodbye (or a panic) are dead, as they were
-            // when the old blocking server closed the socket on them.
+            // Frames behind a Goodbye (or a panic) are dead: the socket
+            // closes on them.
             io.rbuf.clear();
         } else {
             io.rbuf.drain(..at);
@@ -485,7 +485,7 @@ impl Core {
         let is_goodbye = matches!(request, Request::Goodbye);
         // A panicking statement must not take the thread down: close the
         // connection instead, dropping its session (which aborts any open
-        // transaction), as the thread-pool backend's catch_unwind does.
+        // transaction).
         let state = &mut io.state;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_request(shared, state, request)

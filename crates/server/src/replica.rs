@@ -51,7 +51,7 @@ pub struct ReplicaConfig {
     /// ([`ServerConfig::replication_secret`]).
     pub replication_secret: String,
     /// Configuration of the replica's own read front end (listen address,
-    /// worker pool, ...). Its `replication_secret` should stay `None`:
+    /// serving threads, ...). Its `replication_secret` should stay `None`:
     /// cascading replication is not supported.
     pub server: ServerConfig,
     /// Authority-state seed; **must** equal the primary's so principal and

@@ -1,5 +1,5 @@
 //! End-to-end tests of the pipelined wire protocol against a real server:
-//! batched execution on both backends, label flow through a pipeline,
+//! batched execution in FIFO order, label flow through a pipeline,
 //! reactor backpressure on slow readers, shutdown drain accounting,
 //! cancellation of queued statements behind a timeout, and the serving
 //! core's scheduling: the DRR bound, a blocked statement holding only its
@@ -18,7 +18,7 @@ use ifdb_client::protocol::{
 };
 use ifdb_client::{ClientConfig, Connection};
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig};
+use ifdb_server::{start, ServerConfig};
 
 fn notes_db() -> (Database, Arc<Authenticator>) {
     let db = Database::in_memory();
@@ -141,76 +141,65 @@ fn insert_note(id: i64) -> Statement {
 }
 
 #[test]
-fn pipelined_batches_execute_in_order_on_both_backends() {
-    for backend in [Backend::Reactor, Backend::ThreadPool] {
-        let (db, auth) = notes_db();
-        let server = start(
-            db,
-            auth,
-            ServerConfig {
-                backend,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut c =
-            Connection::connect(&ClientConfig::anonymous(&server.addr().to_string())).unwrap();
+fn pipelined_batches_execute_in_order() {
+    let (db, auth) = notes_db();
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let mut c = Connection::connect(&ClientConfig::anonymous(&server.addr().to_string())).unwrap();
 
-        // One flush: five inserts and the read that must observe them all.
-        let mut stmts: Vec<Statement> = (0..5)
-            .map(|i| {
-                Statement::Insert(Insert::new(
-                    "notes",
-                    vec![Datum::Int(i), Datum::from("anon"), Datum::from("b")],
-                ))
-            })
-            .collect();
-        stmts.push(Statement::Select(
-            Select::star("notes").order("id", Order::Asc),
-        ));
-        let results = c.pipeline(&stmts).unwrap();
-        assert_eq!(results.len(), 6);
-        for r in &results[..5] {
-            assert!(matches!(r, Ok(StatementResult::Affected(1))), "{r:?}");
-        }
-        // FIFO execution: the batched read ran after the batched writes.
-        match &results[5] {
-            Ok(StatementResult::Rows(rows)) => {
-                assert_eq!(rows.len(), 5);
-                assert_eq!(rows.first().unwrap().get_int("id"), Some(0));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(c.stats().pipelined >= 6, "{:?}", c.stats());
-
-        // A mid-batch failure is per-statement, not whole-batch: the
-        // duplicate key fails, its neighbours succeed.
-        let results = c
-            .pipeline(&[
-                Statement::Insert(Insert::new(
-                    "notes",
-                    vec![Datum::Int(100), Datum::from("anon"), Datum::from("b")],
-                )),
-                Statement::Insert(Insert::new(
-                    "notes",
-                    vec![Datum::Int(0), Datum::from("anon"), Datum::from("dup")],
-                )),
-                Statement::Insert(Insert::new(
-                    "notes",
-                    vec![Datum::Int(101), Datum::from("anon"), Datum::from("b")],
-                )),
-            ])
-            .unwrap();
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(ifdb::IfdbError::UniqueViolation { .. })
-        ));
-        assert!(results[2].is_ok());
-
-        c.close().unwrap();
-        server.shutdown();
+    // One flush: five inserts and the read that must observe them all.
+    let mut stmts: Vec<Statement> = (0..5)
+        .map(|i| {
+            Statement::Insert(Insert::new(
+                "notes",
+                vec![Datum::Int(i), Datum::from("anon"), Datum::from("b")],
+            ))
+        })
+        .collect();
+    stmts.push(Statement::Select(
+        Select::star("notes").order("id", Order::Asc),
+    ));
+    let results = c.pipeline(&stmts).unwrap();
+    assert_eq!(results.len(), 6);
+    for r in &results[..5] {
+        assert!(matches!(r, Ok(StatementResult::Affected(1))), "{r:?}");
     }
+    // FIFO execution: the batched read ran after the batched writes.
+    match &results[5] {
+        Ok(StatementResult::Rows(rows)) => {
+            assert_eq!(rows.len(), 5);
+            assert_eq!(rows.first().unwrap().get_int("id"), Some(0));
+        }
+        other => panic!("{other:?}"),
+    }
+    assert!(c.stats().pipelined >= 6, "{:?}", c.stats());
+
+    // A mid-batch failure is per-statement, not whole-batch: the
+    // duplicate key fails, its neighbours succeed.
+    let results = c
+        .pipeline(&[
+            Statement::Insert(Insert::new(
+                "notes",
+                vec![Datum::Int(100), Datum::from("anon"), Datum::from("b")],
+            )),
+            Statement::Insert(Insert::new(
+                "notes",
+                vec![Datum::Int(0), Datum::from("anon"), Datum::from("dup")],
+            )),
+            Statement::Insert(Insert::new(
+                "notes",
+                vec![Datum::Int(101), Datum::from("anon"), Datum::from("b")],
+            )),
+        ])
+        .unwrap();
+    assert!(results[0].is_ok());
+    assert!(matches!(
+        results[1],
+        Err(ifdb::IfdbError::UniqueViolation { .. })
+    ));
+    assert!(results[2].is_ok());
+
+    c.close().unwrap();
+    server.shutdown();
 }
 
 #[test]
@@ -293,7 +282,6 @@ fn slow_reader_is_paused_not_buffered_without_bound() {
         db,
         auth,
         ServerConfig {
-            backend: Backend::Reactor,
             outbound_buffer_limit: 256 * 1024,
             ..ServerConfig::default()
         },
@@ -379,7 +367,6 @@ fn graceful_shutdown_drains_queued_pipelined_requests() {
         db,
         auth,
         ServerConfig {
-            backend: Backend::Reactor,
             drain_timeout: Duration::from_secs(30),
             ..ServerConfig::default()
         },
@@ -431,7 +418,6 @@ fn shutdown_past_deadline_aborts_queued_requests() {
         db,
         auth,
         ServerConfig {
-            backend: Backend::Reactor,
             drain_timeout: Duration::ZERO,
             ..ServerConfig::default()
         },
@@ -460,139 +446,126 @@ fn shutdown_past_deadline_aborts_queued_requests() {
 }
 
 #[test]
-fn timeout_cancellation_is_sticky_until_a_sync_point_on_both_backends() {
-    for backend in [Backend::Reactor, Backend::ThreadPool] {
-        let (db, auth) = notes_db();
-        let server = start(
-            db,
-            auth,
-            ServerConfig {
-                backend,
-                statement_timeout: Duration::ZERO, // every statement "times out"
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr().to_string();
-        let mut raw = RawClient::connect(&addr);
-        let stmt = raw.prepare_select_star();
+fn timeout_cancellation_is_sticky_until_a_sync_point() {
+    let (db, auth) = notes_db();
+    let server = start(
+        db,
+        auth,
+        ServerConfig {
+            statement_timeout: Duration::ZERO, // every statement "times out"
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let mut raw = RawClient::connect(&addr);
+    let stmt = raw.prepare_select_star();
 
-        let (_, resp) = raw.call(&Request::Begin);
-        assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
-        let (_, resp) = raw.call(&Request::Execute {
-            stmt,
-            params: Vec::new(),
-            fetch: 0,
-        });
+    let (_, resp) = raw.call(&Request::Begin);
+    assert!(matches!(resp, Response::Ok { .. }), "{resp:?}");
+    let (_, resp) = raw.call(&Request::Execute {
+        stmt,
+        params: Vec::new(),
+        fetch: 0,
+    });
+    match resp {
+        Response::Error { detail, .. } => assert!(detail.contains("timeout"), "{detail}"),
+        other => panic!("{other:?}"),
+    }
+
+    // These frames arrive *after* the timeout was already processed —
+    // the shape a one-shot queue drain misses (for a pipelining client
+    // they could equally have been sitting unparsed in socket buffers).
+    // Cancellation must be sticky: both are refused, not auto-committed
+    // against the aborted transaction.
+    raw.send(&Request::Execute {
+        stmt,
+        params: Vec::new(),
+        fetch: 0,
+    });
+    raw.send(&Request::Execute {
+        stmt,
+        params: Vec::new(),
+        fetch: 0,
+    });
+    raw.flush();
+    for _ in 0..2 {
+        let (_, resp) = raw.recv();
         match resp {
-            Response::Error { detail, .. } => assert!(detail.contains("timeout"), "{detail}"),
+            Response::Error { detail, .. } => {
+                assert!(detail.contains("cancelled"), "{detail}")
+            }
             other => panic!("{other:?}"),
         }
-
-        // These frames arrive *after* the timeout was already processed —
-        // the shape a one-shot queue drain misses (for a pipelining client
-        // they could equally have been sitting unparsed in socket buffers).
-        // Cancellation must be sticky: both are refused, not auto-committed
-        // against the aborted transaction.
-        raw.send(&Request::Execute {
-            stmt,
-            params: Vec::new(),
-            fetch: 0,
-        });
-        raw.send(&Request::Execute {
-            stmt,
-            params: Vec::new(),
-            fetch: 0,
-        });
-        raw.flush();
-        for _ in 0..2 {
-            let (_, resp) = raw.recv();
-            match resp {
-                Response::Error { detail, .. } => {
-                    assert!(detail.contains("cancelled"), "{detail}")
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        assert_eq!(
-            server.stats().pipelined_cancelled,
-            2,
-            "{:?}",
-            server.stats()
-        );
-
-        // Abort is a client-visible sync point: it clears the cancel state
-        // (the server already aborted, so it reports "no transaction" —
-        // fine) and the connection is usable again.
-        let _ = raw.call(&Request::Abort);
-        let (_, resp) = raw.call(&Request::Execute {
-            stmt,
-            params: Vec::new(),
-            fetch: 0,
-        });
-        assert!(matches!(resp, Response::Rows { .. }), "{resp:?}");
-        let (_, resp) = raw.call(&Request::Goodbye);
-        assert!(matches!(resp, Response::Bye));
-        server.shutdown();
     }
+    assert_eq!(
+        server.stats().pipelined_cancelled,
+        2,
+        "{:?}",
+        server.stats()
+    );
+
+    // Abort is a client-visible sync point: it clears the cancel state
+    // (the server already aborted, so it reports "no transaction" —
+    // fine) and the connection is usable again.
+    let _ = raw.call(&Request::Abort);
+    let (_, resp) = raw.call(&Request::Execute {
+        stmt,
+        params: Vec::new(),
+        fetch: 0,
+    });
+    assert!(matches!(resp, Response::Rows { .. }), "{resp:?}");
+    let (_, resp) = raw.call(&Request::Goodbye);
+    assert!(matches!(resp, Response::Bye));
+    server.shutdown();
 }
 
 #[test]
 fn executor_panic_closes_the_connection_instead_of_hanging_it() {
     use ifdb::{TriggerDef, TriggerEvent, TriggerTiming};
 
-    for backend in [Backend::Reactor, Backend::ThreadPool] {
-        let (db, auth) = notes_db();
-        db.create_trigger(TriggerDef {
-            name: "boom".into(),
-            table: "notes".into(),
-            events: vec![TriggerEvent::Insert],
-            timing: TriggerTiming::Immediate,
-            authority: None,
-            body: Arc::new(|_, _| panic!("trigger panic for test")),
-        })
-        .unwrap();
-        let server = start(
-            db,
-            auth,
-            ServerConfig {
-                backend,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr().to_string();
-        let mut raw = RawClient::connect(&addr);
-        let (template, params) =
-            ifdb_client::protocol::encode_template(&Statement::Insert(Insert::new(
-                "notes",
-                vec![Datum::Int(1), Datum::from("anon"), Datum::from("b")],
-            )));
-        let stmt = match raw.call(&Request::Prepare { template }) {
-            (_, Response::Prepared { id }) => id,
-            (_, other) => panic!("prepare: {other:?}"),
-        };
-        // The panicking statement is the FIRST (and only) request the
-        // connection runs: no response bytes are produced, so the server
-        // must still notice the failed connection and close it — the
-        // client observes EOF (or a reset), never a 30s hang.
-        raw.send(&Request::Execute {
-            stmt,
-            params,
-            fetch: 0,
-        });
-        raw.flush();
-        let started = Instant::now();
-        match read_frame_id(&mut raw.reader) {
-            Ok(None) | Err(_) => {}
-            Ok(Some((_, payload))) => panic!("{:?}", Response::decode(&payload)),
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "connection was left hanging after an executor panic"
-        );
-        server.shutdown();
+    let (db, auth) = notes_db();
+    db.create_trigger(TriggerDef {
+        name: "boom".into(),
+        table: "notes".into(),
+        events: vec![TriggerEvent::Insert],
+        timing: TriggerTiming::Immediate,
+        authority: None,
+        body: Arc::new(|_, _| panic!("trigger panic for test")),
+    })
+    .unwrap();
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let mut raw = RawClient::connect(&addr);
+    let (template, params) =
+        ifdb_client::protocol::encode_template(&Statement::Insert(Insert::new(
+            "notes",
+            vec![Datum::Int(1), Datum::from("anon"), Datum::from("b")],
+        )));
+    let stmt = match raw.call(&Request::Prepare { template }) {
+        (_, Response::Prepared { id }) => id,
+        (_, other) => panic!("prepare: {other:?}"),
+    };
+    // The panicking statement is the FIRST (and only) request the
+    // connection runs: no response bytes are produced, so the server
+    // must still notice the failed connection and close it — the
+    // client observes EOF (or a reset), never a 30s hang.
+    raw.send(&Request::Execute {
+        stmt,
+        params,
+        fetch: 0,
+    });
+    raw.flush();
+    let started = Instant::now();
+    match read_frame_id(&mut raw.reader) {
+        Ok(None) | Err(_) => {}
+        Ok(Some((_, payload))) => panic!("{:?}", Response::decode(&payload)),
     }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "connection was left hanging after an executor panic"
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -602,7 +575,6 @@ fn statement_timeout_cancels_queued_pipelined_statements() {
         db,
         auth,
         ServerConfig {
-            backend: Backend::Reactor,
             statement_timeout: Duration::ZERO, // every statement "times out"
             ..ServerConfig::default()
         },

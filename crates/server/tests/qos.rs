@@ -10,7 +10,7 @@ use ifdb::prelude::*;
 use ifdb_client::{ClientConfig, Connection, RouterConfig};
 use ifdb_difc::audit::AuditEvent;
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig};
+use ifdb_server::{start, ServerConfig};
 
 const PLATFORM_SECRET: &str = "qos-admin-secret";
 
@@ -265,17 +265,8 @@ fn server_config_builder_validates_combinations() {
         .build()
         .unwrap();
 
-    // Admission quotas are enforced by the reactor only.
-    assert!(ServerConfig::builder()
-        .backend(Backend::ThreadPool)
-        .qos(QosConfig {
-            default_quota: PrincipalQuota::unlimited().with_max_in_flight(2),
-            ..QosConfig::default()
-        })
-        .build()
-        .is_err());
+    // Admission quotas build.
     ServerConfig::builder()
-        .backend(Backend::Reactor)
         .qos(QosConfig {
             default_quota: PrincipalQuota::unlimited().with_max_in_flight(2),
             ..QosConfig::default()

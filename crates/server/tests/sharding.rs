@@ -2,7 +2,7 @@
 //! cross-shard commits, the single-shard fast path, the commit-label rule
 //! as a prepare-time veto, and coordinator crashes (a genuine SIGABRT of a
 //! child coordinator process) resolved by a successor via the in-doubt
-//! protocol. Exercised on both serving backends.
+//! protocol.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use ifdb::prelude::*;
 use ifdb_client::shard::ShardMap;
 use ifdb_client::{ClientConfig, Connection, RoutedConnection, RouterConfig};
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig, ServerHandle};
+use ifdb_server::{start, ServerConfig, ServerHandle};
 
 /// The accounts table lives on two shards: ids 0..=99 on shard 0, ids
 /// 100..=199 on shard 1.
@@ -46,12 +46,13 @@ fn shard_db() -> Database {
     db
 }
 
-fn start_shard(backend: Backend) -> ServerHandle {
-    let config = ServerConfig {
-        backend,
-        ..ServerConfig::default()
-    };
-    start(shard_db(), Arc::new(Authenticator::new()), config).unwrap()
+fn start_shard() -> ServerHandle {
+    start(
+        shard_db(),
+        Arc::new(Authenticator::new()),
+        ServerConfig::default(),
+    )
+    .unwrap()
 }
 
 fn router_over(map: Arc<ShardMap>, shards: &[&ServerHandle]) -> RoutedConnection {
@@ -80,9 +81,10 @@ fn insert_stmt(id: i64, note: &str) -> Insert {
     Insert::new("accounts", vec![Datum::Int(id), Datum::from(note)])
 }
 
-fn cross_shard_commit_roundtrip(backend: Backend) {
-    let s0 = start_shard(backend);
-    let s1 = start_shard(backend);
+#[test]
+fn cross_shard_commit_reactor() {
+    let s0 = start_shard();
+    let s1 = start_shard();
     let mut router = router_over(shard_map(), &[&s0, &s1]);
 
     // Single-shard transaction: the fast path, no 2PC.
@@ -123,18 +125,9 @@ fn cross_shard_commit_roundtrip(backend: Backend) {
 }
 
 #[test]
-fn cross_shard_commit_reactor() {
-    cross_shard_commit_roundtrip(Backend::Reactor);
-}
-
-#[test]
-fn cross_shard_commit_thread_pool() {
-    cross_shard_commit_roundtrip(Backend::ThreadPool);
-}
-
-fn label_veto_aborts_all_shards(backend: Backend) {
+fn label_veto_aborts_all_shards_reactor() {
     use ifdb::{TriggerDef, TriggerEvent, TriggerTiming};
-    let s0 = start_shard(backend);
+    let s0 = start_shard();
     // Shard 1 carries a trigger that contaminates the inserting session, so
     // its prepare fails the commit-label rule — a no vote.
     let db1 = shard_db();
@@ -152,15 +145,7 @@ fn label_veto_aborts_all_shards(backend: Backend) {
         }),
     })
     .unwrap();
-    let s1 = start(
-        db1,
-        Arc::new(Authenticator::new()),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let s1 = start(db1, Arc::new(Authenticator::new()), ServerConfig::default()).unwrap();
 
     let mut router = router_over(shard_map(), &[&s0, &s1]);
     router.begin().unwrap();
@@ -188,23 +173,13 @@ fn label_veto_aborts_all_shards(backend: Backend) {
     s1.shutdown();
 }
 
-#[test]
-fn label_veto_aborts_all_shards_reactor() {
-    label_veto_aborts_all_shards(Backend::Reactor);
-}
-
-#[test]
-fn label_veto_aborts_all_shards_thread_pool() {
-    label_veto_aborts_all_shards(Backend::ThreadPool);
-}
-
 /// A participant with an empty write set still votes durably: its `Prepare`
 /// is its first log record, so the lazily logged `Begin` goes in ahead of it
 /// and the `Decide` settles it — on the commit path and on the abort path.
 #[test]
 fn read_only_participant_prepares_and_decides() {
     use ifdb_storage::LogRecord;
-    let s0 = start_shard(Backend::Reactor);
+    let s0 = start_shard();
     let db1 = shard_db();
     let s1 = start(
         db1.clone(),
@@ -289,13 +264,9 @@ fn child_coordinator_or_continue() {
     std::process::abort();
 }
 
-fn coordinator_crash(
-    phase: &str,
-    backend: Backend,
-    test_name: &str,
-) -> (ServerHandle, ServerHandle) {
-    let s0 = start_shard(backend);
-    let s1 = start_shard(backend);
+fn coordinator_crash(phase: &str, test_name: &str) -> (ServerHandle, ServerHandle) {
+    let s0 = start_shard();
+    let s1 = start_shard();
     let status = std::process::Command::new(std::env::current_exe().unwrap())
         .arg(test_name)
         .arg("--exact")
@@ -315,7 +286,6 @@ fn coordinator_crash_after_decide_commits_everywhere() {
     child_coordinator_or_continue();
     let (s0, s1) = coordinator_crash(
         "after-decide",
-        Backend::Reactor,
         "coordinator_crash_after_decide_commits_everywhere",
     );
     // Shard 0 learned the commit before the crash; shard 1 is in doubt.
@@ -344,7 +314,6 @@ fn coordinator_crash_before_decide_presumes_abort() {
     child_coordinator_or_continue();
     let (s0, s1) = coordinator_crash(
         "after-prepare",
-        Backend::ThreadPool,
         "coordinator_crash_before_decide_presumes_abort",
     );
     // Both participants prepared and are in doubt; neither committed.
@@ -377,7 +346,7 @@ fn participant_restart_keeps_prepared_txn_in_doubt() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
 
-    let s0 = start_shard(Backend::Reactor);
+    let s0 = start_shard();
     let db1 = Database::open_with_tables(
         DatabaseConfig::on_disk(dir.clone(), 64),
         [TableDef::new("accounts")

@@ -327,6 +327,51 @@ fn killed_connection_aborts_its_transaction() {
     server.shutdown();
 }
 
+/// `max_connections` is the server's only accept-time refusal: past the cap
+/// a new connection gets `SERVER_BUSY` instead of a handshake, the admitted
+/// ones keep being served, and a closed one frees its slot.
+#[test]
+fn connections_past_the_cap_are_refused_until_one_closes() {
+    let (db, auth, ..) = demo_db();
+    let config = ServerConfig::builder()
+        .tune(|c| c.max_connections = 2)
+        .build()
+        .unwrap();
+    let server = start(db, auth, config).unwrap();
+    let anon = ClientConfig::anonymous(&server.addr().to_string());
+
+    let mut first = Connection::connect(&anon).unwrap();
+    let mut second = Connection::connect(&anon).unwrap();
+    match Connection::connect(&anon) {
+        Err(ifdb::IfdbError::Remote { code, .. }) => {
+            assert_eq!(code, ifdb_client::protocol::code::SERVER_BUSY as u16)
+        }
+        other => panic!("a third connection must be refused: {other:?}"),
+    }
+    assert_eq!(server.stats().connections_rejected, 1);
+    for c in [&mut first, &mut second] {
+        assert!(c.select(&Select::star("notes")).unwrap().is_empty());
+    }
+
+    first.close().unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.stats().connections_active > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed connection never freed its slot: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut third = Connection::connect(&anon).unwrap();
+    assert!(third.select(&Select::star("notes")).unwrap().is_empty());
+    assert_eq!(server.stats().connections_rejected, 1);
+
+    third.close().unwrap();
+    second.close().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn statement_timeout_aborts_explicit_transactions() {
     let (db, auth, ..) = demo_db();

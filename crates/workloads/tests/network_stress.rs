@@ -60,7 +60,6 @@ fn sixteen_connection_stress_with_kills_and_reopen() {
         auth,
         ServerConfig {
             workers: 24,
-            accept_backlog: 64,
             ..ServerConfig::default()
         },
     )
