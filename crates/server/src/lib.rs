@@ -992,11 +992,13 @@ pub const REPL_POLL_PARK: Duration = Duration::from_millis(20);
 /// secret, records the applied-seq it acknowledges (the semi-sync gate's
 /// confirmation), then reads a batch from the write-ahead log's replication
 /// stream (see [`ifdb_storage::wal::Wal::read_replication_batch`] for the
-/// resume/reset/skip-image rules). A poll already past everything shippable
-/// parks until the log's shippable horizon moves, for at most
-/// [`REPL_POLL_PARK`]. A bootstrap poll (`from_seq <= 1`) first asks the
-/// engine to checkpoint soon, compacting history so the snapshot the
-/// replica ships is anchored at a checkpoint image rather than the full
+/// resume/reset/skip-image rules) and ships its records as the log's own
+/// frame payloads, without decoding or re-encoding them
+/// ([`ifdb_storage::wal::Wal::read_replication_frames`]). A poll already
+/// past everything shippable parks until the log's shippable horizon moves,
+/// for at most [`REPL_POLL_PARK`]. A bootstrap poll (`from_seq <= 1`) first
+/// asks the engine to checkpoint soon, compacting history so the snapshot
+/// the replica ships is anchored at a checkpoint image rather than the full
 /// record-by-record history.
 fn handle_repl_poll(
     shared: &Arc<Shared>,
@@ -1072,18 +1074,17 @@ fn handle_repl_poll(
     } else {
         (max as usize).min(shared.config.replication_batch)
     };
-    let batch = wal.read_replication_batch(from_seq, batch_max);
+    let batch = match wal.read_replication_frames(from_seq, batch_max) {
+        Ok(batch) => batch,
+        Err(e) => return encode_error(&e.into()),
+    };
     Response::ReplBatch {
         epoch: wal.epoch(),
         generation: wal.generation(),
         reset: batch.reset,
         first_seq: batch.first_seq,
         end_seq: batch.end_seq,
-        records: batch
-            .records
-            .iter()
-            .map(ifdb_storage::Wal::encode_record)
-            .collect(),
+        records: batch.records,
     }
 }
 

@@ -595,7 +595,7 @@ fn routed_connection_read_your_writes() {
 }
 
 /// Lazy `Begin` end to end: a transaction that wrote nothing never existed
-/// for the log, the mirror or a replica. Reads on the primary ship nothing;
+/// for the log or a replica. Reads on the primary ship nothing;
 /// reads on the replica (local ids in the reserved high range) leave the
 /// replica's own log and transaction table untouched; and a *writer* still
 /// streams its `Begin`, so promotion's orphan abort finds it.

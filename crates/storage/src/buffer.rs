@@ -7,6 +7,10 @@
 //! more pages, the buffer pool is what turns the per-tag byte overhead of
 //! Section 8.3 into the throughput effect seen in Figure 6.
 //!
+//! An in-memory engine's pool is sized never to evict, so there a frame is
+//! its page's only copy: nothing is written back, and the page store behind
+//! it ([`crate::store::MemPageStore`]) stays empty.
+//!
 //! # Pins
 //!
 //! A frame holds its page behind an [`Arc`]. A reader takes the pool mutex

@@ -35,7 +35,8 @@ pub struct TableId(pub u32);
 /// Where tables keep their pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageKind {
-    /// All pages in memory; the buffer pool is effectively a formality.
+    /// All pages in memory: the buffer pool never evicts, and a page's pool
+    /// frame is its only copy.
     InMemory,
     /// Pages live in heap files under the given directory and are cached by a
     /// buffer pool of `buffer_pages` pages. Used for the disk-bound
@@ -157,6 +158,8 @@ impl StorageEngine {
     /// memory-only log.
     pub fn with_config(kind: StorageKind, durability: DurabilityConfig) -> StorageResult<Self> {
         let (buffer, wal) = match &kind {
+            // 8 GiB of pages: the pool never evicts, so the frames are the
+            // pages' only copy and the page store stays empty.
             StorageKind::InMemory => (BufferPool::new(1 << 20), Wal::in_memory()),
             StorageKind::OnDisk { dir, buffer_pages } => {
                 std::fs::create_dir_all(dir)?;
@@ -273,15 +276,13 @@ impl StorageEngine {
             BufferPool::new(buffer_pages),
             wal,
         );
-        let remapped = {
-            // Replay straight out of the log's record mirror (no clone):
-            // nothing appends while the engine is being recovered.
-            let mirror = engine.wal.records_locked();
-            engine.replay(&mirror.records)?
-        };
+        // The parsed records are replayed once and dropped: the log keeps
+        // only where their frames are.
+        let remapped = engine.replay(&recovery.records)?;
         engine
             .recovery_replayed_records
-            .store(recovery.record_count as u64, Ordering::Relaxed);
+            .store(recovery.records.len() as u64, Ordering::Relaxed);
+        drop(recovery);
         if remapped {
             // Replay skipped uncommitted inserts, so at least one recovered
             // row lives at a different heap slot than its logged id. A
@@ -612,7 +613,7 @@ impl StorageEngine {
     /// Starts a transaction. Nothing is logged yet: the `Begin` record is
     /// appended lazily, immediately before the transaction's first
     /// `Insert`/`Delete`/`Prepare` record, so a transaction that never
-    /// writes never existed for the log, the mirror or a replica.
+    /// writes never existed for the log or a replica.
     pub fn begin(&self) -> StorageResult<TxnId> {
         self.quiesce_for_pending_checkpoint();
         Ok(self.txns.begin())
@@ -1277,68 +1278,77 @@ impl StorageEngine {
         // docs): holding it across the rewrite keeps a concurrent
         // `append_audit` from logging a link the image would then discard.
         let audit = self.audit.lock();
-        let count = self.wal.rewrite_with(|| {
+        let count = self.wal.rewrite_with(|emit| {
             let active = self.txns.active_count();
             if active > 0 {
                 return Err(StorageError::CheckpointBusy { active });
             }
-            let snap = self.txns.snapshot(BOOTSTRAP_TXN);
-            let tables = self.tables.read();
-            let mut ids: Vec<TableId> = tables.keys().copied().collect();
-            ids.sort();
-            let mut image = Vec::new();
-            for id in &ids {
-                let t = &tables[id];
-                image.push(LogRecord::CreateTable {
-                    id: id.0,
-                    schema: t.schema.clone(),
-                });
-                for entry in t.indexes.read().iter() {
-                    image.push(LogRecord::CreateIndex {
-                        table: id.0,
-                        name: entry.name.clone(),
-                        columns: entry.columns.iter().map(|c| *c as u16).collect(),
-                    });
-                }
-            }
-            for id in &ids {
-                let t = &tables[id];
-                t.heap.scan(|row, version| {
-                    if self.txns.is_visible(&snap, &version.header) {
-                        let mut v = version;
-                        // The image represents settled history: every row in
-                        // it is committed before anything that can follow.
-                        v.header.xmin = BOOTSTRAP_TXN;
-                        v.header.xmax = None;
-                        image.push(LogRecord::Insert {
-                            txn: BOOTSTRAP_TXN,
-                            table: id.0,
-                            row,
-                            bytes: v.encode(),
-                        });
-                    }
-                    true
-                })?;
-            }
+            self.emit_live_state(&self.tables.read(), emit)?;
             // The audit chain survives compaction the same way live rows
             // do: every link is re-logged into the image.
             for r in audit.records() {
-                image.push(r.to_log_record());
+                emit(r.to_log_record())?;
             }
             // Promotions survive checkpoint truncation: the image re-logs
             // the generation the same way it re-logs live rows.
             if self.wal.generation() > 1 {
-                image.push(LogRecord::Epoch {
+                emit(LogRecord::Epoch {
                     generation: self.wal.generation(),
-                });
+                })?;
             }
-            image.push(LogRecord::Checkpoint);
-            Ok(image)
+            emit(LogRecord::Checkpoint)
         })?;
         drop(audit);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
+    }
+
+    /// Emits what every checkpoint image starts with: the DDL of each table
+    /// and index, then one `Insert` under the always-committed bootstrap
+    /// transaction per tuple version a fresh snapshot sees. Returns the
+    /// table ids in the order emitted.
+    fn emit_live_state(
+        &self,
+        tables: &HashMap<TableId, Arc<Table>>,
+        emit: &mut dyn FnMut(LogRecord) -> StorageResult<()>,
+    ) -> StorageResult<Vec<TableId>> {
+        let snap = self.txns.snapshot(BOOTSTRAP_TXN);
+        let mut ids: Vec<TableId> = tables.keys().copied().collect();
+        ids.sort();
+        for id in &ids {
+            let t = &tables[id];
+            emit(LogRecord::CreateTable {
+                id: id.0,
+                schema: t.schema.clone(),
+            })?;
+            for entry in t.indexes.read().iter() {
+                emit(LogRecord::CreateIndex {
+                    table: id.0,
+                    name: entry.name.clone(),
+                    columns: entry.columns.iter().map(|c| *c as u16).collect(),
+                })?;
+            }
+        }
+        for id in &ids {
+            tables[id].heap.walk::<StorageError>(|row, _, tuple| {
+                let mut v = tuple.to_version()?;
+                if self.txns.is_visible(&snap, &v.header) {
+                    // The image represents settled history: every row in
+                    // it is committed before anything that can follow.
+                    v.header.xmin = BOOTSTRAP_TXN;
+                    v.header.xmax = None;
+                    emit(LogRecord::Insert {
+                        txn: BOOTSTRAP_TXN,
+                        table: id.0,
+                        row,
+                        bytes: v.encode(),
+                    })?;
+                }
+                Ok(true)
+            })?;
+        }
+        Ok(ids)
     }
 
     /// Turns this (replica) engine into a primary of `generation`: the log
@@ -1367,82 +1377,46 @@ impl StorageEngine {
         // unbroken on the successor — its image re-logs every link, and
         // post-promotion events extend the same chain.
         let audit = self.audit.lock();
-        let count = self.wal.rewrite_with(|| {
+        let count = self.wal.rewrite_with(|emit| {
             let prepared = self.txns.prepared_entries();
             let active = self.txns.active_count();
             let blocking = active.saturating_sub(prepared.len() as u64);
             if blocking > 0 {
                 return Err(StorageError::CheckpointBusy { active: blocking });
             }
-            let snap = self.txns.snapshot(BOOTSTRAP_TXN);
             let tables = self.tables.read();
-            let mut ids: Vec<TableId> = tables.keys().copied().collect();
-            ids.sort();
-            let mut image = Vec::new();
-            for id in &ids {
-                let t = &tables[id];
-                image.push(LogRecord::CreateTable {
-                    id: id.0,
-                    schema: t.schema.clone(),
-                });
-                for entry in t.indexes.read().iter() {
-                    image.push(LogRecord::CreateIndex {
-                        table: id.0,
-                        name: entry.name.clone(),
-                        columns: entry.columns.iter().map(|c| *c as u16).collect(),
-                    });
-                }
-            }
-            for id in &ids {
-                let t = &tables[id];
-                t.heap.scan(|row, version| {
-                    if self.txns.is_visible(&snap, &version.header) {
-                        let mut v = version;
-                        v.header.xmin = BOOTSTRAP_TXN;
-                        v.header.xmax = None;
-                        image.push(LogRecord::Insert {
-                            txn: BOOTSTRAP_TXN,
-                            table: id.0,
-                            row,
-                            bytes: v.encode(),
-                        });
-                    }
-                    true
-                })?;
-            }
+            let ids = self.emit_live_state(&tables, emit)?;
             // The in-doubt transactions ride along: their effects replay
             // invisible (the recovery and replication paths both re-register
             // a Prepare with no Decide as in-doubt) until a decision lands.
             for (gid, txn) in prepared {
-                image.push(LogRecord::Begin { txn });
+                emit(LogRecord::Begin { txn })?;
                 for id in &ids {
-                    let t = &tables[id];
-                    t.heap.scan(|row, version| {
-                        if version.header.xmin == txn {
-                            image.push(LogRecord::Insert {
+                    tables[id].heap.walk::<StorageError>(|row, _, tuple| {
+                        if tuple.xmin() == txn {
+                            emit(LogRecord::Insert {
                                 txn,
                                 table: id.0,
                                 row,
-                                bytes: version.encode(),
-                            });
-                        } else if version.header.xmax == Some(txn) {
-                            image.push(LogRecord::Delete {
+                                bytes: tuple.to_version()?.encode(),
+                            })?;
+                        } else if tuple.xmax() == Some(txn) {
+                            emit(LogRecord::Delete {
                                 txn,
                                 table: id.0,
                                 row,
-                            });
+                            })?;
                         }
-                        true
+                        Ok(true)
                     })?;
                 }
-                image.push(LogRecord::Prepare { txn, gid });
+                emit(LogRecord::Prepare { txn, gid })?;
             }
             for r in audit.records() {
-                image.push(r.to_log_record());
+                emit(r.to_log_record())?;
             }
-            image.push(LogRecord::Epoch { generation });
-            image.push(LogRecord::Checkpoint);
-            Ok(image)
+            emit(LogRecord::Epoch { generation })?;
+            emit(LogRecord::Checkpoint)
         })?;
         drop(audit);
         // From here on this node's transactions are a primary's: they leave
@@ -1639,6 +1613,12 @@ impl StorageEngine {
         let mut tables = self.tables.write();
         let mut by_name = self.by_name.write();
         let mut stores = self.stores.write();
+        // The image re-creates the tables under the same ids, and pool
+        // frames are keyed by table id: left behind, the old pages would
+        // serve as the new heaps' pages.
+        for id in tables.keys() {
+            self.buffer.discard_table(id.0);
+        }
         tables.clear();
         by_name.clear();
         stores.clear();
@@ -1648,10 +1628,14 @@ impl StorageEngine {
         self.audit.lock().clear();
     }
 
-    /// Flushes all dirty pages and the WAL.
+    /// Flushes all dirty pages and the WAL. An in-memory engine's pages have
+    /// nowhere better to go than their pool frames, their only copy, so
+    /// there this flushes only the WAL.
     pub fn flush(&self) -> StorageResult<()> {
-        for t in self.tables.read().values() {
-            t.heap.flush()?;
+        if matches!(self.kind, StorageKind::OnDisk { .. }) {
+            for t in self.tables.read().values() {
+                t.heap.flush()?;
+            }
         }
         self.wal.flush()
     }
@@ -2127,6 +2111,42 @@ mod tests {
         assert!(s.tuples_scanned >= 1);
         assert!(s.wal_bytes > 0);
         assert!(s.txns_started >= 2);
+    }
+
+    #[test]
+    fn an_in_memory_engine_keeps_its_pages_only_in_the_pool() {
+        let (eng, table) = engine_with_table();
+        eng.create_index(table, "people_pk", &["id"]).unwrap();
+        let rows = 3_000;
+        let name = |i: i64| format!("{i:0>300}");
+        let txn = eng.begin().unwrap();
+        for i in 0..rows {
+            eng.insert(
+                txn,
+                table,
+                vec![],
+                vec![Datum::Int(i), Datum::Text(name(i))],
+            )
+            .unwrap();
+        }
+        eng.commit(txn).unwrap();
+        let store = Arc::clone(&eng.stores.read()[&table]);
+        assert!(store.page_count() >= 100, "{} pages", store.page_count());
+        // The store holds exactly the pages written to it (see
+        // `store::tests`), so no write means no copy outside the pool.
+        assert_eq!(store.writes(), 0);
+        eng.flush().unwrap();
+        assert_eq!(store.writes(), 0, "flush copies nothing into the store");
+        let scanned = visible_rows(&eng, table);
+        assert_eq!(scanned.len(), rows as usize);
+        let snap = eng.snapshot(eng.begin().unwrap());
+        for i in (0..rows).step_by(7) {
+            let found = eng
+                .index_lookup(table, "people_pk", &vec![Datum::Int(i)])
+                .unwrap();
+            let v = eng.fetch_visible(&snap, table, found[0]).unwrap().unwrap();
+            assert_eq!(v.data, vec![Datum::Int(i), Datum::Text(name(i))]);
+        }
     }
 
     #[test]

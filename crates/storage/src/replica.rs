@@ -467,6 +467,35 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_drops_the_pages_of_the_state_it_discards() {
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-rereset-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = primary_with_rows(&dir, 5);
+        primary.checkpoint().unwrap();
+        let replica = StorageEngine::in_memory();
+        replica
+            .txns()
+            .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+        let mut applier = ReplicaApplier::new();
+        pump(&primary, &replica, &mut applier);
+        assert_eq!(visible_count(&replica, "t"), 5);
+        assert_eq!(applier.resets(), 1, "bootstrapped from the image");
+        // The replica misses a commit that a second checkpoint compacts
+        // away, so it re-bootstraps from an image of the same table.
+        let t = primary.table_by_name("t").unwrap();
+        let txn = primary.begin().unwrap();
+        primary
+            .insert(txn, t.id(), vec![], vec![Datum::Int(77)])
+            .unwrap();
+        primary.commit(txn).unwrap();
+        primary.checkpoint().unwrap();
+        pump(&primary, &replica, &mut applier);
+        assert_eq!(applier.resets(), 2);
+        assert_eq!(visible_count(&replica, "t"), 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn caught_up_replica_skips_checkpoint_image() {
         let dir = std::env::temp_dir().join(format!("ifdb-replica-skip-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();

@@ -41,6 +41,13 @@
 //! * a poll that finds nothing to ship parks in [`Wal::wait_shippable`],
 //!   which wakes when that horizon ([`Wal::shippable_seq`]) moves.
 //!
+//! The stream is read back out of the log's own frames: positional reads of
+//! the log file, or slices of an in-memory log's one buffer. The log keeps
+//! no decoded record; its only per-record state in RAM is where each frame
+//! starts, 4 bytes a record (at most 8 with the index's spare capacity) until
+//! the next checkpoint rewrite. [`Wal::read_replication_frames`] ships the
+//! frame payloads as they are; [`Wal::read_replication_batch`] decodes them.
+//!
 //! [`Wal::epoch`] identifies one incarnation of the log; a primary restart
 //! starts a new epoch (sequence numbers restart), which tells replicas to
 //! re-bootstrap rather than trust stale watermarks.
@@ -75,17 +82,19 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::error::{StorageError, StorageResult};
+use crate::error::{corrupt, StorageError, StorageResult};
 use crate::heap::RowId;
 use crate::mvcc::TxnId;
 use crate::schema::{ColumnDef, TableSchema};
@@ -285,7 +294,8 @@ pub enum LogRecord {
     },
 }
 
-/// What [`Wal::read_log`] found in a log file.
+/// What [`Wal::read_log`] found in a log file, and what
+/// [`Wal::open_existing`] recovered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecovery {
     /// The records that parsed cleanly, in log order.
@@ -297,29 +307,25 @@ pub struct WalRecovery {
     pub torn_bytes: u64,
 }
 
-/// What [`Wal::open_existing`] recovered — counts only. The parsed records
-/// themselves are *moved* into the returned log (read them through the
-/// `Wal`), not cloned, so recovery holds a single copy of the tuple
-/// payloads no matter how large the log is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpenRecovery {
-    /// Number of cleanly parsed records now held by the log.
-    pub record_count: usize,
-    /// Byte offset of the end of the last clean record.
-    pub clean_bytes: u64,
-    /// Torn-tail bytes truncated from the file. Zero for a clean log.
-    pub torn_bytes: u64,
-}
-
-/// Where the log keeps its records.
+/// Where the log keeps its frames.
 enum Sink {
-    Memory,
+    /// An in-memory log's frames, back to back: this buffer is the log.
+    Memory(Vec<u8>),
     File {
         w: BufWriter<File>,
         /// Records appended to the file so far (monotonic, survives
         /// checkpoint rewrites).
         appended_seq: u64,
     },
+}
+
+impl Sink {
+    fn writer(&mut self) -> &mut dyn Write {
+        match self {
+            Sink::Memory(buf) => buf,
+            Sink::File { w, .. } => w,
+        }
+    }
 }
 
 /// Group-commit coordination state, protected by a std mutex so committers
@@ -331,26 +337,101 @@ struct GroupState {
     flushing: bool,
 }
 
-/// The in-memory record mirror, with replication sequence numbering.
+/// Byte offsets of a log's frames, one per record, 4 bytes each: an offset
+/// is stored relative to the latest base at or before its record, and a new
+/// base starts wherever that would not fit in 32 bits (once per 4 GiB of
+/// log).
+#[derive(Default)]
+struct Offsets {
+    /// `(first record, byte offset)` of each base, in record order.
+    bases: Vec<(usize, u64)>,
+    relative: Vec<u32>,
+}
+
+impl Offsets {
+    fn push(&mut self, at: u64) {
+        let relative = match self.bases.last() {
+            Some(&(_, base)) => u32::try_from(at - base).ok(),
+            None => None,
+        };
+        let relative = relative.unwrap_or_else(|| {
+            self.bases.push((self.relative.len(), at));
+            0
+        });
+        self.relative.push(relative);
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        let base = self.bases.partition_point(|&(first, _)| first <= i) - 1;
+        self.bases[base].1 + u64::from(self.relative[i])
+    }
+
+    fn len(&self) -> usize {
+        self.relative.len()
+    }
+}
+
+/// Where each record's frame starts, with replication sequence numbering:
+/// the log's only per-record state in RAM.
 ///
-/// Record `records[i]` has sequence number `base_seq + i`; the numbering is
-/// monotonic across checkpoint rewrites (the image's records continue where
-/// the replaced history stopped), so a replica's applied-seq watermark stays
-/// meaningful across primary checkpoints.
-pub(crate) struct Mirror {
-    pub(crate) records: Vec<LogRecord>,
-    /// Sequence number of `records[0]`. Starts at 1; jumps forward on every
+/// Record `base_seq + i` is frame `i` of the log's current bytes (the file,
+/// or the in-memory sink's buffer). The numbering is monotonic across
+/// checkpoint rewrites (the image's records continue where the replaced
+/// history stopped), so a replica's applied-seq watermark stays meaningful
+/// across primary checkpoints.
+struct FrameIndex {
+    offsets: Offsets,
+    /// Byte offset one past the last frame.
+    end: u64,
+    /// Sequence number of frame 0. Starts at 1; jumps forward on every
     /// checkpoint rewrite.
     base_seq: u64,
-    /// How many records at the head of the mirror form a checkpoint image
+    /// How many frames at the head of the log form a checkpoint image
     /// (0 when the log has never been rewritten in this incarnation).
     image_len: usize,
+    /// The log file, for positional reads of its frames (`None` in memory).
+    /// A rewrite replaces it along with the offsets; a reader that cloned
+    /// the old handle reads the frames it looked up from the old file, which
+    /// nothing writes to any more.
+    file: Option<Arc<File>>,
+}
+
+impl FrameIndex {
+    fn new(offsets: Offsets, end: u64, file: Option<Arc<File>>) -> Self {
+        FrameIndex {
+            offsets,
+            end,
+            base_seq: 1,
+            image_len: 0,
+            file,
+        }
+    }
+
+    /// Indexes a frame of `frame_len` bytes written at the end of the log.
+    fn push(&mut self, frame_len: u64) {
+        self.offsets.push(self.end);
+        self.end += frame_len;
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// Where frame `i` starts; `end` for `i == len()`.
+    fn offset(&self, i: usize) -> u64 {
+        if i == self.len() {
+            self.end
+        } else {
+            self.offsets.get(i)
+        }
+    }
 }
 
 /// One batch of the replication stream, served by
-/// [`Wal::read_replication_batch`].
+/// [`Wal::read_replication_batch`] (decoded records) and
+/// [`Wal::read_replication_frames`] (frame payloads, `R = Vec<u8>`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplicationBatch {
+pub struct ReplicationBatch<R = LogRecord> {
     /// `true` when the requested position was compacted away (or never
     /// existed in this log incarnation): the replica must discard its state
     /// and re-apply from scratch, starting with this batch — the checkpoint
@@ -362,12 +443,12 @@ pub struct ReplicationBatch {
     /// empty). The replica's lag is `end_seq - applied_seq`.
     pub end_seq: u64,
     /// The records, in sequence order. Empty when the replica is caught up.
-    pub records: Vec<LogRecord>,
+    pub records: Vec<R>,
 }
 
 /// The write-ahead log.
 pub struct Wal {
-    mirror: Mutex<Mirror>,
+    index: Mutex<FrameIndex>,
     sink: Mutex<Sink>,
     path: Option<PathBuf>,
     bytes_written: AtomicU64,
@@ -378,7 +459,7 @@ pub struct Wal {
     group_cvar: Condvar,
     /// Threads parked in [`Wal::wait_shippable`]; signalled through
     /// `ship_cvar` whenever the shippable horizon may have moved. Signallers
-    /// take this lock only after releasing `mirror` and `group`, so a waiter
+    /// take this lock only after releasing `index` and `group`, so a waiter
     /// may read the horizon (which takes those two) while holding it.
     ship_waiters: StdMutex<usize>,
     ship_cvar: Condvar,
@@ -404,15 +485,15 @@ pub struct Wal {
     /// When set, appends are dropped entirely. A read replica's engine is
     /// fed by the *primary's* log; its own log is never read for recovery
     /// or replication, so whatever the replica's setup code logs locally
-    /// (re-run DDL) must not pile up in the in-memory mirror. Replica-local
-    /// read transactions log nothing to begin with.
+    /// (re-run DDL) must not pile up in it. Replica-local read transactions
+    /// log nothing to begin with.
     discard: AtomicBool,
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("records", &self.mirror.lock().records.len())
+            .field("records", &self.len())
             .field("bytes_written", &self.bytes_written.load(Ordering::Relaxed))
             .field("fsyncs", &self.fsyncs.load(Ordering::Relaxed))
             .finish()
@@ -439,14 +520,14 @@ impl Wal {
         sink: Sink,
         path: Option<PathBuf>,
         durability: DurabilityConfig,
-        records: Vec<LogRecord>,
-        bytes: u64,
+        index: FrameIndex,
+        recovered: &[LogRecord],
     ) -> Self {
         // Records loaded from an existing file are durable by definition.
-        let durable = records.len() as u64;
+        let durable = recovered.len() as u64;
         // A log that has lived through promotions carries Epoch records;
         // the last one names the generation this node last served as.
-        let generation = records
+        let generation = recovered
             .iter()
             .rev()
             .find_map(|r| match r {
@@ -455,14 +536,10 @@ impl Wal {
             })
             .unwrap_or(1);
         Wal {
-            mirror: Mutex::new(Mirror {
-                records,
-                base_seq: 1,
-                image_len: 0,
-            }),
+            bytes_written: AtomicU64::new(index.end),
+            index: Mutex::new(index),
             sink: Mutex::new(sink),
             path,
-            bytes_written: AtomicU64::new(bytes),
             sync_on_commit: durability.sync_on_commit,
             group_commit: durability.group_commit,
             sync_latency: durability.sync_latency,
@@ -491,7 +568,13 @@ impl Wal {
 
     /// Creates an in-memory log (no file backing).
     pub fn in_memory() -> Self {
-        Self::with_sink(Sink::Memory, None, DurabilityConfig::NO_SYNC, Vec::new(), 0)
+        Self::with_sink(
+            Sink::Memory(Vec::new()),
+            None,
+            DurabilityConfig::NO_SYNC,
+            FrameIndex::new(Offsets::default(), 0, None),
+            &[],
+        )
     }
 
     /// Creates (or truncates) a file-backed log at `path`. Kept for
@@ -511,12 +594,14 @@ impl Wal {
     pub fn create(path: &Path, durability: DurabilityConfig) -> StorageResult<Self> {
         let file = OpenOptions::new()
             .create(true)
+            .read(true)
             .write(true)
             .truncate(true)
             .open(path)?;
         // Make the directory entry durable too, so the log file itself
         // survives a power failure that follows the first durable commit.
         fsync_dir(path)?;
+        let index = FrameIndex::new(Offsets::default(), 0, Some(Arc::new(file.try_clone()?)));
         Ok(Self::with_sink(
             Sink::File {
                 w: BufWriter::new(file),
@@ -524,34 +609,38 @@ impl Wal {
             },
             Some(path.to_path_buf()),
             durability,
-            Vec::new(),
-            0,
+            index,
+            &[],
         ))
     }
 
     /// Opens an existing file-backed log for recovery: parses every record,
     /// truncates a torn tail (warning on stderr rather than failing the whole
     /// recovery), and returns the log positioned to append after the last
-    /// clean record. The parsed records are held by the returned log — read
-    /// them with [`Wal::records`] for replay.
+    /// clean record, with the parsed records for replay. The log itself
+    /// keeps only their frames' offsets: drop the records once replayed.
     ///
     /// A missing file is treated as an empty log, so first-boot and restart
     /// go through the same path.
     pub fn open_existing(
         path: &Path,
         durability: DurabilityConfig,
-    ) -> StorageResult<(Self, OpenRecovery)> {
-        let recovery = match Self::read_log(path) {
+    ) -> StorageResult<(Self, WalRecovery)> {
+        let (recovery, offsets) = match Self::scan_log(path) {
             Ok(r) => r,
-            Err(StorageError::Io { .. }) if !path.exists() => WalRecovery {
-                records: Vec::new(),
-                clean_bytes: 0,
-                torn_bytes: 0,
-            },
+            Err(StorageError::Io { .. }) if !path.exists() => (
+                WalRecovery {
+                    records: Vec::new(),
+                    clean_bytes: 0,
+                    torn_bytes: 0,
+                },
+                Offsets::default(),
+            ),
             Err(e) => return Err(e),
         };
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .write(true)
             .truncate(false)
             .open(path)?;
@@ -564,14 +653,12 @@ impl Wal {
             );
             file.set_len(recovery.clean_bytes)?;
         }
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::Start(recovery.clean_bytes))?;
-        let info = OpenRecovery {
-            record_count: recovery.records.len(),
-            clean_bytes: recovery.clean_bytes,
-            torn_bytes: recovery.torn_bytes,
-        };
+        file.seek(SeekFrom::Start(recovery.clean_bytes))?;
+        let index = FrameIndex::new(
+            offsets,
+            recovery.clean_bytes,
+            Some(Arc::new(file.try_clone()?)),
+        );
         let wal = Self::with_sink(
             Sink::File {
                 w: BufWriter::new(file),
@@ -579,10 +666,10 @@ impl Wal {
             },
             Some(path.to_path_buf()),
             durability,
-            recovery.records,
-            recovery.clean_bytes,
+            index,
+            &recovery.records,
         );
-        Ok((wal, info))
+        Ok((wal, recovery))
     }
 
     /// Appends a record. For `Commit` records the call also enforces the
@@ -610,12 +697,12 @@ impl Wal {
         let mut synced_seq = 0u64;
         let mut gated_sync = false;
         {
-            // The mirror is pushed while the sink lock is still held so the
-            // replication stream's record order always matches the file's
-            // (lock order sink → mirror, same as rewrite_with).
+            // The frame is indexed while the sink lock is still held, so
+            // the index always describes the sink's bytes (lock order
+            // sink → index, same as rewrite_with and the read path).
             let mut sink = self.sink.lock();
+            write_frame(sink.writer(), &encoded)?;
             if let Sink::File { w, appended_seq } = &mut *sink {
-                write_frame(w, &encoded)?;
                 *appended_seq += 1;
                 my_seq = *appended_seq;
                 if is_commit && self.sync_on_commit && !self.group_commit {
@@ -637,13 +724,13 @@ impl Wal {
                     }
                 }
             }
-            self.mirror.lock().records.push(record);
+            self.index.lock().push(encoded.len() as u64 + 8);
         }
         if synced_seq > 0 {
             self.note_durable(synced_seq);
         } else if !self.capped() {
-            // Without a durability cap the record ships as soon as it is in
-            // the mirror.
+            // Without a durability cap the record ships as soon as it is
+            // indexed.
             self.signal_shippable();
         }
         if gated_sync && my_seq > 0 {
@@ -679,7 +766,7 @@ impl Wal {
     }
 
     /// Wakes every thread parked in [`Wal::wait_shippable`] to re-read the
-    /// horizon. Called with neither `mirror` nor `group` held.
+    /// horizon. Called with neither `index` nor `group` held.
     fn signal_shippable(&self) {
         let waiters = self.ship_waiters.lock().expect("ship lock poisoned");
         if *waiters > 0 {
@@ -773,50 +860,57 @@ impl Wal {
         Ok(covered)
     }
 
-    /// Atomically replaces the log contents with the records produced by
-    /// `image`, holding the append lock throughout so no record can slip in
-    /// between building the image and installing it. Used by checkpointing:
-    /// `image` serializes a consistent snapshot of the engine, and the
-    /// replaced log makes replay O(live data + delta) instead of O(history).
+    /// Atomically replaces the log contents with the records `image` emits,
+    /// holding the append lock throughout so no record can slip in between
+    /// building the image and installing it. Used by checkpointing: `image`
+    /// serializes a consistent snapshot of the engine, record by record
+    /// through the emitter it is given, and the replaced log makes replay
+    /// O(live data + delta) instead of O(history). Each record is framed as
+    /// it is emitted, so the image is never held decoded.
     ///
-    /// The replacement is crash-atomic for file-backed logs: the image is
-    /// written to a temporary file, fsynced, then renamed over the log.
+    /// If `image` fails, the log is left as it was. The replacement is
+    /// crash-atomic for file-backed logs: the image is written to a
+    /// temporary file, fsynced, then renamed over the log.
     pub fn rewrite_with(
         &self,
-        image: impl FnOnce() -> StorageResult<Vec<LogRecord>>,
+        image: impl FnOnce(&mut dyn FnMut(LogRecord) -> StorageResult<()>) -> StorageResult<()>,
     ) -> StorageResult<usize> {
         let mut sink = self.sink.lock();
-        let records = image()?;
-        let count = records.len();
-        // The image's records continue the sequence numbering where the
-        // replaced history stopped: replicas that were caught up keep their
-        // watermarks, replicas that were behind are told to re-bootstrap.
-        let install_mirror = |records: Vec<LogRecord>| {
-            let mut mirror = self.mirror.lock();
-            mirror.base_seq += mirror.records.len() as u64;
-            mirror.image_len = records.len();
-            mirror.records = records;
+        let mut fresh = FrameIndex::new(Offsets::default(), 0, None);
+        let write_image = |out: &mut dyn Write| {
+            image(&mut |record| {
+                let encoded = Self::encode(&record);
+                write_frame(out, &encoded)?;
+                fresh.push(encoded.len() as u64 + 8);
+                Ok(())
+            })
         };
-        match &mut *sink {
-            Sink::Memory => {
-                install_mirror(records);
+        let count = match &mut *sink {
+            Sink::Memory(buf) => {
+                let mut bytes = Vec::new();
+                write_image(&mut bytes)?;
+                *buf = bytes;
+                let count = self.install(fresh);
                 self.signal_shippable();
+                count
             }
             Sink::File { w, appended_seq } => {
                 let path = self.path.as_ref().expect("file sink always has a path");
                 // Make sure nothing buffered is lost if the rename fails.
                 w.flush()?;
                 let tmp = path.with_extension("log.tmp");
-                let mut bytes = 0u64;
-                {
-                    let mut tw = BufWriter::new(File::create(&tmp)?);
-                    for r in &records {
-                        let encoded = Self::encode(r);
-                        write_frame(&mut tw, &encoded)?;
-                        bytes += encoded.len() as u64 + 8;
-                    }
-                    tw.flush()?;
-                    tw.get_ref().sync_data()?;
+                let written = File::create(&tmp)
+                    .map_err(StorageError::from)
+                    .and_then(|f| {
+                        let mut tw = BufWriter::new(f);
+                        write_image(&mut tw)?;
+                        tw.flush()?;
+                        tw.get_ref().sync_data()?;
+                        Ok(())
+                    });
+                if let Err(e) = written {
+                    let _ = std::fs::remove_file(&tmp);
+                    return Err(e);
                 }
                 std::fs::rename(&tmp, path)?;
                 // The rename is only durable once the directory entry is:
@@ -824,22 +918,36 @@ impl Wal {
                 // inode and lose every post-checkpoint commit.
                 fsync_dir(path)?;
                 self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                let mut file = OpenOptions::new().write(true).open(path)?;
-                use std::io::Seek;
-                file.seek(std::io::SeekFrom::End(0))?;
+                let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+                file.seek(SeekFrom::End(0))?;
+                fresh.file = Some(Arc::new(file.try_clone()?));
                 // appended_seq stays monotonic across rewrites so group-commit
                 // waiters from before the rewrite remain satisfied.
-                *appended_seq += count as u64;
+                *appended_seq += fresh.len() as u64;
                 let durable_through = *appended_seq;
                 *w = BufWriter::new(file);
-                self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-                install_mirror(records);
+                self.bytes_written.fetch_add(fresh.end, Ordering::Relaxed);
+                let count = self.install(fresh);
                 // The image was fsynced and renamed: everything it contains
                 // is durable, so the replication stream may serve it.
                 self.note_durable(durable_through);
+                count
             }
-        }
+        };
         Ok(count)
+    }
+
+    /// Makes `fresh`, the index of a just-written checkpoint image, the
+    /// log's index, and returns the image's record count. The image's
+    /// records continue the sequence numbering where the replaced history
+    /// stopped: replicas that were caught up keep their watermarks, replicas
+    /// that were behind are told to re-bootstrap.
+    fn install(&self, mut fresh: FrameIndex) -> usize {
+        let mut index = self.index.lock();
+        fresh.base_seq = index.base_seq + index.len() as u64;
+        fresh.image_len = fresh.len();
+        *index = fresh;
+        index.image_len
     }
 
     /// Identifies this incarnation of the log. Sequence numbers are only
@@ -866,8 +974,8 @@ impl Wal {
     /// (0 when nothing has been logged yet). Monotonic across checkpoint
     /// rewrites.
     pub fn last_seq(&self) -> u64 {
-        let mirror = self.mirror.lock();
-        mirror.base_seq + mirror.records.len() as u64 - 1
+        let index = self.index.lock();
+        index.base_seq + index.len() as u64 - 1
     }
 
     /// The highest sequence number the replication stream serves right now:
@@ -906,39 +1014,89 @@ impl Wal {
     ///
     /// On a `sync_on_commit` log, records past the last fsync are withheld:
     /// a replica never applies a commit the primary could still lose.
+    ///
+    /// This decodes [`Wal::read_replication_frames`]'s batch.
+    ///
+    /// # Panics
+    ///
+    /// If the log cannot read back or decode its own frames (an I/O error
+    /// on the log file, or a file changed behind the log's back).
     pub fn read_replication_batch(&self, from_seq: u64, max: usize) -> ReplicationBatch {
-        let mirror = self.mirror.lock();
-        let base = mirror.base_seq;
-        let next = base + mirror.records.len() as u64;
+        let frames = self
+            .read_replication_frames(from_seq, max)
+            .expect("the log reads back its own frames");
+        ReplicationBatch {
+            reset: frames.reset,
+            first_seq: frames.first_seq,
+            end_seq: frames.end_seq,
+            records: frames
+                .records
+                .iter()
+                .map(|payload| Self::decode(payload).expect("the log decodes its own frames"))
+                .collect(),
+        }
+    }
+
+    /// [`Wal::read_replication_batch`] without the decoding: the records
+    /// are the frame payloads exactly as the log holds them, which are the
+    /// bytes [`Wal::encode_record`] produces. This is what a primary ships.
+    ///
+    /// A log capped at its last fsync reads from the log file alone; any
+    /// other log reads under the append lock, because what it ships may
+    /// still sit in the file sink's buffer (flushed first) or is the
+    /// in-memory sink's buffer.
+    pub fn read_replication_frames(
+        &self,
+        from_seq: u64,
+        max: usize,
+    ) -> StorageResult<ReplicationBatch<Vec<u8>>> {
+        let mut sink = (!self.capped()).then(|| self.sink.lock());
+        if let Some(Sink::File { w, .. }) = sink.as_deref_mut() {
+            w.flush()?;
+        }
+        let index = self.index.lock();
+        let base = index.base_seq;
+        let next = base + index.len() as u64;
         let end = self.shippable(next - 1);
         let from = from_seq.max(1);
         let (reset, start) = if from < base || from > next {
             // The position was compacted away (or never existed here):
             // bootstrap from the image at the head of the log.
             (true, base)
-        } else if from == base && base > 1 && mirror.image_len > 0 {
+        } else if from == base && base > 1 && index.image_len > 0 {
             // Caught up through base-1: the image at [base, base+image_len)
             // re-describes state the replica already has — skip it. Only
             // valid when there *was* something before the image: on a log
             // re-anchored at seq 1 (promotion), "applied through 0" means
             // the replica has nothing of this epoch and needs the image.
-            (false, base + mirror.image_len as u64)
+            (false, base + index.image_len as u64)
         } else {
             (false, from)
         };
         let lo = (start - base) as usize;
-        let hi = mirror
-            .records
+        let hi = index
             .len()
             .min(lo.saturating_add(max))
             .min((end + 1).saturating_sub(base) as usize)
             .max(lo);
-        ReplicationBatch {
+        let (at, to) = (index.offset(lo), index.offset(hi));
+        let file = index.file.clone();
+        drop(index);
+        let bytes = match sink.as_deref() {
+            Some(Sink::Memory(buf)) => Cow::Borrowed(&buf[at as usize..to as usize]),
+            _ => {
+                let file = file.expect("a file log keeps a read handle");
+                let mut buf = vec![0; (to - at) as usize];
+                file.read_exact_at(&mut buf, at)?;
+                Cow::Owned(buf)
+            }
+        };
+        Ok(ReplicationBatch {
             reset,
             first_seq: start,
             end_seq: end,
-            records: mirror.records[lo..hi].to_vec(),
-        }
+            records: split_frames(&bytes, hi - lo)?,
+        })
     }
 
     /// Encodes one record into the byte form used both in log frames and on
@@ -1177,12 +1335,17 @@ impl Wal {
     /// torn tail without a backup and is handled the same way, with the
     /// loss surfaced by [`WalRecovery::torn_bytes`].
     pub fn read_log(path: &Path) -> StorageResult<WalRecovery> {
+        Ok(Self::scan_log(path)?.0)
+    }
+
+    /// [`Wal::read_log`], with the offset of every clean record's frame.
+    fn scan_log(path: &Path) -> StorageResult<(WalRecovery, Offsets)> {
         let mut file = File::open(path)?;
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
         let mut out = Vec::new();
+        let mut offsets = Offsets::default();
         let mut pos = 0usize;
-        let mut clean = 0usize;
         while pos + 8 <= data.len() {
             let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
             let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
@@ -1197,14 +1360,15 @@ impl Wal {
                 Some(r) => out.push(r),
                 None => break,
             }
+            offsets.push(pos as u64);
             pos += 8 + len;
-            clean = pos;
         }
-        Ok(WalRecovery {
+        let recovery = WalRecovery {
             records: out,
-            clean_bytes: clean as u64,
-            torn_bytes: (data.len() - clean) as u64,
-        })
+            clean_bytes: pos as u64,
+            torn_bytes: (data.len() - pos) as u64,
+        };
+        Ok((recovery, offsets))
     }
 
     /// Reads back every cleanly parseable record from a file-backed log,
@@ -1222,27 +1386,24 @@ impl Wal {
         Ok(recovery.records)
     }
 
-    /// Records appended so far (in-memory copy; reset by checkpoint
-    /// rewrites).
-    pub fn records(&self) -> Vec<LogRecord> {
-        self.mirror.lock().records.clone()
-    }
-
-    /// Locked view of the in-memory record mirror — no clone. Used by
-    /// recovery replay, which reads a potentially huge record list exactly
-    /// once. Nothing may append to the log while the guard is held.
-    pub(crate) fn records_locked(&self) -> parking_lot::MutexGuard<'_, Mirror> {
-        self.mirror.lock()
-    }
-
     /// Number of records in the current log.
     pub fn len(&self) -> usize {
-        self.mirror.lock().records.len()
+        self.index.lock().len()
     }
 
     /// Returns `true` if nothing has been logged.
     pub fn is_empty(&self) -> bool {
-        self.mirror.lock().records.is_empty()
+        self.len() == 0
+    }
+
+    /// Heap bytes the log holds per record it indexes.
+    #[cfg(test)]
+    pub(crate) fn index_bytes_per_record(&self) -> f64 {
+        let index = self.index.lock();
+        let offsets = &index.offsets;
+        let bytes = offsets.relative.capacity() * std::mem::size_of::<u32>()
+            + offsets.bases.capacity() * std::mem::size_of::<(usize, u64)>();
+        bytes as f64 / index.len().max(1) as f64
     }
 
     /// Total log volume in bytes ever appended, frames included (the
@@ -1281,11 +1442,29 @@ impl Wal {
 }
 
 /// Writes one checksummed frame: `len u32 | crc u32 | payload`.
-fn write_frame(w: &mut BufWriter<File>, payload: &[u8]) -> StorageResult<()> {
+fn write_frame(w: &mut dyn Write, payload: &[u8]) -> StorageResult<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&frame_checksum(payload).to_le_bytes())?;
     w.write_all(payload)?;
     Ok(())
+}
+
+/// The payloads of the `count` frames that `bytes` holds back to back. The
+/// frames were indexed when written, so anything else is corruption.
+fn split_frames(mut bytes: &[u8], count: usize) -> StorageResult<Vec<Vec<u8>>> {
+    let mut payloads = Vec::with_capacity(count);
+    while let Some(header) = bytes.get(..8) {
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let payload = bytes
+            .get(8..8 + len)
+            .ok_or_else(|| corrupt("a log frame runs past its indexed end"))?;
+        payloads.push(payload.to_vec());
+        bytes = &bytes[8 + len..];
+    }
+    if !bytes.is_empty() || payloads.len() != count {
+        return Err(corrupt("the log's frames do not match its index"));
+    }
+    Ok(payloads)
 }
 
 /// FNV-1a over the frame payload — cheap, and plenty to reject torn or
@@ -1413,7 +1592,8 @@ mod tests {
         wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
         assert_eq!(wal.len(), 3);
         assert!(wal.bytes_written() > 0);
-        assert!(matches!(wal.records()[2], LogRecord::Commit { .. }));
+        let records = wal.read_replication_batch(1, usize::MAX).records;
+        assert!(matches!(records[2], LogRecord::Commit { .. }));
     }
 
     #[test]
@@ -1477,8 +1657,9 @@ mod tests {
 
         // Opening for recovery truncates the tail and appends cleanly after.
         let (wal, recovery) = Wal::open_existing(&path, DurabilityConfig::SYNC_EACH).unwrap();
-        assert_eq!(recovery.record_count, records.len());
-        assert_eq!(wal.records(), records);
+        assert_eq!(recovery.records, records);
+        assert_eq!(recovery.torn_bytes, 6);
+        assert_eq!(wal.read_replication_batch(1, usize::MAX).records, records);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
         wal.append(LogRecord::Begin { txn: TxnId(77) }).unwrap();
         wal.append(LogRecord::Commit { txn: TxnId(77) }).unwrap();
@@ -1519,7 +1700,7 @@ mod tests {
         let dir = temp_dir("missing");
         let path = dir.join("wal.log");
         let (wal, recovery) = Wal::open_existing(&path, DurabilityConfig::GROUP_COMMIT).unwrap();
-        assert_eq!(recovery.record_count, 0);
+        assert!(recovery.records.is_empty());
         assert_eq!(recovery.torn_bytes, 0);
         wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
         wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
@@ -1579,9 +1760,21 @@ mod tests {
             },
             LogRecord::Checkpoint,
         ];
-        let n = wal.rewrite_with(|| Ok(image.clone())).unwrap();
+        let n = wal
+            .rewrite_with(|emit| image.iter().cloned().try_for_each(emit))
+            .unwrap();
         assert_eq!(n, 2);
-        assert_eq!(wal.records(), image);
+        let batch = wal.read_replication_batch(1, usize::MAX);
+        assert!(batch.reset);
+        assert_eq!(batch.records, image);
+        // An image that fails leaves the log, and its file, as they were.
+        let failed = wal.rewrite_with(|emit| {
+            emit(LogRecord::Checkpoint)?;
+            Err(StorageError::CheckpointBusy { active: 1 })
+        });
+        assert!(failed.is_err());
+        assert_eq!(wal.read_replication_batch(1, usize::MAX), batch);
+        assert!(!path.with_extension("log.tmp").exists());
         // Appends after the rewrite land after the image on disk.
         wal.append(LogRecord::Begin { txn: TxnId(9) }).unwrap();
         wal.append(LogRecord::Commit { txn: TxnId(9) }).unwrap();
@@ -1591,6 +1784,53 @@ mod tests {
         assert_eq!(parsed.records[..2], image[..]);
         assert_eq!(parsed.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_log_keeps_at_most_8_bytes_of_ram_per_record() {
+        let dir = temp_dir("footprint");
+        let wal = Wal::create(&dir.join("wal.log"), DurabilityConfig::NO_SYNC).unwrap();
+        let n = 100_000u64;
+        for i in 0..n {
+            wal.append(LogRecord::Insert {
+                txn: TxnId(i),
+                table: 1,
+                row: RowId {
+                    page: (i / 64) as u32,
+                    slot: (i % 64) as u16,
+                },
+                bytes: vec![i as u8; 40],
+            })
+            .unwrap();
+        }
+        let per_record = wal.index_bytes_per_record();
+        assert!(per_record <= 8.0, "{per_record} bytes of RAM per record");
+        let batch = wal.read_replication_batch(1, usize::MAX);
+        assert_eq!((batch.reset, batch.first_seq, batch.end_seq), (false, 1, n));
+        assert_eq!(batch.records.len(), n as usize);
+        for (i, r) in batch.records.iter().enumerate() {
+            assert!(matches!(r, LogRecord::Insert { txn, .. } if txn.0 == i as u64));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn offsets_past_4_gib_start_a_new_base() {
+        let at = [
+            0,
+            10,
+            u32::MAX as u64,
+            u32::MAX as u64 + 1,
+            5 << 32,
+            (5 << 32) + 7,
+        ];
+        let mut offsets = Offsets::default();
+        for a in at {
+            offsets.push(a);
+        }
+        let read: Vec<u64> = (0..at.len()).map(|i| offsets.get(i)).collect();
+        assert_eq!(read, at);
+        assert_eq!(offsets.bases.len(), 3);
     }
 
     /// Runs `advance` once a thread is parked in `wait_shippable(after)`,
@@ -1634,7 +1874,7 @@ mod tests {
         assert_eq!(wal.shippable_seq(), 2);
         // A checkpoint rewrite's fsync moves the horizon too.
         assert!(parked_wait_then(&wal, 2, || {
-            wal.rewrite_with(|| Ok(vec![LogRecord::Checkpoint]))
+            wal.rewrite_with(|emit| emit(LogRecord::Checkpoint))
                 .unwrap();
         }));
         assert_eq!(wal.shippable_seq(), 3);
