@@ -9,7 +9,56 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ifdb::prelude::*;
-use ifdb_bench::pr2::scan_hot_db;
+use ifdb::{TableDef, ViewSource};
+
+/// Builds the `scan_hot` database: `rows` tuples spread over
+/// `distinct_labels` single-tag labels (each tag a member of one compound),
+/// plus the declassifying view `AllData` that strips the compound. Returns
+/// the database and the filtered scan through the view.
+fn scan_hot_db(rows: i64, distinct_labels: usize) -> (Database, Select) {
+    let db = Database::new(ifdb::DatabaseConfig::in_memory().with_seed(2));
+    let service = db.create_principal("service", PrincipalKind::Service);
+    let owner = db.create_principal("owner", PrincipalKind::User);
+    let all_data = db.create_compound_tag(service, "all_data", &[]).unwrap();
+    let tags: Vec<TagId> = (0..distinct_labels)
+        .map(|i| {
+            db.create_tag(owner, &format!("group{i}"), &[all_data])
+                .unwrap()
+        })
+        .collect();
+    db.create_table(
+        TableDef::new("data")
+            .column("id", DataType::Int)
+            .column("grp", DataType::Int)
+            .column("val", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    for (g, tag) in tags.iter().enumerate() {
+        let mut s = db.session(owner);
+        s.add_secrecy(*tag).unwrap();
+        s.begin().unwrap();
+        let mut i = g as i64;
+        while i < rows {
+            s.insert(&Insert::new(
+                "data",
+                vec![Datum::Int(i), Datum::Int(g as i64), Datum::Int(i)],
+            ))
+            .unwrap();
+            i += distinct_labels as i64;
+        }
+        s.commit().unwrap();
+    }
+    db.create_declassifying_view(
+        service,
+        "AllData",
+        ViewSource::Select(Select::star("data")),
+        Label::singleton(all_data),
+    )
+    .unwrap();
+    let query = Select::star("AllData").filter(Predicate::Ge("val".into(), Datum::Int(rows / 2)));
+    (db, query)
+}
 
 fn bench_scan_hot(c: &mut Criterion) {
     let rows = 10_000;

@@ -1,43 +1,21 @@
-//! Experiment harnesses that regenerate every table and figure from the
+//! Experiment harnesses that regenerate the tables and figures of the
 //! paper's evaluation (Section 8), plus shared reporting helpers.
 //!
 //! Each experiment is a library function returning a serializable report; the
-//! binaries in `src/bin/` are thin wrappers so that `run_all_experiments` can
-//! execute everything in one go and `EXPERIMENTS.md` can cite a single
-//! command per figure.
+//! binaries in `src/bin/` are thin wrappers, one per figure, and
+//! `run_all_experiments` executes everything in one go. Reports are printed
+//! and written as JSON under `target/experiments/`.
 //!
 //! Absolute numbers depend on the host; the quantities of interest are the
 //! *ratios* between the IFDB and baseline configurations and the *trend*
-//! across tags-per-label, which is what the paper's figures show.
+//! across tags-per-label, which is what the paper's figures show. Performance
+//! claims about the system itself come from the `benchmark/` harness, not
+//! from this crate.
 
 pub mod experiments;
-pub mod gate;
-pub mod pr10;
-pub mod pr2;
-pub mod pr3;
-pub mod pr4;
-pub mod pr5;
-pub mod pr6;
-pub mod pr7;
-pub mod pr8;
 pub mod report;
 
 pub use experiments::{
     fig3_request_mix, fig4_web_throughput, fig5_request_latency, fig6_dbt2_labels,
     sensor_ingest_throughput, trusted_base_report, ExperimentScale,
 };
-pub use gate::{run_gate, GateOutcome};
-pub use pr10::{bench_pr10_report, measure_arm, measure_audit_append_rate, BenchPr10Report};
-pub use pr2::{bench_pr2_report, measure_indexed_range, measure_scan_hot, BenchPr2Report};
-pub use pr3::{
-    bench_pr3_report, measure_checkpoint_effect, measure_commit_throughput, measure_recovery,
-    measure_tpcc_durable, BenchPr3Report,
-};
-pub use pr4::{
-    bench_pr4_report, measure_comparison, measure_network_tpcc, measure_network_wips,
-    BenchPr4Report,
-};
-pub use pr5::{bench_pr5_report, BenchPr5Report};
-pub use pr6::{bench_pr6_report, BenchPr6Report};
-pub use pr7::{bench_pr7_report, BenchPr7Report};
-pub use pr8::{bench_pr8_report, measure_failover_drill, BenchPr8Report};

@@ -17,7 +17,7 @@ pub fn row(label: &str, value: impl std::fmt::Display) {
 }
 
 /// Directory where machine-readable experiment outputs are written.
-pub fn output_dir() -> PathBuf {
+fn output_dir() -> PathBuf {
     let dir = PathBuf::from("target").join("experiments");
     fs::create_dir_all(&dir).ok();
     dir

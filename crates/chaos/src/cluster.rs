@@ -4,9 +4,9 @@
 //! state** (principals, tags) even though authority is code-not-data and
 //! never travels over the replication stream: with the same authority seed
 //! and the same creation order, the ids come out identical — the recovery
-//! contract documented on `Database::replica_over`. This module centralizes
-//! that creation order so the primary fixture, every replica's bootstrap
-//! closure, and the child-process primary all agree.
+//! contract documented on `DatabaseBuilder::replica_over`. This module
+//! centralizes that creation order so the primary fixture, every replica's
+//! bootstrap closure, and the child-process primary all agree.
 //!
 //! The fixture is a deliberately tiny TPC-C database (seconds to load, real
 //! multi-row transactions) plus a `chaos_journal` table the invariant

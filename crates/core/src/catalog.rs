@@ -276,8 +276,8 @@ pub struct TableInfo {
     pub pk_index: Option<String>,
     /// Secondary indexes available to the planner.
     pub indexes: Vec<IndexSpec>,
-    /// Set for tables reconstructed by `Database::open` whose constraint
-    /// metadata (uniques, foreign keys, label constraints — code, not
+    /// Set for tables reconstructed by `DatabaseBuilder::recover` whose
+    /// constraint metadata (uniques, foreign keys, label constraints — code, not
     /// logged data) has not been re-attached yet. While set, writes to the
     /// table are refused; re-running the first-boot
     /// `Database::create_table` clears it.

@@ -42,12 +42,6 @@ pub struct DatabaseConfig {
     ///
     /// [`Session::set_execution_constraints`]: crate::session::Session::set_execution_constraints
     pub constraints: ExecutionConstraints,
-    /// Whether security-relevant audit events (declassify, delegate/revoke,
-    /// label raises, commit-label refusals, budget kills) are additionally
-    /// appended to the storage engine's tamper-evident, WAL-carried audit
-    /// chain. The in-memory [`AuditLog`] records regardless. On by default;
-    /// turned off only to measure the append overhead.
-    pub audit_chain: bool,
 }
 
 impl Default for DatabaseConfig {
@@ -59,7 +53,6 @@ impl Default for DatabaseConfig {
             authority_seed: None,
             durability: DurabilityConfig::default(),
             constraints: ExecutionConstraints::default(),
-            audit_chain: true,
         }
     }
 }
@@ -110,12 +103,6 @@ impl DatabaseConfig {
         self.constraints = constraints;
         self
     }
-
-    /// Enables or disables the durable (WAL-carried) audit chain.
-    pub fn with_audit_chain(mut self, enabled: bool) -> Self {
-        self.audit_chain = enabled;
-        self
-    }
 }
 
 pub(crate) struct DbInner {
@@ -127,9 +114,6 @@ pub(crate) struct DbInner {
     pub(crate) serializable: bool,
     /// Default execution budgets copied into every new session.
     pub(crate) constraints: ExecutionConstraints,
-    /// Whether chain-worthy audit events are appended to the WAL-carried
-    /// audit chain (the in-memory log always records).
-    pub(crate) audit_chain: bool,
     /// `true` when this handle serves a log-shipping replica: sessions are
     /// read-only (writes fail with [`IfdbError::ReadOnlyReplica`]) and data
     /// arrives exclusively through the replication apply loop.
@@ -152,12 +136,13 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Builder for [`Database`] handles: the single construction path behind
-/// which the historical constructors ([`Database::new`], [`Database::open`],
-/// [`Database::open_with_tables`], [`Database::replica_over`]) are thin
-/// wrappers. One fluent chain covers storage kind, durability, DIFC and
-/// serializable modes, the authority seed, QoS budgets, the audit chain,
-/// recovery (`recover`), first-boot DDL, and replica mode:
+/// Builder for [`Database`] handles: the single construction path
+/// ([`Database::new`] and [`Database::try_new`] are wrappers over
+/// [`config`](Self::config)). One fluent chain covers storage kind,
+/// durability, DIFC and serializable modes, the authority seed, QoS budgets,
+/// recovery ([`recover`](Self::recover)), first-boot DDL
+/// ([`first_boot_ddl`](Self::first_boot_ddl)), and replica mode
+/// ([`replica_over`](Self::replica_over)):
 ///
 /// ```
 /// use ifdb::prelude::*;
@@ -233,14 +218,32 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Enables or disables the durable (WAL-carried) audit chain.
-    pub fn audit_chain(mut self, enabled: bool) -> Self {
-        self.config.audit_chain = enabled;
-        self
-    }
-
-    /// Recovers an existing on-disk database (replays the write-ahead log)
-    /// instead of starting from a fresh log. Requires on-disk storage.
+    /// Recovers an existing on-disk database instead of starting from a
+    /// fresh log: the storage engine replays its write-ahead log
+    /// ([`StorageEngine::open`]), and the relational catalog is rebuilt from
+    /// the recovered schemas and indexes — the primary-key index is
+    /// recognized by its `{table}_pkey` naming convention. Requires on-disk
+    /// storage.
+    ///
+    /// Two kinds of state are *code*, not logged data, and must be
+    /// re-established by the application on every boot:
+    ///
+    /// * **Constraints and views** — re-run the first-boot DDL:
+    ///   [`Database::create_table`] with the same [`TableDef`] re-attaches
+    ///   uniques, foreign keys and label constraints to the recovered table
+    ///   (it keeps the existing rows and indexes), and
+    ///   `create_view`/`create_declassifying_view` re-register views. Until
+    ///   that happens, recovered tables are **read-only**: writes fail with
+    ///   [`IfdbError::ConstraintsPending`] rather than silently running
+    ///   without constraint or label-constraint enforcement.
+    ///   [`first_boot_ddl`](Self::first_boot_ddl) folds the re-run into the
+    ///   build, so the catalog is never observable with missing constraint
+    ///   metadata.
+    /// * **The DIFC authority state** — principals and tags are not
+    ///   persisted, but recovered tuples still carry their numeric tag ids.
+    ///   Recreate principals and tags in the same order with the same
+    ///   [`seed`](Self::seed) and the ids line up; without a fixed seed,
+    ///   relabeling is impossible and recovered labeled data is unreachable.
     pub fn recover(mut self) -> Self {
         self.recover = true;
         self
@@ -249,15 +252,28 @@ impl DatabaseBuilder {
     /// Runs the given table definitions through [`Database::create_table`]
     /// immediately after construction — on a fresh database this is the
     /// first-boot DDL; combined with [`recover`](Self::recover) it re-attaches
-    /// constraint metadata so recovered tables come back writable.
+    /// constraint metadata so the recovered tables it names come back
+    /// writable, while tables *not* named by any def stay read-only until
+    /// their DDL is re-run.
     pub fn first_boot_ddl(mut self, tables: impl IntoIterator<Item = TableDef>) -> Self {
         self.tables.extend(tables);
         self
     }
 
     /// Wraps `engine` as a **read-only replica** database instead of
-    /// creating storage from the configuration (see
-    /// [`Database::replica_over`] for the replication contract).
+    /// creating storage from the configuration: sessions opened from the
+    /// handle refuse writes with [`IfdbError::ReadOnlyReplica`], replica-local
+    /// transaction ids are moved into the reserved high range
+    /// ([`ifdb_storage::REPLICA_LOCAL_TXN_BASE`]) so they can never collide
+    /// with ids arriving on the replication stream, and data is expected to
+    /// arrive exclusively through
+    /// [`StorageEngine::apply_replicated`](ifdb_storage::engine::StorageEngine::apply_replicated).
+    ///
+    /// The DIFC authority state is *not* replicated (it is code, not logged
+    /// data — the same contract as [`recover`](Self::recover)): pass the
+    /// primary's authority [`seed`](Self::seed) and re-create principals and
+    /// tags in the same order so the numeric tag ids embedded in replicated
+    /// tuples line up, or label-faithful replica reads are impossible.
     pub fn replica_over(mut self, engine: StorageEngine) -> Self {
         self.replica_engine = Some(engine);
         self
@@ -315,17 +331,14 @@ impl DatabaseBuilder {
 }
 
 impl Database {
-    /// Starts a [`DatabaseBuilder`] — the preferred construction path; the
-    /// historical constructors are thin wrappers over it.
+    /// Starts a [`DatabaseBuilder`] — the one construction path.
     pub fn builder() -> DatabaseBuilder {
         DatabaseBuilder::default()
     }
 
     /// Creates a database with the given configuration. An on-disk database
-    /// created this way starts from a fresh log; use [`Database::open`] to
-    /// recover one from a previous run.
-    ///
-    /// Prefer [`Database::builder`] in new code.
+    /// created this way starts from a fresh log; use
+    /// [`DatabaseBuilder::recover`] to recover one from a previous run.
     ///
     /// Panics if the write-ahead log cannot be created (on-disk storage
     /// only) — a database configured for durability must never silently run
@@ -336,45 +349,12 @@ impl Database {
 
     /// Fallible form of [`Database::new`]: surfaces write-ahead-log creation
     /// errors (permissions, disk) instead of panicking.
-    ///
-    /// Prefer [`Database::builder`] in new code.
     pub fn try_new(config: DatabaseConfig) -> IfdbResult<Self> {
         Self::builder().config(config).build()
     }
 
-    /// Opens (recovers) an on-disk database: the storage engine replays its
-    /// write-ahead log ([`StorageEngine::open`]), and the relational catalog
-    /// is reconstructed from the recovered schemas and indexes — the
-    /// primary-key index is recognized by its `{table}_pkey` naming
-    /// convention.
-    ///
-    /// Two kinds of state are *code*, not logged data, and must be
-    /// re-established by the application after opening, exactly as on first
-    /// boot:
-    ///
-    /// * **Constraints and views** — re-run the first-boot DDL:
-    ///   [`Database::create_table`] with the same [`TableDef`] re-attaches
-    ///   uniques, foreign keys and label constraints to the recovered table
-    ///   (it keeps the existing rows and indexes), and
-    ///   `create_view`/`create_declassifying_view` re-register views. Until
-    ///   that happens, recovered tables are **read-only**: writes fail with
-    ///   [`IfdbError::ConstraintsPending`] rather than silently running
-    ///   without constraint or label-constraint enforcement.
-    ///   [`Database::open_with_tables`] folds the re-run into the open.
-    /// * **The DIFC authority state** — principals and tags are not
-    ///   persisted, but recovered tuples still carry their numeric tag ids.
-    ///   Recreate principals and tags in the same order with the same
-    ///   [`DatabaseConfig::with_seed`] seed and the ids line up; without a
-    ///   fixed seed, relabeling is impossible and recovered labeled data is
-    ///   unreachable.
-    ///
-    /// Fails unless `config.storage` is [`StorageKind::OnDisk`].
-    pub fn open(config: DatabaseConfig) -> IfdbResult<Self> {
-        Self::builder().config(config).recover().build()
-    }
-
     /// Rebuilds the relational catalog from the storage engine's live
-    /// schema, exactly as [`Database::open`] does after recovery: every
+    /// schema, exactly as [`DatabaseBuilder::recover`] does: every
     /// engine table gets a catalog entry, with the primary-key index
     /// recognized by the `{table}_pkey` naming convention. Tables whose
     /// catalog entry already matches (same id and schema) are left alone —
@@ -449,24 +429,6 @@ impl Database {
         Ok(())
     }
 
-    /// Opens (recovers) an on-disk database and immediately re-runs the
-    /// given first-boot table definitions ([`Database::create_table`] per
-    /// def), so the catalog is never observable with missing constraint
-    /// metadata: recovered tables named by a def come back with their
-    /// uniques, foreign keys and label constraints attached and writable;
-    /// tables *not* named by any def stay read-only until their DDL is
-    /// re-run.
-    pub fn open_with_tables(
-        config: DatabaseConfig,
-        tables: impl IntoIterator<Item = TableDef>,
-    ) -> IfdbResult<Self> {
-        Self::builder()
-            .config(config)
-            .recover()
-            .first_boot_ddl(tables)
-            .build()
-    }
-
     fn from_engine(engine: StorageEngine, config: DatabaseConfig) -> Self {
         let auth = match config.authority_seed {
             Some(seed) => AuthorityState::with_seed(seed),
@@ -481,32 +443,9 @@ impl Database {
                 difc_enabled: config.difc_enabled,
                 serializable: config.serializable,
                 constraints: config.constraints,
-                audit_chain: config.audit_chain,
                 read_only: std::sync::atomic::AtomicBool::new(false),
             }),
         }
-    }
-
-    /// Wraps an existing storage engine as a **read-only replica** database:
-    /// sessions opened from this handle refuse writes with
-    /// [`IfdbError::ReadOnlyReplica`], replica-local transaction ids are
-    /// moved into the reserved high range
-    /// ([`ifdb_storage::REPLICA_LOCAL_TXN_BASE`]) so they can never collide
-    /// with ids arriving on the replication stream, and data is expected to
-    /// arrive exclusively through
-    /// [`StorageEngine::apply_replicated`](ifdb_storage::engine::StorageEngine::apply_replicated).
-    ///
-    /// The DIFC authority state is *not* replicated (it is code, not logged
-    /// data — the same contract as [`Database::open`]): pass the primary's
-    /// `authority_seed` in `config` and re-create principals and tags in the
-    /// same order so the numeric tag ids embedded in replicated tuples line
-    /// up, or label-faithful replica reads are impossible.
-    pub fn replica_over(engine: StorageEngine, config: DatabaseConfig) -> Self {
-        Self::builder()
-            .config(config)
-            .replica_over(engine)
-            .build()
-            .expect("a replica without recovery or DDL always builds")
     }
 
     /// Returns `true` when this handle serves a read-only replica.
@@ -535,9 +474,9 @@ impl Database {
     }
 
     /// Checkpoints the storage engine: compacts the write-ahead log into a
-    /// consistent snapshot image so that a later [`Database::open`] replays
-    /// O(live data) records. Requires a quiescent engine (no open
-    /// transactions); see
+    /// consistent snapshot image so that a later recovery
+    /// ([`DatabaseBuilder::recover`]) replays O(live data) records. Requires
+    /// a quiescent engine (no open transactions); see
     /// [`StorageEngine::checkpoint`](ifdb_storage::engine::StorageEngine::checkpoint).
     pub fn checkpoint(&self) -> IfdbResult<usize> {
         Ok(self.inner.engine.checkpoint()?)
@@ -625,7 +564,7 @@ impl Database {
                 | AuditEvent::CommitRefused { .. }
                 | AuditEvent::BudgetKill { .. }
         );
-        if chain_worthy && self.inner.audit_chain && !self.is_read_only() {
+        if chain_worthy && !self.is_read_only() {
             // The append is ordered in the log before we acknowledge the
             // event; a failure (disk) is surfaced to the in-memory log via
             // the event still being recorded below, but cannot be returned
@@ -708,13 +647,13 @@ impl Database {
     /// primary-key index when a primary key is declared.
     ///
     /// Re-running the same definition against a table recovered by
-    /// [`Database::open`] is the supported way to restore constraint
-    /// metadata (uniques, foreign keys, label constraints), which is code
-    /// rather than logged data: when the named table already exists with an
-    /// identical column list, the existing table and its rows are kept,
-    /// missing indexes are created, and the constraint metadata from `def`
-    /// is (re)attached. A same-named table with a *different* column list
-    /// is an error.
+    /// [`DatabaseBuilder::recover`] is the supported way to restore
+    /// constraint metadata (uniques, foreign keys, label constraints), which
+    /// is code rather than logged data: when the named table already exists
+    /// with an identical column list, the existing table and its rows are
+    /// kept, missing indexes are created, and the constraint metadata from
+    /// `def` is (re)attached. A same-named table with a *different* column
+    /// list is an error.
     pub fn create_table(&self, def: TableDef) -> IfdbResult<()> {
         let schema = TableSchema::new(&def.name, def.columns.clone());
         // Validate constraint columns exist before touching storage.
@@ -1006,7 +945,11 @@ mod tests {
                 .unwrap();
         }
         {
-            let db = Database::open(config.clone()).unwrap();
+            let db = Database::builder()
+                .config(config.clone())
+                .recover()
+                .build()
+                .unwrap();
             let mut s = db.anonymous_session();
             // Reads work, but writes are refused until the first-boot DDL
             // re-attaches the constraint metadata.
@@ -1043,8 +986,13 @@ mod tests {
                 2
             );
         }
-        // open_with_tables folds the DDL re-run into the open.
-        let db = Database::open_with_tables(config, [notes, kids]).unwrap();
+        // First-boot DDL folds the re-run into the recovery.
+        let db = Database::builder()
+            .config(config)
+            .recover()
+            .first_boot_ddl([notes, kids])
+            .build()
+            .unwrap();
         let mut s = db.anonymous_session();
         assert!(s.select(&Select::star("notes")).unwrap().is_empty());
         s.insert(&Insert::new("notes", vec![Datum::Int(3), Datum::from("c")]))
@@ -1088,7 +1036,11 @@ mod tests {
             // Dropped without shutdown: group commit already made each
             // implicit transaction durable.
         }
-        let db = Database::open(config).unwrap();
+        let db = Database::builder()
+            .config(config)
+            .recover()
+            .build()
+            .unwrap();
         // Catalog: table, pk and secondary index all reconstructed.
         let catalog = db.inner.catalog.read();
         let info = catalog.table("notes").unwrap();
@@ -1108,5 +1060,52 @@ mod tests {
         assert_eq!(s.select(&Select::star("notes")).unwrap().len(), 5);
         assert!(db.engine().stats().recovery_replayed_records > 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The audit chain records label operations, not transactions: commits
+    /// that change no label append nothing to it, however many there are,
+    /// so the chain costs a workload nothing per commit. Each label
+    /// operation appends exactly one link.
+    #[test]
+    fn plain_commits_append_no_audit_records() {
+        use crate::query::{Delete, Insert, Predicate, Select, Update};
+        use ifdb_storage::Datum;
+
+        let db = Database::builder().seed(0xA0D1).build().unwrap();
+        let alice = db.create_principal("alice", PrincipalKind::User);
+        let tag = db.create_tag(alice, "alice_data", &[]).unwrap();
+        db.create_table(
+            TableDef::new("notes")
+                .column("id", DataType::Int)
+                .column("body", DataType::Text)
+                .primary_key(&["id"]),
+        )
+        .unwrap();
+        let mut s = db.session(alice);
+        s.add_secrecy(tag).unwrap();
+        let chained = db.replay_audit().len();
+        assert_eq!(chained, 1, "the raise is chained");
+        let wal_before = db.engine().wal().last_seq();
+
+        for i in 0..200 {
+            let body = Datum::Text(format!("note {i}"));
+            s.insert(&Insert::new("notes", vec![Datum::Int(i), body]))
+                .unwrap();
+        }
+        s.begin().unwrap();
+        let id_lt_50 = Predicate::Lt("id".into(), Datum::Int(50));
+        let set = vec![("body", Datum::from("edited"))];
+        s.update(&Update::new("notes", id_lt_50, set)).unwrap();
+        let id_ge_150 = Predicate::Ge("id".into(), Datum::Int(150));
+        s.delete(&Delete::new("notes", id_ge_150)).unwrap();
+        s.commit().unwrap();
+        assert_eq!(s.select(&Select::star("notes")).unwrap().len(), 150);
+
+        assert!(db.engine().wal().last_seq() > wal_before, "commits logged");
+        assert_eq!(db.replay_audit().len(), chained, "commits chain nothing");
+
+        s.declassify(tag).unwrap();
+        assert_eq!(db.replay_audit().len(), chained + 1);
+        db.verify_audit_chain().unwrap();
     }
 }

@@ -81,8 +81,8 @@ pub enum IfdbError {
         /// Explanation of what was expected.
         detail: String,
     },
-    /// A write to a table recovered by `Database::open` whose first-boot DDL
-    /// has not been re-run yet. Constraint metadata (uniques, foreign keys,
+    /// A write to a table recovered by `DatabaseBuilder::recover` whose
+    /// first-boot DDL has not been re-run yet. Constraint metadata (uniques, foreign keys,
     /// label constraints) is code, not logged data, so writes are refused —
     /// rather than silently running unconstrained — until
     /// `Database::create_table` re-attaches it.

@@ -86,8 +86,8 @@ fn col_index(columns: &[String], name: &str) -> IfdbResult<usize> {
         .ok_or_else(|| IfdbError::UnknownColumn(name.to_string()))
 }
 
-/// Refuses writes to a table recovered by `Database::open` whose first-boot
-/// DDL has not been re-run: its uniques, foreign keys and label constraints
+/// Refuses writes to a table recovered by `DatabaseBuilder::recover` whose
+/// first-boot DDL has not been re-run: its uniques, foreign keys and label constraints
 /// are not attached, and writing without them would bypass enforcement
 /// silently.
 fn check_constraints_attached(info: &TableInfo) -> IfdbResult<()> {

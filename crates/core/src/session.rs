@@ -440,9 +440,10 @@ impl Session {
     ///
     /// On a database configured with `sync_on_commit` durability, a
     /// successful return additionally means the transaction's log records
-    /// are on the device and will survive [`Database::open`] after a crash;
-    /// under group commit the fsync may have been performed by a concurrent
-    /// session's commit.
+    /// are on the device and will survive recovery
+    /// ([`crate::DatabaseBuilder::recover`]) after a crash; under group
+    /// commit the fsync may have been performed by a concurrent session's
+    /// commit.
     pub fn commit(&mut self) -> IfdbResult<()> {
         let state = self
             .txn

@@ -10,8 +10,8 @@
 //! each of several reader labels, every query must then return the same
 //! rows, in the same order, with the same labels, from both databases — on
 //! the heap walk, through the declassifying view, under label predicates,
-//! on every index path, after `Database::open` recovery (with and without a
-//! checkpoint) and on a log-shipping replica.
+//! on every index path, after recovery (`DatabaseBuilder::recover`, with
+//! and without a checkpoint) and on a log-shipping replica.
 
 use std::path::{Path, PathBuf};
 

@@ -17,17 +17,18 @@
 //!   from the watermark — the applier skips records it already holds, so
 //!   overlap after a torn connection is harmless);
 //! * the **read front end** is a stock `ifdb-server` over the same
-//!   database, marked read-only ([`Database::replica_over`]): every
-//!   connection gets a real DIFC [`ifdb::Session`], so Query by Label,
-//!   declassifying views, and the commit-label rule are enforced on the
-//!   replica *exactly* as on the primary — the paper's guarantees do not
-//!   weaken on a follower. Writes are refused with `READ_ONLY`.
+//!   database, marked read-only ([`ifdb::DatabaseBuilder::replica_over`]):
+//!   every connection gets a real DIFC [`ifdb::Session`], so Query by
+//!   Label, declassifying views, and the commit-label rule are enforced on
+//!   the replica *exactly* as on the primary — the paper's guarantees do
+//!   not weaken on a follower. Writes are refused with `READ_ONLY`.
 //!
 //! The DIFC authority state and the catalog's constraint/view metadata are
-//! code, not logged data (the same contract as [`Database::open`] after a
-//! crash): the caller's `bootstrap` closure re-creates principals, tags and
-//! views — with the same `authority_seed` and creation order as the
-//! primary, so the numeric tag ids embedded in replicated tuples line up.
+//! code, not logged data (the same contract as
+//! [`ifdb::DatabaseBuilder::recover`] after a crash): the caller's
+//! `bootstrap` closure re-creates principals, tags and views — with the
+//! same `authority_seed` and creation order as the primary, so the numeric
+//! tag ids embedded in replicated tuples line up.
 
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-use ifdb::{Database, DatabaseConfig, IfdbError, IfdbResult, TableDef};
+use ifdb::{Database, IfdbError, IfdbResult, TableDef};
 use ifdb_client::protocol::{read_frame_id, write_frame_id, Request, Response};
 use ifdb_platform::Authenticator;
 use ifdb_storage::{ReplicaApplier, StorageEngine, Wal};
@@ -72,7 +73,7 @@ pub struct ReplicaConfig {
     /// logged data: tables arriving over the replication stream carry
     /// `constraints_pending` and are read-only. Re-running the same
     /// [`TableDef`]s re-attaches the constraints to the replicated rows
-    /// (exactly the `Database::open` recovery contract), which is what
+    /// (exactly the `DatabaseBuilder::recover` contract), which is what
     /// lifts the promoted node's tables into writability. Tables not named
     /// here stay read-only after promotion.
     pub first_boot_tables: Vec<TableDef>,
@@ -427,10 +428,10 @@ pub fn start_replica(
     auth: Arc<Authenticator>,
     bootstrap: impl FnOnce(&Database) -> IfdbResult<()>,
 ) -> IfdbResult<ReplicaHandle> {
-    let db = Database::replica_over(
-        StorageEngine::in_memory(),
-        DatabaseConfig::in_memory().with_seed(config.seed),
-    );
+    let db = Database::builder()
+        .seed(config.seed)
+        .replica_over(StorageEngine::in_memory())
+        .build()?;
     bootstrap(&db)?;
 
     let shared = Arc::new(ReplicaShared::new(&config.primary_addr));

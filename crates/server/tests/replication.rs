@@ -98,8 +98,8 @@ fn messages_def() -> TableDef {
 
 /// Creates the DIFC state on a database. Run with the same seed and in the
 /// same order on primary and replica, the returned ids are identical —
-/// exactly the recovery contract documented on [`Database::open`] and
-/// [`Database::replica_over`].
+/// exactly the contract documented on `DatabaseBuilder::recover` and
+/// `DatabaseBuilder::replica_over`.
 fn setup_principals_and_views(db: &Database) -> Difc {
     let alice = db.create_principal("alice", PrincipalKind::User);
     let bob = db.create_principal("bob", PrincipalKind::User);

@@ -347,14 +347,15 @@ fn participant_restart_keeps_prepared_txn_in_doubt() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let s0 = start_shard();
-    let db1 = Database::open_with_tables(
-        DatabaseConfig::on_disk(dir.clone(), 64),
-        [TableDef::new("accounts")
+    let db1 = Database::builder()
+        .on_disk(dir.clone(), 64)
+        .recover()
+        .first_boot_ddl([TableDef::new("accounts")
             .column("id", DataType::Int)
             .column("note", DataType::Text)
-            .primary_key(&["id"])],
-    )
-    .unwrap();
+            .primary_key(&["id"])])
+        .build()
+        .unwrap();
     let s1 = start(db1, Arc::new(Authenticator::new()), ServerConfig::default()).unwrap();
 
     let gid = 0xBEEF;
@@ -374,7 +375,11 @@ fn participant_restart_keeps_prepared_txn_in_doubt() {
 
     // Shard 1 restarts from its log: the prepared transaction is back, in
     // doubt, its effects invisible.
-    let db1 = Database::open(DatabaseConfig::on_disk(dir.clone(), 64)).unwrap();
+    let db1 = Database::builder()
+        .on_disk(dir.clone(), 64)
+        .recover()
+        .build()
+        .unwrap();
     let s1 = start(db1, Arc::new(Authenticator::new()), ServerConfig::default()).unwrap();
     assert_eq!(in_doubt_gids(&s1), vec![gid]);
     assert_eq!(count_rows(&s1), 0);

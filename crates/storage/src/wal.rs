@@ -16,8 +16,8 @@
 //!   returning. Durable, but each committer pays a full device flush.
 //! * **group commit** — committers enqueue; one of them becomes the *leader*,
 //!   performs a single flush+fsync covering every record appended so far, and
-//!   wakes the others. N concurrent committers share one fsync, which is
-//!   where the ≥2× commit-throughput win of `bench_pr3` comes from.
+//!   wakes the others. N concurrent committers share one fsync instead of
+//!   paying one each.
 //!
 //! # Replication stream
 //!
@@ -116,15 +116,6 @@ pub struct DurabilityConfig {
     /// (reclaiming tuple versions no snapshot can see), so long-running
     /// servers do not accumulate dead versions until an operator intervenes.
     pub vacuum_every_commits: Option<u64>,
-    /// Extra latency added to every commit-path fsync, emulating a slower
-    /// stable medium. The log holds the sink lock for the extra time, exactly
-    /// as it would be held by a device whose stable write takes that long, so
-    /// serialization and group-commit batching behave as on real hardware.
-    /// Benchmarks use this on hosts whose virtualized disks acknowledge
-    /// `fdatasync` from a volatile cache in ~0.1 ms — faster than any durable
-    /// medium — which would otherwise hide the durability-latency effects
-    /// under measurement. `Duration::ZERO` (the default) adds nothing.
-    pub sync_latency: Duration,
 }
 
 impl Default for DurabilityConfig {
@@ -140,7 +131,6 @@ impl DurabilityConfig {
         group_commit: false,
         checkpoint_every_commits: None,
         vacuum_every_commits: None,
-        sync_latency: Duration::ZERO,
     };
 
     /// Every commit pays its own flush+fsync.
@@ -149,7 +139,6 @@ impl DurabilityConfig {
         group_commit: false,
         checkpoint_every_commits: None,
         vacuum_every_commits: None,
-        sync_latency: Duration::ZERO,
     };
 
     /// Commits are durable and concurrent committers share fsyncs.
@@ -158,7 +147,6 @@ impl DurabilityConfig {
         group_commit: true,
         checkpoint_every_commits: None,
         vacuum_every_commits: None,
-        sync_latency: Duration::ZERO,
     };
 
     /// Adds a periodic-checkpoint policy: the engine checkpoints after every
@@ -175,13 +163,6 @@ impl DurabilityConfig {
     /// [`crate::engine::StorageEngine::vacuum`] manually.
     pub fn with_vacuum_every(mut self, commits: u64) -> Self {
         self.vacuum_every_commits = Some(commits);
-        self
-    }
-
-    /// Emulates a stable medium whose durable write takes `latency` on top
-    /// of the real fsync (see [`DurabilityConfig::sync_latency`]).
-    pub const fn with_sync_latency(mut self, latency: Duration) -> Self {
-        self.sync_latency = latency;
         self
     }
 }
@@ -454,7 +435,6 @@ pub struct Wal {
     bytes_written: AtomicU64,
     sync_on_commit: bool,
     group_commit: bool,
-    sync_latency: Duration,
     group: StdMutex<GroupState>,
     group_cvar: Condvar,
     /// Threads parked in [`Wal::wait_shippable`]; signalled through
@@ -463,11 +443,6 @@ pub struct Wal {
     /// may read the horizon (which takes those two) while holding it.
     ship_waiters: StdMutex<usize>,
     ship_cvar: Condvar,
-    /// Serializes commit-path flushes when `sync_latency` emulates a slow
-    /// device: flushes queue on the device's one flush channel while
-    /// buffered appends proceed, as on real hardware. Unused (never
-    /// contended) at zero latency.
-    sync_gate: StdMutex<()>,
     fsyncs: AtomicU64,
     commits_batched: AtomicU64,
     /// Identifies this incarnation of the log for replication: a replica
@@ -542,7 +517,6 @@ impl Wal {
             path,
             sync_on_commit: durability.sync_on_commit,
             group_commit: durability.group_commit,
-            sync_latency: durability.sync_latency,
             group: StdMutex::new(GroupState {
                 durable_seq: durable,
                 flushing: false,
@@ -550,7 +524,6 @@ impl Wal {
             group_cvar: Condvar::new(),
             ship_waiters: StdMutex::new(0),
             ship_cvar: Condvar::new(),
-            sync_gate: StdMutex::new(()),
             fsyncs: AtomicU64::new(0),
             commits_batched: AtomicU64::new(0),
             epoch: new_epoch(),
@@ -695,7 +668,6 @@ impl Wal {
         );
         let mut my_seq = 0u64;
         let mut synced_seq = 0u64;
-        let mut gated_sync = false;
         {
             // The frame is indexed while the sink lock is still held, so
             // the index always describes the sink's bytes (lock order
@@ -706,22 +678,12 @@ impl Wal {
                 *appended_seq += 1;
                 my_seq = *appended_seq;
                 if is_commit && self.sync_on_commit && !self.group_commit {
-                    if self.sync_latency.is_zero() {
-                        // Sync-per-commit: pay the flush while holding the
-                        // sink lock, fully serializing committers.
-                        w.flush()?;
-                        w.get_ref().sync_data()?;
-                        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        synced_seq = my_seq;
-                    } else {
-                        // Emulated slow device: flush outside the sink lock
-                        // behind the flush gate, so commits serialize on the
-                        // device's flush channel while other sessions'
-                        // buffered appends proceed — a sleeping committer
-                        // must not convoy every append the way no real disk
-                        // would.
-                        gated_sync = true;
-                    }
+                    // Sync-per-commit: pay the flush while holding the sink
+                    // lock, fully serializing committers.
+                    w.flush()?;
+                    w.get_ref().sync_data()?;
+                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                    synced_seq = my_seq;
                 }
             }
             self.index.lock().push(encoded.len() as u64 + 8);
@@ -733,25 +695,10 @@ impl Wal {
             // indexed.
             self.signal_shippable();
         }
-        if gated_sync && my_seq > 0 {
-            // Every sync-each commit pays its own stable write, queued on
-            // the emulated device's flush channel.
-            let _gate = self.sync_gate.lock().expect("sync gate poisoned");
-            self.flush_and_sync()?;
-        }
         if is_commit && self.sync_on_commit && self.group_commit && my_seq > 0 {
             self.group_commit_wait(my_seq)?;
         }
         Ok(())
-    }
-
-    /// Sleeps out the configured [`DurabilityConfig::sync_latency`], called
-    /// with the sink lock held right after a real fsync so the emulated slow
-    /// medium serializes committers exactly as a real one would.
-    fn emulate_sync_latency(&self) {
-        if !self.sync_latency.is_zero() {
-            std::thread::sleep(self.sync_latency);
-        }
     }
 
     /// Records that every sequence number up to `seq` has reached the
@@ -850,10 +797,6 @@ impl Wal {
                 0
             }
         };
-        // The emulated stable write completes (and the records only count
-        // as durable) after the device's latency elapses; the sink lock is
-        // already released, so appends proceed meanwhile.
-        self.emulate_sync_latency();
         if covered > 0 {
             self.note_durable(covered);
         }

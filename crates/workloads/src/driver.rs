@@ -366,7 +366,11 @@ mod tests {
         // Every committed transaction is durable: reopening the database
         // replays the full run and recovers the TPC-C tables.
         drop(tpcc);
-        let reopened = ifdb::Database::open(config).unwrap();
+        let reopened = ifdb::Database::builder()
+            .config(config)
+            .recover()
+            .build()
+            .unwrap();
         assert!(reopened.engine().stats().recovery_replayed_records > 0);
         assert!(reopened.engine().table_by_name("warehouse").is_ok());
         std::fs::remove_dir_all(&dir).ok();

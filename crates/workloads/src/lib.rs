@@ -11,21 +11,16 @@
 //!   ([`driver::TpccDriver`]) and a network driver
 //!   ([`driver::run_network_tpcc`]) whose terminals are independent
 //!   `ifdb-client` connections to an `ifdb-server`.
-//! * [`readscale`] — the multi-replica read-scaling driver: closed-loop
-//!   labeled reads spread across a primary and its log-shipping replicas,
-//!   measuring WIPS vs replica count for `BENCH_pr5.json`.
 //! * [`sharded`] — multi-warehouse TPC-C over range-partitioned primary
 //!   shards: per-shard loaders, the warehouse shard map, and a closed-loop
 //!   driver whose terminals are shard-aware routers (single-warehouse
 //!   transactions on the fast path, remote-supplier new-orders via
-//!   two-phase commit), measuring NOTPM vs shard count for
-//!   `BENCH_pr7.json`.
+//!   two-phase commit), measuring NOTPM across the cluster.
 //!
 //! The CarTel web workload (Figure 3 mix, TPC-W think times) lives in
 //! `ifdb-cartel::scripts::figure3_mix` and `ifdb-platform::httpsim`.
 
 pub mod driver;
-pub mod readscale;
 pub mod rng;
 pub mod sharded;
 pub mod tpcc;
@@ -34,7 +29,6 @@ pub use driver::{
     run_network_tpcc, DriverOutcome, NetworkDriverOutcome, NetworkTpccConfig, TpccDriver,
     TpccDriverConfig,
 };
-pub use readscale::{run_read_scale, ReadScaleConfig, ReadScaleOutcome};
 pub use sharded::{
     load_shard, run_sharded_tpcc, tpcc_shard_map, ShardedDriverOutcome, ShardedTpccConfig,
 };

@@ -781,7 +781,7 @@ fn commit_with_label<S: SessionApi>(s: &mut S) -> IfdbResult<()> {
 
 /// The nine TPC-C table definitions. Besides first-boot creation
 /// ([`create_schema`]), this is the DDL a recovered or promoted node
-/// re-runs to re-attach constraints — see `Database::open` and
+/// re-runs to re-attach constraints — see `DatabaseBuilder::recover` and
 /// `ReplicaConfig::first_boot_tables` for that contract.
 pub fn table_defs() -> Vec<TableDef> {
     vec![

@@ -200,7 +200,12 @@ fn sixteen_connection_stress_with_kills_and_reopen() {
     // Post-stress reopen: every acknowledged row survived, no doomed row
     // did. The tag is re-created against the same seed so ids line up.
     drop(db);
-    let reopened = Database::open_with_tables(db_config, [items_table()]).unwrap();
+    let reopened = Database::builder()
+        .config(db_config)
+        .recover()
+        .first_boot_ddl([items_table()])
+        .build()
+        .unwrap();
     let writer_principal = reopened.create_principal("writer", PrincipalKind::User);
     let tag = reopened
         .create_tag(writer_principal, "stress_secret", &[])
