@@ -411,7 +411,6 @@ impl Session {
 
         // Tuples reached through an index are decided one by one.
         let mut by_row = |rid: RowId, tuple: TupleRef<'_>| visit(rid, None, tuple);
-        let by_id = |entries: Vec<(Vec<Datum>, RowId)>| entries.into_iter().map(|(_, rid)| rid);
         let scanned = match &plan.access {
             AccessPath::FullScan => engine.visit_visible(&snapshot, table_id, &mut visit),
             AccessPath::IndexEq { index, key } => {
@@ -419,12 +418,11 @@ impl Session {
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
             AccessPath::IndexPrefix { index, prefix } => {
-                let rows = by_id(engine.index_prefix(table_id, index, prefix)?);
+                let rows = engine.index_prefix(table_id, index, prefix)?;
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
             AccessPath::IndexRange { index, low, high } => {
-                let rows =
-                    by_id(engine.index_range(table_id, index, low.as_ref(), high.as_ref())?);
+                let rows = engine.index_range(table_id, index, low.as_deref(), high.as_deref())?;
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
         };
@@ -956,7 +954,7 @@ impl Session {
                 .db
                 .inner
                 .engine
-                .index_lookup(ref_info.id, index_name, &key.to_vec())?;
+                .index_lookup(ref_info.id, index_name, key)?;
             for rid in rows {
                 if let Some(v) = self
                     .db

@@ -1393,6 +1393,13 @@ fn indexed_range_query_avoids_full_scan() {
         "a bounded primary-key range must use the index"
     );
     assert!(after.index_range_scans > before.index_range_scans);
+    // Bounds that cross select nothing through the index.
+    let crossed = Predicate::Ge("id".into(), Datum::Int(120))
+        .and(Predicate::Le("id".into(), Datum::Int(100)));
+    assert!(s
+        .select(&Select::star("D").filter(crossed))
+        .unwrap()
+        .is_empty());
 }
 
 #[test]

@@ -19,7 +19,7 @@ use crate::audit::{AuditChain, AuditChainRecord};
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::heap::{RowId, TableHeap};
-use crate::index::{IndexKey, OrderedIndex};
+use crate::index::{encode_key, OrderedIndex};
 use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN};
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
@@ -56,6 +56,13 @@ struct IndexEntry {
     index: OrderedIndex,
 }
 
+impl IndexEntry {
+    /// This index's key for a version whose fields are `values`.
+    fn key_of(&self, values: &[Datum]) -> Vec<u8> {
+        encode_key(self.columns.iter().map(|c| &values[*c]))
+    }
+}
+
 /// A table: schema, heap, and secondary indexes.
 pub struct Table {
     id: TableId,
@@ -80,8 +87,11 @@ impl Table {
         &self.heap
     }
 
-    fn index_key(&self, columns: &[usize], values: &[Datum]) -> IndexKey {
-        columns.iter().map(|c| values[*c].clone()).collect()
+    /// Records `row`, a version whose fields are `values`, in every index.
+    fn index_row(&self, values: &[Datum], row: RowId) {
+        for entry in self.indexes.read().iter() {
+            entry.index.insert(&entry.key_of(values), row);
+        }
     }
 }
 
@@ -403,10 +413,7 @@ impl StorageEngine {
                     let t = self.table(TableId(*table))?;
                     let version = TupleVersion::decode(bytes)?;
                     let new_row = t.heap.insert(&version)?;
-                    for entry in t.indexes.read().iter() {
-                        let key = t.index_key(&entry.columns, &version.data);
-                        entry.index.insert(key, new_row);
-                    }
+                    t.index_row(&version.data, new_row);
                     remapped |= new_row != *row;
                     row_map.insert((*table, *row), new_row);
                 }
@@ -578,17 +585,16 @@ impl StorageEngine {
         if indexes.iter().any(|e| e.name == name) {
             return Err(StorageError::DuplicateIndex(name.to_string()));
         }
-        let index = OrderedIndex::new();
-        t.heap.scan(|row, version| {
-            let key = t.index_key(&col_idx, &version.data);
-            index.insert(key, row);
-            true
-        })?;
-        indexes.push(IndexEntry {
+        let entry = IndexEntry {
             name: name.to_string(),
             columns: col_idx,
-            index,
-        });
+            index: OrderedIndex::new(),
+        };
+        t.heap.scan(|row, version| {
+            entry.index.insert(&entry.key_of(&version.data), row);
+            true
+        })?;
+        indexes.push(entry);
         Ok(())
     }
 
@@ -978,10 +984,7 @@ impl StorageEngine {
             row,
             bytes: version.encode(),
         })?;
-        for entry in t.indexes.read().iter() {
-            let key = t.index_key(&entry.columns, &version.data);
-            entry.index.insert(key, row);
-        }
+        t.index_row(&version.data, row);
         self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
         Ok(row)
     }
@@ -1150,52 +1153,51 @@ impl StorageEngine {
         &self,
         table: TableId,
         index: &str,
-        key: &IndexKey,
+        key: &[Datum],
     ) -> StorageResult<Vec<RowId>> {
-        let t = self.table(table)?;
         self.index_point_lookups.fetch_add(1, Ordering::Relaxed);
-        let indexes = t.indexes.read();
-        let entry = indexes
-            .iter()
-            .find(|e| e.name == index)
-            .ok_or_else(|| StorageError::UnknownIndex(index.to_string()))?;
-        Ok(entry.index.get(key))
+        self.with_index(table, index, |i| i.get(key))
     }
 
-    /// Range lookup through the named index (inclusive bounds).
+    /// Range lookup through the named index (inclusive bounds), in key
+    /// order.
     pub fn index_range(
         &self,
         table: TableId,
         index: &str,
-        low: Option<&IndexKey>,
-        high: Option<&IndexKey>,
-    ) -> StorageResult<Vec<(IndexKey, RowId)>> {
-        let t = self.table(table)?;
+        low: Option<&[Datum]>,
+        high: Option<&[Datum]>,
+    ) -> StorageResult<Vec<RowId>> {
         self.index_range_scans.fetch_add(1, Ordering::Relaxed);
-        let indexes = t.indexes.read();
-        let entry = indexes
-            .iter()
-            .find(|e| e.name == index)
-            .ok_or_else(|| StorageError::UnknownIndex(index.to_string()))?;
-        Ok(entry.index.range(low, high))
+        self.with_index(table, index, |i| i.range(low, high))
     }
 
     /// Prefix lookup through the named index: row ids whose keys start with
-    /// `prefix` (an equality on the leading index columns).
+    /// `prefix` (an equality on the leading index columns), in key order.
     pub fn index_prefix(
         &self,
         table: TableId,
         index: &str,
         prefix: &[Datum],
-    ) -> StorageResult<Vec<(IndexKey, RowId)>> {
-        let t = self.table(table)?;
+    ) -> StorageResult<Vec<RowId>> {
         self.index_range_scans.fetch_add(1, Ordering::Relaxed);
+        self.with_index(table, index, |i| i.prefix(prefix))
+    }
+
+    /// Runs `f` on the index of `table` named `index`.
+    fn with_index<R>(
+        &self,
+        table: TableId,
+        index: &str,
+        f: impl FnOnce(&OrderedIndex) -> R,
+    ) -> StorageResult<R> {
+        let t = self.table(table)?;
         let indexes = t.indexes.read();
         let entry = indexes
             .iter()
             .find(|e| e.name == index)
             .ok_or_else(|| StorageError::UnknownIndex(index.to_string()))?;
-        Ok(entry.index.prefix(prefix))
+        Ok(f(&entry.index))
     }
 
     /// Names of the indexes on `table`.
@@ -1234,21 +1236,21 @@ impl StorageEngine {
                 // (in `live`) or that does not exist yet — a freshly
                 // inserted row's entry can never be mistaken for stale and
                 // deleted. That makes vacuum safe to run from the periodic
-                // policy without quiescing the engine.
+                // policy without quiescing the engine. A slot is never
+                // reused, so a row's key never changes: an entry is stale
+                // exactly when its row left the heap, and one walk serves
+                // every index.
                 let indexes = t.indexes.write();
-                for entry in indexes.iter() {
-                    let mut live: HashSet<(IndexKey, RowId)> = HashSet::new();
-                    t.heap.scan(|row, version| {
-                        let key = t.index_key(&entry.columns, &version.data);
-                        entry.index.insert(key.clone(), row);
-                        live.insert((key, row));
-                        true
-                    })?;
-                    for (k, r) in entry.index.range(None, None) {
-                        if !live.contains(&(k.clone(), r)) {
-                            entry.index.remove(&k, r);
-                        }
+                let mut live: HashSet<RowId> = HashSet::new();
+                t.heap.scan(|row, version| {
+                    for entry in indexes.iter() {
+                        entry.index.insert(&entry.key_of(&version.data), row);
                     }
+                    live.insert(row);
+                    true
+                })?;
+                for entry in indexes.iter() {
+                    entry.index.retain(|row| live.contains(&row));
                 }
             }
             removed_total += removed;
@@ -1510,10 +1512,7 @@ impl StorageEngine {
                 let t = self.table(TableId(*table))?;
                 let version = TupleVersion::decode(bytes)?;
                 let new_row = t.heap.insert(&version)?;
-                for entry in t.indexes.read().iter() {
-                    let key = t.index_key(&entry.columns, &version.data);
-                    entry.index.insert(key, new_row);
-                }
+                t.index_row(&version.data, new_row);
                 state.row_map.insert((*table, *row), new_row);
                 if *txn != BOOTSTRAP_TXN {
                     state
@@ -1827,7 +1826,7 @@ mod tests {
         eng.commit(txn).unwrap();
         eng.create_index(table, "people_pk", &["id"]).unwrap();
         let rows = eng
-            .index_lookup(table, "people_pk", &vec![Datum::Int(7)])
+            .index_lookup(table, "people_pk", &[Datum::Int(7)])
             .unwrap();
         assert_eq!(rows.len(), 1);
         let snap = eng.snapshot(eng.begin().unwrap());
@@ -1839,12 +1838,12 @@ mod tests {
             .unwrap();
         eng.commit(t2).unwrap();
         assert_eq!(
-            eng.index_lookup(table, "people_pk", &vec![Datum::Int(99)])
+            eng.index_lookup(table, "people_pk", &[Datum::Int(99)])
                 .unwrap()
                 .len(),
             1
         );
-        assert!(eng.index_lookup(table, "nope", &vec![]).is_err());
+        assert!(eng.index_lookup(table, "nope", &[]).is_err());
     }
 
     #[test]
@@ -1872,7 +1871,7 @@ mod tests {
         eng.create_index(table, "people_pk", &["id"]).unwrap();
         let before = eng.stats();
         let _ = eng
-            .index_lookup(table, "people_pk", &vec![Datum::Int(0)])
+            .index_lookup(table, "people_pk", &[Datum::Int(0)])
             .unwrap();
         let prefixed = eng
             .index_prefix(table, "people_pk", &[Datum::Int(1)])
@@ -1882,8 +1881,8 @@ mod tests {
             .index_range(
                 table,
                 "people_pk",
-                Some(&vec![Datum::Int(0)]),
-                Some(&vec![Datum::Int(0)]),
+                Some(&[Datum::Int(0)][..]),
+                Some(&[Datum::Int(0)][..]),
             )
             .unwrap();
         assert_eq!(ranged.len(), 5);
@@ -2028,9 +2027,7 @@ mod tests {
             })
             .unwrap();
         assert!(versions < 5, "dead versions reclaimed, saw {versions}");
-        let hits = eng
-            .index_lookup(table, "t_pkey", &vec![Datum::Int(1)])
-            .unwrap();
+        let hits = eng.index_lookup(table, "t_pkey", &[Datum::Int(1)]).unwrap();
         let snap = eng.snapshot(eng.begin().unwrap());
         let visible: Vec<_> = hits
             .into_iter()
@@ -2086,7 +2083,7 @@ mod tests {
             for i in 0..per_writer {
                 let id = w * 1_000 + i;
                 let hits = eng
-                    .index_lookup(table, "t_pkey", &vec![Datum::Int(id)])
+                    .index_lookup(table, "t_pkey", &[Datum::Int(id)])
                     .unwrap();
                 assert!(!hits.is_empty(), "row {id} lost from the index");
             }
@@ -2142,7 +2139,7 @@ mod tests {
         let snap = eng.snapshot(eng.begin().unwrap());
         for i in (0..rows).step_by(7) {
             let found = eng
-                .index_lookup(table, "people_pk", &vec![Datum::Int(i)])
+                .index_lookup(table, "people_pk", &[Datum::Int(i)])
                 .unwrap();
             let v = eng.fetch_visible(&snap, table, found[0]).unwrap().unwrap();
             assert_eq!(v.data, vec![Datum::Int(i), Datum::Text(name(i))]);
@@ -2253,7 +2250,7 @@ mod tests {
         // The index was rebuilt from the logged DDL.
         assert_eq!(eng.index_names(t.id()).unwrap(), vec!["t_pkey".to_string()]);
         let hits = eng
-            .index_lookup(t.id(), "t_pkey", &vec![Datum::Int(4)])
+            .index_lookup(t.id(), "t_pkey", &[Datum::Int(4)])
             .unwrap();
         assert_eq!(hits.len(), 1);
         // New transactions never collide with logged ids.

@@ -15,7 +15,8 @@
 //! * A buffer pool ([`buffer`]) over pluggable page stores ([`store`]) —
 //!   in-memory or file-backed — used to reproduce both the in-memory and the
 //!   disk-bound configurations of Figure 6.
-//! * Ordered and hash indexes ([`index`]), a write-ahead log ([`wal`]) with
+//! * Ordered indexes over order-preserving byte keys ([`index`]), a
+//!   write-ahead log ([`wal`]) with
 //!   crash recovery, checkpointing and group commit, and the [`engine`]
 //!   facade that ties tables, transactions and recovery together.
 //!
@@ -53,7 +54,7 @@ pub use buffer::{BufferPool, BufferStats};
 pub use engine::{StorageEngine, StorageKind, TableId};
 pub use error::{StorageError, StorageResult};
 pub use heap::{RowId, TableHeap};
-pub use index::{HashIndex, IndexKey, OrderedIndex};
+pub use index::{encode_key, OrderedIndex};
 pub use mvcc::{
     ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE,
 };

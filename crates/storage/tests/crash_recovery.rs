@@ -97,9 +97,7 @@ fn kill_reopen_preserves_committed_drops_inflight() {
         eng.commit(t2).unwrap();
         // Delete one committed row, commit the delete.
         let t3 = eng.begin().unwrap();
-        let victim = eng
-            .index_lookup(a, "alpha_pkey", &vec![Datum::Int(3)])
-            .unwrap()[0];
+        let victim = eng.index_lookup(a, "alpha_pkey", &[Datum::Int(3)]).unwrap()[0];
         eng.delete(t3, a, victim).unwrap();
         eng.commit(t3).unwrap();
         // Crash with two transactions in flight: one insert, one delete.
@@ -112,9 +110,7 @@ fn kill_reopen_preserves_committed_drops_inflight() {
         )
         .unwrap();
         let ghost2 = eng.begin().unwrap();
-        let near_miss = eng
-            .index_lookup(a, "alpha_pkey", &vec![Datum::Int(5)])
-            .unwrap()[0];
+        let near_miss = eng.index_lookup(a, "alpha_pkey", &[Datum::Int(5)]).unwrap()[0];
         eng.delete(ghost2, a, near_miss).unwrap();
         // No commit, no flush: process "dies" here.
     }
@@ -132,14 +128,10 @@ fn kill_reopen_preserves_committed_drops_inflight() {
     // The uncommitted delete did not take: id=5 is still visible.
     let txn = eng.begin().unwrap();
     let snap = eng.snapshot(txn);
-    let row5 = eng
-        .index_lookup(a, "alpha_pkey", &vec![Datum::Int(5)])
-        .unwrap()[0];
+    let row5 = eng.index_lookup(a, "alpha_pkey", &[Datum::Int(5)]).unwrap()[0];
     assert!(eng.fetch_visible(&snap, a, row5).unwrap().is_some());
     // The committed delete did: id=3 is gone from visible state.
-    let hits3 = eng
-        .index_lookup(a, "alpha_pkey", &vec![Datum::Int(3)])
-        .unwrap();
+    let hits3 = eng.index_lookup(a, "alpha_pkey", &[Datum::Int(3)]).unwrap();
     for row in hits3 {
         assert!(eng.fetch_visible(&snap, a, row).unwrap().is_none());
     }
