@@ -217,21 +217,20 @@ impl StorageEngine {
         }
     }
 
-    /// Opens (recovers) a file-backed engine from `dir`, replaying the
-    /// write-ahead log into a live engine: tables and indexes are recreated
-    /// from the logged DDL, committed tuple versions are re-inserted (and
-    /// committed deletes re-applied), transaction-manager watermarks are
-    /// restored, and in-flight transactions are dropped. A torn tail left by
-    /// a crash mid-append is truncated with a warning rather than failing
-    /// the recovery.
+    /// Opens (recovers) a file-backed engine from `dir` by redoing the
+    /// write-ahead log, record by record, through the same path a replica
+    /// applies its primary's stream with: tables and indexes are recreated
+    /// from the logged DDL, every tuple version goes back to its logged row
+    /// id (so the heap keeps the layout, and the holes, it had), deletes
+    /// and transaction outcomes are re-applied, and 2PC participants
+    /// prepared without a decision come back in doubt. At the end of the
+    /// log every other unresolved transaction — in flight at the crash —
+    /// aborts, and the id allocator moves past the log's ids. A torn tail
+    /// left by a crash mid-append is truncated with a warning rather than
+    /// failing the recovery.
     ///
     /// A directory with no log opens as an empty engine, so first boot and
     /// restart share this path.
-    ///
-    /// When replay had to skip uncommitted inserts — shifting recovered rows
-    /// to different heap slots than the log recorded — the log is
-    /// immediately re-anchored with a checkpoint, so deletes logged after
-    /// recovery stay consistent across any number of further recoveries.
     ///
     /// # Example
     ///
@@ -286,177 +285,17 @@ impl StorageEngine {
             BufferPool::new(buffer_pages),
             wal,
         );
-        // The parsed records are replayed once and dropped: the log keeps
+        // The parsed records are redone once and dropped: the log keeps
         // only where their frames are.
-        let remapped = engine.replay(&recovery.records)?;
+        for record in &recovery.records {
+            engine.redo(record)?;
+        }
+        engine.txns.abort_orphaned_replicated();
+        engine.txns.allocate_past_logged_ids();
         engine
             .recovery_replayed_records
             .store(recovery.records.len() as u64, Ordering::Relaxed);
-        drop(recovery);
-        if remapped {
-            // Replay skipped uncommitted inserts, so at least one recovered
-            // row lives at a different heap slot than its logged id. A
-            // delete logged from here on would carry the *new* id, which a
-            // second recovery — replaying the old Insert records — could
-            // resolve to the wrong row or not at all. Re-anchor the log to
-            // the live heap while the engine is still quiescent: the
-            // checkpoint image's Insert records carry the live RowIds, so
-            // later Delete records are consistent across any number of
-            // recoveries.
-            engine.checkpoint()?;
-        }
         Ok(engine)
-    }
-
-    /// Applies parsed log records to this (empty) engine: pass 1 collects the
-    /// committed-transaction set and the id high-water mark; pass 2 applies
-    /// DDL and the effects of committed transactions in log order, remapping
-    /// logged row ids to the freshly allocated ones. Returns whether any
-    /// replayed insert landed at a different row id than the log recorded —
-    /// the condition under which [`StorageEngine::open`] must re-anchor the
-    /// log with a checkpoint.
-    fn replay(&self, records: &[LogRecord]) -> StorageResult<bool> {
-        let mut committed: HashSet<TxnId> = HashSet::new();
-        // 2PC participants that voted yes with no decision later in the log:
-        // recovered in-doubt. Their effects are replayed (invisibly — the
-        // transaction is re-registered `InProgress`) so a post-recovery
-        // decide-commit makes them appear without re-reading the log.
-        let mut prepared: HashMap<u64, TxnId> = HashMap::new();
-        // Decisions found in the log (gid → committed?): re-registered so a
-        // recovering coordinator can still ask this node what was decided.
-        let mut decided: HashMap<u64, bool> = HashMap::new();
-        let mut max_txn = BOOTSTRAP_TXN;
-        for r in records {
-            let txn = match r {
-                LogRecord::Begin { txn }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
-                | LogRecord::Insert { txn, .. }
-                | LogRecord::Delete { txn, .. }
-                | LogRecord::Prepare { txn, .. }
-                | LogRecord::Decide { txn, .. } => Some(*txn),
-                _ => None,
-            };
-            if let Some(t) = txn {
-                max_txn = max_txn.max(t);
-            }
-            match r {
-                LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                }
-                // Abort overrides an earlier Commit: commit() logs a
-                // superseding Abort when its Commit record could not be
-                // made durable but may already sit in the log. (In every
-                // other path Commit and Abort are mutually exclusive.)
-                // It likewise supersedes a Prepare whose record hit the log
-                // but could not be made durable.
-                LogRecord::Abort { txn } => {
-                    committed.remove(txn);
-                    prepared.retain(|gid, t| {
-                        if t == txn {
-                            decided.insert(*gid, false);
-                        }
-                        t != txn
-                    });
-                }
-                LogRecord::Prepare { txn, gid } => {
-                    prepared.insert(*gid, *txn);
-                }
-                LogRecord::Decide { txn, commit } => {
-                    prepared.retain(|gid, t| {
-                        if t == txn {
-                            decided.insert(*gid, *commit);
-                        }
-                        t != txn
-                    });
-                    if *commit {
-                        committed.insert(*txn);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let in_doubt: HashSet<TxnId> = prepared.values().copied().collect();
-        let mut row_map: HashMap<(u32, RowId), RowId> = HashMap::new();
-        let mut remapped = false;
-        for r in records {
-            match r {
-                LogRecord::CreateTable { id, schema } => {
-                    self.next_table.fetch_max(*id as u64 + 1, Ordering::SeqCst);
-                    // DDL replay is idempotent: a checkpoint racing the DDL
-                    // append can leave the same definition both in the
-                    // image and as a trailing record, and re-installing
-                    // would discard rows already replayed into the heap.
-                    if self.tables.read().contains_key(&TableId(*id)) {
-                        continue;
-                    }
-                    self.install_table(TableId(*id), schema.clone())?;
-                }
-                LogRecord::CreateIndex {
-                    table,
-                    name,
-                    columns,
-                } => {
-                    let t = self.table(TableId(*table))?;
-                    let col_idx = columns.iter().map(|c| *c as usize).collect();
-                    match self.install_index(&t, name, col_idx) {
-                        Ok(()) | Err(StorageError::DuplicateIndex(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                LogRecord::Insert {
-                    txn,
-                    table,
-                    row,
-                    bytes,
-                } if *txn == BOOTSTRAP_TXN || committed.contains(txn) || in_doubt.contains(txn) => {
-                    let t = self.table(TableId(*table))?;
-                    let version = TupleVersion::decode(bytes)?;
-                    let new_row = t.heap.insert(&version)?;
-                    t.index_row(&version.data, new_row);
-                    remapped |= new_row != *row;
-                    row_map.insert((*table, *row), new_row);
-                }
-                LogRecord::Delete { txn, table, row }
-                    if *txn == BOOTSTRAP_TXN
-                        || committed.contains(txn)
-                        || in_doubt.contains(txn) =>
-                {
-                    // A delete whose insert predates the log start cannot
-                    // occur: every checkpoint image re-logs live rows, so the
-                    // map covers everything a committed delete can touch.
-                    if let Some(new_row) = row_map.get(&(*table, *row)) {
-                        let t = self.table(TableId(*table))?;
-                        t.heap.set_xmax(*new_row, Some(*txn))?;
-                    }
-                }
-                LogRecord::Audit {
-                    seq,
-                    prev,
-                    hash,
-                    bytes,
-                } => {
-                    // The chain is rebuilt in log order; a link that does not
-                    // extend the recovered head means the log was edited.
-                    self.audit
-                        .lock()
-                        .accept(AuditChainRecord {
-                            seq: *seq,
-                            prev: *prev,
-                            hash: *hash,
-                            bytes: bytes.clone(),
-                        })
-                        .map_err(|b| StorageError::Corruption {
-                            detail: format!("audit chain broken during replay: {}", b.reason),
-                        })?;
-                }
-                _ => {}
-            }
-        }
-        self.txns.recover(committed, max_txn);
-        self.txns.recover_prepared(prepared);
-        self.txns.recover_decided(decided);
-        Ok(remapped)
     }
 
     /// The engine's storage kind.
@@ -977,11 +816,12 @@ impl StorageEngine {
         t.schema.check_tuple(&values)?;
         let version = TupleVersion::new(TupleHeader::new(txn, label), values);
         self.log_begin_once(txn)?;
-        let row = t.heap.insert(&version)?;
+        let (row, chain) = t.heap.insert(&version)?;
         self.wal.append(LogRecord::Insert {
             txn,
             table: table.0,
             row,
+            chain,
             bytes: version.encode(),
         })?;
         t.index_row(&version.data, row);
@@ -1000,10 +840,34 @@ impl StorageEngine {
     /// exactly one wins; the other sees the winner as the holder. The
     /// decision consults the transaction table, which is never locked under
     /// the pool mutex, so it happens between the two page accesses.
+    ///
+    /// Only a version whose `Insert` the log already holds can be deleted,
+    /// so redo always finds the slot a `Delete` names: one its writer
+    /// aborted never existed ([`StorageError::UnknownRow`]), and one its
+    /// writer is still running is that writer's (a write conflict).
     pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
         let t = self.table(table)?;
         loop {
-            let seen = t.heap.read::<_, StorageError>(row, |v| Ok(v.xmax()))?;
+            let (xmin, seen) = t
+                .heap
+                .read::<_, StorageError>(row, |v| Ok((v.xmin(), v.xmax())))?;
+            if xmin != txn {
+                match self.txns.status(xmin) {
+                    TxnStatus::Committed => {}
+                    TxnStatus::Aborted => {
+                        return Err(StorageError::UnknownRow {
+                            page: row.page,
+                            slot: row.slot,
+                        })
+                    }
+                    TxnStatus::InProgress => {
+                        return Err(StorageError::WriteConflict {
+                            txn: txn.0,
+                            holder: xmin.0,
+                        })
+                    }
+                }
+            }
             if let Some(holder) = seen {
                 if holder == txn {
                     // Deleting twice in the same transaction is a no-op.
@@ -1333,7 +1197,7 @@ impl StorageEngine {
             }
         }
         for id in &ids {
-            tables[id].heap.walk::<StorageError>(|row, _, tuple| {
+            tables[id].heap.walk::<StorageError>(|row, label, tuple| {
                 let mut v = tuple.to_version()?;
                 if self.txns.is_visible(&snap, &v.header) {
                     // The image represents settled history: every row in
@@ -1344,6 +1208,7 @@ impl StorageEngine {
                         txn: BOOTSTRAP_TXN,
                         table: id.0,
                         row,
+                        chain: label.is_some(),
                         bytes: v.encode(),
                     })?;
                 }
@@ -1388,18 +1253,19 @@ impl StorageEngine {
             }
             let tables = self.tables.read();
             let ids = self.emit_live_state(&tables, emit)?;
-            // The in-doubt transactions ride along: their effects replay
-            // invisible (the recovery and replication paths both re-register
-            // a Prepare with no Decide as in-doubt) until a decision lands.
+            // The in-doubt transactions ride along: their effects redo
+            // invisible (redo re-registers a Prepare with no Decide as
+            // in-doubt) until a decision lands.
             for (gid, txn) in prepared {
                 emit(LogRecord::Begin { txn })?;
                 for id in &ids {
-                    tables[id].heap.walk::<StorageError>(|row, _, tuple| {
+                    tables[id].heap.walk::<StorageError>(|row, label, tuple| {
                         if tuple.xmin() == txn {
                             emit(LogRecord::Insert {
                                 txn,
                                 table: id.0,
                                 row,
+                                chain: label.is_some(),
                                 bytes: tuple.to_version()?.encode(),
                             })?;
                         } else if tuple.xmax() == Some(txn) {
@@ -1423,7 +1289,7 @@ impl StorageEngine {
         drop(audit);
         // From here on this node's transactions are a primary's: they leave
         // the id range reserved for replica-local readers.
-        self.txns.leave_replica_id_range();
+        self.txns.allocate_past_logged_ids();
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
@@ -1433,32 +1299,34 @@ impl StorageEngine {
     // Replication (continuous apply)
     // ------------------------------------------------------------------
 
-    /// Applies one record shipped from a primary's log to this engine — the
-    /// incremental form of the recovery replay machinery behind
-    /// [`StorageEngine::open`].
-    ///
-    /// Unlike batch replay, commit outcomes are not known in advance:
-    /// inserts and deletes are applied as they arrive (with the primary's
-    /// transaction ids preserved in tuple headers), and stay invisible to
-    /// replica snapshots until the transaction's `Commit` record applies.
-    /// `state` carries the row-id remapping (the primary's logged row ids
-    /// to locally allocated ones, pruned as deletes commit) and must be the
-    /// same state across every record of one stream (cleared on a stream
-    /// reset); [`crate::replica::ReplicaApplier`] manages it.
+    /// Applies one record shipped from a primary's log to this engine by
+    /// redoing it exactly as [`StorageEngine::open`] redoes its own log.
     ///
     /// This bypasses the local write-ahead log: a replica's engine is a
     /// cache of the primary's log, exactly as heap files are a cache of the
     /// local one.
-    pub fn apply_replicated(
-        &self,
-        record: &LogRecord,
-        state: &mut crate::replica::ReplicaApplyState,
-    ) -> StorageResult<()> {
+    pub fn apply_replicated(&self, record: &LogRecord) -> StorageResult<()> {
+        self.redo(record)?;
+        self.replica_records_applied.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Redoes one log record: the one path by which both
+    /// [`StorageEngine::open`] and a replica rebuild state from a log.
+    ///
+    /// Outcomes are not known ahead: inserts and deletes apply as they
+    /// come, carrying their writers' transaction ids in tuple headers, and
+    /// stay invisible until the writer's `Commit` (or commit `Decide`)
+    /// applies. Every version goes to the row id and page kind its `Insert`
+    /// names ([`TableHeap::place`]), so a later `Delete` names the slot it
+    /// means, and one that names an empty slot is corruption.
+    fn redo(&self, record: &LogRecord) -> StorageResult<()> {
         match record {
             LogRecord::CreateTable { id, schema } => {
                 self.next_table.fetch_max(*id as u64 + 1, Ordering::SeqCst);
-                // Idempotent, like DDL replay: a checkpoint image racing the
-                // stream can re-deliver a definition.
+                // Idempotent: a checkpoint racing the DDL append can leave
+                // the same definition both in the image and as a trailing
+                // record, and re-installing would discard the table's rows.
                 if !self.tables.read().contains_key(&TableId(*id)) {
                     self.install_table(TableId(*id), schema.clone())?;
                 }
@@ -1476,109 +1344,63 @@ impl StorageEngine {
                 }
             }
             LogRecord::Begin { txn } => self.txns.begin_replicated(*txn),
-            LogRecord::Commit { txn } => {
-                self.txns.commit_replicated(*txn);
-                // The committed transaction's deletes are final: nothing
-                // can reference those rows again (a further delete would
-                // have hit a write conflict on the primary), so their
-                // row-map entries are dead weight — prune them to keep the
-                // map bounded by live rows on a long-running replica.
-                if let Some(rows) = state.deletes_in_flight.remove(txn) {
-                    for key in rows {
-                        state.row_map.remove(&key);
-                    }
-                }
-                state.inserts_in_flight.remove(txn);
-            }
+            LogRecord::Commit { txn } => self.txns.commit_replicated(*txn),
+            // An Abort overrides an earlier Commit or Prepare whose record
+            // reached the log but could not be made durable (see
+            // `commit`), so a prepared gid settles as decided-abort.
             LogRecord::Abort { txn } => {
+                self.txns.settle_prepared_replicated(*txn, false);
                 self.txns.abort_replicated(*txn);
-                // An aborted delete's row stays live and may be deleted
-                // again later; keep its mapping. An aborted *insert* is the
-                // opposite: the row is invisible forever and no later
-                // record can reference it, so its mapping is dropped.
-                state.deletes_in_flight.remove(txn);
-                if let Some(rows) = state.inserts_in_flight.remove(txn) {
-                    for key in rows {
-                        state.row_map.remove(&key);
-                    }
-                }
             }
             LogRecord::Insert {
-                txn,
                 table,
                 row,
+                chain,
                 bytes,
+                ..
             } => {
                 let t = self.table(TableId(*table))?;
                 let version = TupleVersion::decode(bytes)?;
-                let new_row = t.heap.insert(&version)?;
-                t.index_row(&version.data, new_row);
-                state.row_map.insert((*table, *row), new_row);
-                if *txn != BOOTSTRAP_TXN {
-                    state
-                        .inserts_in_flight
-                        .entry(*txn)
-                        .or_default()
-                        .push((*table, *row));
-                }
+                t.heap.place(*row, *chain, &version)?;
+                t.index_row(&version.data, *row);
                 self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
             }
             LogRecord::Delete { txn, table, row } => {
-                // Conflict resolution already happened on the primary; the
-                // replica just mirrors the outcome. Every row a streamed
-                // delete can touch was inserted through this same stream
-                // (checkpoint images re-log live rows), so the map covers it.
-                if let Some(new_row) = state.row_map.get(&(*table, *row)) {
-                    let t = self.table(TableId(*table))?;
-                    t.heap.set_xmax(*new_row, Some(*txn))?;
-                    self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
-                    if *txn == BOOTSTRAP_TXN {
-                        // Bootstrap effects are committed by definition.
-                        state.row_map.remove(&(*table, *row));
-                    } else {
-                        state
-                            .deletes_in_flight
-                            .entry(*txn)
-                            .or_default()
-                            .push((*table, *row));
-                    }
-                }
+                // Conflicts were resolved when the delete was first made;
+                // redo only repeats the outcome.
+                let t = self.table(TableId(*table))?;
+                t.heap.set_xmax(*row, Some(*txn)).map_err(|e| match e {
+                    StorageError::UnknownRow { .. } => StorageError::Corruption {
+                        detail: format!(
+                            "a logged delete names the empty slot {row} of table {table}"
+                        ),
+                    },
+                    e => e,
+                })?;
+                self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
             }
             LogRecord::Checkpoint => {}
-            // The stream's Epoch record names the primary's generation; the
-            // replica tracks it on its own (discarding) log so a later
-            // promotion continues the fencing order.
+            // The Epoch record names the primary's generation; a replica
+            // tracks it on its own (discarding) log so a later promotion
+            // continues the fencing order.
             LogRecord::Epoch { generation } => self.wal.set_generation(*generation),
-            // 2PC on the primary mirrors onto the replica as a real in-doubt
-            // state: a Prepare registers the transaction under its gid (its
-            // effects stay invisible), so a replica promoted to primary can
-            // answer outcome queries and apply the coordinator's decision;
-            // the Decide settles it like a Commit/Abort record would.
+            // A Prepare registers the transaction in doubt under its gid
+            // (its effects stay invisible), so a recovered node, or a
+            // replica promoted to primary, can answer outcome queries and
+            // apply the coordinator's decision; a Decide settles it like a
+            // Commit or an Abort would.
             LogRecord::Prepare { txn, gid } => self.txns.mark_prepared_replicated(*txn, *gid),
             LogRecord::Decide { txn, commit } => {
                 self.txns.settle_prepared_replicated(*txn, *commit);
                 if *commit {
                     self.txns.commit_replicated(*txn);
-                    if let Some(rows) = state.deletes_in_flight.remove(txn) {
-                        for key in rows {
-                            state.row_map.remove(&key);
-                        }
-                    }
-                    state.inserts_in_flight.remove(txn);
                 } else {
                     self.txns.abort_replicated(*txn);
-                    state.deletes_in_flight.remove(txn);
-                    if let Some(rows) = state.inserts_in_flight.remove(txn) {
-                        for key in rows {
-                            state.row_map.remove(&key);
-                        }
-                    }
                 }
             }
-            // The primary's audit chain mirrors onto the replica link by
-            // link. `accept` tolerates the re-delivery a checkpoint image
-            // racing the stream can produce, but a *conflicting* link means
-            // the stream (or the primary's log) was tampered with.
+            // The audit chain is rebuilt link by link. `accept` tolerates
+            // the re-delivery a checkpoint image racing the stream can
+            // produce, but a *conflicting* link means the log was edited.
             LogRecord::Audit {
                 seq,
                 prev,
@@ -1594,11 +1416,10 @@ impl StorageEngine {
                         bytes: bytes.clone(),
                     })
                     .map_err(|b| StorageError::Corruption {
-                        detail: format!("replicated audit chain broken: {}", b.reason),
+                        detail: format!("audit chain broken at redo: {}", b.reason),
                     })?;
             }
         }
-        self.replica_records_applied.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -2269,11 +2090,10 @@ mod tests {
 
     #[test]
     fn committed_delete_after_recovery_survives_second_recovery() {
-        // Regression: replay skips uncommitted inserts, so recovered rows
-        // occupy different heap slots than the log's Insert records say. A
-        // delete committed *after* such a recovery logs the new slot; a
-        // second recovery must still apply it (open() re-anchors the log
-        // with a checkpoint whenever ids were remapped).
+        // A delete committed *after* a recovery logs the recovered row's
+        // slot, and a second recovery must apply it to the same row. The
+        // in-flight insert redoes into its own slot, so the committed rows
+        // come back at their logged ids and no checkpoint re-anchors them.
         let dir =
             std::env::temp_dir().join(format!("ifdb-engine-re-recovery-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();

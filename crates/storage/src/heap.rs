@@ -37,8 +37,8 @@
 //! bytes on the shared tail, or its chain) and nothing per row.
 //!
 //! [`TableHeap::walk`] visits the shared tail, then the chains in the order
-//! they were opened, and hands its visitor each page's label (`None` on the
-//! shared tail).
+//! of their first pages, which is the order they were opened in, and hands
+//! its visitor each page's label (`None` on the shared tail).
 //!
 //! **Order.** Where a row goes, and when its label's chain opens, depend only
 //! on the rows inserted earlier under that same label. So the order in which
@@ -46,11 +46,15 @@
 //! chain; two chains: the one opened first; one chain: insertion order — is a
 //! function of the two labels' own insert histories. Rows a reader cannot
 //! read never move the ones it can, which is what the scan noninterference
-//! test (`crates/core/tests/scan_noninterference.rs`) checks. Placement is a
-//! pure function of the insert sequence, so log replay and replica apply
-//! rebuild the layout; and because a walk yields every label's rows in
-//! insertion order, a checkpoint image (written in walk order) keeps each
-//! label's rows in order when it is replayed.
+//! test (`crates/core/tests/scan_noninterference.rs`) checks.
+//!
+//! **Redo.** The log names each row's page and its page kind (shared tail or
+//! chain), so recovery and replica apply put every row back at its logged
+//! row id ([`TableHeap::place`]): the writer's layout comes back slot for
+//! slot, with holes where rows never reached the log. A checkpoint image
+//! logs live rows only, so a chain whose first page holds none comes back
+//! ordered by its first page that does; that order too depends on the
+//! chain's own label alone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -98,40 +102,85 @@ struct Chain {
 }
 
 /// Which pages a heap has and which label each holds (see the module docs).
+/// Every page list is in page-id order, which is allocation order.
 #[derive(Debug, Default)]
 struct Layout {
-    /// Pages any label may share, in allocation order.
+    /// Pages any label may share.
     shared: Vec<PageId>,
-    /// Single-label page lists, in the order they were opened.
+    /// Single-label page lists, in the order of their first pages, which
+    /// is the order they were opened in.
     chains: Vec<Chain>,
     /// One entry per distinct label ever inserted.
     labels: HashMap<Box<[u64]>, Placement>,
 }
 
 impl Layout {
-    /// The page list a row of `label` taking `footprint` bytes goes to,
-    /// opening the label's chain if its rows on the shared tail would
-    /// outgrow one page with this one.
-    fn place(&mut self, label: &[u64], footprint: usize) -> &mut Vec<PageId> {
+    /// The page list a row of `label` taking `footprint` bytes goes to, and
+    /// whether it is the label's chain, opening the chain if the label's
+    /// rows on the shared tail would outgrow one page with this one.
+    fn place(&mut self, label: &[u64], footprint: usize) -> (&mut Vec<PageId>, bool) {
         let Some(placement) = self.labels.get_mut(label) else {
             self.labels
                 .insert(label.into(), Placement::Shared(footprint));
-            return &mut self.shared;
+            return (&mut self.shared, false);
         };
         match *placement {
             Placement::Shared(used) if used + footprint <= TUPLE_SPACE => {
                 *placement = Placement::Shared(used + footprint);
-                &mut self.shared
+                (&mut self.shared, false)
             }
             Placement::Shared(_) => {
                 *placement = Placement::Chain(self.chains.len());
-                self.chains.push(Chain {
-                    label: label.into(),
-                    pages: Vec::new(),
-                });
-                &mut self.chains.last_mut().expect("just pushed").pages
+                (self.open_chain(label), true)
             }
-            Placement::Chain(i) => &mut self.chains[i].pages,
+            Placement::Chain(i) => (&mut self.chains[i].pages, true),
+        }
+    }
+
+    /// Appends an empty chain for `label` and returns its page list.
+    fn open_chain(&mut self, label: &[u64]) -> &mut Vec<PageId> {
+        self.chains.push(Chain {
+            label: label.into(),
+            pages: Vec::new(),
+        });
+        &mut self.chains.last_mut().expect("just pushed").pages
+    }
+
+    /// Takes in a redone row of `label` taking `footprint` bytes on page
+    /// `pid` of the list the log names — the label's chain if `chain`, else
+    /// the shared tail — adding the page to that list, in page-id order, if
+    /// it is new there. Accounts the row as [`Layout::place`] would. Redo
+    /// may learn of pages in another order than they were allocated in, so
+    /// a chain whose first page changes takes its place among the others.
+    fn adopt(&mut self, pid: PageId, label: &[u64], chain: bool, footprint: usize) {
+        let pages = match self.labels.get_mut(label) {
+            Some(Placement::Chain(i)) if chain => &mut self.chains[*i].pages,
+            _ if chain => {
+                let i = self.chains.len();
+                self.labels.insert(label.into(), Placement::Chain(i));
+                self.open_chain(label)
+            }
+            Some(Placement::Shared(used)) => {
+                *used += footprint;
+                &mut self.shared
+            }
+            Some(Placement::Chain(_)) => &mut self.shared,
+            None => {
+                self.labels
+                    .insert(label.into(), Placement::Shared(footprint));
+                &mut self.shared
+            }
+        };
+        let Err(at) = pages.binary_search(&pid) else {
+            return;
+        };
+        pages.insert(at, pid);
+        if chain && at == 0 {
+            self.chains.sort_by_key(|c| c.pages.first().copied());
+            for (i, c) in self.chains.iter().enumerate() {
+                self.labels
+                    .insert(c.label.as_ref().into(), Placement::Chain(i));
+            }
         }
     }
 
@@ -197,14 +246,14 @@ impl TableHeap {
     }
 
     /// Inserts a tuple version where its label places it (see the module
-    /// docs), returning its row id.
-    pub fn insert(&self, version: &TupleVersion) -> StorageResult<RowId> {
+    /// docs), returning its row id and whether it went to the label's chain.
+    pub fn insert(&self, version: &TupleVersion) -> StorageResult<(RowId, bool)> {
         let bytes = version.encode();
         if bytes.len() > PAGE_SIZE / 2 {
             return Err(StorageError::TupleTooLarge { size: bytes.len() });
         }
         let mut layout = self.layout.lock();
-        let pages = layout.place(&version.header.label, footprint(bytes.len()));
+        let (pages, chain) = layout.place(&version.header.label, footprint(bytes.len()));
         let store = self.store.as_ref();
         // Append to the list's last page, or to a fresh one.
         if let Some(&pid) = pages.last() {
@@ -213,7 +262,7 @@ impl TableHeap {
                     .then(|| p.insert(&bytes).expect("fits was checked"))
             })?;
             if let Some(slot) = inserted {
-                return Ok(RowId { page: pid.0, slot });
+                return Ok((RowId { page: pid.0, slot }, chain));
             }
         }
         let pid = self.store.allocate()?;
@@ -221,7 +270,26 @@ impl TableHeap {
         let slot = self
             .buffer
             .with_page_mut(self.table_id, pid, store, |p| p.insert(&bytes))??;
-        Ok(RowId { page: pid.0, slot })
+        Ok((RowId { page: pid.0, slot }, chain))
+    }
+
+    /// Stores a tuple version at `row`, on its label's chain if `chain` and
+    /// on the shared tail otherwise: the redo of an insert at the row id and
+    /// page kind its log record names. The store grows to the row's page,
+    /// and a page the heap has not seen yet joins its list in page-id order,
+    /// the order the writer allocated it in.
+    pub fn place(&self, row: RowId, chain: bool, version: &TupleVersion) -> StorageResult<()> {
+        let bytes = version.encode();
+        let pid = PageId(row.page);
+        let mut layout = self.layout.lock();
+        while self.store.page_count() <= row.page {
+            self.store.allocate()?;
+        }
+        layout.adopt(pid, &version.header.label, chain, footprint(bytes.len()));
+        self.buffer
+            .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
+                p.place(row.slot, &bytes)
+            })?
     }
 
     /// Calls `f` with the tuple version at `row`, read in place on a pin.
@@ -397,7 +465,7 @@ mod tests {
     fn insert_fetch_round_trip() {
         let h = heap();
         let v = version(1, "alice", vec![42]);
-        let row = h.insert(&v).unwrap();
+        let (row, _) = h.insert(&v).unwrap();
         assert_eq!(h.fetch(row).unwrap(), v);
     }
 
@@ -415,7 +483,7 @@ mod tests {
     #[test]
     fn set_xmax_is_persistent() {
         let h = heap();
-        let row = h.insert(&version(1, "victim", vec![])).unwrap();
+        let (row, _) = h.insert(&version(1, "victim", vec![])).unwrap();
         h.set_xmax(row, Some(TxnId(9))).unwrap();
         assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(9)));
         h.set_xmax(row, None).unwrap();
@@ -425,7 +493,7 @@ mod tests {
     #[test]
     fn compare_and_set_xmax_sets_only_over_the_expected_value() {
         let h = heap();
-        let row = h.insert(&version(1, "contended", vec![])).unwrap();
+        let (row, _) = h.insert(&version(1, "contended", vec![])).unwrap();
         assert!(h.compare_and_set_xmax(row, None, Some(TxnId(5))).unwrap());
         // A second claimant that read the slot before the first set it.
         assert!(!h.compare_and_set_xmax(row, None, Some(TxnId(6))).unwrap());
@@ -474,7 +542,7 @@ mod tests {
     #[test]
     fn fetch_of_unknown_row_errors() {
         let h = heap();
-        let row = h.insert(&version(1, "only", vec![])).unwrap();
+        let (row, _) = h.insert(&version(1, "only", vec![])).unwrap();
         assert!(h
             .fetch(RowId {
                 page: row.page,
@@ -502,7 +570,7 @@ mod tests {
     /// Inserts `versions` into a fresh heap; returns it and each row's id.
     fn heap_of(versions: &[TupleVersion]) -> (TableHeap, Vec<RowId>) {
         let h = heap();
-        let rows = versions.iter().map(|v| h.insert(v).unwrap()).collect();
+        let rows = versions.iter().map(|v| h.insert(v).unwrap().0).collect();
         (h, rows)
     }
 
@@ -629,6 +697,40 @@ mod tests {
     }
 
     #[test]
+    fn placing_rows_at_their_ids_in_any_order_rebuilds_the_layout() {
+        let rows = interleaved(3, 700);
+        let h = heap();
+        let placed: Vec<(RowId, bool)> = rows.iter().map(|v| h.insert(v).unwrap()).collect();
+        assert!(placed.iter().any(|(_, chain)| *chain));
+        // Redo backwards, so chains and pages arrive last first, and leave
+        // out every seventh row, as if its insert never reached the log.
+        let redo = heap();
+        for (v, (row, chain)) in rows.iter().zip(&placed).rev() {
+            if v.header.xmin.0 % 7 != 3 {
+                redo.place(*row, *chain, v).unwrap();
+            }
+        }
+        let by_id = |h: &TableHeap| {
+            let mut out = Vec::new();
+            h.walk::<StorageError>(|row, label, t| {
+                out.push((row, label.map(<[u64]>::to_vec), t.xmin().0));
+                Ok(true)
+            })
+            .unwrap();
+            out
+        };
+        let mut expected = by_id(&h);
+        expected.retain(|(_, _, xmin)| xmin % 7 != 3);
+        assert_eq!(by_id(&redo), expected);
+        assert_eq!(redo.page_count(), h.page_count());
+        let (row, chain) = placed[5];
+        assert!(
+            redo.place(row, chain, &rows[5]).is_err(),
+            "a slot is filled once"
+        );
+    }
+
+    #[test]
     fn survives_buffer_pressure_with_file_store() {
         let dir = std::env::temp_dir().join(format!("ifdb-heap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -638,7 +740,7 @@ mod tests {
         let big = "y".repeat(800);
         let mut rows = Vec::new();
         for i in 0..40 {
-            rows.push(h.insert(&version(i, &big, vec![1, 2])).unwrap());
+            rows.push(h.insert(&version(i, &big, vec![1, 2])).unwrap().0);
         }
         for (i, row) in rows.iter().enumerate() {
             let v = h.fetch(*row).unwrap();

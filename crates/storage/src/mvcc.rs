@@ -128,7 +128,8 @@ struct ActiveTxn {
 struct TxnTable {
     /// The next locally allocated id; also the `horizon` handed to snapshots.
     next_id: u64,
-    /// The highest id the replication stream has named.
+    /// The highest id redo has named (the log at recovery, or the
+    /// replication stream).
     max_streamed: u64,
     /// Running transactions, sorted by id.
     active: Vec<ActiveTxn>,
@@ -149,8 +150,8 @@ struct TxnTable {
     /// coordinator recovering another participant's in-doubt transaction can
     /// ask this node what was decided (the recovery protocol commits an
     /// in-doubt gid iff some participant knows it committed, else presumes
-    /// abort). Bounded by the log: reconstructed from Prepare/Decide records
-    /// at replay, forgotten at a checkpoint.
+    /// abort). Bounded by the log: rebuilt from Prepare/Decide/Abort records
+    /// at redo, forgotten at a checkpoint.
     decided: HashMap<u64, bool>,
     /// Transactions started here with [`TransactionManager::begin`].
     started: u64,
@@ -423,24 +424,30 @@ impl TransactionManager {
         entries
     }
 
-    /// Registers a prepare replicated from the primary's stream: the
-    /// transaction (already active via
+    /// Redoes a logged prepare: the transaction (already active via
     /// [`TransactionManager::begin_replicated`], or admitted here when a
     /// checkpoint image delivers the Prepare without a Begin) becomes
-    /// in-doubt under `gid`, so a replica promoted to primary can resolve
-    /// it. Unlike [`TransactionManager::mark_prepared`] there is no local
-    /// commit claim to convert. Idempotent.
+    /// in-doubt under `gid` and holds the commit claim, as after
+    /// [`TransactionManager::mark_prepared`], so a recovered node or a
+    /// replica promoted to primary resolves it only through
+    /// [`TransactionManager::finish_prepared`]. A gid already in doubt keeps
+    /// its transaction. Idempotent.
     pub fn mark_prepared_replicated(&self, txn: TxnId, gid: u64) {
         let mut table = self.table.write();
-        table.prepared.insert(gid, txn);
+        table.prepared.entry(gid).or_insert(txn);
         table.max_streamed = table.max_streamed.max(txn.0);
-        table.admit(txn, true, false);
+        if !table.admit(txn, true, true) {
+            let at = table.position(txn).expect("admitted or already active");
+            table.active[at].claimed = true;
+        }
     }
 
-    /// Replica-side settlement of a replicated `Decide`: forgets the
-    /// prepared entry for `txn` and records the outcome under its gid (the
-    /// status flip itself is [`TransactionManager::commit_replicated`] /
-    /// `abort_replicated`, exactly as for a plain commit).
+    /// Redoes the settlement of a prepared transaction (a `Decide`, or an
+    /// `Abort` superseding a Prepare that may not have been durable):
+    /// forgets the prepared entry for `txn` and records the outcome under
+    /// its gid (the status flip itself is
+    /// [`TransactionManager::commit_replicated`] / `abort_replicated`,
+    /// exactly as for a plain commit).
     pub fn settle_prepared_replicated(&self, txn: TxnId, commit: bool) {
         let mut table = self.table.write();
         let gid = table
@@ -482,25 +489,6 @@ impl TransactionManager {
     /// `Some(true)`, and otherwise presumes abort.
     pub fn outcome(&self, gid: u64) -> Option<bool> {
         self.table.read().decided.get(&gid).copied()
-    }
-
-    /// Re-registers decisions recovered from the log (gid → committed?), so
-    /// post-crash outcome queries keep answering.
-    pub fn recover_decided(&self, decided: impl IntoIterator<Item = (u64, bool)>) {
-        let mut table = self.table.write();
-        table.decided.extend(decided);
-    }
-
-    /// Re-registers transactions recovered in-doubt from the log: each is
-    /// in progress (its effects stay invisible), holds a commit claim, and
-    /// awaits the coordinator's decision under its global id.
-    pub fn recover_prepared(&self, prepared: impl IntoIterator<Item = (u64, TxnId)>) {
-        let mut table = self.table.write();
-        for (gid, txn) in prepared {
-            if table.prepared.insert(gid, txn).is_none() {
-                table.admit(txn, true, true);
-            }
-        }
     }
 
     /// The status of a transaction. The bootstrap transaction is always
@@ -643,10 +631,11 @@ impl TransactionManager {
     }
 
     /// Aborts every replicated transaction that is still in progress and
-    /// *not* prepared, returning how many there were. Called at promotion:
-    /// the old primary's stream is dead, so a streamed `Begin` whose
-    /// outcome never arrived can never resolve on this timeline — exactly
-    /// like in-flight work at a crash, it aborts. Prepared (in-doubt)
+    /// *not* prepared, returning how many there were. Called at the end of
+    /// recovery, where this is the fate of in-flight work at a crash, and
+    /// at promotion: the old primary's stream is dead, so a streamed `Begin`
+    /// whose outcome never arrived can never resolve on this timeline —
+    /// exactly like in-flight work at a crash, it aborts. Prepared (in-doubt)
     /// transactions are exempt: the successor resolves those through the
     /// coordinator's decision. Replica-local transactions (ids in the
     /// reserved high range) are untouched — those drain on their own.
@@ -675,16 +664,16 @@ impl TransactionManager {
         table.next_id = table.next_id.max(base);
     }
 
-    /// Moves local id allocation back out of the replica-local range, to
-    /// just past every id the stream ever named. Called once a replica has
-    /// become a primary: its transactions now go into tuple headers and onto
-    /// its *own* replicas' streams, where an id from the reserved range
-    /// would sit above their snapshot horizons (their local readers allocate
-    /// there too) and stay invisible after it commits. A no-op on a node
-    /// that never was a replica.
-    pub(crate) fn leave_replica_id_range(&self) {
+    /// Moves local id allocation to just past every id redo named, so no
+    /// new transaction reuses a logged one. Called once recovery has redone
+    /// the log, and once a replica has become a primary: its transactions
+    /// now go into tuple headers and onto its *own* replicas' streams, where
+    /// an id from the reserved range would sit above their snapshot
+    /// horizons (their local readers allocate there too) and stay invisible
+    /// after it commits. A no-op on a primary that never redid anything.
+    pub(crate) fn allocate_past_logged_ids(&self) {
         let mut table = self.table.write();
-        if table.next_id >= REPLICA_LOCAL_TXN_BASE {
+        if table.next_id >= REPLICA_LOCAL_TXN_BASE || table.next_id <= table.max_streamed {
             table.next_id = table.max_streamed + 1;
         }
     }
@@ -706,23 +695,6 @@ impl TransactionManager {
         table
             .prepared
             .retain(|_, txn| txn.0 >= REPLICA_LOCAL_TXN_BASE);
-    }
-
-    /// Restores transaction-manager state after WAL replay: every
-    /// transaction in `committed` is registered as committed (so tuple
-    /// versions carrying it as `xmin`/`xmax` resolve correctly), and the id
-    /// allocator is advanced past `max_seen` so post-recovery transactions
-    /// never collide with logged ones. Transactions seen in the log but not
-    /// in `committed` need no entry: unknown ids report as aborted, which is
-    /// exactly the fate of in-flight work at a crash.
-    pub fn recover(&self, committed: impl IntoIterator<Item = TxnId>, max_seen: TxnId) {
-        let mut table = self.table.write();
-        for txn in committed {
-            if txn != BOOTSTRAP_TXN {
-                table.committed.insert(txn, 0);
-            }
-        }
-        table.next_id = table.next_id.max(max_seen.0 + 1);
     }
 }
 
@@ -937,14 +909,14 @@ mod tests {
             let reader = successor.begin();
             successor.commit(reader).unwrap();
         }
-        successor.leave_replica_id_range();
+        successor.allocate_past_logged_ids();
         let writer = begin_writer(&successor);
         assert_eq!(
             writer,
             TxnId(10),
             "past every streamed id, aborted ones too"
         );
-        successor.leave_replica_id_range();
+        successor.allocate_past_logged_ids();
         assert_eq!(
             successor.begin(),
             TxnId(11),

@@ -128,19 +128,36 @@ impl Page {
 
     /// Appends a tuple, returning its slot number.
     pub fn insert(&mut self, tuple: &[u8]) -> StorageResult<u16> {
-        if tuple.len() > PAGE_SIZE - HEADER_SIZE - SLOT_ENTRY_SIZE {
-            return Err(StorageError::TupleTooLarge { size: tuple.len() });
-        }
-        if !self.fits(tuple.len()) {
-            return Err(StorageError::TupleTooLarge { size: tuple.len() });
-        }
         let slot = self.slot_count_raw();
-        let new_end = self.free_end() as usize - tuple.len();
-        self.bytes[new_end..new_end + tuple.len()].copy_from_slice(tuple);
-        self.set_free_end(new_end as u16);
-        self.set_slot_count(slot + 1);
-        self.set_slot_entry(slot, new_end as u16, tuple.len() as u16);
+        self.place(slot, tuple)?;
         Ok(slot)
+    }
+
+    /// Stores a tuple in `slot`, which must be empty: how redo puts a row
+    /// back where its insert put it. Slots between the directory's end and
+    /// `slot` become empty entries (holes), read like vacuumed ones.
+    pub fn place(&mut self, slot: u16, tuple: &[u8]) -> StorageResult<()> {
+        let count = self.slot_count_raw();
+        if slot < count && !self.is_dead(slot) {
+            return Err(StorageError::Corruption {
+                detail: format!("slot {slot} is already taken"),
+            });
+        }
+        let new_count = count.max(slot.saturating_add(1));
+        let dir_end = HEADER_SIZE + new_count as usize * SLOT_ENTRY_SIZE;
+        let free_end = self.free_end() as usize;
+        if dir_end + tuple.len() > free_end {
+            return Err(StorageError::TupleTooLarge { size: tuple.len() });
+        }
+        for hole in count..new_count {
+            self.set_slot_entry(hole, 0, 0);
+        }
+        let new_end = free_end - tuple.len();
+        self.bytes[new_end..free_end].copy_from_slice(tuple);
+        self.set_free_end(new_end as u16);
+        self.set_slot_count(new_count);
+        self.set_slot_entry(slot, new_end as u16, tuple.len() as u16);
+        Ok(())
     }
 
     /// Reads the tuple stored in `slot`.
@@ -245,6 +262,22 @@ mod tests {
             p.insert(&vec![0u8; PAGE_SIZE]).unwrap_err(),
             StorageError::TupleTooLarge { .. }
         ));
+    }
+
+    #[test]
+    fn place_fills_a_named_slot_and_leaves_holes() {
+        let mut p = Page::new();
+        p.place(3, b"third").unwrap();
+        p.place(1, b"first").unwrap();
+        assert_eq!(p.slot_count(), 4);
+        assert_eq!(p.live_slots().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(p.read(3).unwrap(), b"third");
+        assert!(p.read(0).is_err() && p.is_dead(2));
+        assert!(matches!(
+            p.place(3, b"again").unwrap_err(),
+            StorageError::Corruption { .. }
+        ));
+        assert_eq!(p.insert(b"next").unwrap(), 4);
     }
 
     #[test]

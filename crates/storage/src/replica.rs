@@ -4,27 +4,23 @@
 //! `(seq, record)` batches (produced by
 //! [`Wal::read_replication_batch`](crate::wal::Wal::read_replication_batch))
 //! and applies them incrementally to a local [`StorageEngine`] via
-//! [`StorageEngine::apply_replicated`](crate::engine::StorageEngine::apply_replicated).
-//! The [`ReplicaApplier`] owns the two pieces of state that must persist
-//! across batches:
-//!
-//! * the **row-id map** — the primary logs its own heap slots, the replica
-//!   allocates fresh ones, and streamed `Delete` records resolve through the
-//!   map (the same remapping that batch recovery replay performs);
-//! * the **applied-seq watermark** — the highest sequence number applied so
-//!   far, which the replica reports to clients (bounded-staleness reads) and
-//!   sends back to the primary to resume after a reconnect.
+//! [`StorageEngine::apply_replicated`](crate::engine::StorageEngine::apply_replicated),
+//! which redoes each record exactly as recovery does. Every version goes
+//! back to the row id the primary logged, so the replica's heap is the
+//! primary's slot for slot, walk order included, and no record needs state
+//! left by an earlier one. What persists across batches is the
+//! [`ReplicaApplier`]'s **applied-seq watermark**: the highest sequence
+//! number applied so far, which the replica reports to clients
+//! (bounded-staleness reads) and sends back to the primary to resume after a
+//! reconnect.
 //!
 //! A **reset** (the primary compacted history past our watermark, or
-//! restarted into a new log epoch) discards the engine's tables and the
-//! applier's state; the next batch then starts with the primary's
-//! checkpoint image, whose replay rebuilds the full live state.
-
-use std::collections::HashMap;
+//! restarted into a new log epoch) discards the engine's tables and rewinds
+//! the watermark; the next batch then starts with the primary's checkpoint
+//! image, whose redo rebuilds the full live state.
 
 use crate::engine::StorageEngine;
 use crate::error::StorageResult;
-use crate::heap::RowId;
 use crate::wal::LogRecord;
 
 /// What [`ReplicaApplier::apply_batch`] observed while applying.
@@ -38,43 +34,9 @@ pub struct AppliedBatch {
     pub saw_ddl: bool,
 }
 
-/// Cross-record state of one replication stream, threaded through
-/// [`StorageEngine::apply_replicated`]:
-///
-/// * `row_map` — the primary's logged row ids to locally allocated ones.
-///   Entries are pruned when the transaction that deleted the row
-///   *commits*: from then on nothing can reference the row again (a
-///   further delete would have hit a write conflict on the primary), so
-///   the map is bounded by live rows plus in-flight churn rather than
-///   growing with every insert ever streamed.
-/// * `deletes_in_flight` — rows deleted by transactions whose commit has
-///   not streamed yet. On `Commit` their map entries are dropped; on
-///   `Abort` they are kept (an aborted delete's row can legitimately be
-///   deleted again by a later transaction).
-/// * `inserts_in_flight` — rows inserted by transactions whose outcome has
-///   not streamed yet. On `Abort` their map entries are dropped (an
-///   aborted insert's row is invisible forever and nothing can reference
-///   it again); on `Commit` they are kept until a committed delete seals
-///   them.
-#[derive(Debug, Default)]
-pub struct ReplicaApplyState {
-    pub(crate) row_map: HashMap<(u32, RowId), RowId>,
-    pub(crate) deletes_in_flight: HashMap<crate::mvcc::TxnId, Vec<(u32, RowId)>>,
-    pub(crate) inserts_in_flight: HashMap<crate::mvcc::TxnId, Vec<(u32, RowId)>>,
-}
-
-impl ReplicaApplyState {
-    fn clear(&mut self) {
-        self.row_map.clear();
-        self.deletes_in_flight.clear();
-        self.inserts_in_flight.clear();
-    }
-}
-
 /// Incremental applier for one replication stream.
 #[derive(Debug, Default)]
 pub struct ReplicaApplier {
-    state: ReplicaApplyState,
     applied_seq: u64,
     records_applied: u64,
     resets: u64,
@@ -118,7 +80,7 @@ impl ReplicaApplier {
             if seq <= self.applied_seq {
                 continue;
             }
-            engine.apply_replicated(record, &mut self.state)?;
+            engine.apply_replicated(record)?;
             out.saw_ddl |= matches!(
                 record,
                 LogRecord::CreateTable { .. } | LogRecord::CreateIndex { .. }
@@ -141,12 +103,11 @@ impl ReplicaApplier {
     }
 
     /// Discards the replica's state for a stream reset: the engine's tables
-    /// and transaction statuses are cleared, the row map emptied, and the
-    /// watermark rewound to 0 so the next batch (the primary's checkpoint
-    /// image) applies from scratch.
+    /// and transaction statuses are cleared and the watermark rewound to 0,
+    /// so the next batch (the primary's checkpoint image) applies from
+    /// scratch.
     pub fn reset(&mut self, engine: &StorageEngine) {
         engine.reset_replica_state();
-        self.state.clear();
         self.applied_seq = 0;
         self.resets += 1;
     }
@@ -154,11 +115,16 @@ impl ReplicaApplier {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::engine::{StorageEngine, StorageKind};
+    use crate::error::StorageError;
+    use crate::heap::RowId;
     use crate::schema::{ColumnDef, TableSchema};
+    use crate::tuple::{TupleHeader, TupleVersion};
     use crate::value::{DataType, Datum};
-    use crate::wal::DurabilityConfig;
+    use crate::wal::{DurabilityConfig, Wal};
 
     fn primary_with_rows(dir: &std::path::Path, rows: i64) -> StorageEngine {
         let eng = StorageEngine::with_config(
@@ -255,12 +221,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The visible row at `key` of table `t`, as the replica and the
+    /// primary both see it.
+    fn visible_row_of(eng: &StorageEngine, key: i64) -> Option<RowId> {
+        let t = eng.table_by_name("t").unwrap();
+        let txn = eng.begin().unwrap();
+        let mut found = None;
+        eng.scan_visible(&eng.snapshot(txn), t.id(), |row, v| {
+            if v.data[0] == Datum::Int(key) {
+                found = Some(row);
+            }
+            true
+        })
+        .unwrap();
+        eng.commit(txn).unwrap();
+        found
+    }
+
     #[test]
-    fn delete_commit_prunes_the_row_map() {
-        // Regression: the row map must not grow with every insert ever
-        // streamed — committed deletes prune their entries, aborted
-        // deleters keep them (the row can be deleted again).
-        let dir = std::env::temp_dir().join(format!("ifdb-replica-prune-{}", std::process::id()));
+    fn deletes_and_aborts_redo_as_they_ran_on_the_primary() {
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-redo-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let primary = primary_with_rows(&dir, 4);
         let replica = StorageEngine::in_memory();
@@ -269,46 +249,248 @@ mod tests {
             .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
         let mut applier = ReplicaApplier::new();
         pump(&primary, &replica, &mut applier);
-        assert_eq!(applier.state.row_map.len(), 4);
-
         let t = primary.table_by_name("t").unwrap();
-        // An aborted delete keeps the mapping...
+        let victim = visible_row_of(&primary, 2).unwrap();
+        assert_eq!(visible_row_of(&replica, 2), Some(victim));
+
+        // An aborted delete leaves the row visible...
         let aborter = primary.begin().unwrap();
-        let snap = primary.snapshot(aborter);
-        let mut victim = None;
-        primary
-            .scan_visible(&snap, t.id(), |row, v| {
-                if v.data[0] == Datum::Int(2) {
-                    victim = Some(row);
-                }
-                true
-            })
-            .unwrap();
-        primary.delete(aborter, t.id(), victim.unwrap()).unwrap();
+        primary.delete(aborter, t.id(), victim).unwrap();
         primary.abort(aborter).unwrap();
         pump(&primary, &replica, &mut applier);
-        assert_eq!(applier.state.row_map.len(), 4, "aborted delete keeps entry");
-        assert!(applier.state.deletes_in_flight.is_empty());
+        assert_eq!(visible_row_of(&replica, 2), Some(victim));
 
-        // ...so the row can be deleted again, and the commit prunes it.
+        // ...so it can be deleted again, and the committed delete hides it.
         let deleter = primary.begin().unwrap();
-        primary.delete(deleter, t.id(), victim.unwrap()).unwrap();
+        primary.delete(deleter, t.id(), victim).unwrap();
         primary.commit(deleter).unwrap();
         pump(&primary, &replica, &mut applier);
-        assert_eq!(applier.state.row_map.len(), 3, "committed delete prunes");
-        assert!(applier.state.deletes_in_flight.is_empty());
+        assert_eq!(visible_row_of(&replica, 2), None);
         assert_eq!(visible_count(&replica, "t"), 3);
 
-        // An aborted insert's mapping is dropped too: the row is invisible
-        // forever and nothing can reference it again.
+        // An aborted insert takes its slot on the replica too, invisibly.
         let ghost = primary.begin().unwrap();
-        primary
+        let ghost_row = primary
             .insert(ghost, t.id(), vec![], vec![Datum::Int(777)])
             .unwrap();
         primary.abort(ghost).unwrap();
+        primary.wal().sync().unwrap();
         pump(&primary, &replica, &mut applier);
-        assert_eq!(applier.state.row_map.len(), 3, "aborted insert pruned");
-        assert!(applier.state.inserts_in_flight.is_empty());
+        assert_eq!(visible_count(&replica, "t"), 3);
+        let heap = replica.table_by_name("t").unwrap();
+        assert_eq!(
+            heap.heap().fetch(ghost_row).unwrap().data,
+            [Datum::Int(777)]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_streamed_abort_settles_a_prepared_gid_as_recovery_does() {
+        // A Prepare whose record may not be durable is superseded by an
+        // Abort (see `StorageEngine::prepare_commit`): the gid is decided,
+        // as aborted, whether the records arrive by stream or by the log.
+        let txn = crate::mvcc::TxnId(1);
+        let version = TupleVersion::new(TupleHeader::new(txn, vec![]), vec![Datum::Int(1)]);
+        let records = [
+            LogRecord::CreateTable {
+                id: 1,
+                schema: TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)]),
+            },
+            LogRecord::Begin { txn },
+            LogRecord::Insert {
+                txn,
+                table: 1,
+                row: RowId { page: 0, slot: 0 },
+                chain: false,
+                bytes: version.encode(),
+            },
+            LogRecord::Prepare { txn, gid: 42 },
+            LogRecord::Abort { txn },
+        ];
+        let streamed = StorageEngine::in_memory();
+        streamed
+            .txns()
+            .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+        ReplicaApplier::new()
+            .apply_batch(&streamed, 1, &records)
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-2pc-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = Wal::create(&dir.join("wal.log"), DurabilityConfig::SYNC_EACH).unwrap();
+        for r in &records {
+            wal.append(r.clone()).unwrap();
+        }
+        drop(wal);
+        let recovered = StorageEngine::open(&dir, 8, DurabilityConfig::SYNC_EACH).unwrap();
+        for eng in [&streamed, &recovered] {
+            assert_eq!(eng.in_doubt(), Vec::<u64>::new());
+            assert_eq!(eng.outcome(42), Some(false));
+            assert_eq!(eng.txns().active_count(), 0);
+            assert_eq!(visible_count(eng, "t"), 0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every version `eng` shows a fresh snapshot of table `t`, in walk
+    /// order, with its row id and whether its page is on a chain.
+    fn visible_walk(eng: &StorageEngine) -> Vec<(RowId, bool, Vec<Datum>)> {
+        let t = eng.table_by_name("t").unwrap();
+        let txn = eng.begin().unwrap();
+        let mut out = Vec::new();
+        eng.visit_visible::<StorageError>(&eng.snapshot(txn), t.id(), |row, page_label, tuple| {
+            out.push((row, page_label.is_some(), tuple.to_version()?.data));
+            Ok(true)
+        })
+        .unwrap();
+        eng.commit(txn).unwrap();
+        out
+    }
+
+    /// Four writers on two labels, each inserting, updating and deleting
+    /// its own rows, one transaction in seven aborted. Rows of even `i`
+    /// are never touched, so every page keeps a visible row.
+    fn concurrent_history(primary: &StorageEngine) {
+        let t = primary
+            .create_table(TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("payload", DataType::Text),
+                ],
+            ))
+            .unwrap();
+        primary.create_index(t, "t_pkey", &["id"]).unwrap();
+        let payload = |key: i64, v: u8| Datum::Text(format!("{key:0>90}-{v}"));
+        std::thread::scope(|scope| {
+            for w in 0..4i64 {
+                scope.spawn(move || {
+                    let label = vec![10 + w as u64 % 2];
+                    let mut touchable: Vec<(i64, RowId)> = Vec::new();
+                    for i in 0..150i64 {
+                        let txn = primary.begin().unwrap();
+                        let key = w * 10_000 + i;
+                        let values = vec![Datum::Int(key), payload(key, 0)];
+                        let row = primary.insert(txn, t, label.clone(), values).unwrap();
+                        let mut change = None;
+                        if i % 4 == 2 {
+                            if let Some(&(k, old)) = touchable.last() {
+                                let values = vec![Datum::Int(k), payload(k, 1)];
+                                let new = primary.update(txn, t, old, label.clone(), values);
+                                change = Some((0, (k, new.unwrap())));
+                            }
+                        } else if i % 6 == 5 && !touchable.is_empty() {
+                            primary.delete(txn, t, touchable[0].1).unwrap();
+                            change = Some((1, touchable[0]));
+                        }
+                        if i % 7 == 3 {
+                            primary.abort(txn).unwrap();
+                            continue;
+                        }
+                        primary.commit(txn).unwrap();
+                        match change {
+                            Some((0, updated)) => *touchable.last_mut().unwrap() = updated,
+                            Some(_) => drop(touchable.remove(0)),
+                            None => {}
+                        }
+                        if i % 2 == 1 {
+                            touchable.push((key, row));
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// `records` regrouped writer by writer, the last writer's first: as
+    /// far from heap order as a valid log gets (a writer touches only its
+    /// own rows, so each writer's records keep their order and meaning).
+    fn regrouped(records: &[LogRecord]) -> Vec<LogRecord> {
+        let txn_of = |r: &LogRecord| match r {
+            LogRecord::Begin { txn }
+            | LogRecord::Commit { txn }
+            | LogRecord::Abort { txn }
+            | LogRecord::Insert { txn, .. }
+            | LogRecord::Delete { txn, .. } => Some(*txn),
+            _ => None,
+        };
+        let mut writer_of = HashMap::new();
+        for r in records {
+            if let LogRecord::Insert { txn, bytes, .. } = r {
+                let key = TupleVersion::decode(bytes).unwrap().data[0].clone();
+                let Datum::Int(key) = key else {
+                    panic!("{key:?}")
+                };
+                writer_of.insert(*txn, key / 10_000);
+            }
+        }
+        let mut out: Vec<LogRecord> = records
+            .iter()
+            .filter(|r| txn_of(r).is_none())
+            .cloned()
+            .collect();
+        for w in (0..4).rev() {
+            out.extend(
+                records
+                    .iter()
+                    .filter(|r| txn_of(r).is_some_and(|t| writer_of[&t] == w))
+                    .cloned(),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn redo_puts_every_version_at_the_primarys_row_id_whatever_the_log_order() {
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-order-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = StorageEngine::with_config(
+            StorageKind::OnDisk {
+                dir: dir.clone(),
+                buffer_pages: 64,
+            },
+            DurabilityConfig::NO_SYNC,
+        )
+        .unwrap();
+        concurrent_history(&primary);
+        let live = visible_walk(&primary);
+        assert!(
+            live.iter().any(|(_, chain, _)| *chain),
+            "labels opened chains"
+        );
+        let replica = || {
+            let eng = StorageEngine::in_memory();
+            eng.txns()
+                .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+            eng
+        };
+
+        // A replica fed from seq 1, and one fed the same records writer by
+        // writer.
+        let streamed = replica();
+        pump(&primary, &streamed, &mut ReplicaApplier::new());
+        assert_eq!(visible_walk(&streamed), live, "streamed from seq 1");
+        let records = primary.wal().read_replication_batch(1, usize::MAX).records;
+        let reordered = replica();
+        ReplicaApplier::new()
+            .apply_batch(&reordered, 1, &regrouped(&records))
+            .unwrap();
+        assert_eq!(visible_walk(&reordered), live, "log order ≠ heap order");
+
+        // Recovery redoes aborted inserts too, and checkpoints nothing.
+        drop(primary);
+        let recovered = StorageEngine::open(&dir, 64, DurabilityConfig::NO_SYNC).unwrap();
+        assert_eq!(visible_walk(&recovered), live, "recovered with open");
+        assert_eq!(recovered.stats().checkpoints, 0);
+
+        // A replica bootstrapped from a checkpoint image.
+        recovered.checkpoint().unwrap();
+        let imaged = replica();
+        let mut applier = ReplicaApplier::new();
+        pump(&recovered, &imaged, &mut applier);
+        assert_eq!(applier.resets(), 1, "bootstrapped from the image");
+        assert_eq!(visible_walk(&imaged), live, "from a checkpoint image");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,6 +69,7 @@
 //!     txn: TxnId(1),
 //!     table: 7,
 //!     row: RowId { page: 0, slot: 0 },
+//!     chain: false,
 //!     bytes: vec![1, 2, 3],
 //! })
 //! .unwrap();
@@ -195,6 +196,11 @@ pub enum LogRecord {
         table: u32,
         /// Where the version was placed.
         row: RowId,
+        /// Whether `row`'s page is on the chain of the version's label
+        /// rather than the heap's shared tail (see [`crate::heap`]). Redo
+        /// puts the page back on the same list. Carried in the record's kind
+        /// byte, so it costs no log bytes.
+        chain: bool,
         /// The encoded tuple version.
         bytes: Vec<u8>,
     },
@@ -1078,9 +1084,10 @@ impl Wal {
                 txn,
                 table,
                 row,
+                chain,
                 bytes,
             } => {
-                out.push(4);
+                out.push(if *chain { 13 } else { 4 });
                 out.extend_from_slice(&txn.0.to_le_bytes());
                 out.extend_from_slice(&table.to_le_bytes());
                 out.extend_from_slice(&row.page.to_le_bytes());
@@ -1181,7 +1188,7 @@ impl Wal {
             3 => Some(LogRecord::Abort {
                 txn: TxnId(u64_at(1)?),
             }),
-            4 => {
+            4 | 13 => {
                 let txn = TxnId(u64_at(1)?);
                 let table = u32_at(9)?;
                 let page = u32_at(13)?;
@@ -1192,6 +1199,7 @@ impl Wal {
                     txn,
                     table,
                     row: RowId { page, slot },
+                    chain: kind == 13,
                     bytes,
                 })
             }
@@ -1489,7 +1497,15 @@ mod tests {
                 txn: TxnId(5),
                 table: 9,
                 row: RowId { page: 1, slot: 2 },
+                chain: false,
                 bytes: vec![9, 9, 9, 9],
+            },
+            LogRecord::Insert {
+                txn: TxnId(5),
+                table: 9,
+                row: RowId { page: 3, slot: 0 },
+                chain: true,
+                bytes: vec![8, 8],
             },
             LogRecord::Delete {
                 txn: TxnId(5),
@@ -1529,6 +1545,7 @@ mod tests {
             txn: TxnId(1),
             table: 2,
             row: RowId { page: 0, slot: 3 },
+            chain: false,
             bytes: vec![1, 2, 3],
         })
         .unwrap();
@@ -1561,6 +1578,7 @@ mod tests {
             txn: TxnId(1),
             table: 1,
             row: RowId { page: 0, slot: 0 },
+            chain: false,
             bytes: vec![0; 100],
         })
         .unwrap();
@@ -1569,6 +1587,7 @@ mod tests {
             txn: TxnId(1),
             table: 1,
             row: RowId { page: 0, slot: 1 },
+            chain: false,
             bytes: vec![0; 200],
         })
         .unwrap();
@@ -1627,14 +1646,28 @@ mod tests {
         }
         wal.flush().unwrap();
         drop(wal);
-        // Flip the kind byte of the final record to an unknown kind.
-        let mut data = std::fs::read(&path).unwrap();
+        // Flip the final record's last byte.
+        let clean = std::fs::read(&path).unwrap();
+        let mut data = clean.clone();
         let last = data.len() - 1;
-        data[last] = 0xFF; // Checkpoint is 1 byte; its kind is the last byte
+        data[last] = 0xFF;
         std::fs::write(&path, &data).unwrap();
         let parsed = Wal::read_log(&path).unwrap();
         assert_eq!(parsed.records.len(), all_record_kinds().len() - 1);
         assert!(parsed.torn_bytes > 0);
+        // Turning either Insert kind into the other fails the checksum too:
+        // a page never changes lists by a flipped kind byte.
+        let records = all_record_kinds();
+        let mut at = 0;
+        for (i, r) in records.iter().enumerate() {
+            if let LogRecord::Insert { chain, .. } = r {
+                let mut data = clean.clone();
+                data[at + 8] = if *chain { 4 } else { 13 };
+                std::fs::write(&path, &data).unwrap();
+                assert_eq!(Wal::read_log(&path).unwrap().records, records[..i]);
+            }
+            at += 8 + Wal::encode_record(r).len();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1742,6 +1775,7 @@ mod tests {
                     page: (i / 64) as u32,
                     slot: (i % 64) as u16,
                 },
+                chain: i % 2 == 1,
                 bytes: vec![i as u8; 40],
             })
             .unwrap();

@@ -11,7 +11,10 @@ use proptest::prelude::*;
 use ifdb_storage::engine::{StorageEngine, StorageKind};
 use ifdb_storage::heap::RowId;
 use ifdb_storage::wal::{DurabilityConfig, LogRecord, Wal};
-use ifdb_storage::{ColumnDef, DataType, Datum, StorageError, TableId, TableSchema, TxnId};
+use ifdb_storage::{
+    ColumnDef, DataType, Datum, ReplicaApplier, StorageError, TableId, TableSchema, TxnId,
+    REPLICA_LOCAL_TXN_BASE,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -462,10 +465,13 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
                 if !open.is_empty() && !live_rows.is_empty() {
                     let txn = open[arg % open.len()];
                     let (table, row) = live_rows[arg % live_rows.len()];
-                    // Write conflicts with a concurrent deleter are expected;
-                    // any other error is a bug.
+                    // Write conflicts with a concurrent writer are expected,
+                    // and so is a row whose inserter aborted, which never
+                    // existed; any other error is a bug.
                     match eng.delete(TxnId(txn), table, row) {
-                        Ok(()) | Err(StorageError::WriteConflict { .. }) => {}
+                        Ok(())
+                        | Err(StorageError::WriteConflict { .. })
+                        | Err(StorageError::UnknownRow { .. }) => {}
                         Err(e) => panic!("unexpected delete error: {e}"),
                     }
                 }
@@ -490,6 +496,38 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
     }
 }
 
+/// Where every visible row of every table sits: redo puts each version back
+/// at the row id it was logged with.
+fn visible_row_ids(eng: &StorageEngine) -> BTreeMap<String, BTreeMap<RowId, String>> {
+    let txn = eng.begin().unwrap();
+    let snap = eng.snapshot(txn);
+    let mut out = BTreeMap::new();
+    for name in eng.table_names() {
+        let t = eng.table_by_name(&name).unwrap();
+        let mut rows = BTreeMap::new();
+        eng.scan_visible(&snap, t.id(), |row, v| {
+            rows.insert(row, format!("{:?} {:?}", v.header.label, v.data));
+            true
+        })
+        .unwrap();
+        out.insert(name, rows);
+    }
+    eng.abort(txn).unwrap();
+    out
+}
+
+/// A replica of `primary` fed its whole log (its checkpoint image, if it
+/// has one, and what follows).
+fn replica_of(primary: &StorageEngine) -> StorageEngine {
+    let replica = StorageEngine::in_memory();
+    replica.txns().reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+    let batch = primary.wal().read_replication_batch(1, usize::MAX);
+    ReplicaApplier::new()
+        .apply_batch(&replica, batch.first_seq, &batch.records)
+        .unwrap();
+    replica
+}
+
 /// Whether every row on a single-label heap page carries the page's label —
 /// the layout invariant replay must rebuild along with the rows.
 fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
@@ -512,12 +550,17 @@ proptest! {
         script in proptest::collection::vec(0u64..4096, 0..80),
     ) {
         let dir = temp_dir("equivalence");
-        let live_state;
+        let (live_state, live_rows);
         {
             let eng = fresh_engine(&dir, DurabilityConfig::NO_SYNC);
             let (a, b) = two_table_schema(&eng);
             run_script(&eng, &[a, b], &script);
             live_state = observable_state(&eng);
+            live_rows = visible_row_ids(&eng);
+            // A replica's heap is its primary's, slot for slot.
+            let replica = replica_of(&eng);
+            prop_assert_eq!(&visible_row_ids(&replica), &live_rows);
+            prop_assert!(pages_hold_their_labels(&replica));
             // Engine dropped here with whatever transactions were open:
             // the BufWriter flush on drop plays the role of the log being
             // fully on disk at crash time.
@@ -525,10 +568,12 @@ proptest! {
         let eng = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
         let recovered_state = observable_state(&eng);
         prop_assert_eq!(&recovered_state, &live_state);
+        prop_assert_eq!(&visible_row_ids(&eng), &live_rows);
         prop_assert!(pages_hold_their_labels(&eng));
+        // Redo skips nothing, so nothing needs re-anchoring.
+        prop_assert_eq!(eng.stats().checkpoints, 0);
         // Second recovery: writes logged *after* a recovery — in particular
-        // deletes of recovered rows, whose heap slots may differ from the
-        // original log's insert ids — must survive another replay.
+        // deletes of recovered rows — must survive another redo.
         let a = eng.table_by_name("alpha").unwrap().id();
         let txn = eng.begin().unwrap();
         let snap = eng.snapshot(txn);
@@ -545,9 +590,11 @@ proptest! {
             .unwrap();
         eng.commit(txn).unwrap();
         let after_writes = observable_state(&eng);
+        let after_rows = visible_row_ids(&eng);
         drop(eng);
         let eng = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
         prop_assert_eq!(&observable_state(&eng), &after_writes);
+        prop_assert_eq!(&visible_row_ids(&eng), &after_rows);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -179,10 +179,12 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
         0 => LogRecord::Begin { txn },
         1 => LogRecord::Commit { txn },
         2 => LogRecord::Abort { txn },
-        3 | 4 => LogRecord::Insert {
+        // Both kinds: a row on the shared tail (3) and on a chain (4).
+        kind @ (3 | 4) => LogRecord::Insert {
             txn,
             table,
             row,
+            chain: kind == 4,
             bytes: bytes(rng),
         },
         5 => LogRecord::Delete { txn, table, row },
