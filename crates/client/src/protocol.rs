@@ -15,7 +15,8 @@
 //! is `len u32 | checksum u32 | payload`, with an FNV-1a checksum over the
 //! payload, so a torn or bit-flipped frame is rejected rather than decoded
 //! by luck. Everything is hand-rolled little-endian — no external
-//! serialization dependencies.
+//! serialization dependencies. A datum travels in the storage engine's one
+//! datum codec ([`Datum::encode`]), the bytes its pages and log hold.
 
 use std::io::{Read, Write};
 
@@ -290,18 +291,13 @@ impl<'a> Reader<'a> {
         Ok(Label::from_array(&self.tags()?))
     }
 
-    /// Reads a datum.
+    /// Reads a datum, in the storage engine's datum codec
+    /// ([`Datum::decode`]).
     pub fn datum(&mut self) -> IfdbResult<Datum> {
-        Ok(match self.u8()? {
-            0 => Datum::Null,
-            1 => Datum::Int(self.i64()?),
-            2 => Datum::Float(self.f64()?),
-            3 => Datum::Text(self.str()?),
-            4 => Datum::Bool(self.u8()? != 0),
-            5 => Datum::Timestamp(self.i64()?),
-            6 => Datum::IntArray(self.tags()?),
-            t => return Err(protocol_error(format!("unknown datum tag {t}"))),
-        })
+        let (datum, end) = Datum::decode(self.buf, self.pos)
+            .map_err(|e| protocol_error(format!("bad datum: {e}")))?;
+        self.pos = end;
+        Ok(datum)
     }
 
     fn datums(&mut self) -> IfdbResult<Vec<Datum>> {
@@ -382,35 +378,10 @@ impl Writer {
         self.tags(&l.to_array());
     }
 
-    /// Appends a datum.
+    /// Appends a datum, in the storage engine's datum codec
+    /// ([`Datum::encode`]).
     pub fn datum(&mut self, d: &Datum) {
-        match d {
-            Datum::Null => self.u8(0),
-            Datum::Int(v) => {
-                self.u8(1);
-                self.i64(*v);
-            }
-            Datum::Float(v) => {
-                self.u8(2);
-                self.f64(*v);
-            }
-            Datum::Text(s) => {
-                self.u8(3);
-                self.str(s);
-            }
-            Datum::Bool(b) => {
-                self.u8(4);
-                self.u8(*b as u8);
-            }
-            Datum::Timestamp(v) => {
-                self.u8(5);
-                self.i64(*v);
-            }
-            Datum::IntArray(a) => {
-                self.u8(6);
-                self.tags(a);
-            }
-        }
+        d.encode(&mut self.buf);
     }
 
     fn datums(&mut self, ds: &[Datum]) {

@@ -6,7 +6,7 @@
 use ifdb::{AggFunc, Aggregate, Delete, Insert, Join, Order, Predicate, Select, Statement, Update};
 use ifdb_client::protocol::{
     decode_template, encode_template, frame_into, read_frame, read_frame_id, try_take_frame,
-    write_frame, write_frame_id, HaRole, Request, Response, WireRow,
+    write_frame, write_frame_id, HaRole, Reader, Request, Response, WireRow, Writer,
 };
 use ifdb_difc::{Label, TagId};
 use ifdb_storage::Datum;
@@ -323,7 +323,82 @@ fn parse_all(buf: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, ()> {
     }
 }
 
+/// The wire bytes of every datum kind, pinned: the wire and the storage
+/// engine share one datum codec, and sharing it changed no wire byte.
+#[test]
+fn datum_wire_bytes_are_pinned() {
+    let golden: Vec<(Datum, Vec<u8>)> = vec![
+        (Datum::Null, vec![0]),
+        (
+            Datum::Int(-2),
+            vec![1, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF],
+        ),
+        (Datum::Float(1.5), vec![2, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F]),
+        (
+            Datum::Text("hé".into()),
+            vec![3, 3, 0, 0, 0, b'h', 0xC3, 0xA9],
+        ),
+        (Datum::Bool(true), vec![4, 1]),
+        (Datum::Bool(false), vec![4, 0]),
+        (Datum::Timestamp(258), vec![5, 2, 1, 0, 0, 0, 0, 0, 0]),
+        (
+            Datum::IntArray(vec![1, 256]),
+            vec![
+                6, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
+            ],
+        ),
+    ];
+    for (datum, bytes) in golden {
+        let mut w = Writer::new();
+        w.datum(&datum);
+        assert_eq!(w.finish(), bytes, "{datum:?}");
+        let mut stored = Vec::new();
+        datum.encode(&mut stored);
+        assert_eq!(stored, bytes, "{datum:?}");
+        let mut r = Reader::new(&bytes);
+        assert_eq!(format!("{:?}", r.datum().unwrap()), format!("{datum:?}"));
+        assert!(r.at_end(), "{datum:?}");
+    }
+}
+
+/// `Reader::datum` and `Datum::decode` accept the same inputs, read the
+/// same datum and consume the same bytes.
+fn datum_readers_agree(buf: &[u8]) {
+    let wire = Reader::new(buf).datum();
+    match (Datum::decode(buf, 0), wire) {
+        (Ok((stored, end)), Ok(wire)) => {
+            assert_eq!(format!("{stored:?}"), format!("{wire:?}"), "{buf:?}");
+            let mut exact = Reader::new(&buf[..end]);
+            exact.datum().unwrap();
+            assert!(exact.at_end(), "{buf:?}");
+        }
+        (Err(_), Err(_)) => {}
+        (stored, wire) => panic!("readers disagree on {buf:?}: {stored:?} vs {wire:?}"),
+    }
+}
+
 proptest! {
+    #[test]
+    fn the_wire_and_storage_read_datums_alike(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Valid encodings, cut anywhere and with a byte overwritten.
+        let mut bytes = Vec::new();
+        gen_datum(&mut rng).encode(&mut bytes);
+        for cut in 0..=bytes.len() {
+            datum_readers_agree(&bytes[..cut]);
+        }
+        let at = rng.gen_range(0..bytes.len());
+        bytes[at] = rng.gen::<u32>() as u8;
+        datum_readers_agree(&bytes);
+        // Noise behind every kind byte, known or not; invalid UTF-8 too.
+        let len = rng.gen_range(0..24);
+        let mut noise: Vec<u8> = (0..len).map(|_| rng.gen_range(0..4u8)).collect();
+        noise.insert(0, rng.gen_range(0..9));
+        datum_readers_agree(&noise);
+        noise.push(0xFF);
+        datum_readers_agree(&noise);
+    }
+
     #[test]
     fn statement_templates_round_trip(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -24,7 +24,7 @@ use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN}
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
 use crate::store::{FilePageStore, MemPageStore, PageStore};
-use crate::tuple::{TupleHeader, TupleRef, TupleVersion};
+use crate::tuple::{with_mvcc_header, TupleHeader, TupleRef, TupleVersion, MVCC_HEADER_LEN};
 use crate::value::Datum;
 use crate::wal::{DurabilityConfig, LogRecord, Wal};
 
@@ -61,6 +61,17 @@ impl IndexEntry {
     fn key_of(&self, values: &[Datum]) -> Vec<u8> {
         encode_key(self.columns.iter().map(|c| &values[*c]))
     }
+
+    /// This index's key for a version read in place, decoding its key
+    /// columns alone.
+    fn key_of_tuple(&self, tuple: &TupleRef<'_>) -> StorageResult<Vec<u8>> {
+        let key = self
+            .columns
+            .iter()
+            .map(|c| tuple.field(*c))
+            .collect::<StorageResult<Vec<Datum>>>()?;
+        Ok(encode_key(&key))
+    }
 }
 
 /// A table: schema, heap, and secondary indexes.
@@ -92,6 +103,14 @@ impl Table {
         for entry in self.indexes.read().iter() {
             entry.index.insert(&entry.key_of(values), row);
         }
+    }
+
+    /// [`Table::index_row`] for a version read in place.
+    fn index_tuple(&self, tuple: &TupleRef<'_>, row: RowId) -> StorageResult<()> {
+        for entry in self.indexes.read().iter() {
+            entry.index.insert(&entry.key_of_tuple(tuple)?, row);
+        }
+        Ok(())
     }
 }
 
@@ -429,9 +448,9 @@ impl StorageEngine {
             columns: col_idx,
             index: OrderedIndex::new(),
         };
-        t.heap.scan(|row, version| {
-            entry.index.insert(&entry.key_of(&version.data), row);
-            true
+        t.heap.walk::<StorageError>(|row, _, tuple| {
+            entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
+            Ok(true)
         })?;
         indexes.push(entry);
         Ok(())
@@ -815,14 +834,17 @@ impl StorageEngine {
         let t = self.table(table)?;
         t.schema.check_tuple(&values)?;
         let version = TupleVersion::new(TupleHeader::new(txn, label), values);
+        let mut bytes = version.encode();
         self.log_begin_once(txn)?;
-        let (row, chain) = t.heap.insert(&version)?;
+        let (row, chain) = t.heap.insert(&version.header.label, &bytes)?;
+        // The log takes the body: the same bytes, without the MVCC header.
+        bytes.drain(..MVCC_HEADER_LEN);
         self.wal.append(LogRecord::Insert {
             txn,
             table: table.0,
             row,
             chain,
-            bytes: version.encode(),
+            body: bytes,
         })?;
         t.index_row(&version.data, row);
         self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
@@ -1106,12 +1128,12 @@ impl StorageEngine {
                 // every index.
                 let indexes = t.indexes.write();
                 let mut live: HashSet<RowId> = HashSet::new();
-                t.heap.scan(|row, version| {
+                t.heap.walk::<StorageError>(|row, _, tuple| {
                     for entry in indexes.iter() {
-                        entry.index.insert(&entry.key_of(&version.data), row);
+                        entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
                     }
                     live.insert(row);
-                    true
+                    Ok(true)
                 })?;
                 for entry in indexes.iter() {
                     entry.index.retain(|row| live.contains(&row));
@@ -1196,20 +1218,19 @@ impl StorageEngine {
                 })?;
             }
         }
+        let mut visibility = self.txns.visibility(&snap);
         for id in &ids {
             tables[id].heap.walk::<StorageError>(|row, label, tuple| {
-                let mut v = tuple.to_version()?;
-                if self.txns.is_visible(&snap, &v.header) {
+                if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
                     // The image represents settled history: every row in
-                    // it is committed before anything that can follow.
-                    v.header.xmin = BOOTSTRAP_TXN;
-                    v.header.xmax = None;
+                    // it is committed before anything that can follow, so
+                    // its logged `xmin` is the bootstrap transaction.
                     emit(LogRecord::Insert {
                         txn: BOOTSTRAP_TXN,
                         table: id.0,
                         row,
                         chain: label.is_some(),
-                        bytes: v.encode(),
+                        body: tuple.body().to_vec(),
                     })?;
                 }
                 Ok(true)
@@ -1266,9 +1287,12 @@ impl StorageEngine {
                                 table: id.0,
                                 row,
                                 chain: label.is_some(),
-                                bytes: tuple.to_version()?.encode(),
+                                body: tuple.body().to_vec(),
                             })?;
-                        } else if tuple.xmax() == Some(txn) {
+                        }
+                        // A row it inserted and then deleted or updated
+                        // takes both records: a logged insert has no `xmax`.
+                        if tuple.xmax() == Some(txn) {
                             emit(LogRecord::Delete {
                                 txn,
                                 table: id.0,
@@ -1353,16 +1377,20 @@ impl StorageEngine {
                 self.txns.abort_replicated(*txn);
             }
             LogRecord::Insert {
+                txn,
                 table,
                 row,
                 chain,
-                bytes,
-                ..
+                body,
             } => {
+                // The slot takes the logged body behind the header it
+                // implies; only the index key columns are decoded.
                 let t = self.table(TableId(*table))?;
-                let version = TupleVersion::decode(bytes)?;
-                t.heap.place(*row, *chain, &version)?;
-                t.index_row(&version.data, *row);
+                let bytes = with_mvcc_header(*txn, body);
+                let tuple = TupleRef::parse(&bytes)?;
+                let label: Vec<u64> = tuple.label_words().collect();
+                t.heap.place(*row, *chain, &label, &bytes)?;
+                t.index_tuple(&tuple, *row)?;
                 self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
             }
             LogRecord::Delete { txn, table, row } => {
@@ -1510,6 +1538,43 @@ mod tests {
             ))
             .unwrap();
         (eng, id)
+    }
+
+    #[test]
+    fn a_logged_row_costs_its_body_and_the_record_header_alone() {
+        let eng = StorageEngine::in_memory();
+        let ints = |name: &str, n: usize| {
+            let columns = (0..n)
+                .map(|i| ColumnDef::new(&format!("c{i}"), DataType::Int))
+                .collect();
+            eng.create_table(TableSchema::new(name, columns)).unwrap()
+        };
+        let (stock, data) = (ints("stock", 5), ints("data", 3));
+        let txn = eng.begin().unwrap();
+        // The first write also logs the transaction's Begin.
+        eng.insert(txn, data, vec![1], vec![Datum::Int(0); 3])
+            .unwrap();
+        let logged = |table, label, n: i64| {
+            let before = eng.wal().bytes_written();
+            let values = (0..n).map(|i| Datum::Int(1_000 + i)).collect();
+            let row = eng.insert(txn, table, label, values).unwrap();
+            let page_bytes = eng
+                .table(table)
+                .unwrap()
+                .heap()
+                .read::<_, StorageError>(row, |t| Ok(MVCC_HEADER_LEN + t.body().len()))
+                .unwrap();
+            (eng.wal().bytes_written() - before, page_bytes)
+        };
+        // A 2-tag TPC-C stock version: frame 8 B, record header 19 B, body
+        // 64 B (label 17 B, field count 2 B, five 9-byte integers).
+        let (stock_frame, stock_page) = logged(stock, vec![3, 4], 5);
+        assert!(stock_frame <= 91, "stock insert frames at {stock_frame} B");
+        assert_eq!(stock_frame as usize, 8 + 19 + stock_page - MVCC_HEADER_LEN);
+        // A 1-tag row of three integers takes 54 B of page.
+        let (_, data_page) = logged(data, vec![9], 3);
+        assert_eq!(data_page, 54);
+        eng.commit(txn).unwrap();
     }
 
     fn visible_rows(eng: &StorageEngine, table: TableId) -> Vec<Vec<Datum>> {
@@ -1838,15 +1903,7 @@ mod tests {
         );
         // Dead versions were reclaimed: the heap holds far fewer than the
         // 21 versions written, and the index still finds the live row.
-        let mut versions = 0;
-        eng.table(table)
-            .unwrap()
-            .heap()
-            .scan(|_, _| {
-                versions += 1;
-                true
-            })
-            .unwrap();
+        let versions = eng.table(table).unwrap().heap().version_count().unwrap();
         assert!(versions < 5, "dead versions reclaimed, saw {versions}");
         let hits = eng.index_lookup(table, "t_pkey", &[Datum::Int(1)]).unwrap();
         let snap = eng.snapshot(eng.begin().unwrap());

@@ -245,21 +245,21 @@ impl TableHeap {
         self.layout.lock().page_count()
     }
 
-    /// Inserts a tuple version where its label places it (see the module
-    /// docs), returning its row id and whether it went to the label's chain.
-    pub fn insert(&self, version: &TupleVersion) -> StorageResult<(RowId, bool)> {
-        let bytes = version.encode();
+    /// Inserts an encoded tuple version ([`TupleVersion::encode`]) of
+    /// `label` where that label places it (see the module docs), returning
+    /// its row id and whether it went to the label's chain.
+    pub fn insert(&self, label: &[u64], bytes: &[u8]) -> StorageResult<(RowId, bool)> {
         if bytes.len() > PAGE_SIZE / 2 {
             return Err(StorageError::TupleTooLarge { size: bytes.len() });
         }
         let mut layout = self.layout.lock();
-        let (pages, chain) = layout.place(&version.header.label, footprint(bytes.len()));
+        let (pages, chain) = layout.place(label, footprint(bytes.len()));
         let store = self.store.as_ref();
         // Append to the list's last page, or to a fresh one.
         if let Some(&pid) = pages.last() {
             let inserted = self.buffer.with_page_mut(self.table_id, pid, store, |p| {
                 p.fits(bytes.len())
-                    .then(|| p.insert(&bytes).expect("fits was checked"))
+                    .then(|| p.insert(bytes).expect("fits was checked"))
             })?;
             if let Some(slot) = inserted {
                 return Ok((RowId { page: pid.0, slot }, chain));
@@ -269,26 +269,25 @@ impl TableHeap {
         pages.push(pid);
         let slot = self
             .buffer
-            .with_page_mut(self.table_id, pid, store, |p| p.insert(&bytes))??;
+            .with_page_mut(self.table_id, pid, store, |p| p.insert(bytes))??;
         Ok((RowId { page: pid.0, slot }, chain))
     }
 
-    /// Stores a tuple version at `row`, on its label's chain if `chain` and
-    /// on the shared tail otherwise: the redo of an insert at the row id and
-    /// page kind its log record names. The store grows to the row's page,
-    /// and a page the heap has not seen yet joins its list in page-id order,
-    /// the order the writer allocated it in.
-    pub fn place(&self, row: RowId, chain: bool, version: &TupleVersion) -> StorageResult<()> {
-        let bytes = version.encode();
+    /// Stores an encoded tuple version of `label` at `row`, on the label's
+    /// chain if `chain` and on the shared tail otherwise: the redo of an
+    /// insert at the row id and page kind its log record names. The store
+    /// grows to the row's page, and a page the heap has not seen yet joins
+    /// its list in page-id order, the order the writer allocated it in.
+    pub fn place(&self, row: RowId, chain: bool, label: &[u64], bytes: &[u8]) -> StorageResult<()> {
         let pid = PageId(row.page);
         let mut layout = self.layout.lock();
         while self.store.page_count() <= row.page {
             self.store.allocate()?;
         }
-        layout.adopt(pid, &version.header.label, chain, footprint(bytes.len()));
+        layout.adopt(pid, label, chain, footprint(bytes.len()));
         self.buffer
             .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
-                p.place(row.slot, &bytes)
+                p.place(row.slot, bytes)
             })?
     }
 
@@ -382,12 +381,6 @@ impl TableHeap {
         Ok(())
     }
 
-    /// Calls `f` for every live tuple version in the heap, in walk order.
-    /// Returning `false` from `f` stops the scan early.
-    pub fn scan(&self, mut f: impl FnMut(RowId, TupleVersion) -> bool) -> StorageResult<()> {
-        self.walk::<StorageError>(|row, _, t| Ok(f(row, t.to_version()?)))
-    }
-
     /// Counts live (non-dead-slot) tuple versions.
     pub fn version_count(&self) -> StorageResult<usize> {
         let mut n = 0;
@@ -461,11 +454,16 @@ mod tests {
         )
     }
 
+    /// Inserts `v` as the engine does: encoded once, where its label puts it.
+    fn put(h: &TableHeap, v: &TupleVersion) -> (RowId, bool) {
+        h.insert(&v.header.label, &v.encode()).unwrap()
+    }
+
     #[test]
     fn insert_fetch_round_trip() {
         let h = heap();
         let v = version(1, "alice", vec![42]);
-        let (row, _) = h.insert(&v).unwrap();
+        let (row, _) = put(&h, &v);
         assert_eq!(h.fetch(row).unwrap(), v);
     }
 
@@ -474,7 +472,7 @@ mod tests {
         let h = heap();
         let big = "x".repeat(1000);
         for i in 0..50 {
-            h.insert(&version(i, &big, vec![])).unwrap();
+            put(&h, &version(i, &big, vec![]));
         }
         assert!(h.page_count() > 1, "50 KB of tuples needs several pages");
         assert_eq!(h.version_count().unwrap(), 50);
@@ -483,7 +481,7 @@ mod tests {
     #[test]
     fn set_xmax_is_persistent() {
         let h = heap();
-        let (row, _) = h.insert(&version(1, "victim", vec![])).unwrap();
+        let (row, _) = put(&h, &version(1, "victim", vec![]));
         h.set_xmax(row, Some(TxnId(9))).unwrap();
         assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(9)));
         h.set_xmax(row, None).unwrap();
@@ -493,7 +491,7 @@ mod tests {
     #[test]
     fn compare_and_set_xmax_sets_only_over_the_expected_value() {
         let h = heap();
-        let (row, _) = h.insert(&version(1, "contended", vec![])).unwrap();
+        let (row, _) = put(&h, &version(1, "contended", vec![]));
         assert!(h.compare_and_set_xmax(row, None, Some(TxnId(5))).unwrap());
         // A second claimant that read the slot before the first set it.
         assert!(!h.compare_and_set_xmax(row, None, Some(TxnId(6))).unwrap());
@@ -509,20 +507,20 @@ mod tests {
     fn scan_visits_all_and_stops_early() {
         let h = heap();
         for i in 0..10 {
-            h.insert(&version(i, "row", vec![])).unwrap();
+            put(&h, &version(i, "row", vec![]));
         }
         let mut seen = 0;
-        h.scan(|_, _| {
+        h.walk::<StorageError>(|_, _, _| {
             seen += 1;
-            true
+            Ok(true)
         })
         .unwrap();
         assert_eq!(seen, 10);
 
         let mut early = 0;
-        h.scan(|_, _| {
+        h.walk::<StorageError>(|_, _, _| {
             early += 1;
-            early < 3
+            Ok(early < 3)
         })
         .unwrap();
         assert_eq!(early, 3);
@@ -532,7 +530,7 @@ mod tests {
     fn vacuum_removes_matching_versions() {
         let h = heap();
         for i in 0..6 {
-            h.insert(&version(i, "row", vec![])).unwrap();
+            put(&h, &version(i, "row", vec![]));
         }
         let removed = h.vacuum(|v| v.header.xmin.0 % 2 == 0).unwrap();
         assert_eq!(removed, 3);
@@ -542,7 +540,7 @@ mod tests {
     #[test]
     fn fetch_of_unknown_row_errors() {
         let h = heap();
-        let (row, _) = h.insert(&version(1, "only", vec![])).unwrap();
+        let (row, _) = put(&h, &version(1, "only", vec![]));
         assert!(h
             .fetch(RowId {
                 page: row.page,
@@ -570,7 +568,7 @@ mod tests {
     /// Inserts `versions` into a fresh heap; returns it and each row's id.
     fn heap_of(versions: &[TupleVersion]) -> (TableHeap, Vec<RowId>) {
         let h = heap();
-        let rows = versions.iter().map(|v| h.insert(v).unwrap().0).collect();
+        let rows = versions.iter().map(|v| put(&h, v).0).collect();
         (h, rows)
     }
 
@@ -645,8 +643,7 @@ mod tests {
         let mut state = Vec::new();
         for round in 0..4u64 {
             for i in 0..16 * 500 {
-                h.insert(&version(round * 10_000 + i, "row", vec![i % 16]))
-                    .unwrap();
+                put(&h, &version(round * 10_000 + i, "row", vec![i % 16]));
             }
             let layout = h.layout.lock();
             state.push((layout.labels.len(), layout.chains.len()));
@@ -700,14 +697,15 @@ mod tests {
     fn placing_rows_at_their_ids_in_any_order_rebuilds_the_layout() {
         let rows = interleaved(3, 700);
         let h = heap();
-        let placed: Vec<(RowId, bool)> = rows.iter().map(|v| h.insert(v).unwrap()).collect();
+        let placed: Vec<(RowId, bool)> = rows.iter().map(|v| put(&h, v)).collect();
         assert!(placed.iter().any(|(_, chain)| *chain));
         // Redo backwards, so chains and pages arrive last first, and leave
         // out every seventh row, as if its insert never reached the log.
         let redo = heap();
         for (v, (row, chain)) in rows.iter().zip(&placed).rev() {
             if v.header.xmin.0 % 7 != 3 {
-                redo.place(*row, *chain, v).unwrap();
+                redo.place(*row, *chain, &v.header.label, &v.encode())
+                    .unwrap();
             }
         }
         let by_id = |h: &TableHeap| {
@@ -725,7 +723,8 @@ mod tests {
         assert_eq!(redo.page_count(), h.page_count());
         let (row, chain) = placed[5];
         assert!(
-            redo.place(row, chain, &rows[5]).is_err(),
+            redo.place(row, chain, &rows[5].header.label, &rows[5].encode())
+                .is_err(),
             "a slot is filled once"
         );
     }
@@ -740,7 +739,7 @@ mod tests {
         let big = "y".repeat(800);
         let mut rows = Vec::new();
         for i in 0..40 {
-            rows.push(h.insert(&version(i, &big, vec![1, 2])).unwrap().0);
+            rows.push(put(&h, &version(i, &big, vec![1, 2])).0);
         }
         for (i, row) in rows.iter().enumerate() {
             let v = h.fetch(*row).unwrap();

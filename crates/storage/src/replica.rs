@@ -122,7 +122,7 @@ mod tests {
     use crate::error::StorageError;
     use crate::heap::RowId;
     use crate::schema::{ColumnDef, TableSchema};
-    use crate::tuple::{TupleHeader, TupleVersion};
+    use crate::tuple::{with_mvcc_header, TupleHeader, TupleVersion, MVCC_HEADER_LEN};
     use crate::value::{DataType, Datum};
     use crate::wal::{DurabilityConfig, Wal};
 
@@ -303,7 +303,7 @@ mod tests {
                 table: 1,
                 row: RowId { page: 0, slot: 0 },
                 chain: false,
-                bytes: version.encode(),
+                body: version.encode()[MVCC_HEADER_LEN..].to_vec(),
             },
             LogRecord::Prepare { txn, gid: 42 },
             LogRecord::Abort { txn },
@@ -417,8 +417,11 @@ mod tests {
         };
         let mut writer_of = HashMap::new();
         for r in records {
-            if let LogRecord::Insert { txn, bytes, .. } = r {
-                let key = TupleVersion::decode(bytes).unwrap().data[0].clone();
+            if let LogRecord::Insert { txn, body, .. } = r {
+                let key = TupleVersion::decode(&with_mvcc_header(*txn, body))
+                    .unwrap()
+                    .data[0]
+                    .clone();
                 let Datum::Int(key) = key else {
                     panic!("{key:?}")
                 };
@@ -617,6 +620,60 @@ mod tests {
         replica.commit(txn).unwrap();
         assert_eq!(visible_count(&replica, "t"), 4);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_promoted_prepared_update_shows_one_version_live_and_after_open() {
+        // A prepared transaction that inserted a row and then updated it
+        // rides into the promotion image as both versions. A logged insert
+        // carries no `xmax`, so the superseded one takes its own Delete.
+        let base =
+            std::env::temp_dir().join(format!("ifdb-replica-2pc-upd-{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let primary = primary_with_rows(&base.join("primary"), 2);
+        let replica_dir = base.join("replica");
+        let replica = StorageEngine::with_config(
+            StorageKind::OnDisk {
+                dir: replica_dir.clone(),
+                buffer_pages: 32,
+            },
+            DurabilityConfig::SYNC_EACH,
+        )
+        .unwrap();
+        replica
+            .txns()
+            .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+        replica.wal().set_discard(true);
+        let t = primary.table_by_name("t").unwrap().id();
+        let txn = primary.begin().unwrap();
+        let row = primary
+            .insert(txn, t, vec![7], vec![Datum::Int(10)])
+            .unwrap();
+        primary
+            .update(txn, t, row, vec![7], vec![Datum::Int(11)])
+            .unwrap();
+        primary.prepare_commit(txn, 9).unwrap();
+        let mut applier = ReplicaApplier::new();
+        pump(&primary, &replica, &mut applier);
+        replica.promote_to_primary(2).unwrap();
+        assert!(replica.decide(9, true).unwrap());
+        let ids = |eng: &StorageEngine| {
+            let t = eng.table_by_name("t").unwrap();
+            let snap = eng.snapshot(eng.begin().unwrap());
+            let mut ids = Vec::new();
+            eng.scan_visible(&snap, t.id(), |_, v| {
+                ids.push(v.data[0].as_int().unwrap());
+                true
+            })
+            .unwrap();
+            ids.sort();
+            ids
+        };
+        assert_eq!(ids(&replica), [0, 1, 11]);
+        drop(replica);
+        let reopened = StorageEngine::open(&replica_dir, 32, DurabilityConfig::SYNC_EACH).unwrap();
+        assert_eq!(ids(&reopened), [0, 1, 11]);
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

@@ -8,6 +8,23 @@
 //! header, which was previously unused for alignment reasons", and each tag
 //! adds to the tuple size with corresponding I/O implications; Section 8.3).
 //!
+//! # Layout
+//!
+//! A version in a page slot is its 16-byte MVCC header and then its *body*.
+//! Integers are little-endian.
+//!
+//! | part        | bytes           | field                                   |
+//! |-------------|-----------------|-----------------------------------------|
+//! | MVCC header | 8               | `xmin`                                  |
+//! |             | 8               | `xmax`; 0 for none, patched by deletes  |
+//! | body        | 1               | label length, in tags                   |
+//! |             | 8 per tag       | the label's tag ids, sorted             |
+//! |             | 2               | field count                             |
+//! |             | at least 1 each | the fields, as [`Datum::encode`] writes them |
+//!
+//! The log needs no MVCC header: a logged insert's `xmin` is its record's
+//! transaction and its `xmax` is empty ([`with_mvcc_header`] puts them back).
+//!
 //! There is one encoder ([`TupleVersion::encode`]) and one decoder
 //! ([`TupleRef`], a view over a slot's bytes that checks bounds as it goes
 //! and allocates only when asked for owned values). [`TupleVersion::decode`]
@@ -18,6 +35,9 @@ use serde::{Deserialize, Serialize};
 use crate::error::{corrupt, StorageError, StorageResult};
 use crate::mvcc::TxnId;
 use crate::value::Datum;
+
+/// Bytes of a version's MVCC header: `xmin` and `xmax`, before its body.
+pub const MVCC_HEADER_LEN: usize = 16;
 
 /// The field values of a tuple (no header).
 pub type TupleData = Vec<Datum>;
@@ -65,10 +85,8 @@ impl TupleVersion {
         TupleVersion { header, data }
     }
 
-    /// Encodes the version into bytes for storage in a page slot.
-    ///
-    /// Layout: `xmin u64 | xmax u64 (0 = none) | label_len u8 | tags... |
-    /// field_count u16 | encoded fields...`
+    /// Encodes the version into bytes for storage in a page slot: its MVCC
+    /// header, then its body (see the [module docs](self) for the layout).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.header.xmin.0.to_le_bytes());
@@ -92,7 +110,7 @@ impl TupleVersion {
 
     /// Total encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        self.header.encoded_len() + 2 + self.data.iter().map(|d| 5 + d.encoded_len()).sum::<usize>()
+        self.header.encoded_len() + 2 + self.data.iter().map(Datum::encoded_len).sum::<usize>()
     }
 }
 
@@ -114,17 +132,18 @@ impl<'a> TupleRef<'a> {
     /// Checks the header of an encoded version (see [`TupleVersion::encode`]
     /// for the layout). Field payloads are checked when they are read.
     pub fn parse(buf: &'a [u8]) -> StorageResult<Self> {
-        if buf.len() < 17 {
+        const LABEL_AT: usize = MVCC_HEADER_LEN + 1;
+        if buf.len() < LABEL_AT {
             return Err(corrupt("tuple shorter than header"));
         }
-        let fields_at = 17 + buf[16] as usize * 8 + 2;
+        let fields_at = LABEL_AT + buf[MVCC_HEADER_LEN] as usize * 8 + 2;
         if fields_at > buf.len() {
             return Err(corrupt("truncated label"));
         }
         let tuple = TupleRef { buf, fields_at };
-        // Every field has a five-byte frame, which bounds the count before
-        // anything is allocated for it.
-        if tuple.field_count() * 5 > buf.len() - fields_at {
+        // Every field takes at least its kind byte, which bounds the count
+        // before anything is allocated for it.
+        if tuple.field_count() > buf.len() - fields_at {
             return Err(corrupt("truncated fields"));
         }
         Ok(tuple)
@@ -148,9 +167,14 @@ impl<'a> TupleRef<'a> {
     /// the slot, so callers that need a slice collect them into a buffer
     /// they reuse.
     pub fn label_words(&self) -> impl Iterator<Item = u64> + 'a {
-        self.buf[17..self.fields_at - 2]
+        self.buf[MVCC_HEADER_LEN + 1..self.fields_at - 2]
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+    }
+
+    /// The version's body: its bytes past the MVCC header.
+    pub fn body(&self) -> &'a [u8] {
+        &self.buf[MVCC_HEADER_LEN..]
     }
 
     /// Number of fields.
@@ -210,6 +234,16 @@ impl<'a> TupleRef<'a> {
             data: self.data()?,
         })
     }
+}
+
+/// The page bytes of a version that `xmin` inserted, with no `xmax`, whose
+/// body is `body`: how redo rebuilds a slot from a logged insert.
+pub fn with_mvcc_header(xmin: TxnId, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(MVCC_HEADER_LEN + body.len());
+    out.extend_from_slice(&xmin.0.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 /// Overwrites the `xmax` field of an encoded tuple in place. Used by the heap

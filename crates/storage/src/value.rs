@@ -10,7 +10,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{corrupt, StorageResult};
+use crate::error::{corrupt, StorageError, StorageResult};
 
 /// The declared type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -125,37 +125,46 @@ impl Datum {
         }
     }
 
-    /// The number of bytes this datum occupies in the on-page encoding
-    /// (excluding the per-field length prefix).
+    /// The number of bytes [`Datum::encode`] appends for this datum: its
+    /// kind byte, its length word if it has one, and its payload.
     pub fn encoded_len(&self) -> usize {
-        match self {
+        1 + match self {
             Datum::Null => 0,
             Datum::Int(_) | Datum::Float(_) | Datum::Timestamp(_) => 8,
             Datum::Bool(_) => 1,
-            Datum::Text(s) => s.len(),
-            Datum::IntArray(v) => v.len() * 8,
+            Datum::Text(s) => 4 + s.len(),
+            Datum::IntArray(v) => 4 + v.len() * 8,
         }
     }
 
     /// Appends the binary encoding of this datum to `out`.
     ///
-    /// The encoding is `[type_byte][u32 length][payload]`; it is not meant to
-    /// be a stable on-disk format, just a compact, deterministic one so that
-    /// tuple sizes (and therefore I/O) scale realistically.
+    /// This one codec serves heap pages, the write-ahead log and the wire
+    /// protocol. A datum is a kind byte and then its payload; the kind fixes
+    /// the size of every fixed-width value, so only text and arrays carry a
+    /// length word. All integers are little-endian.
+    ///
+    /// | kind | datum       | payload                              |
+    /// |------|-------------|--------------------------------------|
+    /// | 0    | `Null`      | none                                 |
+    /// | 1    | `Int`       | `i64`, 8 B                           |
+    /// | 2    | `Float`     | the `f64`'s bits, 8 B                |
+    /// | 3    | `Text`      | `u32` byte length, then UTF-8 bytes  |
+    /// | 4    | `Bool`      | 1 B, nonzero for true                |
+    /// | 5    | `Timestamp` | `i64` microseconds, 8 B              |
+    /// | 6    | `IntArray`  | `u32` word count, then `u64` words   |
+    ///
+    /// It is not meant to be a stable on-disk format: a log written with
+    /// another layout is refused, not read.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Datum::Null => {
-                out.push(0);
-                out.extend_from_slice(&0u32.to_le_bytes());
-            }
+            Datum::Null => out.push(0),
             Datum::Int(v) => {
                 out.push(1);
-                out.extend_from_slice(&8u32.to_le_bytes());
                 out.extend_from_slice(&v.to_le_bytes());
             }
             Datum::Float(v) => {
                 out.push(2);
-                out.extend_from_slice(&8u32.to_le_bytes());
                 out.extend_from_slice(&v.to_bits().to_le_bytes());
             }
             Datum::Text(s) => {
@@ -165,17 +174,15 @@ impl Datum {
             }
             Datum::Bool(b) => {
                 out.push(4);
-                out.extend_from_slice(&1u32.to_le_bytes());
                 out.push(u8::from(*b));
             }
             Datum::Timestamp(v) => {
                 out.push(5);
-                out.extend_from_slice(&8u32.to_le_bytes());
                 out.extend_from_slice(&v.to_le_bytes());
             }
             Datum::IntArray(v) => {
                 out.push(6);
-                out.extend_from_slice(&((v.len() * 8) as u32).to_le_bytes());
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
                 for x in v {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
@@ -183,21 +190,31 @@ impl Datum {
         }
     }
 
-    /// The datum framed at `pos`: its kind byte, its payload, and the
-    /// position just past it; `None` if the frame runs off the end of `buf`.
+    /// The datum encoded at `pos`: its kind byte, its payload, and the
+    /// position just past it; `None` if its kind is unknown or it runs off
+    /// the end of `buf`.
     #[inline(always)]
     fn frame(buf: &[u8], pos: usize) -> Option<(u8, &[u8], usize)> {
-        let head = buf.get(pos..pos.checked_add(5)?)?;
-        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-        let end = (pos + 5).checked_add(len)?;
-        Some((head[0], buf.get(pos + 5..end)?, end))
+        let kind = *buf.get(pos)?;
+        let (at, len) = match kind {
+            0 => (pos + 1, 0),
+            1 | 2 | 5 => (pos + 1, 8),
+            4 => (pos + 1, 1),
+            3 | 6 => {
+                let word = buf.get(pos + 1..pos + 5)?;
+                let n = u32::from_le_bytes(word.try_into().expect("four bytes")) as usize;
+                (pos + 5, if kind == 3 { n } else { n * 8 })
+            }
+            _ => return None,
+        };
+        let end = at.checked_add(len)?;
+        Some((kind, buf.get(at..end)?, end))
     }
 
     /// The position just past the datum encoded at `pos`, without decoding
     /// its payload.
     pub fn skip(buf: &[u8], pos: usize) -> StorageResult<usize> {
-        let (_, _, end) = Self::frame(buf, pos).ok_or_else(|| corrupt("truncated datum"))?;
-        Ok(end)
+        Ok(Self::frame(buf, pos).ok_or_else(bad_datum)?.2)
     }
 
     /// Decodes a datum from `buf` starting at `pos`, returning the datum and
@@ -207,31 +224,33 @@ impl Datum {
     /// 48-byte result back through memory costs more than the decode.
     #[inline(always)]
     pub fn decode(buf: &[u8], pos: usize) -> StorageResult<(Datum, usize)> {
-        let (kind, payload, end) =
-            Self::frame(buf, pos).ok_or_else(|| corrupt("truncated datum"))?;
-        let word = |what| payload.try_into().map_err(|_| corrupt(what));
+        let (kind, payload, end) = Self::frame(buf, pos).ok_or_else(bad_datum)?;
+        let word = || i64::from_le_bytes(payload.try_into().expect("eight bytes"));
         let datum = match kind {
             0 => Datum::Null,
-            1 => Datum::Int(i64::from_le_bytes(word("bad int")?)),
-            2 => Datum::Float(f64::from_bits(u64::from_le_bytes(word("bad float")?))),
-            3 => Datum::Text(String::from_utf8(payload.to_vec()).map_err(|_| corrupt("bad utf8"))?),
-            4 => Datum::Bool(payload.first().copied().unwrap_or(0) != 0),
-            5 => Datum::Timestamp(i64::from_le_bytes(word("bad timestamp")?)),
-            6 => {
-                if !payload.len().is_multiple_of(8) {
-                    return Err(corrupt("bad array length"));
-                }
-                let words = payload.chunks_exact(8);
-                Datum::IntArray(
-                    words
-                        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-                        .collect(),
-                )
-            }
-            _ => return Err(corrupt("unknown datum kind")),
+            1 => Datum::Int(word()),
+            2 => Datum::Float(f64::from_bits(word() as u64)),
+            3 => Datum::Text(
+                std::str::from_utf8(payload)
+                    .map_err(|_| corrupt("bad utf8"))?
+                    .to_owned(),
+            ),
+            4 => Datum::Bool(payload[0] != 0),
+            5 => Datum::Timestamp(word()),
+            _ => Datum::IntArray(
+                payload
+                    .chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+                    .collect(),
+            ),
         };
         Ok((datum, end))
     }
+}
+
+#[cold]
+fn bad_datum() -> StorageError {
+    corrupt("truncated datum or unknown datum kind")
 }
 
 impl PartialEq for Datum {
@@ -506,9 +525,20 @@ mod tests {
 
     #[test]
     fn encoded_len_tracks_payload() {
-        assert_eq!(Datum::Int(1).encoded_len(), 8);
-        assert_eq!(Datum::Text("abc".into()).encoded_len(), 3);
-        assert_eq!(Datum::IntArray(vec![1, 2]).encoded_len(), 16);
+        assert_eq!(Datum::Null.encoded_len(), 1);
+        assert_eq!(Datum::Int(1).encoded_len(), 9);
+        assert_eq!(Datum::Bool(true).encoded_len(), 2);
+        assert_eq!(Datum::Text("abc".into()).encoded_len(), 8);
+        assert_eq!(Datum::IntArray(vec![1, 2]).encoded_len(), 21);
+        for d in [
+            Datum::Float(0.5),
+            Datum::Timestamp(-1),
+            Datum::Text(String::new()),
+        ] {
+            let mut buf = Vec::new();
+            d.encode(&mut buf);
+            assert_eq!(buf.len(), d.encoded_len(), "{d:?}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@
 //!     table: 7,
 //!     row: RowId { page: 0, slot: 0 },
 //!     chain: false,
-//!     bytes: vec![1, 2, 3],
+//!     body: vec![1, 2, 3],
 //! })
 //! .unwrap();
 //! wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
@@ -189,8 +189,21 @@ pub enum LogRecord {
         txn: TxnId,
     },
     /// A tuple version was inserted.
+    ///
+    /// The record is the version's body and where it went; the version's
+    /// MVCC header is implied, `xmin` being `txn` and `xmax` empty. Its
+    /// payload in a frame, little-endian:
+    ///
+    /// | bytes | field                                        |
+    /// |-------|----------------------------------------------|
+    /// | 1     | kind: 14 on the shared tail, 15 on a chain   |
+    /// | 8     | `txn`                                        |
+    /// | 4     | `table`                                      |
+    /// | 4     | `row.page`                                   |
+    /// | 2     | `row.slot`                                   |
+    /// | rest  | `body`, up to the frame's end                |
     Insert {
-        /// The writing transaction.
+        /// The writing transaction, which is also the version's `xmin`.
         txn: TxnId,
         /// The table.
         table: u32,
@@ -201,8 +214,9 @@ pub enum LogRecord {
         /// puts the page back on the same list. Carried in the record's kind
         /// byte, so it costs no log bytes.
         chain: bool,
-        /// The encoded tuple version.
-        bytes: Vec<u8>,
+        /// The version's body: its page bytes past the MVCC header
+        /// ([`crate::tuple::MVCC_HEADER_LEN`] bytes; see [`crate::tuple`]).
+        body: Vec<u8>,
     },
     /// A tuple version's `xmax` was set (delete or supersede).
     Delete {
@@ -289,8 +303,9 @@ pub struct WalRecovery {
     pub records: Vec<LogRecord>,
     /// Byte offset of the end of the last clean record.
     pub clean_bytes: u64,
-    /// Bytes past `clean_bytes` that could not be parsed (a torn tail from a
-    /// crash mid-append). Zero for a clean log.
+    /// Bytes past `clean_bytes` in a frame that is incomplete or fails its
+    /// checksum, and after it (a torn tail from a crash mid-append). Zero
+    /// for a clean log.
     pub torn_bytes: u64,
 }
 
@@ -1085,15 +1100,14 @@ impl Wal {
                 table,
                 row,
                 chain,
-                bytes,
+                body,
             } => {
-                out.push(if *chain { 13 } else { 4 });
+                out.push(if *chain { 15 } else { 14 });
                 out.extend_from_slice(&txn.0.to_le_bytes());
                 out.extend_from_slice(&table.to_le_bytes());
                 out.extend_from_slice(&row.page.to_le_bytes());
                 out.extend_from_slice(&row.slot.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
+                out.extend_from_slice(body);
             }
             LogRecord::Delete { txn, table, row } => {
                 out.push(5);
@@ -1188,21 +1202,16 @@ impl Wal {
             3 => Some(LogRecord::Abort {
                 txn: TxnId(u64_at(1)?),
             }),
-            4 | 13 => {
-                let txn = TxnId(u64_at(1)?);
-                let table = u32_at(9)?;
-                let page = u32_at(13)?;
-                let slot = u16_at(17)?;
-                let len = u32_at(19)? as usize;
-                let bytes = buf.get(23..23 + len)?.to_vec();
-                Some(LogRecord::Insert {
-                    txn,
-                    table,
-                    row: RowId { page, slot },
-                    chain: kind == 13,
-                    bytes,
-                })
-            }
+            14 | 15 => Some(LogRecord::Insert {
+                txn: TxnId(u64_at(1)?),
+                table: u32_at(9)?,
+                row: RowId {
+                    page: u32_at(13)?,
+                    slot: u16_at(17)?,
+                },
+                chain: kind == 15,
+                body: buf.get(19..)?.to_vec(),
+            }),
             5 => Some(LogRecord::Delete {
                 txn: TxnId(u64_at(1)?),
                 table: u32_at(9)?,
@@ -1278,13 +1287,19 @@ impl Wal {
     ///
     /// Every frame carries a checksum over its payload, so a record that was
     /// only partially written (or corrupted) cannot decode "by luck".
-    /// Parsing stops at the first frame that is incomplete, fails its
-    /// checksum, or fails to decode; everything from that point on is
-    /// reported as the torn tail. This is the standard end-of-log rule
-    /// (sequential appends mean nothing valid can follow the first bad
-    /// frame); genuine mid-log media corruption is indistinguishable from a
-    /// torn tail without a backup and is handled the same way, with the
-    /// loss surfaced by [`WalRecovery::torn_bytes`].
+    /// Parsing stops at the first frame that is incomplete or fails its
+    /// checksum; everything from that point on is reported as the torn
+    /// tail. This is the standard end-of-log rule (sequential appends mean
+    /// nothing valid can follow the first bad frame); genuine mid-log media
+    /// corruption is indistinguishable from a torn tail without a backup and
+    /// is handled the same way, with the loss surfaced by
+    /// [`WalRecovery::torn_bytes`].
+    ///
+    /// A frame that passes its checksum but does not decode was written
+    /// whole: it is a format or decoder mismatch (a log of an older record
+    /// layout, say), not a torn tail. It is [`StorageError::Corruption`]
+    /// naming the frame's offset, so no committed record after it is cut
+    /// off.
     pub fn read_log(path: &Path) -> StorageResult<WalRecovery> {
         Ok(Self::scan_log(path)?.0)
     }
@@ -1307,10 +1322,13 @@ impl Wal {
             if frame_checksum(payload) != crc {
                 break;
             }
-            match Self::decode(payload) {
-                Some(r) => out.push(r),
-                None => break,
-            }
+            let Some(record) = Self::decode(payload) else {
+                let at = path.display();
+                return Err(corrupt(&format!(
+                    "the log frame at offset {pos} of {at} passes its checksum but is no record"
+                )));
+            };
+            out.push(record);
             offsets.push(pos as u64);
             pos += 8 + len;
         }
@@ -1392,7 +1410,8 @@ impl Wal {
     }
 }
 
-/// Writes one checksummed frame: `len u32 | crc u32 | payload`.
+/// Writes one checksummed frame: `len u32 | fnv1a u32 | payload`, the
+/// checksum being [`frame_checksum`] of the payload.
 fn write_frame(w: &mut dyn Write, payload: &[u8]) -> StorageResult<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&frame_checksum(payload).to_le_bytes())?;
@@ -1430,12 +1449,13 @@ fn frame_checksum(payload: &[u8]) -> u32 {
 }
 
 /// fsyncs the directory containing `path`, making renames/creates durable.
+/// A path with no directory part is in the working directory.
 fn fsync_dir(path: &Path) -> StorageResult<()> {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = File::open(parent) {
-            dir.sync_all()?;
-        }
-    }
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 
@@ -1498,14 +1518,14 @@ mod tests {
                 table: 9,
                 row: RowId { page: 1, slot: 2 },
                 chain: false,
-                bytes: vec![9, 9, 9, 9],
+                body: vec![9, 9, 9, 9],
             },
             LogRecord::Insert {
                 txn: TxnId(5),
                 table: 9,
                 row: RowId { page: 3, slot: 0 },
                 chain: true,
-                bytes: vec![8, 8],
+                body: vec![8, 8],
             },
             LogRecord::Delete {
                 txn: TxnId(5),
@@ -1546,7 +1566,7 @@ mod tests {
             table: 2,
             row: RowId { page: 0, slot: 3 },
             chain: false,
-            bytes: vec![1, 2, 3],
+            body: vec![1, 2, 3],
         })
         .unwrap();
         wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
@@ -1579,7 +1599,7 @@ mod tests {
             table: 1,
             row: RowId { page: 0, slot: 0 },
             chain: false,
-            bytes: vec![0; 100],
+            body: vec![0; 100],
         })
         .unwrap();
         let small = wal.bytes_written();
@@ -1588,7 +1608,7 @@ mod tests {
             table: 1,
             row: RowId { page: 0, slot: 1 },
             chain: false,
-            bytes: vec![0; 200],
+            body: vec![0; 200],
         })
         .unwrap();
         assert!(wal.bytes_written() - small > small / 2);
@@ -1662,12 +1682,55 @@ mod tests {
         for (i, r) in records.iter().enumerate() {
             if let LogRecord::Insert { chain, .. } = r {
                 let mut data = clean.clone();
-                data[at + 8] = if *chain { 4 } else { 13 };
+                data[at + 8] = if *chain { 14 } else { 15 };
                 std::fs::write(&path, &data).unwrap();
                 assert_eq!(Wal::read_log(&path).unwrap().records, records[..i]);
             }
             at += 8 + Wal::encode_record(r).len();
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_whole_frame_that_does_not_decode_is_refused_not_truncated() {
+        let dir = temp_dir("undecodable");
+        let path = dir.join("wal.log");
+        let wal = Wal::file_backed(&path, true).unwrap();
+        wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        wal.flush().unwrap();
+        drop(wal);
+        // A frame whose checksum holds but whose kind no record has (the
+        // kind of an insert in an older layout), then a committed record.
+        let good_len = std::fs::metadata(&path).unwrap().len();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        write_frame(&mut f, &[4, 1, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+        write_frame(
+            &mut f,
+            &Wal::encode_record(&LogRecord::Commit { txn: TxnId(1) }),
+        )
+        .unwrap();
+        drop(f);
+        let len = std::fs::metadata(&path).unwrap().len();
+        let err = Wal::open_existing(&path, DurabilityConfig::SYNC_EACH).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corruption { detail } if detail.contains(&format!("offset {good_len}"))),
+            "{err}"
+        );
+        assert!(Wal::read_log(&path).is_err());
+        // Nothing was cut: the Commit after the frame is still in the file.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fsync_dir_syncs_the_working_directory_for_a_bare_file_name() {
+        // `Path::new("wal.log").parent()` is `Some("")`, which names no
+        // directory to open.
+        fsync_dir(Path::new("wal.log")).unwrap();
+        let dir = temp_dir("fsync-dir");
+        fsync_dir(&dir.join("wal.log")).unwrap();
+        // A directory that cannot be opened is an error, not a skipped sync.
+        assert!(fsync_dir(&dir.join("missing").join("wal.log")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1776,7 +1839,7 @@ mod tests {
                     slot: (i % 64) as u16,
                 },
                 chain: i % 2 == 1,
-                bytes: vec![i as u8; 40],
+                body: vec![i as u8; 40],
             })
             .unwrap();
         }

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 
 use ifdb_storage::engine::{StorageEngine, StorageKind};
 use ifdb_storage::heap::RowId;
+use ifdb_storage::mvcc::BOOTSTRAP_TXN;
 use ifdb_storage::wal::{DurabilityConfig, LogRecord, Wal};
 use ifdb_storage::{
     ColumnDef, DataType, Datum, ReplicaApplier, StorageError, TableId, TableSchema, TxnId,
@@ -544,6 +545,34 @@ fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
     ok
 }
 
+/// Whether every `Insert` in `eng`'s log carries its page tuple past the
+/// MVCC header, byte for byte, and names the tuple's `xmin` unless it is
+/// part of a checkpoint image (which logs settled rows as the bootstrap
+/// transaction's).
+fn logged_bodies_are_page_bytes(eng: &StorageEngine) -> bool {
+    let batch = eng.wal().read_replication_batch(1, usize::MAX);
+    batch.records.iter().all(|record| {
+        let LogRecord::Insert {
+            txn,
+            table,
+            row,
+            body,
+            ..
+        } = record
+        else {
+            return true;
+        };
+        eng.table(TableId(*table))
+            .unwrap()
+            .heap()
+            .read::<_, StorageError>(*row, |tuple| {
+                Ok(tuple.body() == body.as_slice()
+                    && (*txn == BOOTSTRAP_TXN || tuple.xmin() == *txn))
+            })
+            .unwrap()
+    })
+}
+
 proptest! {
     #[test]
     fn replaying_the_log_reproduces_live_state(
@@ -557,6 +586,7 @@ proptest! {
             run_script(&eng, &[a, b], &script);
             live_state = observable_state(&eng);
             live_rows = visible_row_ids(&eng);
+            prop_assert!(logged_bodies_are_page_bytes(&eng));
             // A replica's heap is its primary's, slot for slot.
             let replica = replica_of(&eng);
             prop_assert_eq!(&visible_row_ids(&replica), &live_rows);
@@ -570,6 +600,7 @@ proptest! {
         prop_assert_eq!(&recovered_state, &live_state);
         prop_assert_eq!(&visible_row_ids(&eng), &live_rows);
         prop_assert!(pages_hold_their_labels(&eng));
+        prop_assert!(logged_bodies_are_page_bytes(&eng));
         // Redo skips nothing, so nothing needs re-anchoring.
         prop_assert_eq!(eng.stats().checkpoints, 0);
         // Second recovery: writes logged *after* a recovery — in particular

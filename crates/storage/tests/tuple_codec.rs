@@ -124,6 +124,38 @@ fn agrees_with_oracle(buf: &[u8]) {
     }
 }
 
+/// A fixed-width datum has no length word: its kind fixes its size, and a
+/// slot that ends inside the payload is still refused, by every reader.
+#[test]
+fn truncated_fixed_width_payloads_are_rejected() {
+    let fixed = [
+        Datum::Int(-7),
+        Datum::Float(2.5),
+        Datum::Timestamp(1_700_000_000_000_000),
+        Datum::Bool(true),
+    ];
+    for d in fixed {
+        let v = TupleVersion::new(
+            TupleHeader::new(TxnId(3), vec![5]),
+            vec![Datum::Null, d.clone(), Datum::Null],
+        );
+        let bytes = v.encode();
+        let at = bytes.len() - 1 - d.encoded_len();
+        assert_eq!(Datum::skip(&bytes, at).unwrap(), bytes.len() - 1, "{d:?}");
+        for cut in at + 1..at + d.encoded_len() {
+            let buf = &bytes[..cut];
+            assert!(Datum::decode(buf, at).is_err(), "{d:?} cut at {cut}");
+            assert!(Datum::skip(buf, at).is_err(), "{d:?} cut at {cut}");
+            assert!(TupleVersion::decode(buf).is_err(), "{d:?} cut at {cut}");
+            if let Ok(tuple) = TupleRef::parse(buf) {
+                assert!(tuple.field(1).is_err(), "{d:?} cut at {cut}");
+                assert!(tuple.data().is_err(), "{d:?} cut at {cut}");
+            }
+            agrees_with_oracle(buf);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn what_is_encoded_is_read_back(seed in 0u64..u64::MAX) {

@@ -185,7 +185,7 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
             table,
             row,
             chain: kind == 4,
-            bytes: bytes(rng),
+            body: bytes(rng),
         },
         5 => LogRecord::Delete { txn, table, row },
         6 => LogRecord::Checkpoint,
