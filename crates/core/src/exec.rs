@@ -28,17 +28,20 @@
 //!
 //! The Query-by-Label decision itself — strip the tags covered by enclosing
 //! declassifying views, then test the Information Flow Rule — is memoized
-//! per scan by stored label ([`LabelDecisionMemo`]): each distinct label is
-//! decided once, and the authority lock is taken only to expand the
-//! declassify cover before the scan, never across it.
+//! per scan by the stored label's id in the engine's label dictionary
+//! (`Decisions`): each distinct label's tags are looked up and decided once,
+//! a label-homogeneous page is matched to the previous one by comparing two
+//! integers, and the authority lock is taken only to expand the declassify
+//! cover before the scan, never across it. Ids are never an output: they
+//! depend on labels a reader cannot read, so only tags leave this module.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ifdb_difc::audit::AuditEvent;
-use ifdb_difc::memo::{LabelDecision, LabelDecisionMemo};
+use ifdb_difc::memo::DEFAULT_MEMO_CAPACITY;
 use ifdb_difc::Label;
-use ifdb_storage::{Datum, RowId, Snapshot, TableId, TupleRef};
+use ifdb_storage::{Datum, LabelDictionary, LabelId, RowId, Snapshot, TableId, TupleRef};
 
 use crate::catalog::{TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewSource};
 use crate::error::{IfdbError, IfdbResult};
@@ -78,6 +81,44 @@ pub(crate) struct SourceRows {
 /// A streaming row consumer. Returning `Ok(false)` stops the scan early
 /// (used by LIMIT and existence checks).
 type RowSink<'a> = dyn FnMut(ScanRow) -> IfdbResult<bool> + 'a;
+
+/// One scan's Query-by-Label decisions, by stored label id: the effective
+/// label of a label that admits its rows, `None` for one that does not.
+/// Each id's tags are looked up in the dictionary and decided once. The
+/// decisions sit in a direct-mapped table indexed by id, grown to the
+/// highest id met and never past [`DEFAULT_MEMO_CAPACITY`] slots, so a scan
+/// over arbitrarily many labels stays in bounded memory; ids that share a
+/// slot are decided again when they displace each other.
+struct Decisions<F> {
+    labels: Arc<LabelDictionary>,
+    decide: F,
+    slots: Vec<Option<(LabelId, Option<Label>)>>,
+}
+
+impl<F: Fn(Label) -> Option<Label>> Decisions<F> {
+    fn new(labels: Arc<LabelDictionary>, decide: F) -> Self {
+        Decisions {
+            labels,
+            decide,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The effective label of stored label `id`, if it admits its rows.
+    fn get(&mut self, id: LabelId) -> IfdbResult<Option<&Label>> {
+        let at = id as usize % DEFAULT_MEMO_CAPACITY;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, None);
+        }
+        if !matches!(&self.slots[at], Some((seen, _)) if *seen == id) {
+            let stored = Label::from_array(&self.labels.tags(id)?);
+            self.slots[at] = Some((id, (self.decide)(stored)));
+        }
+        Ok(self.slots[at]
+            .as_ref()
+            .and_then(|(_, decided)| decided.as_ref()))
+    }
+}
 
 fn col_index(columns: &[String], name: &str) -> IfdbResult<usize> {
     columns
@@ -339,31 +380,28 @@ impl Session {
         // at the same tuple as one over visible data (no channel through the
         // budget).
         let budget = self.budget.clone();
-        let mut memo = LabelDecisionMemo::new();
-        let decide = |stored: &Label| -> LabelDecision {
+        let mut decisions = Decisions::new(engine.labels(), |stored: Label| {
             let effective = if expanded.is_empty() {
-                stored.clone()
+                stored
             } else {
                 stored.difference(&expanded)
             };
-            let admit = !difc || effective.is_subset_of(&process_label);
-            LabelDecision { effective, admit }
-        };
+            (!difc || effective.is_subset_of(&process_label)).then_some(effective)
+        });
         // Each tuple is looked at where it lies in its page. Only a row the
         // label admits has the filter's columns decoded, into `probe`, and
         // only a row that also passes the filter is materialised.
         let filter_columns = plan.filter.columns();
         let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
-        let mut raw_label: Vec<u64> = Vec::new();
         // A single-label page's label is decided once, at its first visible
         // tuple, and only looked up when it differs from the previous such
         // page's (a label's pages follow one another): `page` holds that
-        // page's number, its label and, if the label admits the page, the
+        // page's number, its label id and, if the label admits the page, the
         // effective label all its rows share.
-        let mut page: Option<(u32, Vec<u64>, Option<Label>)> = None;
+        let mut page: Option<(u32, LabelId, Option<Label>)> = None;
         let (mut row_checks, mut page_checks) = (0u64, 0u64);
         let mut visit =
-            |rid: RowId, page_label: Option<&[u64]>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
+            |rid: RowId, page_label: Option<LabelId>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
                 if let Some(b) = &budget {
                     b.charge_row()?;
                 }
@@ -371,15 +409,14 @@ impl Session {
                     Some(label) => {
                         match &mut page {
                             Some((at, _, _)) if *at == rid.page => {}
-                            Some((at, seen, _)) if seen.as_slice() == label => {
+                            Some((at, seen, _)) if *seen == label => {
                                 *at = rid.page;
                                 page_checks += 1;
                             }
                             _ => {
                                 page_checks += 1;
-                                let (_, decision) = memo.decide_raw(label, decide);
-                                let admits = decision.admit.then(|| decision.effective.clone());
-                                page = Some((rid.page, label.to_vec(), admits));
+                                let admits = decisions.get(label)?.cloned();
+                                page = Some((rid.page, label, admits));
                             }
                         }
                         match &page {
@@ -389,13 +426,10 @@ impl Session {
                     }
                     None => {
                         row_checks += 1;
-                        raw_label.clear();
-                        raw_label.extend(tuple.label_words());
-                        let (_, decision) = memo.decide_raw(&raw_label, decide);
-                        if !decision.admit {
-                            return Ok(true);
+                        match decisions.get(tuple.label_id())? {
+                            Some(effective) => effective,
+                            None => return Ok(true),
                         }
-                        &decision.effective
                     }
                 };
                 tuple.fields_into(&filter_columns, &mut probe)?;

@@ -7,9 +7,10 @@
 //!
 //! Labels in IFDB are small (0–2 tags in both CarTel and HotCRP, rarely more
 //! than a handful), so they are represented as a sorted, deduplicated vector
-//! of tag ids. This keeps comparisons cheap, makes the on-tuple encoding (one
-//! 8-byte word per tag plus a length byte) straightforward, and matches the
-//! paper's observation that an inverted index over labels is unnecessary.
+//! of tag ids. This keeps comparisons cheap, makes the stored encoding (one
+//! 8-byte word per tag, kept once per distinct label in the storage engine's
+//! label dictionary) straightforward, and matches the paper's observation
+//! that an inverted index over labels is unnecessary.
 
 use std::fmt;
 use std::ops::BitOr;

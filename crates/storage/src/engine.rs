@@ -3,9 +3,10 @@
 //! [`StorageEngine`] is what the `ifdb` crate (and, transitively, the SQL
 //! front end, application platform and benchmarks) builds on. It corresponds
 //! to the unmodified parts of PostgreSQL in the paper's architecture: it has
-//! no notion of labels beyond storing them in tuple headers — the label
-//! *semantics* (Query by Label, Write Rule, polyinstantiation, the Foreign
-//! Key Rule) are implemented by the layer above.
+//! no notion of labels beyond storing them — each distinct label once, in the
+//! engine's label dictionary ([`crate::labels`]), and its id in every tuple —
+//! and the label *semantics* (Query by Label, Write Rule, polyinstantiation,
+//! the Foreign Key Rule) are implemented by the layer above.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -20,11 +21,14 @@ use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::heap::{RowId, TableHeap};
 use crate::index::{encode_key, OrderedIndex};
+use crate::labels::{undefined, Entries, LabelDictionary, LabelId};
 use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN};
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
 use crate::store::{FilePageStore, MemPageStore, PageStore};
-use crate::tuple::{with_mvcc_header, TupleHeader, TupleRef, TupleVersion, MVCC_HEADER_LEN};
+use crate::tuple::{
+    encode, with_mvcc_header, TupleHeader, TupleRef, TupleVersion, MVCC_HEADER_LEN,
+};
 use crate::value::Datum;
 use crate::wal::{DurabilityConfig, LogRecord, Wal};
 
@@ -155,6 +159,14 @@ pub struct StorageEngine {
     /// chain order always matches log order), and checkpoints take it before
     /// `rewrite_with` for the same reason. Never acquire it the other way.
     audit: Mutex<AuditChain>,
+    /// Every distinct label, once ([`crate::labels`]). A new label's
+    /// `Label` record is appended under the dictionary's lock, so that lock
+    /// too is taken before the log's append lock; checkpoints take it after
+    /// the chain lock and hold it across `rewrite_with`. A replica reset
+    /// swaps in an empty dictionary rather than emptying this one, so a
+    /// statement still reading the discarded heap resolves its ids against
+    /// the dictionary they were written under.
+    labels: RwLock<Arc<LabelDictionary>>,
 }
 
 impl std::fmt::Debug for StorageEngine {
@@ -233,6 +245,7 @@ impl StorageEngine {
             commits_since_vacuum: AtomicU64::new(0),
             replica_records_applied: AtomicU64::new(0),
             audit: Mutex::new(AuditChain::new()),
+            labels: RwLock::new(Arc::new(LabelDictionary::new())),
         }
     }
 
@@ -335,6 +348,11 @@ impl StorageEngine {
     /// The write-ahead log.
     pub fn wal(&self) -> &Wal {
         &self.wal
+    }
+
+    /// The label dictionary: the tags behind the label ids tuples carry.
+    pub fn labels(&self) -> Arc<LabelDictionary> {
+        Arc::clone(&self.labels.read())
     }
 
     // ------------------------------------------------------------------
@@ -833,10 +851,15 @@ impl StorageEngine {
     ) -> StorageResult<RowId> {
         let t = self.table(table)?;
         t.schema.check_tuple(&values)?;
-        let version = TupleVersion::new(TupleHeader::new(txn, label), values);
-        let mut bytes = version.encode();
+        let label = self.labels().intern(&label, |id, tags| {
+            self.wal.append(LogRecord::Label {
+                id,
+                tags: tags.to_vec(),
+            })
+        })?;
+        let mut bytes = encode(txn, label, &values);
         self.log_begin_once(txn)?;
-        let (row, chain) = t.heap.insert(&version.header.label, &bytes)?;
+        let (row, chain) = t.heap.insert(label, &bytes)?;
         // The log takes the body: the same bytes, without the MVCC header.
         bytes.drain(..MVCC_HEADER_LEN);
         self.wal.append(LogRecord::Insert {
@@ -846,7 +869,7 @@ impl StorageEngine {
             chain,
             body: bytes,
         })?;
-        t.index_row(&version.data, row);
+        t.index_row(&values, row);
         self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
         Ok(row)
     }
@@ -939,8 +962,9 @@ impl StorageEngine {
         row: RowId,
     ) -> StorageResult<Option<TupleVersion>> {
         let mut found = None;
+        let labels = self.labels();
         self.visit_rows::<StorageError>(snapshot, table, [row], |_, t| {
-            found = Some(t.to_version()?);
+            found = Some(t.to_version(&labels)?);
             Ok(true)
         })?;
         Ok(found)
@@ -954,20 +978,24 @@ impl StorageEngine {
         table: TableId,
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
-        self.visit_visible::<StorageError>(snapshot, table, |row, _, t| Ok(f(row, t.to_version()?)))
+        let labels = self.labels();
+        self.visit_visible::<StorageError>(snapshot, table, |row, _, t| {
+            Ok(f(row, t.to_version(&labels)?))
+        })
     }
 
     /// [`StorageEngine::scan_visible`] without building the versions: `f`
     /// reads each visible version in place ([`TupleRef`]) and materialises
-    /// what it keeps; `Ok(false)` stops the scan. `f` also gets the label of
-    /// the version's page when the page holds one label only
-    /// ([`TableHeap::walk`]), so a caller can decide it once per page. Every
-    /// version walked counts towards `tuples_scanned`, however the scan ends.
+    /// what it keeps; `Ok(false)` stops the scan. `f` also gets the label id
+    /// of the version's page when the page holds one label only
+    /// ([`TableHeap::walk`]), so a caller can decide it once per page; the
+    /// tags behind an id are [`StorageEngine::labels`]'. Every version
+    /// walked counts towards `tuples_scanned`, however the scan ends.
     pub fn visit_visible<E: From<StorageError>>(
         &self,
         snapshot: &Snapshot,
         table: TableId,
-        mut f: impl FnMut(RowId, Option<&[u64]>, TupleRef<'_>) -> Result<bool, E>,
+        mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
         /// Adds what a scan walked to the engine's counter when the scan
         /// ends, on the error paths too.
@@ -1106,8 +1134,13 @@ impl StorageEngine {
         let mut removed_total = 0;
         for t in tables {
             let removed = t.heap.vacuum(|v| {
-                let dead_insert = self.txns.status(v.header.xmin) == TxnStatus::Aborted;
-                dead_insert || self.txns.is_dead_for_all(&v.header)
+                let header = TupleHeader {
+                    xmin: v.xmin(),
+                    xmax: v.xmax(),
+                    label: Vec::new(),
+                };
+                let dead_insert = self.txns.status(header.xmin) == TxnStatus::Aborted;
+                dead_insert || self.txns.is_dead_for_all(&header)
             })?;
             if removed > 0 {
                 // Re-derive each index from the surviving heap contents.
@@ -1149,9 +1182,10 @@ impl StorageEngine {
     /// truncates the history before it, so that [`StorageEngine::open`]
     /// replays O(live data + post-checkpoint delta) records instead of the
     /// full history. The image consists of the DDL for every table and
-    /// index followed by one `Insert` record (under the always-committed
-    /// bootstrap transaction) per live tuple version, and is installed with
-    /// a crash-atomic temp-file-and-rename rewrite.
+    /// index, then every label of the dictionary, then one `Insert` record
+    /// (under the always-committed bootstrap transaction) per live tuple
+    /// version, and is installed with a crash-atomic temp-file-and-rename
+    /// rewrite.
     ///
     /// Checkpointing requires a quiescent engine: if any transaction is in
     /// progress the call fails with [`StorageError::CheckpointBusy`] and the
@@ -1166,12 +1200,14 @@ impl StorageEngine {
         // docs): holding it across the rewrite keeps a concurrent
         // `append_audit` from logging a link the image would then discard.
         let audit = self.audit.lock();
+        let dictionary = self.labels();
+        let labels = dictionary.read();
         let count = self.wal.rewrite_with(|emit| {
             let active = self.txns.active_count();
             if active > 0 {
                 return Err(StorageError::CheckpointBusy { active });
             }
-            self.emit_live_state(&self.tables.read(), emit)?;
+            self.emit_live_state(&self.tables.read(), &labels, emit)?;
             // The audit chain survives compaction the same way live rows
             // do: every link is re-logged into the image.
             for r in audit.records() {
@@ -1186,6 +1222,7 @@ impl StorageEngine {
             }
             emit(LogRecord::Checkpoint)
         })?;
+        drop(labels);
         drop(audit);
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
@@ -1193,12 +1230,15 @@ impl StorageEngine {
     }
 
     /// Emits what every checkpoint image starts with: the DDL of each table
-    /// and index, then one `Insert` under the always-committed bootstrap
-    /// transaction per tuple version a fresh snapshot sees. Returns the
-    /// table ids in the order emitted.
+    /// and index, then every label of the dictionary `labels` under the id
+    /// it has, so the ids the rows carry keep their meaning, then one
+    /// `Insert` under the always-committed bootstrap transaction per tuple
+    /// version a fresh snapshot sees. Returns the table ids in the order
+    /// emitted.
     fn emit_live_state(
         &self,
         tables: &HashMap<TableId, Arc<Table>>,
+        labels: &Entries,
         emit: &mut dyn FnMut(LogRecord) -> StorageResult<()>,
     ) -> StorageResult<Vec<TableId>> {
         let snap = self.txns.snapshot(BOOTSTRAP_TXN);
@@ -1217,6 +1257,12 @@ impl StorageEngine {
                     columns: entry.columns.iter().map(|c| *c as u16).collect(),
                 })?;
             }
+        }
+        for (id, tags) in labels.defined() {
+            emit(LogRecord::Label {
+                id,
+                tags: tags.to_vec(),
+            })?;
         }
         let mut visibility = self.txns.visibility(&snap);
         for id in &ids {
@@ -1265,6 +1311,8 @@ impl StorageEngine {
         // unbroken on the successor — its image re-logs every link, and
         // post-promotion events extend the same chain.
         let audit = self.audit.lock();
+        let dictionary = self.labels();
+        let labels = dictionary.read();
         let count = self.wal.rewrite_with(|emit| {
             let prepared = self.txns.prepared_entries();
             let active = self.txns.active_count();
@@ -1273,7 +1321,7 @@ impl StorageEngine {
                 return Err(StorageError::CheckpointBusy { active: blocking });
             }
             let tables = self.tables.read();
-            let ids = self.emit_live_state(&tables, emit)?;
+            let ids = self.emit_live_state(&tables, &labels, emit)?;
             // The in-doubt transactions ride along: their effects redo
             // invisible (redo re-registers a Prepare with no Decide as
             // in-doubt) until a decision lands.
@@ -1310,6 +1358,7 @@ impl StorageEngine {
             emit(LogRecord::Epoch { generation })?;
             emit(LogRecord::Checkpoint)
         })?;
+        drop(labels);
         drop(audit);
         // From here on this node's transactions are a primary's: they leave
         // the id range reserved for replica-local readers.
@@ -1343,7 +1392,9 @@ impl StorageEngine {
     /// stay invisible until the writer's `Commit` (or commit `Decide`)
     /// applies. Every version goes to the row id and page kind its `Insert`
     /// names ([`TableHeap::place`]), so a later `Delete` names the slot it
-    /// means, and one that names an empty slot is corruption.
+    /// means, and one that names an empty slot is corruption. Labels are
+    /// defined in the order they were logged in, and an `Insert` whose tuple
+    /// names a label no `Label` record defined is corruption.
     fn redo(&self, record: &LogRecord) -> StorageResult<()> {
         match record {
             LogRecord::CreateTable { id, schema } => {
@@ -1388,8 +1439,11 @@ impl StorageEngine {
                 let t = self.table(TableId(*table))?;
                 let bytes = with_mvcc_header(*txn, body);
                 let tuple = TupleRef::parse(&bytes)?;
-                let label: Vec<u64> = tuple.label_words().collect();
-                t.heap.place(*row, *chain, &label, &bytes)?;
+                let label = tuple.label_id();
+                if !self.labels().contains(label) {
+                    return Err(undefined(label));
+                }
+                t.heap.place(*row, *chain, label, &bytes)?;
                 t.index_tuple(&tuple, *row)?;
                 self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
             }
@@ -1407,6 +1461,7 @@ impl StorageEngine {
                 })?;
                 self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
             }
+            LogRecord::Label { id, tags } => self.labels().redo(*id, tags)?,
             LogRecord::Checkpoint => {}
             // The Epoch record names the primary's generation; a replica
             // tracks it on its own (discarding) log so a later promotion
@@ -1451,8 +1506,9 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Discards every table, index and transaction status so a replica can
-    /// re-bootstrap from a fresh checkpoint image (stream reset). Sessions
+    /// Discards every table, index, label and transaction status so a
+    /// replica can re-bootstrap from a fresh checkpoint image (stream
+    /// reset). Sessions
     /// already holding a `Table` handle keep scanning the orphaned heap
     /// safely; new statements bind against the rebuilt state as it streams
     /// back in. The transaction id allocator is left alone, so replica-local
@@ -1474,6 +1530,8 @@ impl StorageEngine {
         // The primary's checkpoint image re-delivers the authoritative
         // chain; keeping stale links would make its links look conflicting.
         self.audit.lock().clear();
+        // Likewise its label dictionary, under the ids its rows carry.
+        *self.labels.write() = Arc::new(LabelDictionary::new());
     }
 
     /// Flushes all dirty pages and the WAL. An in-memory engine's pages have
@@ -1551,8 +1609,9 @@ mod tests {
         };
         let (stock, data) = (ints("stock", 5), ints("data", 3));
         let txn = eng.begin().unwrap();
-        // The first write also logs the transaction's Begin.
-        eng.insert(txn, data, vec![1], vec![Datum::Int(0); 3])
+        // The first write also logs the transaction's Begin, and the first
+        // row of a label logs the label's definition.
+        eng.insert(txn, data, vec![3, 4], vec![Datum::Int(0); 3])
             .unwrap();
         let logged = |table, label, n: i64| {
             let before = eng.wal().bytes_written();
@@ -1567,13 +1626,17 @@ mod tests {
             (eng.wal().bytes_written() - before, page_bytes)
         };
         // A 2-tag TPC-C stock version: frame 8 B, record header 19 B, body
-        // 64 B (label 17 B, field count 2 B, five 9-byte integers).
+        // 48 B (label id 1 B, field count 2 B, five 9-byte integers).
         let (stock_frame, stock_page) = logged(stock, vec![3, 4], 5);
-        assert!(stock_frame <= 91, "stock insert frames at {stock_frame} B");
+        assert_eq!(stock_frame, 75, "stock insert frames at {stock_frame} B");
         assert_eq!(stock_frame as usize, 8 + 19 + stock_page - MVCC_HEADER_LEN);
-        // A 1-tag row of three integers takes 54 B of page.
-        let (_, data_page) = logged(data, vec![9], 3);
-        assert_eq!(data_page, 54);
+        // A 1-tag row of three integers takes 46 B of page. Its label is
+        // new, so its insert also logs the label's definition once.
+        let (data_frames, data_page) = logged(data, vec![9], 3);
+        assert_eq!(data_page, 46);
+        assert_eq!(data_frames, 8 + 19 + 46 - MVCC_HEADER_LEN as u64 + 8 + 17);
+        let (data_frame, _) = logged(data, vec![9], 3);
+        assert_eq!(data_frame, 8 + 19 + 46 - MVCC_HEADER_LEN as u64);
         eng.commit(txn).unwrap();
     }
 
@@ -2065,6 +2128,87 @@ mod tests {
     }
 
     #[test]
+    fn a_label_of_300_tags_round_trips_through_every_path() {
+        // A label longer than a byte can count: its row stays readable on
+        // every path, and so does the rest of its table.
+        let dir = std::env::temp_dir().join(format!("ifdb-engine-300-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let tags: Vec<u64> = (1..=300).map(|t| t * 7).collect();
+        let label_of = |eng: &StorageEngine, key: i64| -> Option<Vec<u64>> {
+            let t = eng.table_by_name("t").unwrap();
+            let txn = eng.begin().unwrap();
+            let snap = eng.snapshot(txn);
+            let mut by_key = None;
+            for row in eng
+                .index_lookup(t.id(), "t_pkey", &[Datum::Int(key)])
+                .unwrap()
+            {
+                let v = eng.fetch_visible(&snap, t.id(), row).unwrap();
+                by_key = by_key.or(v.map(|v| v.header.label));
+            }
+            let mut scanned = Vec::new();
+            eng.scan_visible(&snap, t.id(), |_, v| {
+                if v.data[0] == Datum::Int(key) {
+                    scanned.push(v.header.label);
+                }
+                true
+            })
+            .unwrap();
+            eng.commit(txn).unwrap();
+            assert_eq!(scanned.len(), usize::from(by_key.is_some()));
+            by_key
+        };
+        {
+            let eng = StorageEngine::with_kind(StorageKind::OnDisk {
+                dir: dir.clone(),
+                buffer_pages: 8,
+            })
+            .unwrap();
+            let t = eng
+                .create_table(TableSchema::new(
+                    "t",
+                    vec![
+                        ColumnDef::new("id", DataType::Int),
+                        ColumnDef::new("v", DataType::Text),
+                    ],
+                ))
+                .unwrap();
+            eng.create_index(t, "t_pkey", &["id"]).unwrap();
+            let txn = eng.begin().unwrap();
+            eng.insert(
+                txn,
+                t,
+                tags.clone(),
+                vec![Datum::Int(1), Datum::from("wide")],
+            )
+            .unwrap();
+            eng.insert(txn, t, vec![], vec![Datum::Int(2), Datum::from("bare")])
+                .unwrap();
+            eng.commit(txn).unwrap();
+            assert_eq!(label_of(&eng, 1), Some(tags.clone()));
+            assert_eq!(label_of(&eng, 2), Some(vec![]));
+            let replica = StorageEngine::in_memory();
+            replica
+                .txns()
+                .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+            let batch = eng.wal().read_replication_batch(1, usize::MAX);
+            crate::replica::ReplicaApplier::new()
+                .apply_batch(&replica, batch.first_seq, &batch.records)
+                .unwrap();
+            assert_eq!(label_of(&replica, 1), Some(tags.clone()));
+            assert_eq!(label_of(&replica, 2), Some(vec![]));
+        }
+        let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+        assert_eq!(label_of(&eng, 1), Some(tags.clone()));
+        assert_eq!(label_of(&eng, 2), Some(vec![]));
+        eng.checkpoint().unwrap();
+        drop(eng);
+        let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+        assert_eq!(label_of(&eng, 1), Some(tags));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn reopen_replays_committed_state_and_drops_inflight() {
         let dir = std::env::temp_dir().join(format!("ifdb-engine-reopen-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -2110,13 +2254,14 @@ mod tests {
             // Dropped without commit, abort, or flush.
         }
         let eng = StorageEngine::open(&dir, 8, DurabilityConfig::SYNC_EACH).unwrap();
-        // DDL (2) + begin/10 inserts/commit (12) + in-flight begin+insert (2):
-        // everything is replayed, but the in-flight effects are dropped.
-        assert_eq!(eng.stats().recovery_replayed_records, 16);
+        // DDL (2) + begin/10 inserts/commit (12) + one definition per
+        // label (10) + in-flight begin+insert (2): everything is replayed,
+        // but the in-flight effects are dropped.
+        assert_eq!(eng.stats().recovery_replayed_records, 26);
         let t = eng.table_by_name("t").unwrap();
         let rows = visible_rows(&eng, t.id());
         assert_eq!(rows.len(), 10, "committed rows survive, ghost does not");
-        // Labels survive in tuple headers.
+        // Labels survive, by the ids tuples carry.
         let snap = eng.snapshot(eng.begin().unwrap());
         let mut labels_ok = true;
         eng.scan_visible(&snap, t.id(), |_, v| {

@@ -34,11 +34,15 @@
 //! list would, and a label with a chain has used a full page of the tail
 //! before it costs at most one partly filled page of its own, so its space
 //! stays within 2×. The heap keeps one map entry per distinct label (its
-//! bytes on the shared tail, or its chain) and nothing per row.
+//! bytes on the shared tail, or its chain) and nothing per row. Labels are
+//! known here by their ids in the database's label dictionary
+//! ([`crate::labels`]), which every tuple carries, so the map is keyed by a
+//! `u32` and a chain names its label in four bytes whatever its tag count.
 //!
 //! [`TableHeap::walk`] visits the shared tail, then the chains in the order
 //! of their first pages, which is the order they were opened in, and hands
-//! its visitor each page's label (`None` on the shared tail).
+//! its visitor each page's label id (`None` on the shared tail), so a reader
+//! compares a page's label with the previous page's as two integers.
 //!
 //! **Order.** Where a row goes, and when its label's chain opens, depend only
 //! on the rows inserted earlier under that same label. So the order in which
@@ -64,10 +68,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
+use crate::labels::LabelId;
 use crate::mvcc::TxnId;
 use crate::page::{footprint, Page, PageId, PAGE_SIZE, TUPLE_SPACE};
 use crate::store::PageStore;
-use crate::tuple::{patch_xmax, TupleRef, TupleVersion};
+use crate::tuple::{patch_xmax, TupleRef};
 
 /// Physical location of a tuple version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -97,7 +102,7 @@ enum Placement {
 /// An append-only page list holding one label.
 #[derive(Debug)]
 struct Chain {
-    label: Arc<[u64]>,
+    label: LabelId,
     pages: Vec<PageId>,
 }
 
@@ -111,17 +116,16 @@ struct Layout {
     /// is the order they were opened in.
     chains: Vec<Chain>,
     /// One entry per distinct label ever inserted.
-    labels: HashMap<Box<[u64]>, Placement>,
+    labels: HashMap<LabelId, Placement>,
 }
 
 impl Layout {
     /// The page list a row of `label` taking `footprint` bytes goes to, and
     /// whether it is the label's chain, opening the chain if the label's
     /// rows on the shared tail would outgrow one page with this one.
-    fn place(&mut self, label: &[u64], footprint: usize) -> (&mut Vec<PageId>, bool) {
-        let Some(placement) = self.labels.get_mut(label) else {
-            self.labels
-                .insert(label.into(), Placement::Shared(footprint));
+    fn place(&mut self, label: LabelId, footprint: usize) -> (&mut Vec<PageId>, bool) {
+        let Some(placement) = self.labels.get_mut(&label) else {
+            self.labels.insert(label, Placement::Shared(footprint));
             return (&mut self.shared, false);
         };
         match *placement {
@@ -138,9 +142,9 @@ impl Layout {
     }
 
     /// Appends an empty chain for `label` and returns its page list.
-    fn open_chain(&mut self, label: &[u64]) -> &mut Vec<PageId> {
+    fn open_chain(&mut self, label: LabelId) -> &mut Vec<PageId> {
         self.chains.push(Chain {
-            label: label.into(),
+            label,
             pages: Vec::new(),
         });
         &mut self.chains.last_mut().expect("just pushed").pages
@@ -152,12 +156,12 @@ impl Layout {
     /// it is new there. Accounts the row as [`Layout::place`] would. Redo
     /// may learn of pages in another order than they were allocated in, so
     /// a chain whose first page changes takes its place among the others.
-    fn adopt(&mut self, pid: PageId, label: &[u64], chain: bool, footprint: usize) {
-        let pages = match self.labels.get_mut(label) {
+    fn adopt(&mut self, pid: PageId, label: LabelId, chain: bool, footprint: usize) {
+        let pages = match self.labels.get_mut(&label) {
             Some(Placement::Chain(i)) if chain => &mut self.chains[*i].pages,
             _ if chain => {
                 let i = self.chains.len();
-                self.labels.insert(label.into(), Placement::Chain(i));
+                self.labels.insert(label, Placement::Chain(i));
                 self.open_chain(label)
             }
             Some(Placement::Shared(used)) => {
@@ -166,8 +170,7 @@ impl Layout {
             }
             Some(Placement::Chain(_)) => &mut self.shared,
             None => {
-                self.labels
-                    .insert(label.into(), Placement::Shared(footprint));
+                self.labels.insert(label, Placement::Shared(footprint));
                 &mut self.shared
             }
         };
@@ -178,20 +181,18 @@ impl Layout {
         if chain && at == 0 {
             self.chains.sort_by_key(|c| c.pages.first().copied());
             for (i, c) in self.chains.iter().enumerate() {
-                self.labels
-                    .insert(c.label.as_ref().into(), Placement::Chain(i));
+                self.labels.insert(c.label, Placement::Chain(i));
             }
         }
     }
 
     /// Every page in walk order — the shared tail, then the chains in
     /// opening order — with its label, `None` on the shared tail.
-    fn walk_order(&self) -> Vec<(PageId, Option<Arc<[u64]>>)> {
-        let chained = self.chains.iter().flat_map(|c| {
-            c.pages
-                .iter()
-                .map(move |pid| (*pid, Some(Arc::clone(&c.label))))
-        });
+    fn walk_order(&self) -> Vec<(PageId, Option<LabelId>)> {
+        let chained = self
+            .chains
+            .iter()
+            .flat_map(|c| c.pages.iter().map(move |pid| (*pid, Some(c.label))));
         self.shared
             .iter()
             .map(|pid| (*pid, None))
@@ -245,10 +246,10 @@ impl TableHeap {
         self.layout.lock().page_count()
     }
 
-    /// Inserts an encoded tuple version ([`TupleVersion::encode`]) of
+    /// Inserts an encoded tuple version ([`crate::tuple::encode`]) of
     /// `label` where that label places it (see the module docs), returning
     /// its row id and whether it went to the label's chain.
-    pub fn insert(&self, label: &[u64], bytes: &[u8]) -> StorageResult<(RowId, bool)> {
+    pub fn insert(&self, label: LabelId, bytes: &[u8]) -> StorageResult<(RowId, bool)> {
         if bytes.len() > PAGE_SIZE / 2 {
             return Err(StorageError::TupleTooLarge { size: bytes.len() });
         }
@@ -278,7 +279,13 @@ impl TableHeap {
     /// insert at the row id and page kind its log record names. The store
     /// grows to the row's page, and a page the heap has not seen yet joins
     /// its list in page-id order, the order the writer allocated it in.
-    pub fn place(&self, row: RowId, chain: bool, label: &[u64], bytes: &[u8]) -> StorageResult<()> {
+    pub fn place(
+        &self,
+        row: RowId,
+        chain: bool,
+        label: LabelId,
+        bytes: &[u8],
+    ) -> StorageResult<()> {
         let pid = PageId(row.page);
         let mut layout = self.layout.lock();
         while self.store.page_count() <= row.page {
@@ -309,11 +316,6 @@ impl TableHeap {
                 })?;
                 f(TupleRef::parse(bytes)?)
             })?
-    }
-
-    /// Fetches the tuple version at `row`.
-    pub fn fetch(&self, row: RowId) -> StorageResult<TupleVersion> {
-        self.read::<_, StorageError>(row, |t| t.to_version())
     }
 
     /// Sets (or clears) the `xmax` of the version at `row` in place.
@@ -347,8 +349,8 @@ impl TableHeap {
     }
 
     /// Calls `f` with every live tuple version, each read in place on its
-    /// pinned page, and with its page's label — `Some` on a chain page, where
-    /// every tuple carries it; `None` on the shared tail. `Ok(false)` from
+    /// pinned page, and with its page's label id — `Some` on a chain page,
+    /// where every tuple carries it; `None` on the shared tail. `Ok(false)` from
     /// `f` stops the walk. Pages come in walk order (the shared tail, then
     /// the chains in opening order; see the module docs) and slots in
     /// insertion order. This is the one heap traversal — scans, counts and
@@ -356,11 +358,10 @@ impl TableHeap {
     /// or per page.
     pub fn walk<E: From<StorageError>>(
         &self,
-        mut f: impl FnMut(RowId, Option<&[u64]>, TupleRef<'_>) -> Result<bool, E>,
+        mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
         let pages = self.layout.lock().walk_order();
         for (pid, label) in pages {
-            let label = label.as_deref();
             let on_page = |p: &Page| -> Result<bool, E> {
                 for slot in p.live_slots() {
                     let tuple = TupleRef::parse(p.read(slot)?)?;
@@ -400,11 +401,11 @@ impl TableHeap {
     /// verdict cannot go stale between the two steps.
     pub fn vacuum(
         &self,
-        mut should_remove: impl FnMut(&TupleVersion) -> bool,
+        mut should_remove: impl FnMut(&TupleRef<'_>) -> bool,
     ) -> StorageResult<usize> {
         let mut victims: Vec<RowId> = Vec::new();
         self.walk::<StorageError>(|row, _, t| {
-            if should_remove(&t.to_version()?) {
+            if should_remove(&t) {
                 victims.push(row);
             }
             Ok(true)
@@ -440,31 +441,49 @@ mod tests {
     use super::*;
     use crate::mvcc::TxnId;
     use crate::store::MemPageStore;
-    use crate::tuple::TupleHeader;
+    use crate::tuple::encode;
     use crate::value::Datum;
 
     fn heap() -> TableHeap {
         TableHeap::new(1, Arc::new(MemPageStore::new()), BufferPool::new(64))
     }
 
-    fn version(xmin: u64, text: &str, label: Vec<u64>) -> TupleVersion {
-        TupleVersion::new(
-            TupleHeader::new(TxnId(xmin), label),
-            vec![Datum::Int(xmin as i64), Datum::Text(text.into())],
-        )
+    /// A version as the heap takes it: its label id and its bytes.
+    #[derive(Clone)]
+    struct Version {
+        xmin: u64,
+        label: LabelId,
+        bytes: Vec<u8>,
+    }
+
+    fn version(xmin: u64, text: &str, label: LabelId) -> Version {
+        let data = [Datum::Int(xmin as i64), Datum::Text(text.into())];
+        Version {
+            xmin,
+            label,
+            bytes: encode(TxnId(xmin), label, &data),
+        }
     }
 
     /// Inserts `v` as the engine does: encoded once, where its label puts it.
-    fn put(h: &TableHeap, v: &TupleVersion) -> (RowId, bool) {
-        h.insert(&v.header.label, &v.encode()).unwrap()
+    fn put(h: &TableHeap, v: &Version) -> (RowId, bool) {
+        h.insert(v.label, &v.bytes).unwrap()
+    }
+
+    /// The `xmin`, `xmax`, label id and fields of the version at `row`.
+    type Read = (TxnId, Option<TxnId>, LabelId, Vec<Datum>);
+
+    fn fetch(h: &TableHeap, row: RowId) -> StorageResult<Read> {
+        h.read(row, |t| Ok((t.xmin(), t.xmax(), t.label_id(), t.data()?)))
     }
 
     #[test]
     fn insert_fetch_round_trip() {
         let h = heap();
-        let v = version(1, "alice", vec![42]);
+        let v = version(1, "alice", 42);
         let (row, _) = put(&h, &v);
-        assert_eq!(h.fetch(row).unwrap(), v);
+        let data = vec![Datum::Int(1), Datum::Text("alice".into())];
+        assert_eq!(fetch(&h, row).unwrap(), (TxnId(1), None, 42, data));
     }
 
     #[test]
@@ -472,7 +491,7 @@ mod tests {
         let h = heap();
         let big = "x".repeat(1000);
         for i in 0..50 {
-            put(&h, &version(i, &big, vec![]));
+            put(&h, &version(i, &big, 0));
         }
         assert!(h.page_count() > 1, "50 KB of tuples needs several pages");
         assert_eq!(h.version_count().unwrap(), 50);
@@ -481,33 +500,33 @@ mod tests {
     #[test]
     fn set_xmax_is_persistent() {
         let h = heap();
-        let (row, _) = put(&h, &version(1, "victim", vec![]));
+        let (row, _) = put(&h, &version(1, "victim", 0));
         h.set_xmax(row, Some(TxnId(9))).unwrap();
-        assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(9)));
+        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(9)));
         h.set_xmax(row, None).unwrap();
-        assert_eq!(h.fetch(row).unwrap().header.xmax, None);
+        assert_eq!(fetch(&h, row).unwrap().1, None);
     }
 
     #[test]
     fn compare_and_set_xmax_sets_only_over_the_expected_value() {
         let h = heap();
-        let (row, _) = put(&h, &version(1, "contended", vec![]));
+        let (row, _) = put(&h, &version(1, "contended", 0));
         assert!(h.compare_and_set_xmax(row, None, Some(TxnId(5))).unwrap());
         // A second claimant that read the slot before the first set it.
         assert!(!h.compare_and_set_xmax(row, None, Some(TxnId(6))).unwrap());
-        assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(5)));
+        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(5)));
         // Over the value it saw, it wins.
         assert!(h
             .compare_and_set_xmax(row, Some(TxnId(5)), Some(TxnId(6)))
             .unwrap());
-        assert_eq!(h.fetch(row).unwrap().header.xmax, Some(TxnId(6)));
+        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(6)));
     }
 
     #[test]
     fn scan_visits_all_and_stops_early() {
         let h = heap();
         for i in 0..10 {
-            put(&h, &version(i, "row", vec![]));
+            put(&h, &version(i, "row", 0));
         }
         let mut seen = 0;
         h.walk::<StorageError>(|_, _, _| {
@@ -530,9 +549,9 @@ mod tests {
     fn vacuum_removes_matching_versions() {
         let h = heap();
         for i in 0..6 {
-            put(&h, &version(i, "row", vec![]));
+            put(&h, &version(i, "row", 0));
         }
-        let removed = h.vacuum(|v| v.header.xmin.0 % 2 == 0).unwrap();
+        let removed = h.vacuum(|t| t.xmin().0 % 2 == 0).unwrap();
         assert_eq!(removed, 3);
         assert_eq!(h.version_count().unwrap(), 3);
     }
@@ -540,54 +559,52 @@ mod tests {
     #[test]
     fn fetch_of_unknown_row_errors() {
         let h = heap();
-        let (row, _) = put(&h, &version(1, "only", vec![]));
-        assert!(h
-            .fetch(RowId {
-                page: row.page,
-                slot: row.slot + 5
-            })
-            .is_err());
+        let (row, _) = put(&h, &version(1, "only", 0));
+        let missing = RowId {
+            page: row.page,
+            slot: row.slot + 5,
+        };
+        assert!(fetch(&h, missing).is_err());
     }
 
     /// Pages a single append-only list takes for `versions`: every row to
     /// the last page, a fresh page when it is full.
-    fn appended_pages(versions: &[TupleVersion]) -> usize {
+    fn appended_pages(versions: &[Version]) -> usize {
         let mut pages = 0;
         let mut last = Page::new();
         for v in versions {
-            let bytes = v.encode();
-            if pages == 0 || !last.fits(bytes.len()) {
+            if pages == 0 || !last.fits(v.bytes.len()) {
                 pages += 1;
                 last = Page::new();
             }
-            last.insert(&bytes).unwrap();
+            last.insert(&v.bytes).unwrap();
         }
         pages
     }
 
     /// Inserts `versions` into a fresh heap; returns it and each row's id.
-    fn heap_of(versions: &[TupleVersion]) -> (TableHeap, Vec<RowId>) {
+    fn heap_of(versions: &[Version]) -> (TableHeap, Vec<RowId>) {
         let h = heap();
         let rows = versions.iter().map(|v| put(&h, v).0).collect();
         (h, rows)
     }
 
     /// `labels` labels × `per_label` rows, inserted round-robin.
-    fn interleaved(labels: u64, per_label: u64) -> Vec<TupleVersion> {
+    fn interleaved(labels: u64, per_label: u64) -> Vec<Version> {
         (0..labels * per_label)
-            .map(|i| version(i, "row", vec![i % labels]))
+            .map(|i| version(i, "row", (i % labels) as LabelId))
             .collect()
     }
 
     /// The walk's rows as (xmin, page label), checking that every row on a
     /// chain page carries the page's label.
-    fn walked(h: &TableHeap) -> Vec<(u64, Option<Vec<u64>>)> {
+    fn walked(h: &TableHeap) -> Vec<(u64, Option<LabelId>)> {
         let mut out = Vec::new();
         h.walk::<StorageError>(|_, label, t| {
             if let Some(label) = label {
-                assert_eq!(t.label_words().collect::<Vec<_>>(), label);
+                assert_eq!(t.label_id(), label);
             }
-            out.push((t.xmin().0, label.map(<[u64]>::to_vec)));
+            out.push((t.xmin().0, label));
             Ok(true)
         })
         .unwrap();
@@ -596,7 +613,7 @@ mod tests {
 
     #[test]
     fn one_label_takes_the_pages_an_append_only_list_would() {
-        let rows: Vec<TupleVersion> = (0..2_000).map(|i| version(i, "row", vec![7])).collect();
+        let rows: Vec<Version> = (0..2_000).map(|i| version(i, "row", 7)).collect();
         let (h, _) = heap_of(&rows);
         assert_eq!(h.page_count(), appended_pages(&rows));
         assert_eq!(h.layout.lock().chains.len(), 1);
@@ -643,7 +660,7 @@ mod tests {
         let mut state = Vec::new();
         for round in 0..4u64 {
             for i in 0..16 * 500 {
-                put(&h, &version(round * 10_000 + i, "row", vec![i % 16]));
+                put(&h, &version(round * 10_000 + i, "row", (i % 16) as LabelId));
             }
             let layout = h.layout.lock();
             state.push((layout.labels.len(), layout.chains.len()));
@@ -656,7 +673,9 @@ mod tests {
         // Labels 0-3 are readable, 100-102 are not. The second heap also
         // gets unreadable rows in between, enough to open their chains and
         // to move every shared-page boundary.
-        let low: Vec<TupleVersion> = (0..3_000).map(|i| version(i, "low", vec![i % 4])).collect();
+        let low: Vec<Version> = (0..3_000)
+            .map(|i| version(i, "low", (i % 4) as LabelId))
+            .collect();
         let mut mixed = Vec::new();
         for (i, v) in low.iter().enumerate() {
             mixed.push(v.clone());
@@ -665,7 +684,7 @@ mod tests {
                 mixed.push(version(
                     1_000_000 + i as u64,
                     "some longer high row",
-                    vec![high],
+                    high as LabelId,
                 ));
             }
         }
@@ -687,7 +706,7 @@ mod tests {
         let rows = interleaved(4, 600);
         let (h, _) = heap_of(&rows);
         let before = walked(&h);
-        let removed = h.vacuum(|v| v.header.xmin.0 % 5 == 0).unwrap();
+        let removed = h.vacuum(|t| t.xmin().0 % 5 == 0).unwrap();
         assert_eq!(removed, rows.len() / 5);
         let expected: Vec<_> = before.into_iter().filter(|(x, _)| x % 5 != 0).collect();
         assert_eq!(walked(&h), expected);
@@ -703,15 +722,14 @@ mod tests {
         // out every seventh row, as if its insert never reached the log.
         let redo = heap();
         for (v, (row, chain)) in rows.iter().zip(&placed).rev() {
-            if v.header.xmin.0 % 7 != 3 {
-                redo.place(*row, *chain, &v.header.label, &v.encode())
-                    .unwrap();
+            if v.xmin % 7 != 3 {
+                redo.place(*row, *chain, v.label, &v.bytes).unwrap();
             }
         }
         let by_id = |h: &TableHeap| {
             let mut out = Vec::new();
             h.walk::<StorageError>(|row, label, t| {
-                out.push((row, label.map(<[u64]>::to_vec), t.xmin().0));
+                out.push((row, label, t.xmin().0));
                 Ok(true)
             })
             .unwrap();
@@ -723,7 +741,7 @@ mod tests {
         assert_eq!(redo.page_count(), h.page_count());
         let (row, chain) = placed[5];
         assert!(
-            redo.place(row, chain, &rows[5].header.label, &rows[5].encode())
+            redo.place(row, chain, rows[5].label, &rows[5].bytes)
                 .is_err(),
             "a slot is filled once"
         );
@@ -739,11 +757,10 @@ mod tests {
         let big = "y".repeat(800);
         let mut rows = Vec::new();
         for i in 0..40 {
-            rows.push(put(&h, &version(i, &big, vec![1, 2])).0);
+            rows.push(put(&h, &version(i, &big, 1)).0);
         }
         for (i, row) in rows.iter().enumerate() {
-            let v = h.fetch(*row).unwrap();
-            assert_eq!(v.header.xmin, TxnId(i as u64));
+            assert_eq!(fetch(&h, *row).unwrap().0, TxnId(i as u64));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,8 +10,11 @@
 //!   that decides version visibility is also where tuple labels are filtered
 //!   (Section 7.1 of the paper).
 //! * Slotted heap pages ([`page`]) with per-tuple headers that carry the
-//!   transaction ids *and* the label array, so larger labels genuinely
-//!   increase tuple size, I/O and cache pressure (Section 8.3).
+//!   transaction ids *and* the label. The paper stores the label's tags in
+//!   every tuple, so larger labels increase tuple size, I/O and cache
+//!   pressure (Section 8.3); here each distinct label is stored once, in a
+//!   per-database dictionary ([`labels`]), and a tuple carries its id, so a
+//!   tuple's size does not depend on its label's tag count.
 //! * A buffer pool ([`buffer`]) over pluggable page stores ([`store`]) —
 //!   in-memory or file-backed — used to reproduce both the in-memory and the
 //!   disk-bound configurations of Figure 6.
@@ -30,8 +33,9 @@
 //! group-commit (many committers sharing one fsync) behaviour. See the
 //! [`wal`] module docs for the protocol details.
 //!
-//! The crate knows nothing about DIFC: labels are carried as opaque `u64`
-//! arrays in tuple headers. All enforcement lives in the `ifdb` crate.
+//! The crate knows nothing about DIFC: labels are opaque `u64` arrays, each
+//! stored once and named by tuples by id. All enforcement lives in the
+//! `ifdb` crate.
 
 pub mod audit;
 pub mod buffer;
@@ -39,6 +43,7 @@ pub mod engine;
 pub mod error;
 pub mod heap;
 pub mod index;
+pub mod labels;
 pub mod mvcc;
 pub mod page;
 pub mod replica;
@@ -55,6 +60,7 @@ pub use engine::{StorageEngine, StorageKind, TableId};
 pub use error::{StorageError, StorageResult};
 pub use heap::{RowId, TableHeap};
 pub use index::{encode_key, OrderedIndex};
+pub use labels::{LabelDictionary, LabelId};
 pub use mvcc::{
     ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE,
 };

@@ -122,7 +122,7 @@ mod tests {
     use crate::error::StorageError;
     use crate::heap::RowId;
     use crate::schema::{ColumnDef, TableSchema};
-    use crate::tuple::{with_mvcc_header, TupleHeader, TupleVersion, MVCC_HEADER_LEN};
+    use crate::tuple::{encode, with_mvcc_header, TupleRef, MVCC_HEADER_LEN};
     use crate::value::{DataType, Datum};
     use crate::wal::{DurabilityConfig, Wal};
 
@@ -278,10 +278,11 @@ mod tests {
         pump(&primary, &replica, &mut applier);
         assert_eq!(visible_count(&replica, "t"), 3);
         let heap = replica.table_by_name("t").unwrap();
-        assert_eq!(
-            heap.heap().fetch(ghost_row).unwrap().data,
-            [Datum::Int(777)]
-        );
+        let ghost = heap
+            .heap()
+            .read::<_, StorageError>(ghost_row, |t| t.data())
+            .unwrap();
+        assert_eq!(ghost, [Datum::Int(777)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -291,7 +292,6 @@ mod tests {
         // Abort (see `StorageEngine::prepare_commit`): the gid is decided,
         // as aborted, whether the records arrive by stream or by the log.
         let txn = crate::mvcc::TxnId(1);
-        let version = TupleVersion::new(TupleHeader::new(txn, vec![]), vec![Datum::Int(1)]);
         let records = [
             LogRecord::CreateTable {
                 id: 1,
@@ -303,7 +303,7 @@ mod tests {
                 table: 1,
                 row: RowId { page: 0, slot: 0 },
                 chain: false,
-                body: version.encode()[MVCC_HEADER_LEN..].to_vec(),
+                body: encode(txn, 0, &[Datum::Int(1)])[MVCC_HEADER_LEN..].to_vec(),
             },
             LogRecord::Prepare { txn, gid: 42 },
             LogRecord::Abort { txn },
@@ -340,7 +340,7 @@ mod tests {
         let txn = eng.begin().unwrap();
         let mut out = Vec::new();
         eng.visit_visible::<StorageError>(&eng.snapshot(txn), t.id(), |row, page_label, tuple| {
-            out.push((row, page_label.is_some(), tuple.to_version()?.data));
+            out.push((row, page_label.is_some(), tuple.data()?));
             Ok(true)
         })
         .unwrap();
@@ -418,10 +418,9 @@ mod tests {
         let mut writer_of = HashMap::new();
         for r in records {
             if let LogRecord::Insert { txn, body, .. } = r {
-                let key = TupleVersion::decode(&with_mvcc_header(*txn, body))
-                    .unwrap()
-                    .data[0]
-                    .clone();
+                let key = TupleRef::parse(&with_mvcc_header(*txn, body))
+                    .and_then(|t| t.field(0))
+                    .unwrap();
                 let Datum::Int(key) = key else {
                     panic!("{key:?}")
                 };
@@ -731,7 +730,106 @@ mod tests {
         pump(&primary, &replica, &mut applier);
         assert_eq!(applier.resets(), 2);
         assert_eq!(visible_count(&replica, "t"), 6);
+        assert_eq!(replica.labels().to_vec(), primary.labels().to_vec());
+        // Following another primary, whose one label is not the first's, the
+        // replica's dictionary holds what that primary's log defines and
+        // nothing the discarded state did.
+        let other_dir = dir.with_extension("other");
+        std::fs::remove_dir_all(&other_dir).ok();
+        let other = primary_with_rows(&other_dir, 0);
+        let t = other.table_by_name("t").unwrap();
+        let txn = other.begin().unwrap();
+        other
+            .insert(txn, t.id(), vec![9, 10], vec![Datum::Int(1)])
+            .unwrap();
+        other.commit(txn).unwrap();
+        let discarded = replica.labels();
+        pump(&other, &replica, &mut applier);
+        assert_eq!(applier.resets(), 3);
+        assert_eq!(replica.labels().to_vec(), vec![vec![], vec![9, 10]]);
+        // A statement that took the discarded dictionary, to read the
+        // discarded heap, still resolves that heap's ids as written.
+        assert_eq!(discarded.to_vec(), primary.labels().to_vec());
+        assert_eq!(visible_count(&replica, "t"), 1);
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&other_dir).ok();
+    }
+
+    #[test]
+    fn a_conflicting_label_definition_or_an_undefined_label_is_corruption() {
+        let txn = crate::mvcc::TxnId(1);
+        let insert = |label| LogRecord::Insert {
+            txn,
+            table: 1,
+            row: RowId { page: 0, slot: 0 },
+            chain: false,
+            body: encode(txn, label, &[Datum::Int(1)])[MVCC_HEADER_LEN..].to_vec(),
+        };
+        let prefix = [
+            LogRecord::CreateTable {
+                id: 1,
+                schema: TableSchema::new("t", vec![ColumnDef::new("id", DataType::Int)]),
+            },
+            LogRecord::Label {
+                id: 1,
+                tags: vec![4],
+            },
+            LogRecord::Begin { txn },
+        ];
+        let conflicting = LogRecord::Label {
+            id: 1,
+            tags: vec![5],
+        };
+        let cases = [
+            (vec![insert(2)], "an insert names label 2, never defined"),
+            (vec![conflicting], "label 1 redefined with other tags"),
+            (
+                vec![LogRecord::Label {
+                    id: 3,
+                    tags: vec![6],
+                }],
+                "label 3 defined before label 2",
+            ),
+        ];
+        for (tail, what) in cases {
+            let records: Vec<LogRecord> = prefix.iter().cloned().chain(tail).collect();
+            // Streamed to a replica...
+            let streamed =
+                ReplicaApplier::new().apply_batch(&StorageEngine::in_memory(), 1, &records);
+            assert!(
+                matches!(streamed, Err(StorageError::Corruption { .. })),
+                "{what}: {streamed:?}"
+            );
+            // ...and redone by recovery.
+            let dir =
+                std::env::temp_dir().join(format!("ifdb-replica-labels-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let wal = Wal::create(&dir.join("wal.log"), DurabilityConfig::NO_SYNC).unwrap();
+            for r in &records {
+                wal.append(r.clone()).unwrap();
+            }
+            drop(wal);
+            let recovered = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC);
+            assert!(
+                matches!(recovered, Err(StorageError::Corruption { .. })),
+                "{what}: {:?}",
+                recovered.err()
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        // The same definition twice, and an insert naming it, redo cleanly.
+        let records: Vec<LogRecord> = prefix
+            .iter()
+            .cloned()
+            .chain([prefix[1].clone(), insert(1), LogRecord::Commit { txn }])
+            .collect();
+        let replica = StorageEngine::in_memory();
+        ReplicaApplier::new()
+            .apply_batch(&replica, 1, &records)
+            .unwrap();
+        assert_eq!(replica.labels().to_vec(), vec![vec![], vec![4]]);
+        assert_eq!(visible_count(&replica, "t"), 1);
     }
 
     #[test]

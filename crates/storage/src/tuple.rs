@@ -3,10 +3,11 @@
 //! As in PostgreSQL, every update creates a new *version* of a tuple. The
 //! header of each version records the creating transaction (`xmin`), the
 //! deleting/superseding transaction (`xmax`, if any), and — the IFDB addition
-//! — the tuple's immutable label, stored as an array of 64-bit tag ids with a
-//! one-byte length (the paper stores the label length "in a byte in the tuple
-//! header, which was previously unused for alignment reasons", and each tag
-//! adds to the tuple size with corresponding I/O implications; Section 8.3).
+//! — the tuple's immutable label. The paper stores the label itself in the
+//! tuple, so each tag adds 8 bytes to every version (Section 8.3); here the
+//! tuple stores the label's id in its database's label dictionary
+//! ([`crate::labels`]), so a version's bytes do not depend on its label's
+//! tag count.
 //!
 //! # Layout
 //!
@@ -17,22 +18,26 @@
 //! |-------------|-----------------|-----------------------------------------|
 //! | MVCC header | 8               | `xmin`                                  |
 //! |             | 8               | `xmax`; 0 for none, patched by deletes  |
-//! | body        | 1               | label length, in tags                   |
-//! |             | 8 per tag       | the label's tag ids, sorted             |
+//! | body        | 1 to 5          | label id, an unsigned LEB128 varint; 0 is the empty label |
 //! |             | 2               | field count                             |
 //! |             | at least 1 each | the fields, as [`Datum::encode`] writes them |
+//!
+//! An unlabeled version's body therefore starts with the byte 0, and a
+//! labeled one's with one byte for each of the first 127 labels its
+//! database defines.
 //!
 //! The log needs no MVCC header: a logged insert's `xmin` is its record's
 //! transaction and its `xmax` is empty ([`with_mvcc_header`] puts them back).
 //!
-//! There is one encoder ([`TupleVersion::encode`]) and one decoder
-//! ([`TupleRef`], a view over a slot's bytes that checks bounds as it goes
-//! and allocates only when asked for owned values). [`TupleVersion::decode`]
-//! is the view's [`TupleRef::to_version`].
+//! There is one encoder ([`encode`]) and one decoder ([`TupleRef`], a view
+//! over a slot's bytes that checks bounds as it goes and allocates only when
+//! asked for owned values). An owned [`TupleVersion`] carries its label's
+//! tags, which [`TupleRef::to_version`] looks up in the dictionary.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{corrupt, StorageError, StorageResult};
+use crate::labels::{put_id, read_id, LabelDictionary, LabelId};
 use crate::mvcc::TxnId;
 use crate::value::Datum;
 
@@ -62,12 +67,6 @@ impl TupleHeader {
             label,
         }
     }
-
-    /// Size of the encoded header in bytes: xmin (8) + xmax (8) + label
-    /// length byte + 8 bytes per tag.
-    pub fn encoded_len(&self) -> usize {
-        8 + 8 + 1 + 8 * self.label.len()
-    }
 }
 
 /// A complete tuple version: header plus data.
@@ -84,63 +83,58 @@ impl TupleVersion {
     pub fn new(header: TupleHeader, data: TupleData) -> Self {
         TupleVersion { header, data }
     }
+}
 
-    /// Encodes the version into bytes for storage in a page slot: its MVCC
-    /// header, then its body (see the [module docs](self) for the layout).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&self.header.xmin.0.to_le_bytes());
-        out.extend_from_slice(&self.header.xmax.map(|x| x.0).unwrap_or(0).to_le_bytes());
-        debug_assert!(self.header.label.len() <= u8::MAX as usize);
-        out.push(self.header.label.len() as u8);
-        for t in &self.header.label {
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.data.len() as u16).to_le_bytes());
-        for d in &self.data {
-            d.encode(&mut out);
-        }
-        out
+/// Encodes a version that `xmin` inserts, with no `xmax`, whose label has
+/// the id `label` and whose fields are `data`, into the bytes of a page slot:
+/// its MVCC header, then its body (see the [module docs](self) for the
+/// layout).
+pub fn encode(xmin: TxnId, label: LabelId, data: &[Datum]) -> Vec<u8> {
+    // A label id takes at most five bytes.
+    let len = MVCC_HEADER_LEN + 5 + 2 + data.iter().map(Datum::encoded_len).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&xmin.0.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    put_id(&mut out, label);
+    out.extend_from_slice(&(data.len() as u16).to_le_bytes());
+    for d in data {
+        d.encode(&mut out);
     }
-
-    /// Decodes a version previously produced by [`TupleVersion::encode`].
-    pub fn decode(buf: &[u8]) -> StorageResult<TupleVersion> {
-        TupleRef::parse(buf)?.to_version()
-    }
-
-    /// Total encoded size in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.header.encoded_len() + 2 + self.data.iter().map(Datum::encoded_len).sum::<usize>()
-    }
+    out
 }
 
 /// A tuple version read in place: a view over the bytes of a page slot.
 ///
-/// Parsing checks the fixed header, the label array and the field count and
-/// allocates nothing; the MVCC fields and label words are then a few loads,
+/// Parsing checks the fixed header, the label id and the field count and
+/// allocates nothing; the MVCC fields and the label id are then a few loads,
 /// and a field is decoded only when asked for. A scan decides visibility and
 /// the label from the view and builds an owned [`TupleVersion`] only for the
 /// rows it keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleRef<'a> {
     buf: &'a [u8],
+    label: LabelId,
     /// Offset of the first encoded field, just past the field count.
     fields_at: usize,
 }
 
 impl<'a> TupleRef<'a> {
-    /// Checks the header of an encoded version (see [`TupleVersion::encode`]
-    /// for the layout). Field payloads are checked when they are read.
+    /// Checks the header of an encoded version (see [`encode`] for the
+    /// layout). Field payloads are checked when they are read.
     pub fn parse(buf: &'a [u8]) -> StorageResult<Self> {
-        const LABEL_AT: usize = MVCC_HEADER_LEN + 1;
-        if buf.len() < LABEL_AT {
+        if buf.len() <= MVCC_HEADER_LEN {
             return Err(corrupt("tuple shorter than header"));
         }
-        let fields_at = LABEL_AT + buf[MVCC_HEADER_LEN] as usize * 8 + 2;
+        let (label, count_at) = read_id(buf, MVCC_HEADER_LEN)?;
+        let fields_at = count_at + 2;
         if fields_at > buf.len() {
-            return Err(corrupt("truncated label"));
+            return Err(corrupt("truncated field count"));
         }
-        let tuple = TupleRef { buf, fields_at };
+        let tuple = TupleRef {
+            buf,
+            label,
+            fields_at,
+        };
         // Every field takes at least its kind byte, which bounds the count
         // before anything is allocated for it.
         if tuple.field_count() > buf.len() - fields_at {
@@ -163,13 +157,9 @@ impl<'a> TupleRef<'a> {
         Some(self.word(8)).filter(|x| *x != 0).map(TxnId)
     }
 
-    /// The label's tag ids, in stored (sorted) order. They sit unaligned in
-    /// the slot, so callers that need a slice collect them into a buffer
-    /// they reuse.
-    pub fn label_words(&self) -> impl Iterator<Item = u64> + 'a {
-        self.buf[MVCC_HEADER_LEN + 1..self.fields_at - 2]
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("eight bytes")))
+    /// The id of the version's label in its database's dictionary.
+    pub fn label_id(&self) -> LabelId {
+        self.label
     }
 
     /// The version's body: its bytes past the MVCC header.
@@ -223,13 +213,17 @@ impl<'a> TupleRef<'a> {
         Ok(data)
     }
 
-    /// Builds the owned version.
-    pub fn to_version(&self) -> StorageResult<TupleVersion> {
+    /// Builds the owned version, its label's tags looked up in `labels`.
+    pub fn to_version(&self, labels: &LabelDictionary) -> StorageResult<TupleVersion> {
+        let label = match self.label {
+            0 => Vec::new(),
+            id => labels.tags(id)?.to_vec(),
+        };
         Ok(TupleVersion {
             header: TupleHeader {
                 xmin: self.xmin(),
                 xmax: self.xmax(),
-                label: self.label_words().collect(),
+                label,
             },
             data: self.data()?,
         })
@@ -263,63 +257,97 @@ pub fn patch_xmax(slot: &mut [u8], xmax: Option<TxnId>) -> StorageResult<()> {
 mod tests {
     use super::*;
 
-    fn sample(label: Vec<u64>) -> TupleVersion {
-        TupleVersion::new(
-            TupleHeader::new(TxnId(7), label),
-            vec![
-                Datum::Int(1),
-                Datum::Text("Bob".into()),
-                Datum::Null,
-                Datum::Float(2.5),
-            ],
-        )
+    fn fields() -> Vec<Datum> {
+        vec![
+            Datum::Int(1),
+            Datum::Text("Bob".into()),
+            Datum::Null,
+            Datum::Float(2.5),
+        ]
+    }
+
+    /// A dictionary defining `labels`, in order, as ids 1, 2, ...
+    fn dictionary(labels: &[&[u64]]) -> LabelDictionary {
+        let dict = LabelDictionary::new();
+        for tags in labels {
+            dict.intern(tags, |_, _| Ok(())).unwrap();
+        }
+        dict
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        for label in [vec![], vec![3], vec![1, 2, 3, 4, 5]] {
-            let v = sample(label);
-            let bytes = v.encode();
-            assert_eq!(bytes.len(), v.encoded_len());
-            let decoded = TupleVersion::decode(&bytes).unwrap();
-            assert_eq!(decoded, v);
+        let dict = dictionary(&[&[3], &[1, 2, 3, 4, 5]]);
+        for (id, label) in [(0, vec![]), (1, vec![3]), (2, vec![1, 2, 3, 4, 5])] {
+            let bytes = encode(TxnId(7), id, &fields());
+            let tuple = TupleRef::parse(&bytes).unwrap();
+            assert_eq!(tuple.label_id(), id);
+            let v = TupleVersion::new(TupleHeader::new(TxnId(7), label), fields());
+            assert_eq!(tuple.to_version(&dict).unwrap(), v);
         }
+        // An id no entry has is corruption, not an empty label.
+        let bytes = encode(TxnId(7), 3, &fields());
+        let err = TupleRef::parse(&bytes).unwrap().to_version(&dict);
+        assert!(matches!(err, Err(StorageError::Corruption { .. })));
     }
 
     #[test]
     fn xmax_round_trip() {
-        let mut v = sample(vec![9]);
-        v.header.xmax = Some(TxnId(11));
-        let decoded = TupleVersion::decode(&v.encode()).unwrap();
-        assert_eq!(decoded.header.xmax, Some(TxnId(11)));
+        let mut bytes = encode(TxnId(7), 1, &fields());
+        patch_xmax(&mut bytes, Some(TxnId(11))).unwrap();
+        assert_eq!(TupleRef::parse(&bytes).unwrap().xmax(), Some(TxnId(11)));
     }
 
     #[test]
-    fn label_increases_size_by_8_bytes_per_tag() {
-        let base = sample(vec![]).encoded_len();
-        let one = sample(vec![1]).encoded_len();
-        let five = sample(vec![1, 2, 3, 4, 5]).encoded_len();
-        assert_eq!(one - base, 8);
-        assert_eq!(five - base, 40);
+    fn a_tuples_bytes_do_not_depend_on_its_tag_count() {
+        let tags: Vec<u64> = (1..=300).collect();
+        let dict = dictionary(&[&tags[..1], &tags[..10], &tags]);
+        let len = |id| encode(TxnId(7), id, &fields()).len();
+        assert_eq!(len(1), len(2));
+        assert_eq!(len(1), len(3));
+        // The 300-tag label reads back whole.
+        let bytes = encode(TxnId(7), 3, &fields());
+        let v = TupleRef::parse(&bytes).unwrap().to_version(&dict).unwrap();
+        assert_eq!(v.header.label, tags);
+        // An unlabeled version's bytes are the ones the label-in-tuple
+        // layout gave it: a zero where its tag count was, nothing after.
+        let mut golden = Vec::new();
+        golden.extend_from_slice(&7u64.to_le_bytes());
+        golden.extend_from_slice(&0u64.to_le_bytes());
+        golden.push(0);
+        golden.extend_from_slice(&4u16.to_le_bytes());
+        for d in fields() {
+            d.encode(&mut golden);
+        }
+        assert_eq!(encode(TxnId(7), 0, &fields()), golden);
+        // Ids past 127 take a second byte.
+        assert_eq!(len(128), len(1) + 1);
     }
 
     #[test]
     fn patch_xmax_in_place() {
-        let v = sample(vec![1, 2]);
-        let mut bytes = v.encode();
+        let mut bytes = encode(TxnId(7), 2, &fields());
         patch_xmax(&mut bytes, Some(TxnId(99))).unwrap();
-        let decoded = TupleVersion::decode(&bytes).unwrap();
-        assert_eq!(decoded.header.xmax, Some(TxnId(99)));
-        assert_eq!(decoded.data, v.data);
+        let tuple = TupleRef::parse(&bytes).unwrap();
+        assert_eq!(tuple.xmax(), Some(TxnId(99)));
+        assert_eq!(tuple.label_id(), 2);
+        assert_eq!(tuple.data().unwrap(), fields());
         patch_xmax(&mut bytes, None).unwrap();
-        assert_eq!(TupleVersion::decode(&bytes).unwrap().header.xmax, None);
+        assert_eq!(TupleRef::parse(&bytes).unwrap().xmax(), None);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(TupleVersion::decode(&[1, 2, 3]).is_err());
-        let v = sample(vec![1]);
-        let bytes = v.encode();
-        assert!(TupleVersion::decode(&bytes[..bytes.len() - 3]).is_err());
+        assert!(TupleRef::parse(&[1, 2, 3]).is_err());
+        let bytes = encode(TxnId(7), 1, &fields());
+        assert!(TupleRef::parse(&bytes[..bytes.len() - 3])
+            .and_then(|t| t.data())
+            .is_err());
+        // A label id cut short, and one in a needlessly long encoding.
+        let mut long = encode(TxnId(7), 200, &fields());
+        assert!(TupleRef::parse(&long[..MVCC_HEADER_LEN + 1]).is_err());
+        long[MVCC_HEADER_LEN + 1] = 0;
+        long[MVCC_HEADER_LEN] = 0x80;
+        assert!(TupleRef::parse(&long).is_err());
     }
 }

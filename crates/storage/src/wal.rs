@@ -230,6 +230,25 @@ pub enum LogRecord {
     /// A checkpoint marker: everything before it is the checkpoint image,
     /// written by [`Wal::rewrite_with`].
     Checkpoint,
+    /// A label was added to the database's label dictionary
+    /// ([`crate::labels`]): tuples name it by `id` from here on. Like DDL it
+    /// is part of no transaction; it precedes, in log order, every record
+    /// whose tuple names `id`, and a checkpoint image lists every label
+    /// after the DDL and before the rows. Its payload in a frame,
+    /// little-endian:
+    ///
+    /// | bytes     | field                      |
+    /// |-----------|----------------------------|
+    /// | 1         | kind: 16                   |
+    /// | 4         | `id` (never 0, the empty label) |
+    /// | 4         | tag count                  |
+    /// | 8 per tag | the tag ids, sorted        |
+    Label {
+        /// The label's id.
+        id: u32,
+        /// The label's tag ids.
+        tags: Vec<u64>,
+    },
     /// A table was created. Logged so schema survives restart.
     CreateTable {
         /// The table id assigned by the engine.
@@ -1156,6 +1175,14 @@ impl Wal {
                 out.push(11);
                 out.extend_from_slice(&generation.to_le_bytes());
             }
+            LogRecord::Label { id, tags } => {
+                out.push(16);
+                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&(tags.len() as u32).to_le_bytes());
+                for tag in tags {
+                    out.extend_from_slice(&tag.to_le_bytes());
+                }
+            }
             LogRecord::Audit {
                 seq,
                 prev,
@@ -1270,6 +1297,17 @@ impl Wal {
             11 => Some(LogRecord::Epoch {
                 generation: u64_at(1)?,
             }),
+            16 => {
+                let count = u32_at(5)? as usize;
+                let words = buf.get(9..9 + count.checked_mul(8)?)?;
+                Some(LogRecord::Label {
+                    id: u32_at(1)?,
+                    tags: words
+                        .chunks_exact(8)
+                        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                        .collect(),
+                })
+            }
             12 => {
                 let len = u32_at(25)? as usize;
                 Some(LogRecord::Audit {
@@ -1548,6 +1586,14 @@ mod tests {
                 commit: false,
             },
             LogRecord::Epoch { generation: 3 },
+            LogRecord::Label {
+                id: 1,
+                tags: vec![4, 9],
+            },
+            LogRecord::Label {
+                id: 2,
+                tags: (1..=300).collect(),
+            },
             LogRecord::Audit {
                 seq: 1,
                 prev: 0,
@@ -1676,13 +1722,20 @@ mod tests {
         assert_eq!(parsed.records.len(), all_record_kinds().len() - 1);
         assert!(parsed.torn_bytes > 0);
         // Turning either Insert kind into the other fails the checksum too:
-        // a page never changes lists by a flipped kind byte.
+        // a page never changes lists by a flipped kind byte. Nor does a
+        // label definition turn into a row, or a row into one.
         let records = all_record_kinds();
         let mut at = 0;
         for (i, r) in records.iter().enumerate() {
-            if let LogRecord::Insert { chain, .. } = r {
+            let flipped = match r {
+                LogRecord::Insert { chain: true, .. } => Some(14),
+                LogRecord::Insert { chain: false, .. } => Some(16),
+                LogRecord::Label { .. } => Some(15),
+                _ => None,
+            };
+            if let Some(kind) = flipped {
                 let mut data = clean.clone();
-                data[at + 8] = if *chain { 14 } else { 15 };
+                data[at + 8] = kind;
                 std::fs::write(&path, &data).unwrap();
                 assert_eq!(Wal::read_log(&path).unwrap().records, records[..i]);
             }

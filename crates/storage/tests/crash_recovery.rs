@@ -537,7 +537,7 @@ fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
         let t = eng.table_by_name(&name).unwrap();
         t.heap()
             .walk::<StorageError>(|_, label, tuple| {
-                ok &= label.is_none_or(|l| tuple.label_words().eq(l.iter().copied()));
+                ok &= label.is_none_or(|l| tuple.label_id() == l);
                 Ok(true)
             })
             .unwrap();
@@ -579,17 +579,20 @@ proptest! {
         script in proptest::collection::vec(0u64..4096, 0..80),
     ) {
         let dir = temp_dir("equivalence");
-        let (live_state, live_rows);
+        let (live_state, live_rows, live_labels);
         {
             let eng = fresh_engine(&dir, DurabilityConfig::NO_SYNC);
             let (a, b) = two_table_schema(&eng);
             run_script(&eng, &[a, b], &script);
             live_state = observable_state(&eng);
             live_rows = visible_row_ids(&eng);
+            live_labels = eng.labels().to_vec();
             prop_assert!(logged_bodies_are_page_bytes(&eng));
-            // A replica's heap is its primary's, slot for slot.
+            // A replica's heap is its primary's, slot for slot, and its
+            // label dictionary is its primary's, id for id.
             let replica = replica_of(&eng);
             prop_assert_eq!(&visible_row_ids(&replica), &live_rows);
+            prop_assert_eq!(&replica.labels().to_vec(), &live_labels);
             prop_assert!(pages_hold_their_labels(&replica));
             // Engine dropped here with whatever transactions were open:
             // the BufWriter flush on drop plays the role of the log being
@@ -599,6 +602,7 @@ proptest! {
         let recovered_state = observable_state(&eng);
         prop_assert_eq!(&recovered_state, &live_state);
         prop_assert_eq!(&visible_row_ids(&eng), &live_rows);
+        prop_assert_eq!(&eng.labels().to_vec(), &live_labels);
         prop_assert!(pages_hold_their_labels(&eng));
         prop_assert!(logged_bodies_are_page_bytes(&eng));
         // Redo skips nothing, so nothing needs re-anchoring.
@@ -622,10 +626,21 @@ proptest! {
         eng.commit(txn).unwrap();
         let after_writes = observable_state(&eng);
         let after_rows = visible_row_ids(&eng);
+        let after_labels = eng.labels().to_vec();
         drop(eng);
         let eng = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
         prop_assert_eq!(&observable_state(&eng), &after_writes);
         prop_assert_eq!(&visible_row_ids(&eng), &after_rows);
+        prop_assert_eq!(&eng.labels().to_vec(), &after_labels);
+        // A checkpoint image lists every label under its id, so the ids its
+        // rows carry mean the same after it.
+        eng.checkpoint().unwrap();
+        drop(eng);
+        let eng = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
+        prop_assert_eq!(&observable_state(&eng), &after_writes);
+        prop_assert_eq!(&visible_row_ids(&eng), &after_rows);
+        prop_assert_eq!(&eng.labels().to_vec(), &after_labels);
+        prop_assert!(pages_hold_their_labels(&eng));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -175,7 +175,7 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
             .map(|_| rng.gen::<u32>() as u8)
             .collect::<Vec<u8>>()
     };
-    match rng.gen_range(0..12) {
+    match rng.gen_range(0..13) {
         0 => LogRecord::Begin { txn },
         1 => LogRecord::Commit { txn },
         2 => LogRecord::Abort { txn },
@@ -210,6 +210,17 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
         10 => LogRecord::Decide {
             txn,
             commit: rng.gen(),
+        },
+        // A label definition, now and then one too long for a byte to count.
+        11 => LogRecord::Label {
+            id: rng.gen_range(1..40),
+            tags: (0..if rng.gen_range(0..8) == 0 {
+                300
+            } else {
+                rng.gen_range(1..4)
+            })
+                .map(|_| rng.gen())
+                .collect(),
         },
         _ => {
             if rng.gen() {

@@ -865,6 +865,7 @@ pub fn create_schema(db: &Database) -> IfdbResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifdb_storage::{LogRecord, Wal};
 
     fn tiny_config(tags: usize) -> TpccConfig {
         TpccConfig {
@@ -930,6 +931,47 @@ mod tests {
             assert!(tpcc
                 .run_transaction(&mut s, &mut rng, TpccTransaction::NewOrder)
                 .unwrap());
+        }
+    }
+
+    #[test]
+    fn heap_pages_and_log_bytes_do_not_grow_with_tags_per_label() {
+        // Figure 6's x-axis, flat: every tuple names its label by id, so the
+        // same data at 1, 2, 4 or 10 tags per label takes the same pages and
+        // the same log bytes, but for the label's one dictionary record
+        // (8 bytes per tag). The audit chain is left out: its links for the
+        // sessions' label raises record the raised label, once a raise.
+        let footprint = |tags: usize| {
+            let db = Database::new(DatabaseConfig::in_memory().with_seed(7));
+            let tpcc = TpccDatabase::load(db, tiny_config(tags)).unwrap();
+            let mut s = tpcc.session().unwrap();
+            let mut rng = StdRng::seed_from_u64(9);
+            for _ in 0..20 {
+                let kind = TpccTransaction::draw(&mut rng);
+                assert!(tpcc.run_transaction(&mut s, &mut rng, kind).unwrap());
+            }
+            let engine = tpcc.db.engine();
+            let pages: usize = engine
+                .table_names()
+                .iter()
+                .map(|name| engine.table_by_name(name).unwrap().heap().page_count())
+                .sum();
+            assert_eq!(
+                engine.labels().to_vec().len(),
+                2,
+                "one label besides the empty one"
+            );
+            let log = engine.wal().read_replication_batch(1, usize::MAX).records;
+            let bytes: usize = log
+                .iter()
+                .filter(|r| !matches!(r, LogRecord::Audit { .. }))
+                .map(|r| 8 + Wal::encode_record(r).len())
+                .sum();
+            (pages, bytes - 8 * tags, engine.audit_len())
+        };
+        let one = footprint(1);
+        for tags in [2, 4, 10] {
+            assert_eq!(footprint(tags), one, "{tags} tags per label");
         }
     }
 

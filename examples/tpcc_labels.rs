@@ -1,5 +1,7 @@
 //! Runs the TPC-C workload at several label sizes and prints the throughput
-//! trend — a miniature of the Figure 6 experiment.
+//! trend — a miniature of the Figure 6 experiment — beside the log bytes
+//! each committed transaction wrote. Tuples carry their label's id, not its
+//! tags, so the log bytes stay flat as labels grow.
 //!
 //! Run with: `cargo run --release --example tpcc_labels`
 
@@ -9,7 +11,7 @@ use ifdb_repro::ifdb::{Database, DatabaseConfig};
 use ifdb_repro::workloads::{TpccConfig, TpccDatabase, TpccDriver, TpccDriverConfig};
 
 fn main() {
-    println!("tags/label   NOTPM (in-memory)");
+    println!("tags/label   NOTPM (in-memory)   log B/txn");
     for tags in [0usize, 1, 4, 10] {
         let db = Database::new(DatabaseConfig::in_memory().with_seed(tags as u64 + 1));
         let tpcc = TpccDatabase::load(
@@ -25,14 +27,19 @@ fn main() {
             },
         )
         .expect("load TPC-C");
+        let logged_before = tpcc.db.engine().stats().wal_bytes;
         let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
             clients: 1,
             duration: Duration::from_millis(500),
             seed: 9,
         });
+        let logged = tpcc.db.engine().stats().wal_bytes - logged_before;
         println!(
-            "{tags:>10}   {:>8.0}   ({} committed, {} conflicts)",
-            outcome.notpm, outcome.committed, outcome.conflicts
+            "{tags:>10}   {:>17.0}   {:>9.0}   ({} committed, {} conflicts)",
+            outcome.notpm,
+            logged as f64 / outcome.committed.max(1) as f64,
+            outcome.committed,
+            outcome.conflicts
         );
     }
 }
