@@ -296,12 +296,11 @@ impl DatabaseBuilder {
                     "a replica cannot run first-boot DDL; re-run table definitions after the stream delivers the tables".into(),
                 ));
             }
+            // Its own log stays empty until promotion: every write, DDL and
+            // 2PC decision is refused here, and its readers log nothing.
             engine
                 .txns()
                 .reserve_local_ids(ifdb_storage::REPLICA_LOCAL_TXN_BASE);
-            // The replica's own log is never read (its state is a cache of
-            // the primary's log), so nothing logged locally may accumulate.
-            engine.wal().set_discard(true);
             let db = Database::from_engine(engine, self.config);
             db.inner
                 .read_only
@@ -455,16 +454,16 @@ impl Database {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Promotes a replica database to primary of `generation`: the engine's
-    /// log leaves discard mode, adopts the generation and re-anchors with a
-    /// checkpoint image (in-doubt 2PC transactions carried along — see
+    /// Promotes a replica database to primary of `generation`: streamed
+    /// transactions that will never finish abort, the engine's log adopts
+    /// the generation and starts with a checkpoint image of the full state
+    /// (in-doubt 2PC transactions carried along — see
     /// [`StorageEngine::promote_to_primary`](ifdb_storage::engine::StorageEngine::promote_to_primary)),
     /// and the read-only gate is lifted so sessions opened from this handle
-    /// accept writes. Fails with
-    /// [`StorageError::CheckpointBusy`](ifdb_storage::StorageError::CheckpointBusy)
-    /// while replica-local read transactions are still active; callers
-    /// retry. On a database that is already a primary the call is a plain
-    /// generation bump plus checkpoint (idempotent promotion).
+    /// accept writes. Open replica-local reads do not hold it up; a
+    /// transaction begun before the promotion may still read and commit,
+    /// but not write. Meant for a replica: on a primary it would abort the
+    /// running writers.
     pub fn promote_to_primary(&self, generation: u64) -> IfdbResult<usize> {
         let count = self.inner.engine.promote_to_primary(generation)?;
         self.inner
@@ -475,24 +474,18 @@ impl Database {
 
     /// Checkpoints the storage engine: compacts the write-ahead log into a
     /// consistent snapshot image so that a later recovery
-    /// ([`DatabaseBuilder::recover`]) replays O(live data) records. Requires
-    /// a quiescent engine (no open transactions); see
+    /// ([`DatabaseBuilder::recover`]) replays O(live data) records. Runs
+    /// beside open transactions, neither waiting for them nor refusing: the
+    /// image carries every running writer's effects, and its later records
+    /// follow in the log; see
     /// [`StorageEngine::checkpoint`](ifdb_storage::engine::StorageEngine::checkpoint).
+    /// A read-only replica refuses with [`IfdbError::ReadOnlyReplica`]: its
+    /// own log stays empty until promotion, which is its first checkpoint.
     pub fn checkpoint(&self) -> IfdbResult<usize> {
+        if self.is_read_only() {
+            return Err(IfdbError::ReadOnlyReplica);
+        }
         Ok(self.inner.engine.checkpoint()?)
-    }
-
-    /// Checkpoints as soon as the engine allows it: immediately when no
-    /// transaction is active, otherwise the request is deferred — new
-    /// transactions briefly quiesce and the transaction that drains the
-    /// active set performs the checkpoint — so auto-checkpointing makes
-    /// progress even under the sustained concurrent load of a network
-    /// server, where [`Database::checkpoint`] would return
-    /// [`StorageError::CheckpointBusy`](ifdb_storage::StorageError::CheckpointBusy)
-    /// essentially always. Returns `true` if the checkpoint ran within this
-    /// call.
-    pub fn checkpoint_soon(&self) -> IfdbResult<bool> {
-        Ok(self.inner.engine.checkpoint_soon()?)
     }
 
     /// Applies a two-phase-commit coordinator's verdict to the transaction
@@ -501,8 +494,15 @@ impl Database {
     /// resolved; idempotent, so a retrying coordinator gets a clean ack for
     /// an already-decided gid.
     ///
+    /// A read-only replica refuses with [`IfdbError::ReadOnlyReplica`]: the
+    /// gids it holds in doubt are its primary's, settled by the `Decide` its
+    /// stream delivers, until a promotion makes them its own.
+    ///
     /// [`Session::prepare_commit`]: crate::session::Session::prepare_commit
     pub fn decide_prepared(&self, gid: u64, commit: bool) -> IfdbResult<bool> {
+        if self.is_read_only() {
+            return Err(IfdbError::ReadOnlyReplica);
+        }
         Ok(self.inner.engine.decide(gid, commit)?)
     }
 
@@ -915,6 +915,66 @@ mod tests {
         let db = Database::new(DatabaseConfig::baseline());
         assert!(!db.difc_enabled());
         assert!(Database::in_memory().difc_enabled());
+    }
+
+    #[test]
+    fn a_replica_refuses_to_decide_a_streamed_gid_until_promoted() {
+        use crate::query::{Insert, Select};
+        use ifdb_storage::replica::ReplicaApplier;
+        use ifdb_storage::Datum;
+
+        let notes = TableDef::new("notes")
+            .column("id", DataType::Int)
+            .primary_key(&["id"]);
+        let primary = Database::in_memory();
+        primary.create_table(notes).unwrap();
+        let mut s = primary.anonymous_session();
+        s.begin().unwrap();
+        s.insert(&Insert::new("notes", vec![Datum::Int(1)]))
+            .unwrap();
+        s.prepare_commit(9).unwrap();
+        let replica = Database::builder()
+            .config(DatabaseConfig::in_memory())
+            .replica_over(StorageEngine::in_memory())
+            .build()
+            .unwrap();
+        let batch = primary.engine().wal().read_replication_batch(1, usize::MAX);
+        ReplicaApplier::new()
+            .apply_batch(replica.engine(), batch.first_seq, &batch.records)
+            .unwrap();
+        replica.resync_catalog().unwrap();
+        assert_eq!(replica.in_doubt(), [9]);
+        // The gid is the primary's: the replica neither settles it nor
+        // logs anything of its own — no prepare, no checkpoint either.
+        assert!(matches!(
+            replica.decide_prepared(9, true),
+            Err(IfdbError::ReadOnlyReplica)
+        ));
+        let mut local = replica.anonymous_session();
+        local.begin().unwrap();
+        assert!(matches!(
+            local.prepare_commit(10),
+            Err(IfdbError::ReadOnlyReplica)
+        ));
+        local.abort().unwrap();
+        assert!(matches!(
+            replica.checkpoint(),
+            Err(IfdbError::ReadOnlyReplica)
+        ));
+        assert_eq!(replica.in_doubt(), [9]);
+        assert_eq!(replica.engine().wal().len(), 0);
+        let rows = |db: &Database| {
+            db.anonymous_session()
+                .select(&Select::star("notes"))
+                .unwrap()
+                .len()
+        };
+        assert_eq!(rows(&replica), 0);
+        // Promoted, the node owns the gid and decides it.
+        replica.promote_to_primary(2).unwrap();
+        assert!(replica.decide_prepared(9, true).unwrap());
+        assert_eq!(rows(&replica), 1);
+        assert_eq!(primary.in_doubt(), [9], "the primary was never told");
     }
 
     #[test]

@@ -500,6 +500,7 @@ impl Session {
     /// later via [`Database::decide_prepared`]. On failure the transaction
     /// is aborted, which is the participant's no vote.
     pub fn prepare_commit(&mut self, gid: u64) -> IfdbResult<()> {
+        self.check_writable()?;
         let state = self
             .txn
             .take()

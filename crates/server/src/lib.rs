@@ -1024,9 +1024,10 @@ fn handle_repl_poll(
         }
     }
     if shared.db.is_read_only() && !shared.ha.promoted.load(Ordering::Acquire) {
-        // A replica front end does not serve replication (its log is in
-        // discard mode); after promotion the same endpoint starts serving
-        // the promotion checkpoint image under its own epoch.
+        // A replica front end does not serve replication (its own log is
+        // empty: its state is its primary's log); after promotion the same
+        // endpoint starts serving the promotion checkpoint image under its
+        // own epoch.
         return encode_error(&IfdbError::Remote {
             code: code::REPLICATION_DENIED as u16,
             detail: "node is a replica; poll the primary".into(),
@@ -1048,9 +1049,9 @@ fn handle_repl_poll(
     if from_seq <= 1 && wal.len() > shared.config.replication_batch {
         // Fresh replica, long history: anchor the snapshot at a checkpoint
         // so bootstrap replays O(live data), not O(history). Best effort —
-        // under write load the checkpoint is deferred and the replica
-        // simply ships the longer history.
-        let _ = shared.db.checkpoint_soon();
+        // if the image cannot be written the replica simply ships the
+        // longer history.
+        let _ = shared.db.checkpoint();
     }
     // Nothing to ship yet: park on the log instead of answering at once and
     // having the replica ask again on a timer. The acknowledgement above is

@@ -207,11 +207,6 @@ struct PromoteSlot {
     result: Option<Result<u64, String>>,
 }
 
-/// How long a promotion waits for replica-local read transactions to drain
-/// before giving up (the promotion checkpoint needs a quiesced database
-/// apart from replicated prepared transactions).
-const PROMOTE_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// How long [`ReplicaHandle::promote`] and the wire `Promote` hook wait for
 /// the apply loop to pick up and finish the promotion.
 const PROMOTE_WAIT_TIMEOUT: Duration = Duration::from_secs(10);
@@ -272,9 +267,10 @@ impl ReplicaHandle {
     }
 
     /// Promotes this replica to a primary (see the module docs): the apply
-    /// loop drains replica-local transactions, re-anchors the write-ahead
-    /// log with a promotion checkpoint under the next promotion generation,
-    /// lifts read-only mode, best-effort fences the old primary, and exits.
+    /// loop starts the node's own write-ahead log with a checkpoint under
+    /// the next promotion generation — open replica-local reads do not hold
+    /// it up — lifts read-only mode, best-effort fences the old primary,
+    /// and exits.
     /// Blocks until the switch completes; returns the new generation.
     /// Idempotent — promoting an already promoted node returns its
     /// generation again.
@@ -742,11 +738,11 @@ fn request_promote(shared: &ReplicaShared, timeout: Duration) -> Result<u64, Str
 /// The promotion itself, run on the apply thread (which owns the applier,
 /// so no batch can race the switch):
 ///
-/// 1. retry [`Database::promote_to_primary`] until replica-local read
-///    transactions drain (bounded by [`PROMOTE_DRAIN_TIMEOUT`]) — this
-///    re-anchors the write-ahead log with a checkpoint image that carries
-///    every replicated row *and* every still-undecided prepared transaction
-///    under the next promotion generation, and lifts read-only mode;
+/// 1. [`Database::promote_to_primary`] — this starts the node's own
+///    write-ahead log with a checkpoint image that carries every replicated
+///    row *and* every still-undecided prepared transaction under the next
+///    promotion generation, and lifts read-only mode; open replica-local
+///    reads do not hold it up;
 /// 2. flip the front end's watermark to the local log (its own epoch);
 /// 3. best-effort fence the old primary so a zombie that comes back cannot
 ///    acknowledge writes the new timeline will never contain.
@@ -757,18 +753,8 @@ fn run_promotion(
     server: &crate::Shared,
 ) -> Result<u64, String> {
     let generation = db.engine().wal().generation() + 1;
-    let deadline = Instant::now() + PROMOTE_DRAIN_TIMEOUT;
-    loop {
-        match db.promote_to_primary(generation) {
-            Ok(_) => break,
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("database did not quiesce: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
+    db.promote_to_primary(generation)
+        .map_err(|e| format!("promotion checkpoint failed: {e}"))?;
     // Re-attach the code-not-data constraint state before the node serves
     // its first write: replicated tables are `constraints_pending` (DDL over
     // the stream carries schemas, not constraint code), and a primary must

@@ -478,6 +478,8 @@ fn replica_catches_up_across_primary_checkpoint() {
     let replica = start_replica_of(&proxy.addr);
     assert!(replica.wait_for_seq(fx.db.engine().wal().last_seq(), Duration::from_secs(5)));
     assert_eq!(replica.stats().resets, 0);
+    let replica_log = replica.database().engine().wal();
+    assert_eq!(replica_log.len(), 0, "a replica logs nothing of its own");
 
     // Cut the replica off (retarget the proxy into the void), then write
     // and checkpoint on the primary: the records the replica misses are
@@ -509,6 +511,7 @@ fn replica_catches_up_across_primary_checkpoint() {
         "replica re-bootstraps and catches up"
     );
     assert!(replica.stats().resets >= 1, "the stream was reset");
+    assert_eq!(replica_log.len(), 0, "nor after a reset");
     let mut bob_conn = connect(
         &replica.addr().to_string(),
         "bob",
@@ -689,12 +692,28 @@ fn reads_ship_nothing_and_promotion_still_finds_streamed_writers() {
         "only records of writers (and audit links) were applied"
     );
     assert_eq!(replica_engine.stats().txns_active, 1, "the streamed writer");
+    assert_eq!(replica_log.len(), 0, "a replica logs nothing of its own");
 
-    // The primary dies mid-transaction; the successor aborts the orphan.
+    // The primary dies mid-transaction; the successor aborts the orphan,
+    // without waiting for a reader left open on it.
+    let mut reader = connect(&raddr, "bob", "pw-b", &[fx.difc.bob_tag]);
+    reader.begin().unwrap();
+    assert_eq!(reader.run(&select).unwrap().into_rows().len(), 4);
     std::mem::forget(writer);
     primary.shutdown();
     replica.promote().unwrap();
+    assert_eq!(replica_engine.stats().txns_active, 1, "only the reader");
+    assert_eq!(reader.run(&select).unwrap().into_rows().len(), 4);
+    reader.commit().unwrap();
+    reader.close().unwrap();
     assert_eq!(replica_engine.stats().txns_active, 0, "orphan aborted");
+    let image = replica_log.read_replication_batch(1, usize::MAX).records;
+    assert_eq!(replica_log.len(), image.len());
+    assert_eq!(
+        image.last(),
+        Some(&ifdb_storage::LogRecord::Checkpoint),
+        "the log is the image"
+    );
     // Constraints are code, not data: re-attach them before writing.
     replica.database().create_table(messages_def()).unwrap();
     let mut anon = replica.database().anonymous_session();
@@ -705,6 +724,46 @@ fn reads_ship_nothing_and_promotion_still_finds_streamed_writers() {
     ))
     .unwrap();
     assert_eq!(anon.select(&Select::star("messages")).unwrap().len(), 2);
+    replica.shutdown();
+}
+
+/// A replica holds its primary's in-doubt gids but does not own them: a
+/// `TxnDecide` sent to it is refused, the gid stays in doubt on both nodes,
+/// and nothing lands in the replica's own log. Once promoted, the node
+/// decides it.
+#[test]
+fn a_replica_refuses_to_decide_a_streamed_gid_until_promoted() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let replica = start_replica_of(&primary.addr().to_string());
+    let raddr = replica.addr().to_string();
+    let mut s = fx.db.anonymous_session();
+    s.begin().unwrap();
+    s.insert(&Insert::new(
+        "messages",
+        vec![Datum::Int(77), Datum::from("anon"), Datum::from("in doubt")],
+    ))
+    .unwrap();
+    s.prepare_commit(9).unwrap();
+    assert!(replica.wait_for_seq(fx.db.engine().wal().last_seq(), Duration::from_secs(5)));
+    let select = Statement::Select(Select::star("messages"));
+    let mut conn = connect(&raddr, "alice", "pw-a", &[]);
+    assert_eq!(conn.txn_recover().unwrap(), [9]);
+    let err = conn.txn_decide(9, true).unwrap_err();
+    assert!(matches!(err, IfdbError::ReadOnlyReplica), "{err}");
+    assert_eq!(conn.txn_recover().unwrap(), [9]);
+    assert_eq!(conn.run(&select).unwrap().into_rows().len(), 1);
+    assert_eq!(fx.db.in_doubt(), [9], "the primary still holds it in doubt");
+    assert_eq!(replica.database().engine().wal().len(), 0);
+    conn.close().unwrap();
+
+    primary.shutdown();
+    replica.promote().unwrap();
+    let mut conn = connect(&raddr, "alice", "pw-a", &[]);
+    conn.txn_decide(9, true).unwrap();
+    assert!(conn.txn_recover().unwrap().is_empty());
+    assert_eq!(conn.run(&select).unwrap().into_rows().len(), 2);
+    conn.close().unwrap();
     replica.shutdown();
 }
 

@@ -321,7 +321,8 @@ fn killed_connection_aborts_its_transaction() {
     }
     let mut c = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
     assert!(c.select(&Select::star("notes")).unwrap().is_empty());
-    // A checkpoint now succeeds — nothing is pinned by the dead connection.
+    // Nothing is pinned by the dead connection: no transaction runs.
+    assert_eq!(server.database().engine().stats().txns_active, 0);
     server.database().checkpoint().unwrap();
     c.close().unwrap();
     server.shutdown();
@@ -426,6 +427,7 @@ fn graceful_shutdown_drains_and_rejects_new_work() {
     server.shutdown();
     let mut s = db.anonymous_session();
     assert!(s.select(&Select::star("notes")).unwrap().is_empty());
-    // The engine is quiescent: checkpoint succeeds immediately.
+    // The straggler was aborted, not leaked: no transaction runs.
+    assert_eq!(db.engine().stats().txns_active, 0);
     db.checkpoint().unwrap();
 }

@@ -11,8 +11,7 @@
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -22,7 +21,9 @@ use crate::error::{StorageError, StorageResult};
 use crate::heap::{RowId, TableHeap};
 use crate::index::{encode_key, OrderedIndex};
 use crate::labels::{undefined, Entries, LabelDictionary, LabelId};
-use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN};
+use crate::mvcc::{
+    Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN, REPLICA_LOCAL_TXN_BASE,
+};
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
 use crate::store::{FilePageStore, MemPageStore, PageStore};
@@ -140,16 +141,18 @@ pub struct StorageEngine {
     recovery_replayed_records: AtomicU64,
     checkpoints: AtomicU64,
     commits_since_checkpoint: AtomicU64,
-    /// Deferred-checkpoint coordination ([`StorageEngine::checkpoint_soon`]):
-    /// `true` when a checkpoint was requested while transactions were still
-    /// active. While set, [`StorageEngine::begin`] briefly quiesces admission
-    /// and the transaction that drains the engine performs the checkpoint.
-    checkpoint_pending: StdMutex<bool>,
-    checkpoint_cvar: Condvar,
-    checkpoints_deferred: AtomicU64,
     vacuums: AtomicU64,
     commits_since_vacuum: AtomicU64,
     replica_records_applied: AtomicU64,
+    /// The write gate: each operation that changes both in-memory state and
+    /// the log holds it shared from start to finish, and
+    /// [`StorageEngine::checkpoint`] holds it exclusively, so an image sees
+    /// every such operation whole or not at all. Nothing takes it twice on
+    /// one thread: a shared acquisition queues behind a waiting checkpoint.
+    ///
+    /// Lock order: gate → audit chain → label dictionary → the log's append
+    /// lock. Redo, reads and [`StorageEngine::append_audit`] do not take it.
+    gate: RwLock<()>,
     /// The tamper-evident audit chain ([`crate::audit`]): every link is also
     /// a [`LogRecord::Audit`] in the WAL, so the chain is durable, survives
     /// checkpoint compaction (images re-log it) and ships to replicas.
@@ -238,12 +241,10 @@ impl StorageEngine {
             recovery_replayed_records: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             commits_since_checkpoint: AtomicU64::new(0),
-            checkpoint_pending: StdMutex::new(false),
-            checkpoint_cvar: Condvar::new(),
-            checkpoints_deferred: AtomicU64::new(0),
             vacuums: AtomicU64::new(0),
             commits_since_vacuum: AtomicU64::new(0),
             replica_records_applied: AtomicU64::new(0),
+            gate: RwLock::new(()),
             audit: Mutex::new(AuditChain::new()),
             labels: RwLock::new(Arc::new(LabelDictionary::new())),
         }
@@ -363,6 +364,7 @@ impl StorageEngine {
     /// table (and everything later inserted into it) survives
     /// [`StorageEngine::open`].
     pub fn create_table(&self, schema: TableSchema) -> StorageResult<TableId> {
+        let _gate = self.gate.read();
         let id = TableId(self.next_table.fetch_add(1, Ordering::SeqCst) as u32);
         {
             // Check-and-reserve under the write lock: re-creating an
@@ -440,6 +442,7 @@ impl StorageEngine {
     /// per `(key, row)`, so a version observed by both paths is recorded
     /// once. Index names are unique per table.
     pub fn create_index(&self, table: TableId, name: &str, columns: &[&str]) -> StorageResult<()> {
+        let _gate = self.gate.read();
         let t = self.table(table)?;
         let col_idx: Vec<usize> = columns
             .iter()
@@ -497,192 +500,57 @@ impl StorageEngine {
     /// `Insert`/`Delete`/`Prepare` record, so a transaction that never
     /// writes never existed for the log or a replica.
     pub fn begin(&self) -> StorageResult<TxnId> {
-        self.quiesce_for_pending_checkpoint();
         Ok(self.txns.begin())
     }
 
     /// Appends `txn`'s `Begin` if this is its first log record. A
     /// transaction is driven by one session at a time, so the `Begin` lands
     /// directly ahead of the record the caller appends next.
+    ///
+    /// A transaction begun while this engine was a replica (its id in the
+    /// reserved local range) may not write once the engine is promoted: its
+    /// id sits above every snapshot horizon of the new timeline, so its
+    /// commit would stay invisible. It fails; the caller begins afresh.
     fn log_begin_once(&self, txn: TxnId) -> StorageResult<()> {
+        if txn.0 >= REPLICA_LOCAL_TXN_BASE {
+            return Err(StorageError::InvalidTransaction(txn.0));
+        }
         if self.txns.note_first_write(txn) {
             self.wal.append(LogRecord::Begin { txn })?;
         }
         Ok(())
     }
 
-    /// While a deferred checkpoint is pending, briefly holds back new
-    /// transactions so the active set can drain to zero and the checkpoint
-    /// can run. The wait is bounded: if the checkpoint has not fired within
-    /// the quiesce window (another admission slipped in, or nothing is left
-    /// to settle the pending request), this thread attempts it itself and
-    /// then proceeds regardless — admission control here trades a short
-    /// latency blip for checkpoint progress, never liveness.
-    fn quiesce_for_pending_checkpoint(&self) {
-        const QUIESCE_WINDOW: Duration = Duration::from_millis(50);
-        {
-            let mut pending = self.checkpoint_pending.lock().expect("checkpoint lock");
-            if !*pending {
-                return;
-            }
-            let start = Instant::now();
-            while *pending {
-                let waited = start.elapsed();
-                if waited >= QUIESCE_WINDOW {
-                    break;
-                }
-                let (guard, _) = self
-                    .checkpoint_cvar
-                    .wait_timeout(pending, QUIESCE_WINDOW - waited)
-                    .expect("checkpoint lock");
-                pending = guard;
-            }
-            if !*pending {
-                return;
-            }
-        }
-        // Still pending after the window: try to take it ourselves (the
-        // request may have been left behind with no active transactions to
-        // settle it). Errors are ignored here — begin() must stay infallible
-        // with respect to checkpointing.
-        let _ = self.run_pending_checkpoint_if_quiescent();
-    }
-
-    /// Marks a checkpoint as wanted; the next point at which the engine is
-    /// quiescent will take it.
-    fn request_checkpoint(&self) {
-        let mut pending = self.checkpoint_pending.lock().expect("checkpoint lock");
-        if !*pending {
-            *pending = true;
-            self.checkpoints_deferred.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// If a deferred checkpoint is pending and no transaction is active,
-    /// takes it now and releases any quiesced [`StorageEngine::begin`]
-    /// callers. Non-busy checkpoint errors drop the pending request (so a
-    /// persistent I/O failure cannot wedge admission) and are returned.
-    fn run_pending_checkpoint_if_quiescent(&self) -> StorageResult<()> {
-        if !*self.checkpoint_pending.lock().expect("checkpoint lock") {
-            return Ok(());
-        }
-        if self.txns.active_count() != 0 {
-            return Ok(());
-        }
-        let result = self.checkpoint();
-        match result {
-            Ok(_) => {
-                *self.checkpoint_pending.lock().expect("checkpoint lock") = false;
-                self.checkpoint_cvar.notify_all();
-                Ok(())
-            }
-            // Lost the race with a freshly admitted transaction: stay
-            // pending, a later settle or quiesced begin() retries.
-            Err(StorageError::CheckpointBusy { .. }) => Ok(()),
-            Err(e) => {
-                *self.checkpoint_pending.lock().expect("checkpoint lock") = false;
-                self.checkpoint_cvar.notify_all();
-                Err(e)
-            }
-        }
-    }
-
-    /// Checkpoints as soon as the engine allows it: immediately when
-    /// quiescent, otherwise the request is recorded and the transaction that
-    /// drains the active set performs it (new transactions briefly quiesce in
-    /// [`StorageEngine::begin`] while a request is pending, so sustained load
-    /// cannot starve checkpointing). Returns `true` if the checkpoint ran
-    /// within this call, `false` if it was deferred.
-    pub fn checkpoint_soon(&self) -> StorageResult<bool> {
-        match self.checkpoint() {
-            Ok(_) => Ok(true),
-            Err(StorageError::CheckpointBusy { .. }) => {
-                self.request_checkpoint();
-                // The busy probe raced: if every active transaction settled
-                // before the request became visible, run it here rather than
-                // leaving it for a settle that may never come.
-                self.run_pending_checkpoint_if_quiescent()?;
-                Ok(!*self.checkpoint_pending.lock().expect("checkpoint lock"))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Commits a transaction. With `sync_on_commit` durability the call
     /// returns only once the commit record is on the device — via the
     /// transaction's own fsync, or a shared one under group commit. When a
     /// periodic-checkpoint policy is configured
-    /// ([`DurabilityConfig::with_checkpoint_every`]), the commit may also
-    /// trigger a checkpoint once the engine is quiescent.
+    /// ([`DurabilityConfig::with_checkpoint_every`]), every `n`-th commit
+    /// then takes a checkpoint.
     ///
     /// A transaction that wrote nothing has no commit record: it appends
     /// nothing, never fsyncs, and does not count towards the periodic
     /// checkpoint/vacuum policies.
     pub fn commit(&self, txn: TxnId) -> StorageResult<()> {
-        // The log record is the commit point: it must be durable *before*
-        // the transaction is marked committed in memory, or a concurrent
-        // reader could observe (and re-publish, via its own durable commit)
-        // effects whose commit record never reaches the device. The
-        // active→committing claim is atomic, so two racing commit() calls
-        // cannot both append a durable Commit record.
-        if !self.txns.begin_commit(txn)? {
-            self.txns.finish_commit(txn)?;
-            // A reader can be the settle that drains the engine.
-            let _ = self.run_pending_checkpoint_if_quiescent();
+        if !self.commit_under_gate(txn)? {
             return Ok(());
         }
-        if let Err(e) = self.wal.append(LogRecord::Commit { txn }) {
-            // The Commit frame may already sit in the log (e.g. the write
-            // succeeded and only the fsync failed), and a later committer's
-            // flush could still make it durable — so the transaction must
-            // not simply return to in-progress for the caller to abort, or
-            // it would resurrect as committed at recovery. Append a
-            // superseding Abort record (replay treats Abort as overriding
-            // an earlier Commit) and sync it — only Commit appends fsync on
-            // their own — then settle the transaction as aborted. If the
-            // Abort cannot be made durable, the outcome is unknown: keep
-            // the commit claim forever, so the transaction can never be
-            // finished and its effects stay invisible to every snapshot in
-            // this process.
-            if self.wal.append(LogRecord::Abort { txn }).is_ok() && self.wal.sync().is_ok() {
-                self.txns.cancel_commit(txn);
-                let _ = self.txns.abort(txn);
-            }
-            return Err(e);
-        }
-        self.txns.finish_commit(txn)?;
+        // The policies run outside the gate: a checkpoint takes it
+        // exclusively.
         if let Some(every) = self.durability.checkpoint_every_commits {
             let n = self
                 .commits_since_checkpoint
                 .fetch_add(1, Ordering::Relaxed)
                 + 1;
             if n >= every {
-                // Cheap O(1) quiescence probe before the checkpoint takes
-                // the log's append lock; racy, but checkpoint() re-checks
-                // under it. Under sustained concurrent load the probe
-                // essentially never passes, so the busy path records a
-                // deferred request instead of dropping the checkpoint: new
-                // transactions briefly quiesce and the commit/abort that
-                // drains the active set takes it.
-                if self.txns.active_count() == 0 {
-                    match self.checkpoint() {
-                        Ok(_) => {}
-                        Err(StorageError::CheckpointBusy { .. }) => self.request_checkpoint(),
-                        // The transaction is durably committed at this
-                        // point: an auto-checkpoint failure must not turn a
-                        // successful commit into an error (the caller would
-                        // retry and double-apply). Surface it out of band.
-                        Err(e) => {
-                            eprintln!("wal: auto-checkpoint failed after commit: {e}");
-                        }
-                    }
-                } else {
-                    self.request_checkpoint();
+                // The transaction is durably committed at this point: an
+                // auto-checkpoint failure must not turn a successful commit
+                // into an error (the caller would retry and double-apply).
+                // Surface it out of band.
+                if let Err(e) = self.checkpoint() {
+                    eprintln!("wal: auto-checkpoint failed after commit: {e}");
                 }
             }
-        }
-        if let Err(e) = self.run_pending_checkpoint_if_quiescent() {
-            eprintln!("wal: deferred checkpoint failed after commit: {e}");
         }
         if let Some(every) = self.durability.vacuum_every_commits {
             let n = self.commits_since_vacuum.fetch_add(1, Ordering::Relaxed) + 1;
@@ -705,16 +573,50 @@ impl StorageEngine {
         Ok(())
     }
 
+    /// [`StorageEngine::commit`] up to the periodic policies, under the
+    /// gate; returns whether the transaction logged a commit record.
+    fn commit_under_gate(&self, txn: TxnId) -> StorageResult<bool> {
+        let _gate = self.gate.read();
+        // The log record is the commit point: it must be durable *before*
+        // the transaction is marked committed in memory, or a concurrent
+        // reader could observe (and re-publish, via its own durable commit)
+        // effects whose commit record never reaches the device. The
+        // active→committing claim is atomic, so two racing commit() calls
+        // cannot both append a durable Commit record.
+        if !self.txns.begin_commit(txn)? {
+            self.txns.finish_commit(txn)?;
+            return Ok(false);
+        }
+        if let Err(e) = self.wal.append(LogRecord::Commit { txn }) {
+            // The Commit frame may already sit in the log (e.g. the write
+            // succeeded and only the fsync failed), and a later committer's
+            // flush could still make it durable — so the transaction must
+            // not simply return to in-progress for the caller to abort, or
+            // it would resurrect as committed at recovery. Append a
+            // superseding Abort record (replay treats Abort as overriding
+            // an earlier Commit) and sync it — only Commit appends fsync on
+            // their own — then settle the transaction as aborted. If the
+            // Abort cannot be made durable, the outcome is unknown: keep
+            // the commit claim forever, so the transaction can never be
+            // finished and its effects stay invisible to every snapshot in
+            // this process.
+            if self.wal.append(LogRecord::Abort { txn }).is_ok() && self.wal.sync().is_ok() {
+                self.txns.cancel_commit(txn);
+                let _ = self.txns.abort(txn);
+            }
+            return Err(e);
+        }
+        self.txns.finish_commit(txn)?;
+        Ok(true)
+    }
+
     /// Aborts a transaction. The tuple versions it wrote remain in the heap
     /// but are never visible; vacuum reclaims them.
     pub fn abort(&self, txn: TxnId) -> StorageResult<()> {
+        let _gate = self.gate.read();
         if self.txns.settle(txn, TxnStatus::Aborted)? {
             self.wal.append(LogRecord::Abort { txn })?;
         }
-        // An abort can be the settle that drains the engine; a deferred
-        // checkpoint must not miss it. Checkpoint failures are not abort
-        // failures (the request is dropped and surfaced on a later commit).
-        let _ = self.run_pending_checkpoint_if_quiescent();
         Ok(())
     }
 
@@ -732,6 +634,7 @@ impl StorageEngine {
     /// be made durable a superseding Abort settles the transaction, and if
     /// even that fails the commit claim is held forever.
     pub fn prepare_commit(&self, txn: TxnId, gid: u64) -> StorageResult<()> {
+        let _gate = self.gate.read();
         // A participant with an empty write set still votes durably: its
         // Prepare is its first record, so its Begin goes in ahead of it.
         self.log_begin_once(txn)?;
@@ -764,6 +667,7 @@ impl StorageEngine {
     /// the in-memory state flips; an abort decision is presumed and needs no
     /// sync.
     pub fn decide(&self, gid: u64, commit: bool) -> StorageResult<bool> {
+        let _gate = self.gate.read();
         let Some(txn) = self.txns.prepared_txn(gid) else {
             return Ok(false);
         };
@@ -772,9 +676,6 @@ impl StorageEngine {
         // prepared and the coordinator retries.
         self.wal.append(LogRecord::Decide { txn, commit })?;
         self.txns.finish_prepared(gid, commit);
-        // A decide can be the settle that drains the engine (prepared
-        // transactions count as active and block checkpoints).
-        let _ = self.run_pending_checkpoint_if_quiescent();
         Ok(true)
     }
 
@@ -849,6 +750,18 @@ impl StorageEngine {
         label: Vec<u64>,
         values: Vec<Datum>,
     ) -> StorageResult<RowId> {
+        let _gate = self.gate.read();
+        self.insert_gated(txn, table, label, values)
+    }
+
+    /// [`StorageEngine::insert`]'s body, for a caller holding the gate.
+    fn insert_gated(
+        &self,
+        txn: TxnId,
+        table: TableId,
+        label: Vec<u64>,
+        values: Vec<Datum>,
+    ) -> StorageResult<RowId> {
         let t = self.table(table)?;
         t.schema.check_tuple(&values)?;
         let label = self.labels().intern(&label, |id, tags| {
@@ -891,6 +804,12 @@ impl StorageEngine {
     /// aborted never existed ([`StorageError::UnknownRow`]), and one its
     /// writer is still running is that writer's (a write conflict).
     pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
+        let _gate = self.gate.read();
+        self.delete_gated(txn, table, row)
+    }
+
+    /// [`StorageEngine::delete`]'s body, for a caller holding the gate.
+    fn delete_gated(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
         let t = self.table(table)?;
         loop {
             let (xmin, seen) = t
@@ -950,8 +869,9 @@ impl StorageEngine {
         label: Vec<u64>,
         values: Vec<Datum>,
     ) -> StorageResult<RowId> {
-        self.delete(txn, table, row)?;
-        self.insert(txn, table, label, values)
+        let _gate = self.gate.read();
+        self.delete_gated(txn, table, row)?;
+        self.insert_gated(txn, table, label, values)
     }
 
     /// Fetches the version at `row` if it is visible to `snapshot`.
@@ -1181,21 +1101,26 @@ impl StorageEngine {
     /// Serializes a consistent snapshot of the engine into the log and
     /// truncates the history before it, so that [`StorageEngine::open`]
     /// replays O(live data + post-checkpoint delta) records instead of the
-    /// full history. The image consists of the DDL for every table and
-    /// index, then every label of the dictionary, then one `Insert` record
-    /// (under the always-committed bootstrap transaction) per live tuple
-    /// version, and is installed with a crash-atomic temp-file-and-rename
-    /// rewrite.
+    /// full history. The checkpoint runs beside transactions: it neither
+    /// waits for them to finish nor refuses while they run. It holds the
+    /// write gate exclusively, so it sees each logged operation whole, and
+    /// the image it installs (crash-atomically, by temp file and rename) is:
     ///
-    /// Checkpointing requires a quiescent engine: if any transaction is in
-    /// progress the call fails with [`StorageError::CheckpointBusy`] and the
-    /// log is left untouched. New transactions that try to start during the
-    /// checkpoint block on their first log append until the rewrite is
-    /// installed, so nothing can slip between the image and the new log
-    /// tail.
+    /// 1. the DDL of every table and index, then every label of the
+    ///    dictionary;
+    /// 2. one `Insert` under the always-committed bootstrap transaction per
+    ///    committed live version, at its row id;
+    /// 3. every running transaction the log names: its `Begin`, then, from
+    ///    one walk of each heap, an `Insert` under its id for each version
+    ///    it wrote and a `Delete` for each version it marked, then `Prepare`
+    ///    for those in doubt. Its later records follow in the new tail;
+    /// 4. the audit chain, an `Epoch` when the generation is above 1, and the
+    ///    `Checkpoint` marker.
     ///
-    /// Returns the number of records in the installed image.
+    /// Readers appear nowhere in it: they wrote nothing. Returns the number
+    /// of records in the installed image.
     pub fn checkpoint(&self) -> StorageResult<usize> {
+        let _gate = self.gate.write();
         // Chain lock before the log's append lock (see the `audit` field
         // docs): holding it across the rewrite keeps a concurrent
         // `append_audit` from logging a link the image would then discard.
@@ -1203,11 +1128,9 @@ impl StorageEngine {
         let dictionary = self.labels();
         let labels = dictionary.read();
         let count = self.wal.rewrite_with(|emit| {
-            let active = self.txns.active_count();
-            if active > 0 {
-                return Err(StorageError::CheckpointBusy { active });
-            }
-            self.emit_live_state(&self.tables.read(), &labels, emit)?;
+            let tables = self.tables.read();
+            let ids = self.emit_live_state(&tables, &labels, emit)?;
+            self.emit_in_flight(&tables, &ids, emit)?;
             // The audit chain survives compaction the same way live rows
             // do: every link is re-logged into the image.
             for r in audit.records() {
@@ -1285,86 +1208,73 @@ impl StorageEngine {
         Ok(ids)
     }
 
-    /// Turns this (replica) engine into a primary of `generation`: the log
-    /// leaves discard mode, adopts the generation, and is re-anchored with a
-    /// checkpoint image so the node's own log — empty until now — describes
-    /// the full state it will serve and replicate from here on.
-    ///
-    /// Unlike [`StorageEngine::checkpoint`], in-doubt 2PC transactions do
-    /// not block promotion (a participant crash is exactly when failover
-    /// happens): each prepared transaction is carried into the image as
-    /// `Begin` + its invisible effects + `Prepare`, so the successor — and
-    /// anyone recovering from or replicating its log — can still resolve it
-    /// when the coordinator's decision arrives. Any *other* active
-    /// transaction fails the call with [`StorageError::CheckpointBusy`];
-    /// callers retry while replica-local reads drain.
-    pub fn promote_to_primary(&self, generation: u64) -> StorageResult<usize> {
-        self.wal.set_discard(false);
-        self.wal.set_generation(generation);
-        // A primary killed mid-transaction leaves streamed `Begin`s whose
-        // outcome will never arrive; they would hold the database "busy"
-        // forever. They abort here — the crash-recovery rule applied to the
-        // dead stream — so only replica-local reads can keep the call busy.
-        self.txns.abort_orphaned_replicated();
-        // Same lock order as checkpoint(): chain before the log's append
-        // lock, held across the rewrite. The replicated chain continues
-        // unbroken on the successor — its image re-logs every link, and
-        // post-promotion events extend the same chain.
-        let audit = self.audit.lock();
-        let dictionary = self.labels();
-        let labels = dictionary.read();
-        let count = self.wal.rewrite_with(|emit| {
-            let prepared = self.txns.prepared_entries();
-            let active = self.txns.active_count();
-            let blocking = active.saturating_sub(prepared.len() as u64);
-            if blocking > 0 {
-                return Err(StorageError::CheckpointBusy { active: blocking });
-            }
-            let tables = self.tables.read();
-            let ids = self.emit_live_state(&tables, &labels, emit)?;
-            // The in-doubt transactions ride along: their effects redo
-            // invisible (redo re-registers a Prepare with no Decide as
-            // in-doubt) until a decision lands.
-            for (gid, txn) in prepared {
-                emit(LogRecord::Begin { txn })?;
-                for id in &ids {
-                    tables[id].heap.walk::<StorageError>(|row, label, tuple| {
-                        if tuple.xmin() == txn {
-                            emit(LogRecord::Insert {
-                                txn,
-                                table: id.0,
-                                row,
-                                chain: label.is_some(),
-                                body: tuple.body().to_vec(),
-                            })?;
-                        }
-                        // A row it inserted and then deleted or updated
-                        // takes both records: a logged insert has no `xmax`.
-                        if tuple.xmax() == Some(txn) {
-                            emit(LogRecord::Delete {
-                                txn,
-                                table: id.0,
-                                row,
-                            })?;
-                        }
-                        Ok(true)
+    /// Emits the running transactions the log names, after the live state
+    /// (`ids` are its tables): each one's `Begin`, then its effects from
+    /// one walk of each heap, then `Prepare` for those in doubt. Their
+    /// effects redo invisible, and redo holds a `Prepare` with no `Decide`
+    /// in doubt, so the image's reader settles each as its log tail says —
+    /// or, at the end of the log, as recovery settles in-flight work.
+    fn emit_in_flight(
+        &self,
+        tables: &HashMap<TableId, Arc<Table>>,
+        ids: &[TableId],
+        emit: &mut dyn FnMut(LogRecord) -> StorageResult<()>,
+    ) -> StorageResult<()> {
+        let writers = self.txns.logged_active();
+        if writers.is_empty() {
+            return Ok(());
+        }
+        for (txn, _) in &writers {
+            emit(LogRecord::Begin { txn: *txn })?;
+        }
+        let running: HashSet<TxnId> = writers.iter().map(|(txn, _)| *txn).collect();
+        for id in ids {
+            tables[id].heap.walk::<StorageError>(|row, label, tuple| {
+                if running.contains(&tuple.xmin()) {
+                    emit(LogRecord::Insert {
+                        txn: tuple.xmin(),
+                        table: id.0,
+                        row,
+                        chain: label.is_some(),
+                        body: tuple.body().to_vec(),
                     })?;
                 }
+                // A row it inserted and then deleted or updated takes both
+                // records: a logged insert has no `xmax`.
+                if let Some(txn) = tuple.xmax().filter(|x| running.contains(x)) {
+                    emit(LogRecord::Delete {
+                        txn,
+                        table: id.0,
+                        row,
+                    })?;
+                }
+                Ok(true)
+            })?;
+        }
+        for (txn, gid) in writers {
+            if let Some(gid) = gid {
                 emit(LogRecord::Prepare { txn, gid })?;
             }
-            for r in audit.records() {
-                emit(r.to_log_record())?;
-            }
-            emit(LogRecord::Epoch { generation })?;
-            emit(LogRecord::Checkpoint)
-        })?;
-        drop(labels);
-        drop(audit);
+        }
+        Ok(())
+    }
+
+    /// Turns this replica engine into a primary of `generation`. Streamed
+    /// transactions whose outcome will never arrive abort (the primary that
+    /// ran them is gone: the crash-recovery rule, applied to the dead
+    /// stream), the log adopts the generation, and a checkpoint writes the
+    /// full state — in-doubt 2PC transactions included — into the node's
+    /// own log, empty until now, which it serves and replicates from here
+    /// on. Open replica-local readers do not hold it up. Meant for a
+    /// replica only: on a primary, the first step would abort its own
+    /// running writers.
+    pub fn promote_to_primary(&self, generation: u64) -> StorageResult<usize> {
+        self.txns.abort_orphaned_replicated();
+        self.wal.set_generation(generation);
+        let count = self.checkpoint()?;
         // From here on this node's transactions are a primary's: they leave
         // the id range reserved for replica-local readers.
         self.txns.allocate_past_logged_ids();
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
     }
 
@@ -1567,7 +1477,6 @@ impl StorageEngine {
         s.commits_batched = self.wal.commits_batched();
         s.recovery_replayed_records = self.recovery_replayed_records.load(Ordering::Relaxed);
         s.checkpoints = self.checkpoints.load(Ordering::Relaxed);
-        s.checkpoints_deferred = self.checkpoints_deferred.load(Ordering::Relaxed);
         s.vacuums = self.vacuums.load(Ordering::Relaxed);
         s.replica_records_applied = self.replica_records_applied.load(Ordering::Relaxed);
         s.audit_records = self.audit.lock().len() as u64;
@@ -2457,14 +2366,13 @@ mod tests {
                 "image ({image}) smaller than history ({before})"
             );
             assert_eq!(eng.stats().checkpoints, 1);
-            // Checkpoint during an active transaction is refused.
+            // A checkpoint beside a running writer carries its insert, and
+            // the commit that follows lands in the new tail.
             let busy = eng.begin().unwrap();
-            assert!(matches!(
-                eng.checkpoint().unwrap_err(),
-                StorageError::CheckpointBusy { active: 1 }
-            ));
             eng.insert(busy, table, vec![], vec![Datum::Int(777), Datum::Int(9)])
                 .unwrap();
+            eng.checkpoint().unwrap();
+            assert_eq!(eng.stats().checkpoints, 2);
             eng.commit(busy).unwrap();
         }
         let eng = StorageEngine::open(&dir, 8, DurabilityConfig::SYNC_EACH).unwrap();
@@ -2515,55 +2423,81 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_soon_defers_until_quiescent() {
+    fn a_checkpoint_runs_beside_readers_writers_and_in_doubt_gids() {
         let dir =
-            std::env::temp_dir().join(format!("ifdb-engine-ckpt-soon-{}", std::process::id()));
+            std::env::temp_dir().join(format!("ifdb-engine-ckpt-beside-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let eng = StorageEngine::with_config(
-            StorageKind::OnDisk {
-                dir: dir.clone(),
-                buffer_pages: 8,
-            },
-            DurabilityConfig::SYNC_EACH,
-        )
-        .unwrap();
-        let table = eng
-            .create_table(TableSchema::new(
-                "t",
-                vec![ColumnDef::new("id", DataType::Int)],
-            ))
+        let ids = |eng: &StorageEngine| {
+            let mut ids: Vec<i64> = visible_rows(eng, eng.table_by_name("t").unwrap().id())
+                .iter()
+                .map(|r| r[0].as_int().unwrap())
+                .collect();
+            ids.sort();
+            ids
+        };
+        {
+            let eng = StorageEngine::with_config(
+                StorageKind::OnDisk {
+                    dir: dir.clone(),
+                    buffer_pages: 8,
+                },
+                DurabilityConfig::SYNC_EACH,
+            )
             .unwrap();
-        // Quiescent: runs immediately.
-        assert!(eng.checkpoint_soon().unwrap());
-        assert_eq!(eng.stats().checkpoints, 1);
-
-        // Busy: the request is deferred, and the transaction that drains the
-        // active set performs it.
-        let t1 = eng.begin().unwrap();
-        let t2 = eng.begin().unwrap();
-        eng.insert(t1, table, vec![], vec![Datum::Int(1)]).unwrap();
-        assert!(
-            !eng.checkpoint_soon().unwrap(),
-            "deferred while txns active"
-        );
-        assert_eq!(eng.stats().checkpoints, 1);
-        assert_eq!(eng.stats().checkpoints_deferred, 1);
-        eng.commit(t1).unwrap();
-        assert_eq!(eng.stats().checkpoints, 1, "still one txn active");
-        eng.abort(t2).unwrap();
-        assert_eq!(
-            eng.stats().checkpoints,
-            2,
-            "drain settle ran the checkpoint"
-        );
-
-        // The checkpointed image is the live state.
-        drop(eng);
+            let table = eng
+                .create_table(TableSchema::new(
+                    "t",
+                    vec![ColumnDef::new("id", DataType::Int)],
+                ))
+                .unwrap();
+            let t0 = eng.begin().unwrap();
+            let one = eng.insert(t0, table, vec![], vec![Datum::Int(1)]).unwrap();
+            let two = eng.insert(t0, table, vec![5], vec![Datum::Int(2)]).unwrap();
+            eng.commit(t0).unwrap();
+            // An idle reader, a writer that inserts, deletes and updates, a
+            // writer the crash will cut off, and a gid in doubt.
+            let reader = eng.begin().unwrap();
+            let reader_snap = eng.snapshot(reader);
+            let writer = eng.begin().unwrap();
+            eng.insert(writer, table, vec![5], vec![Datum::Int(10)])
+                .unwrap();
+            eng.delete(writer, table, one).unwrap();
+            let own = eng
+                .insert(writer, table, vec![], vec![Datum::Int(11)])
+                .unwrap();
+            eng.update(writer, table, own, vec![], vec![Datum::Int(12)])
+                .unwrap();
+            eng.update(writer, table, two, vec![5], vec![Datum::Int(20)])
+                .unwrap();
+            let cut_off = eng.begin().unwrap();
+            eng.insert(cut_off, table, vec![], vec![Datum::Int(40)])
+                .unwrap();
+            let prepared = eng.begin().unwrap();
+            eng.insert(prepared, table, vec![6], vec![Datum::Int(30)])
+                .unwrap();
+            eng.prepare_commit(prepared, 9).unwrap();
+            for n in 1..=2 {
+                eng.checkpoint().unwrap();
+                assert_eq!(eng.stats().checkpoints, n);
+            }
+            assert_eq!(eng.stats().txns_active, 4, "nobody was waited for");
+            let mut seen = 0;
+            eng.scan_visible(&reader_snap, table, |_, _| {
+                seen += 1;
+                true
+            })
+            .unwrap();
+            assert_eq!(seen, 2, "the reader's view is untouched");
+            eng.commit(reader).unwrap();
+            eng.commit(writer).unwrap();
+            assert_eq!(ids(&eng), [10, 12, 20]);
+            // Crash with `cut_off` running and gid 9 in doubt.
+        }
         let eng = StorageEngine::open(&dir, 8, DurabilityConfig::SYNC_EACH).unwrap();
-        assert_eq!(
-            visible_rows(&eng, eng.table_by_name("t").unwrap().id()).len(),
-            1
-        );
+        assert_eq!(ids(&eng), [10, 12, 20], "the writer's commit, no more");
+        assert_eq!(eng.in_doubt(), [9]);
+        assert!(eng.decide(9, true).unwrap());
+        assert_eq!(ids(&eng), [10, 12, 20, 30]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2590,33 +2524,30 @@ mod tests {
                 vec![ColumnDef::new("id", DataType::Int)],
             ))
             .unwrap();
-        // 4 writers keep transactions continuously overlapping, so the old
-        // "only when already quiescent" policy would essentially never
-        // checkpoint; the deferred request plus begin-quiesce must still
-        // get checkpoints through.
+        // 4 writers keep transactions continuously overlapping, so every
+        // policy checkpoint finds others mid-transaction and carries them.
         let stop = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            for w in 0..4u64 {
-                let eng = eng.clone();
-                let stop = stop.clone();
-                scope.spawn(move || {
-                    let mut i = 0i64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let txn = eng.begin().unwrap();
-                        eng.insert(
-                            txn,
-                            table,
-                            vec![],
-                            vec![Datum::Int(w as i64 * 1_000_000 + i)],
-                        )
-                        .unwrap();
-                        eng.commit(txn).unwrap();
-                        i += 1;
-                    }
-                });
-            }
+        let acked: Vec<i64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4i64)
+                .map(|w| {
+                    let eng = eng.clone();
+                    let stop = stop.clone();
+                    scope.spawn(move || {
+                        let mut i = 0i64;
+                        while !stop.load(Ordering::Relaxed) {
+                            let txn = eng.begin().unwrap();
+                            eng.insert(txn, table, vec![], vec![Datum::Int(w * 1_000_000 + i)])
+                                .unwrap();
+                            eng.commit(txn).unwrap();
+                            i += 1;
+                        }
+                        i
+                    })
+                })
+                .collect();
             std::thread::sleep(std::time::Duration::from_millis(600));
             stop.store(true, Ordering::Relaxed);
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         let stats = eng.stats();
         assert!(
@@ -2624,6 +2555,18 @@ mod tests {
             "sustained load must not starve checkpointing: {stats:?}"
         );
         assert!(stats.txns_started > 100, "writers made progress: {stats:?}");
+        // Every acknowledged row is in the log the checkpoints left.
+        drop(eng);
+        let eng = StorageEngine::open(&dir, 64, DurabilityConfig::NO_SYNC).unwrap();
+        let mut found: Vec<i64> = visible_rows(&eng, table)
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        found.sort();
+        let expected: Vec<i64> = (0..4i64)
+            .flat_map(|w| (0..acked[w as usize]).map(move |i| w * 1_000_000 + i))
+            .collect();
+        assert_eq!(found, expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 

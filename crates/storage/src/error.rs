@@ -58,12 +58,6 @@ pub enum StorageError {
     UnknownIndex(String),
     /// An index with this name already exists on the table.
     DuplicateIndex(String),
-    /// A checkpoint was requested while transactions were still active; the
-    /// caller may retry at a quiescent point.
-    CheckpointBusy {
-        /// Number of in-progress transactions that blocked the checkpoint.
-        active: u64,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -88,9 +82,6 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateTable(n) => write!(f, "table {n:?} already exists"),
             StorageError::UnknownIndex(n) => write!(f, "unknown index {n:?}"),
             StorageError::DuplicateIndex(n) => write!(f, "index {n:?} already exists"),
-            StorageError::CheckpointBusy { active } => {
-                write!(f, "checkpoint blocked by {active} active transaction(s)")
-            }
         }
     }
 }

@@ -409,19 +409,18 @@ impl TransactionManager {
         self.table.read().prepared.get(&gid).copied()
     }
 
-    /// Every prepared (in-doubt) transaction as `(gid, txn)` pairs, in
-    /// ascending gid order. Used by promotion to carry the in-doubt set
-    /// into the new primary's checkpoint image.
-    pub fn prepared_entries(&self) -> Vec<(u64, TxnId)> {
-        let mut entries: Vec<(u64, TxnId)> = self
-            .table
-            .read()
-            .prepared
+    /// Every running transaction the log names, in id order, with the gid
+    /// it is prepared under when it is in doubt: what a checkpoint image
+    /// carries besides settled history. Readers are not among them.
+    pub(crate) fn logged_active(&self) -> Vec<(TxnId, Option<u64>)> {
+        let table = self.table.read();
+        let gid_of: HashMap<TxnId, u64> = table.prepared.iter().map(|(g, t)| (*t, *g)).collect();
+        table
+            .active
             .iter()
-            .map(|(g, t)| (*g, *t))
-            .collect();
-        entries.sort_unstable();
-        entries
+            .filter(|a| a.logged)
+            .map(|a| (a.id, gid_of.get(&a.id).copied()))
+            .collect()
     }
 
     /// Redoes a logged prepare: the transaction (already active via

@@ -580,9 +580,9 @@ mod tests {
     fn promotion_aborts_a_streamed_transaction_with_no_outcome() {
         // Regression: a primary killed mid-transaction ships a `Begin` (and
         // effects) whose `Commit` never arrives. That transaction can never
-        // resolve on the replica's timeline; it must not hold promotion
-        // "busy" forever, and its effects must stay invisible after the
-        // switch (invariant: no un-acked effect resurrects).
+        // resolve on the replica's timeline; it aborts at promotion, and
+        // its effects must stay invisible after the switch (invariant: no
+        // un-acked effect resurrects).
         let dir = std::env::temp_dir().join(format!("ifdb-replica-orphan-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let primary = primary_with_rows(&dir, 2);
@@ -606,10 +606,17 @@ mod tests {
         primary.commit(other).unwrap();
         pump(&primary, &replica, &mut applier);
         assert_eq!(replica.txns().active_count(), 1, "orphan is in progress");
-        let count = replica.promote_to_primary(2).expect("promotion quiesces");
+        assert_eq!(replica.wal().len(), 0, "a replica logs nothing of its own");
+        let count = replica.promote_to_primary(2).unwrap();
         assert!(count > 0, "image re-anchors the live rows");
+        assert_eq!(replica.wal().len(), count, "the log is the image");
         assert_eq!(replica.txns().active_count(), 0, "orphan aborted");
         assert_eq!(visible_count(&replica, "t"), 3, "orphan stays invisible");
+        let image = replica.wal().read_replication_batch(1, usize::MAX).records;
+        assert!(
+            !image.contains(&LogRecord::Begin { txn: inflight }),
+            "the orphan is not among the image's running transactions"
+        );
         // The promoted node serves writes on the new timeline.
         let txn = replica.begin().unwrap();
         let t = replica.table_by_name("t").unwrap();
@@ -642,7 +649,6 @@ mod tests {
         replica
             .txns()
             .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
-        replica.wal().set_discard(true);
         let t = primary.table_by_name("t").unwrap().id();
         let txn = primary.begin().unwrap();
         let row = primary
@@ -673,6 +679,47 @@ mod tests {
         let reopened = StorageEngine::open(&replica_dir, 32, DurabilityConfig::SYNC_EACH).unwrap();
         assert_eq!(ids(&reopened), [0, 1, 11]);
         std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn promotion_does_not_wait_for_an_open_local_reader() {
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-reader-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = primary_with_rows(&dir, 3);
+        let replica = StorageEngine::in_memory();
+        replica
+            .txns()
+            .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+        let mut applier = ReplicaApplier::new();
+        pump(&primary, &replica, &mut applier);
+        let reader = replica.begin().unwrap();
+        let snap = replica.snapshot(reader);
+        replica.promote_to_primary(2).unwrap();
+        assert_eq!(replica.stats().checkpoints, 1);
+        // The promoted node takes writes from new transactions at once...
+        let t = replica.table_by_name("t").unwrap().id();
+        let writer = replica.begin().unwrap();
+        replica
+            .insert(writer, t, vec![], vec![Datum::Int(10)])
+            .unwrap();
+        replica.commit(writer).unwrap();
+        assert_eq!(visible_count(&replica, "t"), 4);
+        // ...while the reader keeps its view. It may not write: its id
+        // lies above every snapshot horizon of the new timeline.
+        let mut seen = 0;
+        replica
+            .scan_visible(&snap, t, |_, _| {
+                seen += 1;
+                true
+            })
+            .unwrap();
+        assert_eq!(seen, 3);
+        assert_eq!(
+            replica.insert(reader, t, vec![], vec![Datum::Int(11)]),
+            Err(StorageError::InvalidTransaction(reader.0))
+        );
+        replica.commit(reader).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -61,10 +61,6 @@ pub struct EngineStats {
     /// Checkpoints taken (log rewrites that compacted history into a
     /// snapshot image).
     pub checkpoints: u64,
-    /// Checkpoint requests that found transactions active and were deferred
-    /// to the next quiescent point
-    /// ([`crate::engine::StorageEngine::checkpoint_soon`]).
-    pub checkpoints_deferred: u64,
     /// Vacuum passes run (manual or via the periodic
     /// [`crate::wal::DurabilityConfig::with_vacuum_every`] policy).
     pub vacuums: u64,

@@ -88,7 +88,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
@@ -497,12 +497,6 @@ pub struct Wal {
     /// presenting a lower generation is a fenced predecessor whose batches
     /// must be refused. Durable via [`LogRecord::Epoch`] records.
     generation: AtomicU64,
-    /// When set, appends are dropped entirely. A read replica's engine is
-    /// fed by the *primary's* log; its own log is never read for recovery
-    /// or replication, so whatever the replica's setup code logs locally
-    /// (re-run DDL) must not pile up in it. Replica-local read transactions
-    /// log nothing to begin with.
-    discard: AtomicBool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -568,15 +562,7 @@ impl Wal {
             commits_batched: AtomicU64::new(0),
             epoch: new_epoch(),
             generation: AtomicU64::new(generation),
-            discard: AtomicBool::new(false),
         }
-    }
-
-    /// Turns the log into a sink that drops every append. Only sensible for
-    /// an engine whose log is never read back — a read replica, whose state
-    /// is a cache of its *primary's* log (see the field docs on `discard`).
-    pub fn set_discard(&self, on: bool) {
-        self.discard.store(on, Ordering::Release);
     }
 
     /// Creates an in-memory log (no file backing).
@@ -690,9 +676,6 @@ impl Wal {
     /// once the commit record is on the device, either via its own fsync or
     /// via a group-commit leader's.
     pub fn append(&self, record: LogRecord) -> StorageResult<()> {
-        if self.discard.load(Ordering::Acquire) {
-            return Ok(());
-        }
         let encoded = Self::encode(&record);
         self.bytes_written
             .fetch_add(encoded.len() as u64 + 8, Ordering::Relaxed);
@@ -1862,7 +1845,9 @@ mod tests {
         // An image that fails leaves the log, and its file, as they were.
         let failed = wal.rewrite_with(|emit| {
             emit(LogRecord::Checkpoint)?;
-            Err(StorageError::CheckpointBusy { active: 1 })
+            Err(StorageError::Io {
+                detail: "disk full".into(),
+            })
         });
         assert!(failed.is_err());
         assert_eq!(wal.read_replication_batch(1, usize::MAX), batch);

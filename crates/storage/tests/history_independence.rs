@@ -126,30 +126,27 @@ fn a_snapshot_lists_exactly_the_concurrently_open_transactions() {
 }
 
 #[test]
-fn a_deferred_checkpoint_fires_when_the_last_reader_settles() {
-    for commit in [true, false] {
-        let (eng, t, dir) = on_disk("reader-drains", DurabilityConfig::SYNC_EACH);
-        write_one(&eng, t, 1);
-        let reader = eng.begin().unwrap();
-        assert_eq!(visible_rows(&eng, t, reader), 1);
-        assert!(
-            !eng.checkpoint_soon().unwrap(),
-            "a reader is open: deferred"
-        );
-        assert_eq!(eng.stats().checkpoints, 0);
-        if commit {
-            eng.commit(reader).unwrap();
-        } else {
-            eng.abort(reader).unwrap();
-        }
-        let stats = eng.stats();
-        assert_eq!(
-            stats.checkpoints, 1,
-            "the reader's settle drained the engine"
-        );
-        assert_eq!(stats.checkpoints_deferred, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+fn a_checkpoint_does_not_wait_for_an_open_reader() {
+    let durability = DurabilityConfig::SYNC_EACH.with_checkpoint_every(3);
+    let (eng, t, dir) = on_disk("reader-open", durability);
+    write_one(&eng, t, 1);
+    let reader = eng.begin().unwrap();
+    assert_eq!(visible_rows(&eng, t, reader), 1);
+    eng.checkpoint().unwrap();
+    assert_eq!(eng.stats().checkpoints, 1, "taken with the reader open");
+    // The periodic policy fires on its third commit, reader or no reader.
+    write_one(&eng, t, 2);
+    write_one(&eng, t, 3);
+    assert_eq!(eng.stats().checkpoints, 1);
+    write_one(&eng, t, 4);
+    assert_eq!(eng.stats().checkpoints, 2);
+    eng.commit(reader).unwrap();
+    let stats = eng.stats();
+    assert_eq!((stats.checkpoints, stats.txns_active), (2, 0));
+    drop(eng);
+    let eng = StorageEngine::open(&dir, 32, DurabilityConfig::SYNC_EACH).unwrap();
+    assert_eq!(read_all(&eng, t), 4);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -109,6 +109,64 @@ fn prepared_txn_survives_reopen_in_doubt_then_commits() {
 }
 
 #[test]
+fn a_checkpoint_keeps_a_gid_in_doubt_across_a_crash() {
+    // The image carries the prepared transaction — its Begin, its insert,
+    // its delete of a committed row, its Prepare — so a checkpoint taken
+    // while the gid is in doubt loses neither its effects nor its vote.
+    let dir = temp_dir("checkpoint-in-doubt");
+    {
+        let eng = fresh_engine(&dir);
+        let t = orders_table(&eng);
+        let keep = eng.begin().unwrap();
+        let old = eng
+            .insert(keep, t, vec![3], vec![Datum::Int(1), Datum::from("old")])
+            .unwrap();
+        eng.insert(keep, t, vec![], vec![Datum::Int(2), Datum::from("keep")])
+            .unwrap();
+        eng.commit(keep).unwrap();
+        let txn = eng.begin().unwrap();
+        eng.update(
+            txn,
+            t,
+            old,
+            vec![3],
+            vec![Datum::Int(1), Datum::from("new")],
+        )
+        .unwrap();
+        eng.prepare_commit(txn, 64).unwrap();
+        eng.checkpoint().unwrap();
+        assert_eq!(eng.in_doubt(), vec![64]);
+        // Crash before any decision.
+    }
+    let items = |eng: &StorageEngine| {
+        let t = eng.table_by_name("orders").unwrap().id();
+        let snap = eng.snapshot(eng.begin().unwrap());
+        let mut items = Vec::new();
+        eng.scan_visible(&snap, t, |_, v| {
+            items.push(v.data[1].as_text().unwrap().to_string());
+            true
+        })
+        .unwrap();
+        items.sort();
+        items
+    };
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::GROUP_COMMIT).unwrap();
+    assert_eq!(eng.in_doubt(), vec![64], "still in doubt after the image");
+    assert_eq!(items(&eng), ["keep", "old"]);
+    // A second image, taken on the recovered engine, carries it again.
+    eng.checkpoint().unwrap();
+    drop(eng);
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::GROUP_COMMIT).unwrap();
+    assert_eq!(eng.in_doubt(), vec![64]);
+    assert!(eng.decide(64, true).unwrap());
+    assert_eq!(items(&eng), ["keep", "new"]);
+    drop(eng);
+    let eng = StorageEngine::open(&dir, 16, DurabilityConfig::GROUP_COMMIT).unwrap();
+    assert_eq!(items(&eng), ["keep", "new"], "the decision is durable");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn abort_decision_after_reopen_drops_effects() {
     let dir = temp_dir("reopen-abort");
     {

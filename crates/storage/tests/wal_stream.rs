@@ -1,7 +1,7 @@
 //! Differential test of the replication stream: over random schedules of
 //! appends of every record kind, group-commit fsyncs, checkpoint rewrites, a
-//! promotion-style re-anchor at seq 1, reopening through `open_existing`
-//! (clean or with a torn tail) and discard mode, every batch the log serves
+//! promotion-style re-anchor at seq 1 and reopening through `open_existing`
+//! (clean or with a torn tail), every batch the log serves
 //! from its own frames equals what a model that keeps each record decoded
 //! would serve — the in-RAM record mirror the frame index replaced, kept
 //! here only as the oracle. The log's `last_seq`, `len` and `shippable_seq`
@@ -58,18 +58,16 @@ struct Model {
     base_seq: u64,
     image_len: usize,
     durable_seq: u64,
-    discard: bool,
     capped: bool,
 }
 
 impl Model {
-    fn new(capped: bool, discard: bool) -> Self {
+    fn new(capped: bool) -> Self {
         Model {
             records: Vec::new(),
             base_seq: 1,
             image_len: 0,
             durable_seq: 0,
-            discard,
             capped,
         }
     }
@@ -87,9 +85,6 @@ impl Model {
     }
 
     fn append(&mut self, record: LogRecord) {
-        if self.discard {
-            return;
-        }
         // Alone on the log, a committer leads its own group-commit flush,
         // which covers everything appended so far.
         let durable = matches!(
@@ -148,13 +143,9 @@ enum Op {
     Sync,
     /// A checkpoint rewrite installing this image.
     Checkpoint(Vec<LogRecord>),
-    /// A brand-new log in this incarnation, in discard mode or not: with a
-    /// later `Discard(false)` and `Checkpoint`, a promotion's re-anchor at
-    /// seq 1.
-    Fresh {
-        discard: bool,
-    },
-    Discard(bool),
+    /// A brand-new log in this incarnation: with a later `Checkpoint`, a
+    /// promotion's re-anchor at seq 1 of a replica's empty log.
+    Fresh,
     /// Drop the log and recover it with `open_existing` (file sinks only),
     /// after tacking half a frame onto the file when `torn`.
     Reopen {
@@ -243,15 +234,14 @@ fn random_schedule(rng: &mut StdRng) -> Vec<Op> {
     let len = rng.gen_range(1..60usize);
     (0..len)
         .map(|_| match rng.gen_range(0..40) {
-            0..=27 => Op::Append(random_record(rng)),
-            28..=30 => Op::Sync,
-            31..=33 => Op::Checkpoint(
+            0..=29 => Op::Append(random_record(rng)),
+            30..=32 => Op::Sync,
+            33..=35 => Op::Checkpoint(
                 (0..rng.gen_range(0..5))
                     .map(|_| random_record(rng))
                     .collect(),
             ),
-            34 => Op::Fresh { discard: rng.gen() },
-            35 | 36 => Op::Discard(rng.gen()),
+            36 => Op::Fresh,
             _ => Op::Reopen {
                 torn: rng.gen_bool(0.3),
             },
@@ -300,7 +290,7 @@ fn summary(b: &ReplicationBatch) -> (bool, u64, u64, usize) {
 /// Runs `ops` on `sink` and on the model, comparing after every step.
 fn run(ops: &[Op], sink: Sink, reads: &[Vec<(u64, usize)>], path: &Path) -> Result<(), String> {
     let mut wal = sink.create(path);
-    let mut model = Model::new(sink.capped(), false);
+    let mut model = Model::new(sink.capped());
     for (step, op) in ops.iter().enumerate() {
         let fail = |why: String| format!("step {step} {op:?}: {why}");
         match op {
@@ -322,15 +312,10 @@ fn run(ops: &[Op], sink: Sink, reads: &[Vec<(u64, usize)>], path: &Path) -> Resu
                 }
                 model.rewrite(image.clone());
             }
-            Op::Fresh { discard } => {
+            Op::Fresh => {
                 drop(wal);
                 wal = sink.create(path);
-                wal.set_discard(*discard);
-                model = Model::new(sink.capped(), *discard);
-            }
-            Op::Discard(on) => {
-                wal.set_discard(*on);
-                model.discard = *on;
+                model = Model::new(sink.capped());
             }
             Op::Reopen { torn } => {
                 if sink == Sink::Memory {
@@ -355,10 +340,10 @@ fn run(ops: &[Op], sink: Sink, reads: &[Vec<(u64, usize)>], path: &Path) -> Resu
                         model.records.len()
                     )));
                 }
-                // A new incarnation, out of discard mode: numbering restarts
-                // over what the file holds, all of it durable.
+                // A new incarnation: numbering restarts over what the file
+                // holds, all of it durable.
                 let records = std::mem::take(&mut model.records);
-                model = Model::new(sink.capped(), false);
+                model = Model::new(sink.capped());
                 model.records = records;
                 model.durable_seq = model.last_seq();
             }

@@ -182,19 +182,15 @@ fn sixteen_connection_stress_with_kills_and_reopen() {
     assert!(kills.load(Ordering::Relaxed) > 0, "kill loop ran");
 
     // Killed connections' transactions were aborted, not leaked: the engine
-    // reaches a quiescent point (checkpoint succeeds via the deferred path
-    // even if a straggler abort is still settling).
+    // reaches zero running transactions (a straggler abort may still be
+    // settling), and a checkpoint then compacts the log.
     let db = server.database().clone();
     let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match db.checkpoint_soon() {
-            Ok(true) => break,
-            Ok(false) | Err(_) => {
-                assert!(Instant::now() < deadline, "engine never quiesced");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
+    while db.engine().stats().txns_active != 0 {
+        assert!(Instant::now() < deadline, "transactions leaked");
+        std::thread::sleep(Duration::from_millis(50));
     }
+    db.checkpoint().unwrap();
     server.shutdown();
 
     // Post-stress reopen: every acknowledged row survived, no doomed row
