@@ -34,14 +34,24 @@
 //! integers, and the authority lock is taken only to expand the declassify
 //! cover before the scan, never across it. Ids are never an output: they
 //! depend on labels a reader cannot read, so only tags leave this module.
+//!
+//! A full scan decides each heap page from its summary before pinning it
+//! (see `ifdb_storage::heap`): a label-homogeneous page whose label does not
+//! admit the reader, or a page whose value range on some column is bounded
+//! (holds only `Int`s) and misses the bounds the filter places there, is
+//! left unread.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use ifdb_difc::audit::AuditEvent;
 use ifdb_difc::memo::DEFAULT_MEMO_CAPACITY;
 use ifdb_difc::Label;
-use ifdb_storage::{Datum, LabelDictionary, LabelId, RowId, Snapshot, TableId, TupleRef};
+use ifdb_storage::{
+    Datum, IntRange, LabelDictionary, LabelId, PageSummary, RowId, Snapshot, TableId, TupleRef,
+    Verdict,
+};
 
 use crate::catalog::{TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewSource};
 use crate::error::{IfdbError, IfdbResult};
@@ -117,6 +127,48 @@ impl<F: Fn(Label) -> Option<Label>> Decisions<F> {
         Ok(self.slots[at]
             .as_ref()
             .and_then(|(_, decided)| decided.as_ref()))
+    }
+}
+
+/// A scan's Query-by-Label state, which its page verdicts and its tuple
+/// visitor share: its decisions, the chain page last decided, and what the
+/// decisions cost.
+struct Confined<F> {
+    decisions: Decisions<F>,
+    /// The label id of the chain page last decided and, if it admits the
+    /// page, the effective label all its rows share.
+    page: Option<(LabelId, Option<Label>)>,
+    row_checks: u64,
+    page_checks: u64,
+}
+
+impl<F: Fn(Label) -> Option<Label>> Confined<F> {
+    /// Decides a chain page of `label` — one page check — and returns
+    /// whether it admits its rows. A label's pages follow one another, so
+    /// its decision is looked up only when it differs from the previous
+    /// chain page's, by comparing two integers.
+    fn decide_page(&mut self, label: LabelId) -> IfdbResult<bool> {
+        self.page_checks += 1;
+        if !matches!(&self.page, Some((seen, _)) if *seen == label) {
+            let admits = self.decisions.get(label)?.cloned();
+            self.page = Some((label, admits));
+        }
+        Ok(matches!(&self.page, Some((_, Some(_)))))
+    }
+
+    /// The effective label of a row of stored label `id` on a page of
+    /// `page_label`, if the label admits the row. A chain page's label was
+    /// decided before the page was read, unless the budget had its first
+    /// slots read undecided; a row on the shared tail is decided alone.
+    fn admits(&mut self, page_label: Option<LabelId>, id: LabelId) -> IfdbResult<Option<&Label>> {
+        let Some(label) = page_label else {
+            self.row_checks += 1;
+            return self.decisions.get(id);
+        };
+        if !matches!(&self.page, Some((seen, _)) if *seen == label) {
+            self.decide_page(label)?;
+        }
+        Ok(self.page.as_ref().and_then(|(_, admits)| admits.as_ref()))
     }
 }
 
@@ -336,9 +388,9 @@ impl Session {
 
     /// Streams a base table through its bound scan plan. The Query-by-Label
     /// decision is memoized per distinct stored label, and made once per
-    /// page on heap pages that hold one label; the authority lock is taken
-    /// only to expand the declassify cover up front and is released before
-    /// the first tuple is visited.
+    /// page, before the page is read, on heap pages that hold one label; the
+    /// authority lock is taken only to expand the declassify cover up front
+    /// and is released before the first page is decided.
     fn stream_base_table(
         &mut self,
         info: &Arc<TableInfo>,
@@ -374,63 +426,72 @@ impl Session {
         let engine = &db.inner.engine;
         let table_id = info.id;
 
-        // The per-scan budget probe: every tuple the scan touches is charged
-        // against the statement's execution budget before its label is
-        // looked at, so a scan over invisible high-labeled data is cut off
-        // at the same tuple as one over visible data (no channel through the
-        // budget).
+        // The statement budget is charged for every slot a heap scan walks,
+        // a page's worth at a time, before anything about a slot is looked
+        // at — the page's verdict, the slot's visibility, its label — so a
+        // scan over invisible high-labeled data is cut off at the same slot
+        // as one over visible data (no channel through the budget). The page
+        // that would cross the cap is read only as far as the cap allows;
+        // asked about the rest, the verdict charges one slot more, which
+        // fails. A tuple reached through an index is charged when it is
+        // found visible, before its label is looked at. An unarmed budget
+        // charges nothing.
         let budget = self.budget.clone();
-        let mut decisions = Decisions::new(engine.labels(), |stored: Label| {
-            let effective = if expanded.is_empty() {
-                stored
-            } else {
-                stored.difference(&expanded)
-            };
-            (!difc || effective.is_subset_of(&process_label)).then_some(effective)
+        let charge = |slots: u16| -> IfdbResult<u16> {
+            match &budget {
+                Some(b) => Ok(b.charge_rows(u64::from(slots))? as u16),
+                None => Ok(slots),
+            }
+        };
+        let confined = RefCell::new(Confined {
+            decisions: Decisions::new(engine.labels(), |stored: Label| {
+                let effective = if expanded.is_empty() {
+                    stored
+                } else {
+                    stored.difference(&expanded)
+                };
+                (!difc || effective.is_subset_of(&process_label)).then_some(effective)
+            }),
+            page: None,
+            row_checks: 0,
+            page_checks: 0,
         });
+        // A heap page is decided from its summary before it is pinned: it is
+        // left unread when its value range on some column misses the
+        // filter's bounds there, or when it is a chain page whose label does
+        // not admit its rows.
+        let (bounded, bounds): (Vec<usize>, Vec<IntRange>) = match plan.access {
+            AccessPath::FullScan => plan.filter.int_bounds().into_iter().unzip(),
+            _ => Default::default(),
+        };
+        let mut verdict = |page: &PageSummary<'_>| -> IfdbResult<Verdict> {
+            let charged = charge(page.slots)?;
+            if charged < page.slots {
+                return Ok(Verdict::ReadFirst(charged));
+            }
+            // An unbounded range may hold values that are not `Int`s (a
+            // `Float` between two adjacent `Int` bounds, a `Null` below
+            // them), so it is never ruled out, even by an empty interval.
+            let may_match =
+                |(range, b): (IntRange, &IntRange)| range == IntRange::ALL || range.meets(b);
+            if !page.ranges().zip(&bounds).all(may_match) {
+                return Ok(Verdict::Skip);
+            }
+            match page.label {
+                Some(label) if !confined.borrow_mut().decide_page(label)? => Ok(Verdict::Skip),
+                _ => Ok(Verdict::Read),
+            }
+        };
         // Each tuple is looked at where it lies in its page. Only a row the
         // label admits has the filter's columns decoded, into `probe`, and
         // only a row that also passes the filter is materialised.
         let filter_columns = plan.filter.columns();
         let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
-        // A single-label page's label is decided once, at its first visible
-        // tuple, and only looked up when it differs from the previous such
-        // page's (a label's pages follow one another): `page` holds that
-        // page's number, its label id and, if the label admits the page, the
-        // effective label all its rows share.
-        let mut page: Option<(u32, LabelId, Option<Label>)> = None;
-        let (mut row_checks, mut page_checks) = (0u64, 0u64);
         let mut visit =
             |rid: RowId, page_label: Option<LabelId>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
-                if let Some(b) = &budget {
-                    b.charge_row()?;
-                }
-                let effective = match page_label {
-                    Some(label) => {
-                        match &mut page {
-                            Some((at, _, _)) if *at == rid.page => {}
-                            Some((at, seen, _)) if *seen == label => {
-                                *at = rid.page;
-                                page_checks += 1;
-                            }
-                            _ => {
-                                page_checks += 1;
-                                let admits = decisions.get(label)?.cloned();
-                                page = Some((rid.page, label, admits));
-                            }
-                        }
-                        match &page {
-                            Some((_, _, Some(effective))) => effective,
-                            _ => return Ok(true),
-                        }
-                    }
-                    None => {
-                        row_checks += 1;
-                        match decisions.get(tuple.label_id())? {
-                            Some(effective) => effective,
-                            None => return Ok(true),
-                        }
-                    }
+                let mut confined = confined.borrow_mut();
+                let Some(effective) = confined.admits(page_label, tuple.label_id())? else {
+                    return Ok(true);
                 };
                 tuple.fields_into(&filter_columns, &mut probe)?;
                 if !plan.filter.matches(&probe, effective) {
@@ -444,9 +505,14 @@ impl Session {
             };
 
         // Tuples reached through an index are decided one by one.
-        let mut by_row = |rid: RowId, tuple: TupleRef<'_>| visit(rid, None, tuple);
+        let mut by_row = |rid: RowId, tuple: TupleRef<'_>| {
+            charge(1)?;
+            visit(rid, None, tuple)
+        };
         let scanned = match &plan.access {
-            AccessPath::FullScan => engine.visit_visible(&snapshot, table_id, &mut visit),
+            AccessPath::FullScan => {
+                engine.visit_visible(&snapshot, table_id, &bounded, &mut verdict, &mut visit)
+            }
             AccessPath::IndexEq { index, key } => {
                 let rows = engine.index_lookup(table_id, index, key)?;
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
@@ -460,7 +526,8 @@ impl Session {
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
             }
         };
-        engine.count_label_checks(row_checks, page_checks);
+        let confined = confined.borrow();
+        engine.count_label_checks(confined.row_checks, confined.page_checks);
         scanned
     }
 
@@ -1243,6 +1310,11 @@ impl Session {
     /// cover and Information Flow Rule for every tuple while holding the
     /// authority lock across the scan. Differential tests pin the streaming
     /// pipeline to it, and the `scan_hot` benchmark quantifies the gap.
+    ///
+    /// It is an oracle for rows, not for where a budget kills a scan: it
+    /// charges a statement budget's row cap once per visible version, while
+    /// the streaming heap scan charges every slot of each page it walks,
+    /// dead and invisible ones included.
     #[doc(hidden)]
     pub fn select_reference(&mut self, q: &Select) -> IfdbResult<ResultSet> {
         let implicit = self.ensure_txn()?;

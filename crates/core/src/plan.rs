@@ -8,7 +8,11 @@
 //!
 //! * full-key equality on any index (primary or secondary) → point lookup;
 //! * equality on a key prefix → ordered prefix scan;
-//! * equality prefix plus bounds on the final key column → index range scan.
+//! * equality prefix plus bounds on the next key column → index range scan,
+//!   which stops at the end of the prefix's group when a bound is missing.
+//!
+//! A full scan gets the filter's bounds too ([`CompiledPredicate::int_bounds`]):
+//! the heap leaves unread every page whose value ranges cannot satisfy them.
 //!
 //! Planner input predicates are *hints*: they are implied by the statement's
 //! full predicate (see [`Predicate::push_down`]), the residual filter is
@@ -18,7 +22,7 @@
 use std::cmp::Ordering;
 
 use ifdb_difc::{Label, TagId};
-use ifdb_storage::Datum;
+use ifdb_storage::{Datum, IntRange};
 
 use crate::catalog::TableInfo;
 use crate::error::{IfdbError, IfdbResult};
@@ -146,6 +150,49 @@ impl CompiledPredicate {
         out
     }
 
+    /// Per column, ascending, an interval holding every `Int` value a
+    /// matching row can have there: what the `Eq`, `Lt`, `Le`, `Gt` and `Ge`
+    /// conjuncts of the predicate's top-level `And`s against `Int` literals
+    /// allow. Strict bounds saturate at the `i64` edges, which only widens
+    /// them. `Or`, `Not`, label predicates and other literals bound nothing.
+    /// The intervals hold only for `Int` values: a `Null` orders below
+    /// every `Int`, so it satisfies `Lt` and `Le` while lying in no
+    /// interval, and a `Float` may lie between the two `Int`s of an interval
+    /// that strict bounds left empty (`v > 4 AND v < 5` gives `[5, 4]`).
+    /// So they may only rule out a range that is known to hold nothing but
+    /// `Int`s; a heap page summary's [`IntRange::ALL`] must never be ruled
+    /// out.
+    pub(crate) fn int_bounds(&self) -> Vec<(usize, IntRange)> {
+        fn collect(p: &CompiledPredicate, out: &mut Vec<(usize, IntRange)>) {
+            use CompiledPredicate::*;
+            let range = |lo, hi| IntRange { lo, hi };
+            out.push(match p {
+                Eq(i, Datum::Int(v)) => (*i, range(*v, *v)),
+                Lt(i, Datum::Int(v)) => (*i, range(i64::MIN, v.saturating_sub(1))),
+                Le(i, Datum::Int(v)) => (*i, range(i64::MIN, *v)),
+                Gt(i, Datum::Int(v)) => (*i, range(v.saturating_add(1), i64::MAX)),
+                Ge(i, Datum::Int(v)) => (*i, range(*v, i64::MAX)),
+                And(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                    return;
+                }
+                _ => return,
+            });
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out.sort_unstable_by_key(|(column, _)| *column);
+        out.dedup_by(|(column, range), (kept_column, kept)| {
+            let same = column == kept_column;
+            if same {
+                *kept = kept.intersect(*range);
+            }
+            same
+        });
+        out
+    }
+
     /// Returns `true` if the predicate is the constant `True`.
     #[cfg(test)]
     pub(crate) fn is_true(&self) -> bool {
@@ -173,15 +220,16 @@ pub(crate) enum AccessPath {
         /// The pinned key prefix.
         prefix: Vec<Datum>,
     },
-    /// Range scan: equality prefix plus inclusive bounds on the final key
+    /// Range scan: equality prefix plus inclusive bounds on the next key
     /// column. Strict statement bounds are widened here and re-checked by
     /// the residual filter.
     IndexRange {
         /// Index name.
         index: String,
-        /// Inclusive lower key bound.
+        /// Inclusive lower key bound, a key prefix.
         low: Option<Vec<Datum>>,
-        /// Inclusive upper key bound.
+        /// Inclusive upper key bound, a key prefix: every key extending it
+        /// is in.
         high: Option<Vec<Datum>>,
     },
 }
@@ -223,7 +271,7 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
         }
     }
     // Otherwise the longest equality prefix wins, extended by a range over
-    // the final key column when the hint bounds it.
+    // the next key column when the hint bounds it.
     let mut best: Option<(AccessPath, usize)> = None;
     let mut consider = |path: AccessPath, matched: usize| {
         if best.as_ref().is_none_or(|(_, m)| matched > *m) {
@@ -238,40 +286,31 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
                 None => break,
             }
         }
-        // A bounded column is only usable as the *last* key column: the
-        // inclusive upper bound would otherwise cut off longer keys that
-        // share the bounded value. With a non-empty equality prefix, both
-        // bounds must be present — a missing bound would make the range run
-        // to the index edge across *other* prefix groups, which the prefix
-        // scan below serves strictly better.
-        if prefix.len() + 1 == cols.len() {
-            let range_col = &cols[prefix.len()];
-            let (lo, hi) = hint.bounds_on(range_col);
-            let usable = if prefix.is_empty() {
-                lo.is_some() || hi.is_some()
-            } else {
-                lo.is_some() && hi.is_some()
+        // A bound on the key column after the prefix narrows the scan to
+        // part of the prefix's group. Each bound is a key prefix — the
+        // equality prefix plus the bound's value, or the equality prefix
+        // alone where the hint gives none — and the high one takes in every
+        // key extending it, so the columns after the bounded one need no
+        // bound and a one-sided range stops at the end of the group. Without
+        // an equality prefix, only a single-column index takes a range.
+        let (lo, hi) = cols
+            .get(prefix.len())
+            .map_or((None, None), |c| hint.bounds_on(c));
+        if (lo.is_some() || hi.is_some()) && (!prefix.is_empty() || cols.len() == 1) {
+            let bound = |b: Option<&Datum>| {
+                let mut key = prefix.clone();
+                key.extend(b.cloned());
+                (!key.is_empty()).then_some(key)
             };
-            if usable {
-                let mk = |b: Option<&Datum>| {
-                    b.map(|v| {
-                        let mut k = prefix.clone();
-                        k.push(v.clone());
-                        k
-                    })
-                };
-                consider(
-                    AccessPath::IndexRange {
-                        index: name.to_string(),
-                        low: mk(lo),
-                        high: mk(hi),
-                    },
-                    prefix.len() + 1,
-                );
-                continue;
-            }
-        }
-        if !prefix.is_empty() {
+            consider(
+                AccessPath::IndexRange {
+                    index: name.to_string(),
+                    low: bound(lo),
+                    high: bound(hi),
+                },
+                prefix.len() + 1,
+            );
+        } else if !prefix.is_empty() {
             let matched = prefix.len();
             consider(
                 AccessPath::IndexPrefix {
@@ -374,16 +413,17 @@ mod tests {
 
     #[test]
     fn one_sided_bounds() {
-        // With an equality prefix, a one-sided bound must not produce a
-        // range running to the index edge — the prefix scan is strictly
-        // tighter.
+        // With an equality prefix, a one-sided bound runs to the end of the
+        // prefix's group, not to the index edge: tighter than the prefix
+        // scan.
         let p = eq("a", 7).and(Predicate::Ge("b".into(), Datum::Int(3)));
         let plan = plan_table_scan(&info(), &p).unwrap();
         assert_eq!(
             plan.access,
-            AccessPath::IndexPrefix {
+            AccessPath::IndexRange {
                 index: "t_pkey".into(),
-                prefix: vec![Datum::Int(7)],
+                low: Some(vec![Datum::Int(7), Datum::Int(3)]),
+                high: Some(vec![Datum::Int(7)]),
             }
         );
         // On a single-column index there is no other prefix group, so the
@@ -398,6 +438,100 @@ mod tests {
                 high: None,
             }
         );
+    }
+
+    /// Stock-Level's order-line read: equality on the first two key
+    /// columns of four and a one-sided bound on the third. The scan starts
+    /// at the bound and stops at the end of the district, instead of
+    /// walking every order line the district ever had.
+    #[test]
+    fn a_one_sided_bound_on_a_middle_key_column_ranges_within_the_prefix() {
+        let mut lines = info();
+        lines.schema = TableSchema::new(
+            "order_line",
+            ["w", "d", "o", "n"]
+                .iter()
+                .map(|c| ColumnDef::new(c, DataType::Int))
+                .collect(),
+        );
+        lines.primary_key = vec!["w".into(), "d".into(), "o".into(), "n".into()];
+        lines.indexes.clear();
+        let recent = eq("w", 1)
+            .and(eq("d", 2))
+            .and(Predicate::Ge("o".into(), Datum::Int(3_001)));
+        let key = |k: &[i64]| Some(k.iter().map(|v| Datum::Int(*v)).collect());
+        assert_eq!(
+            plan_table_scan(&lines, &recent).unwrap().access,
+            AccessPath::IndexRange {
+                index: "t_pkey".into(),
+                low: key(&[1, 2, 3_001]),
+                high: key(&[1, 2]),
+            }
+        );
+        // Bounded on both sides, and above only.
+        let window = recent
+            .clone()
+            .and(Predicate::Lt("o".into(), Datum::Int(3_021)));
+        assert_eq!(
+            plan_table_scan(&lines, &window).unwrap().access,
+            AccessPath::IndexRange {
+                index: "t_pkey".into(),
+                low: key(&[1, 2, 3_001]),
+                high: key(&[1, 2, 3_021]),
+            }
+        );
+        let older = eq("w", 1)
+            .and(eq("d", 2))
+            .and(Predicate::Le("o".into(), Datum::Int(9)));
+        assert_eq!(
+            plan_table_scan(&lines, &older).unwrap().access,
+            AccessPath::IndexRange {
+                index: "t_pkey".into(),
+                low: key(&[1, 2]),
+                high: key(&[1, 2, 9]),
+            }
+        );
+    }
+
+    #[test]
+    fn int_bounds_come_from_conjunctions_of_int_comparisons() {
+        let names: Vec<String> = vec!["x".into(), "y".into(), "z".into()];
+        let bounds = |p: Predicate| CompiledPredicate::compile(&p, &names).unwrap().int_bounds();
+        let range = |lo, hi| IntRange { lo, hi };
+        let int = |v| Datum::Int(v);
+        // Conjuncts on one column intersect; strict bounds step inwards.
+        let p = Predicate::Gt("y".into(), int(3))
+            .and(Predicate::Le("y".into(), int(9)))
+            .and(Predicate::Eq("x".into(), int(4)));
+        assert_eq!(bounds(p), vec![(0, range(4, 4)), (1, range(4, 9))]);
+        // At the `i64` edges, strict bounds saturate.
+        let p =
+            Predicate::Lt("x".into(), int(i64::MIN)).and(Predicate::Gt("z".into(), int(i64::MAX)));
+        assert_eq!(
+            bounds(p),
+            vec![
+                (0, range(i64::MIN, i64::MIN)),
+                (2, range(i64::MAX, i64::MAX))
+            ]
+        );
+        // Contradictory conjuncts leave an empty interval, and so do strict
+        // bounds with no `Int` between them (a `Float` may still match).
+        let p = Predicate::Lt("x".into(), int(3)).and(Predicate::Ge("x".into(), int(5)));
+        assert_eq!(bounds(p), vec![(0, range(5, 2))]);
+        let p = Predicate::Gt("x".into(), int(4)).and(Predicate::Lt("x".into(), int(5)));
+        assert_eq!(bounds(p), vec![(0, range(5, 4))]);
+        // Nothing else bounds a column.
+        for p in [
+            Predicate::Eq("x".into(), int(1)).or(Predicate::Eq("x".into(), int(2))),
+            Predicate::Ne("x".into(), int(1)),
+            Predicate::Eq("x".into(), int(1)).negate(),
+            Predicate::Eq("x".into(), Datum::Float(1.0)),
+            Predicate::Lt("x".into(), Datum::Timestamp(1)),
+            Predicate::IsNull("x".into()),
+            Predicate::LabelContains(TagId(1)),
+        ] {
+            assert_eq!(bounds(p.clone()), vec![], "{p:?}");
+        }
     }
 
     #[test]

@@ -97,20 +97,35 @@ impl StatementBudget {
         })
     }
 
-    /// Charges one scanned row against the budget. The row cap is an exact
-    /// comparison on the incremented counter; the time cap is probed every
-    /// [`TIME_PROBE_INTERVAL`] rows (and on the first row, so a statement
-    /// resuming after a long stall is caught promptly).
+    /// Charges one scanned row against the budget: [`Self::charge_rows`]
+    /// of one.
     pub fn charge_row(&self) -> IfdbResult<()> {
-        let scanned = self.rows.fetch_add(1, Ordering::Relaxed) + 1;
-        if scanned > self.max_rows {
+        self.charge_rows(1).map(drop)
+    }
+
+    /// Charges as many of `n` scanned rows as fit under the row cap and
+    /// returns how many that was; with none left to fit, charges one more
+    /// and fails. So a caller charging a batch that crosses the cap goes on
+    /// one row at a time, and the row that crosses it fails, wherever the
+    /// batches began. The row cap is exact; the time cap is probed on the
+    /// first row and every [`TIME_PROBE_INTERVAL`] rows after it, or once
+    /// for a batch that takes in one of those rows (so a statement resuming
+    /// after a long stall is caught promptly).
+    pub fn charge_rows(&self, n: u64) -> IfdbResult<u64> {
+        let before = self.rows.load(Ordering::Relaxed);
+        let fit = n.min(self.max_rows.saturating_sub(before));
+        if fit == 0 && n > 0 {
+            let used = self.rows.fetch_add(1, Ordering::Relaxed) + 1;
             return Err(IfdbError::BudgetExceeded {
                 resource: "rows".into(),
                 limit: self.max_rows,
-                used: scanned,
+                used,
             });
         }
-        if scanned % TIME_PROBE_INTERVAL == 1 {
+        let after = self.rows.fetch_add(fit, Ordering::Relaxed) + fit;
+        // Rows 1, 1 + I, 1 + 2I, ...: ceil(k / I) of them are at most k.
+        let probes = |k: u64| k.div_ceil(TIME_PROBE_INTERVAL);
+        if probes(after) > probes(before) {
             if let Some(max_millis) = self.max_millis {
                 let elapsed = self.started.elapsed().as_millis() as u64;
                 if elapsed > max_millis {
@@ -122,7 +137,7 @@ impl StatementBudget {
                 }
             }
         }
-        Ok(())
+        Ok(fit)
     }
 
     /// Rows charged so far.
@@ -280,6 +295,34 @@ mod tests {
         assert!(
             matches!(err, IfdbError::BudgetExceeded { ref resource, limit: 3, used: 4 } if resource == "rows"),
             "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn a_batch_that_crosses_the_row_cap_charges_what_fits_and_the_next_row_fails() {
+        let budget = StatementBudget::arm(&ExecutionConstraints::unlimited().with_max_rows(10))
+            .expect("limited");
+        assert_eq!(budget.charge_rows(4).unwrap(), 4);
+        assert_eq!(budget.charge_rows(0).unwrap(), 0);
+        assert_eq!(budget.charge_rows(9).unwrap(), 6);
+        let err = budget.charge_rows(3).unwrap_err();
+        assert!(
+            matches!(err, IfdbError::BudgetExceeded { ref resource, limit: 10, used: 11 } if resource == "rows"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn a_batch_probes_the_clock_when_it_takes_in_a_probe_row() {
+        let budget = StatementBudget::arm(&ExecutionConstraints::unlimited().with_max_millis(1))
+            .expect("limited");
+        assert_eq!(budget.charge_rows(5).unwrap(), 5);
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        // Rows 6 to 1024 take in no probe row; row 1025 is one.
+        assert_eq!(budget.charge_rows(TIME_PROBE_INTERVAL - 5).unwrap(), 1019);
+        let err = budget.charge_rows(100).unwrap_err();
+        assert!(
+            matches!(err, IfdbError::BudgetExceeded { ref resource, .. } if resource == "time_ms")
         );
     }
 

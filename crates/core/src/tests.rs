@@ -1175,13 +1175,17 @@ fn rows_by_page_kind(db: &Database, table: &str) -> (usize, usize) {
     let (mut shared, mut chained) = (0, 0);
     let t = db.engine().table_by_name(table).unwrap();
     t.heap()
-        .walk::<ifdb_storage::StorageError>(|_, label, _| {
-            match label {
-                None => shared += 1,
-                Some(_) => chained += 1,
-            }
-            Ok(true)
-        })
+        .walk::<ifdb_storage::StorageError>(
+            &[],
+            |_| Ok(ifdb_storage::Verdict::Read),
+            |_, label, _| {
+                match label {
+                    None => shared += 1,
+                    Some(_) => chained += 1,
+                }
+                Ok(true)
+            },
+        )
         .unwrap();
     (shared, chained)
 }
@@ -1249,6 +1253,154 @@ fn execution_budget_is_charged_before_the_label_decision() {
     let mut sighted = db.session(user);
     sighted.raise_label(&Label::singleton(tag)).unwrap();
     assert_eq!(sighted.select(&by_heap).unwrap().len(), 500);
+}
+
+/// Each heap page of `table` in walk order, as its slot count, read from
+/// the page summaries without reading a page.
+fn page_slots(db: &Database, table: &str) -> Vec<u64> {
+    let mut slots = Vec::new();
+    let t = db.engine().table_by_name(table).unwrap();
+    t.heap()
+        .walk::<ifdb_storage::StorageError>(
+            &[],
+            |page| {
+                slots.push(u64::from(page.slots));
+                Ok(ifdb_storage::Verdict::Skip)
+            },
+            |_, _, _| Ok(true),
+        )
+        .unwrap();
+    slots
+}
+
+/// A heap scan charges the budget for each page's slots before it decides
+/// whether to read the page, and walks the page that would cross the cap
+/// slot by slot. So a capped scan is killed at the same slot whether its
+/// filter's bounds let it skip every single-label page or none, and whether
+/// the label admits its reader or not — at a page boundary and mid-page.
+#[test]
+fn execution_budget_is_charged_before_the_range_decision() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    let tag = db.create_tag(user, "secret", &[]).unwrap();
+    db.create_table(
+        TableDef::new("T")
+            .column("id", DataType::Int)
+            .column("n", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let mut writer = db.session(user);
+    writer.add_secrecy(tag).unwrap();
+    writer.begin().unwrap();
+    for i in 0..1_000 {
+        writer
+            .insert(&Insert::new("T", vec![Datum::Int(i), Datum::Int(i)]))
+            .unwrap();
+    }
+    writer.commit().unwrap();
+    // The shared tail's page, then at least three of the label's own.
+    let pages = page_slots(&db, "T");
+    let (shared, chained) = rows_by_page_kind(&db, "T");
+    assert!(pages.len() >= 4 && pages[0] == shared as u64 && chained > 0);
+    let tail_rows = pages[0] as i64;
+
+    let used = |label: Label, q: &Select, cap: u64| {
+        let mut s = db.session(user);
+        s.raise_label(&label).unwrap();
+        s.set_execution_constraints(ExecutionConstraints::unlimited().with_max_rows(cap));
+        let before = db.engine().stats().pages_skipped;
+        match s.select(q) {
+            Err(IfdbError::BudgetExceeded {
+                resource,
+                limit,
+                used,
+            }) if resource == "rows" && limit == cap => {
+                (used, db.engine().stats().pages_skipped - before)
+            }
+            other => panic!("expected a budget kill, got {other:?}"),
+        }
+    };
+    let n = |p: fn(String, Datum) -> Predicate, v: i64| {
+        Select::star("T").filter(p("n".into(), Datum::Int(v)))
+    };
+    // `n` follows the insert order, so the label's pages hold disjoint
+    // ranges of it: the first filter's bounds miss every one of them, the
+    // second's meet them all.
+    let skips_every_chain_page = n(Predicate::Lt, tail_rows);
+    let skips_none = n(Predicate::Ge, 0);
+    let boundary = pages[0] + pages[1];
+    let mid_page = boundary + pages[2] / 2;
+    for cap in [boundary, mid_page] {
+        let mut kills = Vec::new();
+        for q in [&skips_every_chain_page, &skips_none] {
+            for label in [Label::singleton(tag), Label::empty()] {
+                kills.push(used(label, q, cap));
+            }
+        }
+        assert!(kills.iter().all(|(used, _)| *used == cap + 1), "{kills:?}");
+        // Before the kill, the range skipped the first of the label's pages
+        // for both readers, and the label skipped it for the blind one.
+        let skipped: Vec<u64> = kills.iter().map(|(_, skipped)| *skipped).collect();
+        assert_eq!(skipped, vec![1, 1, 0, 1], "cap {cap}");
+    }
+}
+
+/// Stock-Level's order-line read — equality on the warehouse and district,
+/// a lower bound on the order — starts at the bound and stops at the end of
+/// the district, so it visits the lines of the recent orders only, not
+/// every line the district ever had. The budget counts the rows an index
+/// scan visits: the query fits a cap of exactly its rows.
+#[test]
+fn a_lower_bound_after_an_equality_prefix_visits_only_the_rows_from_the_bound_on() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("order_line")
+            .column("ol_w_id", DataType::Int)
+            .column("ol_d_id", DataType::Int)
+            .column("ol_o_id", DataType::Int)
+            .column("ol_number", DataType::Int)
+            .primary_key(&["ol_w_id", "ol_d_id", "ol_o_id", "ol_number"]),
+    )
+    .unwrap();
+    let mut s = db.session(user);
+    s.begin().unwrap();
+    for d in 1..=2 {
+        for o in 1..=300 {
+            for n in 1..=5 {
+                let line = [1, d, o, n].map(Datum::Int).to_vec();
+                s.insert(&Insert::new("order_line", line)).unwrap();
+            }
+        }
+    }
+    s.commit().unwrap();
+    let district = Predicate::Eq("ol_w_id".into(), Datum::Int(1))
+        .and(Predicate::Eq("ol_d_id".into(), Datum::Int(1)));
+    let recent = Select::star("order_line").filter(
+        district
+            .clone()
+            .and(Predicate::Ge("ol_o_id".into(), Datum::Int(281))),
+    );
+    let capped = |q: &Select, cap: u64| {
+        let mut s = db.session(user);
+        s.set_execution_constraints(ExecutionConstraints::unlimited().with_max_rows(cap));
+        let before = db.engine().stats();
+        let rows = s.select(q).map(|rows| rows.len());
+        let after = db.engine().stats();
+        assert_eq!(after.full_table_scans, before.full_table_scans);
+        assert_eq!(after.index_range_scans - before.index_range_scans, 1);
+        rows
+    };
+    assert_eq!(capped(&recent, 100).unwrap(), 100);
+    assert!(matches!(
+        capped(&recent, 99),
+        Err(IfdbError::BudgetExceeded { used: 100, .. })
+    ));
+    // The district alone is 1 500 lines.
+    let whole = Select::star("order_line").filter(district);
+    assert!(capped(&whole, 100).is_err());
+    assert_eq!(capped(&whole, 1_500).unwrap(), 1_500);
 }
 
 /// The harness's `label_scan` shape in small: 16 labels inserted

@@ -13,6 +13,18 @@
 //! on every index path, after recovery (`DatabaseBuilder::recover`, with
 //! and without a checkpoint) and on a log-shipping replica.
 //!
+//! The closure must hold for what a scan leaves unread too. A heap scan
+//! decides each page from its summary before reading it, and skips a
+//! single-label page whose label the reader cannot read or whose value
+//! range on a column misses the filter's bounds there. The column `lv`
+//! follows the label (each label's rows have their own stretch of it, and
+//! no index), and the queries bound it by ranges and equalities, some
+//! strict at the `i64` edges. The high rows fill pages of their own, so a
+//! query under a bound the high stretches miss skips whole high pages by
+//! range, and one under a bound they meet skips them by label; the shuffle
+//! adds such pages and moves every shared-page boundary, and the low
+//! observations must still not change.
+//!
 //! A second mixed history starts with high transactions that define many
 //! labels before the low history's first insert — one of them of 301 tags,
 //! more than a byte can count, and some of them in transactions that abort.
@@ -23,7 +35,7 @@
 use std::path::{Path, PathBuf};
 
 use ifdb::prelude::*;
-use ifdb_storage::{ReplicaApplier, StorageEngine, StorageError};
+use ifdb_storage::{ReplicaApplier, StorageEngine, StorageError, Verdict};
 
 const SEED: u64 = 0x5CA7;
 /// Low ids are below this; high ids at or above it.
@@ -130,6 +142,7 @@ fn table_def() -> TableDef {
         .column("grp", DataType::Int)
         .column("cat", DataType::Int)
         .column("note", DataType::Text)
+        .column("lv", DataType::Int)
         .primary_key(&["id"])
         .secondary_index("t_cat", &["cat"])
         .secondary_index("t_grp_cat", &["grp", "cat"])
@@ -228,6 +241,12 @@ fn high_prefix() -> Vec<Step> {
         .collect()
 }
 
+/// The `lv` of row `id` at label `label`: the label's own stretch of 100
+/// values.
+fn lv(label: usize, id: i64) -> i64 {
+    label as i64 * 100 + id % 50
+}
+
 fn run(db: &Database, auth: &Authority, steps: &[Step]) {
     let id = |id: i64| Predicate::Eq("id".into(), Datum::Int(id));
     for step in steps {
@@ -239,7 +258,11 @@ fn run(db: &Database, auth: &Authority, steps: &[Step]) {
         let mut s = db.session(auth.owner);
         s.raise_label(&label).unwrap();
         match step {
-            Step::Insert { rows, commit, .. } => {
+            Step::Insert {
+                label: at,
+                rows,
+                commit,
+            } => {
                 s.begin().unwrap();
                 for (id, grp, cat, note) in rows {
                     let values = vec![
@@ -247,6 +270,7 @@ fn run(db: &Database, auth: &Authority, steps: &[Step]) {
                         Datum::Int(*grp),
                         Datum::Int(*cat),
                         Datum::from(note.as_str()),
+                        Datum::Int(lv(*at, *id)),
                     ];
                     s.insert(&Insert::new("T", values)).unwrap();
                 }
@@ -302,6 +326,57 @@ fn queries(auth: &Authority) -> Vec<(&'static str, Select, Access)> {
             Access::Heap,
         ),
         ("limit", Select::star("T").take(40), Access::Heap),
+        // Bounds on `lv`, which follows the label: the high stretches are
+        // 500 and up.
+        (
+            "lv equality",
+            Select::star("T").filter(eq("lv", lv(1, 7))),
+            Access::Heap,
+        ),
+        (
+            "lv range below the high stretches",
+            Select::star("T").filter(
+                Predicate::Ge("lv".into(), int(100)).and(Predicate::Lt("lv".into(), int(300))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "lv range over the high stretches",
+            Select::star("T").filter(Predicate::Ge("lv".into(), int(200))),
+            Access::Heap,
+        ),
+        (
+            "lv above the least i64",
+            Select::star("T").filter(Predicate::Gt("lv".into(), int(i64::MIN))),
+            Access::Heap,
+        ),
+        (
+            "lv below the greatest i64, view",
+            Select::star("V").filter(
+                Predicate::Lt("lv".into(), int(i64::MAX)).and(Predicate::Ne("cat".into(), int(3))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "lv at the i64 edges",
+            Select::star("T").filter(
+                Predicate::Le("lv".into(), int(i64::MIN))
+                    .or(Predicate::Ge("lv".into(), int(i64::MAX))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "lv past the i64 edges",
+            Select::star("T").filter(Predicate::Gt("lv".into(), int(i64::MAX))),
+            Access::Heap,
+        ),
+        (
+            "view, lv range",
+            Select::star("V").filter(
+                Predicate::Gt("lv".into(), int(240)).and(Predicate::Le("lv".into(), int(420))),
+            ),
+            Access::Heap,
+        ),
         (
             "index equality",
             Select::star("T").filter(eq("cat", 3)),
@@ -376,6 +451,23 @@ fn observe(db: &Database, auth: &Authority) -> Vec<(String, Vec<String>)> {
     out
 }
 
+/// The pages the query `name` skipped under the empty reader label, and
+/// the single-label pages whose label it decided.
+fn skips(db: &Database, auth: &Authority, name: &str) -> (u64, u64) {
+    let (_, q, _) = queries(auth)
+        .into_iter()
+        .find(|(n, _, _)| *n == name)
+        .unwrap();
+    let mut s = db.session(auth.reader);
+    let before = db.engine().stats();
+    s.select(&q).unwrap();
+    let after = db.engine().stats();
+    (
+        after.pages_skipped - before.pages_skipped,
+        after.label_page_checks - before.label_page_checks,
+    )
+}
+
 fn assert_same(low: &[(String, Vec<String>)], mixed: &[(String, Vec<String>)], when: &str) {
     assert_eq!(low.len(), mixed.len());
     for ((what, a), (_, b)) in low.iter().zip(mixed) {
@@ -447,10 +539,14 @@ fn layout(db: &Database) -> (usize, usize) {
     let t = db.engine().table_by_name("T").unwrap();
     let mut chained = 0;
     t.heap()
-        .walk::<StorageError>(|_, label, _| {
-            chained += usize::from(label.is_some());
-            Ok(true)
-        })
+        .walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, label, _| {
+                chained += usize::from(label.is_some());
+                Ok(true)
+            },
+        )
         .unwrap();
     (chained, t.heap().page_count())
 }
@@ -496,6 +592,23 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
         let (mixed_chained, mixed_pages) = layout(&mixed);
         assert!(low_chained > 0 && mixed_chained > low_chained);
         assert!(mixed_pages > low_pages);
+
+        // Whole high pages are skipped unread: by range under a bound
+        // their stretches miss, before any label is decided, so both scans
+        // decide the same low pages; and by label under one they meet.
+        let below = "lv range below the high stretches";
+        let (low_skips, mixed_skips) = (
+            skips(&low, &low_auth, below),
+            skips(&mixed, &mixed_auth, below),
+        );
+        assert!(mixed_skips.0 > low_skips.0, "{mixed_skips:?} {low_skips:?}");
+        assert_eq!(mixed_skips.1, low_skips.1);
+        let over = "lv range over the high stretches";
+        let (low_skips, mixed_skips) = (
+            skips(&low, &low_auth, over),
+            skips(&mixed, &mixed_auth, over),
+        );
+        assert!(mixed_skips.0 > low_skips.0 && mixed_skips.1 > low_skips.1);
 
         let seen = observe(&low, &low_auth);
         assert!(seen.iter().filter(|(_, rows)| !rows.is_empty()).count() > 30);

@@ -1246,6 +1246,7 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("tuples_inserted", e.tuples_inserted)
         .push("tuples_deleted", e.tuples_deleted)
         .push("tuples_scanned", e.tuples_scanned)
+        .push("pages_skipped", e.pages_skipped)
         .push("full_table_scans", e.full_table_scans)
         .push("index_point_lookups", e.index_point_lookups)
         .push("index_range_scans", e.index_range_scans)

@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::audit::{AuditChain, AuditChainRecord};
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
-use crate::heap::{RowId, TableHeap};
+use crate::heap::{PageSummary, RowId, TableHeap, Verdict};
 use crate::index::{encode_key, OrderedIndex};
 use crate::labels::{undefined, Entries, LabelDictionary, LabelId};
 use crate::mvcc::{
@@ -133,6 +133,7 @@ pub struct StorageEngine {
     tuples_inserted: AtomicU64,
     tuples_deleted: AtomicU64,
     tuples_scanned: AtomicU64,
+    pages_skipped: AtomicU64,
     full_table_scans: AtomicU64,
     index_point_lookups: AtomicU64,
     index_range_scans: AtomicU64,
@@ -233,6 +234,7 @@ impl StorageEngine {
             tuples_inserted: AtomicU64::new(0),
             tuples_deleted: AtomicU64::new(0),
             tuples_scanned: AtomicU64::new(0),
+            pages_skipped: AtomicU64::new(0),
             full_table_scans: AtomicU64::new(0),
             index_point_lookups: AtomicU64::new(0),
             index_range_scans: AtomicU64::new(0),
@@ -469,10 +471,14 @@ impl StorageEngine {
             columns: col_idx,
             index: OrderedIndex::new(),
         };
-        t.heap.walk::<StorageError>(|row, _, tuple| {
-            entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
-            Ok(true)
-        })?;
+        t.heap.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |row, _, tuple| {
+                entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
+                Ok(true)
+            },
+        )?;
         indexes.push(entry);
         Ok(())
     }
@@ -899,9 +905,13 @@ impl StorageEngine {
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
         let labels = self.labels();
-        self.visit_visible::<StorageError>(snapshot, table, |row, _, t| {
-            Ok(f(row, t.to_version(&labels)?))
-        })
+        self.visit_visible::<StorageError>(
+            snapshot,
+            table,
+            &[],
+            |_| Ok(Verdict::Read),
+            |row, _, t| Ok(f(row, t.to_version(&labels)?)),
+        )
     }
 
     /// [`StorageEngine::scan_visible`] without building the versions: `f`
@@ -909,40 +919,58 @@ impl StorageEngine {
     /// what it keeps; `Ok(false)` stops the scan. `f` also gets the label id
     /// of the version's page when the page holds one label only
     /// ([`TableHeap::walk`]), so a caller can decide it once per page; the
-    /// tags behind an id are [`StorageEngine::labels`]'. Every version
-    /// walked counts towards `tuples_scanned`, however the scan ends.
+    /// tags behind an id are [`StorageEngine::labels`]'.
+    ///
+    /// Before a page is pinned, `verdict` decides it from its summary, with
+    /// its ranges on `columns` ([`TableHeap::walk`]); a page it skips counts
+    /// towards `pages_skipped`. Every version walked counts towards
+    /// `tuples_scanned`, however the scan ends.
     pub fn visit_visible<E: From<StorageError>>(
         &self,
         snapshot: &Snapshot,
         table: TableId,
+        columns: &[usize],
+        mut verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
         mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
-        /// Adds what a scan walked to the engine's counter when the scan
-        /// ends, on the error paths too.
-        struct Walked<'a> {
-            tuples: u64,
+        /// Adds what a scan counted to an engine counter when the scan ends,
+        /// on the error paths too.
+        struct Counted<'a> {
+            n: u64,
             counter: &'a AtomicU64,
         }
-        impl Drop for Walked<'_> {
+        impl Drop for Counted<'_> {
             fn drop(&mut self) {
-                self.counter.fetch_add(self.tuples, Ordering::Relaxed);
+                self.counter.fetch_add(self.n, Ordering::Relaxed);
             }
         }
         let t = self.table(table)?;
         self.full_table_scans.fetch_add(1, Ordering::Relaxed);
-        let mut walked = Walked {
-            tuples: 0,
+        let mut walked = Counted {
+            n: 0,
             counter: &self.tuples_scanned,
         };
+        let mut skipped = Counted {
+            n: 0,
+            counter: &self.pages_skipped,
+        };
         let mut visibility = self.txns.visibility(snapshot);
-        t.heap.walk(|row, page_label, tuple| {
-            walked.tuples += 1;
-            if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
-                f(row, page_label, tuple)
-            } else {
-                Ok(true)
-            }
-        })
+        t.heap.walk(
+            columns,
+            |page| {
+                let v = verdict(page)?;
+                skipped.n += u64::from(v == Verdict::Skip);
+                Ok(v)
+            },
+            |row, page_label, tuple| {
+                walked.n += 1;
+                if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
+                    f(row, page_label, tuple)
+                } else {
+                    Ok(true)
+                }
+            },
+        )
     }
 
     /// Fetches each of `rows` (row ids an index returned) and invokes `f`
@@ -993,8 +1021,9 @@ impl StorageEngine {
         self.with_index(table, index, |i| i.get(key))
     }
 
-    /// Range lookup through the named index (inclusive bounds), in key
-    /// order.
+    /// Range lookup through the named index, in key order: inclusive bounds
+    /// that are key prefixes, the high one taking in every key that extends
+    /// it ([`OrderedIndex::range_of_prefixes`]).
     pub fn index_range(
         &self,
         table: TableId,
@@ -1003,7 +1032,7 @@ impl StorageEngine {
         high: Option<&[Datum]>,
     ) -> StorageResult<Vec<RowId>> {
         self.index_range_scans.fetch_add(1, Ordering::Relaxed);
-        self.with_index(table, index, |i| i.range(low, high))
+        self.with_index(table, index, |i| i.range_of_prefixes(low, high))
     }
 
     /// Prefix lookup through the named index: row ids whose keys start with
@@ -1081,13 +1110,17 @@ impl StorageEngine {
                 // every index.
                 let indexes = t.indexes.write();
                 let mut live: HashSet<RowId> = HashSet::new();
-                t.heap.walk::<StorageError>(|row, _, tuple| {
-                    for entry in indexes.iter() {
-                        entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
-                    }
-                    live.insert(row);
-                    Ok(true)
-                })?;
+                t.heap.walk::<StorageError>(
+                    &[],
+                    |_| Ok(Verdict::Read),
+                    |row, _, tuple| {
+                        for entry in indexes.iter() {
+                            entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
+                        }
+                        live.insert(row);
+                        Ok(true)
+                    },
+                )?;
                 for entry in indexes.iter() {
                     entry.index.retain(|row| live.contains(&row));
                 }
@@ -1189,21 +1222,25 @@ impl StorageEngine {
         }
         let mut visibility = self.txns.visibility(&snap);
         for id in &ids {
-            tables[id].heap.walk::<StorageError>(|row, label, tuple| {
-                if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
-                    // The image represents settled history: every row in
-                    // it is committed before anything that can follow, so
-                    // its logged `xmin` is the bootstrap transaction.
-                    emit(LogRecord::Insert {
-                        txn: BOOTSTRAP_TXN,
-                        table: id.0,
-                        row,
-                        chain: label.is_some(),
-                        body: tuple.body().to_vec(),
-                    })?;
-                }
-                Ok(true)
-            })?;
+            tables[id].heap.walk::<StorageError>(
+                &[],
+                |_| Ok(Verdict::Read),
+                |row, label, tuple| {
+                    if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
+                        // The image represents settled history: every row in
+                        // it is committed before anything that can follow, so
+                        // its logged `xmin` is the bootstrap transaction.
+                        emit(LogRecord::Insert {
+                            txn: BOOTSTRAP_TXN,
+                            table: id.0,
+                            row,
+                            chain: label.is_some(),
+                            body: tuple.body().to_vec(),
+                        })?;
+                    }
+                    Ok(true)
+                },
+            )?;
         }
         Ok(ids)
     }
@@ -1229,27 +1266,31 @@ impl StorageEngine {
         }
         let running: HashSet<TxnId> = writers.iter().map(|(txn, _)| *txn).collect();
         for id in ids {
-            tables[id].heap.walk::<StorageError>(|row, label, tuple| {
-                if running.contains(&tuple.xmin()) {
-                    emit(LogRecord::Insert {
-                        txn: tuple.xmin(),
-                        table: id.0,
-                        row,
-                        chain: label.is_some(),
-                        body: tuple.body().to_vec(),
-                    })?;
-                }
-                // A row it inserted and then deleted or updated takes both
-                // records: a logged insert has no `xmax`.
-                if let Some(txn) = tuple.xmax().filter(|x| running.contains(x)) {
-                    emit(LogRecord::Delete {
-                        txn,
-                        table: id.0,
-                        row,
-                    })?;
-                }
-                Ok(true)
-            })?;
+            tables[id].heap.walk::<StorageError>(
+                &[],
+                |_| Ok(Verdict::Read),
+                |row, label, tuple| {
+                    if running.contains(&tuple.xmin()) {
+                        emit(LogRecord::Insert {
+                            txn: tuple.xmin(),
+                            table: id.0,
+                            row,
+                            chain: label.is_some(),
+                            body: tuple.body().to_vec(),
+                        })?;
+                    }
+                    // A row it inserted and then deleted or updated takes both
+                    // records: a logged insert has no `xmax`.
+                    if let Some(txn) = tuple.xmax().filter(|x| running.contains(x)) {
+                        emit(LogRecord::Delete {
+                            txn,
+                            table: id.0,
+                            row,
+                        })?;
+                    }
+                    Ok(true)
+                },
+            )?;
         }
         for (txn, gid) in writers {
             if let Some(gid) = gid {
@@ -1462,6 +1503,7 @@ impl StorageEngine {
         s.tuples_inserted = self.tuples_inserted.load(Ordering::Relaxed);
         s.tuples_deleted = self.tuples_deleted.load(Ordering::Relaxed);
         s.tuples_scanned = self.tuples_scanned.load(Ordering::Relaxed);
+        s.pages_skipped = self.pages_skipped.load(Ordering::Relaxed);
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
         s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);
@@ -1771,14 +1813,20 @@ mod tests {
         // Cut short by an error from the consumer.
         let before = scanned();
         let mut seen = 0;
-        let cut = eng.visit_visible(&snap, table, |_, _, _| {
-            seen += 1;
-            if seen == 4 {
-                Err(StorageError::UnknownTableId(0))
-            } else {
-                Ok(true)
-            }
-        });
+        let cut = eng.visit_visible(
+            &snap,
+            table,
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, _, _| {
+                seen += 1;
+                if seen == 4 {
+                    Err(StorageError::UnknownTableId(0))
+                } else {
+                    Ok(true)
+                }
+            },
+        );
         assert_eq!(cut, Err(StorageError::UnknownTableId(0)));
         assert_eq!(scanned() - before, 4);
 

@@ -8,11 +8,11 @@
 //! does (Section 7.1 of the paper relies on this to implement Query by Label
 //! "at the layer that reads and writes tuples in tables").
 //!
-//! Reads are in place: [`TableHeap::walk`] (every live version) and
-//! [`TableHeap::read`] (one) hand their caller a [`TupleRef`] over the slot
-//! bytes of a pinned page, so a caller that rejects a tuple on its header or
-//! label never builds it. The owned-version entry points (`scan`, `fetch`,
-//! `version_count`, `vacuum`) are adapters over those two.
+//! Reads are in place: [`TableHeap::walk`] (every live version of the pages
+//! it reads) and [`TableHeap::read`] (one) hand their caller a [`TupleRef`]
+//! over the slot bytes of a pinned page, so a caller that rejects a tuple on
+//! its header or label never builds it. The owned-version entry points
+//! (`scan`, `fetch`, `version_count`, `vacuum`) are adapters over those two.
 //!
 //! # Pages follow labels
 //!
@@ -52,6 +52,33 @@
 //! read never move the ones it can, which is what the scan noninterference
 //! test (`crates/core/tests/scan_noninterference.rs`) checks.
 //!
+//! # Pages are decided before they are read
+//!
+//! Every page has a [`PageSummary`]: its slot count, its label when it is a
+//! chain page, and for each column an inclusive `i64` range holding every
+//! value ever placed in that column on the page — a small materialised
+//! aggregate, or zone map (Moerkotte, VLDB 1998). A column's range is bounded
+//! only while every datum placed in it is a [`crate::Datum::Int`]; any other
+//! kind, `Null` included, makes it [`IntRange::ALL`] on that page. Summaries
+//! are derived state beside the layout, under its mutex, and never logged:
+//! [`TableHeap::insert`] and [`TableHeap::place`] widen them from the tuple
+//! bytes, so redo, recovery, replica apply and checkpoint images rebuild
+//! them on the one path they share. Deletes, updates, aborts and vacuum
+//! never narrow one, so a summary always covers what its page holds.
+//!
+//! [`TableHeap::walk`] hands each page's summary to its caller's verdict
+//! before it pins the page, and a page the verdict skips is never read. A
+//! scan skips a chain page whose label its reader cannot read, and a page
+//! whose range on some column is bounded and disjoint from the bounds its
+//! filter puts on that column (an [`IntRange::ALL`] column may hold a
+//! `Float` or a `Null`, which `Int` bounds cannot rule out). The walk copies the summaries under the layout lock, in the
+//! pass that fixes its page order, and asks the verdicts after releasing it.
+//! A verdict may also read a page's first slots and be asked again about
+//! the rest ([`Verdict::ReadFirst`]): a statement budget charges each page's
+//! slot count before it decides, and walks the page that would cross its
+//! cap slot by slot, so where it kills a scan depends on slot counts and
+//! walk order alone, never on a verdict.
+//!
 //! **Redo.** The log names each row's page and its page kind (shared tail or
 //! chain), so recovery and replica apply put every row back at its logged
 //! row id ([`TableHeap::place`]): the writer's layout comes back slot for
@@ -89,6 +116,136 @@ impl std::fmt::Display for RowId {
     }
 }
 
+/// An inclusive range of `i64`s; empty when `lo > hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntRange {
+    /// Least value in the range.
+    pub lo: i64,
+    /// Greatest value in the range.
+    pub hi: i64,
+}
+
+impl IntRange {
+    /// Every `i64`: a summary's range on a column that may hold anything,
+    /// values that are not `Int`s included, so no `Int` bound rules it out.
+    pub const ALL: IntRange = IntRange {
+        lo: i64::MIN,
+        hi: i64::MAX,
+    };
+
+    /// No value: a summary's range on a column before its first datum.
+    const EMPTY: IntRange = IntRange {
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
+    /// The values in both ranges.
+    pub fn intersect(self, other: IntRange) -> IntRange {
+        IntRange {
+            lo: self.lo.max(other.lo),
+            hi: self.hi.min(other.hi),
+        }
+    }
+
+    /// Whether some value lies in both ranges.
+    pub fn meets(&self, other: &IntRange) -> bool {
+        let both = self.intersect(*other);
+        both.lo <= both.hi
+    }
+
+    fn widen(&mut self, value: i64) {
+        self.lo = self.lo.min(value);
+        self.hi = self.hi.max(value);
+    }
+}
+
+/// What the layout knows of one page's contents (see the module docs).
+#[derive(Debug, Default)]
+struct Summary {
+    /// Slots the page's directory holds, dead ones and holes included.
+    slots: u16,
+    /// By column, a range covering every value placed in it on the page.
+    ranges: Vec<IntRange>,
+}
+
+impl Summary {
+    /// Takes in `tuple`, placed at `slot`.
+    fn widen(&mut self, slot: u16, tuple: &TupleRef<'_>) {
+        // A column no earlier row of the page had is unbounded, and so is
+        // one this row lacks.
+        let fill = if self.slots == 0 {
+            IntRange::EMPTY
+        } else {
+            IntRange::ALL
+        };
+        self.slots = self.slots.max(slot + 1);
+        let fields = tuple.field_count();
+        if self.ranges.len() < fields {
+            self.ranges.resize(fields, fill);
+        }
+        self.ranges[fields..].fill(IntRange::ALL);
+        let ranges = &mut self.ranges;
+        let read = tuple.for_each_int(|i, int| match int {
+            Some(v) => ranges[i].widen(v),
+            None => ranges[i] = IntRange::ALL,
+        });
+        if read.is_err() {
+            self.ranges.fill(IntRange::ALL);
+        }
+    }
+}
+
+/// One element of a walk's copy of the layout: a page, followed by the
+/// ranges of the walk's columns on it.
+#[derive(Debug, Clone, Copy)]
+enum Copied {
+    Page {
+        pid: PageId,
+        label: Option<LabelId>,
+        slots: u16,
+    },
+    Range(IntRange),
+}
+
+/// What [`TableHeap::walk`] shows its verdict of a page before pinning it:
+/// a copy of the page's summary taken when the walk began.
+#[derive(Debug, Clone, Copy)]
+pub struct PageSummary<'a> {
+    /// The page's number.
+    pub page: u32,
+    /// Its label id on a chain page, where every tuple carries it; `None` on
+    /// the shared tail.
+    pub label: Option<LabelId>,
+    /// Slots not yet walked: all the page's slots, dead ones and holes
+    /// included, less those a [`Verdict::ReadFirst`] already read.
+    pub slots: u16,
+    ranges: &'a [Copied],
+}
+
+impl PageSummary<'_> {
+    /// The page's ranges on the walk's columns, in the order the walk was
+    /// given them. Each covers every value ever placed in its column on the
+    /// page.
+    pub fn ranges(&self) -> impl Iterator<Item = IntRange> + '_ {
+        self.ranges.iter().map(|c| match c {
+            Copied::Range(r) => *r,
+            Copied::Page { .. } => unreachable!("a page's ranges follow it"),
+        })
+    }
+}
+
+/// A walk's verdict on a page, taken from its [`PageSummary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Leave the page unread.
+    Skip,
+    /// Read every live slot not yet walked.
+    Read,
+    /// Read the next this many slots, then ask again about the rest of the
+    /// page; zero leaves the rest unread.
+    ReadFirst(u16),
+}
+
 /// Where a label's next row goes.
 #[derive(Debug, Clone, Copy)]
 enum Placement {
@@ -117,6 +274,8 @@ struct Layout {
     chains: Vec<Chain>,
     /// One entry per distinct label ever inserted.
     labels: HashMap<LabelId, Placement>,
+    /// By page id, each page's summary.
+    summaries: Vec<Summary>,
 }
 
 impl Layout {
@@ -186,18 +345,39 @@ impl Layout {
         }
     }
 
+    /// Takes in `tuple`, placed at `slot` of page `pid`.
+    fn widen(&mut self, pid: PageId, slot: u16, tuple: &TupleRef<'_>) {
+        let at = pid.0 as usize;
+        if self.summaries.len() <= at {
+            self.summaries.resize_with(at + 1, Summary::default);
+        }
+        self.summaries[at].widen(slot, tuple);
+    }
+
     /// Every page in walk order — the shared tail, then the chains in
-    /// opening order — with its label, `None` on the shared tail.
-    fn walk_order(&self) -> Vec<(PageId, Option<LabelId>)> {
+    /// opening order — each as its page id, its label (`None` on the shared
+    /// tail) and its slot count, followed by its ranges on `columns`.
+    fn walk_order(&self, columns: &[usize]) -> Vec<Copied> {
         let chained = self
             .chains
             .iter()
             .flat_map(|c| c.pages.iter().map(move |pid| (*pid, Some(c.label))));
-        self.shared
-            .iter()
-            .map(|pid| (*pid, None))
-            .chain(chained)
-            .collect()
+        let pages = self.shared.iter().map(|pid| (*pid, None)).chain(chained);
+        let mut out = Vec::with_capacity(self.page_count() * (1 + columns.len()));
+        for (pid, label) in pages {
+            // A page on a list whose first row failed to go in is empty.
+            let (slots, ranges) = match self.summaries.get(pid.0 as usize) {
+                Some(summary) => (summary.slots, &summary.ranges[..]),
+                None => (0, &[][..]),
+            };
+            out.push(Copied::Page { pid, label, slots });
+            out.extend(
+                columns
+                    .iter()
+                    .map(|c| Copied::Range(ranges.get(*c).copied().unwrap_or(IntRange::ALL))),
+            );
+        }
+        out
     }
 
     fn page_count(&self) -> usize {
@@ -253,24 +433,33 @@ impl TableHeap {
         if bytes.len() > PAGE_SIZE / 2 {
             return Err(StorageError::TupleTooLarge { size: bytes.len() });
         }
+        let tuple = TupleRef::parse(bytes)?;
         let mut layout = self.layout.lock();
         let (pages, chain) = layout.place(label, footprint(bytes.len()));
         let store = self.store.as_ref();
         // Append to the list's last page, or to a fresh one.
-        if let Some(&pid) = pages.last() {
-            let inserted = self.buffer.with_page_mut(self.table_id, pid, store, |p| {
-                p.fits(bytes.len())
-                    .then(|| p.insert(bytes).expect("fits was checked"))
-            })?;
-            if let Some(slot) = inserted {
-                return Ok((RowId { page: pid.0, slot }, chain));
+        let appended = match pages.last() {
+            Some(&pid) => self
+                .buffer
+                .with_page_mut(self.table_id, pid, store, |p| {
+                    p.fits(bytes.len())
+                        .then(|| p.insert(bytes).expect("fits was checked"))
+                })?
+                .map(|slot| (pid, slot)),
+            None => None,
+        };
+        let (pid, slot) = match appended {
+            Some(at) => at,
+            None => {
+                let pid = self.store.allocate()?;
+                pages.push(pid);
+                let slot = self
+                    .buffer
+                    .with_page_mut(self.table_id, pid, store, |p| p.insert(bytes))??;
+                (pid, slot)
             }
-        }
-        let pid = self.store.allocate()?;
-        pages.push(pid);
-        let slot = self
-            .buffer
-            .with_page_mut(self.table_id, pid, store, |p| p.insert(bytes))??;
+        };
+        layout.widen(pid, slot, &tuple);
         Ok((RowId { page: pid.0, slot }, chain))
     }
 
@@ -287,6 +476,7 @@ impl TableHeap {
         bytes: &[u8],
     ) -> StorageResult<()> {
         let pid = PageId(row.page);
+        let tuple = TupleRef::parse(bytes)?;
         let mut layout = self.layout.lock();
         while self.store.page_count() <= row.page {
             self.store.allocate()?;
@@ -295,7 +485,9 @@ impl TableHeap {
         self.buffer
             .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
                 p.place(row.slot, bytes)
-            })?
+            })??;
+        layout.widen(pid, row.slot, &tuple);
+        Ok(())
     }
 
     /// Calls `f` with the tuple version at `row`, read in place on a pin.
@@ -348,35 +540,62 @@ impl TableHeap {
             })?
     }
 
-    /// Calls `f` with every live tuple version, each read in place on its
-    /// pinned page, and with its page's label id — `Some` on a chain page,
-    /// where every tuple carries it; `None` on the shared tail. `Ok(false)` from
-    /// `f` stops the walk. Pages come in walk order (the shared tail, then
+    /// Walks the heap's pages, deciding each before pinning it, and calls
+    /// `f` with every live tuple version of the pages it reads, each read in
+    /// place on its pinned page, and with its page's label id — `Some` on a
+    /// chain page, where every tuple carries it; `None` on the shared tail.
+    /// `Ok(false)` from `f` stops the walk.
+    ///
+    /// `verdict` gets each page's [`PageSummary`], with its ranges on
+    /// `columns`, and says whether to read the page (see [`Verdict`]).
+    /// Summaries are copied under the layout lock and verdicts are asked
+    /// after it is released. Pages come in walk order (the shared tail, then
     /// the chains in opening order; see the module docs) and slots in
-    /// insertion order. This is the one heap traversal — scans, counts and
-    /// vacuum's search all go through it — and it allocates nothing per row
-    /// or per page.
+    /// insertion order. This is the one heap traversal — scans, counts,
+    /// index back-fill and vacuum's search all go through it, the last three
+    /// reading every page — and it allocates once, for its copy of the
+    /// summaries, and nothing per page or per row.
     pub fn walk<E: From<StorageError>>(
         &self,
+        columns: &[usize],
+        mut verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
         mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
-        let pages = self.layout.lock().walk_order();
-        for (pid, label) in pages {
-            let on_page = |p: &Page| -> Result<bool, E> {
-                for slot in p.live_slots() {
-                    let tuple = TupleRef::parse(p.read(slot)?)?;
-                    if !f(RowId { page: pid.0, slot }, label, tuple)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
+        let copied = self.layout.lock().walk_order(columns);
+        for page in copied.chunks_exact(1 + columns.len()) {
+            let Copied::Page { pid, label, slots } = page[0] else {
+                unreachable!("a walk's copy starts each page with its id");
             };
-            let store = self.store.as_ref();
-            if !self
-                .buffer
-                .with_page(self.table_id, pid, store, on_page)??
-            {
-                break;
+            let mut first = 0;
+            while first < slots {
+                let summary = PageSummary {
+                    page: pid.0,
+                    label,
+                    slots: slots - first,
+                    ranges: &page[1..],
+                };
+                let end = match verdict(&summary)? {
+                    Verdict::Skip | Verdict::ReadFirst(0) => break,
+                    Verdict::Read => u16::MAX,
+                    Verdict::ReadFirst(n) => first + n.min(slots - first),
+                };
+                let on_page = |p: &Page| -> Result<bool, E> {
+                    for slot in (first..end.min(p.slot_count())).filter(|s| !p.is_dead(*s)) {
+                        let tuple = TupleRef::parse(p.read(slot)?)?;
+                        if !f(RowId { page: pid.0, slot }, label, tuple)? {
+                            return Ok(false);
+                        }
+                    }
+                    Ok(true)
+                };
+                let store = self.store.as_ref();
+                if !self
+                    .buffer
+                    .with_page(self.table_id, pid, store, on_page)??
+                {
+                    return Ok(());
+                }
+                first = end;
             }
         }
         Ok(())
@@ -385,10 +604,14 @@ impl TableHeap {
     /// Counts live (non-dead-slot) tuple versions.
     pub fn version_count(&self) -> StorageResult<usize> {
         let mut n = 0;
-        self.walk::<StorageError>(|_, _, _| {
-            n += 1;
-            Ok(true)
-        })?;
+        self.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, _, _| {
+                n += 1;
+                Ok(true)
+            },
+        )?;
         Ok(n)
     }
 
@@ -404,12 +627,16 @@ impl TableHeap {
         mut should_remove: impl FnMut(&TupleRef<'_>) -> bool,
     ) -> StorageResult<usize> {
         let mut victims: Vec<RowId> = Vec::new();
-        self.walk::<StorageError>(|row, _, t| {
-            if should_remove(&t) {
-                victims.push(row);
-            }
-            Ok(true)
-        })?;
+        self.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |row, _, t| {
+                if should_remove(&t) {
+                    victims.push(row);
+                }
+                Ok(true)
+            },
+        )?;
         let mut removed = 0;
         for on_page in victims.chunk_by(|a, b| a.page == b.page) {
             let pid = PageId(on_page[0].page);
@@ -529,18 +756,26 @@ mod tests {
             put(&h, &version(i, "row", 0));
         }
         let mut seen = 0;
-        h.walk::<StorageError>(|_, _, _| {
-            seen += 1;
-            Ok(true)
-        })
+        h.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, _, _| {
+                seen += 1;
+                Ok(true)
+            },
+        )
         .unwrap();
         assert_eq!(seen, 10);
 
         let mut early = 0;
-        h.walk::<StorageError>(|_, _, _| {
-            early += 1;
-            Ok(early < 3)
-        })
+        h.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, _, _| {
+                early += 1;
+                Ok(early < 3)
+            },
+        )
         .unwrap();
         assert_eq!(early, 3);
     }
@@ -600,13 +835,17 @@ mod tests {
     /// chain page carries the page's label.
     fn walked(h: &TableHeap) -> Vec<(u64, Option<LabelId>)> {
         let mut out = Vec::new();
-        h.walk::<StorageError>(|_, label, t| {
-            if let Some(label) = label {
-                assert_eq!(t.label_id(), label);
-            }
-            out.push((t.xmin().0, label));
-            Ok(true)
-        })
+        h.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, label, t| {
+                if let Some(label) = label {
+                    assert_eq!(t.label_id(), label);
+                }
+                out.push((t.xmin().0, label));
+                Ok(true)
+            },
+        )
         .unwrap();
         out
     }
@@ -728,10 +967,14 @@ mod tests {
         }
         let by_id = |h: &TableHeap| {
             let mut out = Vec::new();
-            h.walk::<StorageError>(|row, label, t| {
-                out.push((row, label, t.xmin().0));
-                Ok(true)
-            })
+            h.walk::<StorageError>(
+                &[],
+                |_| Ok(Verdict::Read),
+                |row, label, t| {
+                    out.push((row, label, t.xmin().0));
+                    Ok(true)
+                },
+            )
             .unwrap();
             out
         };
@@ -739,12 +982,166 @@ mod tests {
         expected.retain(|(_, _, xmin)| xmin % 7 != 3);
         assert_eq!(by_id(&redo), expected);
         assert_eq!(redo.page_count(), h.page_count());
+        // Redo widens the summaries from the rows it places, which the
+        // writer's cover: column 0 is each row's xmin, and a page whose last
+        // rows never reached the log has fewer slots.
+        let (written, redone) = (summaries(&h, &[0, 1]), summaries(&redo, &[0, 1]));
+        assert_eq!(written.len(), redone.len());
+        for (w, r) in written.iter().zip(&redone) {
+            assert_eq!((w.0, w.1), (r.0, r.1));
+            assert!(r.2 <= w.2);
+            assert!(w.3[0].lo <= r.3[0].lo && r.3[0].hi <= w.3[0].hi);
+            assert_eq!((w.3[1], r.3[1]), (IntRange::ALL, IntRange::ALL));
+        }
         let (row, chain) = placed[5];
         assert!(
             redo.place(row, chain, rows[5].label, &rows[5].bytes)
                 .is_err(),
             "a slot is filled once"
         );
+    }
+
+    /// Each page's summary as a walk shows it, with its ranges on
+    /// `columns`, reading no page.
+    fn summaries(
+        h: &TableHeap,
+        columns: &[usize],
+    ) -> Vec<(u32, Option<LabelId>, u16, Vec<IntRange>)> {
+        let mut out = Vec::new();
+        h.walk::<StorageError>(
+            columns,
+            |p| {
+                out.push((p.page, p.label, p.slots, p.ranges().collect()));
+                Ok(Verdict::Skip)
+            },
+            |_, _, _| panic!("every page was skipped"),
+        )
+        .unwrap();
+        out
+    }
+
+    fn row_of(xmin: u64, values: Vec<Datum>) -> Vec<u8> {
+        encode(TxnId(xmin), 0, &values)
+    }
+
+    #[test]
+    fn a_summary_bounds_a_column_only_while_it_holds_ints() {
+        let h = heap();
+        let range = |lo, hi| IntRange { lo, hi };
+        // Column 0 holds Ints, column 1 a Null once, column 2 Text once, and
+        // column 3 a Float once.
+        for i in 0..20i64 {
+            let second = if i == 7 { Datum::Null } else { Datum::Int(-i) };
+            let third = if i == 3 {
+                Datum::Text("x".into())
+            } else {
+                Datum::Int(i)
+            };
+            let fourth = if i == 19 {
+                Datum::Float(1.0)
+            } else {
+                Datum::Int(5)
+            };
+            h.insert(
+                0,
+                &row_of(
+                    i as u64 + 1,
+                    vec![Datum::Int(10 + i), second, third, fourth],
+                ),
+            )
+            .unwrap();
+        }
+        let expected = vec![(
+            0,
+            None,
+            20,
+            vec![range(10, 29), IntRange::ALL, IntRange::ALL, IntRange::ALL],
+        )];
+        assert_eq!(summaries(&h, &[0, 1, 2, 3]), expected);
+        // A column past the tuple's last is unbounded, and the walk's
+        // columns come in the order it was given them.
+        assert_eq!(
+            summaries(&h, &[9, 0])[0].3,
+            vec![IntRange::ALL, range(10, 29)]
+        );
+
+        // Deletes and vacuum never narrow a summary: it still covers the
+        // rows the page held.
+        let mut rows = Vec::new();
+        h.walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |row, _, t| {
+                if t.field(0)? == Datum::Int(29) || t.field(0)? == Datum::Int(10) {
+                    rows.push(row);
+                }
+                Ok(true)
+            },
+        )
+        .unwrap();
+        h.set_xmax(rows[0], Some(TxnId(99))).unwrap();
+        assert_eq!(
+            h.vacuum(|t| t.xmax().is_some() || t.xmin() == TxnId(20))
+                .unwrap(),
+            2
+        );
+        assert_eq!(summaries(&h, &[0, 1, 2, 3]), expected);
+    }
+
+    #[test]
+    fn a_verdict_skips_a_page_or_reads_its_first_slots_and_is_asked_again() {
+        let rows = interleaved(2, 400);
+        let (h, _) = heap_of(&rows);
+        let pages = summaries(&h, &[]);
+        assert!(pages.len() >= 3);
+        // Skip the first page, read 5 slots of the second and then skip the
+        // rest of it, read the rest whole.
+        let mut asked = Vec::new();
+        let mut read = Vec::new();
+        h.walk::<StorageError>(
+            &[],
+            |p| {
+                asked.push((p.page, p.slots));
+                Ok(match asked.len() {
+                    1 => Verdict::Skip,
+                    2 => Verdict::ReadFirst(5),
+                    3 => Verdict::ReadFirst(0),
+                    _ => Verdict::Read,
+                })
+            },
+            |row, _, _| {
+                read.push(row);
+                Ok(true)
+            },
+        )
+        .unwrap();
+        let (second, second_slots) = (pages[1].0, pages[1].2);
+        assert_eq!(asked[1], (second, second_slots));
+        assert_eq!(asked[2], (second, second_slots - 5));
+        assert_eq!(asked.len(), pages.len() + 1);
+        let on = |page: u32| read.iter().filter(|r| r.page == page).count();
+        assert_eq!(on(pages[0].0), 0);
+        assert_eq!(on(second), 5);
+        assert!(read.iter().filter(|r| r.page == second).all(|r| r.slot < 5));
+        let rest: usize = pages[2..].iter().map(|p| p.2 as usize).sum();
+        assert_eq!(read.len(), 5 + rest);
+
+        // Read slot by slot, every slot is asked about once.
+        let mut asked = 0;
+        let mut read = 0;
+        h.walk::<StorageError>(
+            &[],
+            |_| {
+                asked += 1;
+                Ok(Verdict::ReadFirst(1))
+            },
+            |_, _, _| {
+                read += 1;
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert_eq!((asked, read), (rows.len(), rows.len()));
     }
 
     #[test]

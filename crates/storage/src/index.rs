@@ -246,15 +246,32 @@ impl OrderedIndex {
             .collect()
     }
 
+    /// [`OrderedIndex::range`] with bounds that are key prefixes, `high`
+    /// taking in every key that extends it: `(w, d, o)` to `(w, d)` is every
+    /// key of the `(w, d)` group from `o` on. Over full keys the two agree.
+    pub fn range_of_prefixes(&self, low: Option<&[Datum]>, high: Option<&[Datum]>) -> Vec<RowId> {
+        let bound = |b: Option<&[Datum]>| b.map(encode_key).unwrap_or_default();
+        self.between(&bound(low), &bound(high))
+    }
+
     /// Row ids whose key starts with `prefix` (useful for composite keys such
-    /// as `(warehouse, district)` scans in TPC-C), in key order. The scan
-    /// starts at the prefix's encoding and stops at the first key that does
-    /// not extend it, so cost is proportional to the group, not the index.
+    /// as `(warehouse, district)` scans in TPC-C), in key order.
     pub fn prefix(&self, prefix: &[Datum]) -> Vec<RowId> {
         let prefix = encode_key(prefix);
+        self.between(&prefix, &prefix)
+    }
+
+    /// Row ids, in key order, whose encoded keys are at least `low` and,
+    /// cut to the length of `high`, at most `high`; an empty `high` bounds
+    /// nothing. Every datum's encoding is self-delimiting, so with `low` and
+    /// `high` encodings of key prefixes this is every key from `low` on up to
+    /// the last key that extends `high`. The scan starts at `low` and stops
+    /// at the first key past `high`, so its cost is proportional to what it
+    /// returns, not to the index.
+    fn between(&self, low: &[u8], high: &[u8]) -> Vec<RowId> {
         let map = self.map.read();
-        map.range::<[u8], _>((Bound::Included(&prefix[..]), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(&prefix))
+        map.range::<[u8], _>((Bound::Included(low), Bound::Unbounded))
+            .take_while(|(k, _)| high.is_empty() || k[..k.len().min(high.len())] <= *high)
             .flat_map(|(_, rows)| rows.as_slice())
             .copied()
             .collect()
@@ -335,6 +352,45 @@ mod tests {
         assert_eq!(idx.prefix(&key(&[1])), vec![row(1), row(2)]);
         assert_eq!(idx.prefix(&key(&[256])), vec![row(4)]);
         assert_eq!(idx.prefix(&[]).len(), 4);
+    }
+
+    #[test]
+    fn a_bound_on_a_middle_key_column_stops_at_the_end_of_its_prefix() {
+        let idx = OrderedIndex::new();
+        let mut n = 0;
+        for w in 1..=2 {
+            for o in 1..=10 {
+                for line in 1..=3 {
+                    n += 1;
+                    insert(&idx, &[w, o, line], row(n));
+                }
+            }
+        }
+        // `w = 1 AND o >= 8`: the last three orders of group 1, every line.
+        let from_8 = idx.range_of_prefixes(Some(&key(&[1, 8])), Some(&key(&[1])));
+        assert_eq!(from_8, (22..=30).map(row).collect::<Vec<_>>());
+        // `w = 1 AND o <= 2`, and `w = 1 AND 4 <= o <= 5`.
+        let to_2 = idx.range_of_prefixes(Some(&key(&[1])), Some(&key(&[1, 2])));
+        assert_eq!(to_2, (1..=6).map(row).collect::<Vec<_>>());
+        let four_five = idx.range_of_prefixes(Some(&key(&[1, 4])), Some(&key(&[1, 5])));
+        assert_eq!(four_five, (10..=15).map(row).collect::<Vec<_>>());
+        // A bound past the group's last order, and crossed bounds.
+        assert!(idx
+            .range_of_prefixes(Some(&key(&[1, 11])), Some(&key(&[1])))
+            .is_empty());
+        assert!(idx
+            .range_of_prefixes(Some(&key(&[1, 5])), Some(&key(&[1, 4])))
+            .is_empty());
+        // Over full keys it is the plain range.
+        let (lo, hi) = (key(&[1, 4, 2]), key(&[2, 1, 1]));
+        let full = idx.range_of_prefixes(Some(&lo), Some(&hi));
+        assert_eq!(full, idx.range(Some(&lo), Some(&hi)));
+        assert_eq!(full, (11..=31).map(row).collect::<Vec<_>>());
+        // The prefix scan is the same form with both bounds the prefix.
+        assert_eq!(
+            idx.prefix(&key(&[2])),
+            (31..=60).map(row).collect::<Vec<_>>()
+        );
     }
 
     #[test]

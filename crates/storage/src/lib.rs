@@ -58,7 +58,7 @@ pub use audit::{chain_hash, verify_chain, AuditChain, AuditChainBreak, AuditChai
 pub use buffer::{BufferPool, BufferStats};
 pub use engine::{StorageEngine, StorageKind, TableId};
 pub use error::{StorageError, StorageResult};
-pub use heap::{RowId, TableHeap};
+pub use heap::{IntRange, PageSummary, RowId, TableHeap, Verdict};
 pub use index::{encode_key, OrderedIndex};
 pub use labels::{LabelDictionary, LabelId};
 pub use mvcc::{

@@ -120,7 +120,7 @@ mod tests {
     use super::*;
     use crate::engine::{StorageEngine, StorageKind};
     use crate::error::StorageError;
-    use crate::heap::RowId;
+    use crate::heap::{RowId, Verdict};
     use crate::schema::{ColumnDef, TableSchema};
     use crate::tuple::{encode, with_mvcc_header, TupleRef, MVCC_HEADER_LEN};
     use crate::value::{DataType, Datum};
@@ -339,10 +339,16 @@ mod tests {
         let t = eng.table_by_name("t").unwrap();
         let txn = eng.begin().unwrap();
         let mut out = Vec::new();
-        eng.visit_visible::<StorageError>(&eng.snapshot(txn), t.id(), |row, page_label, tuple| {
-            out.push((row, page_label.is_some(), tuple.data()?));
-            Ok(true)
-        })
+        eng.visit_visible::<StorageError>(
+            &eng.snapshot(txn),
+            t.id(),
+            &[],
+            |_| Ok(Verdict::Read),
+            |row, page_label, tuple| {
+                out.push((row, page_label.is_some(), tuple.data()?));
+                Ok(true)
+            },
+        )
         .unwrap();
         eng.commit(txn).unwrap();
         out

@@ -19,8 +19,13 @@ pub struct EngineStats {
     pub tuples_inserted: u64,
     /// Tuple versions deleted or superseded.
     pub tuples_deleted: u64,
-    /// Tuple versions examined by scans.
+    /// Tuple versions examined by scans: the live slots of the heap pages
+    /// they read.
     pub tuples_scanned: u64,
+    /// Heap pages scans left unread, decided from their summaries: chain
+    /// pages whose label the reader cannot read, and pages whose value
+    /// ranges the scan's filter cannot match.
+    pub pages_skipped: u64,
     /// Full-table visible scans started (`scan_visible` calls).
     pub full_table_scans: u64,
     /// Index point lookups served.
@@ -31,7 +36,8 @@ pub struct EngineStats {
     /// pages and those reached through an index.
     pub label_checks: u64,
     /// Single-label heap pages whose label a scan decided once for all
-    /// their tuples.
+    /// their tuples, before reading them. A page skipped on its value
+    /// ranges takes no label decision.
     pub label_page_checks: u64,
     /// Transactions started on this engine (replicated transactions are
     /// the primary's and are not counted).

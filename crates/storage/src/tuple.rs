@@ -213,6 +213,18 @@ impl<'a> TupleRef<'a> {
         Ok(data)
     }
 
+    /// Calls `f` with each field's position and, when the field is an
+    /// [`Datum::Int`], its value.
+    pub fn for_each_int(&self, mut f: impl FnMut(usize, Option<i64>)) -> StorageResult<()> {
+        let mut pos = self.fields_at;
+        for i in 0..self.field_count() {
+            let (int, next) = Datum::int_at(self.buf, pos)?;
+            f(i, int);
+            pos = next;
+        }
+        Ok(())
+    }
+
     /// Builds the owned version, its label's tags looked up in `labels`.
     pub fn to_version(&self, labels: &LabelDictionary) -> StorageResult<TupleVersion> {
         let label = match self.label {

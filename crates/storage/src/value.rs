@@ -217,6 +217,14 @@ impl Datum {
         Ok(Self::frame(buf, pos).ok_or_else(bad_datum)?.2)
     }
 
+    /// The value of the datum encoded at `pos` if it is an [`Datum::Int`],
+    /// and the position just past it, decoding no other kind's payload.
+    pub(crate) fn int_at(buf: &[u8], pos: usize) -> StorageResult<(Option<i64>, usize)> {
+        let (kind, payload, end) = Self::frame(buf, pos).ok_or_else(bad_datum)?;
+        let int = (kind == 1).then(|| i64::from_le_bytes(payload.try_into().expect("eight bytes")));
+        Ok((int, end))
+    }
+
     /// Decodes a datum from `buf` starting at `pos`, returning the datum and
     /// the new position.
     ///

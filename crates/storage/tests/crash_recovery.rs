@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use ifdb_storage::engine::{StorageEngine, StorageKind};
-use ifdb_storage::heap::RowId;
+use ifdb_storage::heap::{RowId, Verdict};
 use ifdb_storage::mvcc::BOOTSTRAP_TXN;
 use ifdb_storage::wal::{DurabilityConfig, LogRecord, Wal};
 use ifdb_storage::{
@@ -538,10 +538,14 @@ fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
     for name in eng.table_names() {
         let t = eng.table_by_name(&name).unwrap();
         t.heap()
-            .walk::<StorageError>(|_, label, tuple| {
-                ok &= label.is_none_or(|l| tuple.label_id() == l);
-                Ok(true)
-            })
+            .walk::<StorageError>(
+                &[],
+                |_| Ok(Verdict::Read),
+                |_, label, tuple| {
+                    ok &= label.is_none_or(|l| tuple.label_id() == l);
+                    Ok(true)
+                },
+            )
             .unwrap();
     }
     ok
