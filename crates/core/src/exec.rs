@@ -39,7 +39,10 @@
 //! (see `ifdb_storage::heap`): a label-homogeneous page whose label does not
 //! admit the reader, or a page whose value range on some column is bounded
 //! (holds only `Int`s) and misses the bounds the filter places there, is
-//! left unread.
+//! left unread. On the pages it reads, the same bounds then decide rows: a
+//! row the label admits whose `Int`s miss them is dropped from its bytes,
+//! before any field is decoded. Both tests only ever reject; the whole
+//! filter still decides every row they let through.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -482,17 +485,28 @@ impl Session {
                 _ => Ok(Verdict::Read),
             }
         };
-        // Each tuple is looked at where it lies in its page. Only a row the
-        // label admits has the filter's columns decoded, into `probe`, and
-        // only a row that also passes the filter is materialised.
+        // Each tuple is looked at where it lies in its page, in this order:
+        // visibility (the engine), then its label; nothing else of a row is
+        // read before its label admits it. On a full scan, a row the label
+        // admits is then tested against the filter's bounds on the `Int`s
+        // in its bytes, which only ever rejects: a field that is not an
+        // `Int` passes, and a row inside every bound still meets the whole
+        // filter. Only a row that passes has the filter's columns decoded,
+        // into `probe`, and only a row that also passes the filter is
+        // materialised.
         let filter_columns = plan.filter.columns();
         let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
+        let mut rejected = 0;
         let mut visit =
             |rid: RowId, page_label: Option<LabelId>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
                 let mut confined = confined.borrow_mut();
                 let Some(effective) = confined.admits(page_label, tuple.label_id())? else {
                     return Ok(true);
                 };
+                if !tuple.ints_within(&bounded, &bounds)? {
+                    rejected += 1;
+                    return Ok(true);
+                }
                 tuple.fields_into(&filter_columns, &mut probe)?;
                 if !plan.filter.matches(&probe, effective) {
                     return Ok(true);
@@ -528,6 +542,11 @@ impl Session {
         };
         let confined = confined.borrow();
         engine.count_label_checks(confined.row_checks, confined.page_checks);
+        // Only a full scan rejects rows from their bytes; an index path
+        // pays nothing for the counter.
+        if rejected > 0 {
+            engine.count_rows_rejected_by_bounds(rejected);
+        }
         scanned
     }
 

@@ -1465,6 +1465,84 @@ fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail(
     );
 }
 
+/// A full scan tests the filter's `Int` bounds on each row its label
+/// admits, in the tuple bytes, and counts the rows that fail them: exactly
+/// the admitted rows whose `Int`s lie outside the bounds. Rows the label
+/// denies, invisible versions, and fields that are not `Int`s (`Null`s,
+/// `Float`s compared with `Int` literals) are never counted, and neither is
+/// anything on an index path or under a filter that bounds nothing.
+#[test]
+fn a_full_scan_counts_the_admitted_rows_its_bounds_reject() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    let tag = db.create_tag(user, "secret", &[]).unwrap();
+    db.create_table(
+        TableDef::new("D")
+            .column("id", DataType::Int)
+            .nullable_column("val", DataType::Int)
+            .column("f", DataType::Float)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    // `val` is spread over every page, so no page is skipped on its range;
+    // every 50th row's is a Null.
+    let val = |i: i64| (i % 50 != 0).then_some((i * 7_919) % 600);
+    let insert = |s: &mut Session, ids: std::ops::Range<i64>| {
+        s.begin().unwrap();
+        for i in ids {
+            let v = val(i).map_or(Datum::Null, Datum::Int);
+            let row = vec![Datum::Int(i), v, Datum::Float(4.5)];
+            s.insert(&Insert::new("D", row)).unwrap();
+        }
+        s.commit().unwrap();
+    };
+    let mut public = db.session(user);
+    insert(&mut public, 0..600);
+    let mut secret = db.session(user);
+    secret.add_secrecy(tag).unwrap();
+    insert(&mut secret, 600..900);
+    // Deleted versions stay on their pages, invisible.
+    let gone = Predicate::Lt("id".into(), Datum::Int(40));
+    assert_eq!(public.delete(&Delete::new("D", gone)).unwrap(), 40);
+
+    let rejected = |q: Select| {
+        let mut reader = db.session(user);
+        let before = db.engine().stats();
+        let rows = reader.select(&q).unwrap().len();
+        let after = db.engine().stats();
+        (
+            rows,
+            after.rows_rejected_by_bounds - before.rows_rejected_by_bounds,
+        )
+    };
+    let window = Predicate::Ge("val".into(), Datum::Int(100))
+        .and(Predicate::Lt("val".into(), Datum::Int(150)));
+    let admitted = 600 - 40;
+    let inside = (40..600)
+        .filter(|i| val(*i).is_none_or(|v| (100..150).contains(&v)))
+        .count();
+    let returned = (40..600).filter(|i| val(*i).is_some_and(|v| (100..150).contains(&v)));
+    assert_eq!(
+        rejected(Select::star("D").filter(window.clone())),
+        (returned.count(), (admitted - inside) as u64)
+    );
+    assert_eq!(admitted - inside, 504);
+    // Floats pass even an empty `Int` interval, and a filter that bounds
+    // nothing, or an index path, rejects nothing from its bytes.
+    let no_int_between =
+        Predicate::Gt("f".into(), Datum::Int(4)).and(Predicate::Lt("f".into(), Datum::Int(5)));
+    assert_eq!(
+        rejected(Select::star("D").filter(no_int_between)),
+        (admitted, 0)
+    );
+    let either = window
+        .clone()
+        .or(Predicate::Eq("val".into(), Datum::Int(7)));
+    assert_eq!(rejected(Select::star("D").filter(either)).1, 0);
+    let by_key = Predicate::Eq("id".into(), Datum::Int(41)).and(window);
+    assert_eq!(rejected(Select::star("D").filter(by_key)).1, 0);
+}
+
 #[test]
 fn secondary_index_equality_avoids_full_scan() {
     let db = Database::in_memory();

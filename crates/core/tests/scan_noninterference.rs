@@ -25,6 +25,19 @@
 //! adds such pages and moves every shared-page boundary, and the low
 //! observations must still not change.
 //!
+//! The closure must also hold row by row. On the shared tail, high rows sit
+//! between low ones, so a page's range spans both and rarely rules it out;
+//! there a full scan tests the filter's `Int` bounds on each row its label
+//! admits, in the tuple bytes, before decoding it. A high row is denied on
+//! its label before its bytes are read, whether or not its `lv` meets the
+//! bounds, so deleting it from the history (Ochsenschläger and Rieke's
+//! shuffle projection, PAPERS.md: the low language is the mixed one with
+//! the high events projected away, and each high step is shuffled in
+//! between low ones) must not change a low observation. The queries bound
+//! `lv` both ways — bounds the high stretches meet and bounds they miss,
+//! on the table and through the view — and the low observations must be
+//! identical live, on the replica and after recovery.
+//!
 //! A second mixed history starts with high transactions that define many
 //! labels before the low history's first insert — one of them of 301 tags,
 //! more than a byte can count, and some of them in transactions that abort.
@@ -377,6 +390,34 @@ fn queries(auth: &Authority) -> Vec<(&'static str, Select, Access)> {
             ),
             Access::Heap,
         ),
+        // Bounds decided row by row on the shared tail: two the high
+        // stretches (500 and up) meet, two they miss.
+        (
+            "lv bound meeting the high stretches",
+            Select::star("T").filter(
+                Predicate::Ge("lv".into(), int(440)).and(Predicate::Lt("lv".into(), int(620))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "view, lv bound meeting the high stretches",
+            Select::star("V").filter(
+                Predicate::Gt("lv".into(), int(120)).and(Predicate::Ne("cat".into(), int(1))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "lv bound missing the high stretches",
+            Select::star("T").filter(
+                Predicate::Gt("lv".into(), int(10)).and(Predicate::Le("lv".into(), int(140))),
+            ),
+            Access::Heap,
+        ),
+        (
+            "view, lv bound missing the high stretches",
+            Select::star("V").filter(Predicate::Lt("lv".into(), int(330))),
+            Access::Heap,
+        ),
         (
             "index equality",
             Select::star("T").filter(eq("cat", 3)),
@@ -451,9 +492,10 @@ fn observe(db: &Database, auth: &Authority) -> Vec<(String, Vec<String>)> {
     out
 }
 
-/// The pages the query `name` skipped under the empty reader label, and
-/// the single-label pages whose label it decided.
-fn skips(db: &Database, auth: &Authority, name: &str) -> (u64, u64) {
+/// The pages the query `name` skipped under the empty reader label, the
+/// single-label pages whose label it decided, and the rows it rejected on
+/// their bytes.
+fn skips(db: &Database, auth: &Authority, name: &str) -> (u64, u64, u64) {
     let (_, q, _) = queries(auth)
         .into_iter()
         .find(|(n, _, _)| *n == name)
@@ -465,6 +507,7 @@ fn skips(db: &Database, auth: &Authority, name: &str) -> (u64, u64) {
     (
         after.pages_skipped - before.pages_skipped,
         after.label_page_checks - before.label_page_checks,
+        after.rows_rejected_by_bounds - before.rows_rejected_by_bounds,
     )
 }
 
@@ -609,6 +652,14 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
             skips(&mixed, &mixed_auth, over),
         );
         assert!(mixed_skips.0 > low_skips.0 && mixed_skips.1 > low_skips.1);
+        // On pages the bounds cannot skip, rows are rejected from their
+        // bytes; the high rows among them are denied on their labels first.
+        let by_row = "lv bound missing the high stretches";
+        let (low_rows, mixed_rows) = (
+            skips(&low, &low_auth, by_row),
+            skips(&mixed, &mixed_auth, by_row),
+        );
+        assert!(low_rows.2 > 0 && mixed_rows.2 > 0);
 
         let seen = observe(&low, &low_auth);
         assert!(seen.iter().filter(|(_, rows)| !rows.is_empty()).count() > 30);

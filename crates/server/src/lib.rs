@@ -1247,6 +1247,7 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("tuples_deleted", e.tuples_deleted)
         .push("tuples_scanned", e.tuples_scanned)
         .push("pages_skipped", e.pages_skipped)
+        .push("rows_rejected_by_bounds", e.rows_rejected_by_bounds)
         .push("full_table_scans", e.full_table_scans)
         .push("index_point_lookups", e.index_point_lookups)
         .push("index_range_scans", e.index_range_scans)

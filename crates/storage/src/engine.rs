@@ -134,6 +134,7 @@ pub struct StorageEngine {
     tuples_deleted: AtomicU64,
     tuples_scanned: AtomicU64,
     pages_skipped: AtomicU64,
+    rows_rejected_by_bounds: AtomicU64,
     full_table_scans: AtomicU64,
     index_point_lookups: AtomicU64,
     index_range_scans: AtomicU64,
@@ -235,6 +236,7 @@ impl StorageEngine {
             tuples_deleted: AtomicU64::new(0),
             tuples_scanned: AtomicU64::new(0),
             pages_skipped: AtomicU64::new(0),
+            rows_rejected_by_bounds: AtomicU64::new(0),
             full_table_scans: AtomicU64::new(0),
             index_point_lookups: AtomicU64::new(0),
             index_range_scans: AtomicU64::new(0),
@@ -1009,6 +1011,16 @@ impl StorageEngine {
         self.label_page_checks.fetch_add(pages, Ordering::Relaxed);
     }
 
+    /// Records `rows` that a full scan read, whose labels admitted them, and
+    /// that it then rejected on the `Int`s in their bytes
+    /// ([`TupleRef::ints_within`]) without decoding a field. Like
+    /// [`StorageEngine::count_label_checks`], the executor decides and
+    /// reports; the count sits in [`EngineStats`] beside `pages_skipped`.
+    pub fn count_rows_rejected_by_bounds(&self, rows: u64) {
+        self.rows_rejected_by_bounds
+            .fetch_add(rows, Ordering::Relaxed);
+    }
+
     /// Point lookup through the named index: returns the row ids whose
     /// indexed columns equal `key`. Visibility is *not* applied here.
     pub fn index_lookup(
@@ -1504,6 +1516,7 @@ impl StorageEngine {
         s.tuples_deleted = self.tuples_deleted.load(Ordering::Relaxed);
         s.tuples_scanned = self.tuples_scanned.load(Ordering::Relaxed);
         s.pages_skipped = self.pages_skipped.load(Ordering::Relaxed);
+        s.rows_rejected_by_bounds = self.rows_rejected_by_bounds.load(Ordering::Relaxed);
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
         s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);

@@ -11,7 +11,9 @@
 //! Reads are in place: [`TableHeap::walk`] (every live version of the pages
 //! it reads) and [`TableHeap::read`] (one) hand their caller a [`TupleRef`]
 //! over the slot bytes of a pinned page, so a caller that rejects a tuple on
-//! its header or label never builds it. The owned-version entry points
+//! its header, its label or the `Int`s in its bytes
+//! ([`TupleRef::ints_within`]) never decodes a field into a
+//! [`crate::Datum`], let alone builds the tuple. The owned-version entry points
 //! (`scan`, `fetch`, `version_count`, `vacuum`) are adapters over those two.
 //!
 //! # Pages follow labels
@@ -145,6 +147,11 @@ impl IntRange {
             lo: self.lo.max(other.lo),
             hi: self.hi.min(other.hi),
         }
+    }
+
+    /// Whether `value` lies in the range.
+    pub fn contains(&self, value: i64) -> bool {
+        self.lo <= value && value <= self.hi
     }
 
     /// Whether some value lies in both ranges.

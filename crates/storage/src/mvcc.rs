@@ -214,13 +214,20 @@ const VISIBILITY_SLOTS: usize = 64;
 ///
 /// Whether a snapshot sees a transaction's effects never changes while the
 /// snapshot lives (a commit that lands later carries a stamp at or above the
-/// snapshot's floor), so the answer is remembered per transaction id and the
-/// transaction table's lock is taken once per distinct writer, not once per
-/// row. Ids are near-sequential, so the memo is a small direct-mapped table:
-/// a collision only costs the lookup it replaces.
+/// snapshot's floor), so every answer is exact for the rest of the scan and
+/// is remembered twice over:
+///
+/// * the previous version's `(xmin, xmax)` and verdict, because consecutive
+///   versions on a page usually share their writer (a bulk load, one
+///   transaction's inserts), so most versions cost two comparisons;
+/// * behind it, the answer per transaction id, so the transaction table's
+///   lock is taken once per distinct writer, not once per row. Ids are
+///   near-sequential, so this memo is a small direct-mapped table: a
+///   collision only costs the lookup it replaces.
 pub struct ScanVisibility<'a> {
     txns: &'a TransactionManager,
     snapshot: &'a Snapshot,
+    last: Option<(TxnId, Option<TxnId>, bool)>,
     seen: [Option<(TxnId, bool)>; VISIBILITY_SLOTS],
 }
 
@@ -240,7 +247,14 @@ impl ScanVisibility<'_> {
     /// [`TransactionManager::is_visible`] for a version created by `xmin`
     /// and deleted or superseded by `xmax`.
     pub fn is_visible(&mut self, xmin: TxnId, xmax: Option<TxnId>) -> bool {
-        self.sees(xmin) && !xmax.is_some_and(|x| self.sees(x))
+        match self.last {
+            Some((min, max, visible)) if min == xmin && max == xmax => visible,
+            _ => {
+                let visible = self.sees(xmin) && !xmax.is_some_and(|x| self.sees(x));
+                self.last = Some((xmin, xmax, visible));
+                visible
+            }
+        }
     }
 }
 
@@ -538,6 +552,7 @@ impl TransactionManager {
         ScanVisibility {
             txns: self,
             snapshot,
+            last: None,
             seen: [None; VISIBILITY_SLOTS],
         }
     }
@@ -970,6 +985,98 @@ mod tests {
             &mgr.snapshot(mgr.begin()),
             &header(BOOTSTRAP_TXN, Some(TxnId(8)))
         ));
+    }
+
+    /// Writers of a [`ScanVisibility`] walk, by what they do relative to
+    /// its snapshot: commit before it, commit during the walk, abort before
+    /// it, stay in progress, or start after it and commit during the walk.
+    /// On a replica they are streamed transactions with the primary's small
+    /// ids, which only the commit floor fences.
+    fn writers(mgr: &TransactionManager, replica: bool, fates: &[u8]) -> Vec<TxnId> {
+        fates
+            .iter()
+            .enumerate()
+            .map(|(i, fate)| {
+                let txn = if replica {
+                    let txn = TxnId(1 + i as u64);
+                    if *fate != 4 {
+                        mgr.begin_replicated(txn);
+                    }
+                    txn
+                } else if *fate == 4 {
+                    // Allocated once the snapshot is taken.
+                    return TxnId(0);
+                } else {
+                    begin_writer(mgr)
+                };
+                match (fate, replica) {
+                    (0, false) => mgr.commit(txn).unwrap(),
+                    (0, true) => mgr.commit_replicated(txn),
+                    (2, false) => mgr.abort(txn).unwrap(),
+                    (2, true) => mgr.abort_replicated(txn),
+                    _ => {}
+                }
+                txn
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scan_visibility_answers_as_the_transaction_table_does(
+            replica in 0u8..2,
+            fates in proptest::collection::vec(0u8..5, 8..9),
+            runs in proptest::collection::vec(0u32..u32::MAX, 1..40),
+            late_at in 0usize..150,
+        ) {
+            let mgr = TransactionManager::new();
+            let replica = replica == 1;
+            if replica {
+                mgr.reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+            }
+            let mut ids = writers(&mgr, replica, &fates);
+            let reader = mgr.begin();
+            let snapshot = mgr.snapshot(reader);
+            for (id, fate) in ids.iter_mut().zip(&fates) {
+                if *fate == 4 && !replica {
+                    *id = begin_writer(&mgr);
+                }
+            }
+            // Besides the writers: the reader itself, the bootstrap
+            // transaction, and an id nothing started that shares a memo
+            // slot with the first writer.
+            ids.extend([reader, BOOTSTRAP_TXN, TxnId(ids[0].0 + VISIBILITY_SLOTS as u64)]);
+            let mut visibility = mgr.visibility(&snapshot);
+            let mut step = 0;
+            for run in runs {
+                // A run of up to six versions with one `(xmin, xmax)`.
+                let xmin = ids[(run / 6) as usize % ids.len()];
+                let xmax = ids.get((run / 66) as usize % 16).copied();
+                for _ in 0..=run % 6 {
+                    if step == late_at {
+                        // The writers settle mid-walk.
+                        for (i, fate) in fates.iter().enumerate() {
+                            match (fate, replica) {
+                                (1 | 4, false) => mgr.commit(ids[i]).unwrap(),
+                                (1, true) => mgr.commit_replicated(ids[i]),
+                                (4, true) => {
+                                    mgr.begin_replicated(ids[i]);
+                                    mgr.commit_replicated(ids[i]);
+                                }
+                                _ => {}
+                            }
+                        }
+                    }
+                    step += 1;
+                    proptest::prop_assert_eq!(
+                        visibility.is_visible(xmin, xmax),
+                        mgr.is_visible(&snapshot, &header(xmin, xmax)),
+                        "{:?} {:?} at step {} of {:?}, replica: {}",
+                        xmin, xmax, step, fates, replica
+                    );
+                }
+            }
+        }
     }
 
     #[test]

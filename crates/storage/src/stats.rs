@@ -26,6 +26,10 @@ pub struct EngineStats {
     /// pages whose label the reader cannot read, and pages whose value
     /// ranges the scan's filter cannot match.
     pub pages_skipped: u64,
+    /// Rows full scans read and their labels admitted, then rejected on the
+    /// `Int` bounds their filters place on columns, tested on the tuple
+    /// bytes before any field is decoded.
+    pub rows_rejected_by_bounds: u64,
     /// Full-table visible scans started (`scan_visible` calls).
     pub full_table_scans: u64,
     /// Index point lookups served.
