@@ -745,9 +745,12 @@ impl Connection {
     }
 
     /// Fetches the server's unified metrics tree: engine, server, QoS and
-    /// audit counters in one [`protocol::MetricsSnapshot`].
-    pub fn server_stats(&mut self) -> IfdbResult<protocol::MetricsSnapshot> {
-        match self.call(&Request::Stats)? {
+    /// audit counters in one [`protocol::MetricsSnapshot`]. Authenticated by
+    /// the platform secret, as [`Connection::reconfigure`] is.
+    pub fn server_stats(&mut self, secret: &str) -> IfdbResult<protocol::MetricsSnapshot> {
+        match self.call(&Request::Stats {
+            secret: secret.to_string(),
+        })? {
             Response::Stats { snapshot } => Ok(snapshot),
             other => Err(unexpected(other)),
         }

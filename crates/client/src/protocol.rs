@@ -48,7 +48,10 @@ use ifdb_storage::{Datum, StorageError};
 /// (per-principal admission quota); `Reconfigure` hot-swaps the server's
 /// QoS limits without a restart, and `Stats` returns the unified
 /// [`MetricsSnapshot`] tree.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// Version 5: `Stats` carries the platform secret and is refused without
+/// the right one, because its counters move with every principal's scans.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload. Frames beyond this are a protocol error,
 /// not an allocation request.
@@ -67,15 +70,10 @@ fn protocol_error(detail: impl Into<String>) -> IfdbError {
 // Frames
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the payload — the same checksum the write-ahead log uses for
-/// its frames.
+/// FNV-1a over the payload: the write-ahead log's frame checksum
+/// ([`ifdb_storage::wal::frame_checksum`]).
 pub fn frame_checksum(payload: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for b in payload {
-        hash ^= u32::from(*b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
+    ifdb_storage::wal::frame_checksum(payload)
 }
 
 /// Writes one checksummed frame.
@@ -951,9 +949,14 @@ pub enum Request {
         config: Vec<u64>,
     },
     /// Asks for the unified metrics tree — answered with
-    /// [`Response::Stats`]. Requires no session, so monitoring can scrape a
-    /// node it has no credentials on.
-    Stats,
+    /// [`Response::Stats`]. Requires no session but the platform secret, as
+    /// [`Request::Reconfigure`] does: the counters move with other
+    /// principals' statements (pages a scan skipped or decoded, rows its
+    /// bounds rejected, audit events), so they are for the operator only.
+    Stats {
+        /// The platform secret configured on the server.
+        secret: String,
+    },
 }
 
 /// The unified observability tree ([`Request::Stats`]): named counter
@@ -1343,7 +1346,10 @@ impl Request {
                 w.str(secret);
                 w.tags(config);
             }
-            Request::Stats => w.u8(27),
+            Request::Stats { secret } => {
+                w.u8(27);
+                w.str(secret);
+            }
         }
         w.finish()
     }
@@ -1434,7 +1440,7 @@ impl Request {
                 secret: r.str()?,
                 config: r.tags()?,
             },
-            27 => Request::Stats,
+            27 => Request::Stats { secret: r.str()? },
             t => return Err(protocol_error(format!("unknown request tag {t}"))),
         };
         if !r.at_end() {
@@ -2069,7 +2075,9 @@ mod tests {
                 secret: "s3cret".into(),
                 config: vec![9, 1, 0, 1, 500, 0, 0, 0, 0],
             },
-            Request::Stats,
+            Request::Stats {
+                secret: "s3cret".into(),
+            },
         ];
         for req in reqs {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);

@@ -5,8 +5,9 @@
 
 use ifdb::{AggFunc, Aggregate, Delete, Insert, Join, Order, Predicate, Select, Statement, Update};
 use ifdb_client::protocol::{
-    decode_template, encode_template, frame_into, read_frame, read_frame_id, try_take_frame,
-    write_frame, write_frame_id, HaRole, Reader, Request, Response, WireRow, Writer,
+    decode_template, encode_template, frame_checksum, frame_into, read_frame, read_frame_id,
+    try_take_frame, write_frame, write_frame_id, HaRole, Reader, Request, Response, WireRow,
+    Writer,
 };
 use ifdb_difc::{Label, TagId};
 use ifdb_storage::Datum;
@@ -162,7 +163,7 @@ fn gen_wire_rows(rng: &mut StdRng) -> Vec<WireRow> {
 }
 
 fn gen_request(rng: &mut StdRng) -> Request {
-    match rng.gen_range(0..21) {
+    match rng.gen_range(0..22) {
         0 => Request::Hello {
             version: rng.gen(),
             user: gen_string(rng),
@@ -226,6 +227,9 @@ fn gen_request(rng: &mut StdRng) -> Request {
             generation: rng.gen(),
         },
         19 => Request::HaStatus,
+        20 => Request::Stats {
+            secret: gen_string(rng),
+        },
         _ => Request::Goodbye,
     }
 }
@@ -321,6 +325,21 @@ fn parse_all(buf: &[u8]) -> Result<Vec<(u32, Vec<u8>)>, ()> {
             Err(_) => return Err(()),
         }
     }
+}
+
+/// The wire's frame checksum is the log's: the same value on the payload
+/// the log's unit test pins, and on a frame as the wire writes it.
+#[test]
+fn frame_checksum_is_the_logs() {
+    assert_eq!(frame_checksum(b"ifdb frame"), 0x0609_EEC1);
+    let payload = b"any payload at all".to_vec();
+    assert_eq!(
+        frame_checksum(&payload),
+        ifdb_storage::wal::frame_checksum(&payload)
+    );
+    let mut framed = Vec::new();
+    write_frame(&mut framed, &payload).unwrap();
+    assert_eq!(framed[4..8], frame_checksum(&payload).to_le_bytes());
 }
 
 /// The wire bytes of every datum kind, pinned: the wire and the storage

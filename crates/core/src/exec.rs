@@ -39,10 +39,12 @@
 //! (see `ifdb_storage::heap`): a label-homogeneous page whose label does not
 //! admit the reader, or a page whose value range on some column is bounded
 //! (holds only `Int`s) and misses the bounds the filter places there, is
-//! left unread. On the pages it reads, the same bounds then decide rows: a
-//! row the label admits whose `Int`s miss them is dropped from its bytes,
-//! before any field is decoded. Both tests only ever reject; the whole
-//! filter still decides every row they let through.
+//! left unread. On the pages it reads, each live slot is decided from the
+//! page's column view (see `ifdb_storage::page`) before its bytes are
+//! read: its label, then the same bounds on its `Int`s; only a slot that
+//! passes both is parsed and asked its visibility. The bounds only ever
+//! reject; the whole filter still decides every visible row they let
+//! through.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -52,8 +54,8 @@ use ifdb_difc::audit::AuditEvent;
 use ifdb_difc::memo::DEFAULT_MEMO_CAPACITY;
 use ifdb_difc::Label;
 use ifdb_storage::{
-    Datum, IntRange, LabelDictionary, LabelId, PageSummary, RowId, Snapshot, TableId, TupleRef,
-    Verdict,
+    Datum, DecodedSlot, IntRange, LabelDictionary, LabelId, PageSummary, RowId, Snapshot, TableId,
+    TupleRef, Verdict,
 };
 
 use crate::catalog::{TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewSource};
@@ -162,10 +164,19 @@ impl<F: Fn(Label) -> Option<Label>> Confined<F> {
     /// The effective label of a row of stored label `id` on a page of
     /// `page_label`, if the label admits the row. A chain page's label was
     /// decided before the page was read, unless the budget had its first
-    /// slots read undecided; a row on the shared tail is decided alone.
+    /// slots read undecided; a row on the shared tail is decided alone, and
+    /// counted as a row check.
     fn admits(&mut self, page_label: Option<LabelId>, id: LabelId) -> IfdbResult<Option<&Label>> {
-        let Some(label) = page_label else {
+        if page_label.is_none() {
             self.row_checks += 1;
+        }
+        self.decided(page_label, id)
+    }
+
+    /// [`Confined::admits`] for a row whose label was already decided,
+    /// without counting the decision again.
+    fn decided(&mut self, page_label: Option<LabelId>, id: LabelId) -> IfdbResult<Option<&Label>> {
+        let Some(label) = page_label else {
             return self.decisions.get(id);
         };
         if !matches!(&self.page, Some((seen, _)) if *seen == label) {
@@ -485,48 +496,64 @@ impl Session {
                 _ => Ok(Verdict::Read),
             }
         };
-        // Each tuple is looked at where it lies in its page, in this order:
-        // visibility (the engine), then its label; nothing else of a row is
-        // read before its label admits it. On a full scan, a row the label
-        // admits is then tested against the filter's bounds on the `Int`s
-        // in its bytes, which only ever rejects: a field that is not an
-        // `Int` passes, and a row inside every bound still meets the whole
-        // filter. Only a row that passes has the filter's columns decoded,
-        // into `probe`, and only a row that also passes the filter is
-        // materialised.
+        // On a page a full scan reads, each live slot is decided from the
+        // page's column view, before its bytes are read: its label first,
+        // then the filter's bounds on its `Int`s, which only ever reject (a
+        // field that is not an `Int` passes). Nothing else of a row is read
+        // before its label admits it. Only a slot that passes both is parsed
+        // and asked its visibility (the engine), and only a visible one has
+        // the filter's columns decoded, into `probe`; the whole filter still
+        // decides it, and only a row that meets it is materialised. A tuple
+        // reached through an index is decided on its label alone, after its
+        // visibility.
+        let mut rejected = 0;
+        let mut decide = |page_label: Option<LabelId>, slot: DecodedSlot<'_>| -> IfdbResult<bool> {
+            if confined
+                .borrow_mut()
+                .admits(page_label, slot.label_id())?
+                .is_none()
+            {
+                return Ok(false);
+            }
+            let within = slot.ints_within(&bounds);
+            rejected += u64::from(!within);
+            Ok(within)
+        };
         let filter_columns = plan.filter.columns();
         let mut probe = vec![Datum::Null; filter_columns.last().map_or(0, |c| c + 1)];
-        let mut rejected = 0;
-        let mut visit =
-            |rid: RowId, page_label: Option<LabelId>, tuple: TupleRef<'_>| -> IfdbResult<bool> {
-                let mut confined = confined.borrow_mut();
-                let Some(effective) = confined.admits(page_label, tuple.label_id())? else {
-                    return Ok(true);
-                };
-                if !tuple.ints_within(&bounded, &bounds)? {
-                    rejected += 1;
-                    return Ok(true);
-                }
-                tuple.fields_into(&filter_columns, &mut probe)?;
-                if !plan.filter.matches(&probe, effective) {
-                    return Ok(true);
-                }
-                sink(ScanRow {
-                    row_id: Some((table_id, rid)),
-                    label: effective.clone(),
-                    values: tuple.data()?,
-                })
-            };
-
-        // Tuples reached through an index are decided one by one.
-        let mut by_row = |rid: RowId, tuple: TupleRef<'_>| {
+        let mut emit = |rid: RowId, effective: &Label, tuple: TupleRef<'_>| -> IfdbResult<bool> {
+            tuple.fields_into(&filter_columns, &mut probe)?;
+            if !plan.filter.matches(&probe, effective) {
+                return Ok(true);
+            }
+            sink(ScanRow {
+                row_id: Some((table_id, rid)),
+                label: effective.clone(),
+                values: tuple.data()?,
+            })
+        };
+        let mut by_row = |rid: RowId, tuple: TupleRef<'_>| -> IfdbResult<bool> {
             charge(1)?;
-            visit(rid, None, tuple)
+            match confined.borrow_mut().admits(None, tuple.label_id())? {
+                Some(effective) => emit(rid, effective, tuple),
+                None => Ok(true),
+            }
         };
         let scanned = match &plan.access {
-            AccessPath::FullScan => {
-                engine.visit_visible(&snapshot, table_id, &bounded, &mut verdict, &mut visit)
-            }
+            AccessPath::FullScan => engine.visit_visible(
+                &snapshot,
+                table_id,
+                &bounded,
+                &mut verdict,
+                &mut decide,
+                |rid, page_label, tuple| match confined
+                    .borrow_mut()
+                    .decided(page_label, tuple.label_id())?
+                {
+                    Some(effective) => emit(rid, effective, tuple),
+                    None => Ok(true),
+                },
+            ),
             AccessPath::IndexEq { index, key } => {
                 let rows = engine.index_lookup(table_id, index, key)?;
                 engine.visit_rows(&snapshot, table_id, rows, &mut by_row)
@@ -542,7 +569,7 @@ impl Session {
         };
         let confined = confined.borrow();
         engine.count_label_checks(confined.row_checks, confined.page_checks);
-        // Only a full scan rejects rows from their bytes; an index path
+        // Only a full scan rejects rows on their bounds; an index path
         // pays nothing for the counter.
         if rejected > 0 {
             engine.count_rows_rejected_by_bounds(rejected);

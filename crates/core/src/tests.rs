@@ -1446,6 +1446,12 @@ fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail(
         chained > shared,
         "{shared} shared, {chained} on label pages"
     );
+    // Four of label 0's rows on the shared tail (ids 0, 16, 32 and 48)
+    // are deleted: their versions keep their slots, invisible.
+    let mut writer = db.session(user);
+    writer.add_secrecy(tags[0]).unwrap();
+    let gone = Predicate::Lt("id".into(), Datum::Int(64));
+    assert_eq!(writer.delete(&Delete::new("D", gone)).unwrap(), 4);
 
     let mut reader = db.session(user);
     reader
@@ -1454,7 +1460,11 @@ fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail(
     let before = db.engine().stats();
     let rows = reader.select(&Select::star("D")).unwrap();
     let after = db.engine().stats();
-    assert_eq!(rows.len() as i64, 8 * PER_LABEL);
+    assert_eq!(rows.len() as i64, 8 * PER_LABEL - 4);
+    // Each live slot of the shared tail has its label decided once, from
+    // the page's column view and before its visibility is asked: the four
+    // deleted versions count, and so does every slot of a label the reader
+    // cannot read. Chain pages are decided once each.
     let checks = after.label_checks - before.label_checks;
     let pages = after.label_page_checks - before.label_page_checks;
     assert_eq!(checks, shared as u64);
@@ -1465,12 +1475,13 @@ fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail(
     );
 }
 
-/// A full scan tests the filter's `Int` bounds on each row its label
-/// admits, in the tuple bytes, and counts the rows that fail them: exactly
-/// the admitted rows whose `Int`s lie outside the bounds. Rows the label
-/// denies, invisible versions, and fields that are not `Int`s (`Null`s,
-/// `Float`s compared with `Int` literals) are never counted, and neither is
-/// anything on an index path or under a filter that bounds nothing.
+/// A full scan tests the filter's `Int` bounds on each slot its label
+/// admits, in the page's column view, before it asks the slot's visibility,
+/// and counts the slots that fail them: exactly the admitted slots whose
+/// `Int`s lie outside the bounds, invisible versions included. Slots the
+/// label denies and fields that are not `Int`s (`Null`s, `Float`s compared
+/// with `Int` literals) are never counted, and neither is anything on an
+/// index path or under a filter that bounds nothing.
 #[test]
 fn a_full_scan_counts_the_admitted_rows_its_bounds_reject() {
     let db = Database::in_memory();
@@ -1517,16 +1528,21 @@ fn a_full_scan_counts_the_admitted_rows_its_bounds_reject() {
     };
     let window = Predicate::Ge("val".into(), Datum::Int(100))
         .and(Predicate::Lt("val".into(), Datum::Int(150)));
+    // The label admits the 600 public slots, the 40 deleted versions among
+    // them included (they are rejected on their bounds before visibility is
+    // asked), and denies the 300 secret ones. Of the 600, 61 are inside the
+    // window or Null, so 539 are rejected: the 504 visible ones outside the
+    // window and 35 of the 40 deleted ones.
     let admitted = 600 - 40;
-    let inside = (40..600)
+    let inside = (0..600)
         .filter(|i| val(*i).is_none_or(|v| (100..150).contains(&v)))
         .count();
     let returned = (40..600).filter(|i| val(*i).is_some_and(|v| (100..150).contains(&v)));
     assert_eq!(
         rejected(Select::star("D").filter(window.clone())),
-        (returned.count(), (admitted - inside) as u64)
+        (returned.count(), (600 - inside) as u64)
     );
-    assert_eq!(admitted - inside, 504);
+    assert_eq!(600 - inside, 539);
     // Floats pass even an empty `Int` interval, and a filter that bounds
     // nothing, or an index path, rejects nothing from its bytes.
     let no_int_between =
@@ -1541,6 +1557,62 @@ fn a_full_scan_counts_the_admitted_rows_its_bounds_reject() {
     assert_eq!(rejected(Select::star("D").filter(either)).1, 0);
     let by_key = Predicate::Eq("id".into(), Datum::Int(41)).and(window);
     assert_eq!(rejected(Select::star("D").filter(by_key)).1, 0);
+}
+
+/// A page's column view is decoded once and kept: a second identical scan
+/// decodes nothing, a scan that bounds another column decodes only that
+/// column, a delete (an `xmax` patch) keeps every view, and an insert makes
+/// the next scan decode the one page it went to, and no other.
+#[test]
+fn a_page_is_decoded_once_until_a_slot_is_added_to_it() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("D")
+            .column("id", DataType::Int)
+            .column("v", DataType::Int)
+            .column("w", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let mut s = db.session(user);
+    s.begin().unwrap();
+    for i in 0..2_000 {
+        let row = vec![Datum::Int(i), Datum::Int(i % 40), Datum::Int(i % 7)];
+        s.insert(&Insert::new("D", row)).unwrap();
+    }
+    s.commit().unwrap();
+    let pages = db.engine().table_by_name("D").unwrap().heap().page_count() as u64;
+    assert!(pages > 4, "{pages} pages");
+
+    // Every page holds every `v` and `w`, so no page is skipped on a range.
+    let v_below = |k| Select::star("D").filter(Predicate::Lt("v".into(), Datum::Int(k)));
+    let w_below = |k| Select::star("D").filter(Predicate::Lt("w".into(), Datum::Int(k)));
+    let mut reader = db.session(user);
+    let mut decoded = |q: Select, rows: usize| {
+        let before = db.engine().stats().pages_decoded;
+        assert_eq!(reader.select(&q).unwrap().len(), rows);
+        db.engine().stats().pages_decoded - before
+    };
+    // The first scan decodes each page's label ids and its `v`s.
+    assert_eq!(decoded(v_below(10), 500), 2 * pages);
+    assert_eq!(decoded(v_below(10), 500), 0);
+    assert_eq!(decoded(v_below(20), 1_000), 0);
+    // Another column is decoded once per page, beside the first.
+    assert_eq!(decoded(w_below(1), 286), pages);
+    assert_eq!(decoded(w_below(1), 286), 0);
+    // A filter that bounds nothing decodes nothing.
+    assert_eq!(decoded(Select::star("D"), 2_000), 0);
+    // A delete patches `xmax` in place and keeps every view.
+    let gone = Predicate::Eq("id".into(), Datum::Int(5));
+    assert_eq!(s.delete(&Delete::new("D", gone)).unwrap(), 1);
+    assert_eq!(decoded(v_below(10), 499), 0);
+    // An insert adds a slot to one page, whose view it drops: that page's
+    // label ids and `v`s are decoded again, and nothing else.
+    let row = vec![Datum::Int(2_000), Datum::Int(0), Datum::Int(0)];
+    s.insert(&Insert::new("D", row)).unwrap();
+    assert_eq!(decoded(v_below(10), 500), 2);
+    assert_eq!(decoded(w_below(1), 287), 1);
 }
 
 #[test]

@@ -38,6 +38,17 @@
 //! on the table and through the view — and the low observations must be
 //! identical live, on the replica and after recovery.
 //!
+//! On the pages it reads, a full scan decides each slot from the page's
+//! column view — label, then bounds — which the first scan to need it
+//! builds from the page's bytes, whatever that scan's reader, and every
+//! later scan of any reader reuses. The high rows on the shared tail
+//! include some whose `lv` meets a query's bounds and some whose `lv`
+//! misses them, and the mixed database's low observations are taken after
+//! a high-labelled reader has run every query, so each page a low scan
+//! reads was decoded by that high scan first (the low scans then decode
+//! nothing); they must equal the low database's, where no high scan ran —
+//! live, on the replica, and after checkpoint and recovery.
+//!
 //! A second mixed history starts with high transactions that define many
 //! labels before the low history's first insert — one of them of 301 tags,
 //! more than a byte can count, and some of them in transactions that abort.
@@ -129,6 +140,12 @@ impl Authority {
             _ => &[m, h],
         };
         Label::from_tags(tags.iter().copied())
+    }
+
+    /// A label that reads every row of every history, high ones included.
+    fn high_reader(&self) -> Label {
+        let tags = [self.a, self.b, self.m, self.h];
+        Label::from_tags(tags.into_iter().chain(self.extra.iter().copied()))
     }
 
     fn readers(&self) -> Vec<Label> {
@@ -492,6 +509,56 @@ fn observe(db: &Database, auth: &Authority) -> Vec<(String, Vec<String>)> {
     out
 }
 
+/// Runs every query under [`Authority::high_reader`], so that the column
+/// views of the pages low readers' scans read are built by a high-labelled
+/// scan; returns how many page columns those scans decoded.
+fn high_scans(db: &Database, auth: &Authority) -> u64 {
+    let before = db.engine().stats().pages_decoded;
+    let mut s = db.session(auth.reader);
+    s.raise_label(&auth.high_reader()).unwrap();
+    for (name, q, _) in queries(auth) {
+        s.select(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    db.engine().stats().pages_decoded - before
+}
+
+/// [`observe`], after [`high_scans`] decoded the pages it reads: the low
+/// scans then decode nothing themselves.
+fn observe_after_high_scans(db: &Database, auth: &Authority) -> Vec<(String, Vec<String>)> {
+    assert!(high_scans(db, auth) > 0);
+    let before = db.engine().stats().pages_decoded;
+    let seen = observe(db, auth);
+    assert_eq!(db.engine().stats().pages_decoded, before);
+    seen
+}
+
+/// High rows on the shared tail whose `lv` lies in `[lo, hi)`, and those
+/// whose `lv` does not.
+fn high_tail_rows(db: &Database, auth: &Authority, lo: i64, hi: i64) -> (usize, usize) {
+    let labels = db.engine().labels();
+    let low: Vec<Option<u32>> = (0..LOW_LABELS as usize)
+        .map(|i| labels.id(&auth.label(i).to_array()))
+        .collect();
+    let (mut meet, mut miss) = (0, 0);
+    let t = db.engine().table_by_name("T").unwrap();
+    t.heap()
+        .walk::<StorageError>(
+            &[],
+            |_| Ok(Verdict::Read),
+            |_, page_label, tuple| {
+                if page_label.is_none() && !low.contains(&Some(tuple.label_id())) {
+                    match tuple.field(4)? {
+                        Datum::Int(v) if (lo..hi).contains(&v) => meet += 1,
+                        _ => miss += 1,
+                    }
+                }
+                Ok(true)
+            },
+        )
+        .unwrap();
+    (meet, miss)
+}
+
 /// The pages the query `name` skipped under the empty reader label, the
 /// single-label pages whose label it decided, and the rows it rejected on
 /// their bytes.
@@ -661,9 +728,20 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
         );
         assert!(low_rows.2 > 0 && mixed_rows.2 > 0);
 
+        // High rows sit on the shared tail, some inside the bounds of
+        // "lv bound meeting the high stretches" and some outside them.
+        let (meet, miss) = high_tail_rows(&mixed, &mixed_auth, 440, 620);
+        assert!(meet > 0 && miss > 0, "{meet} meet, {miss} miss");
+
+        // The low database's pages are decoded by its low scans; the mixed
+        // one's by a high-labelled scan before any low scan reads them.
         let seen = observe(&low, &low_auth);
         assert!(seen.iter().filter(|(_, rows)| !rows.is_empty()).count() > 30);
-        assert_same(&seen, &observe(&mixed, &mixed_auth), "live");
+        assert_same(
+            &seen,
+            &observe_after_high_scans(&mixed, &mixed_auth),
+            "live, decoded by a high scan first",
+        );
 
         // A replica rebuilds its primary's layout from the log, so it
         // answers exactly as its primary does.
@@ -675,6 +753,12 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
             &replicated,
             &observe(&mixed_replica, &mixed_replica_auth),
             "replica",
+        );
+        let (mixed_replica, mixed_replica_auth) = replica_of(&mixed);
+        assert_same(
+            &replicated,
+            &observe_after_high_scans(&mixed_replica, &mixed_replica_auth),
+            "replica, decoded by a high scan first",
         );
     }
     // Recovery replays only committed inserts, so its layout may differ
@@ -696,8 +780,8 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
         let (mixed, mixed_auth) = recover(&mixed_dir);
         assert_same(
             &observe(&low, &low_auth),
-            &observe(&mixed, &mixed_auth),
-            "recovered from a checkpoint",
+            &observe_after_high_scans(&mixed, &mixed_auth),
+            "recovered from a checkpoint, decoded by a high scan first",
         );
     }
     std::fs::remove_dir_all(&low_dir).ok();

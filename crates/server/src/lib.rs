@@ -891,12 +891,16 @@ fn handle_request(
         Request::Promote { secret } => handle_promote(shared, &secret),
         Request::Fence { secret, generation } => handle_fence(shared, &secret, generation),
         Request::HaStatus => ha_status_response(shared),
-        // The QoS control plane is sessionless as well: Reconfigure carries
-        // the platform secret on every request (same trust anchor as
-        // password-less logins), Stats is a read of public counters.
+        // The QoS control plane is sessionless as well: Reconfigure and
+        // Stats carry the platform secret on every request (same trust
+        // anchor as password-less logins). Stats is not public: its
+        // counters move with every principal's statements.
         Request::Reconfigure { secret, config } => handle_reconfigure(shared, &secret, &config),
-        Request::Stats => Response::Stats {
-            snapshot: metrics_snapshot(shared),
+        Request::Stats { secret } => match check_platform_secret(shared, &secret, "stats") {
+            Ok(()) => Response::Stats {
+                snapshot: metrics_snapshot(shared),
+            },
+            Err(refused) => refused,
         },
         other => {
             let Some(conn) = state.as_mut() else {
@@ -1163,20 +1167,8 @@ fn handle_fence(shared: &Arc<Shared>, secret: &str, generation: u64) -> Response
 /// the budget they were armed with; every later statement (on every already-
 /// open connection) sees the new policy.
 fn handle_reconfigure(shared: &Arc<Shared>, secret: &str, config: &[u64]) -> Response {
-    match &shared.config.platform_secret {
-        Some(expected) if expected == secret => {}
-        Some(_) => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REMOTE as u16,
-                detail: "invalid platform secret".into(),
-            })
-        }
-        None => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REMOTE as u16,
-                detail: "reconfiguration requires a platform secret to be configured".into(),
-            })
-        }
+    if let Err(refused) = check_platform_secret(shared, secret, "reconfiguration") {
+        return refused;
     }
     let Some(new) = QosConfig::from_wire(config) else {
         return encode_error(&IfdbError::Remote {
@@ -1189,6 +1181,21 @@ fn handle_reconfigure(shared: &Arc<Shared>, secret: &str, config: &[u64]) -> Res
         label: Vec::new(),
         seq: shared.current_seq(),
     }
+}
+
+/// Admits a control-plane request (`what`) that presents `secret`, or
+/// answers the refusal: the server must have a platform secret configured,
+/// and `secret` must be it.
+fn check_platform_secret(shared: &Shared, secret: &str, what: &str) -> Result<(), Response> {
+    let detail = match &shared.config.platform_secret {
+        Some(expected) if expected == secret => return Ok(()),
+        Some(_) => "invalid platform secret".to_string(),
+        None => format!("{what} requires a platform secret to be configured"),
+    };
+    Err(encode_error(&IfdbError::Remote {
+        code: code::REMOTE as u16,
+        detail,
+    }))
 }
 
 /// Assembles the unified metrics tree served by `Request::Stats` (and by
@@ -1247,6 +1254,7 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("tuples_deleted", e.tuples_deleted)
         .push("tuples_scanned", e.tuples_scanned)
         .push("pages_skipped", e.pages_skipped)
+        .push("pages_decoded", e.pages_decoded)
         .push("rows_rejected_by_bounds", e.rows_rejected_by_bounds)
         .push("full_table_scans", e.full_table_scans)
         .push("index_point_lookups", e.index_point_lookups)
@@ -1464,7 +1472,7 @@ fn handle_message(
         | Request::Fence { .. }
         | Request::HaStatus
         | Request::Reconfigure { .. }
-        | Request::Stats => unreachable!("handled by caller"),
+        | Request::Stats { .. } => unreachable!("handled by caller"),
         Request::Login { user, password } => {
             let principal = authenticate(shared, &user, password.as_deref(), conn.trusted)?;
             session.reset(principal);

@@ -1,7 +1,7 @@
 //! QoS-plane integration tests over real TCP: execution budgets killing
 //! statements mid-scan, per-principal admission quotas, hot reconfiguration
-//! without dropping connections, the unified `Stats` tree, and the
-//! validating config builders.
+//! without dropping connections, the unified `Stats` tree (for the platform
+//! secret's holder only), and the validating config builders.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,6 +118,7 @@ fn rate_quota_refuses_but_never_starves_neighbors() {
                 default_quota: PrincipalQuota::unlimited().with_max_rps(2),
                 ..QosConfig::default()
             },
+            platform_secret: Some(PLATFORM_SECRET.into()),
             ..ServerConfig::default()
         },
     )
@@ -144,7 +145,7 @@ fn rate_quota_refuses_but_never_starves_neighbors() {
     std::thread::sleep(Duration::from_millis(1100));
     alice.select(&probe).unwrap();
 
-    let snapshot = alice.server_stats().unwrap();
+    let snapshot = alice.server_stats(PLATFORM_SECRET).unwrap();
     assert!(snapshot.get("qos", "refused_rate").unwrap() >= 1);
     assert_eq!(snapshot.get("qos", "in_flight"), Some(0));
 
@@ -201,7 +202,7 @@ fn reconfigure_applies_live_without_dropping_connections() {
         .unwrap();
     assert_eq!(tenant.select(&full_scan).unwrap().len(), 100);
 
-    let snapshot = admin.server_stats().unwrap();
+    let snapshot = admin.server_stats(PLATFORM_SECRET).unwrap();
     assert_eq!(snapshot.get("qos", "reconfigures"), Some(2));
 
     tenant.close().unwrap();
@@ -212,12 +213,16 @@ fn reconfigure_applies_live_without_dropping_connections() {
 #[test]
 fn stats_request_serves_the_unified_tree() {
     let (db, auth) = qos_db();
-    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let config = ServerConfig {
+        platform_secret: Some(PLATFORM_SECRET.into()),
+        ..ServerConfig::default()
+    };
+    let server = start(db, auth, config).unwrap();
     let addr = server.addr().to_string();
 
     let mut c = connect(&addr, "alice", "pw-a");
     c.select(&Select::star("items")).unwrap();
-    let snapshot = c.server_stats().unwrap();
+    let snapshot = c.server_stats(PLATFORM_SECRET).unwrap();
 
     // One tree, four planes.
     for group in ["server", "engine", "qos", "audit"] {
@@ -239,6 +244,38 @@ fn stats_request_serves_the_unified_tree() {
         "wire and in-process trees must have the same shape"
     );
 
+    c.close().unwrap();
+    server.shutdown();
+}
+
+/// The counters move with every principal's statements, so only the
+/// operator reads them: a wrong or an empty secret is refused, and so is
+/// any secret on a server that has none configured. The connection
+/// survives each refusal.
+#[test]
+fn stats_request_needs_the_platform_secret() {
+    let (db, auth) = qos_db();
+    let config = ServerConfig {
+        platform_secret: Some(PLATFORM_SECRET.into()),
+        ..ServerConfig::default()
+    };
+    let server = start(db.clone(), auth.clone(), config).unwrap();
+    let mut c = connect(&server.addr().to_string(), "alice", "pw-a");
+    for wrong in ["wrong-secret", ""] {
+        let err = c.server_stats(wrong).unwrap_err();
+        assert!(matches!(err, IfdbError::Remote { .. }), "{wrong:?}: {err}");
+    }
+    assert!(c.server_stats(PLATFORM_SECRET).is_ok());
+    assert_eq!(c.select(&Select::star("items")).unwrap().len(), 100);
+    c.close().unwrap();
+    server.shutdown();
+
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let mut c = connect(&server.addr().to_string(), "alice", "pw-a");
+    for any in [PLATFORM_SECRET, ""] {
+        let err = c.server_stats(any).unwrap_err();
+        assert!(matches!(err, IfdbError::Remote { .. }), "{any:?}: {err}");
+    }
     c.close().unwrap();
     server.shutdown();
 }

@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::audit::{AuditChain, AuditChainRecord};
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
-use crate::heap::{PageSummary, RowId, TableHeap, Verdict};
+use crate::heap::{DecodedSlot, PageSummary, RowId, TableHeap, Verdict};
 use crate::index::{encode_key, OrderedIndex};
 use crate::labels::{undefined, Entries, LabelDictionary, LabelId};
 use crate::mvcc::{
@@ -134,6 +134,7 @@ pub struct StorageEngine {
     tuples_deleted: AtomicU64,
     tuples_scanned: AtomicU64,
     pages_skipped: AtomicU64,
+    pages_decoded: AtomicU64,
     rows_rejected_by_bounds: AtomicU64,
     full_table_scans: AtomicU64,
     index_point_lookups: AtomicU64,
@@ -180,6 +181,25 @@ impl std::fmt::Debug for StorageEngine {
             .field("kind", &self.kind)
             .field("tables", &self.tables.read().len())
             .finish()
+    }
+}
+
+/// What a scan counted, added to an engine counter when the scan ends, on
+/// the error paths too.
+struct Counted<'a> {
+    n: u64,
+    counter: &'a AtomicU64,
+}
+
+impl<'a> Counted<'a> {
+    fn new(counter: &'a AtomicU64) -> Self {
+        Counted { n: 0, counter }
+    }
+}
+
+impl Drop for Counted<'_> {
+    fn drop(&mut self) {
+        self.counter.fetch_add(self.n, Ordering::Relaxed);
     }
 }
 
@@ -236,6 +256,7 @@ impl StorageEngine {
             tuples_deleted: AtomicU64::new(0),
             tuples_scanned: AtomicU64::new(0),
             pages_skipped: AtomicU64::new(0),
+            pages_decoded: AtomicU64::new(0),
             rows_rejected_by_bounds: AtomicU64::new(0),
             full_table_scans: AtomicU64::new(0),
             index_point_lookups: AtomicU64::new(0),
@@ -899,33 +920,47 @@ impl StorageEngine {
     }
 
     /// Scans every version visible to `snapshot`, invoking `f` for each.
-    /// Returning `false` from `f` stops the scan.
+    /// Returning `false` from `f` stops the scan. Every version walked
+    /// counts towards `tuples_scanned`; no page's column view is built or
+    /// read.
     pub fn scan_visible(
         &self,
         snapshot: &Snapshot,
         table: TableId,
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
+        let t = self.table(table)?;
+        self.full_table_scans.fetch_add(1, Ordering::Relaxed);
         let labels = self.labels();
-        self.visit_visible::<StorageError>(
-            snapshot,
-            table,
+        let mut walked = Counted::new(&self.tuples_scanned);
+        let mut visibility = self.txns.visibility(snapshot);
+        t.heap.walk::<StorageError>(
             &[],
             |_| Ok(Verdict::Read),
-            |row, _, t| Ok(f(row, t.to_version(&labels)?)),
+            |row, _, tuple| {
+                walked.n += 1;
+                if !visibility.is_visible(tuple.xmin(), tuple.xmax()) {
+                    return Ok(true);
+                }
+                Ok(f(row, tuple.to_version(&labels)?))
+            },
         )
     }
 
-    /// [`StorageEngine::scan_visible`] without building the versions: `f`
-    /// reads each visible version in place ([`TupleRef`]) and materialises
-    /// what it keeps; `Ok(false)` stops the scan. `f` also gets the label id
-    /// of the version's page when the page holds one label only
-    /// ([`TableHeap::walk`]), so a caller can decide it once per page; the
-    /// tags behind an id are [`StorageEngine::labels`]'.
+    /// A statement's full scan: [`StorageEngine::scan_visible`] deciding
+    /// each slot before it is read, and without building the versions.
     ///
     /// Before a page is pinned, `verdict` decides it from its summary, with
     /// its ranges on `columns` ([`TableHeap::walk`]); a page it skips counts
-    /// towards `pages_skipped`. Every version walked counts towards
+    /// towards `pages_skipped`. On a page it reads, `decide` gets each live
+    /// slot's page label id (`Some` on a chain page, where every tuple
+    /// carries it) and the slot as the page's column view shows it — its
+    /// label id and its `Int`s at `columns` ([`TableHeap::walk_deciding`]);
+    /// each column decoded into a view counts towards `pages_decoded`. Only
+    /// a slot `decide` keeps is parsed and asked its visibility, and `f`
+    /// reads each visible one in place ([`TupleRef`]) and materialises what
+    /// it keeps; `Ok(false)` stops the scan. The tags behind an id are
+    /// [`StorageEngine::labels`]'. Every live slot walked counts towards
     /// `tuples_scanned`, however the scan ends.
     pub fn visit_visible<E: From<StorageError>>(
         &self,
@@ -933,39 +968,27 @@ impl StorageEngine {
         table: TableId,
         columns: &[usize],
         mut verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
+        mut decide: impl FnMut(Option<LabelId>, DecodedSlot<'_>) -> Result<bool, E>,
         mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
     ) -> Result<(), E> {
-        /// Adds what a scan counted to an engine counter when the scan ends,
-        /// on the error paths too.
-        struct Counted<'a> {
-            n: u64,
-            counter: &'a AtomicU64,
-        }
-        impl Drop for Counted<'_> {
-            fn drop(&mut self) {
-                self.counter.fetch_add(self.n, Ordering::Relaxed);
-            }
-        }
         let t = self.table(table)?;
         self.full_table_scans.fetch_add(1, Ordering::Relaxed);
-        let mut walked = Counted {
-            n: 0,
-            counter: &self.tuples_scanned,
-        };
-        let mut skipped = Counted {
-            n: 0,
-            counter: &self.pages_skipped,
-        };
+        let mut walked = Counted::new(&self.tuples_scanned);
+        let mut skipped = Counted::new(&self.pages_skipped);
         let mut visibility = self.txns.visibility(snapshot);
-        t.heap.walk(
+        t.heap.walk_deciding(
             columns,
             |page| {
                 let v = verdict(page)?;
                 skipped.n += u64::from(v == Verdict::Skip);
                 Ok(v)
             },
-            |row, page_label, tuple| {
+            &self.pages_decoded,
+            |page_label, slot| {
                 walked.n += 1;
+                decide(page_label, slot)
+            },
+            |row, page_label, tuple| {
                 if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
                     f(row, page_label, tuple)
                 } else {
@@ -1011,9 +1034,9 @@ impl StorageEngine {
         self.label_page_checks.fetch_add(pages, Ordering::Relaxed);
     }
 
-    /// Records `rows` that a full scan read, whose labels admitted them, and
-    /// that it then rejected on the `Int`s in their bytes
-    /// ([`TupleRef::ints_within`]) without decoding a field. Like
+    /// Records `rows` that a full scan walked, whose labels admitted them,
+    /// and that it then rejected on their `Int`s in the page's column view
+    /// ([`DecodedSlot::ints_within`]), visible or not. Like
     /// [`StorageEngine::count_label_checks`], the executor decides and
     /// reports; the count sits in [`EngineStats`] beside `pages_skipped`.
     pub fn count_rows_rejected_by_bounds(&self, rows: u64) {
@@ -1516,6 +1539,7 @@ impl StorageEngine {
         s.tuples_deleted = self.tuples_deleted.load(Ordering::Relaxed);
         s.tuples_scanned = self.tuples_scanned.load(Ordering::Relaxed);
         s.pages_skipped = self.pages_skipped.load(Ordering::Relaxed);
+        s.pages_decoded = self.pages_decoded.load(Ordering::Relaxed);
         s.rows_rejected_by_bounds = self.rows_rejected_by_bounds.load(Ordering::Relaxed);
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
@@ -1831,6 +1855,7 @@ mod tests {
             table,
             &[],
             |_| Ok(Verdict::Read),
+            |_, _| Ok(true),
             |_, _, _| {
                 seen += 1;
                 if seen == 4 {

@@ -11,10 +11,24 @@
 //! Reads are in place: [`TableHeap::walk`] (every live version of the pages
 //! it reads) and [`TableHeap::read`] (one) hand their caller a [`TupleRef`]
 //! over the slot bytes of a pinned page, so a caller that rejects a tuple on
-//! its header, its label or the `Int`s in its bytes
-//! ([`TupleRef::ints_within`]) never decodes a field into a
-//! [`crate::Datum`], let alone builds the tuple. The owned-version entry points
-//! (`scan`, `fetch`, `version_count`, `vacuum`) are adapters over those two.
+//! its header or its label never decodes a field into a [`crate::Datum`],
+//! let alone builds the tuple. The owned-version entry points (`scan`,
+//! `fetch`, `version_count`, `vacuum`) are adapters over those two.
+//!
+//! A statement's full scan goes one step further ([`TableHeap::walk_deciding`]):
+//! it decides each live slot from its page's column view
+//! ([`crate::page::ColumnView`], built from the page's bytes on first need
+//! and kept while the page is resident and no slot is added or killed)
+//! before it parses the slot at all. Per slot, in this order: the budget
+//! and the page's verdict have been taken for the whole page; then the
+//! label — the page's decision on a chain page, the slot's label id from
+//! the view on the shared tail; then the filter's `Int` bounds, on the
+//! view's values (a field that is not an `Int` passes every interval, an
+//! empty one too); and only then is the slot parsed, asked its visibility,
+//! tested against the whole filter and materialised. No field of a row is
+//! read before its label admits it, and the view may only reject. Walks
+//! without a slot filter — counts, vacuum, index back-fill, checkpoint and
+//! in-flight emission, `scan_visible` — neither build a view nor read one.
 //!
 //! # Pages follow labels
 //!
@@ -90,6 +104,8 @@
 //! chain's own label alone.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -99,9 +115,9 @@ use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
 use crate::labels::LabelId;
 use crate::mvcc::TxnId;
-use crate::page::{footprint, Page, PageId, PAGE_SIZE, TUPLE_SPACE};
+use crate::page::{footprint, ColumnView, Page, PageId, PAGE_SIZE, TUPLE_SPACE};
 use crate::store::PageStore;
-use crate::tuple::{patch_xmax, TupleRef};
+use crate::tuple::TupleRef;
 
 /// Physical location of a tuple version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -251,6 +267,36 @@ pub enum Verdict {
     /// Read the next this many slots, then ask again about the rest of the
     /// page; zero leaves the rest unread.
     ReadFirst(u16),
+}
+
+/// A live slot as its page's [`ColumnView`] shows a
+/// [`TableHeap::walk_deciding`] filter, before the slot's bytes are read.
+#[derive(Clone, Copy)]
+pub struct DecodedSlot<'a> {
+    view: &'a ColumnView,
+    columns: &'a [usize],
+    slot: u16,
+}
+
+impl DecodedSlot<'_> {
+    /// The slot's label id.
+    #[inline]
+    pub fn label_id(&self) -> LabelId {
+        self.view.label_id(self.slot)
+    }
+
+    /// Whether no field at the walk's columns is an `Int` outside the
+    /// matching interval of `bounds`. A field of any other kind, `Null`
+    /// included, is within every interval, an empty one too, so a `false`
+    /// only ever rules out a slot whose `Int`s the bounds exclude.
+    #[inline]
+    pub fn ints_within(&self, bounds: &[IntRange]) -> bool {
+        self.columns.iter().zip(bounds).all(|(&column, range)| {
+            self.view
+                .ints(column)
+                .is_none_or(|ints| ints.within(self.slot, range))
+        })
+    }
 }
 
 /// Where a label's next row goes.
@@ -522,8 +568,7 @@ impl TableHeap {
         let pid = PageId(row.page);
         self.buffer
             .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
-                let slot = p.read_mut(row.slot)?;
-                patch_xmax(slot, xmax)
+                p.set_xmax(row.slot, xmax)
             })?
     }
 
@@ -539,11 +584,10 @@ impl TableHeap {
         let pid = PageId(row.page);
         self.buffer
             .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
-                let slot = p.read_mut(row.slot)?;
-                if TupleRef::parse(slot)?.xmax() != expected {
+                if TupleRef::parse(p.read(row.slot)?)?.xmax() != expected {
                     return Ok(false);
                 }
-                patch_xmax(slot, new).map(|()| true)
+                p.set_xmax(row.slot, new).map(|()| true)
             })?
     }
 
@@ -558,15 +602,74 @@ impl TableHeap {
     /// Summaries are copied under the layout lock and verdicts are asked
     /// after it is released. Pages come in walk order (the shared tail, then
     /// the chains in opening order; see the module docs) and slots in
-    /// insertion order. This is the one heap traversal — scans, counts,
-    /// index back-fill and vacuum's search all go through it, the last three
-    /// reading every page — and it allocates once, for its copy of the
-    /// summaries, and nothing per page or per row.
+    /// insertion order. This and [`TableHeap::walk_deciding`] are the heap's
+    /// traversals — counts, index back-fill and vacuum's search go through
+    /// this one, reading every page — and it allocates once, for its copy
+    /// of the summaries, and nothing per page or per row. It neither builds
+    /// nor reads a page's column view.
     pub fn walk<E: From<StorageError>>(
         &self,
         columns: &[usize],
-        mut verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
+        verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
         mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        self.walk_pages(columns, verdict, |pid, label, p, slots| {
+            for slot in slots.filter(|s| !p.is_dead(*s)) {
+                let tuple = TupleRef::parse(p.read(slot)?)?;
+                if !f(RowId { page: pid.0, slot }, label, tuple)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        })
+    }
+
+    /// [`TableHeap::walk`] for a scan that filters slots: each live slot of
+    /// a page it reads is first shown to `decide` as the page's column view
+    /// has it ([`DecodedSlot`]: its label id, and its `Int`s at `columns`),
+    /// and only a slot `decide` keeps is parsed and handed to `f`. The view
+    /// is built, or completed with `columns`, before the page's first slot
+    /// is decided (see [`crate::page`]); the columns this decodes are added
+    /// to `decoded`. No slot is decided from its bytes.
+    pub fn walk_deciding<E: From<StorageError>>(
+        &self,
+        columns: &[usize],
+        verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
+        decoded: &AtomicU64,
+        mut decide: impl FnMut(Option<LabelId>, DecodedSlot<'_>) -> Result<bool, E>,
+        mut f: impl FnMut(RowId, Option<LabelId>, TupleRef<'_>) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        self.walk_pages(columns, verdict, |pid, label, p, slots| {
+            let (view, n) = p.view(columns)?;
+            if n > 0 {
+                decoded.fetch_add(n, Ordering::Relaxed);
+            }
+            for slot in slots.filter(|s| !p.is_dead(*s)) {
+                let shown = DecodedSlot {
+                    view,
+                    columns,
+                    slot,
+                };
+                if !decide(label, shown)? {
+                    continue;
+                }
+                let tuple = TupleRef::parse(p.read(slot)?)?;
+                if !f(RowId { page: pid.0, slot }, label, tuple)? {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        })
+    }
+
+    /// The page loop both walks share: takes each page's verdict and calls
+    /// `read` with the pinned page, its id and label, and the range of slots
+    /// the verdict lets it read; `Ok(false)` from `read` stops the walk.
+    fn walk_pages<E: From<StorageError>>(
+        &self,
+        columns: &[usize],
+        mut verdict: impl FnMut(&PageSummary<'_>) -> Result<Verdict, E>,
+        mut read: impl FnMut(PageId, Option<LabelId>, &Page, Range<u16>) -> Result<bool, E>,
     ) -> Result<(), E> {
         let copied = self.layout.lock().walk_order(columns);
         for page in copied.chunks_exact(1 + columns.len()) {
@@ -586,15 +689,7 @@ impl TableHeap {
                     Verdict::Read => u16::MAX,
                     Verdict::ReadFirst(n) => first + n.min(slots - first),
                 };
-                let on_page = |p: &Page| -> Result<bool, E> {
-                    for slot in (first..end.min(p.slot_count())).filter(|s| !p.is_dead(*s)) {
-                        let tuple = TupleRef::parse(p.read(slot)?)?;
-                        if !f(RowId { page: pid.0, slot }, label, tuple)? {
-                            return Ok(false);
-                        }
-                    }
-                    Ok(true)
-                };
+                let on_page = |p: &Page| read(pid, label, p, first..end.min(p.slot_count()));
                 let store = self.store.as_ref();
                 if !self
                     .buffer

@@ -58,13 +58,13 @@ pub use audit::{chain_hash, verify_chain, AuditChain, AuditChainBreak, AuditChai
 pub use buffer::{BufferPool, BufferStats};
 pub use engine::{StorageEngine, StorageKind, TableId};
 pub use error::{StorageError, StorageResult};
-pub use heap::{IntRange, PageSummary, RowId, TableHeap, Verdict};
+pub use heap::{DecodedSlot, IntRange, PageSummary, RowId, TableHeap, Verdict};
 pub use index::{encode_key, OrderedIndex};
 pub use labels::{LabelDictionary, LabelId};
 pub use mvcc::{
     ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE,
 };
-pub use page::{Page, PageId, PAGE_SIZE};
+pub use page::{ColumnView, IntColumn, Page, PageId, PAGE_SIZE};
 pub use replica::{AppliedBatch, ReplicaApplier};
 pub use schema::{ColumnDef, TableSchema};
 pub use stats::EngineStats;

@@ -344,6 +344,7 @@ mod tests {
             t.id(),
             &[],
             |_| Ok(Verdict::Read),
+            |_, _| Ok(true),
             |row, page_label, tuple| {
                 out.push((row, page_label.is_some(), tuple.data()?));
                 Ok(true)

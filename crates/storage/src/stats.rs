@@ -26,9 +26,16 @@ pub struct EngineStats {
     /// pages whose label the reader cannot read, and pages whose value
     /// ranges the scan's filter cannot match.
     pub pages_skipped: u64,
-    /// Rows full scans read and their labels admitted, then rejected on the
-    /// `Int` bounds their filters place on columns, tested on the tuple
-    /// bytes before any field is decoded.
+    /// Columns of heap pages decoded into the pages' column views
+    /// ([`crate::page`]): one per page for its slots' label ids, and one per
+    /// page and `Int` column a full scan bounds. A resident page's view is
+    /// decoded once and kept until a slot is added to or removed from the
+    /// page, so a repeated scan decodes nothing.
+    pub pages_decoded: u64,
+    /// Slots full scans walked and their labels admitted, then rejected on
+    /// the `Int` bounds their filters place on columns, tested on the
+    /// page's column view before the slot is parsed and whether or not its
+    /// version is visible.
     pub rows_rejected_by_bounds: u64,
     /// Full-table visible scans started (`scan_visible` calls).
     pub full_table_scans: u64,

@@ -37,7 +37,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{corrupt, StorageError, StorageResult};
-use crate::heap::IntRange;
 use crate::labels::{put_id, read_id, LabelDictionary, LabelId};
 use crate::mvcc::TxnId;
 use crate::value::Datum;
@@ -108,10 +107,10 @@ pub fn encode(xmin: TxnId, label: LabelId, data: &[Datum]) -> Vec<u8> {
 ///
 /// Parsing checks the fixed header, the label id and the field count and
 /// allocates nothing; the MVCC fields and the label id are then a few loads,
-/// and a field is decoded only when asked for. A scan decides visibility and
-/// the label from the view, rejects a row whose `Int`s miss its filter's
-/// bounds without decoding it ([`TupleRef::ints_within`]), and builds an
-/// owned [`TupleVersion`] only for the rows it keeps.
+/// and a field is decoded only when asked for. This is the one decoder: a
+/// page's column view ([`crate::page::ColumnView`]) is built with it, a
+/// scan asks it visibility only of the slots the view let through, and an
+/// owned [`TupleVersion`] is built only for the rows a scan keeps.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleRef<'a> {
     buf: &'a [u8],
@@ -225,26 +224,6 @@ impl<'a> TupleRef<'a> {
             pos = next;
         }
         Ok(())
-    }
-
-    /// Whether no field at the ascending positions `columns` is an
-    /// [`Datum::Int`] outside the matching interval of `bounds`: what a scan
-    /// asks of a row before decoding it. A field of any other kind, `Null`
-    /// included, is within every interval, an empty one too, so a `false`
-    /// only ever rules out a row whose `Int`s the bounds exclude. The other
-    /// fields are skipped over, and nothing is allocated.
-    #[inline]
-    pub fn ints_within(&self, columns: &[usize], bounds: &[IntRange]) -> StorageResult<bool> {
-        let (mut pos, mut at) = (self.fields_at, 0);
-        for (&column, range) in columns.iter().zip(bounds) {
-            pos = self.seek(pos, at, column)?;
-            let (int, next) = Datum::int_at(self.buf, pos)?;
-            if int.is_some_and(|v| !range.contains(v)) {
-                return Ok(false);
-            }
-            (pos, at) = (next, column + 1);
-        }
-        Ok(true)
     }
 
     /// Builds the owned version, its label's tags looked up in `labels`.
@@ -368,29 +347,6 @@ mod tests {
         assert_eq!(tuple.data().unwrap(), fields());
         patch_xmax(&mut bytes, None).unwrap();
         assert_eq!(TupleRef::parse(&bytes).unwrap().xmax(), None);
-    }
-
-    #[test]
-    fn ints_within_rules_out_only_ints_outside_their_bounds() {
-        // Fields: Int 1, Text, Null, Float 2.5.
-        let bytes = encode(TxnId(7), 1, &fields());
-        let tuple = TupleRef::parse(&bytes).unwrap();
-        let range = |lo, hi| IntRange { lo, hi };
-        let within = |columns: &[usize], bounds: &[IntRange]| tuple.ints_within(columns, bounds);
-        assert!(within(&[], &[]).unwrap());
-        assert!(within(&[0], &[range(1, 1)]).unwrap());
-        assert!(!within(&[0], &[range(2, 9)]).unwrap());
-        assert!(!within(&[0], &[range(i64::MIN, 0)]).unwrap());
-        // Text, Null and Float pass every interval, an empty one too.
-        for column in [1, 2, 3] {
-            for bounds in [range(5, 4), range(3, 3), range(i64::MAX, i64::MIN)] {
-                assert!(within(&[column], &[bounds]).unwrap(), "{column} {bounds:?}");
-            }
-            assert!(!within(&[0, column], &[range(2, 2), range(5, 4)]).unwrap());
-            assert!(within(&[0, column], &[range(0, 1), range(5, 4)]).unwrap());
-        }
-        // A column past the tuple's fields is corruption, as for a decode.
-        assert!(within(&[4], &[range(0, 1)]).is_err());
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! * **group commit** — committers enqueue; one of them becomes the *leader*,
 //!   performs a single flush+fsync covering every record appended so far, and
 //!   wakes the others. N concurrent committers share one fsync instead of
-//!   paying one each.
+//!   paying one each. The leader flushes under the append lock and syncs
+//!   after releasing it, so appends — every `Begin`, `Insert` and `Delete`,
+//!   and every replication read — never wait out a device flush; a commit
+//!   appended while a sync is in flight waits for the next leader's, and a
+//!   sync publishes as durable only the records flushed before it began.
 //!
 //! # Replication stream
 //!
@@ -337,6 +341,9 @@ enum Sink {
         /// Records appended to the file so far (monotonic, survives
         /// checkpoint rewrites).
         appended_seq: u64,
+        /// A second handle on `w`'s file, which a group-commit leader syncs
+        /// after releasing the append lock; swapped with `w` by a rewrite.
+        sync: Arc<File>,
     },
 }
 
@@ -497,6 +504,10 @@ pub struct Wal {
     /// presenting a lower generation is a fenced predecessor whose batches
     /// must be refused. Durable via [`LogRecord::Epoch`] records.
     generation: AtomicU64,
+    /// Where a test parks the next sync, outside the append lock: the sync
+    /// signals the first sender on arrival and waits on the receiver.
+    #[cfg(test)]
+    park_next_sync: StdMutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -562,6 +573,8 @@ impl Wal {
             commits_batched: AtomicU64::new(0),
             epoch: new_epoch(),
             generation: AtomicU64::new(generation),
+            #[cfg(test)]
+            park_next_sync: StdMutex::new(None),
         }
     }
 
@@ -603,6 +616,7 @@ impl Wal {
         let index = FrameIndex::new(Offsets::default(), 0, Some(Arc::new(file.try_clone()?)));
         Ok(Self::with_sink(
             Sink::File {
+                sync: Arc::new(file.try_clone()?),
                 w: BufWriter::new(file),
                 appended_seq: 0,
             },
@@ -660,6 +674,7 @@ impl Wal {
         );
         let wal = Self::with_sink(
             Sink::File {
+                sync: Arc::new(file.try_clone()?),
                 w: BufWriter::new(file),
                 appended_seq: recovery.records.len() as u64,
             },
@@ -697,7 +712,10 @@ impl Wal {
             // sink → index, same as rewrite_with and the read path).
             let mut sink = self.sink.lock();
             write_frame(sink.writer(), &encoded)?;
-            if let Sink::File { w, appended_seq } = &mut *sink {
+            if let Sink::File {
+                w, appended_seq, ..
+            } = &mut *sink
+            {
                 *appended_seq += 1;
                 my_seq = *appended_seq;
                 if is_commit && self.sync_on_commit && !self.group_commit {
@@ -805,21 +823,36 @@ impl Wal {
         }
     }
 
-    /// Flushes the buffered writer and fsyncs the file, returning the highest
-    /// sequence number the flush covered.
+    /// Flushes the buffered writer under the append lock, then fsyncs the
+    /// file after releasing it, returning the highest sequence number the
+    /// flush covered: only records flushed before the sync began are
+    /// published as durable. Appends go on meanwhile.
+    ///
+    /// A rewrite swaps the file only under the engine's write gate held
+    /// exclusively, and every committer holds the gate shared until its
+    /// group-commit wait returns, so a leader's sync never outlives the
+    /// file it flushed to.
     fn flush_and_sync(&self) -> StorageResult<u64> {
-        let covered = {
+        let (covered, file) = {
             let mut sink = self.sink.lock();
-            if let Sink::File { w, appended_seq } = &mut *sink {
-                let covered = *appended_seq;
-                w.flush()?;
-                w.get_ref().sync_data()?;
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                covered
-            } else {
-                0
-            }
+            let Sink::File {
+                w,
+                appended_seq,
+                sync,
+            } = &mut *sink
+            else {
+                return Ok(0);
+            };
+            w.flush()?;
+            (*appended_seq, Arc::clone(sync))
         };
+        #[cfg(test)]
+        if let Some((arrived, release)) = self.park_next_sync.lock().expect("park lock").take() {
+            arrived.send(()).expect("the test waits for the sync");
+            release.recv().expect("the test releases the sync");
+        }
+        file.sync_data()?;
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         if covered > 0 {
             self.note_durable(covered);
         }
@@ -860,7 +893,11 @@ impl Wal {
                 self.signal_shippable();
                 count
             }
-            Sink::File { w, appended_seq } => {
+            Sink::File {
+                w,
+                appended_seq,
+                sync,
+            } => {
                 let path = self.path.as_ref().expect("file sink always has a path");
                 // Make sure nothing buffered is lost if the rename fails.
                 w.flush()?;
@@ -887,11 +924,13 @@ impl Wal {
                 let mut file = OpenOptions::new().read(true).write(true).open(path)?;
                 file.seek(SeekFrom::End(0))?;
                 fresh.file = Some(Arc::new(file.try_clone()?));
+                let fresh_sync = Arc::new(file.try_clone()?);
                 // appended_seq stays monotonic across rewrites so group-commit
                 // waiters from before the rewrite remain satisfied.
                 *appended_seq += fresh.len() as u64;
                 let durable_through = *appended_seq;
                 *w = BufWriter::new(file);
+                *sync = fresh_sync;
                 self.bytes_written.fetch_add(fresh.end, Ordering::Relaxed);
                 let count = self.install(fresh);
                 // The image was fsynced and renamed: everything it contains
@@ -1458,9 +1497,10 @@ fn split_frames(mut bytes: &[u8], count: usize) -> StorageResult<Vec<Vec<u8>>> {
     Ok(payloads)
 }
 
-/// FNV-1a over the frame payload — cheap, and plenty to reject torn or
-/// bit-flipped records during replay.
-fn frame_checksum(payload: &[u8]) -> u32 {
+/// FNV-1a over a frame's payload — cheap, and plenty to reject torn or
+/// bit-flipped records during replay. The wire protocol checksums its frames
+/// with the same function.
+pub fn frame_checksum(payload: &[u8]) -> u32 {
     let mut h: u32 = 0x811C_9DC5;
     for &b in payload {
         h ^= b as u32;
@@ -1817,6 +1857,70 @@ mod tests {
             total,
             "each commit either led a flush or rode one"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The frame checksum is FNV-1a: pinned on a fixed payload, so neither
+    /// the log's bytes nor the wire's can change under it.
+    #[test]
+    fn frame_checksum_is_fnv1a() {
+        assert_eq!(frame_checksum(b""), 0x811C_9DC5);
+        assert_eq!(frame_checksum(b"a"), 0xE40C_292C);
+        assert_eq!(frame_checksum(b"ifdb frame"), 0x0609_EEC1);
+    }
+
+    /// A group-commit leader syncs outside the append lock: while its sync
+    /// is parked, another thread's appends go through, and that thread's
+    /// commit returns only once a sync of its own covers it.
+    #[test]
+    fn appends_go_on_while_a_commit_syncs() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let dir = temp_dir("sync-outside-lock");
+        let path = dir.join("wal.log");
+        let wal = Wal::create(&path, DurabilityConfig::GROUP_COMMIT).unwrap();
+        let (arrived_tx, arrived) = channel();
+        let (release, release_rx) = channel();
+        *wal.park_next_sync.lock().unwrap() = Some((arrived_tx, release_rx));
+        let committed_b = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
+                wal.append(LogRecord::Commit { txn: TxnId(1) }).unwrap();
+            });
+            arrived.recv().unwrap();
+            // A's sync is parked, with the append lock released.
+            let (appended_tx, appended) = channel();
+            let (wal, committed_b) = (&wal, &committed_b);
+            let b = scope.spawn(move || {
+                wal.append(LogRecord::Begin { txn: TxnId(2) }).unwrap();
+                appended_tx.send(()).unwrap();
+                wal.append(LogRecord::Commit { txn: TxnId(2) }).unwrap();
+                committed_b.store(true, Ordering::SeqCst);
+            });
+            let in_time = appended.recv_timeout(Duration::from_secs(5)).is_ok();
+            if !in_time {
+                // Let A's sync finish, so that the scope can end.
+                release.send(()).unwrap();
+            }
+            assert!(in_time, "an append waited out another thread's sync");
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !committed_b.load(Ordering::SeqCst),
+                "a commit returned before any sync covered it"
+            );
+            assert_eq!(wal.fsyncs(), 0);
+            release.send(()).unwrap();
+            a.join().unwrap();
+            b.join().unwrap();
+        });
+        // A's sync covered A's records only; B's commit led a sync of its own.
+        assert_eq!(wal.fsyncs(), 2);
+        assert_eq!(wal.commits_batched(), 0);
+        let parsed = Wal::read_log(&path).unwrap();
+        assert_eq!(parsed.records.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
