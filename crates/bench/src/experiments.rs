@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 use ifdb::{Database, DatabaseConfig};
 use ifdb_cartel::scripts::figure3_mix;
 use ifdb_cartel::{CartelApp, CartelConfig, TraceGenerator};
+use ifdb_difc::audit::AuditEvent;
 use ifdb_hotcrp::{HotcrpApp, HotcrpConfig};
 use ifdb_platform::{ClosedLoopDriver, DriverConfig, Request};
 use ifdb_workloads::{TpccConfig, TpccDatabase, TpccDriver, TpccDriverConfig};
@@ -506,11 +507,13 @@ pub struct TrustedBaseReport {
     /// Authority-bearing catalog objects (declassifying views, closure
     /// triggers/procedures) in the CarTel port.
     pub cartel_trusted_components: usize,
-    /// Declassification events recorded while exercising CarTel.
+    /// Declassifications while exercising CarTel: the chain's
+    /// `Declassify` links (scripts' `declassify_all` calls, closure
+    /// unwinds) plus the counted uses of declassifying views.
     pub cartel_declassifications: usize,
     /// Authority-bearing catalog objects in the HotCRP port.
     pub hotcrp_trusted_components: usize,
-    /// Declassification events recorded while exercising HotCRP.
+    /// Declassifications while exercising HotCRP, counted as CarTel's.
     pub hotcrp_declassifications: usize,
 }
 
@@ -525,7 +528,7 @@ pub fn trusted_base_report() -> TrustedBaseReport {
         measurements_per_car: 20,
         ..Default::default()
     });
-    // Exercise a few requests so the audit log reflects real declassifications.
+    // Exercise a few requests so the audit trail reflects real declassifications.
     for user in cartel.policy.users() {
         for script in ["cars.php", "drives.php", "drives_top.php"] {
             cartel.server.handle(
@@ -542,9 +545,9 @@ pub fn trusted_base_report() -> TrustedBaseReport {
 
     let report = TrustedBaseReport {
         cartel_trusted_components: cartel.db.trusted_component_count(),
-        cartel_declassifications: cartel.db.audit().declassification_count(),
+        cartel_declassifications: declassifications(&cartel.db),
         hotcrp_trusted_components: hotcrp.db.trusted_component_count(),
-        hotcrp_declassifications: hotcrp.db.audit().declassification_count(),
+        hotcrp_declassifications: declassifications(&hotcrp.db),
     };
     row(
         "CarTel authority-bearing catalog objects",
@@ -564,6 +567,16 @@ pub fn trusted_base_report() -> TrustedBaseReport {
     );
     write_json("trusted_base_report", &report);
     report
+}
+
+/// The declassifications `db` has seen: chained ones plus counted ones.
+fn declassifications(db: &Database) -> usize {
+    let chain = db.replay_audit();
+    let chained = chain
+        .iter()
+        .filter(|e| matches!(e, AuditEvent::Declassify { .. }))
+        .count();
+    chained + db.audit_counters().declassifications() as usize
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ifdb_difc::audit::{AuditEvent, AuditLog};
+use ifdb_difc::audit::{AuditCounters, AuditEvent};
 use ifdb_difc::authority::AuthorityState;
 use ifdb_difc::principal::PrincipalKind;
 use ifdb_difc::{Label, PrincipalId, TagId};
@@ -109,7 +109,13 @@ pub(crate) struct DbInner {
     pub(crate) engine: StorageEngine,
     pub(crate) auth: RwLock<AuthorityState>,
     pub(crate) catalog: RwLock<Catalog>,
-    pub(crate) audit: AuditLog,
+    /// Audit events counted rather than chained (see
+    /// [`Database::record_audit`]).
+    pub(crate) audit_counters: AuditCounters,
+    /// While set, the chain refuses every append, as a log on a full
+    /// device would.
+    #[cfg(test)]
+    pub(crate) refuse_audit: std::sync::atomic::AtomicBool,
     pub(crate) difc_enabled: bool,
     pub(crate) serializable: bool,
     /// Default execution budgets copied into every new session.
@@ -438,7 +444,9 @@ impl Database {
                 engine,
                 auth: RwLock::new(auth),
                 catalog: RwLock::new(Catalog::new()),
-                audit: AuditLog::new(),
+                audit_counters: AuditCounters::default(),
+                #[cfg(test)]
+                refuse_audit: Default::default(),
                 difc_enabled: config.difc_enabled,
                 serializable: config.serializable,
                 constraints: config.constraints,
@@ -537,42 +545,33 @@ impl Database {
         &self.inner.engine
     }
 
-    /// The audit log.
-    pub fn audit(&self) -> &AuditLog {
-        &self.inner.audit
+    /// The audit events counted rather than chained: each use of a
+    /// declassifying view or a `DECLASSIFYING` foreign key, each blocked
+    /// release, and every event of a read-only replica's sessions.
+    pub fn audit_counters(&self) -> &AuditCounters {
+        &self.inner.audit_counters
     }
 
-    /// Records a security-relevant event: always in the in-memory
-    /// [`AuditLog`], and — for the chain-worthy kinds the issue of
-    /// multi-tenant accountability cares about (declassify, delegate/revoke,
-    /// label raises, commit-label refusals, budget kills) — also as a link
-    /// of the storage engine's tamper-evident audit chain, carried in the
-    /// WAL so it is ordered with the transactions around it, durable,
-    /// replicated to standbys and replayable against committed history.
+    /// Records a security-relevant event as the next link of the storage
+    /// engine's tamper-evident audit chain, carried in the WAL so it is
+    /// ordered with the transactions around it, durable, replicated to
+    /// standbys and replayable against committed history.
     ///
-    /// High-frequency per-scan events (declassifying-view applications) and
-    /// blocked releases stay in-memory only. On a read-only replica nothing
-    /// is chained locally: the authoritative chain arrives on the
-    /// replication stream.
-    pub fn record_audit(&self, event: AuditEvent) {
-        let chain_worthy = matches!(
-            event,
-            AuditEvent::Declassify { .. }
-                | AuditEvent::Delegate { .. }
-                | AuditEvent::Revoke { .. }
-                | AuditEvent::LabelRaise { .. }
-                | AuditEvent::CommitRefused { .. }
-                | AuditEvent::BudgetKill { .. }
-        );
-        if chain_worthy && !self.is_read_only() {
-            // The append is ordered in the log before we acknowledge the
-            // event; a failure (disk) is surfaced to the in-memory log via
-            // the event still being recorded below, but cannot be returned
-            // to the (infallible) audit callers — the storage engine's next
-            // commit will surface the same I/O failure loudly.
-            let _ = self.inner.engine.append_audit(event.encode());
+    /// This is part of enforcement: callers append after their check and
+    /// before its effect is published, and an `Err` (the log refused the
+    /// link) refuses the operation, so nothing happens that the chain does
+    /// not hold. On a read-only replica nothing is chained locally (the
+    /// authoritative chain arrives on the replication stream): the event is
+    /// counted in [`Self::audit_counters`] instead.
+    pub fn record_audit(&self, event: AuditEvent) -> IfdbResult<()> {
+        if self.is_read_only() {
+            self.inner.audit_counters.count(event.kind());
+            return Ok(());
         }
-        self.inner.audit.record(event);
+        #[cfg(test)]
+        self.refused_in_test()?;
+        self.inner.engine.append_audit(event.encode())?;
+        Ok(())
     }
 
     /// Decodes the engine's audit chain back into events — the replayable
@@ -1120,6 +1119,20 @@ mod tests {
         assert_eq!(s.select(&Select::star("notes")).unwrap().len(), 5);
         assert!(db.engine().stats().recovery_replayed_records > 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    impl Database {
+        /// Fails as a log on a full device would while the test has set
+        /// `refuse_audit`.
+        pub(crate) fn refused_in_test(&self) -> IfdbResult<()> {
+            use ifdb_storage::StorageError;
+            use std::sync::atomic::Ordering;
+            if self.inner.refuse_audit.load(Ordering::Relaxed) {
+                let detail = "the log refuses appends".into();
+                return Err(IfdbError::Storage(StorageError::Io { detail }));
+            }
+            Ok(())
+        }
     }
 
     /// The audit chain records label operations, not transactions: commits

@@ -50,7 +50,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ifdb_difc::audit::AuditEvent;
+use ifdb_difc::audit::kind;
 use ifdb_difc::memo::DEFAULT_MEMO_CAPACITY;
 use ifdb_difc::Label;
 use ifdb_storage::{
@@ -358,10 +358,7 @@ impl Session {
         };
         let nested_declassify = declassify.union(&view.declassifies);
         if view.is_declassifying() {
-            self.db.audit().record(AuditEvent::DeclassifyingView {
-                name: view.name.clone(),
-                tags: view.declassifies.clone(),
-            });
+            self.db.audit_counters().count(kind::DECLASSIFYING_VIEW);
         }
         match &view.source {
             ViewSource::Select(sel) => {
@@ -1071,10 +1068,7 @@ impl Session {
                     }
                 }
             }
-            self.db.audit().record(AuditEvent::DeclassifyingView {
-                name: fk.name.clone(),
-                tags: symdiff,
-            });
+            self.db.audit_counters().count(kind::DECLASSIFYING_VIEW);
         }
         Ok(())
     }
@@ -1440,10 +1434,7 @@ impl Session {
         };
         let nested_declassify = declassify.union(&view.declassifies);
         if view.is_declassifying() {
-            self.db.audit().record(AuditEvent::DeclassifyingView {
-                name: view.name.clone(),
-                tags: view.declassifies.clone(),
-            });
+            self.db.audit_counters().count(kind::DECLASSIFYING_VIEW);
         }
         match &view.source {
             ViewSource::Select(sel) => {

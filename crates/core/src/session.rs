@@ -188,8 +188,9 @@ impl Session {
 
     /// Disarms the statement budget (when this frame armed it) and, on a
     /// budget kill, bumps the counter and records the tamper-evident
-    /// [`AuditEvent::BudgetKill`]. Passing the result through keeps call
-    /// sites to a single wrapping expression.
+    /// [`AuditEvent::BudgetKill`]; if the chain refuses it, the statement
+    /// fails with the append's error instead. Passing the result through
+    /// keeps call sites to a single wrapping expression.
     pub(crate) fn disarm_budget<T>(&mut self, armed: bool, r: IfdbResult<T>) -> IfdbResult<T> {
         if armed {
             self.budget = None;
@@ -205,7 +206,7 @@ impl Session {
                     resource: resource.clone(),
                     limit: *limit,
                     used: *used,
-                });
+                })?;
             }
         }
         r
@@ -233,73 +234,65 @@ impl Session {
     // Label and authority operations
     // ------------------------------------------------------------------
 
-    /// Adds `tag` to the process label (`addsecrecy`). Under the serializable
-    /// clearance rule (Section 5.1), a transaction may add a tag only if the
-    /// principal is authoritative for it.
+    /// Adds `tag` to the process label (`addsecrecy`), as
+    /// [`Session::raise_label`] does.
     pub fn add_secrecy(&mut self, tag: TagId) -> IfdbResult<()> {
+        self.raise_label(&Label::singleton(tag))
+    }
+
+    /// Raises the process label to its union with `other`. Under the
+    /// serializable clearance rule (Section 5.1), a transaction may add a
+    /// tag only if the principal is authoritative for it. The raise is
+    /// chained before it takes effect; if the chain refuses it, the label is
+    /// unchanged.
+    pub fn raise_label(&mut self, other: &Label) -> IfdbResult<()> {
+        let added = other.difference(self.process.label());
         if self.serializable && self.txn.is_some() {
             let auth = self.db.inner.auth.read();
-            if !self
-                .cache
-                .has_authority(&auth, self.process.principal(), tag)
+            let principal = self.process.principal();
+            if let Some(tag) = added
+                .iter()
+                .find(|&t| !self.cache.has_authority(&auth, principal, t))
             {
                 return Err(IfdbError::ClearanceViolation { tag });
             }
         }
-        let raised = !self.process.label().contains(tag);
-        self.process.add_secrecy(tag)?;
-        if raised {
-            self.db.record_audit(AuditEvent::LabelRaise {
-                principal: self.process.principal(),
-                added: Label::empty().with_tag(tag),
-            });
-        }
-        Ok(())
-    }
-
-    /// Raises the process label to its union with `other`.
-    pub fn raise_label(&mut self, other: &Label) -> IfdbResult<()> {
-        if self.serializable && self.txn.is_some() {
-            let auth = self.db.inner.auth.read();
-            for tag in other.difference(self.process.label()).iter() {
-                if !self
-                    .cache
-                    .has_authority(&auth, self.process.principal(), tag)
-                {
-                    return Err(IfdbError::ClearanceViolation { tag });
-                }
-            }
-        }
-        let added = other.difference(self.process.label());
-        self.process.raise_to(other)?;
+        let mut next = self.process.clone();
+        next.raise_to(other)?;
         if !added.is_empty() {
             self.db.record_audit(AuditEvent::LabelRaise {
                 principal: self.process.principal(),
                 added,
-            });
+            })?;
         }
+        self.process = next;
         Ok(())
     }
 
-    /// Removes `tag` from the process label. Requires authority.
+    /// Removes `tag` from the process label. Requires authority. The
+    /// declassification is chained before it takes effect; if the chain
+    /// refuses it, the label is unchanged.
     pub fn declassify(&mut self, tag: TagId) -> IfdbResult<()> {
-        let before = self.process.label().clone();
-        {
-            let auth = self.db.inner.auth.read();
-            self.process.declassify(tag, &auth)?;
-        }
-        self.db.record_audit(AuditEvent::Declassify {
-            principal: self.process.principal(),
-            tag,
-            label_before: before,
-        });
-        Ok(())
+        self.declassify_all(&Label::singleton(tag))
     }
 
-    /// Removes every tag of `tags`, checking authority for each first.
+    /// Removes every tag of `tags`, checking authority for each first, and
+    /// chains one [`AuditEvent::Declassify`] per tag the label holds before
+    /// any is removed. If the chain refuses one, the label is unchanged (the
+    /// links already chained stay: the trail may over-report a refused
+    /// call, never under-report an effect).
     pub fn declassify_all(&mut self, tags: &Label) -> IfdbResult<()> {
-        let auth = self.db.inner.auth.read();
-        self.process.declassify_all(tags, &auth)?;
+        let mut next = self.process.clone();
+        next.declassify_all(tags, &self.db.inner.auth.read())?;
+        let before = self.process.label();
+        for tag in tags.iter().filter(|&t| before.contains(t)) {
+            self.db.record_audit(AuditEvent::Declassify {
+                principal: self.process.principal(),
+                tag,
+                label_before: before.clone(),
+            })?;
+        }
+        self.process = next;
         Ok(())
     }
 
@@ -316,55 +309,49 @@ impl Session {
 
     /// Delegates authority for `tag` from the acting principal to `grantee`.
     /// The process must have an empty label (the authority state is an
-    /// empty-labeled object, Section 3.2).
+    /// empty-labeled object, Section 3.2). The delegation is chained under
+    /// the authority write lock before it takes effect; if the chain refuses
+    /// it, the authority state is unchanged.
     pub fn delegate(&mut self, grantee: PrincipalId, tag: TagId) -> IfdbResult<()> {
         self.check_writable()?;
         let grantor = self.process.principal();
-        self.db
-            .inner
-            .auth
-            .write()
-            .delegate(grantor, grantee, tag, self.process.label())?;
+        let label = self.process.label();
+        let mut auth = self.db.inner.auth.write();
+        auth.check_delegate(grantor, grantee, tag, label)?;
         self.db.record_audit(AuditEvent::Delegate {
             grantor,
             grantee,
             tag,
-        });
-        Ok(())
+        })?;
+        Ok(auth.delegate(grantor, grantee, tag, label)?)
     }
 
-    /// Revokes a delegation previously made by the acting principal.
+    /// Revokes a delegation previously made by the acting principal,
+    /// chained as [`Session::delegate`] is.
     pub fn revoke(&mut self, grantee: PrincipalId, tag: TagId) -> IfdbResult<()> {
         self.check_writable()?;
         let grantor = self.process.principal();
-        self.db
-            .inner
-            .auth
-            .write()
-            .revoke(grantor, grantee, tag, self.process.label())?;
+        let label = self.process.label();
+        let mut auth = self.db.inner.auth.write();
+        auth.check_revoke(grantor, grantee, tag, label)?;
         self.db.record_audit(AuditEvent::Revoke {
             grantor,
             grantee,
             tag,
-        });
-        Ok(())
+        })?;
+        Ok(auth.revoke(grantor, grantee, tag, label)?)
     }
 
     /// Checks that the process may release information to the outside world
     /// (an empty-labeled destination). Application platforms call this before
     /// writing to the client; a contaminated process is blocked and the
-    /// attempt is audited.
+    /// attempt is counted in [`Database::audit_counters`].
     pub fn check_release_to_world(&self) -> IfdbResult<()> {
-        match self.process.check_release_to_world() {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.db.audit().record(AuditEvent::BlockedRelease {
-                    principal: self.process.principal(),
-                    label: self.process.label().clone(),
-                });
-                Err(e.into())
-            }
-        }
+        self.process.check_release_to_world().map_err(|e| {
+            let counters = self.db.audit_counters();
+            counters.count(ifdb_difc::audit::kind::BLOCKED_RELEASE);
+            e.into()
+        })
     }
 
     /// Returns `true` if the acting principal has authority for `tag`,
@@ -449,41 +436,7 @@ impl Session {
             .txn
             .take()
             .ok_or_else(|| IfdbError::InvalidStatement("no transaction to commit".into()))?;
-        // Deferred triggers run first; they may add writes. They run with the
-        // label of the query that queued them, not the commit label
-        // (Section 5.2.3).
-        let mut state = state;
-        if !state.deferred.is_empty() {
-            let deferred = std::mem::take(&mut state.deferred);
-            self.txn = Some(state);
-            for (trigger, inv) in deferred {
-                let result = self.run_trigger(&trigger, &inv);
-                if let Err(e) = result {
-                    let _ = self.abort();
-                    return Err(e);
-                }
-            }
-            state = self.txn.take().expect("txn restored for deferred triggers");
-        }
-        // Commit label rule.
-        if self.db.difc_enabled() {
-            let commit_label = self.process.label().clone();
-            for w in &state.write_set {
-                if !commit_label.is_subset_of(&w.label) {
-                    self.db.inner.engine.abort(state.id)?;
-                    self.stats.aborts += 1;
-                    self.db.record_audit(AuditEvent::CommitRefused {
-                        principal: self.process.principal(),
-                        commit_label: commit_label.clone(),
-                        tuple_label: w.label.clone(),
-                    });
-                    return Err(IfdbError::CommitLabelViolation {
-                        commit_label,
-                        tuple_label: w.label.clone(),
-                    });
-                }
-            }
-        }
+        let state = self.settle_for_commit(state)?;
         self.db.inner.engine.commit(state.id)?;
         self.stats.commits += 1;
         Ok(())
@@ -498,14 +451,27 @@ impl Session {
     /// time can fail afterwards. On success the transaction leaves this
     /// session (it is in-doubt, owned by the coordinator) and is resolved
     /// later via [`Database::decide_prepared`]. On failure the transaction
-    /// is aborted, which is the participant's no vote.
+    /// is aborted, which is the participant's no vote. The coordinator's
+    /// Decide cannot re-check labels, so the vote is where a commit-label
+    /// violation must surface.
     pub fn prepare_commit(&mut self, gid: u64) -> IfdbResult<()> {
         self.check_writable()?;
         let state = self
             .txn
             .take()
             .ok_or_else(|| IfdbError::InvalidStatement("no transaction to prepare".into()))?;
-        let mut state = state;
+        let state = self.settle_for_commit(state)?;
+        self.db.inner.engine.prepare_commit(state.id, gid)?;
+        Ok(())
+    }
+
+    /// What commit and prepare check first: the deferred triggers run,
+    /// with the label of the query that queued them, not the commit label
+    /// (Section 5.2.3), and may add writes; then the commit label rule. A
+    /// violation aborts the transaction and is chained as
+    /// [`AuditEvent::CommitRefused`]; if the chain refuses that, the
+    /// append's error is returned instead.
+    fn settle_for_commit(&mut self, mut state: TxnState) -> IfdbResult<TxnState> {
         if !state.deferred.is_empty() {
             let deferred = std::mem::take(&mut state.deferred);
             self.txn = Some(state);
@@ -518,30 +484,29 @@ impl Session {
             }
             state = self.txn.take().expect("txn restored for deferred triggers");
         }
-        // Commit label rule, enforced per participant at prepare time: the
-        // coordinator's Decide cannot re-check labels, so the vote is where
-        // a violation must surface (aborting here aborts the whole global
-        // transaction).
-        if self.db.difc_enabled() {
-            let commit_label = self.process.label().clone();
-            for w in &state.write_set {
-                if !commit_label.is_subset_of(&w.label) {
-                    self.db.inner.engine.abort(state.id)?;
-                    self.stats.aborts += 1;
-                    self.db.record_audit(AuditEvent::CommitRefused {
-                        principal: self.process.principal(),
-                        commit_label: commit_label.clone(),
-                        tuple_label: w.label.clone(),
-                    });
-                    return Err(IfdbError::CommitLabelViolation {
-                        commit_label,
-                        tuple_label: w.label.clone(),
-                    });
-                }
-            }
+        if !self.db.difc_enabled() {
+            return Ok(state);
         }
-        self.db.inner.engine.prepare_commit(state.id, gid)?;
-        Ok(())
+        let commit_label = self.process.label().clone();
+        let write_set = &state.write_set;
+        let Some(w) = write_set
+            .iter()
+            .find(|w| !commit_label.is_subset_of(&w.label))
+        else {
+            return Ok(state);
+        };
+        let tuple_label = w.label.clone();
+        self.db.inner.engine.abort(state.id)?;
+        self.stats.aborts += 1;
+        self.db.record_audit(AuditEvent::CommitRefused {
+            principal: self.process.principal(),
+            commit_label: commit_label.clone(),
+            tuple_label: tuple_label.clone(),
+        })?;
+        Err(IfdbError::CommitLabelViolation {
+            commit_label,
+            tuple_label,
+        })
     }
 
     /// Aborts the current transaction.
@@ -663,9 +628,10 @@ impl Session {
 
     /// After an authority closure returns, restore the caller's label: the
     /// closure's internal contamination is discarded where the closure
-    /// principal holds the authority to declassify it, and kept (propagated
-    /// to the caller) where it does not. Ordinary (non-closure) bodies leave
-    /// the label untouched — their contamination is the caller's.
+    /// principal holds the authority to declassify it and the chain takes
+    /// the declassification, and kept (propagated to the caller) where it
+    /// does not. Ordinary (non-closure) bodies leave the label untouched —
+    /// their contamination is the caller's.
     fn unwind_label(&mut self, saved: Label, closure_principal: Option<PrincipalId>) {
         let Some(principal) = closure_principal else {
             return;
@@ -676,13 +642,16 @@ impl Session {
         if !extra.is_empty() {
             let auth = self.db.inner.auth.read();
             for tag in extra.iter() {
-                if auth.has_authority(principal, tag) {
-                    self.db.record_audit(AuditEvent::Declassify {
-                        principal,
-                        tag,
-                        label_before: current.clone(),
-                    });
-                } else {
+                let dropped = auth.has_authority(principal, tag)
+                    && self
+                        .db
+                        .record_audit(AuditEvent::Declassify {
+                            principal,
+                            tag,
+                            label_before: current.clone(),
+                        })
+                        .is_ok();
+                if !dropped {
                     kept = kept.with_tag(tag);
                 }
             }

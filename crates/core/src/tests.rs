@@ -1,6 +1,7 @@
 //! Engine-level tests exercising the paper's scenarios.
 
 use crate::prelude::*;
+use ifdb_difc::audit::AuditEvent;
 use ifdb_storage::{DataType, Datum};
 
 /// Builds the HIVPatients example database of Figure 2.
@@ -766,7 +767,15 @@ fn unauthenticated_session_cannot_release_what_it_reads() {
     // But it can never send the data to the outside world.
     assert!(anon.check_release_to_world().is_err());
     assert!(anon.declassify(alice_medical).is_err());
-    assert!(!db.audit().is_empty());
+    // The blocked release is counted; the chain ends with the raise, as
+    // the refused declassification chained nothing.
+    let counted = db.audit_counters();
+    assert_eq!(counted.get(ifdb_difc::audit::kind::BLOCKED_RELEASE), 1);
+    assert_eq!(counted.events(), 1);
+    assert!(matches!(
+        db.replay_audit().last(),
+        Some(AuditEvent::LabelRaise { .. })
+    ));
 }
 
 #[test]
@@ -1813,4 +1822,144 @@ fn session_stats_count_statements_and_label_syncs() {
     let stats = s.stats();
     assert_eq!(stats.statements, 3);
     assert_eq!(stats.label_syncs, 1, "only the label change forces a sync");
+}
+
+/// Statements through a declassifying view are counted, not chained: the
+/// audit state they leave is O(1) however many run.
+#[test]
+fn declassifying_view_statements_are_counted_not_chained() {
+    let db = Database::in_memory();
+    let owner = db.create_principal("owner", PrincipalKind::User);
+    let tag = db.create_tag(owner, "secret", &[]).unwrap();
+    db.create_table(
+        TableDef::new("S")
+            .column("id", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let mut w = db.session(owner);
+    w.add_secrecy(tag).unwrap();
+    w.insert(&Insert::new("S", vec![Datum::Int(1)])).unwrap();
+    db.create_declassifying_view(
+        owner,
+        "AllS",
+        ViewSource::Select(Select::star("S")),
+        Label::singleton(tag),
+    )
+    .unwrap();
+    let chain = db.replay_audit();
+    let counted = db.audit_counters().declassifications();
+    let mut reader = db.anonymous_session();
+    for _ in 0..1_000 {
+        assert_eq!(reader.select(&Select::star("AllS")).unwrap().len(), 1);
+    }
+    assert_eq!(db.replay_audit(), chain);
+    assert_eq!(db.audit_counters().declassifications(), counted + 1_000);
+    assert_eq!(
+        db.audit_counters()
+            .get(ifdb_difc::audit::kind::DECLASSIFYING_VIEW),
+        1_000
+    );
+}
+
+/// The audit chain fails closed: while the log refuses appends, every
+/// chained label and authority operation is refused and leaves no effect,
+/// a closure unwind keeps the tag it could not log, and a commit refusal
+/// fails with the append's error. A reopened database's chain verifies and
+/// holds no link for any of them.
+#[test]
+fn a_refused_chain_append_refuses_the_operation() {
+    use crate::catalog::StoredProcedure;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("ifdb-audit-closed-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let open = |recover: bool| {
+        let b = Database::builder().on_disk(dir.clone(), 64).seed(0xA0D17);
+        if recover { b.recover() } else { b }.build().unwrap()
+    };
+    let db = open(false);
+    let alice = db.create_principal("alice", PrincipalKind::User);
+    let bob = db.create_principal("bob", PrincipalKind::User);
+    let t1 = db.create_tag(alice, "t1", &[]).unwrap();
+    let t2 = db.create_tag(alice, "t2", &[]).unwrap();
+    db.create_table(
+        TableDef::new("R")
+            .column("id", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    let mut admin = db.session(alice);
+    admin.delegate(bob, t2).unwrap();
+    for id in 2..5 {
+        admin
+            .insert(&Insert::new("R", vec![Datum::Int(id)]))
+            .unwrap();
+    }
+    let mut high = db.session(alice);
+    high.add_secrecy(t1).unwrap();
+    let mut writer = db.session(alice);
+    writer.add_secrecy(t1).unwrap();
+    writer.begin().unwrap();
+    writer
+        .insert(&Insert::new("R", vec![Datum::Int(1)]))
+        .unwrap();
+    writer.add_secrecy(t2).unwrap();
+    let refusing = Arc::new(db.clone());
+    let in_closure = refusing.clone();
+    db.create_procedure(StoredProcedure {
+        name: "raise_then_refuse".into(),
+        authority: Some(alice),
+        body: Arc::new(move |session, _args| {
+            session.add_secrecy(t1)?;
+            in_closure.inner.refuse_audit.store(true, Ordering::Relaxed);
+            Ok(ResultSet::default())
+        }),
+    })
+    .unwrap();
+
+    // The closure's raise is chained; its unwind's declassification is not.
+    let mut caller = db.session(bob);
+    caller.call_procedure("raise_then_refuse", &[]).unwrap();
+    assert_eq!(caller.label(), &Label::singleton(t1), "the unwind kept t1");
+    let chained = db.replay_audit();
+    assert!(matches!(
+        chained.last(),
+        Some(AuditEvent::LabelRaise { .. })
+    ));
+
+    let mut low = db.session(alice);
+    assert!(low.add_secrecy(t1).is_err());
+    assert!(low.raise_label(&Label::singleton(t2)).is_err());
+    assert!(low.label().is_empty());
+    assert!(high.declassify(t1).is_err());
+    assert!(high.declassify_all(&Label::singleton(t1)).is_err());
+    assert_eq!(high.label(), &Label::singleton(t1));
+    assert!(admin.delegate(bob, t1).is_err());
+    assert!(!db.session(bob).has_authority(t1));
+    assert!(admin.revoke(bob, t2).is_err());
+    assert!(db.session(bob).has_authority(t2));
+    match writer.commit() {
+        Err(IfdbError::Storage(_)) => {}
+        other => panic!("a refused commit should fail with the append's error: {other:?}"),
+    }
+    assert!(!writer.in_transaction());
+    low.set_execution_constraints(ExecutionConstraints::default().with_max_rows(1));
+    match low.select(&Select::star("R")) {
+        Err(IfdbError::Storage(_)) => {}
+        other => panic!("a budget kill should fail with the append's error: {other:?}"),
+    }
+
+    refusing.inner.refuse_audit.store(false, Ordering::Relaxed);
+    assert_eq!(db.replay_audit(), chained, "nothing refused was chained");
+    db.verify_audit_chain().unwrap();
+    drop((admin, high, writer, low, caller, refusing));
+    db.engine().wal().sync().unwrap();
+    drop(db);
+    let db = open(true);
+    db.verify_audit_chain().unwrap();
+    assert_eq!(db.replay_audit(), chained);
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }

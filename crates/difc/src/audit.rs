@@ -1,14 +1,18 @@
-//! Audit trail of security-relevant events.
+//! Audit events: what the code that runs with authority did.
 //!
 //! The paper's methodology (Section 6.4) stresses that the security of an
-//! application rests on the code that runs with authority; an audit log of
+//! application rests on the code that runs with authority; auditing its
 //! declassifications and authority changes makes that code's behaviour
-//! observable. The audit log is not part of the enforcement mechanism — it
-//! exists so operators and tests can verify where declassification happens.
+//! observable. There is one trail, the storage engine's hash chain, which
+//! carries each event [encoded](AuditEvent::encode). It is part of
+//! enforcement: an operation whose event the chain cannot take is refused
+//! and has no effect. Events too frequent to chain (each statement through a
+//! declassifying view, blocked releases) and every event of a read-only
+//! replica, whose chain is its primary's, are only counted, per kind, in
+//! [`AuditCounters`].
 
 use std::fmt;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::label::Label;
 use crate::principal::PrincipalId;
@@ -90,8 +94,9 @@ pub enum AuditEvent {
     },
 }
 
-/// Wire-format tags for [`AuditEvent::encode`].
-mod codec_tag {
+/// The kinds of [`AuditEvent`]: an event's first byte when encoded, and
+/// what [`AuditCounters`] counts by.
+pub mod kind {
     pub const DECLASSIFY: u8 = 1;
     pub const DELEGATE: u8 = 2;
     pub const REVOKE: u8 = 3;
@@ -100,6 +105,17 @@ mod codec_tag {
     pub const LABEL_RAISE: u8 = 6;
     pub const COMMIT_REFUSED: u8 = 7;
     pub const BUDGET_KILL: u8 = 8;
+    /// Each kind's name, at index `kind - 1`.
+    pub const NAMES: [&str; 8] = [
+        "declassify",
+        "delegate",
+        "revoke",
+        "blocked_release",
+        "declassifying_view",
+        "label_raise",
+        "commit_refused",
+        "budget_kill",
+    ];
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -155,17 +171,31 @@ impl<'a> Cursor<'a> {
 }
 
 impl AuditEvent {
+    /// This event's [`kind`].
+    pub fn kind(&self) -> u8 {
+        match self {
+            AuditEvent::Declassify { .. } => kind::DECLASSIFY,
+            AuditEvent::Delegate { .. } => kind::DELEGATE,
+            AuditEvent::Revoke { .. } => kind::REVOKE,
+            AuditEvent::BlockedRelease { .. } => kind::BLOCKED_RELEASE,
+            AuditEvent::DeclassifyingView { .. } => kind::DECLASSIFYING_VIEW,
+            AuditEvent::LabelRaise { .. } => kind::LABEL_RAISE,
+            AuditEvent::CommitRefused { .. } => kind::COMMIT_REFUSED,
+            AuditEvent::BudgetKill { .. } => kind::BUDGET_KILL,
+        }
+    }
+
     /// Serializes the event to the compact binary form carried opaquely in
     /// the storage layer's audit chain. Round-trips through [`Self::decode`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        out.push(self.kind());
         match self {
             AuditEvent::Declassify {
                 principal,
                 tag,
                 label_before,
             } => {
-                out.push(codec_tag::DECLASSIFY);
                 put_u64(&mut out, principal.0);
                 put_u64(&mut out, tag.0);
                 put_label(&mut out, label_before);
@@ -175,7 +205,6 @@ impl AuditEvent {
                 grantee,
                 tag,
             } => {
-                out.push(codec_tag::DELEGATE);
                 put_u64(&mut out, grantor.0);
                 put_u64(&mut out, grantee.0);
                 put_u64(&mut out, tag.0);
@@ -185,23 +214,19 @@ impl AuditEvent {
                 grantee,
                 tag,
             } => {
-                out.push(codec_tag::REVOKE);
                 put_u64(&mut out, grantor.0);
                 put_u64(&mut out, grantee.0);
                 put_u64(&mut out, tag.0);
             }
             AuditEvent::BlockedRelease { principal, label } => {
-                out.push(codec_tag::BLOCKED_RELEASE);
                 put_u64(&mut out, principal.0);
                 put_label(&mut out, label);
             }
             AuditEvent::DeclassifyingView { name, tags } => {
-                out.push(codec_tag::DECLASSIFYING_VIEW);
                 put_str(&mut out, name);
                 put_label(&mut out, tags);
             }
             AuditEvent::LabelRaise { principal, added } => {
-                out.push(codec_tag::LABEL_RAISE);
                 put_u64(&mut out, principal.0);
                 put_label(&mut out, added);
             }
@@ -210,7 +235,6 @@ impl AuditEvent {
                 commit_label,
                 tuple_label,
             } => {
-                out.push(codec_tag::COMMIT_REFUSED);
                 put_u64(&mut out, principal.0);
                 put_label(&mut out, commit_label);
                 put_label(&mut out, tuple_label);
@@ -221,7 +245,6 @@ impl AuditEvent {
                 limit,
                 used,
             } => {
-                out.push(codec_tag::BUDGET_KILL);
                 put_u64(&mut out, principal.0);
                 put_str(&mut out, resource);
                 put_u64(&mut out, *limit);
@@ -236,39 +259,39 @@ impl AuditEvent {
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut c = Cursor { buf, pos: 0 };
         let event = match c.u8()? {
-            codec_tag::DECLASSIFY => AuditEvent::Declassify {
+            kind::DECLASSIFY => AuditEvent::Declassify {
                 principal: PrincipalId(c.u64()?),
                 tag: TagId(c.u64()?),
                 label_before: c.label()?,
             },
-            codec_tag::DELEGATE => AuditEvent::Delegate {
+            kind::DELEGATE => AuditEvent::Delegate {
                 grantor: PrincipalId(c.u64()?),
                 grantee: PrincipalId(c.u64()?),
                 tag: TagId(c.u64()?),
             },
-            codec_tag::REVOKE => AuditEvent::Revoke {
+            kind::REVOKE => AuditEvent::Revoke {
                 grantor: PrincipalId(c.u64()?),
                 grantee: PrincipalId(c.u64()?),
                 tag: TagId(c.u64()?),
             },
-            codec_tag::BLOCKED_RELEASE => AuditEvent::BlockedRelease {
+            kind::BLOCKED_RELEASE => AuditEvent::BlockedRelease {
                 principal: PrincipalId(c.u64()?),
                 label: c.label()?,
             },
-            codec_tag::DECLASSIFYING_VIEW => AuditEvent::DeclassifyingView {
+            kind::DECLASSIFYING_VIEW => AuditEvent::DeclassifyingView {
                 name: c.str()?,
                 tags: c.label()?,
             },
-            codec_tag::LABEL_RAISE => AuditEvent::LabelRaise {
+            kind::LABEL_RAISE => AuditEvent::LabelRaise {
                 principal: PrincipalId(c.u64()?),
                 added: c.label()?,
             },
-            codec_tag::COMMIT_REFUSED => AuditEvent::CommitRefused {
+            kind::COMMIT_REFUSED => AuditEvent::CommitRefused {
                 principal: PrincipalId(c.u64()?),
                 commit_label: c.label()?,
                 tuple_label: c.label()?,
             },
-            codec_tag::BUDGET_KILL => AuditEvent::BudgetKill {
+            kind::BUDGET_KILL => AuditEvent::BudgetKill {
                 principal: PrincipalId(c.u64()?),
                 resource: c.str()?,
                 limit: c.u64()?,
@@ -335,80 +358,37 @@ impl fmt::Display for AuditEvent {
     }
 }
 
-/// A thread-safe, append-only audit log.
+/// Per-kind counts of the audit events that are counted rather than
+/// chained (see the [module docs](self)): relaxed counters, O(1) however
+/// many statements run.
 #[derive(Debug, Default)]
-pub struct AuditLog {
-    events: Mutex<Vec<AuditEvent>>,
-}
+pub struct AuditCounters([AtomicU64; kind::NAMES.len()]);
 
-impl AuditLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
+impl AuditCounters {
+    /// Counts one event of `kind` (one of the [`kind`] constants).
+    pub fn count(&self, kind: u8) {
+        self.0[usize::from(kind - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Appends an event.
-    pub fn record(&self, event: AuditEvent) {
-        self.events.lock().push(event);
+    /// Events of `kind` counted so far.
+    pub fn get(&self, kind: u8) -> u64 {
+        self.0[usize::from(kind - 1)].load(Ordering::Relaxed)
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
+    /// Events of every kind counted so far.
+    pub fn events(&self) -> u64 {
+        self.0.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// Returns `true` if no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-
-    /// Snapshot of all events recorded so far.
-    pub fn events(&self) -> Vec<AuditEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of declassification events (direct or via views). This is the
-    /// figure used by the trusted-base report: every one of these is a place
-    /// where policy is exercised.
-    pub fn declassification_count(&self) -> usize {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    AuditEvent::Declassify { .. } | AuditEvent::DeclassifyingView { .. }
-                )
-            })
-            .count()
+    /// Declassifications counted so far, direct or through a view.
+    pub fn declassifications(&self) -> u64 {
+        self.get(kind::DECLASSIFY) + self.get(kind::DECLASSIFYING_VIEW)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_counts_events() {
-        let log = AuditLog::new();
-        assert!(log.is_empty());
-        log.record(AuditEvent::Declassify {
-            principal: PrincipalId(1),
-            tag: TagId(2),
-            label_before: Label::singleton(TagId(2)),
-        });
-        log.record(AuditEvent::Delegate {
-            grantor: PrincipalId(1),
-            grantee: PrincipalId(3),
-            tag: TagId(2),
-        });
-        log.record(AuditEvent::DeclassifyingView {
-            name: "PCMembers".into(),
-            tags: Label::singleton(TagId(9)),
-        });
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.declassification_count(), 2);
-    }
 
     #[test]
     fn display_is_readable() {

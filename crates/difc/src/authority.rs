@@ -318,19 +318,7 @@ impl AuthorityState {
         tag: TagId,
         process_label: &Label,
     ) -> DifcResult<()> {
-        if !process_label.is_empty() {
-            return Err(DifcError::ContaminatedAuthorityUpdate {
-                label: process_label.clone(),
-            });
-        }
-        self.principal(grantee)?;
-        self.tag(tag)?;
-        if !self.has_authority(grantor, tag) {
-            return Err(DifcError::NoAuthority {
-                principal: grantor,
-                tag,
-            });
-        }
+        self.check_delegate(grantor, grantee, tag, process_label)?;
         let d = Delegation {
             grantor,
             grantee,
@@ -344,11 +332,10 @@ impl AuthorityState {
         Ok(())
     }
 
-    /// Revokes a delegation previously granted by `grantor` to `grantee` for
-    /// `tag`. Only the grantor (or the tag owner) may revoke; the process
-    /// must be uncontaminated, as for [`AuthorityState::delegate`].
-    pub fn revoke(
-        &mut self,
+    /// Whether [`AuthorityState::delegate`] would succeed, without its
+    /// effect.
+    pub fn check_delegate(
+        &self,
         grantor: PrincipalId,
         grantee: PrincipalId,
         tag: TagId,
@@ -359,17 +346,58 @@ impl AuthorityState {
                 label: process_label.clone(),
             });
         }
+        self.principal(grantee)?;
+        self.tag(tag)?;
+        if !self.has_authority(grantor, tag) {
+            return Err(DifcError::NoAuthority {
+                principal: grantor,
+                tag,
+            });
+        }
+        Ok(())
+    }
+
+    /// Revokes a delegation previously granted by `grantor` to `grantee` for
+    /// `tag`. Only the grantor (or the tag owner) may revoke; the process
+    /// must be uncontaminated, as for [`AuthorityState::delegate`].
+    pub fn revoke(
+        &mut self,
+        grantor: PrincipalId,
+        grantee: PrincipalId,
+        tag: TagId,
+        process_label: &Label,
+    ) -> DifcResult<()> {
+        self.check_revoke(grantor, grantee, tag, process_label)?;
         let edges = self.delegations.entry(tag).or_default();
-        let before = edges.len();
-        edges.retain(|d| !(d.grantor == grantor && d.grantee == grantee && d.tag == tag));
-        if edges.len() == before {
+        edges.retain(|d| !(d.grantor == grantor && d.grantee == grantee));
+        self.bump();
+        Ok(())
+    }
+
+    /// Whether [`AuthorityState::revoke`] would succeed, without its effect.
+    pub fn check_revoke(
+        &self,
+        grantor: PrincipalId,
+        grantee: PrincipalId,
+        tag: TagId,
+        process_label: &Label,
+    ) -> DifcResult<()> {
+        if !process_label.is_empty() {
+            return Err(DifcError::ContaminatedAuthorityUpdate {
+                label: process_label.clone(),
+            });
+        }
+        let edges = self.delegations_for(tag);
+        if !edges
+            .iter()
+            .any(|d| d.grantor == grantor && d.grantee == grantee)
+        {
             return Err(DifcError::NoSuchDelegation {
                 grantor,
                 grantee,
                 tag,
             });
         }
-        self.bump();
         Ok(())
     }
 

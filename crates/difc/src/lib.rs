@@ -20,7 +20,9 @@
 //! * [`memo`] — per-scan label-decision memoization and label interning,
 //!   exploiting the paper's observation that few distinct labels occur per
 //!   table (Section 8).
-//! * [`audit`] — an audit trail of declassifications and authority changes.
+//! * [`audit`] — audit events (declassifications, authority changes), their
+//!   codec for the storage engine's hash chain, and per-kind counters for
+//!   the events that are counted rather than chained.
 //!
 //! The crate is deliberately independent of the database: the same model
 //! objects are shared by the storage engine, the query engine, and the

@@ -1284,14 +1284,15 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("refused_rate", q.refused_rate.load(Ordering::Relaxed))
         .push("reconfigures", q.reconfigures.load(Ordering::Relaxed))
         .push("sched_yields", q.sched_yields.load(Ordering::Relaxed));
+    let counted = shared.db.audit_counters();
     let audit = snap.group_mut("audit");
     audit
         .push("chained_records", e.audit_records)
-        .push("events", shared.db.audit().len() as u64)
-        .push(
-            "declassifications",
-            shared.db.audit().declassification_count() as u64,
-        );
+        .push("events", counted.events())
+        .push("declassifications", counted.declassifications());
+    for (kind, name) in (1..).zip(ifdb_difc::audit::kind::NAMES) {
+        audit.push(name, counted.get(kind));
+    }
     snap
 }
 

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 use ifdb::prelude::*;
 use ifdb_client::protocol::{code, read_frame_id, write_frame_id, Request, Response};
 use ifdb_client::{ClientConfig, Connection, RoutedConnection, RouterConfig};
+use ifdb_difc::audit::AuditEvent;
 use ifdb_platform::Authenticator;
 use ifdb_server::{
     start, ReplicaConfig, ReplicaHandle, ServerConfig, ServerHandle, REPL_POLL_PARK,
@@ -946,6 +947,21 @@ fn audit_chain_replicates_and_survives_promotion() {
     replica.database().verify_audit_chain().unwrap();
     assert_eq!(replica.database().replay_audit(), primary_events);
 
+    // A replica session's events are counted there, not chained: its
+    // declassification moves the replica's `audit.declassifications`, and
+    // its chain stays the primary's.
+    let declassifications = |r: &ReplicaHandle| {
+        let metrics = r.server().metrics();
+        metrics.get("audit", "declassifications").unwrap()
+    };
+    let counted = declassifications(&replica);
+    let mut rs = replica.database().session(fx.difc.alice);
+    rs.add_secrecy(fx.difc.alice_tag).unwrap();
+    rs.declassify(fx.difc.alice_tag).unwrap();
+    assert_eq!(declassifications(&replica), counted + 1);
+    assert_eq!(fx.db.replay_audit(), primary_events);
+    assert_eq!(replica.database().replay_audit(), primary_events);
+
     // Fail over. The promoted node's chain must keep verifying and keep
     // growing across the promotion seam.
     primary.shutdown();
@@ -968,6 +984,37 @@ fn audit_chain_replicates_and_survives_promotion() {
         "the pre-failover history is immutable"
     );
     replica.shutdown();
+}
+
+/// `DeclassifyAll` over the wire is chained as `Declassify` is, one link
+/// per tag it removes, on the primary and, through the stream, on its
+/// replica.
+#[test]
+fn declassify_all_over_the_wire_is_chained_and_replicated() {
+    let fx = build_primary();
+    let primary = start_primary(&fx, 4);
+    let replica = start_replica_of(&primary.addr().to_string());
+    let addr = primary.addr().to_string();
+    let mut c = connect(&addr, "alice", "pw-a", &[fx.difc.alice_tag]);
+    let before = fx.db.replay_audit().len();
+    c.declassify_all(&Label::singleton(fx.difc.alice_tag))
+        .unwrap();
+    c.close().unwrap();
+    let chain = fx.db.replay_audit();
+    assert!(
+        matches!(&chain[before..], [AuditEvent::Declassify { tag, .. }] if *tag == fx.difc.alice_tag),
+        "{:?}",
+        &chain[before..]
+    );
+    let target = fx.db.engine().wal().last_seq();
+    assert!(
+        replica.wait_for_seq(target, Duration::from_secs(20)),
+        "replica did not catch up"
+    );
+    replica.database().verify_audit_chain().unwrap();
+    assert_eq!(replica.database().replay_audit(), chain);
+    replica.shutdown();
+    primary.shutdown();
 }
 
 /// A caught-up replica's poll parks on the primary's log instead of coming

@@ -103,19 +103,18 @@ impl AuditChain {
         self.records.is_empty()
     }
 
-    /// Forges the next link over `bytes` and appends it, returning a copy
-    /// for the caller to log.
-    pub fn append(&mut self, bytes: Vec<u8>) -> AuditChainRecord {
+    /// Forges the next link over `bytes` without keeping it: the caller
+    /// logs it, and only then [accepts](Self::accept) it, so a link the log
+    /// refused is never part of the chain.
+    pub fn forge(&self, bytes: Vec<u8>) -> AuditChainRecord {
         let seq = self.head_seq() + 1;
         let prev = self.head_hash();
-        let record = AuditChainRecord {
+        AuditChainRecord {
             seq,
             prev,
             hash: chain_hash(prev, seq, &bytes),
             bytes,
-        };
-        self.records.push(record.clone());
-        record
+        }
     }
 
     /// Accepts a link produced elsewhere (log replay, the replication
@@ -203,12 +202,19 @@ pub fn verify_chain(records: &[AuditChainRecord]) -> Result<(), AuditChainBreak>
 mod tests {
     use super::*;
 
+    /// Forges and keeps the next link.
+    fn append(chain: &mut AuditChain, bytes: Vec<u8>) -> AuditChainRecord {
+        let link = chain.forge(bytes);
+        chain.accept(link.clone()).unwrap();
+        link
+    }
+
     #[test]
     fn append_builds_a_verifiable_chain() {
         let mut chain = AuditChain::new();
         assert!(chain.is_empty());
         for i in 0..10u8 {
-            chain.append(vec![i; 3]);
+            append(&mut chain, vec![i; 3]);
         }
         assert_eq!(chain.len(), 10);
         assert_eq!(chain.head_seq(), 10);
@@ -218,9 +224,9 @@ mod tests {
     #[test]
     fn tampering_breaks_verification() {
         let mut chain = AuditChain::new();
-        chain.append(b"declassify".to_vec());
-        chain.append(b"delegate".to_vec());
-        chain.append(b"budget kill".to_vec());
+        append(&mut chain, b"declassify".to_vec());
+        append(&mut chain, b"delegate".to_vec());
+        append(&mut chain, b"budget kill".to_vec());
         let mut records = chain.records();
 
         // Alter a payload: its own hash no longer recomputes.
@@ -244,8 +250,8 @@ mod tests {
     #[test]
     fn accept_is_idempotent_and_ordered() {
         let mut source = AuditChain::new();
-        let a = source.append(vec![1]);
-        let b = source.append(vec![2]);
+        let a = append(&mut source, vec![1]);
+        let b = append(&mut source, vec![2]);
 
         let mut sink = AuditChain::new();
         sink.accept(a.clone()).unwrap();

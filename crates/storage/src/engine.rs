@@ -732,10 +732,12 @@ impl StorageEngine {
     // ------------------------------------------------------------------
 
     /// Forges the next link of the tamper-evident audit chain over `bytes`
-    /// (an event serialized by the layer above) and appends it to the
-    /// write-ahead log. The chain lock is held across the log append so the
-    /// chain's order and the log's order can never diverge. Returns the
-    /// link's sequence number.
+    /// (an event serialized by the layer above), appends it to the
+    /// write-ahead log, and only then keeps it in the chain: a link the log
+    /// refused is not kept, so the chain's head, its length and its
+    /// verification are as before the call, and the error is returned. The
+    /// chain lock is held across the log append so the chain's order and
+    /// the log's order can never diverge. Returns the link's sequence number.
     ///
     /// The link is as durable as the surrounding history: it rides the next
     /// commit's fsync rather than paying its own, which keeps audit appends
@@ -744,9 +746,12 @@ impl StorageEngine {
     /// recoverable *with* the event.
     pub fn append_audit(&self, bytes: Vec<u8>) -> StorageResult<u64> {
         let mut chain = self.audit.lock();
-        let record = chain.append(bytes);
-        let seq = record.seq;
-        self.wal.append(record.to_log_record())?;
+        let link = chain.forge(bytes);
+        let seq = link.seq;
+        self.wal.append(link.to_log_record())?;
+        chain
+            .accept(link)
+            .expect("a forged link extends the chain it was forged on");
         Ok(seq)
     }
 
@@ -2200,6 +2205,38 @@ mod tests {
         drop(eng);
         let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
         assert_eq!(label_of(&eng, 1), Some(tags));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A link is kept only once the log has taken it: an append the log
+    /// refuses leaves the chain's head, its length and its verification as
+    /// they were, the next link chains to the last one logged, and a
+    /// reopened engine holds exactly the links that were kept.
+    #[test]
+    fn a_refused_audit_append_leaves_the_chain_as_it_was() {
+        let dir = std::env::temp_dir().join(format!("ifdb-engine-audit-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kept = {
+            let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+            for i in 0..3u8 {
+                eng.append_audit(vec![i; 4]).unwrap();
+            }
+            let before = eng.audit_records();
+            eng.wal().refuse_writes.store(true, Ordering::Relaxed);
+            assert!(eng.append_audit(b"refused".to_vec()).is_err());
+            eng.wal().refuse_writes.store(false, Ordering::Relaxed);
+            assert_eq!(eng.audit_records(), before);
+            assert_eq!(eng.audit_len(), 3);
+            eng.verify_audit_chain().unwrap();
+            assert_eq!(eng.append_audit(b"after".to_vec()).unwrap(), 4);
+            eng.verify_audit_chain().unwrap();
+            eng.wal().sync().unwrap();
+            eng.audit_records()
+        };
+        let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+        assert_eq!(eng.audit_records(), kept);
+        assert!(kept.iter().all(|r| r.bytes != b"refused"));
+        eng.verify_audit_chain().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

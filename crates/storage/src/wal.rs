@@ -508,6 +508,9 @@ pub struct Wal {
     /// signals the first sender on arrival and waits on the receiver.
     #[cfg(test)]
     park_next_sync: StdMutex<Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>>,
+    /// While set, the sink refuses every write, as a full device would.
+    #[cfg(test)]
+    pub(crate) refuse_writes: std::sync::atomic::AtomicBool,
 }
 
 impl std::fmt::Debug for Wal {
@@ -575,6 +578,8 @@ impl Wal {
             generation: AtomicU64::new(generation),
             #[cfg(test)]
             park_next_sync: StdMutex::new(None),
+            #[cfg(test)]
+            refuse_writes: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -711,6 +716,12 @@ impl Wal {
             // the index always describes the sink's bytes (lock order
             // sink → index, same as rewrite_with and the read path).
             let mut sink = self.sink.lock();
+            #[cfg(test)]
+            if self.refuse_writes.load(Ordering::Relaxed) {
+                return Err(StorageError::Io {
+                    detail: "the sink refuses writes".into(),
+                });
+            }
             write_frame(sink.writer(), &encoded)?;
             if let Sink::File {
                 w, appended_seq, ..

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example cartel_portal`
 
 use ifdb_repro::cartel::{CartelApp, CartelConfig};
+use ifdb_repro::difc::audit::AuditEvent;
 use ifdb_repro::platform::Request;
 
 fn main() {
@@ -70,9 +71,17 @@ fn main() {
     assert!(resp.body.is_empty());
 
     println!();
+    // Scripts declassify explicitly (chained in the audit trail) and
+    // through declassifying views (counted per statement).
+    let chained = app
+        .db
+        .replay_audit()
+        .into_iter()
+        .filter(|e| matches!(e, AuditEvent::Declassify { .. }))
+        .count();
     println!(
-        "audited declassifications so far: {}",
-        app.db.audit().declassification_count()
+        "audited declassifications so far: {chained} chained, {} through views",
+        app.db.audit_counters().declassifications()
     );
     println!(
         "trusted catalog objects: {}",

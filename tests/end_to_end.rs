@@ -2,6 +2,7 @@
 //! query engine, the platform, and the applications working together.
 
 use ifdb_repro::cartel::{CartelApp, CartelConfig};
+use ifdb_repro::difc::audit::AuditEvent;
 use ifdb_repro::hotcrp::{HotcrpApp, HotcrpConfig};
 use ifdb_repro::ifdb::prelude::*;
 use ifdb_repro::ifdb::TableDef;
@@ -39,9 +40,14 @@ fn cartel_end_to_end_confidentiality() {
     let anon = app.server.handle(&Request::new("cars.php"));
     assert!(anon.body.is_empty());
 
-    // The database-level audit shows that only authorized declassifications
-    // happened.
-    assert!(app.db.audit().declassification_count() > 0);
+    // The database-level audit shows that the authorized declassifications
+    // happened: the scripts' own, chained, and those through views, counted.
+    app.db.verify_audit_chain().unwrap();
+    let chain = app.db.replay_audit();
+    assert!(chain
+        .iter()
+        .any(|e| matches!(e, AuditEvent::Declassify { .. })));
+    assert!(app.db.audit_counters().declassifications() > 0);
 }
 
 #[test]
