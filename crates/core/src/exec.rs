@@ -1091,22 +1091,15 @@ impl Session {
             .map(|c| col_index(&columns, c))
             .collect::<IfdbResult<_>>()?;
         if let Some(index_name) = ref_info.index_on(ref_columns) {
-            let rows = self
-                .db
-                .inner
-                .engine
-                .index_lookup(ref_info.id, index_name, key)?;
-            for rid in rows {
-                if let Some(v) = self
-                    .db
-                    .inner
-                    .engine
-                    .fetch_visible(snapshot, ref_info.id, rid)?
-                {
-                    return Ok(Some(Label::from_array(&v.header.label)));
-                }
-            }
-            return Ok(None);
+            let engine = &self.db.inner.engine;
+            let rows = engine.index_lookup(ref_info.id, index_name, key)?;
+            let labels = engine.labels();
+            let mut found = None;
+            engine.visit_rows::<IfdbError>(snapshot, ref_info.id, rows, |_, tuple| {
+                found = Some(Label::from_array(&labels.tags(tuple.label_id())?));
+                Ok(false)
+            })?;
+            return Ok(found);
         }
         let mut found = None;
         self.db

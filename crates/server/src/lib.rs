@@ -1259,6 +1259,8 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
         .push("full_table_scans", e.full_table_scans)
         .push("index_point_lookups", e.index_point_lookups)
         .push("index_range_scans", e.index_range_scans)
+        .push("index_rows_fetched", e.index_rows_fetched)
+        .push("index_entries_dropped", e.index_entries_dropped)
         .push("label_checks", e.label_checks)
         .push("label_page_checks", e.label_page_checks)
         .push("txns_started", e.txns_started)

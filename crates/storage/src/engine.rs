@@ -27,9 +27,7 @@ use crate::mvcc::{
 use crate::schema::TableSchema;
 use crate::stats::EngineStats;
 use crate::store::{FilePageStore, MemPageStore, PageStore};
-use crate::tuple::{
-    encode, with_mvcc_header, TupleHeader, TupleRef, TupleVersion, MVCC_HEADER_LEN,
-};
+use crate::tuple::{encode, with_mvcc_header, TupleRef, TupleVersion, MVCC_HEADER_LEN};
 use crate::value::Datum;
 use crate::wal::{DurabilityConfig, LogRecord, Wal};
 
@@ -76,6 +74,42 @@ impl IndexEntry {
             .map(|c| tuple.field(*c))
             .collect::<StorageResult<Vec<Datum>>>()?;
         Ok(encode_key(&key))
+    }
+}
+
+/// The index entries of dead versions, noted while their pages are read
+/// and removed once they are released: by index position, each dead
+/// version's key in that index and its row. A table's indexes are only ever
+/// appended to, so a position names one index for the table's lifetime; an
+/// index created after a version was noted keeps that version's entry for
+/// the next lookup to find.
+#[derive(Default)]
+struct DeadEntries(Vec<Vec<(Vec<u8>, RowId)>>);
+
+impl DeadEntries {
+    /// Notes the entries of `tuple`, the dead version at `row`, in each of
+    /// `indexes`.
+    fn note(
+        &mut self,
+        indexes: &[IndexEntry],
+        tuple: &TupleRef<'_>,
+        row: RowId,
+    ) -> StorageResult<()> {
+        self.0.resize_with(indexes.len(), Vec::new);
+        for (entry, keys) in indexes.iter().zip(&mut self.0) {
+            keys.push((entry.key_of_tuple(tuple)?, row));
+        }
+        Ok(())
+    }
+
+    /// Removes the noted entries from `indexes`, each index under its own
+    /// write lock; returns how many were there.
+    fn remove(&mut self, indexes: &[IndexEntry]) -> u64 {
+        indexes
+            .iter()
+            .zip(&mut self.0)
+            .map(|(entry, keys)| entry.index.remove(keys))
+            .sum()
     }
 }
 
@@ -139,6 +173,8 @@ pub struct StorageEngine {
     full_table_scans: AtomicU64,
     index_point_lookups: AtomicU64,
     index_range_scans: AtomicU64,
+    index_rows_fetched: AtomicU64,
+    index_entries_dropped: AtomicU64,
     label_checks: AtomicU64,
     label_page_checks: AtomicU64,
     recovery_replayed_records: AtomicU64,
@@ -261,6 +297,8 @@ impl StorageEngine {
             full_table_scans: AtomicU64::new(0),
             index_point_lookups: AtomicU64::new(0),
             index_range_scans: AtomicU64::new(0),
+            index_rows_fetched: AtomicU64::new(0),
+            index_entries_dropped: AtomicU64::new(0),
             label_checks: AtomicU64::new(0),
             label_page_checks: AtomicU64::new(0),
             recovery_replayed_records: AtomicU64::new(0),
@@ -587,8 +625,9 @@ impl StorageEngine {
             // already durably committed, so a vacuum failure is surfaced
             // out of band rather than turning a successful commit into an
             // error. Concurrent vacuum is *correct* (version retention is
-            // commit-stamp based, and index fix-up holds the index write
-            // lock), so the quiescence probe is purely a latency courtesy:
+            // commit-stamp based, and it removes only the index entries of
+            // the versions it reclaims), so the quiescence probe is purely
+            // a latency courtesy:
             // prefer a drained moment where no other transaction pays the
             // pause, but past 4× the period stop waiting — sustained load
             // must not defer reclamation forever.
@@ -1005,6 +1044,15 @@ impl StorageEngine {
 
     /// Fetches each of `rows` (row ids an index returned) and invokes `f`
     /// with those visible to `snapshot`, read in place; `Ok(false)` stops.
+    ///
+    /// A row whose slot vacuum has reclaimed since the index handed it out
+    /// is skipped like any version the snapshot cannot see. A version it
+    /// cannot see and that is dead to every snapshot
+    /// ([`crate::mvcc::ScanVisibility::is_dead`]) is noted with its key in
+    /// each of the table's indexes, and once the walk is over, with no page
+    /// pinned, exactly those entries are removed, however the walk ended.
+    /// Every row id read counts towards `index_rows_fetched`, every entry
+    /// removed towards `index_entries_dropped`.
     pub fn visit_rows<E: From<StorageError>>(
         &self,
         snapshot: &Snapshot,
@@ -1014,19 +1062,38 @@ impl StorageEngine {
     ) -> Result<(), E> {
         let t = self.table(table)?;
         let mut visibility = self.txns.visibility(snapshot);
+        let mut fetched = Counted::new(&self.index_rows_fetched);
+        let mut dead = DeadEntries::default();
+        let mut visited = Ok(());
         for row in rows {
-            let more = t.heap.read(row, |tuple| {
-                if visibility.is_visible(tuple.xmin(), tuple.xmax()) {
-                    f(row, tuple)
-                } else {
-                    Ok(true)
+            fetched.n += 1;
+            let read = t.heap.read_live(row, |tuple| {
+                let (xmin, xmax) = (tuple.xmin(), tuple.xmax());
+                if visibility.is_visible(xmin, xmax) {
+                    return f(row, tuple);
                 }
-            })?;
-            if !more {
-                break;
+                if visibility.is_dead(xmin, xmax) {
+                    dead.note(&t.indexes.read(), &tuple, row)?;
+                }
+                Ok(true)
+            });
+            match read {
+                Ok(Some(false)) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    visited = Err(e);
+                    break;
+                }
             }
         }
-        Ok(())
+        // A walk that met no dead version, as a point read's does, takes
+        // no lock and touches no counter for it.
+        if !dead.0.is_empty() {
+            let dropped = dead.remove(&t.indexes.read());
+            self.index_entries_dropped
+                .fetch_add(dropped, Ordering::Relaxed);
+        }
+        visited
     }
 
     /// Records what a scan's Query-by-Label decisions cost: `tuples` whose
@@ -1114,58 +1181,42 @@ impl StorageEngine {
     // Maintenance
     // ------------------------------------------------------------------
 
-    /// Removes tuple versions that no snapshot can ever see again: versions
-    /// written by aborted transactions, and versions deleted by transactions
-    /// that committed before every active transaction. Index entries for the
-    /// removed versions are dropped as well.
+    /// Removes tuple versions that no snapshot can ever see again
+    /// ([`crate::mvcc::DeadVersions`]): versions written by aborted
+    /// transactions, and versions deleted by transactions that committed
+    /// before every active transaction began. Exactly the index entries of
+    /// the removed versions go with them: their keys are taken while the
+    /// walk reads them, and removed once it is over. The table's index list
+    /// is held shared throughout, so an index back-fill (which holds it
+    /// exclusively) either ran before the walk, and its entries are among
+    /// those removed, or runs after it and never sees the removed versions.
     pub fn vacuum(&self) -> StorageResult<usize> {
         let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
         let mut removed_total = 0;
         for t in tables {
-            let removed = t.heap.vacuum(|v| {
-                let header = TupleHeader {
-                    xmin: v.xmin(),
-                    xmax: v.xmax(),
-                    label: Vec::new(),
-                };
-                let dead_insert = self.txns.status(header.xmin) == TxnStatus::Aborted;
-                dead_insert || self.txns.is_dead_for_all(&header)
-            })?;
-            if removed > 0 {
-                // Re-derive each index from the surviving heap contents.
-                // Live entries are (re-)inserted before stale ones are
-                // removed, so a concurrent reader never observes a live row
-                // missing from an index — only the reverse (a stale entry
-                // for a version its snapshot cannot see anyway). The *write*
-                // lock is held across the fix-up: a concurrent inserter puts
-                // its row in the heap first and then blocks here before
-                // touching the index, so every index entry the removal loop
-                // can see belongs to a row the heap scan above either saw
-                // (in `live`) or that does not exist yet — a freshly
-                // inserted row's entry can never be mistaken for stale and
-                // deleted. That makes vacuum safe to run from the periodic
-                // policy without quiescing the engine. A slot is never
-                // reused, so a row's key never changes: an entry is stale
-                // exactly when its row left the heap, and one walk serves
-                // every index.
-                let indexes = t.indexes.write();
-                let mut live: HashSet<RowId> = HashSet::new();
-                t.heap.walk::<StorageError>(
-                    &[],
-                    |_| Ok(Verdict::Read),
-                    |row, _, tuple| {
-                        for entry in indexes.iter() {
-                            entry.index.insert(&entry.key_of_tuple(&tuple)?, row);
-                        }
-                        live.insert(row);
-                        Ok(true)
-                    },
-                )?;
-                for entry in indexes.iter() {
-                    entry.index.retain(|row| live.contains(&row));
+            let indexes = t.indexes.read();
+            let mut versions = self.txns.dead_versions();
+            let mut dead = DeadEntries::default();
+            let mut unkeyed = Ok(());
+            let removed = t.heap.vacuum(|row, v| {
+                if unkeyed.is_err() || !versions.is_dead(v.xmin(), v.xmax()) {
+                    return false;
                 }
-            }
-            removed_total += removed;
+                // A version whose keys cannot be read stays, and so do its
+                // entries; the error ends the pass.
+                match dead.note(&indexes, v, row) {
+                    Ok(()) => true,
+                    Err(e) => {
+                        unkeyed = Err(e);
+                        false
+                    }
+                }
+            });
+            // Every noted version is dead, reclaimed or not: its entries go
+            // even when the pass failed part-way.
+            dead.remove(&indexes);
+            removed_total += removed?;
+            unkeyed?;
         }
         self.vacuums.fetch_add(1, Ordering::Relaxed);
         Ok(removed_total)
@@ -1549,6 +1600,8 @@ impl StorageEngine {
         s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
         s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
         s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);
+        s.index_rows_fetched = self.index_rows_fetched.load(Ordering::Relaxed);
+        s.index_entries_dropped = self.index_entries_dropped.load(Ordering::Relaxed);
         s.label_checks = self.label_checks.load(Ordering::Relaxed);
         s.label_page_checks = self.label_page_checks.load(Ordering::Relaxed);
         let txns = self.txns.counts();
@@ -1977,12 +2030,138 @@ mod tests {
         assert_eq!(visible.len(), 1, "live row reachable through the index");
     }
 
+    /// Commits a new version of `people` row `id`, found through the index.
+    fn update_through_index(eng: &StorageEngine, table: TableId, id: i64, name: &str) {
+        let txn = eng.begin().unwrap();
+        let snap = eng.snapshot(txn);
+        let rows = eng
+            .index_lookup(table, "people_pk", &[Datum::Int(id)])
+            .unwrap();
+        let mut current = None;
+        eng.visit_rows::<StorageError>(&snap, table, rows, |row, _| {
+            current = Some(row);
+            Ok(false)
+        })
+        .unwrap();
+        let values = vec![Datum::Int(id), Datum::from(name)];
+        eng.update(
+            txn,
+            table,
+            current.expect("a visible version"),
+            vec![],
+            values,
+        )
+        .unwrap();
+        eng.commit(txn).unwrap();
+    }
+
+    #[test]
+    fn an_index_read_racing_vacuum_skips_the_reclaimed_slot() {
+        let (eng, table) = engine_with_table();
+        eng.create_index(table, "people_pk", &["id"]).unwrap();
+        let txn = eng.begin().unwrap();
+        let old = eng
+            .insert(txn, table, vec![], vec![Datum::Int(1), Datum::from("a")])
+            .unwrap();
+        eng.commit(txn).unwrap();
+        let txn = eng.begin().unwrap();
+        eng.update(
+            txn,
+            table,
+            old,
+            vec![],
+            vec![Datum::Int(1), Datum::from("b")],
+        )
+        .unwrap();
+        eng.commit(txn).unwrap();
+        // The lookup hands out both versions; vacuum then reclaims the old
+        // one before they are read.
+        let rows = eng
+            .index_lookup(table, "people_pk", &[Datum::Int(1)])
+            .unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(eng.vacuum().unwrap(), 1);
+        let snap = eng.snapshot(eng.begin().unwrap());
+        let mut names = Vec::new();
+        eng.visit_rows::<StorageError>(&snap, table, rows, |_, tuple| {
+            names.push(tuple.field(1)?);
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(names, vec![Datum::from("b")]);
+        assert!(eng.fetch_visible(&snap, table, old).unwrap().is_none());
+        // A slot the page never had is corruption, not a missing row.
+        let never = RowId {
+            page: old.page,
+            slot: 900,
+        };
+        assert!(matches!(
+            eng.fetch_visible(&snap, table, never),
+            Err(StorageError::Corruption { .. })
+        ));
+    }
+
+    #[test]
+    fn index_reads_beside_vacuum_after_every_commit_always_find_the_row() {
+        let eng = StorageEngine::with_config(
+            StorageKind::InMemory,
+            DurabilityConfig::NO_SYNC.with_vacuum_every(1),
+        )
+        .unwrap();
+        let table = eng
+            .create_table(TableSchema::new(
+                "people",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("name", DataType::Text),
+                ],
+            ))
+            .unwrap();
+        eng.create_index(table, "people_pk", &["id"]).unwrap();
+        let txn = eng.begin().unwrap();
+        eng.insert(txn, table, vec![], vec![Datum::Int(1), Datum::from("v0")])
+            .unwrap();
+        eng.commit(txn).unwrap();
+        let updates = 400;
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 1..=updates {
+                    update_through_index(&eng, table, 1, &format!("v{i}"));
+                }
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..updates {
+                        let txn = eng.begin().unwrap();
+                        let snap = eng.snapshot(txn);
+                        let rows = eng
+                            .index_lookup(table, "people_pk", &[Datum::Int(1)])
+                            .unwrap();
+                        // Let the writer's commit, and its vacuum, land
+                        // between the lookup and the reads.
+                        std::thread::yield_now();
+                        let mut seen = 0;
+                        eng.visit_rows::<StorageError>(&snap, table, rows, |_, _| {
+                            seen += 1;
+                            Ok(true)
+                        })
+                        .unwrap();
+                        assert_eq!(seen, 1, "one version of the row is visible");
+                        eng.commit(txn).unwrap();
+                    }
+                });
+            }
+        });
+        // The policy waits up to four periods for a drained moment.
+        assert!(eng.stats().vacuums >= updates as u64 / 4);
+    }
+
     #[test]
     fn concurrent_inserts_survive_auto_vacuum() {
         // Regression for the vacuum/insert race: an insert whose heap write
-        // lands after vacuum's index-derivation scan must not have its
-        // index entry swept as stale (vacuum holds the index write lock
-        // across the fix-up, so inserters serialize with it).
+        // lands while vacuum runs must keep its index entry (vacuum removes
+        // only the entries of the versions it reclaims, and a running
+        // writer's version is not dead).
         let eng = Arc::new(
             StorageEngine::with_config(
                 StorageKind::InMemory,

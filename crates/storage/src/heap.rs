@@ -563,6 +563,29 @@ impl TableHeap {
             })?
     }
 
+    /// [`TableHeap::read`], with `None` for a slot vacuum reclaimed: a row
+    /// id an index handed out before vacuum removed its entry. A slot the
+    /// page never had is [`StorageError::Corruption`].
+    pub fn read_live<R, E: From<StorageError>>(
+        &self,
+        row: RowId,
+        f: impl FnOnce(TupleRef<'_>) -> Result<R, E>,
+    ) -> Result<Option<R>, E> {
+        let pid = PageId(row.page);
+        self.buffer
+            .with_page(self.table_id, pid, self.store.as_ref(), |p| {
+                match p.read_live(row.slot).map_err(|e| match e {
+                    StorageError::Corruption { detail } => StorageError::Corruption {
+                        detail: format!("row {row}: {detail}"),
+                    },
+                    other => other,
+                })? {
+                    Some(bytes) => f(TupleRef::parse(bytes)?).map(Some),
+                    None => Ok(None),
+                }
+            })?
+    }
+
     /// Sets (or clears) the `xmax` of the version at `row` in place.
     pub fn set_xmax(&self, row: RowId, xmax: Option<TxnId>) -> StorageResult<()> {
         let pid = PageId(row.page);
@@ -717,23 +740,24 @@ impl TableHeap {
         Ok(n)
     }
 
-    /// Physically removes versions for which `should_remove` returns `true`
-    /// (the garbage-collector task of Section 7.1, which is exempt from the
-    /// information-flow rules). Returns the number of removed versions.
+    /// Physically removes versions for which `should_remove`, given each
+    /// live version and its row id, returns `true` (the garbage-collector
+    /// task of Section 7.1, which is exempt from the information-flow
+    /// rules). Returns the number of removed versions.
     ///
     /// The search is a read-only walk; only pages that hold a victim are
     /// then written. What makes a version removable is permanent, so the
     /// verdict cannot go stale between the two steps.
     pub fn vacuum(
         &self,
-        mut should_remove: impl FnMut(&TupleRef<'_>) -> bool,
+        mut should_remove: impl FnMut(RowId, &TupleRef<'_>) -> bool,
     ) -> StorageResult<usize> {
         let mut victims: Vec<RowId> = Vec::new();
         self.walk::<StorageError>(
             &[],
             |_| Ok(Verdict::Read),
             |row, _, t| {
-                if should_remove(&t) {
+                if should_remove(row, &t) {
                     victims.push(row);
                 }
                 Ok(true)
@@ -888,7 +912,7 @@ mod tests {
         for i in 0..6 {
             put(&h, &version(i, "row", 0));
         }
-        let removed = h.vacuum(|t| t.xmin().0 % 2 == 0).unwrap();
+        let removed = h.vacuum(|_, t| t.xmin().0 % 2 == 0).unwrap();
         assert_eq!(removed, 3);
         assert_eq!(h.version_count().unwrap(), 3);
     }
@@ -1047,7 +1071,7 @@ mod tests {
         let rows = interleaved(4, 600);
         let (h, _) = heap_of(&rows);
         let before = walked(&h);
-        let removed = h.vacuum(|t| t.xmin().0 % 5 == 0).unwrap();
+        let removed = h.vacuum(|_, t| t.xmin().0 % 5 == 0).unwrap();
         assert_eq!(removed, rows.len() / 5);
         let expected: Vec<_> = before.into_iter().filter(|(x, _)| x % 5 != 0).collect();
         assert_eq!(walked(&h), expected);
@@ -1183,7 +1207,7 @@ mod tests {
         .unwrap();
         h.set_xmax(rows[0], Some(TxnId(99))).unwrap();
         assert_eq!(
-            h.vacuum(|t| t.xmax().is_some() || t.xmin() == TxnId(20))
+            h.vacuum(|_, t| t.xmax().is_some() || t.xmin() == TxnId(20))
                 .unwrap(),
             2
         );

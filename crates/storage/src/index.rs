@@ -1,11 +1,25 @@
 //! Ordered secondary indexes over order-preserving byte keys.
 //!
-//! Indexes map key tuples to the row ids of every version carrying that key.
+//! Indexes map key tuples to the row ids of versions carrying that key.
 //! They are *not* MVCC-aware: visibility (and, in IFDB, label filtering) is
 //! applied when the heap tuple is fetched. This mirrors the paper's
 //! observation that polyinstantiation "required no special support, since the
 //! indexes that enforce uniqueness constraints already had to be prepared to
 //! deal with multiple versions" (Section 7.1).
+//!
+//! # Which versions have entries
+//!
+//! Every version gets an entry under its key in each of its table's indexes
+//! when it is inserted, redone or back-filled, and keeps it for as long as
+//! some snapshot may see it. Entries go only when their version is dead to
+//! every snapshot ([`crate::mvcc::DeadVersions`]), and exactly those
+//! entries, through [`OrderedIndex::remove`]: a lookup that fetches a dead
+//! version drops its entries once it has let go of the page
+//! ([`crate::StorageEngine::visit_rows`]), and vacuum drops the entries of
+//! the versions it reclaims. A lookup therefore walks the live versions of
+//! its keys plus those that running snapshots still hold, not the keys'
+//! whole history. Slots are never reused, so an entry whose row is gone can
+//! never name a live version, and removing an entry twice is harmless.
 //!
 //! # Keys as bytes
 //!
@@ -168,7 +182,8 @@ impl Rows {
         *self = Rows::Many(rows.into_boxed_slice());
     }
 
-    /// Keeps the rows `keep` accepts; `false` when none is left.
+    /// Keeps the rows `keep` accepts, in their order; `false` when none is
+    /// left.
     fn retain(&mut self, mut keep: impl FnMut(RowId) -> bool) -> bool {
         let rows: Vec<RowId> = self
             .as_slice()
@@ -211,9 +226,36 @@ impl OrderedIndex {
         }
     }
 
-    /// Drops every entry whose row `keep` rejects (used by vacuum).
+    /// Drops every entry whose row `keep` rejects.
     pub fn retain(&self, mut keep: impl FnMut(RowId) -> bool) {
         self.map.write().retain(|_, rows| rows.retain(&mut keep));
+    }
+
+    /// Removes exactly the `(key, row)` entries of `entries` ([`encode_key`]
+    /// encodings), under one write lock, and returns how many it found. An
+    /// entry that is not there is skipped; a key left with no row goes.
+    /// Sorts `entries`, so each key is searched for once.
+    pub fn remove(&self, entries: &mut [(Vec<u8>, RowId)]) -> u64 {
+        if entries.is_empty() {
+            return 0;
+        }
+        entries.sort_unstable();
+        let mut removed = 0;
+        let mut map = self.map.write();
+        for same_key in entries.chunk_by(|a, b| a.0 == b.0) {
+            let key = &same_key[0].0[..];
+            let Some(rows) = map.get_mut(key) else {
+                continue;
+            };
+            let before = rows.as_slice().len();
+            if rows.retain(|r| !same_key.iter().any(|(_, dead)| *dead == r)) {
+                removed += (before - rows.as_slice().len()) as u64;
+            } else {
+                removed += before as u64;
+                map.remove(key);
+            }
+        }
+        removed
     }
 
     /// Row ids recorded under exactly `key`.
@@ -405,6 +447,35 @@ mod tests {
         // Dropping what is not there is a no-op.
         idx.retain(|r| r != row(9));
         assert_eq!(idx.entry_count(), 1);
+    }
+
+    #[test]
+    fn remove_takes_exactly_the_named_entries() {
+        let idx = OrderedIndex::new();
+        insert(&idx, &[5], row(1));
+        insert(&idx, &[5], row(2));
+        insert(&idx, &[5], row(4));
+        insert(&idx, &[6], row(3));
+        let entry = |k: i64, r: u32| (encode_key(&key(&[k])), row(r));
+        let mut dead = vec![entry(6, 3), entry(5, 1), entry(5, 4)];
+        assert_eq!(idx.remove(&mut dead), 3);
+        assert_eq!(idx.get(&key(&[5])), vec![row(2)]);
+        assert_eq!(idx.key_count(), 1);
+        // Removing what is not there, or a row under another key, is a
+        // no-op.
+        assert_eq!(idx.remove(&mut [entry(5, 9), entry(7, 2), entry(6, 3)]), 0);
+        assert_eq!(idx.entry_count(), 1);
+    }
+
+    #[test]
+    fn removal_keeps_the_insertion_order_of_what_is_left() {
+        let idx = OrderedIndex::new();
+        for r in [7, 3, 9, 1, 5] {
+            insert(&idx, &[1], row(r));
+        }
+        let entry = |r: u32| (encode_key(&key(&[1])), row(r));
+        assert_eq!(idx.remove(&mut [entry(9), entry(7)]), 2);
+        assert_eq!(idx.get(&key(&[1])), vec![row(3), row(1), row(5)]);
     }
 
     #[test]

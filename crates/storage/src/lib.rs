@@ -62,7 +62,8 @@ pub use heap::{DecodedSlot, IntRange, PageSummary, RowId, TableHeap, Verdict};
 pub use index::{encode_key, OrderedIndex};
 pub use labels::{LabelDictionary, LabelId};
 pub use mvcc::{
-    ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus, REPLICA_LOCAL_TXN_BASE,
+    DeadVersions, ScanVisibility, Snapshot, TransactionManager, TxnId, TxnStatus,
+    REPLICA_LOCAL_TXN_BASE,
 };
 pub use page::{ColumnView, IntColumn, Page, PageId, PAGE_SIZE};
 pub use replica::{AppliedBatch, ReplicaApplier};

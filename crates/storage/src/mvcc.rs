@@ -24,6 +24,21 @@
 //! Stamps are not pruned yet — when a header may forget its writer belongs
 //! with the residency decision (ROADMAP item 9; docs/ARCHITECTURE.md,
 //! "Transactions and visibility").
+//!
+//! # Dead versions
+//!
+//! A version is **dead** when no snapshot, present or future, can see it:
+//! its writer aborted, or its deleter committed with a stamp below the
+//! **reclaim floor**, the smallest begin floor on the active list. Every
+//! snapshot a running transaction takes carries a commit floor at or above
+//! its begin floor, and a transaction that begins later starts above the
+//! stamp, so the deleter's commit is visible to all of them. The floor
+//! never falls, and a dead version never becomes visible again, so the test
+//! may run on an old reading of the floor. [`DeadVersions`] is the one
+//! implementation: vacuum reclaims what it calls dead, and an index lookup
+//! ([`ScanVisibility::is_dead`]) drops the index entries of the dead
+//! versions it walks, reading the floor only once it meets a version it
+//! cannot see.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -205,6 +220,60 @@ impl TxnTable {
             stamp.is_some_and(|stamp| *stamp < snapshot.commit_floor)
         })
     }
+
+    /// The reclaim floor: the smallest begin floor on the active list, or
+    /// past every stamp when nothing runs. A version deleted by a commit
+    /// stamped below it is seen by no snapshot that exists or ever will.
+    /// It never falls: a transaction admitted later takes the current
+    /// `next_commit_stamp`, at or above every floor already listed.
+    fn reclaim_floor(&self) -> u64 {
+        self.active
+            .iter()
+            .map(|a| a.begin_floor)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Whether `txn`'s effects are gone for good: it is no bootstrap,
+    /// neither running nor committed.
+    fn aborted(&self, txn: TxnId) -> bool {
+        txn != BOOTSTRAP_TXN && self.position(txn).is_err() && !self.committed.contains_key(&txn)
+    }
+
+    /// Whether a version deleted by `xmax` is deleted for every snapshot
+    /// under the reclaim floor `floor`: the deleter committed below it.
+    fn deleted_below(&self, xmax: Option<TxnId>, floor: u64) -> bool {
+        let Some(xmax) = xmax else {
+            return false;
+        };
+        match self.committed.get(&xmax) {
+            Some(stamp) => *stamp < floor,
+            None => xmax == BOOTSTRAP_TXN,
+        }
+    }
+}
+
+/// The one test of whether a version is dead to every snapshot, present and
+/// future: its writer aborted, or its deleter committed below the reclaim
+/// floor ([`TransactionManager::dead_versions`]). Vacuum reclaims exactly
+/// such versions, and an index lookup drops their entries.
+///
+/// The floor is read once, on the first call, and kept: it never falls, so
+/// an old reading only ever calls fewer versions dead. A dead version never
+/// comes back to life, so either answer stays true.
+pub struct DeadVersions<'a> {
+    txns: &'a TransactionManager,
+    floor: Option<u64>,
+}
+
+impl DeadVersions<'_> {
+    /// Whether the version created by `xmin` and deleted or superseded by
+    /// `xmax` is dead to every snapshot. One read of the transaction table.
+    pub fn is_dead(&mut self, xmin: TxnId, xmax: Option<TxnId>) -> bool {
+        let table = self.txns.table.read();
+        let floor = *self.floor.get_or_insert_with(|| table.reclaim_floor());
+        table.aborted(xmin) || table.deleted_below(xmax, floor)
+    }
 }
 
 /// Slots in a [`ScanVisibility`] memo.
@@ -224,11 +293,17 @@ const VISIBILITY_SLOTS: usize = 64;
 ///   lock is taken once per distinct writer, not once per row. Ids are
 ///   near-sequential, so this memo is a small direct-mapped table: a
 ///   collision only costs the lookup it replaces.
+///
+/// A version the scan cannot see may also be dead to every snapshot
+/// ([`ScanVisibility::is_dead`]); the reclaim floor that decides it is read
+/// only when the scan first asks, so a scan that meets only visible versions
+/// never reads it.
 pub struct ScanVisibility<'a> {
     txns: &'a TransactionManager,
     snapshot: &'a Snapshot,
     last: Option<(TxnId, Option<TxnId>, bool)>,
     seen: [Option<(TxnId, bool)>; VISIBILITY_SLOTS],
+    dead: DeadVersions<'a>,
 }
 
 impl ScanVisibility<'_> {
@@ -255,6 +330,11 @@ impl ScanVisibility<'_> {
                 visible
             }
         }
+    }
+
+    /// [`DeadVersions::is_dead`], for a version this scan cannot see.
+    pub fn is_dead(&mut self, xmin: TxnId, xmax: Option<TxnId>) -> bool {
+        self.dead.is_dead(xmin, xmax)
     }
 }
 
@@ -554,30 +634,32 @@ impl TransactionManager {
             snapshot,
             last: None,
             seen: [None; VISIBILITY_SLOTS],
+            dead: self.dead_versions(),
         }
     }
 
-    /// Returns `true` if a version whose `xmax` is set can be physically
-    /// removed: the deleter committed and no active transaction might still
-    /// need the old version. Used by vacuum.
+    /// The dead-version test, its reclaim floor not yet read.
+    pub fn dead_versions(&self) -> DeadVersions<'_> {
+        DeadVersions {
+            txns: self,
+            floor: None,
+        }
+    }
+
+    /// Returns `true` if a version whose `xmax` is set is deleted for every
+    /// snapshot: the deleter committed, below the reclaim floor. That is
+    /// the half of [`DeadVersions::is_dead`] that `xmax` decides.
+    ///
+    /// The deleter must have committed before every active transaction
+    /// *began* (commit stamp below every begin floor): only then can no
+    /// current — or future — snapshot of an active transaction still see
+    /// the old version. Comparing transaction ids instead would be wrong: a
+    /// lower id only means an earlier begin, and a reader that began while
+    /// the deleter was still in progress must keep seeing the pre-delete
+    /// version for its whole lifetime.
     pub fn is_dead_for_all(&self, header: &TupleHeader) -> bool {
-        let Some(xmax) = header.xmax else {
-            return false;
-        };
         let table = self.table.read();
-        let stamp = match table.committed.get(&xmax) {
-            Some(stamp) => *stamp,
-            None if xmax == BOOTSTRAP_TXN => 0,
-            None => return false,
-        };
-        // The deleter must have committed before every active transaction
-        // *began* (commit stamp below every begin floor): only then can no
-        // current — or future — snapshot of an active transaction still see
-        // the old version. Comparing transaction ids instead would be
-        // wrong: a lower id only means an earlier begin, and a reader that
-        // began while the deleter was still in progress must keep seeing
-        // the pre-delete version for its whole lifetime.
-        table.active.iter().all(|a| stamp < a.begin_floor)
+        table.deleted_below(header.xmax, table.reclaim_floor())
     }
 
     /// Counters and sizes of the transaction table.

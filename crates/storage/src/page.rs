@@ -24,10 +24,12 @@
 //! and both drop the view; [`Page::set_xmax`] patches the MVCC header, which
 //! the view does not hold, so it keeps the view. A copy-on-write clone of a
 //! pinned page shares the view with the pinned original until the copy
-//! adds or kills a slot. Columns are decoded one at a time, on the first
-//! scan that bounds them, and a page whose slots share one label stores
-//! that label once, so an unbounded column costs nothing and a bounded one
-//! costs 8 bytes and one bit per slot.
+//! adds or kills a slot. The first scan that needs the view builds it in
+//! one parse of each live slot, with the label ids and the columns that
+//! scan bounds; a column a later scan bounds is decoded then. A page whose
+//! slots share one label stores that label once, and takes no per-slot
+//! vector for it even while building, so an unbounded column costs nothing
+//! and a bounded one costs 8 bytes and one bit per slot.
 
 use std::sync::{Arc, OnceLock};
 
@@ -289,6 +291,21 @@ impl Page {
         Ok(&self.bytes[self.live_entry(slot)?])
     }
 
+    /// Reads the tuple stored in `slot`, or `None` where the slot is empty
+    /// (vacuum reclaimed it, or it is a hole redo left). A slot past the
+    /// directory's end was never handed out: [`StorageError::Corruption`].
+    pub fn read_live(&self, slot: u16) -> StorageResult<Option<&[u8]>> {
+        if slot >= self.slot_count_raw() {
+            return Err(StorageError::Corruption {
+                detail: format!(
+                    "slot {slot} is past the page's {} slots",
+                    self.slot_count_raw()
+                ),
+            });
+        }
+        Ok(self.live_entry(slot).ok().map(|at| &self.bytes[at]))
+    }
+
     /// Sets (or clears) the `xmax` of the tuple in `slot`, in place: the
     /// only write to a live slot's bytes. The column view holds no `xmax`,
     /// so the page keeps it.
@@ -328,14 +345,15 @@ impl Page {
     /// is [`StorageError::Corruption`], as it is to a scan that reads it.
     pub fn view(&self, columns: &[usize]) -> StorageResult<(&ColumnView, u64)> {
         let mut decoded = 0;
-        let view = match self.view.get() {
-            Some(view) => view,
-            None => {
-                let built = Arc::new(self.decode_labels()?);
-                decoded += u64::from(self.view.set(built).is_ok());
-                self.view.get().expect("just set")
+        if self.view.get().is_none() {
+            let (built, n) = self.build_view(columns)?;
+            // A racing build that got there first serves its own columns
+            // and the check below decodes what it lacks.
+            if self.view.set(Arc::new(built)).is_ok() {
+                decoded += n;
             }
-        };
+        }
+        let view = self.view.get().expect("just set");
         let mut missing = Vec::new();
         for &column in columns {
             match view.ints.get(column) {
@@ -351,26 +369,59 @@ impl Page {
         Ok((view, decoded))
     }
 
-    /// Decodes the live slots' label ids.
-    fn decode_labels(&self) -> StorageResult<ColumnView> {
-        let mut ids = vec![0; self.slot_count() as usize];
-        let (mut first, mut same, mut fields) = (None, true, 0);
+    /// Builds the view, with the label ids and the `Int`s at `columns`, in
+    /// one parse of each live slot; returns it and how many columns it
+    /// decoded, the label ids counting as one. The label ids take a vector
+    /// only once a second id appears.
+    fn build_view(&self, columns: &[usize]) -> StorageResult<(ColumnView, u64)> {
+        let mut wanted: Vec<usize> = columns.to_vec();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let slots = self.slot_count() as usize;
+        let mut ints: Vec<IntColumn> = wanted.iter().map(|_| IntColumn::new(slots)).collect();
+        let (mut first, mut by_slot, mut fields) = (None, None::<Box<[LabelId]>>, 0);
         for slot in self.live_slots() {
             let tuple = TupleRef::parse(self.read(slot)?)?;
             let id = tuple.label_id();
-            ids[slot as usize] = id;
-            same &= *first.get_or_insert(id) == id;
+            let same = *first.get_or_insert(id);
+            if let Some(ids) = &mut by_slot {
+                ids[slot as usize] = id;
+            } else if id != same {
+                let mut ids = vec![0; slots].into_boxed_slice();
+                for earlier in self.live_slots().take_while(|s| *s < slot) {
+                    ids[earlier as usize] = same;
+                }
+                ids[slot as usize] = id;
+                by_slot = Some(ids);
+            }
             fields = fields.max(tuple.field_count());
+            if let Some(&last) = wanted.last() {
+                if tuple.field_count() <= last {
+                    return Err(corrupt("tuple has fewer fields than its schema"));
+                }
+                tuple.for_each_int(|field, int| {
+                    if let (Some(value), Ok(at)) = (int, wanted.binary_search(&field)) {
+                        ints[at].set(slot as usize, value);
+                    }
+                })?;
+            }
         }
-        let labels = if same {
-            SlotLabels::Same(first.unwrap_or(0))
-        } else {
-            SlotLabels::BySlot(ids.into_boxed_slice())
+        let labels = match by_slot {
+            Some(ids) => SlotLabels::BySlot(ids),
+            None => SlotLabels::Same(first.unwrap_or(0)),
         };
-        Ok(ColumnView {
+        let view = ColumnView {
             labels,
             ints: (0..fields).map(|_| OnceLock::new()).collect(),
-        })
+        };
+        // With no live slot there are no fields to hold a column.
+        let mut decoded = 1;
+        if fields > 0 {
+            for (column, ints) in wanted.into_iter().zip(ints) {
+                decoded += u64::from(view.ints[column].set(ints).is_ok());
+            }
+        }
+        Ok((view, decoded))
     }
 
     /// Decodes the `Int`s of the live slots at field positions `columns`

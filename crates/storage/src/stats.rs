@@ -43,6 +43,13 @@ pub struct EngineStats {
     pub index_point_lookups: u64,
     /// Index range and prefix scans served.
     pub index_range_scans: u64,
+    /// Row ids an index handed out whose heap slots lookups then read,
+    /// visible or not ([`crate::engine::StorageEngine::visit_rows`]).
+    pub index_rows_fetched: u64,
+    /// Index entries lookups removed because their versions were dead to
+    /// every snapshot ([`crate::mvcc::DeadVersions`]); vacuum's removals of
+    /// the versions it reclaims are not counted here.
+    pub index_entries_dropped: u64,
     /// Tuples whose label a scan decided one by one: those on shared heap
     /// pages and those reached through an index.
     pub label_checks: u64,

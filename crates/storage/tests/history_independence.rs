@@ -1,12 +1,14 @@
 //! What a statement pays for depends on who is running now, not on who ever
-//! ran — asserted on structure (table entries, log position, snapshot size),
-//! never on wall time.
+//! ran — asserted on structure (table entries, log position, snapshot size,
+//! row ids an index lookup fetches), never on wall time.
 
 use std::path::PathBuf;
 
 use ifdb_storage::engine::{StorageEngine, StorageKind};
 use ifdb_storage::wal::DurabilityConfig;
-use ifdb_storage::{ColumnDef, DataType, Datum, TableId, TableSchema, TxnId};
+use ifdb_storage::{
+    ColumnDef, DataType, Datum, Snapshot, StorageError, TableId, TableSchema, TxnId,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ifdb-history-{tag}-{}", std::process::id()));
@@ -174,4 +176,136 @@ fn read_only_commits_do_not_drive_the_periodic_policies() {
         "the third writer"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An in-memory `kv (k, v)` table indexed on `k`.
+fn indexed() -> (StorageEngine, TableId) {
+    let eng = StorageEngine::in_memory();
+    let t = eng
+        .create_table(TableSchema::new(
+            "kv",
+            vec![
+                ColumnDef::new("k", DataType::Int),
+                ColumnDef::new("v", DataType::Int),
+            ],
+        ))
+        .unwrap();
+    eng.create_index(t, "kv_k", &["k"]).unwrap();
+    (eng, t)
+}
+
+/// What one lookup of key `k` under `snap` did: the rows it found visible,
+/// as `(row id, v)`, the row ids it fetched and the index entries it
+/// dropped.
+struct Lookup {
+    visible: Vec<(ifdb_storage::RowId, i64)>,
+    fetched: u64,
+    dropped: u64,
+}
+
+fn lookup(eng: &StorageEngine, t: TableId, snap: &Snapshot, k: i64) -> Lookup {
+    let before = eng.stats();
+    let rows = eng.index_lookup(t, "kv_k", &[Datum::Int(k)]).unwrap();
+    let mut visible = Vec::new();
+    eng.visit_rows::<StorageError>(snap, t, rows, |row, tuple| {
+        visible.push((row, tuple.field(1)?.as_int().unwrap()));
+        Ok(true)
+    })
+    .unwrap();
+    let after = eng.stats();
+    Lookup {
+        visible,
+        fetched: after.index_rows_fetched - before.index_rows_fetched,
+        dropped: after.index_entries_dropped - before.index_entries_dropped,
+    }
+}
+
+/// Sets key `k`'s value to `v` in a transaction of its own, finding the
+/// row through the index as an `UPDATE ... WHERE k = ...` does; returns
+/// that lookup.
+fn update(eng: &StorageEngine, t: TableId, k: i64, v: i64) -> Lookup {
+    let txn = eng.begin().unwrap();
+    let found = lookup(eng, t, &eng.snapshot(txn), k);
+    let [(row, _)] = found.visible[..] else {
+        panic!("one visible version of {k}, not {:?}", found.visible);
+    };
+    eng.update(txn, t, row, vec![], vec![Datum::Int(k), Datum::Int(v)])
+        .unwrap();
+    eng.commit(txn).unwrap();
+    found
+}
+
+#[test]
+fn a_lookup_fetches_the_live_version_not_the_keys_history() {
+    let (eng, t) = indexed();
+    let txn = eng.begin().unwrap();
+    eng.insert(txn, t, vec![], vec![Datum::Int(1), Datum::Int(0)])
+        .unwrap();
+    eng.commit(txn).unwrap();
+    for v in 1..=1_000 {
+        // Each lookup meets the version the previous update superseded,
+        // which no snapshot can see any more, and drops it.
+        assert!(update(&eng, t, 1, v).fetched <= 2);
+    }
+    let reader = eng.begin().unwrap();
+    let after = lookup(&eng, t, &eng.snapshot(reader), 1);
+    assert_eq!(after.visible.len(), 1);
+    assert_eq!(after.visible[0].1, 1_000);
+    assert!(after.fetched <= 2, "fetched {} row ids", after.fetched);
+    eng.commit(reader).unwrap();
+    // The heap keeps the versions until vacuum, which finds no entry left
+    // to remove with them.
+    let entries = eng.index_range(t, "kv_k", None, None).unwrap();
+    assert!(entries.len() <= 2);
+    assert_eq!(eng.vacuum().unwrap(), 1_000);
+    assert_eq!(eng.index_range(t, "kv_k", None, None).unwrap().len(), 1);
+}
+
+#[test]
+fn a_running_snapshot_keeps_its_version_until_it_ends() {
+    let (eng, t) = indexed();
+    let txn = eng.begin().unwrap();
+    eng.insert(txn, t, vec![], vec![Datum::Int(1), Datum::Int(0)])
+        .unwrap();
+    eng.commit(txn).unwrap();
+    let reader = eng.begin().unwrap();
+    let snap = eng.snapshot(reader);
+    assert_eq!(lookup(&eng, t, &snap, 1).visible[0].1, 0);
+    for v in 1..=1_000 {
+        // The reader may still read every version these supersede.
+        assert_eq!(update(&eng, t, 1, v).dropped, 0);
+    }
+    let old = lookup(&eng, t, &snap, 1);
+    assert_eq!(old.visible.len(), 1);
+    assert_eq!(old.visible[0].1, 0, "the reader still reads its version");
+    assert_eq!((old.fetched, old.dropped), (1_001, 0));
+    eng.commit(reader).unwrap();
+    // The next lookup drops the history no snapshot can see any more...
+    let next = eng.snapshot(eng.begin().unwrap());
+    let cleaning = lookup(&eng, t, &next, 1);
+    assert_eq!(cleaning.visible[0].1, 1_000);
+    assert_eq!((cleaning.fetched, cleaning.dropped), (1_001, 1_000));
+    // ...and the one after it fetches the live version alone.
+    let clean = lookup(&eng, t, &next, 1);
+    assert_eq!((clean.visible.len(), clean.fetched), (1, 1));
+    eng.commit(next.txn).unwrap();
+}
+
+#[test]
+fn an_aborted_inserts_entry_is_dropped() {
+    let (eng, t) = indexed();
+    let txn = eng.begin().unwrap();
+    eng.insert(txn, t, vec![], vec![Datum::Int(7), Datum::Int(1)])
+        .unwrap();
+    eng.abort(txn).unwrap();
+    let reader = eng.snapshot(eng.begin().unwrap());
+    let first = lookup(&eng, t, &reader, 7);
+    assert!(first.visible.is_empty());
+    assert_eq!((first.fetched, first.dropped), (1, 1));
+    assert!(eng
+        .index_lookup(t, "kv_k", &[Datum::Int(7)])
+        .unwrap()
+        .is_empty());
+    assert_eq!(lookup(&eng, t, &reader, 7).fetched, 0);
+    eng.commit(reader.txn).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Differential test of the transaction table: over random schedules of
 //! every state transition, `TransactionManager`'s snapshots, visibility and
-//! vacuum eligibility agree with a reference model that keeps every status
+//! vacuum eligibility (the dead-version test lookups share) agree with a reference model that keeps every status
 //! forever and scans it — the implementation the active-list table replaced,
 //! kept here only as the oracle.
 //!
@@ -448,6 +448,11 @@ fn run(ops: &[Op], replica: bool) -> Result<(), String> {
                     &format!("is_dead_for_all {xmin}/{xmax:?}"),
                     real.is_dead_for_all(&header),
                     model.is_dead_for_all(&header),
+                )?;
+                agree(
+                    &format!("dead to every snapshot {xmin}/{xmax:?}"),
+                    real.dead_versions().is_dead(*xmin, xmax),
+                    model.status(*xmin) == TxnStatus::Aborted || model.is_dead_for_all(&header),
                 )?;
                 for (k, (snap, model_snap)) in snapshots
                     .iter()

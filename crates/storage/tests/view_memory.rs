@@ -5,7 +5,8 @@
 //! slot for each column a scan bounds, and one label id for a page whose
 //! slots share their label, as every chain page's do. Resident memory is
 //! noisy on a shared host, but the bytes a structure holds can be counted
-//! exactly: this builds views of full pages and counts what they hold.
+//! exactly: this builds views of full pages and counts what they hold, and
+//! the most the build held on the way.
 //!
 //! The counter is per thread (the test harness runs tests on parallel
 //! threads), and this file is its own test binary so the counting allocator
@@ -22,10 +23,15 @@ struct Counting;
 thread_local! {
     /// Bytes this thread holds: requested minus returned.
     static HELD: Cell<isize> = const { Cell::new(0) };
+    /// The most `HELD` has been since the last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn hold(bytes: isize) {
-    let _ = HELD.try_with(|h| h.set(h.get() + bytes));
+    let _ = HELD.try_with(|h| {
+        h.set(h.get() + bytes);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(h.get())));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -88,6 +94,34 @@ fn a_chain_pages_view_of_one_bounded_column_takes_at_most_ten_bytes_a_slot() {
     let two = view_bytes_per_slot(&page, &[1]);
     assert!(two <= 8.5, "{two:.2} B a slot for a second column");
     assert_eq!(view_bytes_per_slot(&page, &[1, 2]), 0.0);
+}
+
+/// Bytes above what the thread held before that building `page`'s view
+/// with `columns` left held, and the most it held on the way.
+fn build_held_and_peak(page: &Page, columns: &[usize]) -> (isize, isize) {
+    let before = HELD.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    page.view(columns).unwrap();
+    (HELD.with(Cell::get) - before, PEAK.with(Cell::get) - before)
+}
+
+#[test]
+fn building_a_chain_pages_view_holds_nothing_per_slot_it_does_not_keep() {
+    // A page whose slots share their label never takes a label id per
+    // slot, not even while its view is being built: the build's high-water
+    // mark is what the view keeps plus a constant, with no column bounded
+    // (a scan that decides labels alone) and with one.
+    for columns in [&[][..], &[2]] {
+        let page = data_page(|_| 3);
+        let (held, peak) = build_held_and_peak(&page, columns);
+        assert!(held > 0);
+        assert!(
+            peak - held <= 128,
+            "{} transient bytes for {} slots, columns {columns:?}",
+            peak - held,
+            page.slot_count()
+        );
+    }
 }
 
 #[test]

@@ -987,6 +987,46 @@ mod tests {
     }
 
     #[test]
+    fn index_lookups_fetch_little_beyond_what_they_return() {
+        // A version superseded before every running transaction began is
+        // dead to every snapshot, and the first lookup that meets it drops
+        // its index entries, so each superseded version is fetched about
+        // once, not once per later lookup of its key (each Payment adds a
+        // warehouse and a district version). Index paths decide every
+        // visible row's label one by one and TPC-C runs no full scan, so
+        // `label_checks` counts the visible rows. One warehouse at the
+        // benchmark's per-warehouse scale.
+        let config = TpccConfig {
+            warehouses: 1,
+            districts_per_warehouse: 10,
+            customers_per_district: 300,
+            items: 2_000,
+            initial_orders_per_district: 100,
+            tags_per_label: 2,
+            seed: 3,
+        };
+        let tpcc = TpccDatabase::load(Database::in_memory(), config).unwrap();
+        let mut s = tpcc.session().unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        let before = tpcc.db.engine().stats();
+        for _ in 0..2_000 {
+            let kind = TpccTransaction::draw(&mut rng);
+            tpcc.run_transaction(&mut s, &mut rng, kind).unwrap();
+        }
+        let after = tpcc.db.engine().stats();
+        assert_eq!(after.full_table_scans, before.full_table_scans);
+        let fetched = after.index_rows_fetched - before.index_rows_fetched;
+        let visible = after.label_checks - before.label_checks;
+        assert!(visible > 10_000, "{visible} rows");
+        let ratio = fetched as f64 / visible as f64;
+        assert!(
+            ratio <= 1.1,
+            "{fetched} fetched for {visible} visible: {ratio:.3}"
+        );
+        assert!(after.index_entries_dropped > before.index_entries_dropped);
+    }
+
+    #[test]
     fn mix_draw_covers_all_types() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut counts = std::collections::HashMap::new();
