@@ -887,7 +887,11 @@ impl StorageEngine {
         loop {
             let (xmin, seen) = t
                 .heap
-                .read::<_, StorageError>(row, |v| Ok((v.xmin(), v.xmax())))?;
+                .read::<_, StorageError>(row, |v| Ok((v.xmin(), v.xmax())))?
+                .ok_or(StorageError::UnknownRow {
+                    page: row.page,
+                    slot: row.slot,
+                })?;
             if xmin != txn {
                 match self.txns.status(xmin) {
                     TxnStatus::Committed => {}
@@ -1067,7 +1071,7 @@ impl StorageEngine {
         let mut visited = Ok(());
         for row in rows {
             fetched.n += 1;
-            let read = t.heap.read_live(row, |tuple| {
+            let read = t.heap.read(row, |tuple| {
                 let (xmin, xmax) = (tuple.xmin(), tuple.xmax());
                 if visibility.is_visible(xmin, xmax) {
                     return f(row, tuple);
@@ -1668,6 +1672,7 @@ mod tests {
                 .unwrap()
                 .heap()
                 .read::<_, StorageError>(row, |t| Ok(MVCC_HEADER_LEN + t.body().len()))
+                .unwrap()
                 .unwrap();
             (eng.wal().bytes_written() - before, page_bytes)
         };

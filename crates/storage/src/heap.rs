@@ -457,6 +457,17 @@ impl std::fmt::Debug for TableHeap {
     }
 }
 
+/// `e`, a page's error reading `row`'s slot, naming the row.
+#[cold]
+fn at_row(row: RowId, e: StorageError) -> StorageError {
+    match e {
+        StorageError::Corruption { detail } => StorageError::Corruption {
+            detail: format!("row {row}: {detail}"),
+        },
+        other => other,
+    }
+}
+
 impl TableHeap {
     /// Creates an empty heap for `table_id` backed by `store` and cached by
     /// `buffer`.
@@ -543,30 +554,11 @@ impl TableHeap {
         Ok(())
     }
 
-    /// Calls `f` with the tuple version at `row`, read in place on a pin.
+    /// Calls `f` with the tuple version at `row`, read in place on a pin,
+    /// or returns `None` for a slot vacuum reclaimed: a row id an index
+    /// handed out before vacuum removed its entry. A slot the page never
+    /// had is [`StorageError::Corruption`].
     pub fn read<R, E: From<StorageError>>(
-        &self,
-        row: RowId,
-        f: impl FnOnce(TupleRef<'_>) -> Result<R, E>,
-    ) -> Result<R, E> {
-        let pid = PageId(row.page);
-        self.buffer
-            .with_page(self.table_id, pid, self.store.as_ref(), |p| {
-                let bytes = p.read(row.slot).map_err(|e| match e {
-                    StorageError::UnknownRow { slot, .. } => StorageError::UnknownRow {
-                        page: row.page,
-                        slot,
-                    },
-                    other => other,
-                })?;
-                f(TupleRef::parse(bytes)?)
-            })?
-    }
-
-    /// [`TableHeap::read`], with `None` for a slot vacuum reclaimed: a row
-    /// id an index handed out before vacuum removed its entry. A slot the
-    /// page never had is [`StorageError::Corruption`].
-    pub fn read_live<R, E: From<StorageError>>(
         &self,
         row: RowId,
         f: impl FnOnce(TupleRef<'_>) -> Result<R, E>,
@@ -574,14 +566,10 @@ impl TableHeap {
         let pid = PageId(row.page);
         self.buffer
             .with_page(self.table_id, pid, self.store.as_ref(), |p| {
-                match p.read_live(row.slot).map_err(|e| match e {
-                    StorageError::Corruption { detail } => StorageError::Corruption {
-                        detail: format!("row {row}: {detail}"),
-                    },
-                    other => other,
-                })? {
-                    Some(bytes) => f(TupleRef::parse(bytes)?).map(Some),
-                    None => Ok(None),
+                match p.read_live(row.slot) {
+                    Ok(Some(bytes)) => f(TupleRef::parse(bytes)?).map(Some),
+                    Ok(None) => Ok(None),
+                    Err(e) => Err(at_row(row, e).into()),
                 }
             })?
     }
@@ -826,7 +814,7 @@ mod tests {
     /// The `xmin`, `xmax`, label id and fields of the version at `row`.
     type Read = (TxnId, Option<TxnId>, LabelId, Vec<Datum>);
 
-    fn fetch(h: &TableHeap, row: RowId) -> StorageResult<Read> {
+    fn fetch(h: &TableHeap, row: RowId) -> StorageResult<Option<Read>> {
         h.read(row, |t| Ok((t.xmin(), t.xmax(), t.label_id(), t.data()?)))
     }
 
@@ -836,7 +824,7 @@ mod tests {
         let v = version(1, "alice", 42);
         let (row, _) = put(&h, &v);
         let data = vec![Datum::Int(1), Datum::Text("alice".into())];
-        assert_eq!(fetch(&h, row).unwrap(), (TxnId(1), None, 42, data));
+        assert_eq!(fetch(&h, row).unwrap().unwrap(), (TxnId(1), None, 42, data));
     }
 
     #[test]
@@ -855,9 +843,9 @@ mod tests {
         let h = heap();
         let (row, _) = put(&h, &version(1, "victim", 0));
         h.set_xmax(row, Some(TxnId(9))).unwrap();
-        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(9)));
+        assert_eq!(fetch(&h, row).unwrap().unwrap().1, Some(TxnId(9)));
         h.set_xmax(row, None).unwrap();
-        assert_eq!(fetch(&h, row).unwrap().1, None);
+        assert_eq!(fetch(&h, row).unwrap().unwrap().1, None);
     }
 
     #[test]
@@ -867,12 +855,12 @@ mod tests {
         assert!(h.compare_and_set_xmax(row, None, Some(TxnId(5))).unwrap());
         // A second claimant that read the slot before the first set it.
         assert!(!h.compare_and_set_xmax(row, None, Some(TxnId(6))).unwrap());
-        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(5)));
+        assert_eq!(fetch(&h, row).unwrap().unwrap().1, Some(TxnId(5)));
         // Over the value it saw, it wins.
         assert!(h
             .compare_and_set_xmax(row, Some(TxnId(5)), Some(TxnId(6)))
             .unwrap());
-        assert_eq!(fetch(&h, row).unwrap().1, Some(TxnId(6)));
+        assert_eq!(fetch(&h, row).unwrap().unwrap().1, Some(TxnId(6)));
     }
 
     #[test]
@@ -1283,7 +1271,7 @@ mod tests {
             rows.push(put(&h, &version(i, &big, 1)).0);
         }
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(fetch(&h, *row).unwrap().0, TxnId(i as u64));
+            assert_eq!(fetch(&h, *row).unwrap().unwrap().0, TxnId(i as u64));
         }
         std::fs::remove_dir_all(&dir).ok();
     }

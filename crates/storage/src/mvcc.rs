@@ -222,16 +222,17 @@ impl TxnTable {
     }
 
     /// The reclaim floor: the smallest begin floor on the active list, or
-    /// past every stamp when nothing runs. A version deleted by a commit
+    /// `next_commit_stamp` when nothing runs. A version deleted by a commit
     /// stamped below it is seen by no snapshot that exists or ever will.
     /// It never falls: a transaction admitted later takes the current
-    /// `next_commit_stamp`, at or above every floor already listed.
+    /// `next_commit_stamp` as its begin floor, at or above every floor
+    /// read before, and a stamp below a floor stays below it.
     fn reclaim_floor(&self) -> u64 {
         self.active
             .iter()
             .map(|a| a.begin_floor)
             .min()
-            .unwrap_or(u64::MAX)
+            .unwrap_or(self.next_commit_stamp)
     }
 
     /// Whether `txn`'s effects are gone for good: it is no bootstrap,
@@ -261,6 +262,13 @@ impl TxnTable {
 /// The floor is read once, on the first call, and kept: it never falls, so
 /// an old reading only ever calls fewer versions dead. A dead version never
 /// comes back to life, so either answer stays true.
+///
+/// The deleter must have committed before every active transaction
+/// *began* (commit stamp below every begin floor): only then can no current
+/// or future snapshot of an active transaction still see the old version.
+/// Comparing transaction ids instead would be wrong: a lower id only means
+/// an earlier begin, and a reader that began while the deleter was still in
+/// progress must keep seeing the pre-delete version for its whole lifetime.
 pub struct DeadVersions<'a> {
     txns: &'a TransactionManager,
     floor: Option<u64>,
@@ -646,22 +654,6 @@ impl TransactionManager {
         }
     }
 
-    /// Returns `true` if a version whose `xmax` is set is deleted for every
-    /// snapshot: the deleter committed, below the reclaim floor. That is
-    /// the half of [`DeadVersions::is_dead`] that `xmax` decides.
-    ///
-    /// The deleter must have committed before every active transaction
-    /// *began* (commit stamp below every begin floor): only then can no
-    /// current — or future — snapshot of an active transaction still see
-    /// the old version. Comparing transaction ids instead would be wrong: a
-    /// lower id only means an earlier begin, and a reader that began while
-    /// the deleter was still in progress must keep seeing the pre-delete
-    /// version for its whole lifetime.
-    pub fn is_dead_for_all(&self, header: &TupleHeader) -> bool {
-        let table = self.table.read();
-        table.deleted_below(header.xmax, table.reclaim_floor())
-    }
-
     /// Counters and sizes of the transaction table.
     pub(crate) fn counts(&self) -> TxnCounts {
         let table = self.table.read();
@@ -808,6 +800,11 @@ mod tests {
 
     /// Begins a transaction and marks it as having written, as the engine
     /// does before a transaction's id goes into a tuple header.
+    /// [`DeadVersions::is_dead`] with the floor read now.
+    fn dead(mgr: &TransactionManager, h: &TupleHeader) -> bool {
+        mgr.dead_versions().is_dead(h.xmin, h.xmax)
+    }
+
     fn begin_writer(mgr: &TransactionManager) -> TxnId {
         let txn = mgr.begin();
         assert!(mgr.note_first_write(txn), "first write reported once");
@@ -1177,11 +1174,11 @@ mod tests {
             "reader's snapshot predates the delete commit"
         );
         assert!(
-            !mgr.is_dead_for_all(&h),
+            !dead(&mgr, &h),
             "version still needed by the overlapping reader"
         );
         mgr.commit(reader).unwrap();
-        assert!(mgr.is_dead_for_all(&h), "reclaimable once the reader ends");
+        assert!(dead(&mgr, &h), "reclaimable once the reader ends");
     }
 
     #[test]
@@ -1189,15 +1186,37 @@ mod tests {
         let mgr = TransactionManager::new();
         let deleter = begin_writer(&mgr);
         let h = header(BOOTSTRAP_TXN, Some(deleter));
-        assert!(!mgr.is_dead_for_all(&h), "deleter still in progress");
+        assert!(!dead(&mgr, &h), "deleter still in progress");
         mgr.commit(deleter).unwrap();
-        assert!(mgr.is_dead_for_all(&h), "no active transactions remain");
+        assert!(dead(&mgr, &h), "no active transactions remain");
         // A live tuple is never dead.
-        assert!(!mgr.is_dead_for_all(&header(BOOTSTRAP_TXN, None)));
+        assert!(!dead(&mgr, &header(BOOTSTRAP_TXN, None)));
         // An older active transaction keeps the version alive.
         let _old = mgr.begin();
         let deleter2 = begin_writer(&mgr);
         mgr.commit(deleter2).unwrap();
-        assert!(!mgr.is_dead_for_all(&header(BOOTSTRAP_TXN, Some(deleter2))));
+        assert!(!dead(&mgr, &header(BOOTSTRAP_TXN, Some(deleter2))));
+    }
+
+    #[test]
+    fn a_floor_read_while_idle_spares_a_later_readers_version() {
+        // The floor read while nothing runs must not lie above the stamp of
+        // a commit that a transaction admitted afterwards does not see.
+        let mgr = TransactionManager::new();
+        let mut early = mgr.dead_versions();
+        assert!(!early.is_dead(BOOTSTRAP_TXN, None), "reads the floor");
+        let reader = mgr.begin();
+        let deleter = begin_writer(&mgr);
+        let snap = mgr.snapshot(reader);
+        mgr.commit(deleter).unwrap();
+        let h = header(BOOTSTRAP_TXN, Some(deleter));
+        assert!(mgr.is_visible(&snap, &h), "the reader still sees it");
+        assert!(
+            !early.is_dead(h.xmin, h.xmax),
+            "an idle reading of the floor spares it"
+        );
+        assert!(!dead(&mgr, &h), "so does a fresh one");
+        mgr.commit(reader).unwrap();
+        assert!(dead(&mgr, &h), "reclaimable once the reader ends");
     }
 }

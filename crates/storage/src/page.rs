@@ -26,7 +26,8 @@
 //! pinned page shares the view with the pinned original until the copy
 //! adds or kills a slot. The first scan that needs the view builds it in
 //! one parse of each live slot, with the label ids and the columns that
-//! scan bounds; a column a later scan bounds is decoded then. A page whose
+//! scan bounds; a column a later scan bounds is decoded then, by the same
+//! per-slot decoder. A page whose
 //! slots share one label stores that label once, and takes no per-slot
 //! vector for it even while building, so an unbounded column costs nothing
 //! and a bounded one costs 8 bytes and one bit per slot.
@@ -103,6 +104,17 @@ impl ColumnView {
     #[inline]
     pub fn ints(&self, column: usize) -> Option<&IntColumn> {
         self.ints.get(column)?.get()
+    }
+
+    /// Stores `ints`, decoded at field positions `columns`, where the view
+    /// holds no column yet; returns how many it stored. A view with no
+    /// live slot has no field to hold one.
+    fn store(&self, columns: &[usize], ints: Vec<IntColumn>) -> u64 {
+        columns
+            .iter()
+            .zip(ints)
+            .filter_map(|(&column, ints)| self.ints.get(column)?.set(ints).ok())
+            .count() as u64
     }
 }
 
@@ -296,14 +308,21 @@ impl Page {
     /// directory's end was never handed out: [`StorageError::Corruption`].
     pub fn read_live(&self, slot: u16) -> StorageResult<Option<&[u8]>> {
         if slot >= self.slot_count_raw() {
-            return Err(StorageError::Corruption {
-                detail: format!(
-                    "slot {slot} is past the page's {} slots",
-                    self.slot_count_raw()
-                ),
-            });
+            return Err(self.past_the_slots(slot));
         }
-        Ok(self.live_entry(slot).ok().map(|at| &self.bytes[at]))
+        let (off, len) = self.slot_entry(slot);
+        Ok((len != 0).then(|| &self.bytes[off as usize..off as usize + len as usize]))
+    }
+
+    /// The error for a slot past the directory's end.
+    #[cold]
+    fn past_the_slots(&self, slot: u16) -> StorageError {
+        StorageError::Corruption {
+            detail: format!(
+                "slot {slot} is past the page's {} slots",
+                self.slot_count_raw()
+            ),
+        }
     }
 
     /// Sets (or clears) the `xmax` of the tuple in `slot`, in place: the
@@ -364,6 +383,7 @@ impl Page {
             }
         }
         if !missing.is_empty() {
+            missing.sort_unstable();
             decoded += self.decode_ints(view, &missing)?;
         }
         Ok((view, decoded))
@@ -378,10 +398,8 @@ impl Page {
         wanted.sort_unstable();
         wanted.dedup();
         let slots = self.slot_count() as usize;
-        let mut ints: Vec<IntColumn> = wanted.iter().map(|_| IntColumn::new(slots)).collect();
         let (mut first, mut by_slot, mut fields) = (None, None::<Box<[LabelId]>>, 0);
-        for slot in self.live_slots() {
-            let tuple = TupleRef::parse(self.read(slot)?)?;
+        let ints = self.decode_slots(&wanted, |slot, tuple| {
             let id = tuple.label_id();
             let same = *first.get_or_insert(id);
             if let Some(ids) = &mut by_slot {
@@ -395,17 +413,7 @@ impl Page {
                 by_slot = Some(ids);
             }
             fields = fields.max(tuple.field_count());
-            if let Some(&last) = wanted.last() {
-                if tuple.field_count() <= last {
-                    return Err(corrupt("tuple has fewer fields than its schema"));
-                }
-                tuple.for_each_int(|field, int| {
-                    if let (Some(value), Ok(at)) = (int, wanted.binary_search(&field)) {
-                        ints[at].set(slot as usize, value);
-                    }
-                })?;
-            }
-        }
+        })?;
         let labels = match by_slot {
             Some(ids) => SlotLabels::BySlot(ids),
             None => SlotLabels::Same(first.unwrap_or(0)),
@@ -414,38 +422,46 @@ impl Page {
             labels,
             ints: (0..fields).map(|_| OnceLock::new()).collect(),
         };
-        // With no live slot there are no fields to hold a column.
-        let mut decoded = 1;
-        if fields > 0 {
-            for (column, ints) in wanted.into_iter().zip(ints) {
-                decoded += u64::from(view.ints[column].set(ints).is_ok());
-            }
-        }
+        let decoded = 1 + view.store(&wanted, ints);
         Ok((view, decoded))
     }
 
     /// Decodes the `Int`s of the live slots at field positions `columns`
-    /// into `view`, in one pass; returns how many it stored there.
+    /// (sorted, without repeats) into `view`, in one pass; returns how many
+    /// it stored there.
     fn decode_ints(&self, view: &ColumnView, columns: &[usize]) -> StorageResult<u64> {
+        let ints = self.decode_slots(columns, |_, _| {})?;
+        Ok(view.store(columns, ints))
+    }
+
+    /// The one decoder of a page's column view: parses each live slot once,
+    /// shows it to `each`, and collects its `Int`s at field positions
+    /// `columns` (sorted, without repeats), in `columns`' order. A slot
+    /// that does not parse, or that has no field at one of `columns`, is
+    /// [`StorageError::Corruption`].
+    fn decode_slots(
+        &self,
+        columns: &[usize],
+        mut each: impl FnMut(u16, &TupleRef<'_>),
+    ) -> StorageResult<Vec<IntColumn>> {
         let slots = self.slot_count() as usize;
-        let mut decoded: Vec<IntColumn> = columns.iter().map(|_| IntColumn::new(slots)).collect();
-        let last = columns.iter().max().copied().unwrap_or(0);
+        let mut ints: Vec<IntColumn> = columns.iter().map(|_| IntColumn::new(slots)).collect();
         for slot in self.live_slots() {
             let tuple = TupleRef::parse(self.read(slot)?)?;
+            each(slot, &tuple);
+            let Some(&last) = columns.last() else {
+                continue;
+            };
             if tuple.field_count() <= last {
                 return Err(corrupt("tuple has fewer fields than its schema"));
             }
             tuple.for_each_int(|field, int| {
-                if let (Some(value), Some(at)) = (int, columns.iter().position(|c| *c == field)) {
-                    decoded[at].set(slot as usize, value);
+                if let (Some(value), Ok(at)) = (int, columns.binary_search(&field)) {
+                    ints[at].set(slot as usize, value);
                 }
             })?;
         }
-        let mut stored = 0;
-        for (&column, ints) in columns.iter().zip(decoded) {
-            stored += u64::from(view.ints[column].set(ints).is_ok());
-        }
-        Ok(stored)
+        Ok(ints)
     }
 }
 

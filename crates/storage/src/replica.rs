@@ -281,6 +281,7 @@ mod tests {
         let ghost = heap
             .heap()
             .read::<_, StorageError>(ghost_row, |t| t.data())
+            .unwrap()
             .unwrap();
         assert_eq!(ghost, [Datum::Int(777)]);
         std::fs::remove_dir_all(&dir).ok();

@@ -576,6 +576,7 @@ fn logged_bodies_are_page_bytes(eng: &StorageEngine) -> bool {
                     && (*txn == BOOTSTRAP_TXN || tuple.xmin() == *txn))
             })
             .unwrap()
+            .unwrap()
     })
 }
 

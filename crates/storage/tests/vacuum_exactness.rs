@@ -9,17 +9,19 @@
 //!
 //! on the primary and on a replica fed its log. The oracle is the index
 //! re-derived from a walk of the heap, which is what vacuum used to rebuild
-//! every index from; dead is the test vacuum used, an aborted writer or a
-//! deleter committed before every running transaction began. A lookup
-//! through the index must also return exactly the versions a full scan
-//! finds under the same snapshot, and a vacuum must leave no dead version
-//! behind.
+//! every index from. Whether a snapshot may see a version is decided from
+//! transaction status and the first snapshot of each running transaction,
+//! never from the engine's own dead-version test: the writer did not abort,
+//! and the deleter has not committed or some running transaction's first
+//! snapshot does not see its commit. A lookup through the index must also
+//! return exactly the versions a full scan finds under the same snapshot,
+//! and a vacuum must leave behind no version that no snapshot may see.
 //!
 //! Seeded and shrinking: a failing schedule is greedily minimized (ops are
 //! dropped one at a time while the failure reproduces) and printed with its
 //! seed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -118,18 +120,41 @@ fn heap_of(eng: &StorageEngine) -> Option<BTreeMap<RowId, Version>> {
     Some(heap)
 }
 
-/// The dead test vacuum used before lookups shared it.
-fn is_dead(eng: &StorageEngine, v: &Version) -> bool {
-    let header = TupleHeader {
-        xmin: v.xmin,
-        xmax: v.xmax,
+/// Whether a snapshot that is held or still to come may see `v`: its
+/// writer did not abort, and its deleter has not committed or is not seen
+/// by the first snapshot of a running transaction (`held`, one per
+/// transaction the test began and has not settled). Transaction status and
+/// snapshot visibility decide it; the reclaim floor the engine keeps is not
+/// consulted.
+fn may_be_seen(eng: &StorageEngine, v: &Version, held: &[&Snapshot]) -> bool {
+    let txns = eng.txns();
+    if txns.status(v.xmin) == TxnStatus::Aborted {
+        return false;
+    }
+    let Some(deleter) = v.xmax else {
+        return true;
+    };
+    let deleter_commit = TupleHeader {
+        xmin: deleter,
+        xmax: None,
         label: vec![],
     };
-    eng.txns().status(v.xmin) == TxnStatus::Aborted || eng.txns().is_dead_for_all(&header)
+    txns.status(deleter) != TxnStatus::Committed
+        || held.iter().any(|s| !txns.is_visible(s, &deleter_commit))
+}
+
+/// Whether vacuum must have reclaimed `v`: no snapshot may see it, and
+/// `held` covers every running transaction. Where it does not (a replica's
+/// streamed transactions take no snapshot there), only a version whose
+/// writer aborted must be gone.
+fn must_be_reclaimed(eng: &StorageEngine, v: &Version, held: &[&Snapshot]) -> bool {
+    !may_be_seen(eng, v, held)
+        && (eng.txns().active_count() == held.len() as u64
+            || eng.txns().status(v.xmin) == TxnStatus::Aborted)
 }
 
 /// The two invariants, against the index re-derived from the heap.
-fn check_entries(eng: &StorageEngine, who: &str) -> Result<(), String> {
+fn check_entries(eng: &StorageEngine, who: &str, held: &[&Snapshot]) -> Result<(), String> {
     let Some(heap) = heap_of(eng) else {
         return Ok(());
     };
@@ -161,8 +186,11 @@ fn check_entries(eng: &StorageEngine, who: &str) -> Result<(), String> {
         }
         for (row, v) in &heap {
             let key = [Datum::Int(v.fields[column])];
-            if !is_dead(eng, v) && !eng.index_lookup(t, index, &key).unwrap().contains(row) {
-                return Err(format!("{who}: {index} lost {row}, which is not dead"));
+            if may_be_seen(eng, v, held) && !eng.index_lookup(t, index, &key).unwrap().contains(row)
+            {
+                return Err(format!(
+                    "{who}: {index} lost {row}, which a snapshot may see"
+                ));
             }
         }
     }
@@ -239,6 +267,8 @@ fn run_in(ops: &[Op], dir: &Path) -> Result<(), String> {
     replica.txns().reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
     let mut applier = ReplicaApplier::new();
     let mut open: Vec<TxnId> = Vec::new();
+    // The snapshot each open transaction took as it began.
+    let mut first: HashMap<TxnId, Snapshot> = HashMap::new();
     let mut next_v = 0i64;
 
     for (step, op) in ops.iter().enumerate() {
@@ -247,7 +277,9 @@ fn run_in(ops: &[Op], dir: &Path) -> Result<(), String> {
         match *op {
             Op::Begin => {
                 if open.len() < 3 {
-                    open.push(primary.begin().unwrap());
+                    let txn = primary.begin().unwrap();
+                    first.insert(txn, primary.snapshot(txn));
+                    open.push(txn);
                 }
             }
             Op::Insert(i, k) => {
@@ -300,14 +332,15 @@ fn run_in(ops: &[Op], dir: &Path) -> Result<(), String> {
                 }
             },
             Op::Vacuum | Op::ReplicaVacuum => {
-                let eng = if matches!(op, Op::Vacuum) {
-                    &primary
+                let (eng, held) = if matches!(op, Op::Vacuum) {
+                    (&primary, open.iter().map(|t| &first[t]).collect())
                 } else {
-                    &replica
+                    (&replica, Vec::new())
                 };
                 eng.vacuum().unwrap();
                 if let Some(heap) = heap_of(eng) {
-                    if let Some((row, _)) = heap.iter().find(|(_, v)| is_dead(eng, v)) {
+                    let left = heap.iter().find(|(_, v)| must_be_reclaimed(eng, v, &held));
+                    if let Some((row, _)) = left {
                         return Err(at(format!("vacuum left the dead version at {row}")));
                     }
                 }
@@ -334,8 +367,10 @@ fn run_in(ops: &[Op], dir: &Path) -> Result<(), String> {
                 }
             }
         }
-        check_entries(&primary, "primary").map_err(at)?;
-        check_entries(&replica, "replica").map_err(at)?;
+        first.retain(|t, _| open.contains(t));
+        let held: Vec<&Snapshot> = open.iter().map(|t| &first[t]).collect();
+        check_entries(&primary, "primary", &held).map_err(at)?;
+        check_entries(&replica, "replica", &[]).map_err(at)?;
     }
     Ok(())
 }
