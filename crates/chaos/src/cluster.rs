@@ -109,8 +109,10 @@ pub fn build_primary_fixture(seed: u64) -> PrimaryFixture {
 
 /// The authority ops [`TpccDatabase::load`] performs, replayed verbatim on
 /// a replica so the ids line up (schema and data arrive via replication and
-/// must **not** be re-created here).
+/// must **not** be re-created here), and the TPC-C procedures, which are
+/// code like the principals and tags: a promoted replica serves them.
 fn tpcc_authority(db: &Database, tags_per_label: usize) -> (PrincipalId, Vec<TagId>) {
+    ifdb_workloads::create_procedures(db).expect("tpcc procedures");
     let principal = db.create_principal("tpcc", PrincipalKind::User);
     let tags: Vec<TagId> = (0..tags_per_label)
         .map(|i| {

@@ -592,6 +592,11 @@ impl Session {
     }
 
     /// Calls a stored procedure (or stored authority closure) by name.
+    ///
+    /// A body that fails with a transaction of its own still open has that
+    /// transaction rolled back, so the session is left as the call found
+    /// it; a transaction the caller had open before the call stays open,
+    /// for the caller to finish.
     pub fn call_procedure(
         &mut self,
         name: &str,
@@ -602,10 +607,14 @@ impl Session {
             catalog.procedure(name)?
         };
         let saved_label = self.process.label().clone();
+        let caller_txn = self.txn.as_ref().map(|t| t.id);
         let result = match proc.authority {
             Some(principal) => self.with_principal(principal, |s| (proc.body)(s, args)),
             None => (proc.body)(self, args),
         };
+        if result.is_err() && self.txn.as_ref().is_some_and(|t| Some(t.id) != caller_txn) {
+            let _ = self.abort();
+        }
         if proc.authority.is_some() {
             self.unwind_label(saved_label, proc.authority);
         }

@@ -492,6 +492,57 @@ fn ordinary_views_and_outer_joins_simulate_field_level_labels() {
     );
 }
 
+/// A procedure body that begins, inserts and then fails leaves no
+/// transaction behind: its insert is rolled back and the next call begins
+/// cleanly. A transaction the caller had open before the call is the
+/// caller's, and stays open.
+#[test]
+fn a_failed_procedure_rolls_back_only_the_transaction_it_opened() {
+    use crate::catalog::StoredProcedure;
+    use std::sync::Arc;
+
+    let db = Database::in_memory();
+    db.create_table(
+        TableDef::new("t")
+            .column("id", DataType::Int)
+            .primary_key(&["id"]),
+    )
+    .unwrap();
+    db.create_procedure(StoredProcedure {
+        name: "insert_then_fail".into(),
+        authority: None,
+        body: Arc::new(|session, args| {
+            session.begin()?;
+            session.insert(&Insert::new("t", vec![args[0].clone()]))?;
+            Err(IfdbError::InvalidStatement("the body failed".into()))
+        }),
+    })
+    .unwrap();
+    let mut s = db.anonymous_session();
+    for id in [1, 2] {
+        let err = s
+            .call_procedure("insert_then_fail", &[Datum::Int(id)])
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("the body failed"),
+            "call {id}: {err}"
+        );
+        assert!(!s.in_transaction());
+    }
+    assert!(s.select(&Select::star("t")).unwrap().is_empty());
+
+    s.begin().unwrap();
+    s.insert(&Insert::new("t", vec![Datum::Int(7)])).unwrap();
+    assert!(s
+        .call_procedure("insert_then_fail", &[Datum::Int(3)])
+        .is_err());
+    assert!(s.in_transaction(), "the caller's transaction stays open");
+    s.commit().unwrap();
+    let rows = s.select(&Select::star("t")).unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows.first().unwrap().get_int("id"), Some(7));
+}
+
 #[test]
 fn stored_authority_closure_declassifies_without_contaminating_caller() {
     use crate::catalog::StoredProcedure;

@@ -622,13 +622,15 @@ fn apply_one_poll(
         })?);
     }
     let applied = applier.apply_batch(db.engine(), first_seq, &decoded)?;
-    // Publish the watermark only after the whole batch applied, so a
-    // read-your-writes client that observes seq S sees every effect ≤ S.
-    shared.publish_applied(applier.applied_seq());
+    // The counters first: a waiter woken by the watermark reads stats that
+    // include the batch.
     shared
         .records_applied
         .store(applier.records_applied(), Ordering::Relaxed);
     shared.batches.fetch_add(1, Ordering::Relaxed);
+    // Publish the watermark only after the whole batch applied, so a
+    // read-your-writes client that observes seq S sees every effect ≤ S.
+    shared.publish_applied(applier.applied_seq());
     if applied.saw_ddl {
         db.resync_catalog()?;
     }

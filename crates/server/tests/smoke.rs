@@ -96,6 +96,45 @@ fn query_by_label_differs_per_connection() {
     server.shutdown();
 }
 
+/// A procedure body that begins, inserts and fails is rolled back in the
+/// server: the connection, which cannot see the server session's
+/// transaction, begins cleanly afterwards and the insert is gone.
+#[test]
+fn a_failed_procedure_rolls_back_the_transaction_it_opened_over_the_wire() {
+    let (db, auth, ..) = demo_db();
+    db.create_procedure(ifdb::StoredProcedure {
+        name: "insert_then_fail".into(),
+        authority: None,
+        body: Arc::new(|session, args| {
+            session.begin()?;
+            session.insert(&Insert::new(
+                "notes",
+                vec![args[0].clone(), Datum::from("anon"), Datum::from("draft")],
+            ))?;
+            Err(IfdbError::InvalidStatement("the body failed".into()))
+        }),
+    })
+    .unwrap();
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let mut conn =
+        Connection::connect(&ClientConfig::anonymous(&server.addr().to_string())).unwrap();
+    for id in [10, 11] {
+        let err = conn
+            .call_procedure("insert_then_fail", &[Datum::Int(id)])
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("the body failed"),
+            "call {id}: {err}"
+        );
+        assert!(!conn.in_transaction());
+    }
+    conn.begin().unwrap();
+    assert!(conn.select(&Select::star("notes")).unwrap().is_empty());
+    conn.commit().unwrap();
+    conn.close().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn transactions_writes_and_prepared_cache() {
     let (db, auth, _alice, _bob, _at, _bt) = demo_db();

@@ -226,11 +226,6 @@ impl OrderedIndex {
         }
     }
 
-    /// Drops every entry whose row `keep` rejects.
-    pub fn retain(&self, mut keep: impl FnMut(RowId) -> bool) {
-        self.map.write().retain(|_, rows| rows.retain(&mut keep));
-    }
-
     /// Removes exactly the `(key, row)` entries of `entries` ([`encode_key`]
     /// encodings), under one write lock, and returns how many it found. An
     /// entry that is not there is skipped; a key left with no row goes.
@@ -441,11 +436,12 @@ mod tests {
         insert(&idx, &[5], row(1));
         insert(&idx, &[5], row(2));
         insert(&idx, &[6], row(3));
-        idx.retain(|r| r == row(2));
+        let entry = |k: i64, r: u32| (encode_key(&key(&[k])), row(r));
+        assert_eq!(idx.remove(&mut [entry(5, 1), entry(6, 3)]), 2);
         assert_eq!(idx.get(&key(&[5])), vec![row(2)]);
         assert_eq!(idx.key_count(), 1);
         // Dropping what is not there is a no-op.
-        idx.retain(|r| r != row(9));
+        assert_eq!(idx.remove(&mut [entry(5, 9), entry(7, 2)]), 0);
         assert_eq!(idx.entry_count(), 1);
     }
 

@@ -179,7 +179,16 @@ proptest! {
         for _ in 0..rng.gen_range(1..80) {
             if rng.gen_range(0..10) == 0 {
                 let (m, r) = (rng.gen_range(2u32..5), rng.gen_range(0u32..5));
-                index.retain(|row| row.page % m != r);
+                let mut dead: Vec<(Vec<u8>, RowId)> = reference
+                    .0
+                    .iter()
+                    .flat_map(|(key, rows)| {
+                        rows.iter()
+                            .filter(|row| row.page % m == r)
+                            .map(move |row| (encode_key(key), *row))
+                    })
+                    .collect();
+                prop_assert_eq!(index.remove(&mut dead), dead.len() as u64);
                 reference.retain(|row| row.page % m != r);
             } else {
                 let key = small_key(rng);

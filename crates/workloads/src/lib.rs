@@ -3,8 +3,9 @@
 //! * [`rng`] — TPC-C's non-uniform random (NURand) helpers and other
 //!   distributions.
 //! * [`tpcc`] — a scaled-down TPC-C / DBT-2 implementation: schema, loader,
-//!   the five transaction types, and the standard mix. Used to reproduce
-//!   Figure 6 (throughput vs. tags per label).
+//!   the five transaction types (each a stored procedure the terminal calls
+//!   once), and the standard mix. Used to reproduce Figure 6 (throughput
+//!   vs. tags per label).
 //! * [`driver`] — closed-loop transaction drivers measuring NOTPM
 //!   (new-order transactions per minute) with zero think time, as DBT-2 is
 //!   configured in Section 8.3: an in-process driver
@@ -33,6 +34,7 @@ pub use sharded::{
     load_shard, run_sharded_tpcc, tpcc_shard_map, ShardedDriverOutcome, ShardedTpccConfig,
 };
 pub use tpcc::{
-    create_schema, run_new_order_with_supply, run_transaction_at, run_transaction_on, table_defs,
-    TpccConfig, TpccDatabase, TpccTransaction, WarehouseRange,
+    create_procedures, create_schema, run_client_side, run_new_order_with_supply,
+    run_transaction_at, run_transaction_on, table_defs, TpccConfig, TpccDatabase, TpccInputs,
+    TpccTransaction, WarehouseRange,
 };

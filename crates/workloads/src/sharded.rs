@@ -7,7 +7,11 @@
 //! shard and marked replicated.
 //!
 //! Each terminal drives a shard-aware [`RoutedConnection`] and (when
-//! pinned, the DBT-2 configuration) works a fixed home warehouse. Four of
+//! pinned, the DBT-2 configuration) works a fixed home warehouse. A
+//! router's `call_procedure` reaches shard 0 only, so the terminals run
+//! each transaction's body themselves, statement by statement
+//! ([`run_client_side`]), where the single-node drivers make one procedure
+//! call. Four of
 //! the five transaction types stay within one warehouse and therefore
 //! commit on the single-shard fast path (plain `Begin`/`Commit`). A configurable
 //! fraction of new-order transactions orders stock from a warehouse on a
@@ -26,8 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::tpcc::{
-    run_new_order_with_supply, run_transaction_at, run_transaction_on, TpccConfig, TpccDatabase,
-    TpccDeck, TpccTransaction, WarehouseRange,
+    run_client_side, run_new_order_with_supply, TpccConfig, TpccDatabase, TpccDeck, TpccInputs,
+    TpccTransaction, WarehouseRange,
 };
 
 /// The shard map for the TPC-C schema: warehouses `1..=warehouses` split
@@ -210,12 +214,12 @@ pub fn run_sharded_tpcc(config: &ShardedTpccConfig) -> ShardedDriverOutcome {
                     // rather than dealing a new card, so the committed mix
                     // tracks the dealt mix despite per-type abort rates.
                     while !stop.load(Ordering::Relaxed) {
+                        let w = if config.pin_terminals {
+                            home_w
+                        } else {
+                            rng.gen_range(1..=config.tpcc.warehouses)
+                        };
                         let result = if cross {
-                            let w = if config.pin_terminals {
-                                home_w
-                            } else {
-                                rng.gen_range(1..=config.tpcc.warehouses)
-                            };
                             let d = rng.gen_range(1..=config.tpcc.districts_per_warehouse);
                             let supply = remote_supply_warehouse(&map, &config.tpcc, &mut rng, w);
                             run_new_order_with_supply(
@@ -226,10 +230,11 @@ pub fn run_sharded_tpcc(config: &ShardedTpccConfig) -> ShardedDriverOutcome {
                                 d,
                                 supply,
                             )
-                        } else if config.pin_terminals {
-                            run_transaction_at(&config.tpcc, &mut conn, &mut rng, kind, home_w)
                         } else {
-                            run_transaction_on(&config.tpcc, &mut conn, &mut rng, kind)
+                            // The router's procedures reach shard 0 only,
+                            // so the terminal runs the body itself.
+                            let inputs = TpccInputs::draw(&config.tpcc, &mut rng, kind, w);
+                            run_client_side(&mut conn, &inputs)
                         };
                         match result {
                             Ok(true) => {

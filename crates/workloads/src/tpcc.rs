@@ -7,11 +7,24 @@
 //! (items, customers per district) are reduced so that a benchmark run takes
 //! seconds, but the transaction logic follows the TPC-C profiles: the same
 //! reads, writes, and index usage per transaction.
+//!
+//! Each profile is split in two, as DBT-2 runs TPC-C inside the DBMS. The
+//! terminal draws the inputs ([`TpccInputs::draw`]): every random choice
+//! the profile makes, none of which depends on a query result. The body
+//! takes those inputs and issues the profile's statements, from `begin` to
+//! `commit`. [`create_schema`] registers the body of each
+//! profile as a stored procedure ([`create_procedures`]) that runs as its
+//! caller, so [`run_transaction_at`] is one `call_procedure` — one round
+//! trip over the wire — whatever the number of statements. Where one node
+//! does not hold every row a transaction touches (the sharded driver), the
+//! terminal runs the same body itself, statement by statement
+//! ([`run_client_side`]); the same card gives the same statements either
+//! way.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use ifdb::prelude::*;
-use ifdb::{IfdbResult, TableDef};
+use ifdb::{IfdbResult, StoredProcedure, TableDef};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,6 +92,17 @@ impl TpccTransaction {
             TpccTransaction::Delivery
         } else {
             TpccTransaction::StockLevel
+        }
+    }
+
+    /// The name of the stored procedure that runs this profile's body.
+    fn procedure(self) -> &'static str {
+        match self {
+            TpccTransaction::NewOrder => "tpcc_new_order",
+            TpccTransaction::Payment => "tpcc_payment",
+            TpccTransaction::OrderStatus => "tpcc_order_status",
+            TpccTransaction::Delivery => "tpcc_delivery",
+            TpccTransaction::StockLevel => "tpcc_stock_level",
         }
     }
 }
@@ -325,11 +349,11 @@ impl TpccDatabase {
         Ok(())
     }
 
-    /// Runs one transaction of the given type. Returns `true` if it committed
+    /// Runs one transaction of the given type as one call of its stored
+    /// procedure ([`run_transaction_on`]). Returns `true` if it committed
     /// (write conflicts roll back and report `false`, as DBT-2 counts
-    /// rollbacks separately). Generic over [`SessionApi`], so the same
-    /// transaction logic drives an in-process session or a network
-    /// connection.
+    /// rollbacks separately). Generic over [`SessionApi`], so the same call
+    /// drives an in-process session or a network connection.
     pub fn run_transaction<S: SessionApi>(
         &self,
         session: &mut S,
@@ -340,9 +364,9 @@ impl TpccDatabase {
     }
 }
 
-/// Runs one TPC-C transaction against any [`SessionApi`] — the transport-
-/// independent transaction logic, shared by [`TpccDatabase::run_transaction`]
-/// and the network driver. Returns `true` if it committed; a
+/// Runs one TPC-C transaction against any [`SessionApi`] at a home
+/// warehouse drawn from `rng` — [`run_transaction_at`] for a terminal that
+/// is not pinned to a warehouse. Returns `true` if it committed; a
 /// snapshot-isolation write conflict rolls back and reports `false`.
 pub fn run_transaction_on<S: SessionApi>(
     config: &TpccConfig,
@@ -354,10 +378,12 @@ pub fn run_transaction_on<S: SessionApi>(
     run_transaction_at(config, session, rng, kind, w)
 }
 
-/// [`run_transaction_on`] with the home warehouse chosen by the caller:
-/// TPC-C terminals are pinned to a warehouse, and a sharded driver that
-/// pins its terminals spreads load evenly over the shards instead of
-/// letting the per-transaction warehouse draw bunch up on one node.
+/// Runs one TPC-C transaction with the home warehouse chosen by the
+/// caller: the terminal draws the inputs ([`TpccInputs::draw`]) and makes
+/// one call of the profile's stored procedure ([`create_procedures`]),
+/// which runs the body in the server, next to the rows. TPC-C terminals are
+/// pinned to a warehouse, and a driver that pins its terminals spreads load
+/// evenly instead of letting the per-transaction warehouse draw bunch up.
 pub fn run_transaction_at<S: SessionApi>(
     config: &TpccConfig,
     session: &mut S,
@@ -365,51 +391,28 @@ pub fn run_transaction_at<S: SessionApi>(
     kind: TpccTransaction,
     w: i64,
 ) -> IfdbResult<bool> {
-    let result = match kind {
-        TpccTransaction::NewOrder => new_order(config, session, rng, w),
-        TpccTransaction::Payment => payment(config, session, rng, w),
-        TpccTransaction::OrderStatus => order_status(config, session, rng, w),
-        TpccTransaction::Delivery => delivery(config, session, rng, w),
-        TpccTransaction::StockLevel => stock_level(config, session, rng, w),
-    };
-    match result {
-        Ok(()) => Ok(true),
-        Err(IfdbError::Storage(ifdb::StorageError::WriteConflict { .. })) => {
-            if session.in_transaction() {
-                let _ = session.abort();
-            }
-            Ok(false)
-        }
-        Err(e) => {
-            if session.in_transaction() {
-                let _ = session.abort();
-            }
-            Err(e)
-        }
-    }
+    let inputs = TpccInputs::draw(config, rng, kind, w);
+    let result = session.call_procedure(kind.procedure(), &inputs.args());
+    settle(session, result.map(drop))
 }
 
-fn pick_d(config: &TpccConfig, rng: &mut StdRng) -> i64 {
-    rng.gen_range(1..=config.districts_per_warehouse)
-}
-
-fn new_order<S: SessionApi>(
-    config: &TpccConfig,
-    s: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-) -> IfdbResult<()> {
-    let d = pick_d(config, rng);
-    new_order_at(config, s, rng, w, d, w)
+/// Runs drawn inputs' body from the terminal, statement by statement (the
+/// independent ones as pipelined batches) — for a connection whose
+/// `call_procedure` cannot reach every row the body touches, as over a
+/// sharded router, whose procedures run on shard 0 only. Returns `true` if
+/// the transaction committed, `false` on a write-conflict rollback.
+pub fn run_client_side<S: SessionApi>(session: &mut S, inputs: &TpccInputs) -> IfdbResult<bool> {
+    let result = run_body(session, inputs);
+    settle(session, result)
 }
 
 /// Runs one new-order transaction for district `(w, d)` whose stock is
-/// supplied by `supply_w` — the TPC-C remote-warehouse shape. With
-/// `supply_w != w` the stock reads and updates land on the supplying
-/// warehouse while the order itself lands on the home warehouse; over a
-/// sharded topology that makes the transaction cross-shard whenever the
-/// two warehouses live on different shards. Returns `true` on commit,
-/// `false` on a write-conflict rollback.
+/// supplied by `supply_w` — the TPC-C remote-warehouse shape — from the
+/// terminal ([`run_client_side`]). With `supply_w != w` the stock reads and
+/// updates land on the supplying warehouse while the order itself lands on
+/// the home warehouse; over a sharded topology that makes the transaction
+/// cross-shard whenever the two warehouses live on different shards.
+/// Returns `true` on commit, `false` on a write-conflict rollback.
 pub fn run_new_order_with_supply<S: SessionApi>(
     config: &TpccConfig,
     session: &mut S,
@@ -418,34 +421,288 @@ pub fn run_new_order_with_supply<S: SessionApi>(
     d: i64,
     supply_w: i64,
 ) -> IfdbResult<bool> {
-    match new_order_at(config, session, rng, w, d, supply_w) {
+    run_client_side(session, &TpccInputs::new_order(config, rng, w, d, supply_w))
+}
+
+/// A transaction's outcome as the terminal counts it: a write conflict is a
+/// rollback (`false`), and whatever the transaction left open is aborted.
+fn settle<S: SessionApi>(session: &mut S, result: IfdbResult<()>) -> IfdbResult<bool> {
+    if result.is_err() && session.in_transaction() {
+        let _ = session.abort();
+    }
+    match result {
         Ok(()) => Ok(true),
-        Err(IfdbError::Storage(ifdb::StorageError::WriteConflict { .. })) => {
-            if session.in_transaction() {
-                let _ = session.abort();
-            }
-            Ok(false)
-        }
-        Err(e) => {
-            if session.in_transaction() {
-                let _ = session.abort();
-            }
-            Err(e)
-        }
+        Err(IfdbError::Storage(ifdb::StorageError::WriteConflict { .. })) => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
-fn new_order_at<S: SessionApi>(
-    config: &TpccConfig,
+/// What a terminal draws for one transaction before it starts: every random
+/// choice the profile's body makes, in the order the statement-at-a-time
+/// terminal drew them. None of them depends on a query result, so a card
+/// and its seed give the same inputs, and the same statements, wherever the
+/// body runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TpccInputs {
+    /// New-order: the customer, then `(item, quantity)` per order line.
+    NewOrder {
+        /// Home warehouse.
+        w: i64,
+        /// District.
+        d: i64,
+        /// Warehouse whose stock supplies the lines (`w` but for the
+        /// remote-supplier shape).
+        supply_w: i64,
+        /// Ordering customer.
+        customer: i64,
+        /// `(item, quantity)` of each line, 5 to 15 of them.
+        lines: Vec<(i64, i64)>,
+    },
+    /// Payment.
+    Payment {
+        /// Home warehouse.
+        w: i64,
+        /// District.
+        d: i64,
+        /// Paying customer.
+        customer: i64,
+        /// Amount paid.
+        amount: f64,
+    },
+    /// Order-status.
+    OrderStatus {
+        /// Home warehouse.
+        w: i64,
+        /// District.
+        d: i64,
+        /// Customer whose last order is read.
+        customer: i64,
+    },
+    /// Delivery, of the oldest pending order of every district.
+    Delivery {
+        /// Home warehouse.
+        w: i64,
+        /// Districts `1..=districts` are delivered: the scale, not a draw.
+        districts: i64,
+        /// Carrier.
+        carrier: i64,
+    },
+    /// Stock-level.
+    StockLevel {
+        /// Home warehouse.
+        w: i64,
+        /// District.
+        d: i64,
+        /// Quantity below which a stock row counts as low.
+        threshold: i64,
+    },
+}
+
+impl TpccInputs {
+    /// Draws the inputs of one `kind` transaction at home warehouse `w`.
+    pub fn draw(config: &TpccConfig, rng: &mut StdRng, kind: TpccTransaction, w: i64) -> Self {
+        match kind {
+            TpccTransaction::NewOrder => {
+                let d = pick_d(config, rng);
+                Self::new_order(config, rng, w, d, w)
+            }
+            TpccTransaction::Payment => TpccInputs::Payment {
+                w,
+                d: pick_d(config, rng),
+                customer: pick_customer(config, rng),
+                amount: rng.gen_range(1.0..5000.0),
+            },
+            TpccTransaction::OrderStatus => TpccInputs::OrderStatus {
+                w,
+                d: pick_d(config, rng),
+                customer: pick_customer(config, rng),
+            },
+            TpccTransaction::Delivery => TpccInputs::Delivery {
+                w,
+                districts: config.districts_per_warehouse,
+                carrier: rng.gen_range(1..=10i64),
+            },
+            TpccTransaction::StockLevel => TpccInputs::StockLevel {
+                w,
+                d: pick_d(config, rng),
+                threshold: rng.gen_range(10..=20i64),
+            },
+        }
+    }
+
+    /// Draws a new-order's inputs for district `(w, d)`, supplied by
+    /// warehouse `supply_w`.
+    fn new_order(config: &TpccConfig, rng: &mut StdRng, w: i64, d: i64, supply_w: i64) -> Self {
+        let customer = pick_customer(config, rng);
+        let line_count = rng.gen_range(5..=15i64);
+        let lines = (0..line_count)
+            .map(|_| {
+                let item = nurand(rng, NURAND_A_OL_I_ID, 1, config.items as u64) as i64;
+                (item, rng.gen_range(1..=10i64))
+            })
+            .collect();
+        TpccInputs::NewOrder {
+            w,
+            d,
+            supply_w,
+            customer,
+            lines,
+        }
+    }
+
+    /// The procedure arguments: the fields in declaration order, a
+    /// new-order's lines flattened to `item, quantity, item, ...`.
+    fn args(&self) -> Vec<Datum> {
+        let ints = |v: &[i64]| v.iter().map(|&x| Datum::Int(x)).collect::<Vec<_>>();
+        match self {
+            TpccInputs::NewOrder {
+                w,
+                d,
+                supply_w,
+                customer,
+                lines,
+            } => {
+                let mut args = ints(&[*w, *d, *supply_w, *customer]);
+                for &(item, qty) in lines {
+                    args.extend([Datum::Int(item), Datum::Int(qty)]);
+                }
+                args
+            }
+            TpccInputs::Payment {
+                w,
+                d,
+                customer,
+                amount,
+            } => {
+                let mut args = ints(&[*w, *d, *customer]);
+                args.push(Datum::Float(*amount));
+                args
+            }
+            TpccInputs::OrderStatus { w, d, customer } => ints(&[*w, *d, *customer]),
+            TpccInputs::Delivery {
+                w,
+                districts,
+                carrier,
+            } => ints(&[*w, *districts, *carrier]),
+            TpccInputs::StockLevel { w, d, threshold } => ints(&[*w, *d, *threshold]),
+        }
+    }
+
+    /// Reads [`TpccInputs::args`] of a `kind` transaction back.
+    fn from_args(kind: TpccTransaction, args: &[Datum]) -> IfdbResult<Self> {
+        let bad = || {
+            IfdbError::InvalidStatement(format!(
+                "{}: malformed arguments {args:?}",
+                kind.procedure()
+            ))
+        };
+        let int = |i: usize| match args.get(i) {
+            Some(Datum::Int(x)) => Ok(*x),
+            _ => Err(bad()),
+        };
+        let arity = |n: usize| if args.len() == n { Ok(()) } else { Err(bad()) };
+        Ok(match kind {
+            TpccTransaction::NewOrder => {
+                if args.len() < 4 || !args.len().is_multiple_of(2) {
+                    return Err(bad());
+                }
+                TpccInputs::NewOrder {
+                    w: int(0)?,
+                    d: int(1)?,
+                    supply_w: int(2)?,
+                    customer: int(3)?,
+                    lines: (4..args.len())
+                        .step_by(2)
+                        .map(|i| Ok((int(i)?, int(i + 1)?)))
+                        .collect::<IfdbResult<_>>()?,
+                }
+            }
+            TpccTransaction::Payment => {
+                arity(4)?;
+                let Datum::Float(amount) = args[3] else {
+                    return Err(bad());
+                };
+                TpccInputs::Payment {
+                    w: int(0)?,
+                    d: int(1)?,
+                    customer: int(2)?,
+                    amount,
+                }
+            }
+            TpccTransaction::OrderStatus => {
+                arity(3)?;
+                TpccInputs::OrderStatus {
+                    w: int(0)?,
+                    d: int(1)?,
+                    customer: int(2)?,
+                }
+            }
+            TpccTransaction::Delivery => {
+                arity(3)?;
+                TpccInputs::Delivery {
+                    w: int(0)?,
+                    districts: int(1)?,
+                    carrier: int(2)?,
+                }
+            }
+            TpccTransaction::StockLevel => {
+                arity(3)?;
+                TpccInputs::StockLevel {
+                    w: int(0)?,
+                    d: int(1)?,
+                    threshold: int(2)?,
+                }
+            }
+        })
+    }
+}
+
+fn pick_d(config: &TpccConfig, rng: &mut StdRng) -> i64 {
+    rng.gen_range(1..=config.districts_per_warehouse)
+}
+
+fn pick_customer(config: &TpccConfig, rng: &mut StdRng) -> i64 {
+    nurand(rng, NURAND_A_C_ID, 1, config.customers_per_district as u64) as i64
+}
+
+/// A transaction's body: its profile's statements in their order, from
+/// `begin` to `commit`, with every input already drawn. The stored
+/// procedures of [`create_procedures`] run it in the server; a terminal
+/// that cannot call them runs it itself ([`run_client_side`]).
+fn run_body<S: SessionApi>(s: &mut S, inputs: &TpccInputs) -> IfdbResult<()> {
+    match *inputs {
+        TpccInputs::NewOrder {
+            w,
+            d,
+            supply_w,
+            customer,
+            ref lines,
+        } => new_order(s, w, d, supply_w, customer, lines),
+        TpccInputs::Payment {
+            w,
+            d,
+            customer,
+            amount,
+        } => payment(s, w, d, customer, amount),
+        TpccInputs::OrderStatus { w, d, customer } => order_status(s, w, d, customer),
+        TpccInputs::Delivery {
+            w,
+            districts,
+            carrier,
+        } => delivery(s, w, districts, carrier),
+        TpccInputs::StockLevel { w, d, threshold } => stock_level(s, w, d, threshold),
+    }
+}
+
+fn new_order<S: SessionApi>(
     s: &mut S,
-    rng: &mut StdRng,
     w: i64,
     d: i64,
     supply_w: i64,
+    customer: i64,
+    lines: &[(i64, i64)],
 ) -> IfdbResult<()> {
-    let customer = nurand(rng, NURAND_A_C_ID, 1, config.customers_per_district as u64) as i64;
-    let line_count = rng.gen_range(5..=15i64);
-
+    let line_count = lines.len() as i64;
     s.begin()?;
     let district = s.select(
         &Select::star("district").filter(
@@ -496,12 +753,8 @@ fn new_order_at<S: SessionApi>(
 
     // Per-line phase 1: the item and stock reads of every line are
     // independent of each other — one batch of 2×lines selects.
-    let mut lines: Vec<(i64, i64)> = Vec::with_capacity(line_count as usize);
-    let mut reads: Vec<Statement> = Vec::with_capacity(2 * line_count as usize);
-    for _ in 1..=line_count {
-        let item = nurand(rng, NURAND_A_OL_I_ID, 1, config.items as u64) as i64;
-        let qty = rng.gen_range(1..=10i64);
-        lines.push((item, qty));
+    let mut reads: Vec<Statement> = Vec::with_capacity(2 * lines.len());
+    for &(item, _) in lines {
         reads.push(Statement::Select(
             Select::star("item").filter(Predicate::Eq("i_id".into(), Datum::Int(item))),
         ));
@@ -519,7 +772,7 @@ fn new_order_at<S: SessionApi>(
     // one more batch.
     let mut total = 0.0;
     let mut writes: Vec<Statement> = Vec::with_capacity(2 * line_count as usize);
-    for (l, (item, qty)) in (1..=line_count).zip(&lines) {
+    for (l, (item, qty)) in (1..=line_count).zip(lines) {
         let (item, qty) = (*item, *qty);
         let item_row = rows(read_results.next().expect("item read"))?;
         let price = item_row
@@ -574,15 +827,7 @@ fn rows(r: IfdbResult<StatementResult>) -> IfdbResult<ifdb::ResultSet> {
     }
 }
 
-fn payment<S: SessionApi>(
-    config: &TpccConfig,
-    s: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-) -> IfdbResult<()> {
-    let d = pick_d(config, rng);
-    let customer = nurand(rng, NURAND_A_C_ID, 1, config.customers_per_district as u64) as i64;
-    let amount = rng.gen_range(1.0..5000.0);
+fn payment<S: SessionApi>(s: &mut S, w: i64, d: i64, customer: i64, amount: f64) -> IfdbResult<()> {
     s.begin()?;
     let wh =
         s.select(&Select::star("warehouse").filter(Predicate::Eq("w_id".into(), Datum::Int(w))))?;
@@ -639,14 +884,7 @@ fn payment<S: SessionApi>(
     commit_with_label(s)
 }
 
-fn order_status<S: SessionApi>(
-    config: &TpccConfig,
-    s: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-) -> IfdbResult<()> {
-    let d = pick_d(config, rng);
-    let customer = nurand(rng, NURAND_A_C_ID, 1, config.customers_per_district as u64) as i64;
+fn order_status<S: SessionApi>(s: &mut S, w: i64, d: i64, customer: i64) -> IfdbResult<()> {
     s.begin()?;
     s.select(
         &Select::star("customer").filter(
@@ -678,15 +916,9 @@ fn order_status<S: SessionApi>(
     commit_with_label(s)
 }
 
-fn delivery<S: SessionApi>(
-    config: &TpccConfig,
-    s: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-) -> IfdbResult<()> {
-    let carrier = rng.gen_range(1..=10i64);
+fn delivery<S: SessionApi>(s: &mut S, w: i64, districts: i64, carrier: i64) -> IfdbResult<()> {
     s.begin()?;
-    for d in 1..=config.districts_per_warehouse {
+    for d in 1..=districts {
         let pending = s.select(
             &Select::star("new_order")
                 .filter(
@@ -722,14 +954,7 @@ fn delivery<S: SessionApi>(
     commit_with_label(s)
 }
 
-fn stock_level<S: SessionApi>(
-    config: &TpccConfig,
-    s: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-) -> IfdbResult<()> {
-    let d = pick_d(config, rng);
-    let threshold = rng.gen_range(10..=20i64);
+fn stock_level<S: SessionApi>(s: &mut S, w: i64, d: i64, threshold: i64) -> IfdbResult<()> {
     s.begin()?;
     let district = s.select(
         &Select::star("district").filter(
@@ -854,10 +1079,32 @@ pub fn table_defs() -> Vec<TableDef> {
     ]
 }
 
-/// Creates the nine TPC-C tables.
+/// Creates the nine TPC-C tables and registers the five procedures.
 pub fn create_schema(db: &Database) -> IfdbResult<()> {
     for def in table_defs() {
         db.create_table(def)?;
+    }
+    create_procedures(db)
+}
+
+/// Registers one stored procedure per profile, `tpcc_new_order` to
+/// `tpcc_stock_level`, which reads its [`TpccInputs`] from the arguments and
+/// runs the profile's body.
+/// None carries authority: each runs as its caller, under the caller's
+/// label, and the commit label rule applies at its commit as it would at
+/// the terminal's. Procedures are code, like principals and tags, so every
+/// node that serves TPC-C — a replica that may be promoted, a recovered
+/// database — registers them itself.
+pub fn create_procedures(db: &Database) -> IfdbResult<()> {
+    for (kind, _) in TpccDeck::DECK {
+        db.create_procedure(StoredProcedure {
+            name: kind.procedure().into(),
+            authority: None,
+            body: Arc::new(move |session, args| {
+                run_body(session, &TpccInputs::from_args(kind, args)?)?;
+                Ok(ResultSet::default())
+            }),
+        })?;
     }
     Ok(())
 }
