@@ -257,23 +257,37 @@ pub struct IndexSpec {
     pub columns: Vec<String>,
 }
 
-/// Everything the catalog records about one table.
+/// A key — the primary key or a UNIQUE constraint — bound to the index that
+/// enforces it. Every key has an index of its own, named after the
+/// constraint (`<table>_pkey` for the primary key), so checking a row
+/// against it is one probe of that index with the values at `offsets`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyIndex {
+    /// The index's name, which is also the constraint's.
+    pub index: String,
+    /// The key's columns, in key order.
+    pub columns: Vec<String>,
+    /// Their offsets in the table's rows.
+    pub offsets: Vec<usize>,
+}
+
+/// Everything the catalog records about one table, bound to its column
+/// layout once, when the table is defined: statements read the names, key
+/// offsets and index names from here instead of resolving them per row.
 #[derive(Debug, Clone)]
 pub struct TableInfo {
     /// Storage-engine table id.
     pub id: TableId,
     /// The schema.
     pub schema: TableSchema,
-    /// Primary-key columns (always unique).
-    pub primary_key: Vec<String>,
+    /// The primary key, if one was declared.
+    pub primary_key: Option<KeyIndex>,
     /// Additional uniqueness constraints.
-    pub uniques: Vec<UniqueConstraint>,
+    pub uniques: Vec<KeyIndex>,
     /// Foreign keys from this table.
     pub foreign_keys: Vec<ForeignKey>,
     /// Label constraints.
     pub label_constraints: Vec<LabelConstraint>,
-    /// Name of the primary-key index, if one was created.
-    pub pk_index: Option<String>,
     /// Secondary indexes available to the planner.
     pub indexes: Vec<IndexSpec>,
     /// Set for tables reconstructed by `DatabaseBuilder::recover` whose
@@ -282,35 +296,121 @@ pub struct TableInfo {
     /// table are refused; re-running the first-boot
     /// `Database::create_table` clears it.
     pub constraints_pending: bool,
+    /// The schema's column names, in order.
+    column_names: Vec<String>,
+    /// For each foreign key, the offsets of its columns in this table.
+    foreign_key_offsets: Vec<Vec<usize>>,
 }
 
 impl TableInfo {
+    /// Binds `def` to table `id`: the schema it declares, its keys with
+    /// their indexes and offsets, and its foreign keys' offsets. Fails on a
+    /// key or foreign-key column the table does not have.
+    pub(crate) fn new(
+        id: TableId,
+        def: TableDef,
+        constraints_pending: bool,
+    ) -> IfdbResult<TableInfo> {
+        let schema = TableSchema::new(&def.name, def.columns);
+        let column_names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
+        let key = |index: String, columns: Vec<String>| -> IfdbResult<KeyIndex> {
+            Ok(KeyIndex {
+                offsets: offsets_in(&column_names, &columns)?,
+                index,
+                columns,
+            })
+        };
+        let primary_key = if def.primary_key.is_empty() {
+            None
+        } else {
+            Some(key(Self::pkey_index(&def.name), def.primary_key)?)
+        };
+        let uniques = def
+            .uniques
+            .into_iter()
+            .map(|u| key(u.name, u.columns))
+            .collect::<IfdbResult<_>>()?;
+        let foreign_key_offsets = def
+            .foreign_keys
+            .iter()
+            .map(|fk| offsets_in(&column_names, &fk.columns))
+            .collect::<IfdbResult<_>>()?;
+        Ok(TableInfo {
+            id,
+            schema,
+            primary_key,
+            uniques,
+            foreign_keys: def.foreign_keys,
+            label_constraints: def.label_constraints,
+            indexes: def.indexes,
+            constraints_pending,
+            column_names,
+            foreign_key_offsets,
+        })
+    }
+
+    /// The name of table `table`'s primary-key index.
+    pub(crate) fn pkey_index(table: &str) -> String {
+        format!("{table}_pkey")
+    }
+
+    /// The table's keys: the primary key first, then each UNIQUE
+    /// constraint.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &KeyIndex> {
+        self.primary_key.iter().chain(&self.uniques)
+    }
+
     /// Every index available on this table: the primary-key index first
     /// (point lookups on it are unique), then secondary indexes in creation
-    /// order.
-    pub fn index_specs(&self) -> Vec<(&str, &[String])> {
-        let mut out = Vec::new();
-        if let Some(pk) = &self.pk_index {
-            out.push((pk.as_str(), self.primary_key.as_slice()));
+    /// order, then the UNIQUE constraints' indexes.
+    pub fn index_specs(&self) -> impl Iterator<Item = (&str, &[String])> {
+        fn key(k: &KeyIndex) -> (&str, &[String]) {
+            (k.index.as_str(), k.columns.as_slice())
         }
-        for idx in &self.indexes {
-            out.push((idx.name.as_str(), idx.columns.as_slice()));
-        }
-        out
+        self.primary_key
+            .iter()
+            .map(key)
+            .chain(
+                self.indexes
+                    .iter()
+                    .map(|i| (i.name.as_str(), i.columns.as_slice())),
+            )
+            .chain(self.uniques.iter().map(key))
     }
 
     /// The name of an index whose key is exactly `cols`, if one exists.
     pub fn index_on(&self, cols: &[String]) -> Option<&str> {
-        self.index_specs()
-            .into_iter()
-            .find(|(_, c)| *c == cols)
-            .map(|(n, _)| n)
+        self.index_specs().find(|(_, c)| *c == cols).map(|(n, _)| n)
     }
 
     /// The schema's column names, in order.
-    pub fn column_names(&self) -> Vec<String> {
-        self.schema.columns.iter().map(|c| c.name.clone()).collect()
+    pub fn column_names(&self) -> &[String] {
+        &self.column_names
     }
+
+    /// The offsets of `columns` in this table's rows.
+    pub(crate) fn column_offsets(&self, columns: &[String]) -> IfdbResult<Vec<usize>> {
+        offsets_in(&self.column_names, columns)
+    }
+
+    /// For each of [`TableInfo::foreign_keys`], in order, the offsets of its
+    /// columns in this table's rows.
+    pub(crate) fn foreign_key_offsets(&self) -> &[Vec<usize>] {
+        &self.foreign_key_offsets
+    }
+}
+
+/// The offsets of `columns` among `names`.
+fn offsets_in(names: &[String], columns: &[String]) -> IfdbResult<Vec<usize>> {
+    columns
+        .iter()
+        .map(|c| {
+            names
+                .iter()
+                .position(|n| n == c)
+                .ok_or_else(|| IfdbError::UnknownColumn(c.clone()))
+        })
+        .collect()
 }
 
 /// A declarative table definition handed to
@@ -611,39 +711,16 @@ mod tests {
     #[test]
     fn referencing_lookup() {
         let mut cat = Catalog::new();
-        cat.add_table(TableInfo {
-            id: TableId(1),
-            schema: TableSchema::new("Cars", vec![ColumnDef::new("carid", DataType::Int)]),
-            primary_key: vec!["carid".into()],
-            uniques: vec![],
-            foreign_keys: vec![],
-            label_constraints: vec![],
-            pk_index: None,
-            indexes: vec![],
-            constraints_pending: false,
-        });
-        cat.add_table(TableInfo {
-            id: TableId(2),
-            schema: TableSchema::new(
-                "Drives",
-                vec![
-                    ColumnDef::new("driveid", DataType::Int),
-                    ColumnDef::new("carid", DataType::Int),
-                ],
-            ),
-            primary_key: vec!["driveid".into()],
-            uniques: vec![],
-            foreign_keys: vec![ForeignKey {
-                name: "drives_carid_fkey".into(),
-                columns: vec!["carid".into()],
-                ref_table: "Cars".into(),
-                ref_columns: vec!["carid".into()],
-            }],
-            label_constraints: vec![],
-            pk_index: None,
-            indexes: vec![],
-            constraints_pending: false,
-        });
+        let cars = TableDef::new("Cars")
+            .column("carid", DataType::Int)
+            .primary_key(&["carid"]);
+        cat.add_table(TableInfo::new(TableId(1), cars, false).unwrap());
+        let drives = TableDef::new("Drives")
+            .column("driveid", DataType::Int)
+            .column("carid", DataType::Int)
+            .primary_key(&["driveid"])
+            .foreign_key("drives_carid_fkey", &["carid"], "Cars", &["carid"]);
+        cat.add_table(TableInfo::new(TableId(2), drives, false).unwrap());
         let refs = cat.referencing("Cars");
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].1.name, "drives_carid_fkey");

@@ -381,8 +381,7 @@ impl Database {
                 if let Ok(existing) = catalog.table(&name) {
                     if existing.id == table.id()
                         && existing.schema == *table.schema()
-                        && existing.indexes.len() + usize::from(existing.pk_index.is_some())
-                            == specs.len()
+                        && existing.index_specs().count() == specs.len()
                     {
                         continue;
                     }
@@ -394,16 +393,15 @@ impl Database {
                     .map(|o| table.schema().columns[*o].name.clone())
                     .collect()
             };
-            let pk_name = format!("{name}_pkey");
-            let pk = specs.iter().find(|(n, _)| *n == pk_name);
-            let info = TableInfo {
-                id: table.id(),
-                schema: table.schema().clone(),
-                primary_key: pk.map(|(_, cols)| col_name(cols)).unwrap_or_default(),
-                uniques: Vec::new(),
-                foreign_keys: Vec::new(),
-                label_constraints: Vec::new(),
-                pk_index: pk.map(|(n, _)| n.clone()),
+            let pk_name = TableInfo::pkey_index(&name);
+            let def = TableDef {
+                name: name.clone(),
+                columns: table.schema().columns.clone(),
+                primary_key: specs
+                    .iter()
+                    .find(|(n, _)| *n == pk_name)
+                    .map(|(_, cols)| col_name(cols))
+                    .unwrap_or_default(),
                 indexes: specs
                     .iter()
                     .filter(|(n, _)| *n != pk_name)
@@ -412,8 +410,9 @@ impl Database {
                         columns: col_name(cols),
                     })
                     .collect(),
-                constraints_pending: true,
+                ..TableDef::default()
             };
+            let info = TableInfo::new(table.id(), def, true)?;
             self.inner.catalog.write().add_table(info);
         }
         // Drop catalog entries whose engine table vanished (replica reset).
@@ -642,8 +641,9 @@ impl Database {
     // Schema (the administrator's job)
     // ------------------------------------------------------------------
 
-    /// Creates a table from a declarative definition, along with a
-    /// primary-key index when a primary key is declared.
+    /// Creates a table from a declarative definition, along with an index
+    /// for its primary key (`<table>_pkey`), one for each UNIQUE constraint
+    /// (named after the constraint) and its secondary indexes.
     ///
     /// Re-running the same definition against a table recovered by
     /// [`DatabaseBuilder::recover`] is the supported way to restore
@@ -674,6 +674,17 @@ impl Database {
                 schema.column_index(c)?;
             }
         }
+        let pkey = (!def.primary_key.is_empty()).then(|| TableInfo::pkey_index(&def.name));
+        let mut names: Vec<&String> = pkey.iter().collect();
+        names.extend(def.uniques.iter().map(|u| &u.name));
+        names.extend(def.indexes.iter().map(|i| &i.name));
+        names.sort();
+        if let Some(pair) = names.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(IfdbError::InvalidStatement(format!(
+                "table {} names two indexes {}",
+                def.name, pair[0]
+            )));
+        }
         // The catalog write lock is held across the existence check, the
         // engine-side DDL and the TableInfo install, so concurrent DDL on
         // the same name cannot interleave.
@@ -698,36 +709,22 @@ impl Database {
             }
             Err(_) => self.inner.engine.create_table(schema.clone())?,
         };
+        // The definition carries the constraint metadata, so a table
+        // recovered by `open` becomes writable again here.
+        let info = TableInfo::new(id, def, false)?;
+        // Every key owns an index named after it, created here if the
+        // table does not have it yet (first boot, or a table recovered from
+        // a log written before its key had one); on a replica the index
+        // streams in with the primary's DDL.
         let present = self.inner.engine.index_names(id)?;
-        let pk_index = if def.primary_key.is_empty() {
-            None
-        } else {
-            let index_name = format!("{}_pkey", def.name);
-            if !present.contains(&index_name) && !read_only {
-                let cols: Vec<&str> = def.primary_key.iter().map(String::as_str).collect();
-                self.inner.engine.create_index(id, &index_name, &cols)?;
-            }
-            Some(index_name)
-        };
-        for idx in &def.indexes {
-            if !present.contains(&idx.name) && !read_only {
-                let cols: Vec<&str> = idx.columns.iter().map(String::as_str).collect();
-                self.inner.engine.create_index(id, &idx.name, &cols)?;
+        let keys = info.keys().map(|k| (&k.index, &k.columns));
+        let secondary = info.indexes.iter().map(|i| (&i.name, &i.columns));
+        for (name, columns) in keys.chain(secondary) {
+            if !present.contains(name) && !read_only {
+                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
+                self.inner.engine.create_index(id, name, &cols)?;
             }
         }
-        let info = TableInfo {
-            id,
-            schema,
-            primary_key: def.primary_key,
-            uniques: def.uniques,
-            foreign_keys: def.foreign_keys,
-            label_constraints: def.label_constraints,
-            pk_index,
-            indexes: def.indexes,
-            // The definition carries the constraint metadata, so a table
-            // recovered by `open` becomes writable again here.
-            constraints_pending: false,
-        };
         catalog.add_table(info);
         Ok(())
     }
@@ -1103,8 +1100,9 @@ mod tests {
         // Catalog: table, pk and secondary index all reconstructed.
         let catalog = db.inner.catalog.read();
         let info = catalog.table("notes").unwrap();
-        assert_eq!(info.primary_key, vec!["id".to_string()]);
-        assert_eq!(info.pk_index.as_deref(), Some("notes_pkey"));
+        let pk = info.primary_key.as_ref().unwrap();
+        assert_eq!(pk.columns, vec!["id".to_string()]);
+        assert_eq!(pk.index, "notes_pkey");
         assert_eq!(info.indexes.len(), 1);
         assert_eq!(info.indexes[0].columns, vec!["body".to_string()]);
         drop(catalog);

@@ -58,7 +58,9 @@ use ifdb_storage::{
     TupleRef, Verdict,
 };
 
-use crate::catalog::{TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewSource};
+use crate::catalog::{
+    KeyIndex, TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewDef, ViewSource,
+};
 use crate::error::{IfdbError, IfdbResult};
 use crate::plan::{plan_table_scan, AccessPath, CompiledPredicate, TableScanPlan};
 use crate::query::{
@@ -262,7 +264,7 @@ struct JoinLayout {
 /// What a `FROM` name resolved to.
 enum ResolvedSource {
     Table(Arc<TableInfo>),
-    View(Arc<crate::catalog::ViewDef>),
+    View(Arc<ViewDef>),
 }
 
 impl Session {
@@ -284,10 +286,14 @@ impl Session {
     /// Resolves the output columns of a table, view or join without
     /// scanning anything.
     pub(crate) fn source_columns(&self, from: &str) -> IfdbResult<Vec<String>> {
-        let view = match self.resolve_source(from)? {
-            ResolvedSource::Table(info) => return Ok(info.column_names()),
-            ResolvedSource::View(view) => view,
-        };
+        match self.resolve_source(from)? {
+            ResolvedSource::Table(info) => Ok(info.column_names().to_vec()),
+            ResolvedSource::View(view) => self.view_columns(&view),
+        }
+    }
+
+    /// The output columns of a view.
+    fn view_columns(&self, view: &ViewDef) -> IfdbResult<Vec<String>> {
         match &view.source {
             ViewSource::Select(sel) => {
                 let inner = self.source_columns(&sel.from)?;
@@ -305,17 +311,16 @@ impl Session {
         }
     }
 
-    /// Returns `true` if the source resolves through tables and
-    /// single-source views only (no join anywhere in the chain). Join
-    /// boundaries may drop pushed-down conjuncts, so only join-free chains
-    /// guarantee that a fully-pushed predicate was applied below.
-    fn source_is_join_free(&self, from: &str) -> IfdbResult<bool> {
-        let view = match self.resolve_source(from)? {
-            ResolvedSource::Table(_) => return Ok(true),
-            ResolvedSource::View(view) => view,
-        };
+    /// Returns `true` if the view resolves through tables and single-source
+    /// views only (no join anywhere in the chain). Join boundaries may drop
+    /// pushed-down conjuncts, so only join-free chains guarantee that a
+    /// fully-pushed predicate was applied below.
+    fn view_is_join_free(&self, view: &ViewDef) -> IfdbResult<bool> {
         match &view.source {
-            ViewSource::Select(sel) => self.source_is_join_free(&sel.from),
+            ViewSource::Select(sel) => match self.resolve_source(&sel.from)? {
+                ResolvedSource::Table(_) => Ok(true),
+                ResolvedSource::View(inner) => self.view_is_join_free(&inner),
+            },
             ViewSource::Join(_) => Ok(false),
         }
     }
@@ -350,12 +355,20 @@ impl Session {
         hint: &Predicate,
         sink: &mut RowSink<'_>,
     ) -> IfdbResult<()> {
-        let view = match self.resolve_source(from)? {
-            ResolvedSource::Table(info) => {
-                return self.stream_base_table(&info, declassify, hint, sink)
-            }
-            ResolvedSource::View(view) => view,
-        };
+        match self.resolve_source(from)? {
+            ResolvedSource::Table(info) => self.stream_base_table(&info, declassify, hint, sink),
+            ResolvedSource::View(view) => self.stream_view(&view, declassify, hint, sink),
+        }
+    }
+
+    /// [`Session::stream_source`] for a view.
+    fn stream_view(
+        &mut self,
+        view: &ViewDef,
+        declassify: &Label,
+        hint: &Predicate,
+        sink: &mut RowSink<'_>,
+    ) -> IfdbResult<()> {
         let nested_declassify = declassify.union(&view.declassifies);
         if view.is_declassifying() {
             self.db.audit_counters().count(kind::DECLASSIFYING_VIEW);
@@ -417,7 +430,7 @@ impl Session {
         &mut self,
         info: &Arc<TableInfo>,
         declassify: &Label,
-        plan: TableScanPlan,
+        plan: TableScanPlan<'_>,
         sink: &mut RowSink<'_>,
     ) -> IfdbResult<()> {
         let (_, snapshot) = self.current_txn()?;
@@ -691,37 +704,70 @@ impl Session {
     }
 
     fn select_inner(&mut self, q: &Select) -> IfdbResult<ResultSet> {
-        // Bind once: columns, predicate, ordering and projection offsets.
-        let src_cols = self.source_columns(&q.from)?;
-        let filter = CompiledPredicate::compile(&q.predicate, &src_cols)?;
+        // Bind once: the source, its columns, and the predicate, ordering
+        // and projection offsets; a base table's scan is planned here too.
+        let source = self.resolve_source(&q.from)?;
+        // If every conjunct survives push-down (no label predicates) and the
+        // source chain has no join boundary that could drop conjuncts, the
+        // scan below already applies the whole predicate: it is not
+        // re-checked per row.
+        let view_columns;
+        let (src_cols, prefiltered, plan) = match &source {
+            ResolvedSource::Table(info) => {
+                let plan = plan_table_scan(info, &q.predicate)?;
+                (info.column_names(), plan.whole, Some(plan))
+            }
+            ResolvedSource::View(view) => {
+                view_columns = self.view_columns(view)?;
+                let prefiltered = self.view_is_join_free(view)?
+                    && q.predicate
+                        .push_down_kept(&|c| {
+                            view_columns.iter().any(|n| n == c).then(|| c.to_string())
+                        })
+                        .1;
+                (&view_columns[..], prefiltered, None)
+            }
+        };
+        let filter = CompiledPredicate::compile(&q.predicate, src_cols)?;
         let order_idx = match &q.order_by {
-            Some((col, order)) => Some((col_index(&src_cols, col)?, *order)),
+            Some((col, order)) => Some((col_index(src_cols, col)?, *order)),
             None => None,
         };
         let (out_columns, projector): (Vec<String>, Option<Vec<usize>>) = match &q.columns {
-            None => (src_cols.clone(), None),
+            None => (src_cols.to_vec(), None),
             Some(cols) => {
                 let idx: Vec<usize> = cols
                     .iter()
-                    .map(|c| col_index(&src_cols, c))
+                    .map(|c| col_index(src_cols, c))
                     .collect::<IfdbResult<_>>()?;
                 (cols.clone(), Some(idx))
             }
         };
-        // Without ORDER BY, LIMIT can stop the scan as soon as it is
-        // satisfied.
-        let stop_at = if order_idx.is_none() { q.limit } else { None };
+        // An index prefix scan yields its rows in the order of the index's
+        // next key column (then the rest of the key, then row id), which is
+        // what a stable ascending sort on that column leaves them in: the
+        // sort is skipped.
+        let index_ordered = match (&source, &plan, &q.order_by) {
+            (
+                ResolvedSource::Table(info),
+                Some(TableScanPlan {
+                    access: AccessPath::IndexPrefix { index, prefix },
+                    ..
+                }),
+                Some((col, Order::Asc)),
+            ) => info
+                .index_specs()
+                .any(|(name, cols)| name == *index && cols.get(prefix.len()) == Some(col)),
+            _ => false,
+        };
+        let sort_by = order_idx.filter(|_| !index_ordered);
+        // Rows that need no sort come in their final order, so LIMIT stops
+        // the scan as soon as that many rows passed the label and the
+        // filter.
+        let stop_at = if sort_by.is_none() { q.limit } else { None };
         let exact = q.exact_label.as_ref();
-        // If every conjunct survives push-down (no label predicates) and the
-        // source chain has no join boundary that could drop conjuncts, the
-        // scan below already applied the whole predicate — skip re-checking
-        // it per row.
-        let prefiltered = self.source_is_join_free(&q.from)?
-            && q.predicate
-                .push_down(&|c| src_cols.iter().any(|n| n == c).then(|| c.to_string()))
-                == q.predicate;
         let mut selected: Vec<ScanRow> = Vec::new();
-        self.stream_source(&q.from, &Label::empty(), &q.predicate, &mut |r| {
+        let mut sink = |r: ScanRow| {
             if let Some(e) = exact {
                 if &r.label != e {
                     return Ok(true);
@@ -732,8 +778,17 @@ impl Session {
             }
             selected.push(r);
             Ok(stop_at.is_none_or(|limit| selected.len() < limit))
-        })?;
-        if let Some((idx, order)) = order_idx {
+        };
+        match (&source, plan) {
+            (ResolvedSource::Table(info), Some(plan)) => {
+                self.stream_base_table_plan(info, &Label::empty(), plan, &mut sink)?
+            }
+            (ResolvedSource::View(view), _) => {
+                self.stream_view(view, &Label::empty(), &q.predicate, &mut sink)?
+            }
+            (ResolvedSource::Table(_), None) => unreachable!("a base table is planned above"),
+        }
+        if let Some((idx, order)) = sort_by {
             selected.sort_by(|a, b| {
                 let o = a.values[idx].cmp(&b.values[idx]);
                 match order {
@@ -941,7 +996,7 @@ impl Session {
         }
         // Uniqueness with polyinstantiation: only conflicts *visible to this
         // process* are errors.
-        self.check_unique(&info, &ins.values, None)?;
+        self.check_unique(&info, info.keys(), &ins.values, None)?;
         // Foreign keys with the DECLASSIFYING clause.
         self.check_foreign_keys(&info, &ins.values, &label, &ins.declassifying)?;
 
@@ -950,57 +1005,43 @@ impl Session {
             .inner
             .engine
             .insert(txn, info.id, label.to_array(), ins.values.clone())?;
-        self.record_write(&info.schema.name, label.clone());
-        self.fire_triggers(&info, TriggerEvent::Insert, Some(ins.values.clone()), None)?;
+        self.record_write(&label);
+        self.fire_triggers(&info, TriggerEvent::Insert, Some(&ins.values), None)?;
         Ok(())
     }
 
-    fn check_unique(
+    /// Checks `values` against `keys` of the table, each with one probe of
+    /// the key's own index for the key the values carry: the point-lookup
+    /// path of every scan, with its Query-by-Label decision and budget
+    /// charge, and with no filter, since the index matched the whole key.
+    /// Only a conflicting row this process can see is an error; an
+    /// invisible one is polyinstantiated (Section 5.2.1). `exclude` is the
+    /// row an UPDATE is replacing, which cannot conflict with itself.
+    fn check_unique<'k>(
         &mut self,
         info: &Arc<TableInfo>,
+        keys: impl IntoIterator<Item = &'k KeyIndex>,
         values: &[Datum],
         exclude: Option<RowId>,
     ) -> IfdbResult<()> {
-        let mut constraints: Vec<(String, Vec<String>)> = Vec::new();
-        if !info.primary_key.is_empty() {
-            constraints.push((
-                format!("{}_pkey", info.schema.name),
-                info.primary_key.clone(),
-            ));
-        }
-        for u in &info.uniques {
-            constraints.push((u.name.clone(), u.columns.clone()));
-        }
-        if constraints.is_empty() {
-            return Ok(());
-        }
-        let columns = info.column_names();
-        for (name, cols) in constraints {
-            let idx: Vec<usize> = cols
-                .iter()
-                .map(|c| col_index(&columns, c))
-                .collect::<IfdbResult<_>>()?;
-            // An equality hint over the key columns: the planner turns it
-            // into an index lookup (always, for the primary key), replacing
-            // the seed executor's full table scan per constraint.
-            let hint = idx.iter().zip(&cols).fold(Predicate::True, |acc, (i, c)| {
-                acc.and_compact(Predicate::Eq(c.clone(), values[*i].clone()))
-            });
+        for key in keys {
+            let plan = TableScanPlan {
+                access: AccessPath::IndexEq {
+                    index: &key.index,
+                    key: key.offsets.iter().map(|i| values[*i].clone()).collect(),
+                },
+                filter: CompiledPredicate::True,
+                whole: true,
+            };
             let mut conflict = false;
-            self.stream_base_table(info, &Label::empty(), &hint, &mut |r| {
-                if let (Some((_, rid)), Some(ex)) = (r.row_id, exclude) {
-                    if rid == ex {
-                        return Ok(true);
-                    }
-                }
-                if idx.iter().all(|i| r.values[*i] == values[*i]) {
-                    conflict = true;
-                    return Ok(false);
-                }
-                Ok(true)
+            self.stream_base_table_plan(info, &Label::empty(), plan, &mut |r| {
+                conflict = r.row_id.map(|(_, rid)| rid) != exclude;
+                Ok(!conflict)
             })?;
             if conflict {
-                return Err(IfdbError::UniqueViolation { constraint: name });
+                return Err(IfdbError::UniqueViolation {
+                    constraint: key.index.clone(),
+                });
             }
         }
         Ok(())
@@ -1017,15 +1058,10 @@ impl Session {
             return Ok(());
         }
         let difc = self.db.difc_enabled();
-        let columns = info.column_names();
         let declassify_label = Label::from_tags(declassifying.iter().copied());
         let (_, snapshot) = self.current_txn()?;
-        for fk in &info.foreign_keys {
-            let key: Vec<Datum> = fk
-                .columns
-                .iter()
-                .map(|c| col_index(&columns, c).map(|i| values[i].clone()))
-                .collect::<IfdbResult<_>>()?;
+        for (fk, offsets) in info.foreign_keys.iter().zip(info.foreign_key_offsets()) {
+            let key: Vec<Datum> = offsets.iter().map(|i| values[*i].clone()).collect();
             if key.iter().any(Datum::is_null) {
                 continue;
             }
@@ -1076,8 +1112,9 @@ impl Session {
     /// Finds a tuple in `ref_info` whose `ref_columns` equal `key`,
     /// *irrespective of its label* (referential constraints hold across
     /// labels; the Foreign Key Rule governs what the requester must vouch
-    /// for). Served by any index on exactly those columns. Shared by the
-    /// INSERT foreign-key check and the DELETE restrict check.
+    /// for). Served by any index on exactly those columns, which the
+    /// catalog names; without one, the heap is walked. Shared by the INSERT
+    /// foreign-key check and the DELETE restrict check.
     fn find_referenced(
         &mut self,
         snapshot: &Snapshot,
@@ -1085,34 +1122,26 @@ impl Session {
         ref_columns: &[String],
         key: &[Datum],
     ) -> IfdbResult<Option<Label>> {
-        let columns = ref_info.column_names();
-        let idx: Vec<usize> = ref_columns
-            .iter()
-            .map(|c| col_index(&columns, c))
-            .collect::<IfdbResult<_>>()?;
+        let engine = &self.db.inner.engine;
+        let mut found = None;
         if let Some(index_name) = ref_info.index_on(ref_columns) {
-            let engine = &self.db.inner.engine;
             let rows = engine.index_lookup(ref_info.id, index_name, key)?;
             let labels = engine.labels();
-            let mut found = None;
             engine.visit_rows::<IfdbError>(snapshot, ref_info.id, rows, |_, tuple| {
                 found = Some(Label::from_array(&labels.tags(tuple.label_id())?));
                 Ok(false)
             })?;
             return Ok(found);
         }
-        let mut found = None;
-        self.db
-            .inner
-            .engine
-            .scan_visible(snapshot, ref_info.id, |_, v| {
-                if idx.iter().zip(key).all(|(i, k)| &v.data[*i] == k) {
-                    found = Some(Label::from_array(&v.header.label));
-                    false
-                } else {
-                    true
-                }
-            })?;
+        let idx = ref_info.column_offsets(ref_columns)?;
+        engine.scan_visible(snapshot, ref_info.id, |_, v| {
+            if idx.iter().zip(key).all(|(i, k)| &v.data[*i] == k) {
+                found = Some(Label::from_array(&v.header.label));
+                false
+            } else {
+                true
+            }
+        })?;
         Ok(found)
     }
 
@@ -1128,8 +1157,7 @@ impl Session {
         info: &Arc<TableInfo>,
         predicate: &Predicate,
     ) -> IfdbResult<Vec<ScanRow>> {
-        let columns = info.column_names();
-        let filter = CompiledPredicate::compile(predicate, &columns)?;
+        let filter = CompiledPredicate::compile(predicate, info.column_names())?;
         let mut rows = Vec::new();
         self.stream_base_table(info, &Label::empty(), predicate, &mut |r| {
             if filter.matches(&r.values, &r.label) {
@@ -1165,8 +1193,22 @@ impl Session {
         let set_idx: Vec<(usize, Datum)> = upd
             .set
             .iter()
-            .map(|(c, v)| col_index(&columns, c).map(|i| (i, v.clone())))
+            .map(|(c, v)| col_index(columns, c).map(|i| (i, v.clone())))
             .collect::<IfdbResult<_>>()?;
+        // Only a key that the SET list writes to can gain a duplicate.
+        let keys: Vec<&KeyIndex> = info
+            .keys()
+            .filter(|k| {
+                k.offsets
+                    .iter()
+                    .any(|o| set_idx.iter().any(|(i, _)| i == o))
+            })
+            .collect();
+        let write_label = if difc {
+            process_label.clone()
+        } else {
+            Label::empty()
+        };
 
         let matched = self.collect_matching(&info, &upd.predicate)?;
         let (txn, _) = self.current_txn()?;
@@ -1193,11 +1235,8 @@ impl Session {
                     c.check(&info.schema.name, &new_values, &process_label)?;
                 }
             }
-            let write_label = if difc {
-                process_label.clone()
-            } else {
-                Label::empty()
-            };
+            // Uniqueness as for an insert, the row being replaced aside.
+            self.check_unique(&info, keys.iter().copied(), &new_values, Some(rid))?;
             self.db.inner.engine.update(
                 txn,
                 table_id,
@@ -1205,12 +1244,12 @@ impl Session {
                 write_label.to_array(),
                 new_values.clone(),
             )?;
-            self.record_write(&info.schema.name, write_label);
+            self.record_write(&write_label);
             self.fire_triggers(
                 &info,
                 TriggerEvent::Update,
-                Some(new_values),
-                Some(r.values),
+                Some(&new_values),
+                Some(&r.values),
             )?;
             updated += 1;
         }
@@ -1250,7 +1289,18 @@ impl Session {
             }
             catalog.referencing(&info.schema.name)
         };
-        let columns = info.column_names();
+        // Where each referencing foreign key's referenced columns sit in
+        // this table's rows; a foreign key naming a column the table lacks
+        // fails the statement.
+        let restrict_offsets = referencing
+            .iter()
+            .map(|(_, fk)| info.column_offsets(&fk.ref_columns))
+            .collect::<IfdbResult<Vec<_>>>()?;
+        let write_label = if difc {
+            process_label.clone()
+        } else {
+            Label::empty()
+        };
 
         let matched = self.collect_matching(&info, &del.predicate)?;
         let (txn, snapshot) = self.current_txn()?;
@@ -1266,12 +1316,8 @@ impl Session {
             }
             // Referential integrity: no referencing rows may remain,
             // regardless of their labels.
-            for (ref_info, fk) in &referencing {
-                let key: Vec<Datum> = fk
-                    .ref_columns
-                    .iter()
-                    .map(|c| col_index(&columns, c).map(|i| r.values[i].clone()))
-                    .collect::<IfdbResult<_>>()?;
+            for ((ref_info, fk), offsets) in referencing.iter().zip(&restrict_offsets) {
+                let key: Vec<Datum> = offsets.iter().map(|i| r.values[*i].clone()).collect();
                 if self
                     .find_referenced(&snapshot, ref_info, &fk.columns, &key)?
                     .is_some()
@@ -1283,13 +1329,8 @@ impl Session {
             }
             let (table_id, rid) = r.row_id.expect("base-table scan provides row ids");
             self.db.inner.engine.delete(txn, table_id, rid)?;
-            let write_label = if difc {
-                process_label.clone()
-            } else {
-                Label::empty()
-            };
-            self.record_write(&info.schema.name, write_label);
-            self.fire_triggers(&info, TriggerEvent::Delete, None, Some(r.values))?;
+            self.record_write(&write_label);
+            self.fire_triggers(&info, TriggerEvent::Delete, None, Some(&r.values))?;
             deleted += 1;
         }
         Ok(deleted)
@@ -1299,12 +1340,14 @@ impl Session {
     // Triggers
     // ==================================================================
 
+    /// Runs or queues the triggers on `info` for `event`; the rows are
+    /// copied into the invocation only when a trigger fires.
     fn fire_triggers(
         &mut self,
         info: &Arc<TableInfo>,
         event: TriggerEvent,
-        new: Option<Vec<Datum>>,
-        old: Option<Vec<Datum>>,
+        new: Option<&[Datum]>,
+        old: Option<&[Datum]>,
     ) -> IfdbResult<()> {
         let triggers = {
             let catalog = self.db.inner.catalog.read();
@@ -1316,8 +1359,8 @@ impl Session {
         let inv = TriggerInvocation {
             table: info.schema.name.clone(),
             event,
-            new,
-            old,
+            new: new.map(<[Datum]>::to_vec),
+            old: old.map(<[Datum]>::to_vec),
             label: self.process.label().clone(),
         };
         for trigger in triggers {
@@ -1539,7 +1582,7 @@ impl Session {
         let (_, snapshot) = self.current_txn()?;
         let process_label = self.process.label().clone();
         let difc = self.db.difc_enabled();
-        let columns = info.column_names();
+        let columns = info.column_names().to_vec();
         let budget = self.budget.clone();
 
         // Per-tuple declassify-cover resolution under the authority read
@@ -1573,13 +1616,13 @@ impl Session {
 
         // The seed planner: the primary-key index only, equality on every
         // key column.
-        let use_index = info.pk_index.as_ref().and_then(|idx| {
-            let key: Option<Vec<Datum>> = info
-                .primary_key
+        let use_index = info.primary_key.as_ref().and_then(|pk| {
+            let key: Option<Vec<Datum>> = pk
+                .columns
                 .iter()
                 .map(|c| hint.equality_on(c).cloned())
                 .collect();
-            key.map(|k| (idx.clone(), k))
+            key.map(|k| (pk.index.clone(), k))
         });
 
         if let Some((index_name, key)) = use_index {

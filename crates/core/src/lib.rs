@@ -74,7 +74,7 @@ pub use query::{
     AggFunc, Aggregate, Delete, Insert, Join, JoinKind, Order, Predicate, Select, Update,
 };
 pub use row::{ResultSet, Row};
-pub use session::{Session, SessionStats, WriteRecord};
+pub use session::{Session, SessionStats};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {

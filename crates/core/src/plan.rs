@@ -200,15 +200,16 @@ impl CompiledPredicate {
     }
 }
 
-/// How the executor reaches the rows of one base table.
+/// How the executor reaches the rows of one base table, through an index
+/// the table's catalog entry names.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AccessPath {
+pub(crate) enum AccessPath<'a> {
     /// Examine every visible version.
     FullScan,
     /// Point lookup: every index key column pinned by equality.
     IndexEq {
         /// Index name.
-        index: String,
+        index: &'a str,
         /// The pinned key.
         key: Vec<Datum>,
     },
@@ -216,7 +217,7 @@ pub(crate) enum AccessPath {
     /// leading key columns).
     IndexPrefix {
         /// Index name.
-        index: String,
+        index: &'a str,
         /// The pinned key prefix.
         prefix: Vec<Datum>,
     },
@@ -225,7 +226,7 @@ pub(crate) enum AccessPath {
     /// the residual filter.
     IndexRange {
         /// Index name.
-        index: String,
+        index: &'a str,
         /// Inclusive lower key bound, a key prefix.
         low: Option<Vec<Datum>>,
         /// Inclusive upper key bound, a key prefix: every key extending it
@@ -237,26 +238,37 @@ pub(crate) enum AccessPath {
 /// One bound base-table scan: the access path plus the residual filter,
 /// compiled against the table's column layout.
 #[derive(Debug)]
-pub(crate) struct TableScanPlan {
+pub(crate) struct TableScanPlan<'a> {
     /// How rows are fetched.
-    pub(crate) access: AccessPath,
+    pub(crate) access: AccessPath<'a>,
     /// Offset-compiled filter applied to every fetched row (the push-down of
     /// the statement predicate onto this table).
     pub(crate) filter: CompiledPredicate,
+    /// Whether `filter` is the whole hint: no conjunct was dropped in the
+    /// push-down, so a row it admits satisfies the hint.
+    pub(crate) whole: bool,
 }
 
 /// Binds a scan of `info` under `hint`: pushes the supported conjuncts of
 /// the hint down onto the table's columns, compiles them, and chooses the
 /// access path.
-pub(crate) fn plan_table_scan(info: &TableInfo, hint: &Predicate) -> IfdbResult<TableScanPlan> {
+pub(crate) fn plan_table_scan<'a>(
+    info: &'a TableInfo,
+    hint: &Predicate,
+) -> IfdbResult<TableScanPlan<'a>> {
     let names = info.column_names();
-    let pushed = hint.push_down(&|c| names.iter().any(|n| n == c).then(|| c.to_string()));
-    let filter = CompiledPredicate::compile(&pushed, &names)?;
+    let (pushed, whole) =
+        hint.push_down_kept(&|c| names.iter().any(|n| n == c).then(|| c.to_string()));
+    let filter = CompiledPredicate::compile(&pushed, names)?;
     let access = choose_access_path(info, &pushed);
-    Ok(TableScanPlan { access, filter })
+    Ok(TableScanPlan {
+        access,
+        filter,
+        whole,
+    })
 }
 
-fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
+fn choose_access_path<'a>(info: &'a TableInfo, hint: &Predicate) -> AccessPath<'a> {
     if matches!(hint, Predicate::True) {
         return AccessPath::FullScan;
     }
@@ -264,16 +276,13 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
     for (name, cols) in info.index_specs() {
         let key: Option<Vec<Datum>> = cols.iter().map(|c| hint.equality_on(c).cloned()).collect();
         if let Some(key) = key {
-            return AccessPath::IndexEq {
-                index: name.to_string(),
-                key,
-            };
+            return AccessPath::IndexEq { index: name, key };
         }
     }
     // Otherwise the longest equality prefix wins, extended by a range over
     // the next key column when the hint bounds it.
-    let mut best: Option<(AccessPath, usize)> = None;
-    let mut consider = |path: AccessPath, matched: usize| {
+    let mut best: Option<(AccessPath<'a>, usize)> = None;
+    let mut consider = |path: AccessPath<'a>, matched: usize| {
         if best.as_ref().is_none_or(|(_, m)| matched > *m) {
             best = Some((path, matched));
         }
@@ -304,7 +313,7 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
             };
             consider(
                 AccessPath::IndexRange {
-                    index: name.to_string(),
+                    index: name,
                     low: bound(lo),
                     high: bound(hi),
                 },
@@ -314,7 +323,7 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
             let matched = prefix.len();
             consider(
                 AccessPath::IndexPrefix {
-                    index: name.to_string(),
+                    index: name,
                     prefix,
                 },
                 matched,
@@ -327,31 +336,17 @@ fn choose_access_path(info: &TableInfo, hint: &Predicate) -> AccessPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::IndexSpec;
-    use ifdb_storage::{ColumnDef, DataType, TableId, TableSchema};
+    use crate::catalog::TableDef;
+    use ifdb_storage::{DataType, TableId};
 
     fn info() -> TableInfo {
-        TableInfo {
-            id: TableId(1),
-            schema: TableSchema::new(
-                "t",
-                vec![
-                    ColumnDef::new("a", DataType::Int),
-                    ColumnDef::new("b", DataType::Int),
-                    ColumnDef::new("c", DataType::Text),
-                ],
-            ),
-            primary_key: vec!["a".into(), "b".into()],
-            uniques: vec![],
-            foreign_keys: vec![],
-            label_constraints: vec![],
-            pk_index: Some("t_pkey".into()),
-            indexes: vec![IndexSpec {
-                name: "t_c".into(),
-                columns: vec!["c".into()],
-            }],
-            constraints_pending: false,
-        }
+        let def = TableDef::new("t")
+            .column("a", DataType::Int)
+            .column("b", DataType::Int)
+            .column("c", DataType::Text)
+            .primary_key(&["a", "b"])
+            .secondary_index("t_c", &["c"]);
+        TableInfo::new(TableId(1), def, false).unwrap()
     }
 
     fn eq(col: &str, v: i64) -> Predicate {
@@ -360,11 +355,12 @@ mod tests {
 
     #[test]
     fn full_key_equality_picks_point_lookup() {
-        let plan = plan_table_scan(&info(), &eq("a", 1).and(eq("b", 2))).unwrap();
+        let t = info();
+        let plan = plan_table_scan(&t, &eq("a", 1).and(eq("b", 2))).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexEq {
-                index: "t_pkey".into(),
+                index: "t_pkey",
                 key: vec![Datum::Int(1), Datum::Int(2)],
             }
         );
@@ -372,12 +368,13 @@ mod tests {
 
     #[test]
     fn secondary_index_equality_picks_point_lookup() {
+        let t = info();
         let p = Predicate::Eq("c".into(), Datum::from("x"));
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexEq {
-                index: "t_c".into(),
+                index: "t_c",
                 key: vec![Datum::from("x")],
             }
         );
@@ -385,11 +382,12 @@ mod tests {
 
     #[test]
     fn prefix_equality_picks_prefix_scan() {
-        let plan = plan_table_scan(&info(), &eq("a", 7)).unwrap();
+        let t = info();
+        let plan = plan_table_scan(&t, &eq("a", 7)).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexPrefix {
-                index: "t_pkey".into(),
+                index: "t_pkey",
                 prefix: vec![Datum::Int(7)],
             }
         );
@@ -397,14 +395,15 @@ mod tests {
 
     #[test]
     fn prefix_plus_bounds_picks_range_scan() {
+        let t = info();
         let p = eq("a", 7).and(
             Predicate::Ge("b".into(), Datum::Int(3)).and(Predicate::Lt("b".into(), Datum::Int(9))),
         );
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexRange {
-                index: "t_pkey".into(),
+                index: "t_pkey",
                 low: Some(vec![Datum::Int(7), Datum::Int(3)]),
                 high: Some(vec![Datum::Int(7), Datum::Int(9)]),
             }
@@ -413,15 +412,16 @@ mod tests {
 
     #[test]
     fn one_sided_bounds() {
+        let t = info();
         // With an equality prefix, a one-sided bound runs to the end of the
         // prefix's group, not to the index edge: tighter than the prefix
         // scan.
         let p = eq("a", 7).and(Predicate::Ge("b".into(), Datum::Int(3)));
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexRange {
-                index: "t_pkey".into(),
+                index: "t_pkey",
                 low: Some(vec![Datum::Int(7), Datum::Int(3)]),
                 high: Some(vec![Datum::Int(7)]),
             }
@@ -429,11 +429,11 @@ mod tests {
         // On a single-column index there is no other prefix group, so the
         // one-sided range is fine.
         let p = Predicate::Ge("c".into(), Datum::from("m"));
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(
             plan.access,
             AccessPath::IndexRange {
-                index: "t_c".into(),
+                index: "t_c",
                 low: Some(vec![Datum::from("m")]),
                 high: None,
             }
@@ -446,16 +446,13 @@ mod tests {
     /// walking every order line the district ever had.
     #[test]
     fn a_one_sided_bound_on_a_middle_key_column_ranges_within_the_prefix() {
-        let mut lines = info();
-        lines.schema = TableSchema::new(
-            "order_line",
-            ["w", "d", "o", "n"]
-                .iter()
-                .map(|c| ColumnDef::new(c, DataType::Int))
-                .collect(),
-        );
-        lines.primary_key = vec!["w".into(), "d".into(), "o".into(), "n".into()];
-        lines.indexes.clear();
+        let def = TableDef::new("order_line")
+            .column("w", DataType::Int)
+            .column("d", DataType::Int)
+            .column("o", DataType::Int)
+            .column("n", DataType::Int)
+            .primary_key(&["w", "d", "o", "n"]);
+        let lines = TableInfo::new(TableId(1), def, false).unwrap();
         let recent = eq("w", 1)
             .and(eq("d", 2))
             .and(Predicate::Ge("o".into(), Datum::Int(3_001)));
@@ -463,7 +460,7 @@ mod tests {
         assert_eq!(
             plan_table_scan(&lines, &recent).unwrap().access,
             AccessPath::IndexRange {
-                index: "t_pkey".into(),
+                index: "order_line_pkey",
                 low: key(&[1, 2, 3_001]),
                 high: key(&[1, 2]),
             }
@@ -475,7 +472,7 @@ mod tests {
         assert_eq!(
             plan_table_scan(&lines, &window).unwrap().access,
             AccessPath::IndexRange {
-                index: "t_pkey".into(),
+                index: "order_line_pkey",
                 low: key(&[1, 2, 3_001]),
                 high: key(&[1, 2, 3_021]),
             }
@@ -486,7 +483,7 @@ mod tests {
         assert_eq!(
             plan_table_scan(&lines, &older).unwrap().access,
             AccessPath::IndexRange {
-                index: "t_pkey".into(),
+                index: "order_line_pkey",
                 low: key(&[1, 2]),
                 high: key(&[1, 2, 9]),
             }
@@ -536,20 +533,21 @@ mod tests {
 
     #[test]
     fn unsupported_hints_fall_back_to_full_scan() {
-        let plan = plan_table_scan(&info(), &Predicate::True).unwrap();
+        let t = info();
+        let plan = plan_table_scan(&t, &Predicate::True).unwrap();
         assert_eq!(plan.access, AccessPath::FullScan);
         // A bound on a non-final key column cannot use the index.
         let p = Predicate::Ge("a".into(), Datum::Int(3));
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(plan.access, AccessPath::FullScan);
         // Disjunctions are not index hints, and unknown columns are dropped
         // from the push-down rather than failing the scan of this table.
         let p = eq("a", 1).or(eq("b", 2));
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(plan.access, AccessPath::FullScan);
         assert!(!plan.filter.is_true());
         let p = eq("zzz", 1);
-        let plan = plan_table_scan(&info(), &p).unwrap();
+        let plan = plan_table_scan(&t, &p).unwrap();
         assert_eq!(plan.access, AccessPath::FullScan);
         assert!(plan.filter.is_true());
     }

@@ -107,9 +107,22 @@ impl Predicate {
     /// scan-level pre-filter and as planner input. The full predicate is
     /// still evaluated at the statement level.
     pub fn push_down(&self, rename: &dyn Fn(&str) -> Option<String>) -> Predicate {
+        self.push_down_kept(rename).0
+    }
+
+    /// [`Predicate::push_down`], and whether it kept every conjunct (so the
+    /// pushed-down predicate admits exactly the rows the original does).
+    pub fn push_down_kept(&self, rename: &dyn Fn(&str) -> Option<String>) -> (Predicate, bool) {
         match self {
-            Predicate::And(a, b) => a.push_down(rename).and_compact(b.push_down(rename)),
-            p => p.try_rename(rename).unwrap_or(Predicate::True),
+            Predicate::And(a, b) => {
+                let (a, a_kept) = a.push_down_kept(rename);
+                let (b, b_kept) = b.push_down_kept(rename);
+                (a.and_compact(b), a_kept && b_kept)
+            }
+            p => match p.try_rename(rename) {
+                Some(p) => (p, true),
+                None => (Predicate::True, false),
+            },
         }
     }
 

@@ -25,21 +25,14 @@ use crate::database::Database;
 use crate::error::{IfdbError, IfdbResult};
 use crate::qos::{ExecutionConstraints, StatementBudget};
 
-/// A record of one tuple written during a transaction, kept for the commit
-/// label rule (Section 5.1).
-#[derive(Debug, Clone)]
-pub struct WriteRecord {
-    /// The table written.
-    pub table: String,
-    /// The label the tuple was written with.
-    pub label: Label,
-}
-
 /// State of the transaction a session currently has open.
 pub(crate) struct TxnState {
     pub(crate) id: TxnId,
     pub(crate) snapshot: Snapshot,
-    pub(crate) write_set: Vec<WriteRecord>,
+    /// Each distinct label the transaction wrote a tuple with, in order of
+    /// first write: all the commit label rule (Section 5.1) needs of its
+    /// write set.
+    pub(crate) written_labels: Vec<Label>,
     pub(crate) deferred: Vec<(Arc<TriggerDef>, TriggerInvocation)>,
     pub(crate) implicit: bool,
 }
@@ -388,7 +381,7 @@ impl Session {
         self.txn = Some(TxnState {
             id,
             snapshot,
-            write_set: Vec::new(),
+            written_labels: Vec::new(),
             deferred: Vec::new(),
             implicit,
         });
@@ -488,14 +481,14 @@ impl Session {
             return Ok(state);
         }
         let commit_label = self.process.label().clone();
-        let write_set = &state.write_set;
-        let Some(w) = write_set
+        let Some(tuple_label) = state
+            .written_labels
             .iter()
-            .find(|w| !commit_label.is_subset_of(&w.label))
+            .find(|label| !commit_label.is_subset_of(label))
+            .cloned()
         else {
             return Ok(state);
         };
-        let tuple_label = w.label.clone();
         self.db.inner.engine.abort(state.id)?;
         self.stats.aborts += 1;
         self.db.record_audit(AuditEvent::CommitRefused {
@@ -547,12 +540,12 @@ impl Session {
         Ok((t.id, t.snapshot.clone()))
     }
 
-    pub(crate) fn record_write(&mut self, table: &str, label: Label) {
+    /// Notes that the transaction wrote a tuple labeled `label`.
+    pub(crate) fn record_write(&mut self, label: &Label) {
         if let Some(t) = self.txn.as_mut() {
-            t.write_set.push(WriteRecord {
-                table: table.to_string(),
-                label,
-            });
+            if !t.written_labels.contains(label) {
+                t.written_labels.push(label.clone());
+            }
         }
     }
 

@@ -2014,3 +2014,333 @@ fn a_refused_chain_append_refuses_the_operation() {
     drop(db);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `t(k, v)` keyed by `k`, with `UNIQUE (v)`, holding `(1, 10)` and
+/// `(2, 20)` written by an empty-labeled session of the returned principal.
+fn keyed_db() -> (Database, PrincipalId) {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("t")
+            .column("k", DataType::Int)
+            .column("v", DataType::Int)
+            .primary_key(&["k"])
+            .unique("t_v_key", &["v"]),
+    )
+    .unwrap();
+    let mut s = db.session(user);
+    for (k, v) in [(1, 10), (2, 20)] {
+        s.insert(&Insert::new("t", vec![Datum::Int(k), Datum::Int(v)]))
+            .unwrap();
+    }
+    (db, user)
+}
+
+fn keys_of(s: &mut Session) -> Vec<(i64, i64)> {
+    let rows = s.select(&Select::star("t").order("k", Order::Asc)).unwrap();
+    rows.iter()
+        .map(|r| (r.get_int("k").unwrap(), r.get_int("v").unwrap()))
+        .collect()
+}
+
+#[test]
+fn an_update_that_duplicates_a_key_is_refused() {
+    let (db, user) = keyed_db();
+    let mut s = db.session(user);
+    let k = |v| Predicate::Eq("k".into(), Datum::Int(v));
+    match s.update(&Update::new("t", k(2), vec![("k", Datum::Int(1))])) {
+        Err(IfdbError::UniqueViolation { constraint }) => assert_eq!(constraint, "t_pkey"),
+        other => panic!("a duplicate primary key was not refused: {other:?}"),
+    }
+    match s.update(&Update::new("t", k(2), vec![("v", Datum::Int(10))])) {
+        Err(IfdbError::UniqueViolation { constraint }) => assert_eq!(constraint, "t_v_key"),
+        other => panic!("a duplicate UNIQUE value was not refused: {other:?}"),
+    }
+    // One statement giving two rows the same key fails on the second, and
+    // the whole statement rolls back.
+    let every = Predicate::Ge("k".into(), Datum::Int(0));
+    assert!(matches!(
+        s.update(&Update::new("t", every, vec![("k", Datum::Int(7))])),
+        Err(IfdbError::UniqueViolation { .. })
+    ));
+    assert_eq!(keys_of(&mut s), vec![(1, 10), (2, 20)]);
+    // A row keeps its own key, and takes a free one.
+    assert_eq!(
+        s.update(&Update::new(
+            "t",
+            k(1),
+            vec![("k", Datum::Int(1)), ("v", Datum::Int(10))]
+        ))
+        .unwrap(),
+        1
+    );
+    assert_eq!(
+        s.update(&Update::new("t", k(2), vec![("k", Datum::Int(3))]))
+            .unwrap(),
+        1
+    );
+    assert_eq!(keys_of(&mut s), vec![(1, 10), (3, 20)]);
+}
+
+#[test]
+fn an_update_may_take_a_key_only_an_invisible_row_holds() {
+    let (db, user) = keyed_db();
+    let tag = db.create_tag(user, "h", &[]).unwrap();
+    let mut high = db.session(user);
+    high.add_secrecy(tag).unwrap();
+    high.insert(&Insert::new("t", vec![Datum::Int(5), Datum::Int(50)]))
+        .unwrap();
+    high.declassify(tag).unwrap();
+    // The low writer cannot see (5, 50): refusing its update would tell it
+    // the row exists, so the key is polyinstantiated, as for an insert.
+    let mut low = db.session(user);
+    let set = vec![("k", Datum::Int(5)), ("v", Datum::Int(50))];
+    assert_eq!(
+        low.update(&Update::new(
+            "t",
+            Predicate::Eq("k".into(), Datum::Int(2)),
+            set.clone()
+        ))
+        .unwrap(),
+        1
+    );
+    assert_eq!(keys_of(&mut low), vec![(1, 10), (5, 50)]);
+    high.add_secrecy(tag).unwrap();
+    assert_eq!(keys_of(&mut high), vec![(1, 10), (5, 50), (5, 50)]);
+    // A writer that can see both may not make a third.
+    assert!(matches!(
+        high.insert(&Insert::new("t", vec![Datum::Int(5), Datum::Int(51)])),
+        Err(IfdbError::UniqueViolation { .. })
+    ));
+}
+
+#[test]
+fn an_update_of_no_key_column_probes_no_index() {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("t")
+            .column("k", DataType::Int)
+            .column("v", DataType::Int)
+            .column("w", DataType::Int)
+            .primary_key(&["k"])
+            .unique("t_v_key", &["v"]),
+    )
+    .unwrap();
+    let mut s = db.session(user);
+    s.insert(&Insert::new(
+        "t",
+        vec![Datum::Int(1), Datum::Int(10), Datum::Int(0)],
+    ))
+    .unwrap();
+    let lookups = |db: &Database| db.engine().stats().index_point_lookups;
+    let before = lookups(&db);
+    let one = Predicate::Eq("k".into(), Datum::Int(1));
+    s.update(&Update::new("t", one.clone(), vec![("w", Datum::Int(1))]))
+        .unwrap();
+    // The statement's own lookup of its row, and no probe.
+    assert_eq!(lookups(&db) - before, 1);
+    // A key column in the SET list is probed once per key it belongs to.
+    let before = lookups(&db);
+    s.update(&Update::new("t", one, vec![("v", Datum::Int(11))]))
+        .unwrap();
+    assert_eq!(lookups(&db) - before, 2);
+}
+
+/// `q(w, d, o, grp, cat, note)` keyed by `(w, d, o)`, with an index on
+/// `(grp, cat)`, under four labels: rows at every label interleaved in key
+/// order, some updated (leaving superseded versions under the same key),
+/// some deleted, one aborted, and a writer holding an insert and a delete
+/// uncommitted.
+fn ordered_db() -> (Database, PrincipalId, Vec<Label>, Session) {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    let a = db.create_tag(user, "a", &[]).unwrap();
+    let b = db.create_tag(user, "b", &[]).unwrap();
+    db.create_table(
+        TableDef::new("q")
+            .column("w", DataType::Int)
+            .column("d", DataType::Int)
+            .column("o", DataType::Int)
+            .column("grp", DataType::Int)
+            .column("cat", DataType::Int)
+            .column("note", DataType::Text)
+            .primary_key(&["w", "d", "o"])
+            .secondary_index("q_grp_cat", &["grp", "cat"]),
+    )
+    .unwrap();
+    let labels = vec![
+        Label::empty(),
+        Label::singleton(a),
+        Label::singleton(b),
+        Label::from_tags([a, b]),
+    ];
+    let session_at = |label: &Label| {
+        let mut s = db.session(user);
+        s.raise_label(label).unwrap();
+        s
+    };
+    let key = |w: i64, d: i64, o: i64| {
+        Predicate::Eq("w".into(), Datum::Int(w))
+            .and(Predicate::Eq("d".into(), Datum::Int(d)))
+            .and(Predicate::Eq("o".into(), Datum::Int(o)))
+    };
+    for o in 1..=120i64 {
+        // The label cycles with an odd stride, so runs of rows a reader
+        // cannot see lie between the rows it can.
+        let label = &labels[(o * 7 / 3) as usize % 4];
+        let mut s = session_at(label);
+        for (w, d) in [(1, 1), (1, 2), (2, 1)] {
+            let note = if o % 5 == 0 { "skip" } else { "keep" };
+            s.insert(&Insert::new(
+                "q",
+                vec![
+                    Datum::Int(w),
+                    Datum::Int(d),
+                    Datum::Int(o),
+                    Datum::Int(o % 3),
+                    Datum::Int(o % 4),
+                    Datum::from(note),
+                ],
+            ))
+            .unwrap();
+        }
+        if o % 4 == 1 {
+            s.update(&Update::new(
+                "q",
+                key(1, 1, o),
+                vec![("note", Datum::from("moved"))],
+            ))
+            .unwrap();
+        }
+        if o % 6 == 2 {
+            s.delete(&Delete::new("q", key(1, 1, o))).unwrap();
+        }
+        if o % 9 == 4 {
+            s.begin().unwrap();
+            s.insert(&Insert::new(
+                "q",
+                vec![
+                    Datum::Int(1),
+                    Datum::Int(1),
+                    Datum::Int(1_000 + o),
+                    Datum::Int(0),
+                    Datum::Int(0),
+                    Datum::from("aborted"),
+                ],
+            ))
+            .unwrap();
+            s.abort().unwrap();
+        }
+    }
+    let mut writer = session_at(&Label::empty());
+    writer.begin().unwrap();
+    writer
+        .insert(&Insert::new(
+            "q",
+            vec![
+                Datum::Int(1),
+                Datum::Int(1),
+                Datum::Int(0),
+                Datum::Int(0),
+                Datum::Int(0),
+                Datum::from("in flight"),
+            ],
+        ))
+        .unwrap();
+    writer.delete(&Delete::new("q", key(1, 1, 3))).unwrap();
+    (db, user, labels, writer)
+}
+
+fn rendered(rows: &ResultSet) -> Vec<String> {
+    rows.iter()
+        .map(|r| format!("{:?} {}", r.values, r.label))
+        .collect()
+}
+
+#[test]
+fn an_index_ordered_limit_returns_what_sort_then_truncate_returns() {
+    let (db, user, labels, writer) = ordered_db();
+    let eq = |c: &str, v| Predicate::Eq(c.into(), Datum::Int(v));
+    let keep = Predicate::Ne("note".into(), Datum::from("skip"));
+    for label in &labels {
+        let mut s = db.session(user);
+        s.raise_label(label).unwrap();
+        for limit in [0, 1, 2, 5, 40, 500] {
+            // On the primary key the order column is unique under one
+            // label, so the reference executor's sort of a heap walk
+            // gives the one right answer.
+            for q in [
+                Select::star("q").filter(eq("w", 1).and(eq("d", 1))),
+                Select::star("q").filter(eq("w", 1).and(eq("d", 1)).and(keep.clone())),
+                Select::star("q")
+                    .filter(eq("w", 1).and(eq("d", 2)))
+                    .with_exact_label(label.clone()),
+            ] {
+                let q = q.order("o", Order::Asc).take(limit);
+                let before = db.engine().stats();
+                let got = s.select(&q).unwrap();
+                let after = db.engine().stats();
+                assert_eq!(after.full_table_scans, before.full_table_scans);
+                assert_eq!(after.index_range_scans - before.index_range_scans, 1);
+                assert_eq!(
+                    rendered(&got),
+                    rendered(&s.select_reference(&q).unwrap()),
+                    "{q:?} under {label}"
+                );
+            }
+            // On `(grp, cat)`, `cat` has ties: the limited result is the
+            // head of the whole ordered result, which is sorted, and holds
+            // what the reference executor's does.
+            for grp in 0..3 {
+                let q = Select::star("q")
+                    .filter(eq("grp", grp).and(keep.clone()))
+                    .order("cat", Order::Asc);
+                let whole = rendered(&s.select(&q).unwrap());
+                let cats: Vec<i64> = s
+                    .select(&q)
+                    .unwrap()
+                    .iter()
+                    .map(|r| r.get_int("cat").unwrap())
+                    .collect();
+                assert!(cats.windows(2).all(|p| p[0] <= p[1]), "{cats:?}");
+                let mut reference = rendered(&s.select_reference(&q).unwrap());
+                let mut sorted = whole.clone();
+                reference.sort();
+                sorted.sort();
+                assert_eq!(sorted, reference, "{q:?} under {label}");
+                let head = rendered(&s.select(&q.clone().take(limit)).unwrap());
+                assert_eq!(head, whole[..limit.min(whole.len())], "{q:?} under {label}");
+            }
+        }
+    }
+    drop(writer);
+}
+
+#[test]
+fn an_index_ordered_limit_stops_after_the_rows_it_returns() {
+    let (db, user, labels, _writer) = ordered_db();
+    let mut s = db.session(user);
+    s.raise_label(&labels[1]).unwrap();
+    let pending = Select::star("q")
+        .filter(
+            Predicate::Eq("w".into(), Datum::Int(2)).and(Predicate::Eq("d".into(), Datum::Int(1))),
+        )
+        .order("o", Order::Asc);
+    let all = s.select(&pending).unwrap();
+    let first = all.first().unwrap().get_int("o").unwrap();
+    // Rows `{a}` cannot read come before the first row it can, and are
+    // fetched and passed over; nothing after that row is fetched.
+    assert!(first > 1, "the reader can read the first row");
+    let fetched = |s: &mut Session, q: &Select| {
+        let before = db.engine().stats().index_rows_fetched;
+        let rows = s.select(q).unwrap();
+        (rows, db.engine().stats().index_rows_fetched - before)
+    };
+    let (one, cost) = fetched(&mut s, &pending.clone().take(1));
+    assert_eq!(one.first().unwrap().get_int("o"), Some(first));
+    assert_eq!(cost, first as u64);
+    // A descending order is sorted after the whole prefix is read.
+    let (_, cost) = fetched(&mut s, &pending.clone().order("o", Order::Desc).take(1));
+    assert_eq!(cost, 120);
+}

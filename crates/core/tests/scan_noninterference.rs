@@ -458,6 +458,17 @@ fn queries(auth: &Authority) -> Vec<(&'static str, Select, Access)> {
             ),
             Access::IndexRange,
         ),
+        // The index yields `grp`'s rows in `cat` order, so the scan stops
+        // after the fifth row the reader can read; high rows come before
+        // the first low one in that order (`high_rows_first`).
+        (
+            "index-ordered limit",
+            Select::star("T")
+                .filter(eq("grp", ORDERED_GRP))
+                .order("cat", Order::Asc)
+                .take(5),
+            Access::IndexRange,
+        ),
         (
             "composite-key range",
             Select::star("T").filter(
@@ -468,6 +479,23 @@ fn queries(auth: &Authority) -> Vec<(&'static str, Select, Access)> {
             Access::IndexRange,
         ),
     ]
+}
+
+/// The `grp` of the query "index-ordered limit".
+const ORDERED_GRP: i64 = 2;
+
+/// The rows of [`ORDERED_GRP`] that come, in the index's `cat` order,
+/// before the first row with a low label.
+fn high_rows_first(db: &Database, auth: &Authority) -> usize {
+    let mut s = db.session(auth.reader);
+    s.raise_label(&auth.high_reader()).unwrap();
+    let q = Select::star("T")
+        .filter(Predicate::Eq("grp".into(), Datum::Int(ORDERED_GRP)))
+        .order("cat", Order::Asc);
+    let rows = s.select(&q).unwrap();
+    rows.iter()
+        .take_while(|r| r.get_int("id").unwrap() >= HIGH_IDS)
+        .count()
 }
 
 /// Everything a reader under each reader label gets from each query: the
@@ -727,6 +755,12 @@ fn assert_low_view_unchanged(name: &str, low_steps: &[Step], mixed_steps: &[Step
             skips(&mixed, &mixed_auth, by_row),
         );
         assert!(low_rows.2 > 0 && mixed_rows.2 > 0);
+
+        // An index-ordered LIMIT passes over high rows before it meets the
+        // first low one.
+        assert_eq!(high_rows_first(&low, &low_auth), 0);
+        let passed_over = high_rows_first(&mixed, &mixed_auth);
+        assert!(passed_over > 0, "{passed_over} high rows first");
 
         // High rows sit on the shared tail, some inside the bounds of
         // "lv bound meeting the high stretches" and some outside them.
