@@ -10,8 +10,10 @@
 //! Statements are automatically prepared: the first execution of a statement
 //! *shape* sends a `Prepare` carrying the value-free template and caches the
 //! returned statement id per connection; every further execution of that
-//! shape sends only the id and the parameters. Across connections the server
-//! deduplicates templates in its server-wide prepared-statement cache.
+//! shape sends only the id and the parameters. The id is this connection's
+//! own: the server numbers each connection's templates from 1 and keeps
+//! them for that connection only, so another connection prepares the same
+//! shape itself.
 
 #![deny(missing_docs)]
 
@@ -371,9 +373,9 @@ impl Connection {
         }
 
         // Phase 1: prepare every unseen shape in one flush. A prepare
-        // failure (e.g. statement-cache quota) fails the whole batch, but
-        // the remaining responses are still drained to keep the stream in
-        // sync.
+        // failure (e.g. the per-connection template bound) fails the whole
+        // batch, but the remaining responses are still drained to keep the
+        // stream in sync.
         if !to_prepare.is_empty() {
             let mut buf = Vec::new();
             let mut ids = Vec::with_capacity(to_prepare.len());

@@ -7,9 +7,10 @@
 //! and the initial process label, and then carries
 //! Prepare/Execute/Fetch/Begin/Commit/Abort and label-management messages.
 //! Statements travel as *templates* — the statement shape with every value
-//! position replaced by a parameter slot (see [`encode_template`]) — so the
-//! server's prepared-statement cache keys on shape, not on values, and the
-//! hot path sends a 4-byte statement id plus parameters.
+//! position replaced by a parameter slot (see [`encode_template`]) — so a
+//! connection prepares each shape once, whatever its values, and the hot
+//! path sends a 4-byte statement id plus parameters. Statement ids belong
+//! to the connection that prepared them (see [`PROTOCOL_VERSION`]).
 //!
 //! Framing follows the write-ahead log's discipline (`wal.rs`): each frame
 //! is `len u32 | checksum u32 | payload`, with an FNV-1a checksum over the
@@ -51,7 +52,14 @@ use ifdb_storage::{Datum, StorageError};
 ///
 /// Version 5: `Stats` carries the platform secret and is refused without
 /// the right one, because its counters move with every principal's scans.
-pub const PROTOCOL_VERSION: u32 = 5;
+///
+/// Version 6: statement ids are connection-local. A connection's `Prepare`s
+/// are answered with ids dense from 1, in the order it sent them, and an id
+/// means nothing on any other connection: the id a session gets carries
+/// nothing of what other connections prepared, and neither does a refusal
+/// of its `Prepare` (a connection holds at most a fixed number of
+/// templates).
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on a frame payload. Frames beyond this are a protocol error,
 /// not an allocation request.
@@ -67,7 +75,7 @@ fn protocol_error(detail: impl Into<String>) -> IfdbError {
 }
 
 // ---------------------------------------------------------------------
-// Frames
+// Frames: request-id-tagged payloads (the pipelined protocol, version 2 on)
 // ---------------------------------------------------------------------
 
 /// FNV-1a over the payload: the write-ahead log's frame checksum
@@ -75,51 +83,6 @@ fn protocol_error(detail: impl Into<String>) -> IfdbError {
 pub fn frame_checksum(payload: &[u8]) -> u32 {
     ifdb_storage::wal::frame_checksum(payload)
 }
-
-/// Writes one checksummed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> IfdbResult<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(protocol_error("frame too large"));
-    }
-    let mut buf = Vec::with_capacity(payload.len() + 8);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame_checksum(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)
-        .map_err(|e| protocol_error(format!("write: {e}")))?;
-    w.flush()
-        .map_err(|e| protocol_error(format!("flush: {e}")))?;
-    Ok(())
-}
-
-/// Reads one frame, verifying length bound and checksum. Returns `None` on a
-/// clean EOF at a frame boundary (the peer closed the connection).
-pub fn read_frame(r: &mut impl Read) -> IfdbResult<Option<Vec<u8>>> {
-    let mut header = [0u8; 8];
-    match r.read_exact(&mut header[..1]) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(protocol_error(format!("read: {e}"))),
-    }
-    r.read_exact(&mut header[1..])
-        .map_err(|e| protocol_error(format!("read: {e}")))?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return Err(protocol_error(format!("frame length {len} exceeds limit")));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| protocol_error(format!("read: {e}")))?;
-    if frame_checksum(&payload) != crc {
-        return Err(protocol_error("frame checksum mismatch"));
-    }
-    Ok(Some(payload))
-}
-
-// ---------------------------------------------------------------------
-// Pipelined (v2) frames: request-id-tagged payloads
-// ---------------------------------------------------------------------
 
 /// Appends one v2 frame — `len | crc | req_id | message` with the checksum
 /// covering `req_id | message` — to `buf` without touching any socket. This
@@ -162,16 +125,32 @@ pub fn split_frame_id(payload: &[u8]) -> IfdbResult<(u32, &[u8])> {
     Ok((id, &payload[4..]))
 }
 
-/// Reads one v2 frame, returning `(req_id, message)`; `None` on clean EOF at
-/// a frame boundary.
+/// Reads one v2 frame, verifying its length bound and checksum, and returns
+/// `(req_id, message)`; `None` on a clean EOF at a frame boundary (the peer
+/// closed the connection).
 pub fn read_frame_id(r: &mut impl Read) -> IfdbResult<Option<(u32, Vec<u8>)>> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(payload) => {
-            let (id, message) = split_frame_id(&payload)?;
-            Ok(Some((id, message.to_vec())))
-        }
+    let mut header = [0u8; 8];
+    match r.read_exact(&mut header[..1]) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(protocol_error(format!("read: {e}"))),
     }
+    r.read_exact(&mut header[1..])
+        .map_err(|e| protocol_error(format!("read: {e}")))?;
+    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+    if len > MAX_FRAME_BYTES {
+        return Err(protocol_error(format!("frame length {len} exceeds limit")));
+    }
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)
+        .map_err(|e| protocol_error(format!("read: {e}")))?;
+    if frame_checksum(&payload) != crc {
+        return Err(protocol_error("frame checksum mismatch"));
+    }
+    let (id, _) = split_frame_id(&payload)?;
+    payload.drain(..4);
+    Ok(Some((id, payload)))
 }
 
 /// Incremental frame assembly over a byte buffer — the reactor's read path.
@@ -1808,7 +1787,8 @@ pub mod code {
     /// no-authority case's payload in aux/label0 when applicable.
     pub const DIFC: u8 = 15;
     /// The server refused the connection or request due to admission
-    /// control (too many connections, statement cache full).
+    /// control (too many connections, or a `Prepare` beyond the templates
+    /// one connection may hold).
     pub const SERVER_BUSY: u8 = 16;
     /// The statement exceeded the per-connection statement timeout; the
     /// enclosing transaction was aborted.
@@ -2019,30 +1999,30 @@ mod tests {
 
     #[test]
     fn frame_round_trip_and_checksum_rejection() {
-        let payload = Request::Begin.encode();
+        let message = Request::Begin.encode();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let got = read_frame(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(got, payload);
+        write_frame_id(&mut buf, 7, &message).unwrap();
+        let got = read_frame_id(&mut buf.as_slice()).unwrap().unwrap();
+        assert_eq!(got, (7, message));
 
         // Clean EOF at a boundary.
-        assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
+        assert!(read_frame_id(&mut [].as_slice()).unwrap().is_none());
 
         // Bit flip in the payload → checksum mismatch.
         let mut corrupt = buf.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x40;
-        assert!(read_frame(&mut corrupt.as_slice()).is_err());
+        assert!(read_frame_id(&mut corrupt.as_slice()).is_err());
 
         // Truncated frame → error, not silent None.
         let truncated = &buf[..buf.len() - 1];
-        assert!(read_frame(&mut &truncated[..]).is_err());
+        assert!(read_frame_id(&mut &truncated[..]).is_err());
 
         // Oversized declared length is rejected before allocation.
         let mut huge = Vec::new();
         huge.extend_from_slice(&(u32::MAX).to_le_bytes());
         huge.extend_from_slice(&0u32.to_le_bytes());
-        assert!(read_frame(&mut huge.as_slice()).is_err());
+        assert!(read_frame_id(&mut huge.as_slice()).is_err());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 
 use ifdb::{AggFunc, Aggregate, Delete, Insert, Join, Order, Predicate, Select, Statement, Update};
 use ifdb_client::protocol::{
-    decode_template, encode_template, frame_checksum, frame_into, read_frame, read_frame_id,
-    try_take_frame, write_frame, write_frame_id, HaRole, Reader, Request, Response, WireRow,
-    Writer,
+    decode_template, encode_template, frame_checksum, frame_into, read_frame_id, try_take_frame,
+    write_frame_id, HaRole, Reader, Request, Response, WireRow, Writer,
 };
 use ifdb_difc::{Label, TagId};
 use ifdb_storage::Datum;
@@ -338,8 +337,8 @@ fn frame_checksum_is_the_logs() {
         ifdb_storage::wal::frame_checksum(&payload)
     );
     let mut framed = Vec::new();
-    write_frame(&mut framed, &payload).unwrap();
-    assert_eq!(framed[4..8], frame_checksum(&payload).to_le_bytes());
+    write_frame_id(&mut framed, 9, &payload).unwrap();
+    assert_eq!(framed[4..8], frame_checksum(&framed[8..]).to_le_bytes());
 }
 
 /// The wire bytes of every datum kind, pinned: the wire and the storage
@@ -447,13 +446,14 @@ proptest! {
     fn corrupted_frames_never_decode_by_luck(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let req = gen_request(&mut rng);
+        let req_id = rng.gen::<u32>();
         let mut framed = Vec::new();
-        write_frame(&mut framed, &req.encode()).unwrap();
+        write_frame_id(&mut framed, req_id, &req.encode()).unwrap();
 
         // Truncation anywhere: either a clean EOF (cut before any byte) or
         // an error — never a successful parse of a partial frame.
         let cut = rng.gen_range(0..framed.len());
-        match read_frame(&mut &framed[..cut]) {
+        match read_frame_id(&mut &framed[..cut]) {
             Ok(None) => prop_assert_eq!(cut, 0),
             Ok(Some(_)) => prop_assert!(false, "truncated frame parsed"),
             Err(_) => {}
@@ -467,9 +467,9 @@ proptest! {
         let bit = rng.gen_range(0u32..8);
         let mut corrupt = framed.clone();
         corrupt[byte] ^= 1u8 << bit;
-        if let Ok(Some(payload)) = read_frame(&mut corrupt.as_slice()) {
+        if let Ok(Some((id, message))) = read_frame_id(&mut corrupt.as_slice()) {
             prop_assert!(
-                Request::decode(&payload).map(|r| r != req).unwrap_or(true),
+                id != req_id || Request::decode(&message).map(|r| r != req).unwrap_or(true),
                 "bit-flipped frame reproduced the original message"
             );
         }

@@ -1035,6 +1035,17 @@ mod tests {
                 matches!(del, IfdbError::ConstraintsPending { ref table } if table == "kids"),
                 "unexpected error: {del}"
             );
+            // So do updates: one could change a key "kids" refers to.
+            let rekey = crate::query::Update::new(
+                "notes",
+                crate::query::Predicate::True,
+                vec![("id", Datum::Int(7))],
+            );
+            let upd = s.update(&rekey).unwrap_err();
+            assert!(
+                matches!(upd, IfdbError::ConstraintsPending { ref table } if table == "kids"),
+                "unexpected error: {upd}"
+            );
             db.create_table(kids.clone()).unwrap();
             assert_eq!(
                 s.delete(&Delete::new("notes", crate::query::Predicate::True))

@@ -59,7 +59,8 @@ use ifdb_storage::{
 };
 
 use crate::catalog::{
-    KeyIndex, TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming, ViewDef, ViewSource,
+    Catalog, ForeignKey, KeyIndex, TableInfo, TriggerEvent, TriggerInvocation, TriggerTiming,
+    ViewDef, ViewSource,
 };
 use crate::error::{IfdbError, IfdbResult};
 use crate::plan::{plan_table_scan, AccessPath, CompiledPredicate, TableScanPlan};
@@ -193,6 +194,45 @@ fn col_index(columns: &[String], name: &str) -> IfdbResult<usize> {
         .iter()
         .position(|c| c == name)
         .ok_or_else(|| IfdbError::UnknownColumn(name.to_string()))
+}
+
+/// A foreign key that references a table, as the table's writers see it:
+/// the referencing table and key, and where the referenced columns sit in
+/// the referenced table's rows.
+struct Referencing {
+    table: Arc<TableInfo>,
+    fk: ForeignKey,
+    ref_offsets: Vec<usize>,
+}
+
+/// Looks up the table an UPDATE or DELETE writes, with the foreign keys
+/// that reference it, which its writes must not strand; a foreign key
+/// naming a column the table lacks fails the statement. Refused while any
+/// table's constraints are pending: a recovered table whose DDL has not
+/// been re-run has no foreign-key metadata, so it could reference this
+/// table without being listed, and RESTRICT would be incomplete.
+fn table_and_referencing(
+    catalog: &Catalog,
+    table: &str,
+) -> IfdbResult<(Arc<TableInfo>, Vec<Referencing>)> {
+    let info = catalog.table(table)?;
+    check_constraints_attached(&info)?;
+    if let Some(pending) = catalog.first_constraints_pending() {
+        return Err(IfdbError::ConstraintsPending { table: pending });
+    }
+    let referencing = catalog
+        .referencing(table)
+        .into_iter()
+        .map(|(table, fk)| {
+            let ref_offsets = info.column_offsets(&fk.ref_columns)?;
+            Ok(Referencing {
+                table,
+                fk,
+                ref_offsets,
+            })
+        })
+        .collect::<IfdbResult<_>>()?;
+    Ok((info, referencing))
 }
 
 /// Refuses writes to a table recovered by `DatabaseBuilder::recover` whose
@@ -998,7 +1038,12 @@ impl Session {
         // process* are errors.
         self.check_unique(&info, info.keys(), &ins.values, None)?;
         // Foreign keys with the DECLASSIFYING clause.
-        self.check_foreign_keys(&info, &ins.values, &label, &ins.declassifying)?;
+        self.check_foreign_keys(
+            info.foreign_keys.iter().zip(info.foreign_key_offsets()),
+            &ins.values,
+            &label,
+            &ins.declassifying,
+        )?;
 
         let (txn, _) = self.current_txn()?;
         self.db
@@ -1047,20 +1092,29 @@ impl Session {
         Ok(())
     }
 
-    fn check_foreign_keys(
+    /// Checks `values`, to be written with `label`, against `fks` of their
+    /// table, each given with its columns' offsets: the referenced row must
+    /// exist, whatever its label, and a label difference between the two
+    /// rows must be vouched for in `declassifying` by a writer with
+    /// authority for it (the Foreign Key Rule, Section 5.2.2). An UPDATE
+    /// carries no `DECLASSIFYING` clause, so it can only point a row at one
+    /// labeled exactly as it is; crossing labels takes a DELETE followed by
+    /// an INSERT ... DECLASSIFYING.
+    fn check_foreign_keys<'k>(
         &mut self,
-        info: &Arc<TableInfo>,
+        fks: impl IntoIterator<Item = (&'k ForeignKey, &'k Vec<usize>)>,
         values: &[Datum],
         label: &Label,
         declassifying: &[ifdb_difc::TagId],
     ) -> IfdbResult<()> {
-        if info.foreign_keys.is_empty() {
+        let mut fks = fks.into_iter().peekable();
+        if fks.peek().is_none() {
             return Ok(());
         }
         let difc = self.db.difc_enabled();
         let declassify_label = Label::from_tags(declassifying.iter().copied());
         let (_, snapshot) = self.current_txn()?;
-        for (fk, offsets) in info.foreign_keys.iter().zip(info.foreign_key_offsets()) {
+        for (fk, offsets) in fks {
             let key: Vec<Datum> = offsets.iter().map(|i| values[*i].clone()).collect();
             if key.iter().any(Datum::is_null) {
                 continue;
@@ -1113,8 +1167,8 @@ impl Session {
     /// *irrespective of its label* (referential constraints hold across
     /// labels; the Foreign Key Rule governs what the requester must vouch
     /// for). Served by any index on exactly those columns, which the
-    /// catalog names; without one, the heap is walked. Shared by the INSERT
-    /// foreign-key check and the DELETE restrict check.
+    /// catalog names; without one, the heap is walked. Shared by the
+    /// foreign-key check and the restrict check.
     fn find_referenced(
         &mut self,
         snapshot: &Snapshot,
@@ -1145,6 +1199,31 @@ impl Session {
         Ok(found)
     }
 
+    /// RESTRICT: fails while a row referencing `values` through any of
+    /// `referencing` exists, whatever its label (the channel this opens was
+    /// vouched for by the referencing writer's `DECLASSIFYING` clause,
+    /// Section 5.2.2). Shared by DELETE and by an UPDATE of a referenced
+    /// column.
+    fn check_restrict<'r>(
+        &mut self,
+        snapshot: &Snapshot,
+        referencing: impl IntoIterator<Item = &'r Referencing>,
+        values: &[Datum],
+    ) -> IfdbResult<()> {
+        for r in referencing {
+            let key: Vec<Datum> = r.ref_offsets.iter().map(|i| values[*i].clone()).collect();
+            if self
+                .find_referenced(snapshot, &r.table, &r.fk.columns, &key)?
+                .is_some()
+            {
+                return Err(IfdbError::RestrictViolation {
+                    constraint: r.fk.name.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     // ==================================================================
     // UPDATE and DELETE
     // ==================================================================
@@ -1170,8 +1249,11 @@ impl Session {
 
     /// Executes an UPDATE. Only tuples labeled exactly the process label are
     /// affected; visible lower-labeled tuples cause a Write Rule error, and
-    /// higher-labeled tuples are invisible and untouched. Returns the number
-    /// of updated rows.
+    /// higher-labeled tuples are invisible and untouched. A key or foreign
+    /// key the SET list writes is checked as on INSERT (with no
+    /// `DECLASSIFYING` clause), and a referenced value it changes is
+    /// refused while a referencing row exists, as on DELETE. Returns the
+    /// number of updated rows.
     pub fn update(&mut self, upd: &Update) -> IfdbResult<usize> {
         self.check_writable()?;
         let implicit = self.ensure_txn()?;
@@ -1182,11 +1264,8 @@ impl Session {
     }
 
     fn update_inner(&mut self, upd: &Update) -> IfdbResult<usize> {
-        let info = {
-            let catalog = self.db.inner.catalog.read();
-            catalog.table(&upd.table)?
-        };
-        check_constraints_attached(&info)?;
+        let (info, mut referenced) =
+            table_and_referencing(&self.db.inner.catalog.read(), &upd.table)?;
         let difc = self.db.difc_enabled();
         let process_label = self.process.label().clone();
         let columns = info.column_names();
@@ -1195,15 +1274,19 @@ impl Session {
             .iter()
             .map(|(c, v)| col_index(columns, c).map(|i| (i, v.clone())))
             .collect::<IfdbResult<_>>()?;
-        // Only a key that the SET list writes to can gain a duplicate.
-        let keys: Vec<&KeyIndex> = info
-            .keys()
-            .filter(|k| {
-                k.offsets
-                    .iter()
-                    .any(|o| set_idx.iter().any(|(i, _)| i == o))
-            })
+        let writes =
+            |offsets: &[usize]| offsets.iter().any(|o| set_idx.iter().any(|(i, _)| i == o));
+        // Only a key or foreign key that the SET list writes to can gain a
+        // duplicate or a dangling reference, and only a referenced column
+        // it writes to can strand a referencing row.
+        let keys: Vec<&KeyIndex> = info.keys().filter(|k| writes(&k.offsets)).collect();
+        let fks: Vec<(&ForeignKey, &Vec<usize>)> = info
+            .foreign_keys
+            .iter()
+            .zip(info.foreign_key_offsets())
+            .filter(|(_, offsets)| writes(offsets))
             .collect();
+        referenced.retain(|r| writes(&r.ref_offsets));
         let write_label = if difc {
             process_label.clone()
         } else {
@@ -1211,7 +1294,7 @@ impl Session {
         };
 
         let matched = self.collect_matching(&info, &upd.predicate)?;
-        let (txn, _) = self.current_txn()?;
+        let (txn, snapshot) = self.current_txn()?;
         let mut updated = 0;
         for r in matched {
             // The scan ran with an empty declassify set, so `r.label` is the
@@ -1237,6 +1320,16 @@ impl Session {
             }
             // Uniqueness as for an insert, the row being replaced aside.
             self.check_unique(&info, keys.iter().copied(), &new_values, Some(rid))?;
+            // Foreign keys as for an insert with no DECLASSIFYING clause.
+            self.check_foreign_keys(fks.iter().copied(), &new_values, &write_label, &[])?;
+            // A referenced value may change only while nothing refers to it.
+            self.check_restrict(
+                &snapshot,
+                referenced
+                    .iter()
+                    .filter(|f| f.ref_offsets.iter().any(|i| r.values[*i] != new_values[*i])),
+                &r.values,
+            )?;
             self.db.inner.engine.update(
                 txn,
                 table_id,
@@ -1271,31 +1364,9 @@ impl Session {
     }
 
     fn delete_inner(&mut self, del: &Delete) -> IfdbResult<usize> {
-        let info = {
-            let catalog = self.db.inner.catalog.read();
-            catalog.table(&del.table)?
-        };
-        check_constraints_attached(&info)?;
+        let (info, referencing) = table_and_referencing(&self.db.inner.catalog.read(), &del.table)?;
         let difc = self.db.difc_enabled();
         let process_label = self.process.label().clone();
-        let referencing = {
-            let catalog = self.db.inner.catalog.read();
-            // A recovered table whose DDL has not been re-run has no
-            // foreign-key metadata, so it could reference this table without
-            // appearing in `referencing` — RESTRICT enforcement is
-            // incomplete until every recovered table is re-attached.
-            if let Some(pending) = catalog.first_constraints_pending() {
-                return Err(IfdbError::ConstraintsPending { table: pending });
-            }
-            catalog.referencing(&info.schema.name)
-        };
-        // Where each referencing foreign key's referenced columns sit in
-        // this table's rows; a foreign key naming a column the table lacks
-        // fails the statement.
-        let restrict_offsets = referencing
-            .iter()
-            .map(|(_, fk)| info.column_offsets(&fk.ref_columns))
-            .collect::<IfdbResult<Vec<_>>>()?;
         let write_label = if difc {
             process_label.clone()
         } else {
@@ -1316,17 +1387,7 @@ impl Session {
             }
             // Referential integrity: no referencing rows may remain,
             // regardless of their labels.
-            for ((ref_info, fk), offsets) in referencing.iter().zip(&restrict_offsets) {
-                let key: Vec<Datum> = offsets.iter().map(|i| r.values[*i].clone()).collect();
-                if self
-                    .find_referenced(&snapshot, ref_info, &fk.columns, &key)?
-                    .is_some()
-                {
-                    return Err(IfdbError::RestrictViolation {
-                        constraint: fk.name.clone(),
-                    });
-                }
-            }
+            self.check_restrict(&snapshot, &referencing, &r.values)?;
             let (table_id, rid) = r.row_id.expect("base-table scan provides row ids");
             self.db.inner.engine.delete(txn, table_id, rid)?;
             self.record_write(&write_label);

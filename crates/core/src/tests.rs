@@ -363,6 +363,184 @@ fn delete_restricted_while_references_exist() {
     );
 }
 
+/// `Cars(carid PK, owner)` and `Drives(driveid PK, carid FK -> Cars, note)`,
+/// with an index on `Drives(carid)` so the RESTRICT lookup is an index
+/// probe; car 1 has drive 10, car 2 has none.
+fn cars_and_drives() -> (Database, PrincipalId) {
+    let db = Database::in_memory();
+    let user = db.create_principal("u", PrincipalKind::User);
+    db.create_table(
+        TableDef::new("Cars")
+            .column("carid", DataType::Int)
+            .column("owner", DataType::Text)
+            .primary_key(&["carid"]),
+    )
+    .unwrap();
+    db.create_table(
+        TableDef::new("Drives")
+            .column("driveid", DataType::Int)
+            .column("carid", DataType::Int)
+            .column("note", DataType::Text)
+            .primary_key(&["driveid"])
+            .secondary_index("drives_carid", &["carid"])
+            .foreign_key("drives_carid_fkey", &["carid"], "Cars", &["carid"]),
+    )
+    .unwrap();
+    let mut s = db.session(user);
+    for car in [1, 2] {
+        s.insert(&Insert::new(
+            "Cars",
+            vec![Datum::Int(car), Datum::from("u")],
+        ))
+        .unwrap();
+    }
+    s.insert(&Insert::new(
+        "Drives",
+        vec![Datum::Int(10), Datum::Int(1), Datum::from("")],
+    ))
+    .unwrap();
+    (db, user)
+}
+
+#[test]
+fn an_update_may_not_leave_a_dangling_reference() {
+    let (db, user) = cars_and_drives();
+    let mut s = db.session(user);
+    let err = s
+        .update(&Update::new(
+            "Drives",
+            Predicate::True,
+            vec![("carid", Datum::Int(99))],
+        ))
+        .unwrap_err();
+    assert!(
+        matches!(err, IfdbError::ForeignKeyViolation { ref constraint } if constraint == "drives_carid_fkey"),
+        "{err}"
+    );
+    // Nothing changed, and pointing the drive at a car that exists works.
+    let rows = s
+        .select(&Select::star("Drives").filter(Predicate::Eq("carid".into(), Datum::Int(1))))
+        .unwrap();
+    assert_eq!(rows.len(), 1);
+    let moved = Update::new("Drives", Predicate::True, vec![("carid", Datum::Int(2))]);
+    assert_eq!(s.update(&moved).unwrap(), 1);
+}
+
+#[test]
+fn an_update_of_a_referenced_key_is_restricted() {
+    let (db, user) = cars_and_drives();
+    let tag = db.create_tag(user, "drives", &[]).unwrap();
+    let mut s = db.session(user);
+    let car = |id| Predicate::Eq("carid".into(), Datum::Int(id));
+    let rekey = |from, to| Update::new("Cars", car(from), vec![("carid", Datum::Int(to))]);
+    let err = s.update(&rekey(1, 3)).unwrap_err();
+    assert!(
+        matches!(err, IfdbError::RestrictViolation { ref constraint } if constraint == "drives_carid_fkey"),
+        "{err}"
+    );
+    // So car 1 cannot be deleted through a rename either.
+    assert!(s.delete(&Delete::new("Cars", car(1))).is_err());
+    // Writing the value a column already holds changes no reference; a
+    // column no foreign key references is free; a car nothing refers to
+    // may be rekeyed.
+    assert_eq!(s.update(&rekey(1, 1)).unwrap(), 1);
+    let owner = Update::new("Cars", car(1), vec![("owner", Datum::from("v"))]);
+    assert_eq!(s.update(&owner).unwrap(), 1);
+    assert_eq!(s.update(&rekey(2, 3)).unwrap(), 1);
+    // A referencing row restricts whatever its label, like a DELETE.
+    let mut high = db.session(user);
+    high.add_secrecy(tag).unwrap();
+    high.insert(
+        &Insert::new(
+            "Drives",
+            vec![Datum::Int(11), Datum::Int(3), Datum::from("")],
+        )
+        .declassifying(&[tag]),
+    )
+    .unwrap();
+    assert!(matches!(
+        s.update(&rekey(3, 4)).unwrap_err(),
+        IfdbError::RestrictViolation { .. }
+    ));
+}
+
+#[test]
+fn an_update_carries_no_declassifying_clause() {
+    let (db, user) = cars_and_drives();
+    let tag = db.create_tag(user, "drives", &[]).unwrap();
+    let mut high = db.session(user);
+    high.add_secrecy(tag).unwrap();
+    high.insert(
+        &Insert::new(
+            "Drives",
+            vec![Datum::Int(11), Datum::Int(1), Datum::from("")],
+        )
+        .declassifying(&[tag]),
+    )
+    .unwrap();
+    // Re-pointing the {drives} row at an unlabeled car needs the clause an
+    // UPDATE cannot carry, so it fails closed.
+    let err = high
+        .update(&Update::new(
+            "Drives",
+            Predicate::Eq("driveid".into(), Datum::Int(11)),
+            vec![("carid", Datum::Int(2))],
+        ))
+        .unwrap_err();
+    assert!(
+        matches!(err, IfdbError::DeclassifyingRequired { ref missing, .. } if missing.contains(tag)),
+        "{err}"
+    );
+    // A column no foreign key covers is written as before.
+    let noted = Update::new(
+        "Drives",
+        Predicate::Eq("driveid".into(), Datum::Int(11)),
+        vec![("note", Datum::from("x"))],
+    );
+    assert_eq!(high.update(&noted).unwrap(), 1);
+}
+
+#[test]
+fn an_update_of_no_foreign_key_column_probes_nothing() {
+    let (db, user) = cars_and_drives();
+    let mut s = db.session(user);
+    let lookups = |db: &Database| db.engine().stats().index_point_lookups;
+    let drive = Predicate::Eq("driveid".into(), Datum::Int(10));
+    let car = Predicate::Eq("carid".into(), Datum::Int(1));
+    // Each statement's own lookup of its row, and no probe.
+    let before = lookups(&db);
+    s.update(&Update::new(
+        "Drives",
+        drive.clone(),
+        vec![("note", Datum::from("n"))],
+    ))
+    .unwrap();
+    assert_eq!(lookups(&db) - before, 1);
+    let before = lookups(&db);
+    s.update(&Update::new(
+        "Cars",
+        car.clone(),
+        vec![("owner", Datum::from("v"))],
+    ))
+    .unwrap();
+    assert_eq!(lookups(&db) - before, 1);
+    // A foreign key's column is probed once in the referenced table's key.
+    let before = lookups(&db);
+    s.update(&Update::new(
+        "Drives",
+        drive,
+        vec![("carid", Datum::Int(2))],
+    ))
+    .unwrap();
+    assert_eq!(lookups(&db) - before, 2);
+    // A referenced key column is probed for uniqueness in its own index and
+    // for references in the referencing table's.
+    let before = lookups(&db);
+    s.update(&Update::new("Cars", car, vec![("carid", Datum::Int(3))]))
+        .unwrap();
+    assert_eq!(lookups(&db) - before, 3);
+}
+
 #[test]
 fn declassifying_view_exposes_projection_of_sensitive_table() {
     // The PCMembers example of Section 4.3.

@@ -23,10 +23,12 @@
 //!   memory; the accept-time refusal remains only as a connection-count
 //!   quota ([`ServerConfig::max_connections`]);
 //! * per-connection [`ifdb::Session`] state: the process label, the open
-//!   transaction, and result cursors for streamed batches;
-//! * a **server-wide prepared-statement cache** ([`StatementCache`]): value-
-//!   free statement templates are deduplicated across connections and
-//!   executions send a 4-byte id plus parameters;
+//!   transaction, result cursors for streamed batches, and the
+//!   connection's **prepared statements**: each `Prepare` stores a
+//!   value-free template and answers the next id of that connection (1, 2,
+//!   ...), and executions send that 4-byte id plus parameters. Ids are
+//!   never shared between connections, so a session's ids, and whether its
+//!   prepares are refused, depend on its own requests alone;
 //! * per-connection **statement timeouts** (which also cancel any
 //!   queued-but-unexecuted pipelined statements behind the timed-out one)
 //!   and **graceful shutdown** that drains in-flight transactions *and*
@@ -58,7 +60,6 @@ use ifdb_client::protocol::{
 };
 use ifdb_difc::Label;
 use ifdb_platform::Authenticator;
-use parking_lot::RwLock;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -91,10 +92,6 @@ pub struct ServerConfig {
     /// Default rows per result batch when the client does not ask for a
     /// specific fetch size.
     pub fetch_batch: usize,
-    /// Maximum number of distinct statement templates the server-wide cache
-    /// holds; further distinct shapes are refused (steady-state workloads
-    /// use a handful).
-    pub stmt_cache_capacity: usize,
     /// Shared secret that marks a connection as a trusted platform (web/app
     /// server), allowing password-less user switches on the session-cookie
     /// path.
@@ -145,7 +142,6 @@ impl Default for ServerConfig {
             outbound_buffer_limit: 1 << 20,
             statement_timeout: Duration::from_secs(5),
             fetch_batch: 256,
-            stmt_cache_capacity: 4096,
             platform_secret: None,
             replication_secret: None,
             replication_batch: 512,
@@ -292,14 +288,10 @@ pub struct ServerStats {
     pub requests: u64,
     /// Statements executed (Execute messages).
     pub statements: u64,
-    /// Prepared-statement cache hits (an Execute resolved a cached template,
-    /// or a Prepare found its template already cached).
+    /// `Execute`s that resolved a template their connection prepared.
     pub stmt_cache_hits: u64,
-    /// Prepared-statement cache misses (a Prepare registered a new
-    /// template).
+    /// `Prepare`s registered (each one adds a template to its connection).
     pub stmt_cache_misses: u64,
-    /// Distinct templates resident in the cache.
-    pub stmt_cache_size: u64,
     /// Statements that exceeded the statement timeout inside an explicit
     /// transaction (transaction aborted).
     pub statement_timeouts: u64,
@@ -329,7 +321,9 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Prepared-statement cache hit rate in `[0, 1]`; 1.0 with no traffic.
+    /// The share of statement lookups that were `Execute`s of an already
+    /// prepared template rather than `Prepare`s, in `[0, 1]`; 1.0 with no
+    /// traffic.
     pub fn stmt_cache_hit_rate(&self) -> f64 {
         let total = self.stmt_cache_hits + self.stmt_cache_misses;
         if total == 0 {
@@ -360,86 +354,6 @@ struct Counters {
     response_bytes: AtomicU64,
 }
 
-/// Lock stripes in the statement cache's template→id map. Power of two;
-/// selected by the template's FNV-1a hash, so concurrent prepares of
-/// *different* shapes (the bench's many-connection warm-up, or a fleet of
-/// app servers reconnecting at once) contend only when they collide on a
-/// stripe instead of serializing on one map lock.
-const STMT_CACHE_STRIPES: usize = 16;
-
-/// The server-wide prepared-statement cache: statement templates (value-free
-/// shapes, see [`ifdb_client::protocol::encode_template`]) deduplicated
-/// across every connection. Ids are global, so two connections preparing the
-/// same shape share one entry, and the bound template is parsed once per
-/// execution from its cached bytes rather than shipped in full per request.
-///
-/// The template→id map is striped by template hash
-/// (`STMT_CACHE_STRIPES` stripes); the id-ordered template list stays
-/// global because it allocates the dense statement ids and enforces the
-/// capacity bound. Hit/miss accounting lives in the server's global
-/// counters and is unaffected by striping.
-pub struct StatementCache {
-    by_template: [RwLock<HashMap<Arc<[u8]>, u32>>; STMT_CACHE_STRIPES],
-    templates: RwLock<Vec<Arc<[u8]>>>,
-    capacity: usize,
-}
-
-impl StatementCache {
-    fn new(capacity: usize) -> Self {
-        StatementCache {
-            by_template: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            templates: RwLock::new(Vec::new()),
-            capacity,
-        }
-    }
-
-    fn stripe(&self, template: &[u8]) -> &RwLock<HashMap<Arc<[u8]>, u32>> {
-        let h = ifdb_client::protocol::frame_checksum(template) as usize;
-        &self.by_template[h % STMT_CACHE_STRIPES]
-    }
-
-    /// Registers a template, returning `(id, was_cached)`.
-    fn prepare(&self, template: Vec<u8>) -> IfdbResult<(u32, bool)> {
-        let stripe = self.stripe(&template);
-        if let Some(id) = stripe.read().get(template.as_slice()) {
-            return Ok((*id, true));
-        }
-        let mut by_template = stripe.write();
-        if let Some(id) = by_template.get(template.as_slice()) {
-            return Ok((*id, true));
-        }
-        // The global list allocates the id and holds the capacity line; a
-        // racing prepare of a *different* shape on another stripe contends
-        // only here, briefly, not on the lookup path above.
-        let mut templates = self.templates.write();
-        if templates.len() >= self.capacity {
-            return Err(IfdbError::Remote {
-                code: code::SERVER_BUSY as u16,
-                detail: format!(
-                    "statement cache full ({} templates); workload exceeds the configured shape budget",
-                    self.capacity
-                ),
-            });
-        }
-        let arc: Arc<[u8]> = template.into();
-        let id = templates.len() as u32 + 1; // 0 is reserved
-        templates.push(arc.clone());
-        by_template.insert(arc, id);
-        Ok((id, false))
-    }
-
-    fn resolve(&self, id: u32) -> Option<Arc<[u8]>> {
-        self.templates
-            .read()
-            .get((id as usize).checked_sub(1)?)
-            .cloned()
-    }
-
-    fn len(&self) -> usize {
-        self.templates.read().len()
-    }
-}
-
 struct Shared {
     db: Database,
     auth: Arc<Authenticator>,
@@ -447,7 +361,6 @@ struct Shared {
     shutdown: AtomicBool,
     shutdown_at: StdMutex<Option<Instant>>,
     counters: Counters,
-    cache: StatementCache,
     /// The QoS gate: hot-reloadable execution budgets, per-principal
     /// admission quotas, and scheduling weights.
     qos: qos::QosGate,
@@ -693,7 +606,6 @@ impl ServerHandle {
             statements: c.statements.load(Ordering::Relaxed),
             stmt_cache_hits: c.stmt_cache_hits.load(Ordering::Relaxed),
             stmt_cache_misses: c.stmt_cache_misses.load(Ordering::Relaxed),
-            stmt_cache_size: self.shared.cache.len() as u64,
             statement_timeouts: c.statement_timeouts.load(Ordering::Relaxed),
             slow_statements: c.slow_statements.load(Ordering::Relaxed),
             txns_aborted_on_disconnect: c.txns_aborted_on_disconnect.load(Ordering::Relaxed),
@@ -778,7 +690,6 @@ fn start_inner(
     let shared = Arc::new(Shared {
         db,
         auth,
-        cache: StatementCache::new(config.stmt_cache_capacity),
         qos: qos::QosGate::new(config.qos.clone()),
         config,
         shutdown: AtomicBool::new(false),
@@ -821,6 +732,11 @@ struct Cursor {
 struct ConnState {
     session: Session,
     trusted: bool,
+    /// The statement templates this connection prepared, in `Prepare`
+    /// order: statement id `n` is `templates[n - 1]`. Ids are
+    /// connection-local, so no other connection's requests can move them.
+    /// They survive `Login`, as the client's statement ids do.
+    templates: Vec<Box<[u8]>>,
     cursors: HashMap<u32, Cursor>,
     next_cursor: u32,
     /// Set when a statement hits the post-hoc timeout. While set,
@@ -1227,7 +1143,6 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
             "stmt_cache_misses",
             c.stmt_cache_misses.load(Ordering::Relaxed),
         )
-        .push("stmt_cache_size", shared.cache.len() as u64)
         .push(
             "statement_timeouts",
             c.statement_timeouts.load(Ordering::Relaxed),
@@ -1343,6 +1258,7 @@ fn handle_hello(
     *state = Some(ConnState {
         session,
         trusted,
+        templates: Vec::new(),
         cursors: HashMap::new(),
         next_cursor: 1,
         cancel_queued: false,
@@ -1391,6 +1307,14 @@ fn authenticate(
 /// but never drains or closes its cursors must not grow server memory
 /// without limit, so the oldest cursor is discarded beyond this.
 const MAX_CURSORS_PER_CONNECTION: usize = 64;
+
+/// Per-connection bound on prepared statement templates: a client that
+/// prepares ever new shapes must not grow server memory without limit, so a
+/// `Prepare` beyond this is refused. The refusal depends on this
+/// connection's own requests only, and the ids it already holds still run.
+/// The most shapes any test, example or workload prepares on one
+/// connection is 21 (TPC-C run from the terminal).
+const MAX_TEMPLATES_PER_CONNECTION: usize = 256;
 
 fn result_rows_response(conn: &mut ConnState, rows: Vec<Row>, batch: usize) -> Response {
     let columns = rows
@@ -1486,19 +1410,23 @@ fn handle_message(
             })
         }
         Request::Prepare { template } => {
-            let (id, cached) = shared.cache.prepare(template)?;
-            if cached {
-                shared
-                    .counters
-                    .stmt_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared
-                    .counters
-                    .stmt_cache_misses
-                    .fetch_add(1, Ordering::Relaxed);
+            if conn.templates.len() >= MAX_TEMPLATES_PER_CONNECTION {
+                return Err(IfdbError::Remote {
+                    code: code::SERVER_BUSY as u16,
+                    detail: format!(
+                        "connection holds {MAX_TEMPLATES_PER_CONNECTION} statement templates, \
+                         the most one connection may prepare"
+                    ),
+                });
             }
-            Ok(Response::Prepared { id })
+            conn.templates.push(template.into());
+            shared
+                .counters
+                .stmt_cache_misses
+                .fetch_add(1, Ordering::Relaxed);
+            Ok(Response::Prepared {
+                id: conn.templates.len() as u32,
+            })
         }
         Request::Execute {
             stmt,
@@ -1513,9 +1441,9 @@ fn handle_message(
             let _admitted = shared.qos.admit(session.principal().0)?;
             session.set_execution_constraints(shared.qos.constraints());
             shared.counters.statements.fetch_add(1, Ordering::Relaxed);
-            let template = shared
-                .cache
-                .resolve(stmt)
+            let template = (stmt as usize)
+                .checked_sub(1)
+                .and_then(|i| conn.templates.get(i))
                 .ok_or_else(|| IfdbError::Remote {
                     code: code::INVALID_STATEMENT as u16,
                     detail: format!("unknown statement id {stmt}"),
@@ -1524,7 +1452,7 @@ fn handle_message(
                 .counters
                 .stmt_cache_hits
                 .fetch_add(1, Ordering::Relaxed);
-            let statement = decode_template(&template, &params)?;
+            let statement = decode_template(template, &params)?;
             let started = Instant::now();
             let was_explicit = session.in_transaction();
             let result = session.execute(&statement);
@@ -1696,30 +1624,5 @@ fn handle_message(
         Request::TxnOutcome { gid } => Ok(Response::TxnOutcome {
             committed: shared.db.prepared_outcome(gid),
         }),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn statement_cache_dedups_and_bounds() {
-        let cache = StatementCache::new(2);
-        let (a1, hit1) = cache.prepare(vec![1, 2, 3]).unwrap();
-        assert!(!hit1);
-        let (a2, hit2) = cache.prepare(vec![1, 2, 3]).unwrap();
-        assert!(hit2);
-        assert_eq!(a1, a2);
-        let (b, _) = cache.prepare(vec![9]).unwrap();
-        assert_ne!(a1, b);
-        assert_eq!(cache.len(), 2);
-        // Beyond capacity, new shapes are refused; known shapes still hit.
-        assert!(cache.prepare(vec![7, 7]).is_err());
-        assert!(cache.prepare(vec![9]).unwrap().1);
-        // Resolution round-trips.
-        assert_eq!(cache.resolve(a1).unwrap().as_ref(), &[1, 2, 3]);
-        assert!(cache.resolve(0).is_none());
-        assert!(cache.resolve(99).is_none());
     }
 }

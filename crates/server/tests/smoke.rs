@@ -187,13 +187,15 @@ fn transactions_writes_and_prepared_cache() {
         .unwrap();
     assert_eq!(n, 5);
 
-    // A second connection reuses the same server-wide cache entries: its
-    // prepares are all hits.
+    // A second connection prepares its own shapes: statement ids are the
+    // connection's, so the first connection's prepares do not serve it.
     let before = server.stats();
     let mut c2 = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
     assert_eq!(c2.select(&Select::star("notes")).unwrap().len(), 5);
+    assert_eq!(c2.stats().prepares, 1);
     let after = server.stats();
-    assert_eq!(after.stmt_cache_misses, before.stmt_cache_misses);
+    assert_eq!(after.stmt_cache_misses, before.stmt_cache_misses + 1);
+    assert_eq!(after.stmt_cache_hits, before.stmt_cache_hits + 1);
 
     c.close().unwrap();
     c2.close().unwrap();
