@@ -31,6 +31,31 @@ use crate::tuple::{encode, with_mvcc_header, TupleRef, TupleVersion, MVCC_HEADER
 use crate::value::Datum;
 use crate::wal::{DurabilityConfig, LogRecord, Wal};
 
+/// The lengths of the longest prefix and the longest suffix that `new`
+/// shares with `old`, which overlap in neither, each at most `u16::MAX`:
+/// what an update's log record keeps of the old body.
+fn shared_affixes(old: &[u8], new: &[u8]) -> (u16, u16) {
+    let cap = u16::MAX as usize;
+    let prefix = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+    let prefix = prefix.min(cap);
+    let (old, new) = (&old[prefix..], &new[prefix..]);
+    let suffix = old
+        .iter()
+        .rev()
+        .zip(new.iter().rev())
+        .take_while(|(a, b)| a == b)
+        .count();
+    (prefix as u16, suffix.min(cap) as u16)
+}
+
+/// The corruption of a logged `what` (a delete or an update) that names
+/// the empty slot `row` of `table`.
+fn empty_slot(what: &str, row: RowId, table: u32) -> StorageError {
+    StorageError::Corruption {
+        detail: format!("a logged {what} names the empty slot {row} of table {table}"),
+    }
+}
+
 /// Identifier of a table within the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
@@ -564,7 +589,7 @@ impl StorageEngine {
 
     /// Starts a transaction. Nothing is logged yet: the `Begin` record is
     /// appended lazily, immediately before the transaction's first
-    /// `Insert`/`Delete`/`Prepare` record, so a transaction that never
+    /// `Insert`/`Update`/`Delete`/`Prepare` record, so a transaction that never
     /// writes never existed for the log or a replica.
     pub fn begin(&self) -> StorageResult<TxnId> {
         Ok(self.txns.begin())
@@ -824,25 +849,9 @@ impl StorageEngine {
         values: Vec<Datum>,
     ) -> StorageResult<RowId> {
         let _gate = self.gate.read();
-        self.insert_gated(txn, table, label, values)
-    }
-
-    /// [`StorageEngine::insert`]'s body, for a caller holding the gate.
-    fn insert_gated(
-        &self,
-        txn: TxnId,
-        table: TableId,
-        label: Vec<u64>,
-        values: Vec<Datum>,
-    ) -> StorageResult<RowId> {
         let t = self.table(table)?;
         t.schema.check_tuple(&values)?;
-        let label = self.labels().intern(&label, |id, tags| {
-            self.wal.append(LogRecord::Label {
-                id,
-                tags: tags.to_vec(),
-            })
-        })?;
+        let label = self.intern(&label)?;
         let mut bytes = encode(txn, label, &values);
         self.log_begin_once(txn)?;
         let (row, chain) = t.heap.insert(label, &bytes)?;
@@ -860,10 +869,48 @@ impl StorageEngine {
         Ok(row)
     }
 
+    /// The dictionary id of `label`, logging a [`LogRecord::Label`] first if
+    /// the label is new.
+    fn intern(&self, label: &[u64]) -> StorageResult<LabelId> {
+        self.labels().intern(label, |id, tags| {
+            self.wal.append(LogRecord::Label {
+                id,
+                tags: tags.to_vec(),
+            })
+        })
+    }
+
     /// Marks the version at `row` deleted by `txn`, enforcing
     /// first-updater-wins: if another transaction already deleted or
     /// superseded the version (and did not abort), the call fails with
     /// [`StorageError::WriteConflict`].
+    ///
+    /// Only a version whose `Insert` (or `Update`) the log already holds can
+    /// be deleted, so redo always finds the slot a `Delete` names: one its
+    /// writer aborted never existed ([`StorageError::UnknownRow`]), and one
+    /// its writer is still running is that writer's (a write conflict).
+    pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
+        let _gate = self.gate.read();
+        let t = self.table(table)?;
+        let (seen, ()) = self.claim(&t, txn, row, |_| ())?;
+        if seen == Some(txn) {
+            // Deleting twice in the same transaction is a no-op.
+            return Ok(());
+        }
+        self.wal.append(LogRecord::Delete {
+            txn,
+            table: table.0,
+            row,
+        })?;
+        self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Sets the `xmax` of the version at `row` to `txn` under
+    /// first-updater-wins, logging nothing but `txn`'s `Begin`. Returns the
+    /// `xmax` the version had (`Some(txn)` if `txn` already held it, and
+    /// then nothing changed) and what `look` made of the version on the
+    /// page access that decided the claim.
     ///
     /// The claim is a compare-and-set on the slot's `xmax`: read it in
     /// place, decide, then set it only if the slot still holds what was
@@ -871,23 +918,17 @@ impl StorageEngine {
     /// exactly one wins; the other sees the winner as the holder. The
     /// decision consults the transaction table, which is never locked under
     /// the pool mutex, so it happens between the two page accesses.
-    ///
-    /// Only a version whose `Insert` the log already holds can be deleted,
-    /// so redo always finds the slot a `Delete` names: one its writer
-    /// aborted never existed ([`StorageError::UnknownRow`]), and one its
-    /// writer is still running is that writer's (a write conflict).
-    pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
-        let _gate = self.gate.read();
-        self.delete_gated(txn, table, row)
-    }
-
-    /// [`StorageEngine::delete`]'s body, for a caller holding the gate.
-    fn delete_gated(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
-        let t = self.table(table)?;
+    fn claim<R>(
+        &self,
+        t: &Table,
+        txn: TxnId,
+        row: RowId,
+        look: impl Fn(&TupleRef<'_>) -> R,
+    ) -> StorageResult<(Option<TxnId>, R)> {
         loop {
-            let (xmin, seen) = t
+            let (xmin, seen, looked) = t
                 .heap
-                .read::<_, StorageError>(row, |v| Ok((v.xmin(), v.xmax())))?
+                .read::<_, StorageError>(row, |v| Ok((v.xmin(), v.xmax(), look(&v))))?
                 .ok_or(StorageError::UnknownRow {
                     page: row.page,
                     slot: row.slot,
@@ -911,8 +952,7 @@ impl StorageEngine {
             }
             if let Some(holder) = seen {
                 if holder == txn {
-                    // Deleting twice in the same transaction is a no-op.
-                    return Ok(());
+                    return Ok((seen, looked));
                 }
                 if self.txns.status(holder) != TxnStatus::Aborted {
                     return Err(StorageError::WriteConflict {
@@ -924,20 +964,20 @@ impl StorageEngine {
             }
             self.log_begin_once(txn)?;
             if t.heap.compare_and_set_xmax(row, seen, Some(txn))? {
-                break;
+                return Ok((seen, looked));
             }
         }
-        self.wal.append(LogRecord::Delete {
-            txn,
-            table: table.0,
-            row,
-        })?;
-        self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Updates the version at `row`: marks it superseded and inserts a new
     /// version with `values` and `label`. Returns the new row id.
+    ///
+    /// The old version is claimed as [`StorageEngine::delete`] claims it,
+    /// and the update is one [`LogRecord::Update`], whose new body is only
+    /// the bytes that differ from the old body, found on the page access
+    /// that claimed it. A new version the heap cannot place (one too large,
+    /// say) undoes the claim, so the failed update leaves the old version
+    /// as it was.
     pub fn update(
         &self,
         txn: TxnId,
@@ -947,8 +987,38 @@ impl StorageEngine {
         values: Vec<Datum>,
     ) -> StorageResult<RowId> {
         let _gate = self.gate.read();
-        self.delete_gated(txn, table, row)?;
-        self.insert_gated(txn, table, label, values)
+        let t = self.table(table)?;
+        t.schema.check_tuple(&values)?;
+        let label = self.intern(&label)?;
+        let bytes = encode(txn, label, &values);
+        let body = &bytes[MVCC_HEADER_LEN..];
+        let (seen, (prefix, suffix)) =
+            self.claim(&t, txn, row, |old| shared_affixes(old.body(), body))?;
+        let (new, chain) = match t.heap.insert(label, &bytes) {
+            Ok(placed) => placed,
+            Err(e) => {
+                if seen != Some(txn) {
+                    t.heap.compare_and_set_xmax(row, Some(txn), seen)?;
+                }
+                return Err(e);
+            }
+        };
+        self.wal.append(LogRecord::Update {
+            txn,
+            table: table.0,
+            old: row,
+            row: new,
+            chain,
+            prefix,
+            suffix,
+            middle: body[prefix as usize..body.len() - suffix as usize].to_vec(),
+        })?;
+        t.index_row(&values, new);
+        if seen != Some(txn) {
+            self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
+        }
+        self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
+        Ok(new)
     }
 
     /// Fetches the version at `row` if it is visible to `snapshot`.
@@ -1433,14 +1503,16 @@ impl StorageEngine {
     /// Redoes one log record: the one path by which both
     /// [`StorageEngine::open`] and a replica rebuild state from a log.
     ///
-    /// Outcomes are not known ahead: inserts and deletes apply as they
-    /// come, carrying their writers' transaction ids in tuple headers, and
-    /// stay invisible until the writer's `Commit` (or commit `Decide`)
+    /// Outcomes are not known ahead: inserts, updates and deletes apply as
+    /// they come, carrying their writers' transaction ids in tuple headers,
+    /// and stay invisible until the writer's `Commit` (or commit `Decide`)
     /// applies. Every version goes to the row id and page kind its `Insert`
-    /// names ([`TableHeap::place`]), so a later `Delete` names the slot it
-    /// means, and one that names an empty slot is corruption. Labels are
-    /// defined in the order they were logged in, and an `Insert` whose tuple
-    /// names a label no `Label` record defined is corruption.
+    /// or `Update` names ([`TableHeap::place`]), so a later `Delete` or
+    /// `Update` names the slot it means, and one that names an empty slot
+    /// is corruption. An `Update`'s new body is rebuilt from the body its
+    /// old slot holds. Labels are defined in the order they were logged in,
+    /// and a version whose tuple names a label no `Label` record defined is
+    /// corruption.
     fn redo(&self, record: &LogRecord) -> StorageResult<()> {
         match record {
             LogRecord::CreateTable { id, schema } => {
@@ -1480,32 +1552,50 @@ impl StorageEngine {
                 chain,
                 body,
             } => {
-                // The slot takes the logged body behind the header it
-                // implies; only the index key columns are decoded.
                 let t = self.table(TableId(*table))?;
-                let bytes = with_mvcc_header(*txn, body);
-                let tuple = TupleRef::parse(&bytes)?;
-                let label = tuple.label_id();
-                if !self.labels().contains(label) {
-                    return Err(undefined(label));
-                }
-                t.heap.place(*row, *chain, label, &bytes)?;
-                t.index_tuple(&tuple, *row)?;
-                self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
+                self.redo_place(&t, *row, *chain, &with_mvcc_header(*txn, body))?;
+            }
+            LogRecord::Update {
+                txn,
+                table,
+                old,
+                row,
+                chain,
+                prefix,
+                suffix,
+                middle,
+            } => {
+                // The old slot's body is the base the new one was logged
+                // against: the same bytes it held when the update was made,
+                // since a body never changes. Then the old version ends as a
+                // delete's does.
+                let t = self.table(TableId(*table))?;
+                let bytes = t
+                    .heap
+                    .read::<_, StorageError>(*old, |v| {
+                        let base = v.body();
+                        let (prefix, suffix) = (*prefix as usize, *suffix as usize);
+                        if prefix + suffix > base.len() {
+                            return Err(StorageError::Corruption {
+                                detail: format!(
+                                    "a logged update keeps {prefix} + {suffix} bytes of the \
+                                     {}-byte body at {old} of table {table}",
+                                    base.len()
+                                ),
+                            });
+                        }
+                        let mut bytes = with_mvcc_header(*txn, &base[..prefix]);
+                        bytes.extend_from_slice(middle);
+                        bytes.extend_from_slice(&base[base.len() - suffix..]);
+                        Ok(bytes)
+                    })?
+                    .ok_or_else(|| empty_slot("update", *old, *table))?;
+                self.redo_xmax(&t, *txn, *old, "update")?;
+                self.redo_place(&t, *row, *chain, &bytes)?;
             }
             LogRecord::Delete { txn, table, row } => {
-                // Conflicts were resolved when the delete was first made;
-                // redo only repeats the outcome.
                 let t = self.table(TableId(*table))?;
-                t.heap.set_xmax(*row, Some(*txn)).map_err(|e| match e {
-                    StorageError::UnknownRow { .. } => StorageError::Corruption {
-                        detail: format!(
-                            "a logged delete names the empty slot {row} of table {table}"
-                        ),
-                    },
-                    e => e,
-                })?;
-                self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
+                self.redo_xmax(&t, *txn, *row, "delete")?;
             }
             LogRecord::Label { id, tags } => self.labels().redo(*id, tags)?,
             LogRecord::Checkpoint => {}
@@ -1549,6 +1639,34 @@ impl StorageEngine {
                     })?;
             }
         }
+        Ok(())
+    }
+
+    /// Redoes the placing of a version, as its `Insert` or `Update` names
+    /// it: the slot takes `bytes`, the version's header and body, and only
+    /// the index key columns are decoded.
+    fn redo_place(&self, t: &Table, row: RowId, chain: bool, bytes: &[u8]) -> StorageResult<()> {
+        let tuple = TupleRef::parse(bytes)?;
+        let label = tuple.label_id();
+        if !self.labels().contains(label) {
+            return Err(undefined(label));
+        }
+        t.heap.place(row, chain, label, bytes)?;
+        t.index_tuple(&tuple, row)?;
+        self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Redoes the end of the version at `row` by `txn`, which a logged
+    /// `what` (a delete or an update) made. Conflicts were resolved when it
+    /// was first made; redo only repeats the outcome, and a record that
+    /// names an empty slot is corruption.
+    fn redo_xmax(&self, t: &Table, txn: TxnId, row: RowId, what: &str) -> StorageResult<()> {
+        t.heap.set_xmax(row, Some(txn)).map_err(|e| match e {
+            StorageError::UnknownRow { .. } => empty_slot(what, row, t.id.0),
+            e => e,
+        })?;
+        self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1631,6 +1749,7 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
     use crate::schema::ColumnDef;
     use crate::value::DataType;
 
@@ -1761,6 +1880,37 @@ mod tests {
     }
 
     #[test]
+    fn shared_affixes_rebuild_the_new_body_and_never_overlap() {
+        let cases: [(&[u8], &[u8]); 7] = [
+            (b"abc", b"abc"),
+            (b"abca", b"aba"),
+            (b"aaaa", b"aa"),
+            (b"aa", b"aaaa"),
+            (b"", b"xyz"),
+            (b"xyz", b""),
+            (b"1234", b"1334"),
+        ];
+        let found: Vec<(u16, u16)> = cases
+            .iter()
+            .map(|(old, new)| shared_affixes(old, new))
+            .collect();
+        assert_eq!(
+            found,
+            [(3, 0), (2, 1), (2, 0), (2, 0), (0, 0), (0, 0), (1, 2)]
+        );
+        for ((old, new), (prefix, suffix)) in cases.iter().zip(found) {
+            let (prefix, suffix) = (prefix as usize, suffix as usize);
+            let rebuilt = [
+                &old[..prefix],
+                &new[prefix..new.len() - suffix],
+                &old[old.len() - suffix..],
+            ]
+            .concat();
+            assert_eq!(rebuilt, *new);
+        }
+    }
+
+    #[test]
     fn update_creates_new_version_and_hides_old() {
         let (eng, table) = engine_with_table();
         let t1 = eng.begin().unwrap();
@@ -1783,6 +1933,60 @@ mod tests {
         let rows = visible_rows(&eng, table);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][1], Datum::from("v2"));
+    }
+
+    #[test]
+    fn an_update_that_cannot_place_its_row_leaves_the_old_one_unclaimed() {
+        let (eng, table) = engine_with_table();
+        let t1 = eng.begin().unwrap();
+        let row = eng
+            .insert(t1, table, vec![], vec![Datum::Int(1), Datum::from("v1")])
+            .unwrap();
+        eng.commit(t1).unwrap();
+        let logged = eng.wal().last_seq();
+
+        // Half a page is the most a version may take.
+        let t2 = eng.begin().unwrap();
+        let huge = vec![Datum::Int(1), Datum::Text("x".repeat(PAGE_SIZE))];
+        let err = eng.update(t2, table, row, vec![], huge).unwrap_err();
+        assert!(matches!(err, StorageError::TupleTooLarge { .. }), "{err}");
+        let xmax = eng
+            .table(table)
+            .unwrap()
+            .heap
+            .read::<_, StorageError>(row, |v| Ok(v.xmax()));
+        assert_eq!(xmax.unwrap(), Some(None), "the claim was undone");
+        let t3 = eng.begin().unwrap();
+        eng.update(
+            t3,
+            table,
+            row,
+            vec![],
+            vec![Datum::Int(1), Datum::from("v3")],
+        )
+        .unwrap();
+        eng.commit(t3).unwrap();
+        eng.commit(t2).unwrap();
+        let rows = visible_rows(&eng, table);
+        assert_eq!(rows, [vec![Datum::Int(1), Datum::from("v3")]]);
+        // t2 logged its Begin and nothing of the update; t3 one Update.
+        let records = eng
+            .wal()
+            .read_replication_batch(logged + 1, usize::MAX)
+            .records;
+        assert!(
+            matches!(
+                records[..],
+                [
+                    LogRecord::Begin { txn: a },
+                    LogRecord::Begin { txn: b },
+                    LogRecord::Update { txn: c, .. },
+                    LogRecord::Commit { txn: d },
+                    LogRecord::Commit { txn: e },
+                ] if (a, b, c, d, e) == (t2, t3, t3, t3, t2)
+            ),
+            "{records:?}"
+        );
     }
 
     #[test]

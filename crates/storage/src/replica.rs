@@ -420,6 +420,7 @@ mod tests {
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
             | LogRecord::Insert { txn, .. }
+            | LogRecord::Update { txn, .. }
             | LogRecord::Delete { txn, .. } => Some(*txn),
             _ => None,
         };

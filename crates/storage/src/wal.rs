@@ -3,10 +3,17 @@
 //! Every mutation — DDL included — is appended to the log before it is
 //! considered done, so a restart can rebuild the engine by replaying the log
 //! from the top ([`crate::engine::StorageEngine::open`]). The log is
-//! deliberately *logical* (create-table / insert / delete records, not page
-//! images) because the paper's evaluation depends on the cost of logging
-//! label-bearing tuples — bigger tuples mean more log bytes and slower
-//! commits (Section 8.3) — rather than on sophisticated physical recovery.
+//! deliberately *logical* (create-table / insert / update / delete records,
+//! not page images) because the paper's evaluation depends on the cost of
+//! logging label-bearing tuples — bigger tuples mean more log bytes and
+//! slower commits (Section 8.3) — rather than on sophisticated physical
+//! recovery. An insert logs its tuple's body; an update logs only the bytes
+//! of the new body that differ from the old one ([`LogRecord::Update`]),
+//! and a delete names the version it ends. The record kinds are
+//! `Begin`, `Commit`, `Abort`, `Insert`, `Update`, `Delete`, `Label`,
+//! `CreateTable`, `CreateIndex`, `Prepare`, `Decide`, `Epoch`, `Audit` and
+//! the `Checkpoint` marker; a checkpoint image ([`Wal::rewrite_with`])
+//! holds no `Update`: it logs each version it keeps as an `Insert`.
 //!
 //! Three durability levels are supported, selected by [`DurabilityConfig`]:
 //!
@@ -18,10 +25,11 @@
 //!   performs a single flush+fsync covering every record appended so far, and
 //!   wakes the others. N concurrent committers share one fsync instead of
 //!   paying one each. The leader flushes under the append lock and syncs
-//!   after releasing it, so appends — every `Begin`, `Insert` and `Delete`,
-//!   and every replication read — never wait out a device flush; a commit
-//!   appended while a sync is in flight waits for the next leader's, and a
-//!   sync publishes as durable only the records flushed before it began.
+//!   after releasing it, so appends — every `Begin`, `Insert`, `Update` and
+//!   `Delete`, and every replication read — never wait out a device flush;
+//!   a commit appended while a sync is in flight waits for the next
+//!   leader's, and a sync publishes as durable only the records flushed
+//!   before it began.
 //!
 //! # Replication stream
 //!
@@ -176,7 +184,7 @@ impl DurabilityConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LogRecord {
     /// A transaction is about to write: appended lazily, directly ahead of
-    /// its first `Insert`/`Delete`/`Prepare`. A transaction that never
+    /// its first `Insert`/`Update`/`Delete`/`Prepare`. A transaction that never
     /// writes has no records at all.
     Begin {
         /// The transaction.
@@ -222,7 +230,51 @@ pub enum LogRecord {
         /// ([`crate::tuple::MVCC_HEADER_LEN`] bytes; see [`crate::tuple`]).
         body: Vec<u8>,
     },
-    /// A tuple version's `xmax` was set (delete or supersede).
+    /// A tuple version was superseded by a new one: the old version's
+    /// `xmax` was set to `txn`, and the new version was inserted as by
+    /// [`LogRecord::Insert`].
+    ///
+    /// The new body is logged as a difference from the old one: the old
+    /// body's first `prefix` and last `suffix` bytes, with `middle` between
+    /// them. A version's body never changes after its insert and an update
+    /// names only a version whose record the log already holds, so redo
+    /// rebuilds the new body from the bytes the old slot holds. Its payload
+    /// in a frame, little-endian:
+    ///
+    /// | bytes | field                                        |
+    /// |-------|----------------------------------------------|
+    /// | 1     | kind: 17 on the shared tail, 18 on a chain   |
+    /// | 8     | `txn`                                        |
+    /// | 4     | `table`                                      |
+    /// | 4     | `old.page`                                   |
+    /// | 2     | `old.slot`                                   |
+    /// | 4     | `row.page`                                   |
+    /// | 2     | `row.slot`                                   |
+    /// | 2     | `prefix`                                     |
+    /// | 2     | `suffix`                                     |
+    /// | rest  | `middle`, up to the frame's end              |
+    Update {
+        /// The writing transaction: the old version's `xmax` and the new
+        /// version's `xmin`.
+        txn: TxnId,
+        /// The table.
+        table: u32,
+        /// The superseded version.
+        old: RowId,
+        /// Where the new version was placed.
+        row: RowId,
+        /// Whether `row`'s page is on a label's chain, as in
+        /// [`LogRecord::Insert`]; carried in the kind byte.
+        chain: bool,
+        /// How many leading bytes the new body shares with the old one.
+        prefix: u16,
+        /// How many trailing bytes the new body shares with the old one,
+        /// not overlapping `prefix` in either body.
+        suffix: u16,
+        /// The new body's bytes between its prefix and its suffix.
+        middle: Vec<u8>,
+    },
+    /// A tuple version's `xmax` was set: a delete.
     Delete {
         /// The writing transaction.
         txn: TxnId,
@@ -1161,6 +1213,27 @@ impl Wal {
                 out.extend_from_slice(&row.slot.to_le_bytes());
                 out.extend_from_slice(body);
             }
+            LogRecord::Update {
+                txn,
+                table,
+                old,
+                row,
+                chain,
+                prefix,
+                suffix,
+                middle,
+            } => {
+                out.push(if *chain { 18 } else { 17 });
+                out.extend_from_slice(&txn.0.to_le_bytes());
+                out.extend_from_slice(&table.to_le_bytes());
+                for at in [old, row] {
+                    out.extend_from_slice(&at.page.to_le_bytes());
+                    out.extend_from_slice(&at.slot.to_le_bytes());
+                }
+                out.extend_from_slice(&prefix.to_le_bytes());
+                out.extend_from_slice(&suffix.to_le_bytes());
+                out.extend_from_slice(middle);
+            }
             LogRecord::Delete { txn, table, row } => {
                 out.push(5);
                 out.extend_from_slice(&txn.0.to_le_bytes());
@@ -1271,6 +1344,22 @@ impl Wal {
                 },
                 chain: kind == 15,
                 body: buf.get(19..)?.to_vec(),
+            }),
+            17 | 18 => Some(LogRecord::Update {
+                txn: TxnId(u64_at(1)?),
+                table: u32_at(9)?,
+                old: RowId {
+                    page: u32_at(13)?,
+                    slot: u16_at(17)?,
+                },
+                row: RowId {
+                    page: u32_at(19)?,
+                    slot: u16_at(23)?,
+                },
+                chain: kind == 18,
+                prefix: u16_at(25)?,
+                suffix: u16_at(27)?,
+                middle: buf.get(29..)?.to_vec(),
             }),
             5 => Some(LogRecord::Delete {
                 txn: TxnId(u64_at(1)?),
@@ -1599,6 +1688,29 @@ mod tests {
                 chain: true,
                 body: vec![8, 8],
             },
+            LogRecord::Update {
+                txn: TxnId(5),
+                table: 9,
+                old: RowId { page: 1, slot: 2 },
+                row: RowId { page: 1, slot: 4 },
+                chain: false,
+                prefix: 2,
+                suffix: 1,
+                middle: vec![7, 7, 7],
+            },
+            LogRecord::Update {
+                txn: TxnId(5),
+                table: 9,
+                old: RowId { page: 3, slot: 0 },
+                row: RowId {
+                    page: 4,
+                    slot: 65_535,
+                },
+                chain: true,
+                prefix: 65_535,
+                suffix: 0,
+                middle: Vec::new(),
+            },
             LogRecord::Delete {
                 txn: TxnId(5),
                 table: 9,
@@ -1756,18 +1868,21 @@ mod tests {
         assert_eq!(parsed.records.len(), all_record_kinds().len() - 1);
         assert!(parsed.torn_bytes > 0);
         // Turning either Insert kind into the other fails the checksum too:
-        // a page never changes lists by a flipped kind byte. Nor does a
-        // label definition turn into a row, or a row into one.
+        // a page never changes lists by a flipped kind byte. Nor does an
+        // Update turn into an Insert or an Insert into an Update, nor a
+        // label definition into a row, or a row into one.
         let records = all_record_kinds();
         let mut at = 0;
         for (i, r) in records.iter().enumerate() {
-            let flipped = match r {
-                LogRecord::Insert { chain: true, .. } => Some(14),
-                LogRecord::Insert { chain: false, .. } => Some(16),
-                LogRecord::Label { .. } => Some(15),
-                _ => None,
+            let flips: &[u8] = match r {
+                LogRecord::Insert { chain: true, .. } => &[14, 18],
+                LogRecord::Insert { chain: false, .. } => &[15, 16, 17],
+                LogRecord::Update { chain: true, .. } => &[17, 15],
+                LogRecord::Update { chain: false, .. } => &[18, 14],
+                LogRecord::Label { .. } => &[15],
+                _ => &[],
             };
-            if let Some(kind) = flipped {
+            for &kind in flips {
                 let mut data = clean.clone();
                 data[at + 8] = kind;
                 std::fs::write(&path, &data).unwrap();

@@ -428,9 +428,9 @@ fn begin_is_logged_with_the_first_write_and_recovers() {
 /// Interprets one opcode stream against an engine: begins/commits/aborts
 /// transactions, inserts rows (one at a time, or a hundred at once — enough
 /// for a label to outgrow the heap's shared tail and open its own pages) at
-/// four labels, deletes rows, and occasionally checkpoints, with or without
-/// transactions open. Transactions still open at the end are left in
-/// flight (the "crash").
+/// four labels, deletes or updates rows, and occasionally checkpoints, with
+/// or without transactions open. Transactions still open at the end are
+/// left in flight (the "crash").
 fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
     let mut open: Vec<u64> = Vec::new(); // TxnIds of open transactions
     let mut live_rows: Vec<(TableId, RowId)> = Vec::new();
@@ -470,11 +470,25 @@ fn run_script(eng: &StorageEngine, tables: &[TableId; 2], script: &[u64]) {
                     // Write conflicts with a concurrent writer are expected,
                     // and so is a row whose inserter aborted, which never
                     // existed; any other error is a bug.
-                    match eng.delete(TxnId(txn), table, row) {
-                        Ok(())
+                    let written = if arg.is_multiple_of(2) {
+                        eng.delete(TxnId(txn), table, row).map(|()| None)
+                    } else {
+                        // A new value, under the label the arguments name.
+                        let values = if table == tables[0] {
+                            vec![Datum::Int(next_val), Datum::Text(format!("u{next_val}"))]
+                        } else {
+                            vec![Datum::Int(next_val)]
+                        };
+                        next_val += 1;
+                        let label = vec![(arg / 2 % 4) as u64];
+                        eng.update(TxnId(txn), table, row, label, values).map(Some)
+                    };
+                    match written {
+                        Ok(Some(new)) => live_rows.push((table, new)),
+                        Ok(None)
                         | Err(StorageError::WriteConflict { .. })
                         | Err(StorageError::UnknownRow { .. }) => {}
-                        Err(e) => panic!("unexpected delete error: {e}"),
+                        Err(e) => panic!("unexpected delete or update error: {e}"),
                     }
                 }
             }
@@ -554,29 +568,49 @@ fn pages_hold_their_labels(eng: &StorageEngine) -> bool {
 /// Whether every `Insert` in `eng`'s log carries its page tuple past the
 /// MVCC header, byte for byte, and names the tuple's `xmin` unless it is
 /// part of a checkpoint image (which logs settled rows as the bootstrap
-/// transaction's).
+/// transaction's); and whether every `Update` rebuilds the body of the
+/// version it placed, byte for byte, from the body its old slot holds, and
+/// names that version's `xmin`.
 fn logged_bodies_are_page_bytes(eng: &StorageEngine) -> bool {
     let batch = eng.wal().read_replication_batch(1, usize::MAX);
-    batch.records.iter().all(|record| {
-        let LogRecord::Insert {
+    let slot = |table: u32, row: RowId| {
+        eng.table(TableId(table))
+            .unwrap()
+            .heap()
+            .read::<_, StorageError>(row, |tuple| Ok((tuple.xmin(), tuple.body().to_vec())))
+            .unwrap()
+            .unwrap()
+    };
+    batch.records.iter().all(|record| match record {
+        LogRecord::Insert {
             txn,
             table,
             row,
             body,
             ..
-        } = record
-        else {
-            return true;
-        };
-        eng.table(TableId(*table))
-            .unwrap()
-            .heap()
-            .read::<_, StorageError>(*row, |tuple| {
-                Ok(tuple.body() == body.as_slice()
-                    && (*txn == BOOTSTRAP_TXN || tuple.xmin() == *txn))
-            })
-            .unwrap()
-            .unwrap()
+        } => {
+            let (xmin, bytes) = slot(*table, *row);
+            bytes == *body && (*txn == BOOTSTRAP_TXN || xmin == *txn)
+        }
+        LogRecord::Update {
+            txn,
+            table,
+            old,
+            row,
+            prefix,
+            suffix,
+            middle,
+            ..
+        } => {
+            let (_, base) = slot(*table, *old);
+            let (xmin, bytes) = slot(*table, *row);
+            let (prefix, suffix) = (*prefix as usize, *suffix as usize);
+            let mut rebuilt = base[..prefix].to_vec();
+            rebuilt.extend_from_slice(middle);
+            rebuilt.extend_from_slice(&base[base.len() - suffix..]);
+            rebuilt == bytes && xmin == *txn
+        }
+        _ => true,
     })
 }
 
@@ -745,4 +779,214 @@ fn checkpoints_racing_writers_keep_the_log_equal_to_live_state() {
     assert_eq!(visible_row_ids(&eng), live_rows);
     assert_eq!(eng.stats().txns_active, 0, "the cut-off writers aborted");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+// ----------------------------------------------------------------------
+// One record per UPDATE
+// ----------------------------------------------------------------------
+
+/// Feeds `replica` what `primary`'s log holds past what its applier has
+/// applied, as a replica's poll loop does.
+fn pump(primary: &StorageEngine, replica: &StorageEngine, applier: &mut ReplicaApplier) {
+    loop {
+        let batch = primary
+            .wal()
+            .read_replication_batch(applier.applied_seq() + 1, 64);
+        if batch.reset {
+            applier.reset(replica);
+        }
+        if batch.records.is_empty() && !batch.reset {
+            // A caught-up replica skips the image of a checkpoint.
+            applier.advance_to(batch.first_seq.saturating_sub(1));
+            return;
+        }
+        applier
+            .apply_batch(replica, batch.first_seq, &batch.records)
+            .unwrap();
+        if applier.applied_seq() >= batch.end_seq {
+            return;
+        }
+    }
+}
+
+/// The `Update` records of `records`, as `(chain, middle length)`.
+fn updates(records: &[LogRecord]) -> Vec<(bool, usize)> {
+    records
+        .iter()
+        .filter_map(|r| match r {
+            LogRecord::Update { chain, middle, .. } => Some((*chain, middle.len())),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn logged_updates_redo_to_the_live_state() {
+    let dir = temp_dir("updates");
+    let copy = temp_dir("updates-before-image");
+    let eng = fresh_engine(&dir, DurabilityConfig::NO_SYNC);
+    let g = eng
+        .create_table(TableSchema::new(
+            "gamma",
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("note", DataType::Text),
+                ColumnDef::nullable("at", DataType::Timestamp),
+            ],
+        ))
+        .unwrap();
+    eng.create_index(g, "gamma_pkey", &["id"]).unwrap();
+    // The version of row `id` that `txn` sees.
+    let row_of = |txn: TxnId, id: i64| -> RowId {
+        let snap = eng.snapshot(txn);
+        let rows = eng
+            .index_lookup(g, "gamma_pkey", &[Datum::Int(id)])
+            .unwrap();
+        let mut seen = rows
+            .into_iter()
+            .filter(|r| eng.fetch_visible(&snap, g, *r).unwrap().is_some());
+        let row = seen.next().unwrap();
+        assert_eq!(seen.next(), None, "one version of {id} visible");
+        row
+    };
+    let values = |id: i64, note: &str, at: Option<i64>| {
+        vec![
+            Datum::Int(id),
+            Datum::from(note),
+            at.map_or(Datum::Null, Datum::Timestamp),
+        ]
+    };
+    let label = |id: i64| if id < 1_000 { vec![7] } else { vec![] };
+    let update = |txn: TxnId, id: i64, note: &str, at: Option<i64>| {
+        eng.update(txn, g, row_of(txn, id), label(id), values(id, note, at))
+            .unwrap()
+    };
+    let long = "x".repeat(60);
+
+    // Rows under a label, enough to outgrow the shared tail onto the
+    // label's chain, and unlabeled rows after them on the tail.
+    let txn = eng.begin().unwrap();
+    for id in (0..200).chain(1_000..1_010) {
+        eng.insert(txn, g, label(id), values(id, &long, None))
+            .unwrap();
+    }
+    eng.commit(txn).unwrap();
+    let mut streamed = ReplicaApplier::new();
+    let replica = StorageEngine::in_memory();
+    replica.txns().reserve_local_ids(REPLICA_LOCAL_TXN_BASE);
+    pump(&eng, &replica, &mut streamed);
+
+    // One row updated twice in one transaction, growing (Null → Timestamp)
+    // and then shrinking its Text: the second update's old version is the
+    // first one's new version. Then again by a later transaction, beside a
+    // row that grows and one whose Text shrinks to nothing.
+    let txn = eng.begin().unwrap();
+    update(txn, 0, &long, Some(1));
+    update(txn, 0, "twice", Some(1));
+    eng.commit(txn).unwrap();
+    let txn = eng.begin().unwrap();
+    update(txn, 0, "t", Some(2));
+    update(txn, 1, &long, Some(3));
+    update(txn, 2, "", None);
+    eng.commit(txn).unwrap();
+    // An aborted update, and the row updated again afterwards.
+    let txn = eng.begin().unwrap();
+    update(txn, 3, "rolled back", Some(4));
+    update(txn, 1_003, "rolled back", Some(4));
+    eng.abort(txn).unwrap();
+    let txn = eng.begin().unwrap();
+    update(txn, 3, "after the rollback", None);
+    eng.commit(txn).unwrap();
+    // A SET to the value the row already has, on a chain page and on the
+    // tail; then rows on both.
+    let txn = eng.begin().unwrap();
+    update(txn, 199, &long, None);
+    update(txn, 1_009, &long, None);
+    for id in [150, 180, 1_001, 1_002] {
+        update(txn, id, &format!("row {id}"), Some(id));
+    }
+    eng.commit(txn).unwrap();
+    pump(&eng, &replica, &mut streamed);
+
+    // What `open` redoes from the log with every update in it.
+    eng.flush().unwrap();
+    std::fs::copy(dir.join("wal.log"), copy.join("wal.log")).unwrap();
+    let before_image = visible_row_ids(&eng);
+    let logged = eng.wal().read_replication_batch(1, usize::MAX).records;
+    assert!(
+        logged
+            .iter()
+            .all(|r| !matches!(r, LogRecord::Delete { .. })),
+        "an update logs no Delete"
+    );
+    let inserts = |records: &[LogRecord]| {
+        records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Insert { .. }))
+            .count()
+    };
+    assert_eq!(inserts(&logged), 210, "an update logs no Insert");
+    let logged = updates(&logged);
+    assert_eq!(logged.len(), 14);
+    assert!(logged.iter().any(|(chain, _)| *chain), "on a chain page");
+    assert!(logged.iter().any(|(chain, _)| !chain), "on the tail");
+    assert_eq!(
+        logged.iter().filter(|(_, middle)| *middle == 0).count(),
+        2,
+        "the SETs to the same value log no byte of the row"
+    );
+    assert!(logged_bodies_are_page_bytes(&eng));
+    let recovered = StorageEngine::open(&copy, 16, DurabilityConfig::NO_SYNC).unwrap();
+    assert_eq!(
+        visible_row_ids(&recovered),
+        before_image,
+        "open, every update"
+    );
+    assert!(logged_bodies_are_page_bytes(&recovered));
+    drop(recovered);
+
+    // An update in flight across a checkpoint, which carries it as an
+    // Insert and a Delete; then updates whose old versions live in the image.
+    let across = eng.begin().unwrap();
+    update(across, 0, "across the image", Some(5));
+    update(across, 1_000, "across the image", None);
+    pump(&eng, &replica, &mut streamed);
+    eng.checkpoint().unwrap();
+    let image = eng.wal().read_replication_batch(1, usize::MAX).records;
+    assert!(updates(&image).is_empty(), "an image logs no Update");
+    let ended = image
+        .iter()
+        .filter(|r| matches!(r, LogRecord::Delete { txn, .. } if *txn == across))
+        .count();
+    assert_eq!(
+        ended, 2,
+        "the running updates as an Insert and a Delete each"
+    );
+    update(across, 0, "across, again", Some(6));
+    eng.commit(across).unwrap();
+    let txn = eng.begin().unwrap();
+    update(txn, 1, "from the image", None);
+    update(txn, 150, "from the image", Some(7));
+    update(txn, 1_001, "", Some(8));
+    eng.commit(txn).unwrap();
+    // A transaction the crash cuts off.
+    let cut = eng.begin().unwrap();
+    update(cut, 2, "cut off", Some(9));
+    update(cut, 1_002, "cut off", None);
+    pump(&eng, &replica, &mut streamed);
+
+    let live = visible_row_ids(&eng);
+    assert_ne!(live, before_image);
+    assert_eq!(live["gamma"].len(), 210, "one visible version a row");
+    assert!(logged_bodies_are_page_bytes(&eng));
+    assert_eq!(streamed.resets(), 0, "streamed across the image");
+    assert_eq!(visible_row_ids(&replica), live, "streamed replica");
+    let imaged = replica_of(&eng);
+    assert_eq!(visible_row_ids(&imaged), live, "replica from the image");
+    drop(eng);
+    let recovered = StorageEngine::open(&dir, 16, DurabilityConfig::NO_SYNC).unwrap();
+    assert_eq!(visible_row_ids(&recovered), live, "open from the image");
+    assert!(logged_bodies_are_page_bytes(&recovered));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
 }

@@ -166,7 +166,7 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
             .map(|_| rng.gen::<u32>() as u8)
             .collect::<Vec<u8>>()
     };
-    match rng.gen_range(0..13) {
+    match rng.gen_range(0..15) {
         0 => LogRecord::Begin { txn },
         1 => LogRecord::Commit { txn },
         2 => LogRecord::Abort { txn },
@@ -212,6 +212,21 @@ fn random_record(rng: &mut StdRng) -> LogRecord {
             })
                 .map(|_| rng.gen())
                 .collect(),
+        },
+        // Both kinds again, with a prefix and a suffix long enough to
+        // need both of their bytes now and then.
+        kind @ (12 | 13) => LogRecord::Update {
+            txn,
+            table,
+            old: RowId {
+                page: rng.gen_range(0..8),
+                slot: rng.gen_range(0..64),
+            },
+            row,
+            chain: kind == 13,
+            prefix: rng.gen_range(0..600),
+            suffix: rng.gen_range(0..600),
+            middle: bytes(rng),
         },
         _ => {
             if rng.gen() {

@@ -1277,6 +1277,54 @@ mod tests {
     }
 
     #[test]
+    fn an_update_logs_only_the_bytes_it_changed() {
+        // An UPDATE logs one record holding only the new row's bytes that
+        // differ from the old row's (`LogRecord::Update`), not a Delete and
+        // the whole new row. A stock update changes one `Int`, so its frame
+        // is the record's 29-byte head, at most those 8 bytes and the
+        // frame's 8: at most 45 B. One session deals the cards, so the run
+        // logs the same bytes each time: at one warehouse at the
+        // benchmark's per-warehouse scale, 1 005 B a card, where logging
+        // each update as a Delete and an Insert of the whole new row
+        // logged 1 784 B. The bound is 35 % under the latter.
+        let config = TpccConfig {
+            warehouses: 1,
+            districts_per_warehouse: 10,
+            customers_per_district: 300,
+            items: 2_000,
+            initial_orders_per_district: 100,
+            tags_per_label: 2,
+            seed: 3,
+        };
+        let tpcc = TpccDatabase::load(Database::in_memory(), config).unwrap();
+        let engine = tpcc.db.engine();
+        let before = engine.stats().wal_bytes;
+        let mut s = tpcc.session().unwrap();
+        let (deck, mut rng) = (TpccDeck::new(23), StdRng::seed_from_u64(29));
+        const CARDS: u64 = 400;
+        for _ in 0..CARDS {
+            assert!(tpcc.run_transaction(&mut s, &mut rng, deck.deal()).unwrap());
+        }
+        let per_card = (engine.stats().wal_bytes - before) / CARDS;
+        assert!(per_card <= 1_160, "{per_card} B logged a card");
+        let stock = engine.table_by_name("stock").unwrap().id().0;
+        let frames: Vec<usize> = engine
+            .wal()
+            .read_replication_batch(1, usize::MAX)
+            .records
+            .iter()
+            .filter(|r| matches!(r, LogRecord::Update { table, .. } if *table == stock))
+            .map(|r| 8 + Wal::encode_record(r).len())
+            .collect();
+        assert!(frames.len() > 1_000, "{} stock updates", frames.len());
+        assert!(
+            frames.iter().all(|&len| len <= 48),
+            "a stock update framed in {} B",
+            frames.iter().max().unwrap()
+        );
+    }
+
+    #[test]
     fn a_delivery_fetches_about_what_it_delivers() {
         // Each district's oldest pending order is the first row of its
         // `new_order` key range that the terminal can read, so the probe
