@@ -8,7 +8,7 @@ use ifdb_cartel::{CartelApp, CartelConfig, TraceGenerator};
 use ifdb_difc::audit::AuditEvent;
 use ifdb_hotcrp::{HotcrpApp, HotcrpConfig};
 use ifdb_platform::{ClosedLoopDriver, DriverConfig, Request};
-use ifdb_workloads::{TpccConfig, TpccDatabase, TpccDriver, TpccDriverConfig};
+use ifdb_workloads::{run_terminals, TerminalConfig, TpccConfig, TpccDatabase};
 use serde::Serialize;
 
 use crate::report::{header, pct_change, row, write_json};
@@ -121,8 +121,6 @@ fn run_cartel_wips(app: &CartelApp, clients: usize, duration: Duration, seed: u6
     let report = driver.run(&DriverConfig {
         clients,
         duration,
-        mean_think_time: Duration::ZERO,
-        max_think_time: Duration::ZERO,
         mix: figure3_mix(),
         users,
         seed,
@@ -437,11 +435,16 @@ fn run_tpcc(
         },
     )
     .expect("tpcc load");
-    let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
-        clients: 1,
+    let config = TerminalConfig {
+        terminals: 1,
         duration,
         seed: 11,
-    });
+    };
+    let (outcome, _) = run_terminals(
+        &config,
+        |_| tpcc.session(),
+        |s, rng, kind| tpcc.run_transaction(s, rng, kind),
+    );
     outcome.notpm
 }
 

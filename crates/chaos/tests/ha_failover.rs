@@ -17,7 +17,7 @@ use ifdb_chaos::journal::read_journal_ids;
 use ifdb_chaos::{FaultProxy, HaCluster, SEED};
 use ifdb_client::protocol::{read_frame_id, write_frame_id, HaRole, Request, Response};
 use ifdb_client::{Connection, RoutedConnection, RouterConfig};
-use ifdb_workloads::{run_network_tpcc, NetworkTpccConfig};
+use ifdb_workloads::{run_terminals, run_transaction_on, TerminalConfig};
 
 fn journal_insert(id: i64) -> Insert {
     Insert::new(
@@ -402,18 +402,21 @@ fn failover_window_is_bounded_and_the_successor_serves_tpcc() {
     assert!(window < MAX_UNAVAILABLE, "unavailable for {window:?}");
     router.close().unwrap();
 
-    let outcome = run_network_tpcc(&NetworkTpccConfig {
-        addr: raddr,
-        user: "tpcc".into(),
-        password: "pw".into(),
-        label,
-        tpcc: tpcc_config(SEED),
-        connections: 2,
+    let client = tpcc_client(&raddr, &label);
+    let scale = tpcc_config(SEED);
+    let config = TerminalConfig {
+        terminals: 2,
         duration: Duration::from_millis(400),
-        mean_think_time: Duration::ZERO,
-        max_think_time: Duration::ZERO,
         seed: SEED ^ 0x88,
-    });
+    };
+    let (outcome, conns) = run_terminals(
+        &config,
+        |_| Connection::connect(&client),
+        |conn, rng, kind| run_transaction_on(&scale, conn, rng, kind),
+    );
+    for conn in conns {
+        conn.close().unwrap();
+    }
     assert_eq!(outcome.terminal_errors, 0, "{outcome:?}");
     assert!(
         outcome.committed > 0,

@@ -5,14 +5,15 @@
 //! drawn from the Figure 3 mix with truncated-negative-exponential think
 //! times, and end their sessions, subject to a 90th-percentile response-time
 //! limit. This module provides that driver, scaled down so a benchmark run
-//! fits in seconds rather than the paper's two-hour trials.
+//! fits in seconds rather than the paper's two-hour trials, and with zero
+//! think time: each client issues its next request as soon as the last one
+//! is answered, so a few clients saturate the server.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,12 +66,6 @@ pub struct DriverConfig {
     pub clients: usize,
     /// How long to run.
     pub duration: Duration,
-    /// Mean think time between requests (0 disables thinking). The actual
-    /// delay is drawn from a truncated exponential distribution, as in
-    /// TPC-W.
-    pub mean_think_time: Duration,
-    /// Maximum think time (the truncation point).
-    pub max_think_time: Duration,
     /// The request mix (probabilities should sum to 1).
     pub mix: RequestMix,
     /// Users to impersonate (each client picks one at random per session).
@@ -146,14 +141,6 @@ impl ClosedLoopDriver {
                         let resp = server.handle(&request);
                         let us = t0.elapsed().as_micros() as u64;
                         local.push((script, us, resp.is_ok()));
-                        let think = sample_think_time(
-                            config.mean_think_time,
-                            config.max_think_time,
-                            &mut rng,
-                        );
-                        if !think.is_zero() {
-                            std::thread::sleep(think);
-                        }
                     }
                     samples.lock().extend(local);
                 });
@@ -208,19 +195,6 @@ pub fn pick_from_mix(mix: &RequestMix, rng: &mut StdRng) -> String {
     mix.last().map(|(_, n)| n.clone()).unwrap_or_default()
 }
 
-/// Draws a think time from a truncated exponential distribution, as TPC-W
-/// prescribes: most think times are near zero, a few approach the maximum.
-pub fn sample_think_time(mean: Duration, max: Duration, rng: &mut StdRng) -> Duration {
-    if mean.is_zero() {
-        return Duration::ZERO;
-    }
-    let lambda = 1.0 / mean.as_secs_f64();
-    let exp = rand::distributions::Uniform::new(0.0f64, 1.0);
-    let u: f64 = exp.sample(rng).max(1e-12);
-    let t = -u.ln() / lambda;
-    Duration::from_secs_f64(t.min(max.as_secs_f64()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,23 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn think_times_truncated() {
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..200 {
-            let t = sample_think_time(
-                Duration::from_millis(5),
-                Duration::from_millis(20),
-                &mut rng,
-            );
-            assert!(t <= Duration::from_millis(20));
-        }
-        assert_eq!(
-            sample_think_time(Duration::ZERO, Duration::ZERO, &mut rng),
-            Duration::ZERO
-        );
-    }
-
-    #[test]
     fn closed_loop_run_produces_throughput() {
         let db = Database::in_memory();
         let auth = Arc::new(Authenticator::new());
@@ -285,8 +242,6 @@ mod tests {
         let report = driver.run(&DriverConfig {
             clients: 2,
             duration: Duration::from_millis(200),
-            mean_think_time: Duration::ZERO,
-            max_think_time: Duration::ZERO,
             mix: vec![(1.0, "ping.php".into())],
             users: vec![],
             seed: 42,

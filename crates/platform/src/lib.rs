@@ -12,9 +12,8 @@
 //! * [`webserver`] — a simulated web/application server hosting request
 //!   scripts, with a configurable per-request CPU cost so the benchmarks can
 //!   reproduce the web-server-bound configuration of Figure 4.
-//! * [`httpsim`] — a TPC-W-style closed-loop client driver: sessions with
-//!   truncated-negative-exponential think times, a request mix, throughput
-//!   and latency percentiles.
+//! * [`httpsim`] — a closed-loop client driver with zero think time: a
+//!   request mix, throughput and latency percentiles.
 
 pub mod auth;
 pub mod gate;

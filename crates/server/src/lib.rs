@@ -102,9 +102,6 @@ pub struct ServerConfig {
     /// regardless of label — label enforcement happens again on the replica
     /// when it serves reads.
     pub replication_secret: Option<String>,
-    /// Default (and maximum) records per replication batch when the replica
-    /// does not ask for a specific size.
-    pub replication_batch: usize,
     /// How long shutdown waits for connections with open transactions to
     /// finish before aborting them.
     pub drain_timeout: Duration,
@@ -144,7 +141,6 @@ impl Default for ServerConfig {
             fetch_batch: 256,
             platform_secret: None,
             replication_secret: None,
-            replication_batch: 512,
             drain_timeout: Duration::from_secs(2),
             shard_map: None,
             shard_id: 0,
@@ -908,6 +904,10 @@ fn handle_request(
 /// waits for a parked poll to notice it.
 pub const REPL_POLL_PARK: Duration = Duration::from_millis(20);
 
+/// Records per replication batch when the replica does not ask for a
+/// specific size, and the most a poll's `max` may ask for.
+pub const REPL_BATCH_MAX: usize = 512;
+
 /// Serves one replication poll: authenticates the replica by the shared
 /// secret, records the applied-seq it acknowledges (the semi-sync gate's
 /// confirmation), then reads a batch from the write-ahead log's replication
@@ -966,7 +966,7 @@ fn handle_repl_poll(
         return encode_error(&shared.fenced_error());
     }
     shared.note_repl_applied(applied_seq);
-    if from_seq <= 1 && wal.len() > shared.config.replication_batch {
+    if from_seq <= 1 && wal.len() > REPL_BATCH_MAX {
         // Fresh replica, long history: anchor the snapshot at a checkpoint
         // so bootstrap replays O(live data), not O(history). Best effort —
         // if the image cannot be written the replica simply ships the
@@ -991,9 +991,9 @@ fn handle_repl_poll(
         }
     }
     let batch_max = if max == 0 {
-        shared.config.replication_batch
+        REPL_BATCH_MAX
     } else {
-        (max as usize).min(shared.config.replication_batch)
+        (max as usize).min(REPL_BATCH_MAX)
     };
     let batch = match wal.read_replication_frames(from_seq, batch_max) {
         Ok(batch) => batch,
@@ -1148,6 +1148,18 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
             c.statement_timeouts.load(Ordering::Relaxed),
         )
         .push("slow_statements", c.slow_statements.load(Ordering::Relaxed))
+        .push(
+            "txns_aborted_on_disconnect",
+            c.txns_aborted_on_disconnect.load(Ordering::Relaxed),
+        )
+        .push(
+            "requests_drained_on_shutdown",
+            c.requests_drained_on_shutdown.load(Ordering::Relaxed),
+        )
+        .push(
+            "requests_aborted_on_shutdown",
+            c.requests_aborted_on_shutdown.load(Ordering::Relaxed),
+        )
         .push(
             "backpressure_pauses",
             c.backpressure_pauses.load(Ordering::Relaxed),

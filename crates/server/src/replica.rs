@@ -43,7 +43,16 @@ use ifdb_storage::{ReplicaApplier, StorageEngine, Wal};
 
 use crate::{start_with_applied_watermark, ServerConfig, ServerHandle};
 
-/// Configuration of a replica node.
+/// Backoff between reconnect attempts after the replication connection
+/// fails.
+const RECONNECT_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Configuration of a replica node. A replica asks for batches of the
+/// primary's size ([`crate::REPL_BATCH_MAX`] records): each poll sends
+/// `max` 0. On the primary, a poll holds one serving thread while it runs —
+/// up to [`crate::REPL_POLL_PARK`] when it parks with nothing to ship — so a
+/// primary whose commits wait for this replica needs one thread beyond
+/// those commits.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Address of the primary `ifdb-server`.
@@ -59,15 +68,6 @@ pub struct ReplicaConfig {
     /// tag ids re-created by the bootstrap closure line up with the ids
     /// stored in replicated tuples.
     pub seed: u64,
-    /// Backoff between reconnect attempts after the replication connection
-    /// fails.
-    pub reconnect_interval: Duration,
-    /// Maximum records requested per poll (0 = primary's default). On the
-    /// primary, a poll holds one serving thread while it runs — up to
-    /// [`crate::REPL_POLL_PARK`] when it parks with nothing to ship — so a
-    /// primary whose commits wait for this replica needs one thread beyond
-    /// those commits.
-    pub batch_max: u32,
     /// The application's first-boot table DDL, re-run on **promotion**.
     /// Constraints (uniques, foreign keys, label constraints) are code, not
     /// logged data: tables arriving over the replication stream carry
@@ -80,16 +80,14 @@ pub struct ReplicaConfig {
 }
 
 impl ReplicaConfig {
-    /// A replica of `primary_addr` with defaults: ephemeral listen port,
-    /// 50 ms reconnect backoff.
+    /// A replica of `primary_addr` with defaults: ephemeral listen port, no
+    /// first-boot DDL.
     pub fn new(primary_addr: &str, replication_secret: &str, seed: u64) -> Self {
         ReplicaConfig {
             primary_addr: primary_addr.to_string(),
             replication_secret: replication_secret.to_string(),
             server: ServerConfig::default(),
             seed,
-            reconnect_interval: Duration::from_millis(50),
-            batch_max: 0,
             first_boot_tables: Vec::new(),
         }
     }
@@ -314,8 +312,8 @@ struct StreamConn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     next_id: u32,
-    /// An in-flight prefetched poll: `(req_id, from_seq, max)`.
-    pending: Option<(u32, u64, u32)>,
+    /// An in-flight prefetched poll: `(req_id, from_seq)`.
+    pending: Option<(u32, u64)>,
 }
 
 impl StreamConn {
@@ -335,14 +333,13 @@ impl StreamConn {
         &mut self,
         secret: &str,
         from_seq: u64,
-        max: u32,
         applied_seq: u64,
         generation: u64,
     ) -> IfdbResult<u32> {
         let req = Request::ReplPoll {
             secret: secret.to_string(),
             from_seq,
-            max,
+            max: 0,
             applied_seq,
             generation,
         };
@@ -375,32 +372,24 @@ impl StreamConn {
         &mut self,
         secret: &str,
         from_seq: u64,
-        max: u32,
         applied_seq: u64,
         generation: u64,
     ) -> IfdbResult<Response> {
-        if let Some((id, p_from, p_max)) = self.pending.take() {
-            if p_from == from_seq && p_max == max {
+        if let Some((id, p_from)) = self.pending.take() {
+            if p_from == from_seq {
                 return self.recv(id);
             }
             let _ = self.recv(id)?;
         }
-        let id = self.send_poll(secret, from_seq, max, applied_seq, generation)?;
+        let id = self.send_poll(secret, from_seq, applied_seq, generation)?;
         self.recv(id)
     }
 
     /// Sends the next poll without waiting for its response.
-    fn prefetch(
-        &mut self,
-        secret: &str,
-        from_seq: u64,
-        max: u32,
-        applied_seq: u64,
-        generation: u64,
-    ) {
+    fn prefetch(&mut self, secret: &str, from_seq: u64, applied_seq: u64, generation: u64) {
         if self.pending.is_none() {
-            if let Ok(id) = self.send_poll(secret, from_seq, max, applied_seq, generation) {
-                self.pending = Some((id, from_seq, max));
+            if let Ok(id) = self.send_poll(secret, from_seq, applied_seq, generation) {
+                self.pending = Some((id, from_seq));
             }
         }
     }
@@ -516,7 +505,6 @@ fn apply_one_poll(
     let resp = conn.poll(
         &config.replication_secret,
         applier.applied_seq() + 1,
-        config.batch_max,
         applier.applied_seq(),
         known_generation,
     )?;
@@ -609,7 +597,6 @@ fn apply_one_poll(
         conn.prefetch(
             &config.replication_secret,
             next_from,
-            config.batch_max,
             applier.applied_seq(),
             db.engine().wal().generation(),
         );
@@ -674,7 +661,7 @@ fn apply_loop(
                     conn = Some(c);
                 }
                 Err(_) => {
-                    std::thread::sleep(config.reconnect_interval);
+                    std::thread::sleep(RECONNECT_INTERVAL);
                 }
             }
             continue;
@@ -686,7 +673,7 @@ fn apply_loop(
             // re-pointed primary). Records the new connection may
             // re-deliver are skipped by the applier.
             conn = None;
-            std::thread::sleep(config.reconnect_interval);
+            std::thread::sleep(RECONNECT_INTERVAL);
         }
     }
 }

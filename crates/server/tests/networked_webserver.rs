@@ -118,8 +118,6 @@ fn closed_loop_wips_runs_through_the_network() {
     let report = driver.run(&DriverConfig {
         clients: 4,
         duration: Duration::from_millis(400),
-        mean_think_time: Duration::ZERO,
-        max_think_time: Duration::ZERO,
         mix: vec![(0.7, "get_cars.php".into()), (0.3, "cars.php".into())],
         users,
         seed: 17,

@@ -472,3 +472,77 @@ fn graceful_shutdown_drains_and_rejects_new_work() {
     assert_eq!(db.engine().stats().txns_active, 0);
     db.checkpoint().unwrap();
 }
+
+/// The metrics tree's `server` group carries every `ServerStats` counter
+/// under its field's name, in process and over the wire.
+#[test]
+fn the_metrics_tree_reports_every_server_counter() {
+    let (db, auth, ..) = demo_db();
+    let config = ServerConfig::builder()
+        .platform_secret("ops")
+        .build()
+        .unwrap();
+    let server = start(db, auth, config).unwrap();
+    let addr = server.addr().to_string();
+    let mut c = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
+    assert!(c.select(&Select::star("notes")).unwrap().is_empty());
+    c.close().unwrap();
+    let mut killed = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
+    killed.begin().unwrap();
+    killed
+        .insert(&Insert::new(
+            "notes",
+            vec![Datum::Int(70), Datum::from("anon"), Datum::from("lost")],
+        ))
+        .unwrap();
+    drop(killed);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let stats = loop {
+        let stats = server.stats();
+        if stats.txns_aborted_on_disconnect == 1 && stats.connections_active == 0 {
+            break stats;
+        }
+        assert!(std::time::Instant::now() < deadline, "{stats:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    // Destructured whole, so a counter added to `ServerStats` must be
+    // added here too.
+    macro_rules! named {
+        ($($field:ident),* $(,)?) => {{
+            let ifdb_server::ServerStats { $($field),* } = stats;
+            [$((stringify!($field), $field)),*]
+        }};
+    }
+    let named = named!(
+        connections_accepted,
+        connections_rejected,
+        connections_active,
+        requests,
+        statements,
+        stmt_cache_hits,
+        stmt_cache_misses,
+        statement_timeouts,
+        slow_statements,
+        txns_aborted_on_disconnect,
+        requests_drained_on_shutdown,
+        requests_aborted_on_shutdown,
+        backpressure_pauses,
+        pipelined_cancelled,
+        frames_encoded,
+        response_bytes,
+    );
+    let metrics = server.metrics();
+    for (name, value) in named {
+        assert_eq!(metrics.get("server", name), Some(value), "{name}");
+    }
+    // The wire request serves the same tree (its own traffic moves the
+    // request and frame counters, so only presence is compared there).
+    let mut ops = Connection::connect(&ClientConfig::anonymous(&addr)).unwrap();
+    let wire = ops.server_stats("ops").unwrap();
+    for (name, _) in named {
+        assert!(wire.get("server", name).is_some(), "{name}");
+    }
+    assert_eq!(wire.get("server", "txns_aborted_on_disconnect"), Some(1));
+    ops.close().unwrap();
+    server.shutdown();
+}

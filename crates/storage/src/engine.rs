@@ -840,7 +840,9 @@ impl StorageEngine {
     // DML
     // ------------------------------------------------------------------
 
-    /// Inserts a tuple with the given label, returning its row id.
+    /// Inserts a tuple with the given label, returning its row id. A
+    /// version the log refuses is killed again, so a failed insert leaves
+    /// nothing a commit could show.
     pub fn insert(
         &self,
         txn: TxnId,
@@ -857,13 +859,17 @@ impl StorageEngine {
         let (row, chain) = t.heap.insert(label, &bytes)?;
         // The log takes the body: the same bytes, without the MVCC header.
         bytes.drain(..MVCC_HEADER_LEN);
-        self.wal.append(LogRecord::Insert {
+        let logged = self.wal.append(LogRecord::Insert {
             txn,
             table: table.0,
             row,
             chain,
             body: bytes,
-        })?;
+        });
+        if let Err(e) = logged {
+            t.heap.kill(row)?;
+            return Err(e);
+        }
         t.index_row(&values, row);
         self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
         Ok(row)
@@ -888,7 +894,8 @@ impl StorageEngine {
     /// Only a version whose `Insert` (or `Update`) the log already holds can
     /// be deleted, so redo always finds the slot a `Delete` names: one its
     /// writer aborted never existed ([`StorageError::UnknownRow`]), and one
-    /// its writer is still running is that writer's (a write conflict).
+    /// its writer is still running is that writer's (a write conflict). A
+    /// `Delete` the log refuses undoes the claim.
     pub fn delete(&self, txn: TxnId, table: TableId, row: RowId) -> StorageResult<()> {
         let _gate = self.gate.read();
         let t = self.table(table)?;
@@ -897,11 +904,15 @@ impl StorageEngine {
             // Deleting twice in the same transaction is a no-op.
             return Ok(());
         }
-        self.wal.append(LogRecord::Delete {
+        let logged = self.wal.append(LogRecord::Delete {
             txn,
             table: table.0,
             row,
-        })?;
+        });
+        if let Err(e) = logged {
+            t.heap.compare_and_set_xmax(row, Some(txn), seen)?;
+            return Err(e);
+        }
         self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -976,8 +987,9 @@ impl StorageEngine {
     /// and the update is one [`LogRecord::Update`], whose new body is only
     /// the bytes that differ from the old body, found on the page access
     /// that claimed it. A new version the heap cannot place (one too large,
-    /// say) undoes the claim, so the failed update leaves the old version
-    /// as it was.
+    /// say) undoes the claim, and an `Update` the log refuses also kills the
+    /// new version, so a failed update leaves the old version as it was and
+    /// no new one.
     pub fn update(
         &self,
         txn: TxnId,
@@ -994,16 +1006,17 @@ impl StorageEngine {
         let body = &bytes[MVCC_HEADER_LEN..];
         let (seen, (prefix, suffix)) =
             self.claim(&t, txn, row, |old| shared_affixes(old.body(), body))?;
+        let unclaim = |e: StorageError| {
+            if seen != Some(txn) {
+                t.heap.compare_and_set_xmax(row, Some(txn), seen)?;
+            }
+            Err(e)
+        };
         let (new, chain) = match t.heap.insert(label, &bytes) {
             Ok(placed) => placed,
-            Err(e) => {
-                if seen != Some(txn) {
-                    t.heap.compare_and_set_xmax(row, Some(txn), seen)?;
-                }
-                return Err(e);
-            }
+            Err(e) => return unclaim(e),
         };
-        self.wal.append(LogRecord::Update {
+        let logged = self.wal.append(LogRecord::Update {
             txn,
             table: table.0,
             old: row,
@@ -1012,7 +1025,11 @@ impl StorageEngine {
             prefix,
             suffix,
             middle: body[prefix as usize..body.len() - suffix as usize].to_vec(),
-        })?;
+        });
+        if let Err(e) = logged {
+            t.heap.kill(new)?;
+            return unclaim(e);
+        }
         t.index_row(&values, new);
         if seen != Some(txn) {
             self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
@@ -1987,6 +2004,95 @@ mod tests {
             ),
             "{records:?}"
         );
+    }
+
+    /// Runs `write` on row 1 in a transaction whose log refuses that one
+    /// append, commits the transaction after two writes the log took, then
+    /// has a later transaction run `write` on row 1 again. The live visible
+    /// rows must equal a replica's fed the log and those of the log
+    /// reopened; returns them sorted.
+    fn after_a_refused_write(
+        name: &str,
+        write: impl Fn(&StorageEngine, TxnId, TableId, RowId) -> StorageResult<()>,
+    ) -> Vec<Vec<Datum>> {
+        let dir =
+            std::env::temp_dir().join(format!("ifdb-engine-refused-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let row_of = |id: i64, name: &str| vec![Datum::Int(id), Datum::from(name)];
+        let (table, live) = {
+            let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+            let table = eng
+                .create_table(TableSchema::new(
+                    "people",
+                    vec![
+                        ColumnDef::new("id", DataType::Int),
+                        ColumnDef::new("name", DataType::Text),
+                    ],
+                ))
+                .unwrap();
+            let t0 = eng.begin().unwrap();
+            let row = eng.insert(t0, table, vec![], row_of(1, "v0")).unwrap();
+            eng.commit(t0).unwrap();
+            let t1 = eng.begin().unwrap();
+            eng.insert(t1, table, vec![], row_of(2, "before")).unwrap();
+            eng.wal().refuse_writes.store(true, Ordering::Relaxed);
+            assert!(write(&eng, t1, table, row).is_err());
+            eng.wal().refuse_writes.store(false, Ordering::Relaxed);
+            eng.insert(t1, table, vec![], row_of(3, "after")).unwrap();
+            eng.commit(t1).unwrap();
+            let t2 = eng.begin().unwrap();
+            write(&eng, t2, table, row).unwrap();
+            eng.commit(t2).unwrap();
+            let live = visible_rows(&eng, table);
+            let replica = StorageEngine::in_memory();
+            replica
+                .txns()
+                .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+            let batch = eng.wal().read_replication_batch(1, usize::MAX);
+            crate::replica::ReplicaApplier::new()
+                .apply_batch(&replica, batch.first_seq, &batch.records)
+                .unwrap();
+            assert_eq!(visible_rows(&replica, table), live, "replica");
+            eng.wal().sync().unwrap();
+            (table, live)
+        };
+        let eng = StorageEngine::open(&dir, 8, DurabilityConfig::NO_SYNC).unwrap();
+        assert_eq!(visible_rows(&eng, table), live, "reopened");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut sorted = live;
+        sorted.sort_by_key(|r| r[0].clone().as_int());
+        sorted
+    }
+
+    #[test]
+    fn an_insert_the_log_refuses_leaves_no_row() {
+        let rows = after_a_refused_write("insert", |eng, txn, table, _| {
+            let values = vec![Datum::Int(4), Datum::from("new")];
+            eng.insert(txn, table, vec![], values).map(drop)
+        });
+        let ids: Vec<_> = rows.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, (1..=4).map(Datum::Int).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_update_the_log_refuses_leaves_the_old_row_unclaimed() {
+        let writer = std::cell::Cell::new(TxnId(0));
+        let rows = after_a_refused_write("update", |eng, txn, table, row| {
+            writer.set(txn);
+            let values = vec![Datum::Int(1), Datum::Text(format!("by {}", txn.0))];
+            eng.update(txn, table, row, vec![], values).map(drop)
+        });
+        let last = Datum::Text(format!("by {}", writer.get().0));
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        assert_eq!(rows[0], [Datum::Int(1), last]);
+    }
+
+    #[test]
+    fn a_delete_the_log_refuses_leaves_the_row_unclaimed() {
+        let rows =
+            after_a_refused_write("delete", |eng, txn, table, row| eng.delete(txn, table, row));
+        let ids: Vec<_> = rows.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, [Datum::Int(2), Datum::Int(3)]);
     }
 
     #[test]

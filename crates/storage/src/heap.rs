@@ -574,6 +574,16 @@ impl TableHeap {
             })?
     }
 
+    /// Kills the slot at `row` in place: how a writer takes back a version
+    /// it placed but could not log.
+    pub fn kill(&self, row: RowId) -> StorageResult<()> {
+        let pid = PageId(row.page);
+        self.buffer
+            .with_page_mut(self.table_id, pid, self.store.as_ref(), |p| {
+                p.mark_dead(row.slot)
+            })?
+    }
+
     /// Sets (or clears) the `xmax` of the version at `row` in place.
     pub fn set_xmax(&self, row: RowId, xmax: Option<TxnId>) -> StorageResult<()> {
         let pid = PageId(row.page);

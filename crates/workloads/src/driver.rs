@@ -1,317 +1,188 @@
-//! The DBT-2-style transaction driver.
+//! The DBT-2-style closed loop: one TPC-C terminal, whatever it talks to.
 //!
 //! DBT-2, as configured in Section 8.3, uses zero think time and a constant
 //! number of warehouses, and reports NOTPM (new-order transactions per
-//! minute). The driver here runs one or more client threads ("terminals")
-//! in a closed loop over the standard mix for a fixed duration.
+//! minute). [`run_terminals`] runs that loop: one thread per terminal, each
+//! over its own [`SessionApi`] — an in-process [`ifdb::Session`], an
+//! `ifdb-client` connection to a server, a shard-aware router — for a fixed
+//! duration. The caller says how a terminal opens its session and how it
+//! runs a card; the loop deals every terminal's cards from one
+//! [`TpccDeck`], retries a card that a write conflict rolled back, and
+//! counts.
 //!
-//! The driver is durability-agnostic: pointed at a database configured with
-//! [`ifdb::DurabilityConfig`] sync-on-commit or group commit, every
-//! committed transaction in the reported throughput is also durable, and
-//! the outcome carries the WAL fsync counters so harnesses can verify that
-//! group commit actually batched the terminals' flushes.
+//! The loop reads no engine counters. A caller that wants the run's fsyncs
+//! or group-commit batching reads `EngineStats` before and after it, and a
+//! caller that wants client-side counters reads them off the sessions the
+//! loop hands back.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ifdb_client::{ClientConfig, Connection};
-use ifdb_difc::TagId;
+use ifdb::{IfdbError, IfdbResult, SessionApi};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::tpcc::{run_transaction_on, TpccConfig, TpccDatabase, TpccDeck, TpccTransaction};
+use crate::tpcc::{TpccDeck, TpccTransaction};
 
-/// Driver configuration.
+/// The shape of a closed-loop run.
 #[derive(Debug, Clone)]
-pub struct TpccDriverConfig {
-    /// Concurrent client threads.
-    pub clients: usize,
+pub struct TerminalConfig {
+    /// Concurrent terminals, each a thread over its own session.
+    pub terminals: usize,
     /// How long to run.
     pub duration: Duration,
-    /// RNG seed.
+    /// Seeds the deck ([`TpccDeck::new`] takes it as it is) and each
+    /// terminal's input draws.
     pub seed: u64,
 }
 
-impl Default for TpccDriverConfig {
-    fn default() -> Self {
-        TpccDriverConfig {
-            clients: 1,
-            duration: Duration::from_millis(500),
-            seed: 42,
-        }
-    }
-}
-
-/// The outcome of a driver run.
+/// The outcome of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverOutcome {
     /// New-order transactions committed per minute (the Figure 6 metric).
     pub notpm: f64,
     /// Total transactions committed (all five types).
     pub committed: u64,
-    /// Transactions rolled back due to write conflicts.
+    /// Attempts rolled back by a write conflict (or failed otherwise) and
+    /// retried.
     pub conflicts: u64,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-    /// WAL fsyncs issued during the run (delta over the run).
-    pub wal_fsyncs: u64,
-    /// Commits that shared another terminal's fsync during the run
-    /// (group-commit followers; zero unless group commit is enabled).
-    pub commits_batched: u64,
-}
-
-/// Runs the TPC-C mix against a loaded database.
-pub struct TpccDriver<'a> {
-    tpcc: &'a TpccDatabase,
-}
-
-impl<'a> TpccDriver<'a> {
-    /// Creates a driver over a loaded database.
-    pub fn new(tpcc: &'a TpccDatabase) -> Self {
-        TpccDriver { tpcc }
-    }
-
-    /// Runs the closed loop and reports NOTPM.
-    pub fn run(&self, config: &TpccDriverConfig) -> DriverOutcome {
-        let stop = Arc::new(AtomicBool::new(false));
-        let new_orders = Arc::new(AtomicU64::new(0));
-        let committed = Arc::new(AtomicU64::new(0));
-        let conflicts = Arc::new(AtomicU64::new(0));
-        let wal_before = self.tpcc.db.engine().stats();
-        let start = Instant::now();
-
-        std::thread::scope(|scope| {
-            for client in 0..config.clients {
-                let stop = stop.clone();
-                let new_orders = new_orders.clone();
-                let committed = committed.clone();
-                let conflicts = conflicts.clone();
-                let tpcc = self.tpcc;
-                let seed = config.seed ^ (client as u64).wrapping_mul(0x9E37_79B9);
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut session = match tpcc.session() {
-                        Ok(s) => s,
-                        Err(_) => return,
-                    };
-                    while !stop.load(Ordering::Relaxed) {
-                        let kind = TpccTransaction::draw(&mut rng);
-                        match tpcc.run_transaction(&mut session, &mut rng, kind) {
-                            Ok(true) => {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                                if kind == TpccTransaction::NewOrder {
-                                    new_orders.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Ok(false) => {
-                                conflicts.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                conflicts.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-            std::thread::sleep(config.duration);
-            stop.store(true, Ordering::Relaxed);
-        });
-
-        let elapsed = start.elapsed();
-        let no = new_orders.load(Ordering::Relaxed);
-        let wal_after = self.tpcc.db.engine().stats();
-        DriverOutcome {
-            notpm: no as f64 * 60.0 / elapsed.as_secs_f64(),
-            committed: committed.load(Ordering::Relaxed),
-            conflicts: conflicts.load(Ordering::Relaxed),
-            elapsed,
-            wal_fsyncs: wal_after.wal_fsyncs - wal_before.wal_fsyncs,
-            commits_batched: wal_after.commits_batched - wal_before.commits_batched,
-        }
-    }
-}
-
-/// Configuration of a network (multi-process-style) TPC-C run: every
-/// terminal is an independent `ifdb-client` connection to a running
-/// `ifdb-server`, so commits from different terminals are genuinely
-/// independent committers — exactly the traffic group commit batches.
-#[derive(Debug, Clone)]
-pub struct NetworkTpccConfig {
-    /// The `ifdb-server` address.
-    pub addr: String,
-    /// User to authenticate terminals as (the benchmark principal).
-    pub user: String,
-    /// That user's password.
-    pub password: String,
-    /// The label every terminal raises at handshake time (the benchmark
-    /// label's tags).
-    pub label: Vec<TagId>,
-    /// Scale parameters of the loaded database (must match the server
-    /// side).
-    pub tpcc: TpccConfig,
-    /// Number of concurrent connections (terminals).
-    pub connections: usize,
-    /// How long to run.
-    pub duration: Duration,
-    /// Mean per-transaction think time (truncated-exponential, as TPC-C's
-    /// remote terminal emulators prescribe). Zero disables thinking and
-    /// reproduces the DBT-2 zero-think-time configuration — note that on a
-    /// closed loop, zero think time saturates a terminal's round-trip
-    /// budget, so connection scaling then measures server-side parallelism
-    /// only.
-    pub mean_think_time: Duration,
-    /// Truncation point for the think-time distribution.
-    pub max_think_time: Duration,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// The outcome of a network TPC-C run. Engine-side counters (fsyncs, group
-/// commit batching) are not visible from the client side; harnesses that
-/// run the server in-process read them from the engine before and after.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkDriverOutcome {
-    /// New-order transactions committed per minute.
-    pub notpm: f64,
-    /// Total transactions committed (all five types).
-    pub committed: u64,
-    /// Transactions rolled back due to write conflicts.
-    pub conflicts: u64,
-    /// Terminals that failed to connect or died mid-run.
+    /// Terminals that could not open their session or whose connection
+    /// died mid-run.
     pub terminal_errors: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
 }
 
-/// Draws a truncated-exponential think time (the TPC-C terminal emulator's
-/// distribution; zero mean disables thinking).
-fn sample_think_time(mean: Duration, max: Duration, rng: &mut StdRng) -> Duration {
-    if mean.is_zero() {
-        return Duration::ZERO;
-    }
-    let u: f64 = rand::Rng::gen::<f64>(rng).max(1e-12);
-    let t = -u.ln() * mean.as_secs_f64();
-    Duration::from_secs_f64(t.min(max.as_secs_f64()))
-}
-
-/// Runs the TPC-C mix over the network with `connections` concurrent
-/// terminals, each an independent [`Connection`].
-pub fn run_network_tpcc(config: &NetworkTpccConfig) -> NetworkDriverOutcome {
-    let stop = Arc::new(AtomicBool::new(false));
-    let new_orders = Arc::new(AtomicU64::new(0));
-    let committed = Arc::new(AtomicU64::new(0));
-    let conflicts = Arc::new(AtomicU64::new(0));
-    let terminal_errors = Arc::new(AtomicU64::new(0));
-    let deck = Arc::new(TpccDeck::new(config.seed ^ 0xDECC));
+/// Runs `config.terminals` terminals in a closed loop for
+/// `config.duration`. Terminal `i` opens its session with `open(i)` and runs
+/// each dealt card with `run`, which draws the card's inputs from the
+/// terminal's RNG and returns whether the transaction committed (`false`
+/// for a write-conflict rollback). Returns the outcome and the session of
+/// every terminal that opened one, in no particular order, for the caller
+/// to read and close.
+pub fn run_terminals<S, Open, Run>(
+    config: &TerminalConfig,
+    open: Open,
+    run: Run,
+) -> (DriverOutcome, Vec<S>)
+where
+    S: SessionApi + Send,
+    Open: Fn(usize) -> IfdbResult<S> + Sync,
+    Run: Fn(&mut S, &mut StdRng, TpccTransaction) -> IfdbResult<bool> + Sync,
+{
+    let stop = AtomicBool::new(false);
+    let [new_orders, committed, conflicts, terminal_errors] =
+        std::array::from_fn(|_| AtomicU64::new(0));
+    let count = |c: &AtomicU64| c.fetch_add(1, Ordering::Relaxed);
+    let deck = TpccDeck::new(config.seed);
     let start = Instant::now();
 
-    std::thread::scope(|scope| {
-        for terminal in 0..config.connections {
-            let stop = stop.clone();
-            let deck = deck.clone();
-            let new_orders = new_orders.clone();
-            let committed = committed.clone();
-            let conflicts = conflicts.clone();
-            let terminal_errors = terminal_errors.clone();
-            let config = config.clone();
-            scope.spawn(move || {
-                let client = ClientConfig::anonymous(&config.addr)
-                    .with_user(&config.user, &config.password)
-                    .with_label(&config.label);
-                let mut conn = match Connection::connect(&client) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        terminal_errors.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                };
-                let seed = config.seed ^ (terminal as u64).wrapping_mul(0x9E37_79B9);
-                let mut rng = StdRng::seed_from_u64(seed);
-                while !stop.load(Ordering::Relaxed) {
-                    let think =
-                        sample_think_time(config.mean_think_time, config.max_think_time, &mut rng);
-                    if !think.is_zero() {
-                        std::thread::sleep(think);
-                    }
-                    let kind = deck.deal();
-                    // A transaction rolled back by a write conflict is
-                    // retried (as DBT-2 retries it) rather than replaced by
-                    // a fresh card: abort rates differ across the five
-                    // types, and dealing past an abort would skew the
-                    // committed mix away from the dealt one.
-                    while !stop.load(Ordering::Relaxed) {
-                        match run_transaction_on(&config.tpcc, &mut conn, &mut rng, kind) {
-                            Ok(true) => {
-                                committed.fetch_add(1, Ordering::Relaxed);
-                                if kind == TpccTransaction::NewOrder {
-                                    new_orders.fetch_add(1, Ordering::Relaxed);
+    let sessions = std::thread::scope(|scope| {
+        let terminals: Vec<_> = (0..config.terminals)
+            .map(|terminal| {
+                let (open, run, deck, stop) = (&open, &run, &deck, &stop);
+                let (new_orders, committed) = (&new_orders, &committed);
+                let (conflicts, terminal_errors) = (&conflicts, &terminal_errors);
+                scope.spawn(move || {
+                    let Ok(mut session) = open(terminal) else {
+                        count(terminal_errors);
+                        return None;
+                    };
+                    let seed = config.seed ^ (terminal as u64 + 1).wrapping_mul(0x9E37_79B9);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    // A card rolled back by a write conflict is retried (as
+                    // DBT-2 retries it) rather than replaced by a fresh one:
+                    // abort rates differ across the five types, and dealing
+                    // past an abort would skew the committed mix away from
+                    // the dealt one.
+                    'cards: while !stop.load(Ordering::Relaxed) {
+                        let kind = deck.deal();
+                        while !stop.load(Ordering::Relaxed) {
+                            match run(&mut session, &mut rng, kind) {
+                                Ok(true) => {
+                                    count(committed);
+                                    if kind == TpccTransaction::NewOrder {
+                                        count(new_orders);
+                                    }
+                                    continue 'cards;
                                 }
-                                break;
-                            }
-                            Ok(false) => {
-                                conflicts.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // A transport-level failure means the connection
-                            // is dead: retrying would hot-spin for the rest
-                            // of the run, inflating the conflict count.
-                            // Count the terminal as lost and stop it.
-                            Err(ifdb::IfdbError::Remote { code, .. })
-                                if code == ifdb_client::protocol::code::PROTOCOL as u16 =>
-                            {
-                                terminal_errors.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                            Err(_) => {
-                                conflicts.fetch_add(1, Ordering::Relaxed);
+                                // A transport-level failure means the
+                                // connection is dead: retrying would
+                                // hot-spin for the rest of the run.
+                                Err(IfdbError::Remote { code, .. })
+                                    if code == ifdb_client::protocol::code::PROTOCOL as u16 =>
+                                {
+                                    count(terminal_errors);
+                                    break 'cards;
+                                }
+                                Ok(false) | Err(_) => {
+                                    count(conflicts);
+                                }
                             }
                         }
                     }
-                }
-                let _ = conn.close();
-            });
-        }
+                    Some(session)
+                })
+            })
+            .collect();
         std::thread::sleep(config.duration);
         stop.store(true, Ordering::Relaxed);
+        terminals
+            .into_iter()
+            .filter_map(|t| t.join().expect("a terminal panicked"))
+            .collect()
     });
 
     let elapsed = start.elapsed();
-    NetworkDriverOutcome {
-        notpm: new_orders.load(Ordering::Relaxed) as f64 * 60.0 / elapsed.as_secs_f64(),
-        committed: committed.load(Ordering::Relaxed),
-        conflicts: conflicts.load(Ordering::Relaxed),
-        terminal_errors: terminal_errors.load(Ordering::Relaxed),
+    let outcome = DriverOutcome {
+        notpm: new_orders.into_inner() as f64 * 60.0 / elapsed.as_secs_f64(),
+        committed: committed.into_inner(),
+        conflicts: conflicts.into_inner(),
+        terminal_errors: terminal_errors.into_inner(),
         elapsed,
-    }
+    };
+    (outcome, sessions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tpcc::TpccConfig;
+    use crate::tpcc::{TpccConfig, TpccDatabase};
     use ifdb::Database;
+    use std::sync::Mutex;
+
+    fn load(db: Database, tags_per_label: usize, seed: u64) -> TpccDatabase {
+        let config = TpccConfig {
+            warehouses: 1,
+            districts_per_warehouse: 2,
+            customers_per_district: 5,
+            items: 20,
+            initial_orders_per_district: 2,
+            tags_per_label,
+            seed,
+        };
+        TpccDatabase::load(db, config).unwrap()
+    }
+
+    /// `terminals` in-process terminals over `tpcc`, each card one
+    /// procedure call.
+    fn run_in_process(tpcc: &TpccDatabase, terminals: usize, millis: u64) -> DriverOutcome {
+        let config = TerminalConfig {
+            terminals,
+            duration: Duration::from_millis(millis),
+            seed: terminals as u64,
+        };
+        let run = |s: &mut _, rng: &mut _, kind| tpcc.run_transaction(s, rng, kind);
+        let (outcome, sessions) = run_terminals(&config, |_| tpcc.session(), run);
+        assert_eq!(sessions.len(), terminals);
+        outcome
+    }
 
     #[test]
     fn driver_reports_nonzero_throughput() {
-        let db = Database::in_memory();
-        let tpcc = TpccDatabase::load(
-            db,
-            TpccConfig {
-                warehouses: 1,
-                districts_per_warehouse: 2,
-                customers_per_district: 5,
-                items: 20,
-                initial_orders_per_district: 2,
-                tags_per_label: 1,
-                seed: 7,
-            },
-        )
-        .unwrap();
-        let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
-            clients: 1,
-            duration: Duration::from_millis(300),
-            seed: 1,
-        });
+        let tpcc = load(Database::in_memory(), 1, 7);
+        let outcome = run_in_process(&tpcc, 1, 300);
+        assert_eq!(outcome.terminal_errors, 0);
         assert!(outcome.committed > 0);
         assert!(outcome.notpm > 0.0);
     }
@@ -325,37 +196,21 @@ mod tests {
         let config = DatabaseConfig::on_disk(dir.clone(), 256)
             .with_seed(0x79CC)
             .with_durability(DurabilityConfig::GROUP_COMMIT);
-        let db = Database::new(config.clone());
-        let tpcc = TpccDatabase::load(
-            db,
-            TpccConfig {
-                warehouses: 1,
-                districts_per_warehouse: 2,
-                customers_per_district: 5,
-                items: 20,
-                initial_orders_per_district: 2,
-                tags_per_label: 2,
-                seed: 11,
-            },
-        )
-        .unwrap();
+        let tpcc = load(Database::new(config.clone()), 2, 11);
         // With nothing running, the transaction table holds exactly one
         // entry per transaction that committed writes.
-        let writers = || tpcc.db.engine().stats().txn_table_entries;
-        let writers_before = writers();
-        let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
-            clients: 4,
-            duration: Duration::from_millis(400),
-            seed: 3,
-        });
-        let writing_commits = writers() - writers_before;
+        let before = tpcc.db.engine().stats();
+        let outcome = run_in_process(&tpcc, 4, 400);
+        let after = tpcc.db.engine().stats();
+        let writing_commits = after.txn_table_entries - before.txn_table_entries;
+        let fsyncs = after.wal_fsyncs - before.wal_fsyncs;
         assert!(outcome.committed > 0, "durable terminals make progress");
-        assert!(outcome.wal_fsyncs > 0, "sync-on-commit must fsync");
+        assert!(fsyncs > 0, "sync-on-commit must fsync");
         // Group-commit invariant: every commit record either led a flush or
         // rode one. (Strict batching — fsyncs < commits — is
         // timing-dependent and not asserted; the identity is not.)
         assert_eq!(
-            outcome.wal_fsyncs + outcome.commits_batched,
+            fsyncs + after.commits_batched - before.commits_batched,
             writing_commits,
             "each writing commit leads or follows exactly one flush"
         );
@@ -378,25 +233,52 @@ mod tests {
 
     #[test]
     fn concurrent_clients_make_progress_despite_conflicts() {
-        let db = Database::in_memory();
-        let tpcc = TpccDatabase::load(
-            db,
-            TpccConfig {
-                warehouses: 1,
-                districts_per_warehouse: 2,
-                customers_per_district: 5,
-                items: 20,
-                initial_orders_per_district: 2,
-                tags_per_label: 1,
-                seed: 8,
-            },
-        )
-        .unwrap();
-        let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
-            clients: 3,
-            duration: Duration::from_millis(300),
-            seed: 2,
-        });
+        let tpcc = load(Database::in_memory(), 1, 8);
+        let outcome = run_in_process(&tpcc, 3, 300);
+        assert_eq!(outcome.terminal_errors, 0);
         assert!(outcome.committed > 0);
+    }
+
+    /// A terminal is handed the deck's cards in the order the deck deals
+    /// them, and a card that reports a conflict comes back until it
+    /// commits: every third attempt here reports one.
+    #[test]
+    fn a_terminal_deals_from_the_deck_and_retries_a_conflict_in_place() {
+        let tpcc = load(Database::in_memory(), 1, 9);
+        let handed = Mutex::new(Vec::new());
+        let config = TerminalConfig {
+            terminals: 1,
+            duration: Duration::from_millis(300),
+            seed: 0x5EED,
+        };
+        let (outcome, _) = run_terminals(
+            &config,
+            |_| tpcc.session(),
+            |s, rng, kind| {
+                let attempt = {
+                    let mut handed = handed.lock().unwrap();
+                    handed.push(kind);
+                    handed.len()
+                };
+                if attempt % 3 == 0 {
+                    return Ok(false);
+                }
+                tpcc.run_transaction(s, rng, kind)
+            },
+        );
+        let handed = handed.into_inner().unwrap();
+        assert!(handed.len() >= 30, "{} attempts", handed.len());
+        let deck = TpccDeck::new(config.seed);
+        let mut card = deck.deal();
+        let mut dealt = Vec::new();
+        for attempt in 1..=handed.len() {
+            dealt.push(card);
+            if attempt % 3 != 0 {
+                card = deck.deal();
+            }
+        }
+        assert_eq!(handed, dealt);
+        assert_eq!(outcome.committed + outcome.conflicts, handed.len() as u64);
+        assert!(outcome.conflicts >= handed.len() as u64 / 3);
     }
 }

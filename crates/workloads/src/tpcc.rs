@@ -406,24 +406,6 @@ pub fn run_client_side<S: SessionApi>(session: &mut S, inputs: &TpccInputs) -> I
     settle(session, result)
 }
 
-/// Runs one new-order transaction for district `(w, d)` whose stock is
-/// supplied by `supply_w` — the TPC-C remote-warehouse shape — from the
-/// terminal ([`run_client_side`]). With `supply_w != w` the stock reads and
-/// updates land on the supplying warehouse while the order itself lands on
-/// the home warehouse; over a sharded topology that makes the transaction
-/// cross-shard whenever the two warehouses live on different shards.
-/// Returns `true` on commit, `false` on a write-conflict rollback.
-pub fn run_new_order_with_supply<S: SessionApi>(
-    config: &TpccConfig,
-    session: &mut S,
-    rng: &mut StdRng,
-    w: i64,
-    d: i64,
-    supply_w: i64,
-) -> IfdbResult<bool> {
-    run_client_side(session, &TpccInputs::new_order(config, rng, w, d, supply_w))
-}
-
 /// A transaction's outcome as the terminal counts it: a write conflict is a
 /// rollback (`false`), and whatever the transaction left open is aborted.
 fn settle<S: SessionApi>(session: &mut S, result: IfdbResult<()>) -> IfdbResult<bool> {
@@ -530,9 +512,13 @@ impl TpccInputs {
         }
     }
 
-    /// Draws a new-order's inputs for district `(w, d)`, supplied by
-    /// warehouse `supply_w`.
-    fn new_order(config: &TpccConfig, rng: &mut StdRng, w: i64, d: i64, supply_w: i64) -> Self {
+    /// Draws a new-order's inputs for district `(w, d)` whose stock is
+    /// supplied by warehouse `supply_w`. With `supply_w != w` (the TPC-C
+    /// remote-supplier shape) the stock reads and updates land on the
+    /// supplying warehouse and the order on the home one, so over a sharded
+    /// topology the transaction is cross-shard whenever the two live on
+    /// different shards; a terminal runs it with [`run_client_side`].
+    pub fn new_order(config: &TpccConfig, rng: &mut StdRng, w: i64, d: i64, supply_w: i64) -> Self {
         let customer = pick_customer(config, rng);
         let line_count = rng.gen_range(5..=15i64);
         let lines = (0..line_count)

@@ -12,7 +12,7 @@ use ifdb::prelude::*;
 use ifdb_client::{ClientConfig, Connection};
 use ifdb_platform::Authenticator;
 use ifdb_server::{start, ServerConfig};
-use ifdb_workloads::{run_network_tpcc, NetworkTpccConfig, TpccConfig, TpccDatabase};
+use ifdb_workloads::{run_terminals, run_transaction_on, TerminalConfig, TpccConfig, TpccDatabase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -247,18 +247,22 @@ fn network_tpcc_driver_reports_throughput() {
     auth.register("tpcc", "pw", tpcc.principal);
     let engine_before = tpcc.db.engine().stats();
     let server = start(tpcc.db.clone(), auth, ServerConfig::default()).unwrap();
-    let outcome = run_network_tpcc(&NetworkTpccConfig {
-        addr: server.addr().to_string(),
-        user: "tpcc".into(),
-        password: "pw".into(),
-        label,
-        tpcc: scale,
-        connections: 4,
+    let client = ClientConfig::anonymous(&server.addr().to_string())
+        .with_user("tpcc", "pw")
+        .with_label(&label);
+    let config = TerminalConfig {
+        terminals: 4,
         duration: Duration::from_millis(600),
-        mean_think_time: Duration::ZERO,
-        max_think_time: Duration::ZERO,
         seed: 9,
-    });
+    };
+    let (outcome, conns) = run_terminals(
+        &config,
+        |_| Connection::connect(&client),
+        |conn, rng, kind| run_transaction_on(&scale, conn, rng, kind),
+    );
+    for conn in conns {
+        conn.close().unwrap();
+    }
     let engine_after = server.database().engine().stats();
     assert_eq!(outcome.terminal_errors, 0);
     assert!(

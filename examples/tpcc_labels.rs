@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use ifdb_repro::ifdb::{Database, DatabaseConfig};
-use ifdb_repro::workloads::{TpccConfig, TpccDatabase, TpccDriver, TpccDriverConfig};
+use ifdb_repro::workloads::{run_terminals, TerminalConfig, TpccConfig, TpccDatabase};
 
 fn main() {
     println!("tags/label   NOTPM (in-memory)   log B/txn");
@@ -28,11 +28,16 @@ fn main() {
         )
         .expect("load TPC-C");
         let logged_before = tpcc.db.engine().stats().wal_bytes;
-        let outcome = TpccDriver::new(&tpcc).run(&TpccDriverConfig {
-            clients: 1,
+        let config = TerminalConfig {
+            terminals: 1,
             duration: Duration::from_millis(500),
             seed: 9,
-        });
+        };
+        let (outcome, _) = run_terminals(
+            &config,
+            |_| tpcc.session(),
+            |s, rng, kind| tpcc.run_transaction(s, rng, kind),
+        );
         let logged = tpcc.db.engine().stats().wal_bytes - logged_before;
         println!(
             "{tags:>10}   {:>17.0}   {:>9.0}   ({} committed, {} conflicts)",
