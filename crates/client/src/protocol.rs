@@ -17,7 +17,10 @@
 //! payload, so a torn or bit-flipped frame is rejected rather than decoded
 //! by luck. Everything is hand-rolled little-endian — no external
 //! serialization dependencies. A datum travels in the storage engine's one
-//! datum codec ([`Datum::encode`]), the bytes its pages and log hold.
+//! datum codec ([`Datum::encode`]), the bytes its pages and log hold: a kind
+//! byte and the narrowest payload that holds the value, so a small integer
+//! takes two bytes on the wire and a short text one length byte (version
+//! 7).
 
 use std::io::{Read, Write};
 
@@ -59,7 +62,13 @@ use ifdb_storage::{Datum, StorageError};
 /// nothing of what other connections prepared, and neither does a refusal
 /// of its `Prepare` (a connection holds at most a fixed number of
 /// templates).
-pub const PROTOCOL_VERSION: u32 = 6;
+///
+/// Version 7: datums take the bytes their values need. The datum codec
+/// gained 1-, 2- and 4-byte kinds for `Int` and `Timestamp` and a kind for
+/// `Text` with a 1-byte length, and every value is sent in the narrowest
+/// kind that holds it (see [`Datum::encode`]), which a version 6 peer
+/// cannot read.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on a frame payload. Frames beyond this are a protocol error,
 /// not an allocation request.

@@ -1648,7 +1648,7 @@ fn a_lower_bound_after_an_equality_prefix_visits_only_the_rows_from_the_bound_on
 #[test]
 fn a_full_scan_of_interleaved_labels_decides_row_by_row_only_on_the_shared_tail() {
     const LABELS: i64 = 16;
-    const PER_LABEL: i64 = 400;
+    const PER_LABEL: i64 = 600;
     let db = Database::in_memory();
     let user = db.create_principal("u", PrincipalKind::User);
     let tags: Vec<TagId> = (0..LABELS)

@@ -414,6 +414,51 @@ fn connections_past_the_cap_are_refused_until_one_closes() {
     server.shutdown();
 }
 
+/// A client speaking protocol version 6, whose datums have no narrow
+/// kinds, is refused at its handshake, before it sends a datum the server
+/// would misread or reads one it cannot.
+#[test]
+fn a_version_6_hello_is_refused() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+
+    use ifdb_client::protocol::{code, read_frame_id, write_frame_id, Request, Response};
+
+    let (db, auth, ..) = demo_db();
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let hello = Request::Hello {
+        version: 6,
+        user: "alice".into(),
+        password: "pw-a".into(),
+        platform_secret: None,
+        label: Vec::new(),
+    };
+    write_frame_id(&mut stream, 1, &hello.encode()).unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let (id, message) = read_frame_id(&mut reader).unwrap().expect("a reply");
+    assert_eq!(id, 1);
+    match Response::decode(&message).unwrap() {
+        Response::Error {
+            code: refused,
+            detail,
+            ..
+        } => {
+            assert_eq!(refused, code::PROTOCOL);
+            assert!(
+                detail.contains("protocol version 6 unsupported"),
+                "{detail}"
+            );
+        }
+        other => panic!("a version 6 handshake must be refused: {other:?}"),
+    }
+    server.shutdown();
+}
+
 #[test]
 fn statement_timeout_aborts_explicit_transactions() {
     let (db, auth, ..) = demo_db();

@@ -1813,17 +1813,18 @@ mod tests {
             (eng.wal().bytes_written() - before, page_bytes)
         };
         // A 2-tag TPC-C stock version: frame 8 B, record header 19 B, body
-        // 48 B (label id 1 B, field count 2 B, five 9-byte integers).
+        // 18 B (label id 1 B, field count 2 B, five integers of 1 000 and
+        // up, 3 B each: a kind byte and an `i16`).
         let (stock_frame, stock_page) = logged(stock, vec![3, 4], 5);
-        assert_eq!(stock_frame, 75, "stock insert frames at {stock_frame} B");
+        assert_eq!(stock_frame, 45, "stock insert frames at {stock_frame} B");
         assert_eq!(stock_frame as usize, 8 + 19 + stock_page - MVCC_HEADER_LEN);
-        // A 1-tag row of three integers takes 46 B of page. Its label is
-        // new, so its insert also logs the label's definition once.
+        // A 1-tag row of three such integers takes 28 B of page. Its label
+        // is new, so its insert also logs the label's definition once.
         let (data_frames, data_page) = logged(data, vec![9], 3);
-        assert_eq!(data_page, 46);
-        assert_eq!(data_frames, 8 + 19 + 46 - MVCC_HEADER_LEN as u64 + 8 + 17);
+        assert_eq!(data_page, 28);
+        assert_eq!(data_frames, 8 + 19 + 28 - MVCC_HEADER_LEN as u64 + 8 + 17);
         let (data_frame, _) = logged(data, vec![9], 3);
-        assert_eq!(data_frame, 8 + 19 + 46 - MVCC_HEADER_LEN as u64);
+        assert_eq!(data_frame, 8 + 19 + 28 - MVCC_HEADER_LEN as u64);
         eng.commit(txn).unwrap();
     }
 

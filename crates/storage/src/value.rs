@@ -130,8 +130,10 @@ impl Datum {
     pub fn encoded_len(&self) -> usize {
         1 + match self {
             Datum::Null => 0,
-            Datum::Int(_) | Datum::Float(_) | Datum::Timestamp(_) => 8,
+            Datum::Int(v) | Datum::Timestamp(v) => int_width(*v),
+            Datum::Float(_) => 8,
             Datum::Bool(_) => 1,
+            Datum::Text(s) if s.len() <= u8::MAX as usize => 1 + s.len(),
             Datum::Text(s) => 4 + s.len(),
             Datum::IntArray(v) => 4 + v.len() * 8,
         }
@@ -144,42 +146,56 @@ impl Datum {
     /// the size of every fixed-width value, so only text and arrays carry a
     /// length word. All integers are little-endian.
     ///
-    /// | kind | datum       | payload                              |
-    /// |------|-------------|--------------------------------------|
-    /// | 0    | `Null`      | none                                 |
-    /// | 1    | `Int`       | `i64`, 8 B                           |
-    /// | 2    | `Float`     | the `f64`'s bits, 8 B                |
-    /// | 3    | `Text`      | `u32` byte length, then UTF-8 bytes  |
-    /// | 4    | `Bool`      | 1 B, nonzero for true                |
-    /// | 5    | `Timestamp` | `i64` microseconds, 8 B              |
-    /// | 6    | `IntArray`  | `u32` word count, then `u64` words   |
+    /// | kind | datum       | payload                                   |
+    /// |------|-------------|-------------------------------------------|
+    /// | 0    | `Null`      | none                                      |
+    /// | 1    | `Int`       | `i64`, 8 B                                |
+    /// | 2    | `Float`     | the `f64`'s bits, 8 B                     |
+    /// | 3    | `Text`      | `u32` byte length, then UTF-8 bytes       |
+    /// | 4    | `Bool`      | 1 B, nonzero for true                     |
+    /// | 5    | `Timestamp` | `i64` microseconds, 8 B                   |
+    /// | 6    | `IntArray`  | `u32` word count, then `u64` words        |
+    /// | 7    | `Int`       | `i8`, 1 B                                 |
+    /// | 8    | `Int`       | `i16`, 2 B                                |
+    /// | 9    | `Int`       | `i32`, 4 B                                |
+    /// | 10   | `Timestamp` | `i8` microseconds, 1 B                    |
+    /// | 11   | `Timestamp` | `i16` microseconds, 2 B                   |
+    /// | 12   | `Timestamp` | `i32` microseconds, 4 B                   |
+    /// | 13   | `Text`      | `u8` byte length, then UTF-8 bytes        |
     ///
-    /// It is not meant to be a stable on-disk format: a log written with
-    /// another layout is refused, not read.
+    /// An `Int` or a `Timestamp` takes the narrowest of its four kinds that
+    /// holds its value (the narrow ones are sign-extended), and a `Text` of
+    /// at most 255 bytes takes kind 13. So each value has exactly one
+    /// encoding, which the log's `Update` records rely on: equal fields are
+    /// equal bytes.
+    ///
+    /// Every kind decodes, the wide kinds 1, 3 and 5 included when they hold
+    /// a value a narrow kind would: those are what an older build wrote for
+    /// every value, so its pages, logs and wire frames still read. A kind
+    /// byte not in the table is refused.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Datum::Null => out.push(0),
-            Datum::Int(v) => {
-                out.push(1);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            Datum::Int(v) => put_int(out, 1, 7, *v),
             Datum::Float(v) => {
                 out.push(2);
                 out.extend_from_slice(&v.to_bits().to_le_bytes());
             }
             Datum::Text(s) => {
-                out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                match u8::try_from(s.len()) {
+                    Ok(len) => out.extend_from_slice(&[13, len]),
+                    Err(_) => {
+                        out.push(3);
+                        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                    }
+                }
                 out.extend_from_slice(s.as_bytes());
             }
             Datum::Bool(b) => {
                 out.push(4);
                 out.push(u8::from(*b));
             }
-            Datum::Timestamp(v) => {
-                out.push(5);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            Datum::Timestamp(v) => put_int(out, 5, 10, *v),
             Datum::IntArray(v) => {
                 out.push(6);
                 out.extend_from_slice(&(v.len() as u32).to_le_bytes());
@@ -198,8 +214,11 @@ impl Datum {
         let kind = *buf.get(pos)?;
         let (at, len) = match kind {
             0 => (pos + 1, 0),
+            4 | 7 | 10 => (pos + 1, 1),
+            8 | 11 => (pos + 1, 2),
+            9 | 12 => (pos + 1, 4),
             1 | 2 | 5 => (pos + 1, 8),
-            4 => (pos + 1, 1),
+            13 => (pos + 2, usize::from(*buf.get(pos + 1)?)),
             3 | 6 => {
                 let word = buf.get(pos + 1..pos + 5)?;
                 let n = u32::from_le_bytes(word.try_into().expect("four bytes")) as usize;
@@ -218,10 +237,11 @@ impl Datum {
     }
 
     /// The value of the datum encoded at `pos` if it is an [`Datum::Int`],
-    /// and the position just past it, decoding no other kind's payload.
-    pub(crate) fn int_at(buf: &[u8], pos: usize) -> StorageResult<(Option<i64>, usize)> {
+    /// of any width, and the position just past it, decoding no other
+    /// kind's payload.
+    pub fn int_at(buf: &[u8], pos: usize) -> StorageResult<(Option<i64>, usize)> {
         let (kind, payload, end) = Self::frame(buf, pos).ok_or_else(bad_datum)?;
-        let int = (kind == 1).then(|| i64::from_le_bytes(payload.try_into().expect("eight bytes")));
+        let int = matches!(kind, 1 | 7 | 8 | 9).then(|| int_payload(payload));
         Ok((int, end))
     }
 
@@ -233,18 +253,20 @@ impl Datum {
     #[inline(always)]
     pub fn decode(buf: &[u8], pos: usize) -> StorageResult<(Datum, usize)> {
         let (kind, payload, end) = Self::frame(buf, pos).ok_or_else(bad_datum)?;
-        let word = || i64::from_le_bytes(payload.try_into().expect("eight bytes"));
         let datum = match kind {
             0 => Datum::Null,
-            1 => Datum::Int(word()),
-            2 => Datum::Float(f64::from_bits(word() as u64)),
-            3 => Datum::Text(
+            1 | 7 | 8 | 9 => Datum::Int(int_payload(payload)),
+            2 => Datum::Float(f64::from_bits(u64::from_le_bytes(
+                payload.try_into().expect("eight bytes"),
+            ))),
+            3 | 13 => Datum::Text(
                 std::str::from_utf8(payload)
                     .map_err(|_| corrupt("bad utf8"))?
                     .to_owned(),
             ),
             4 => Datum::Bool(payload[0] != 0),
-            5 => Datum::Timestamp(word()),
+            5 | 10 | 11 | 12 => Datum::Timestamp(int_payload(payload)),
+            // 6: `frame` refused every kind not in the table.
             _ => Datum::IntArray(
                 payload
                     .chunks_exact(8)
@@ -253,6 +275,46 @@ impl Datum {
             ),
         };
         Ok((datum, end))
+    }
+}
+
+/// The payload bytes of the narrowest integer kind that holds `v`.
+#[inline]
+fn int_width(v: i64) -> usize {
+    if i8::try_from(v).is_ok() {
+        1
+    } else if i16::try_from(v).is_ok() {
+        2
+    } else if i32::try_from(v).is_ok() {
+        4
+    } else {
+        8
+    }
+}
+
+/// Appends `v` in the narrowest of its four kinds: `narrow`, `narrow + 1`
+/// and `narrow + 2` for 1, 2 and 4 bytes, `wide` for 8.
+#[inline]
+fn put_int(out: &mut Vec<u8>, wide: u8, narrow: u8, v: i64) {
+    let width = int_width(v);
+    out.push(match width {
+        1 => narrow,
+        2 => narrow + 1,
+        4 => narrow + 2,
+        _ => wide,
+    });
+    out.extend_from_slice(&v.to_le_bytes()[..width]);
+}
+
+/// The little-endian integer `payload` holds, sign-extended from its 1, 2,
+/// 4 or 8 bytes (its kind fixed the length).
+#[inline(always)]
+fn int_payload(payload: &[u8]) -> i64 {
+    match *payload {
+        [b] => i64::from(b as i8),
+        [a, b] => i64::from(i16::from_le_bytes([a, b])),
+        [a, b, c, d] => i64::from(i32::from_le_bytes([a, b, c, d])),
+        _ => i64::from_le_bytes(payload.try_into().expect("eight bytes")),
     }
 }
 
@@ -534,13 +596,18 @@ mod tests {
     #[test]
     fn encoded_len_tracks_payload() {
         assert_eq!(Datum::Null.encoded_len(), 1);
-        assert_eq!(Datum::Int(1).encoded_len(), 9);
+        assert_eq!(Datum::Int(1).encoded_len(), 2);
+        assert_eq!(Datum::Int(1_000).encoded_len(), 3);
+        assert_eq!(Datum::Int(-100_000).encoded_len(), 5);
+        assert_eq!(Datum::Int(1 << 40).encoded_len(), 9);
         assert_eq!(Datum::Bool(true).encoded_len(), 2);
-        assert_eq!(Datum::Text("abc".into()).encoded_len(), 8);
+        assert_eq!(Datum::Text("abc".into()).encoded_len(), 5);
+        assert_eq!(Datum::Text("x".repeat(256)).encoded_len(), 261);
         assert_eq!(Datum::IntArray(vec![1, 2]).encoded_len(), 21);
         for d in [
             Datum::Float(0.5),
             Datum::Timestamp(-1),
+            Datum::Timestamp(1_700_000_000_000_000),
             Datum::Text(String::new()),
         ] {
             let mut buf = Vec::new();

@@ -749,8 +749,6 @@ impl Wal {
     /// via a group-commit leader's.
     pub fn append(&self, record: LogRecord) -> StorageResult<()> {
         let encoded = Self::encode(&record);
-        self.bytes_written
-            .fetch_add(encoded.len() as u64 + 8, Ordering::Relaxed);
         // Prepare is a durability point too: a participant must not vote yes
         // until the prepare record is on the device. Decide-commit makes the
         // outcome durable before the coordinator is acked; decide-abort is
@@ -775,6 +773,9 @@ impl Wal {
                 });
             }
             write_frame(sink.writer(), &encoded)?;
+            // Counted once written: a refused append logged nothing.
+            self.bytes_written
+                .fetch_add(encoded.len() as u64 + 8, Ordering::Relaxed);
             if let Sink::File {
                 w, appended_seq, ..
             } = &mut *sink
@@ -1781,6 +1782,25 @@ mod tests {
         let replayed = Wal::replay_file(&path).unwrap();
         assert_eq!(replayed, records);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_refused_append_counts_no_bytes() {
+        let wal = Wal::in_memory();
+        wal.append(LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        let before = wal.bytes_written();
+        wal.refuse_writes.store(true, Ordering::Relaxed);
+        let refused = wal.append(LogRecord::Insert {
+            txn: TxnId(1),
+            table: 1,
+            row: RowId { page: 0, slot: 0 },
+            chain: false,
+            body: vec![0; 16],
+        });
+        wal.refuse_writes.store(false, Ordering::Relaxed);
+        assert!(refused.is_err());
+        assert_eq!(wal.bytes_written(), before);
+        assert_eq!(wal.len(), 1);
     }
 
     #[test]

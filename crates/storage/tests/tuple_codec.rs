@@ -10,13 +10,24 @@ use rand::{Rng, SeedableRng};
 use ifdb_storage::tuple::{encode, patch_xmax};
 use ifdb_storage::{Datum, LabelDictionary, LabelId, StorageError, StorageResult, TupleRef, TxnId};
 
+/// An integer of a width drawn first (1, 2, 4 or 8 bytes), so every kind
+/// the codec has for it comes up: a uniform `i64` almost always takes 8.
+fn any_width_int(rng: &mut StdRng) -> i64 {
+    let bits: u32 = [8, 16, 32, 64][rng.gen_range(0..4usize)];
+    rng.gen::<i64>() >> (64 - bits)
+}
+
 fn arbitrary_datum(rng: &mut StdRng) -> Datum {
     match rng.gen_range(0..7) {
         0 => Datum::Null,
-        1 => Datum::Int(rng.gen()),
+        1 => Datum::Int(any_width_int(rng)),
         2 => Datum::Float(f64::from_bits(rng.gen())),
         3 => {
-            let len = rng.gen_range(0..40);
+            // Now and then a text whose length needs more than one byte.
+            let len = match rng.gen_range(0..16) {
+                0 => rng.gen_range(250..262),
+                _ => rng.gen_range(0..40),
+            };
             Datum::Text(
                 (0..len)
                     .map(|_| rng.gen_range(b'a'..=b'z') as char)
@@ -24,7 +35,7 @@ fn arbitrary_datum(rng: &mut StdRng) -> Datum {
             )
         }
         4 => Datum::Bool(rng.gen()),
-        5 => Datum::Timestamp(rng.gen()),
+        5 => Datum::Timestamp(any_width_int(rng)),
         _ => {
             let len = rng.gen_range(0..6);
             Datum::IntArray((0..len).map(|_| rng.gen()).collect())
@@ -173,7 +184,13 @@ fn agrees_with_oracle(buf: &[u8]) {
 fn truncated_fixed_width_payloads_are_rejected() {
     let fixed = [
         Datum::Int(-7),
+        Datum::Int(300),
+        Datum::Int(-70_000),
+        Datum::Int(1 << 40),
         Datum::Float(2.5),
+        Datum::Timestamp(5),
+        Datum::Timestamp(-300),
+        Datum::Timestamp(1 << 20),
         Datum::Timestamp(1_700_000_000_000_000),
         Datum::Bool(true),
     ];
@@ -199,6 +216,117 @@ fn truncated_fixed_width_payloads_are_rejected() {
             agrees_with_oracle(buf);
         }
     }
+}
+
+/// Every integer at the edge of a width, and its neighbours: 0, ±1, ±2⁷,
+/// ±2¹⁵, ±2³¹ and the ends of `i64`.
+fn boundary_ints() -> Vec<i64> {
+    let mut ints = vec![0, 1, -1, 2, -2];
+    ints.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+    for bits in [7, 15, 31] {
+        let edge = 1i64 << bits;
+        ints.extend([edge - 1, edge, edge + 1, -edge - 1, -edge, -edge + 1]);
+    }
+    ints
+}
+
+/// The payload bytes of the narrowest two's-complement width of 1, 2, 4
+/// or 8 bytes that holds `v`.
+fn narrowest_width(v: i64) -> usize {
+    [1usize, 2, 4, 8]
+        .into_iter()
+        .find(|&w| {
+            let half = 1i128 << (8 * w - 1);
+            (-half..half).contains(&i128::from(v))
+        })
+        .unwrap()
+}
+
+/// A datum as a build before the narrow kinds wrote it: every `Int` and
+/// `Timestamp` in 8 bytes (kinds 1 and 5), every `Text` with a 4-byte
+/// length (kind 3).
+fn encode_wide(d: &Datum, out: &mut Vec<u8>) {
+    match d {
+        Datum::Int(v) => {
+            out.push(1);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Datum::Timestamp(v) => {
+            out.push(5);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Datum::Text(s) => {
+            out.push(3);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        other => other.encode(out),
+    }
+}
+
+/// At every width boundary: the value comes back, in the bytes
+/// `encoded_len` promises and in the narrowest width that holds it;
+/// `skip`, `int_at` and `decode` end at the same place and agree; and every
+/// cut short of the end is refused by each of them. Its 8-byte and 4-byte
+/// length forms (what older builds wrote) still read as the same value.
+#[test]
+fn every_width_boundary_round_trips_in_its_narrowest_encoding() {
+    let mut cases: Vec<(Datum, usize)> = Vec::new();
+    for v in boundary_ints() {
+        let width = narrowest_width(v);
+        cases.push((Datum::Int(v), 1 + width));
+        cases.push((Datum::Timestamp(v), 1 + width));
+    }
+    for len in [0, 1, 255, 256, 300] {
+        let header = if len <= 255 { 2 } else { 5 };
+        cases.push((
+            Datum::Text("é".repeat(len / 2) + &"a".repeat(len % 2)),
+            header + len,
+        ));
+    }
+    for (d, expect) in cases {
+        let mut bytes = Vec::new();
+        d.encode(&mut bytes);
+        assert_eq!(bytes.len(), expect, "{d:?}");
+        assert_eq!(d.encoded_len(), bytes.len(), "{d:?}");
+        let (back, end) = Datum::decode(&bytes, 0).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{d:?}"));
+        assert_eq!(end, bytes.len(), "{d:?}");
+        assert_eq!(Datum::skip(&bytes, 0).unwrap(), end, "{d:?}");
+        assert_eq!(
+            Datum::int_at(&bytes, 0).unwrap(),
+            (d.as_int(), end),
+            "{d:?}"
+        );
+        for cut in 0..bytes.len() {
+            let short = &bytes[..cut];
+            assert!(Datum::decode(short, 0).is_err(), "{d:?} cut at {cut}");
+            assert!(Datum::skip(short, 0).is_err(), "{d:?} cut at {cut}");
+            assert!(Datum::int_at(short, 0).is_err(), "{d:?} cut at {cut}");
+        }
+        let mut wide = Vec::new();
+        encode_wide(&d, &mut wide);
+        let (back, end) = Datum::decode(&wide, 0).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{d:?}"));
+        assert_eq!(end, wide.len(), "{d:?}");
+        assert_eq!(Datum::skip(&wide, 0).unwrap(), end, "{d:?}");
+        assert_eq!(Datum::int_at(&wide, 0).unwrap(), (d.as_int(), end), "{d:?}");
+    }
+    // A tuple of every boundary integer reads back field by field, and its
+    // `Int`s reach the page's column view through `for_each_int`.
+    let ints = boundary_ints();
+    let data: Vec<Datum> = ints
+        .iter()
+        .map(|&v| Datum::Int(v))
+        .chain(ints.iter().map(|&v| Datum::Timestamp(v)))
+        .collect();
+    let bytes = encode(TxnId(3), 1, &data);
+    let tuple = TupleRef::parse(&bytes).unwrap();
+    assert_eq!(format!("{:?}", tuple.data().unwrap()), format!("{data:?}"));
+    let mut seen = Vec::new();
+    tuple.for_each_int(|_, int| seen.push(int)).unwrap();
+    let expect: Vec<Option<i64>> = data.iter().map(Datum::as_int).collect();
+    assert_eq!(seen, expect);
 }
 
 proptest! {

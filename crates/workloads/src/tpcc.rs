@@ -1267,12 +1267,15 @@ mod tests {
         // An UPDATE logs one record holding only the new row's bytes that
         // differ from the old row's (`LogRecord::Update`), not a Delete and
         // the whole new row. A stock update changes one `Int`, so its frame
-        // is the record's 29-byte head, at most those 8 bytes and the
-        // frame's 8: at most 45 B. One session deals the cards, so the run
-        // logs the same bytes each time: at one warehouse at the
-        // benchmark's per-warehouse scale, 1 005 B a card, where logging
-        // each update as a Delete and an Insert of the whole new row
-        // logged 1 784 B. The bound is 35 % under the latter.
+        // is the record's 29-byte head, at most that field's new bytes (9 at
+        // the widest) and the frame's 8: at most 46 B. One session deals the
+        // cards, so the run logs the same bytes each time: at one warehouse
+        // at the benchmark's per-warehouse scale, 754 B a card with each
+        // datum in the narrowest kind that holds it, where 8-byte integers
+        // and 4-byte text lengths logged 1 005 B and a Delete and an Insert
+        // of the whole new row 1 784 B. The heap then holds 154 pages, where
+        // the wide kinds took 267. The bounds are 20 % and 30 % under the
+        // wide kinds' figures.
         let config = TpccConfig {
             warehouses: 1,
             districts_per_warehouse: 10,
@@ -1292,7 +1295,13 @@ mod tests {
             assert!(tpcc.run_transaction(&mut s, &mut rng, deck.deal()).unwrap());
         }
         let per_card = (engine.stats().wal_bytes - before) / CARDS;
-        assert!(per_card <= 1_160, "{per_card} B logged a card");
+        assert!(per_card <= 800, "{per_card} B logged a card");
+        let pages: usize = engine
+            .table_names()
+            .iter()
+            .map(|name| engine.table_by_name(name).unwrap().heap().page_count())
+            .sum();
+        assert!(pages <= 187, "the heap holds {pages} pages");
         let stock = engine.table_by_name("stock").unwrap().id().0;
         let frames: Vec<usize> = engine
             .wal()
